@@ -6,6 +6,45 @@ use presto_codecs::inflate::inflate;
 use presto_codecs::{Codec, Level};
 use proptest::prelude::*;
 
+/// CRC-32 by the slicing-by-8 tables alone: the oracle for the
+/// carry-less-multiply kernel `Crc32::update` dispatches to.
+fn crc32_tables(data: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update_tables(data);
+    crc.finish()
+}
+
+/// Deterministic filler with no short period.
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 24) as u8
+        })
+        .collect()
+}
+
+/// Every length 0..=1024 at every start offset 0..16 of one buffer, so
+/// each 64-byte block count, each tail length and each load alignment
+/// of the kernel is compared with the table path.
+#[test]
+fn crc32_kernel_matches_tables_on_every_length_and_offset() {
+    let buffer = noise(1024 + 16, 1);
+    for offset in 0..16 {
+        for len in 0..=1024 {
+            let data = &buffer[offset..offset + len];
+            assert_eq!(
+                Crc32::checksum(data),
+                crc32_tables(data),
+                "len {len} at offset {offset}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -63,6 +102,43 @@ proptest! {
         adler.update(a);
         adler.update(b);
         prop_assert_eq!(adler.finish(), Adler32::checksum(&data));
+    }
+
+    /// The kernel and the table path agree on inputs up to 256 KiB,
+    /// from any running state.
+    #[test]
+    fn crc32_kernel_matches_tables_on_long_inputs(len in 0usize..=256 * 1024,
+                                                  seed in any::<u64>(),
+                                                  prefix in proptest::collection::vec(any::<u8>(), 0..40)) {
+        let data = noise(len, seed);
+        prop_assert_eq!(Crc32::checksum(&data), crc32_tables(&data));
+        let mut fast = Crc32::new();
+        let mut slow = Crc32::new();
+        fast.update(&prefix);
+        slow.update_tables(&prefix);
+        fast.update(&data);
+        slow.update_tables(&data);
+        prop_assert_eq!(fast.finish(), slow.finish());
+    }
+
+    /// Any two- or three-way split of the input across `update` calls
+    /// gives the one-shot table value, whichever path each piece takes.
+    #[test]
+    fn crc32_update_splits_match_tables(data in proptest::collection::vec(any::<u8>(), 0..4096),
+                                        cut_a in 0usize..4096, cut_b in 0usize..4096) {
+        let a = cut_a.min(data.len());
+        let b = cut_b.min(data.len());
+        let (lo, hi) = (a.min(b), a.max(b));
+        let expected = crc32_tables(&data);
+        let mut two = Crc32::new();
+        two.update(&data[..lo]);
+        two.update(&data[lo..]);
+        prop_assert_eq!(two.finish(), expected);
+        let mut three = Crc32::new();
+        three.update(&data[..lo]);
+        three.update(&data[lo..hi]);
+        three.update(&data[hi..]);
+        prop_assert_eq!(three.finish(), expected);
     }
 
     /// A single-bit flip in the gzip trailer (CRC-32 or ISIZE) is always

@@ -14,7 +14,7 @@
 //!
 //! Two engines execute the same `Pipeline`/`Strategy` types:
 //!
-//! - [`real`]: actual worker threads (crossbeam) applying real step
+//! - [`real`]: actual worker threads applying real step
 //!   implementations to real data, with in-memory or on-disk shard
 //!   storage — a usable data-loading library,
 //! - [`sim`]: a discrete-event simulation on virtual time over

@@ -397,18 +397,22 @@ pub(crate) fn process_shard(
     deliver: &mut dyn FnMut(Sample) -> Deliver,
 ) -> Result<bool, PipelineError> {
     let mut rng = SmallRng::seed_from_u64(shard_rng_seed(epoch_seed, shard_name));
-    let t_read = rec.begin();
-    let a_read = rec.alloc_begin();
-    let fetched = fetch_shard(store, shard_name, resilience, counters, rec, worker);
-    if let Some(scope) = a_read {
-        rec.alloc_done(PHASE_READ, scope);
-    }
-    if let Some(t0) = t_read {
-        rec.phase_done(worker, PHASE_READ, t0);
-        if let Some(plan) = delay {
-            plan.after_phase(PHASE_READ, t0.elapsed());
+    // Close a phase opened by `(rec.begin(), rec.alloc_begin())`: book
+    // its allocations and time, then let a causal plan dilate it.
+    let end_phase = |phase: usize, (t0, scope): (Option<Instant>, Option<_>)| {
+        if let Some(scope) = scope {
+            rec.alloc_done(phase, scope);
         }
-    }
+        if let Some(t0) = t0 {
+            rec.phase_done(worker, phase, t0);
+            if let Some(plan) = delay {
+                plan.after_phase(phase, t0.elapsed());
+            }
+        }
+    };
+    let in_read = (rec.begin(), rec.alloc_begin());
+    let fetched = fetch_shard(store, shard_name, resilience, counters, rec, worker);
+    end_phase(PHASE_READ, in_read);
     let blob = match fetched {
         Ok(blob) => blob,
         Err(e) if shard_fault_is_degradable(&e) => {
@@ -419,8 +423,7 @@ pub(crate) fn process_shard(
     };
     bytes_read.fetch_add(blob.len() as u64, Ordering::Relaxed);
     rec.bytes_read(worker, blob.len() as u64);
-    let t_decompress = rec.begin();
-    let a_decompress = rec.alloc_begin();
+    let in_decompress = (rec.begin(), rec.alloc_begin());
     // Uncompressed shards skip materialization entirely: the store
     // blob *is* the frame, and samples decoded from it alias its
     // refcounted allocation. Compressed shards inflate into pooled
@@ -443,15 +446,7 @@ pub(crate) fn process_shard(
             None => codec.decompress(&blob).map(Bytes::from),
         },
     };
-    if let Some(scope) = a_decompress {
-        rec.alloc_done(PHASE_DECOMPRESS, scope);
-    }
-    if let Some(t0) = t_decompress {
-        rec.phase_done(worker, PHASE_DECOMPRESS, t0);
-        if let Some(plan) = delay {
-            plan.after_phase(PHASE_DECOMPRESS, t0.elapsed());
-        }
-    }
+    end_phase(PHASE_DECOMPRESS, in_decompress);
     let framed = match decompressed {
         Ok(f) => f,
         Err(e) => {
@@ -469,7 +464,11 @@ pub(crate) fn process_shard(
         _ => rec.buffer_allocs(1),           // one fresh frame buffer per shard
     }
     let mut reader = RecordReader::new(&framed);
-    while let Some(record) = reader.next() {
+    loop {
+        // The decode phase is record parsing + sample decoding, so its
+        // clock starts before the record's CRC pass, not after it.
+        let in_decode = (rec.begin(), rec.alloc_begin());
+        let Some(record) = reader.next() else { break };
         let record = match record {
             Ok(r) => r,
             Err(e) => {
@@ -479,23 +478,14 @@ pub(crate) fn process_shard(
                 };
                 counters.absorb_sample(&resilience.policy, fault)?;
                 reader.resync();
+                end_phase(PHASE_DECODE, in_decode);
                 continue;
             }
         };
-        let t_decode = rec.begin();
-        let a_decode = rec.alloc_begin();
         // Zero-copy decode: Bytes/Tensors payloads become views into
         // the shared frame instead of per-sample heap copies.
         let decoded = Sample::decode_shared(&framed, record);
-        if let Some(scope) = a_decode {
-            rec.alloc_done(PHASE_DECODE, scope);
-        }
-        if let Some(t0) = t_decode {
-            rec.phase_done(worker, PHASE_DECODE, t0);
-            if let Some(plan) = delay {
-                plan.after_phase(PHASE_DECODE, t0.elapsed());
-            }
-        }
+        end_phase(PHASE_DECODE, in_decode);
         let processed = decoded.and_then(|(mut sample, shared)| {
             if shared {
                 rec.buffer_reuses(1); // payload aliases the frame
@@ -503,18 +493,9 @@ pub(crate) fn process_shard(
                 rec.buffer_allocs(1); // in-memory-only payload: copied
             }
             for (idx, (name, step)) in steps.iter().enumerate() {
-                let t_step = rec.begin();
-                let a_step = rec.alloc_begin();
+                let in_step = (rec.begin(), rec.alloc_begin());
                 sample = apply_step(step.as_ref(), name, sample, &mut rng)?;
-                if let Some(scope) = a_step {
-                    rec.alloc_done(BUILTIN_PHASES + idx, scope);
-                }
-                if let Some(t0) = t_step {
-                    rec.phase_done(worker, BUILTIN_PHASES + idx, t0);
-                    if let Some(plan) = delay {
-                        plan.after_phase(BUILTIN_PHASES + idx, t0.elapsed());
-                    }
-                }
+                end_phase(BUILTIN_PHASES + idx, in_step);
             }
             Ok(sample)
         });

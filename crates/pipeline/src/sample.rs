@@ -84,55 +84,61 @@ impl Sample {
     /// in-memory forms are converted by the save step before this.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.nbytes() + 16);
-        out.extend_from_slice(&self.key.to_le_bytes());
+        self.encode_to(|piece| out.extend_from_slice(piece));
+        out
+    }
+
+    /// Hand the bytes of [`Sample::encode`] to `sink` piece by piece, in
+    /// order, without assembling them: byte and tensor payloads go out
+    /// as the slices they already are. This is the sample's canonical
+    /// byte stream; [`crate::serve::MultisetChecksum`] hashes it in place.
+    pub fn encode_to(&self, mut sink: impl FnMut(&[u8])) {
+        sink(&self.key.to_le_bytes());
         match &self.payload {
             Payload::Bytes(b) => {
-                out.push(0);
-                out.extend_from_slice(b);
+                sink(&[0]);
+                sink(b);
             }
             Payload::Tensors(ts) => {
-                out.push(1);
-                out.push(ts.len() as u8);
+                sink(&[1, ts.len() as u8]);
                 for t in ts {
-                    out.extend_from_slice(&t.encode());
+                    t.encode_to(&mut sink);
                 }
             }
             Payload::Text(s) => {
-                out.push(2);
-                out.extend_from_slice(s.as_bytes());
+                sink(&[2]);
+                sink(s.as_bytes());
             }
             Payload::Tokens(tokens) => {
-                out.push(3);
+                sink(&[3]);
                 for t in tokens {
-                    out.extend_from_slice(&t.to_le_bytes());
+                    sink(&t.to_le_bytes());
                 }
             }
             Payload::Audio(samples, rate) => {
-                out.push(4);
-                out.extend_from_slice(&rate.to_le_bytes());
+                sink(&[4]);
+                sink(&rate.to_le_bytes());
                 for s in samples {
-                    out.extend_from_slice(&s.to_le_bytes());
+                    sink(&s.to_le_bytes());
                 }
             }
             Payload::Image(img) => {
                 // Images are materialized as a raw tensor for
                 // simplicity: HWC u8/u16.
-                out.push(5);
-                out.extend_from_slice(&(img.width as u32).to_le_bytes());
-                out.extend_from_slice(&(img.height as u32).to_le_bytes());
-                out.push(img.channels as u8);
-                out.push(img.bit_depth());
+                sink(&[5]);
+                sink(&(img.width as u32).to_le_bytes());
+                sink(&(img.height as u32).to_le_bytes());
+                sink(&[img.channels as u8, img.bit_depth()]);
                 match &img.data {
-                    presto_dsp::image::PixelData::U8(v) => out.extend_from_slice(v),
+                    presto_dsp::image::PixelData::U8(v) => sink(v),
                     presto_dsp::image::PixelData::U16(v) => {
                         for s in v {
-                            out.extend_from_slice(&s.to_le_bytes());
+                            sink(&s.to_le_bytes());
                         }
                     }
                 }
             }
         }
-        out
     }
 
     /// Inverse of [`Sample::encode`].

@@ -716,9 +716,10 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Frame>, ServeError> {
 }
 
 /// Order-insensitive fingerprint of a sample multiset: the wrapping sum
-/// of per-sample FNV-1a hashes over [`Sample::encode`] bytes, plus the
-/// count. Two epochs delivered the same samples (in any order, across
-/// any worker assignment) iff their checksums match.
+/// of per-sample hashes over the [`Sample::encode`] byte stream, plus
+/// the count. Two epochs delivered the same samples (in any order,
+/// across any worker assignment) iff their checksums match. The values
+/// compare runs of one build; they are not a stored format.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MultisetChecksum {
     /// Samples folded in.
@@ -728,14 +729,13 @@ pub struct MultisetChecksum {
 }
 
 impl MultisetChecksum {
-    /// Fold one sample in.
+    /// Fold one sample in. The sample's bytes are hashed where they
+    /// lie; nothing is encoded or allocated.
     pub fn add(&mut self, sample: &Sample) {
-        let bytes = sample.encode();
-        let hash = bytes.iter().fold(0xCBF29CE484222325u64, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x100000001B3)
-        });
+        let mut hasher = StripeHasher::default();
+        sample.encode_to(|piece| hasher.write(piece));
         self.count += 1;
-        self.sum = self.sum.wrapping_add(hash);
+        self.sum = self.sum.wrapping_add(hasher.finish());
     }
 
     /// Fold another checksum in (disjoint multiset union).
@@ -746,11 +746,92 @@ impl MultisetChecksum {
 
     /// A single comparable digest mixing count and sum.
     pub fn digest(&self) -> u64 {
-        // SplitMix64 finalizer over the combined state.
-        let mut z = self.sum ^ self.count.wrapping_mul(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        mix64(self.sum ^ self.count.wrapping_mul(0x9E3779B97F4A7C15))
+    }
+}
+
+/// SplitMix64 finalizer: a bijection on `u64` that spreads every input
+/// bit over the whole word.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
+/// The per-sample hash behind [`MultisetChecksum`]: 64 bits over a byte
+/// stream, a function of the bytes alone (not of how `write` calls cut
+/// them, nor of the host's endianness).
+///
+/// The stream is read as 32-byte stripes of four little-endian `u64`
+/// words; word `i` of a stripe goes into lane `i` by
+/// `lane = rotl(lane ^ word, 27) * M` with `M` odd. The four lanes do
+/// not depend on one another, so one multiply covers 8 bytes and four
+/// are in flight. A final partial stripe is zero-padded; the lanes are
+/// then rotated apart, summed, xored with the stream length times an
+/// odd constant, and finalized. Every step is a bijection of the lane
+/// it touches, so flipping one bit (one lane changes), or adding or
+/// removing zero bytes inside the last stripe (only the length
+/// changes), always changes the result. A cut that removes non-zero
+/// bytes changes lanes and length together; those cancel with
+/// probability about 2^-64, like any other pair of unequal streams.
+#[derive(Default)]
+struct StripeHasher {
+    lanes: [u64; 4],
+    /// The bytes of an incomplete stripe, `pending_len` of them.
+    pending: [u8; 32],
+    pending_len: usize,
+    total_len: u64,
+}
+
+impl StripeHasher {
+    /// xxHash64's second prime.
+    const MULTIPLIER: u64 = 0xC2B2_AE3D_27D4_EB4F;
+
+    fn write(&mut self, mut bytes: &[u8]) {
+        self.total_len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = bytes.len().min(32 - self.pending_len);
+            self.pending[self.pending_len..][..take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < 32 {
+                return;
+            }
+            self.lanes = Self::absorb(self.lanes, &self.pending);
+        }
+        let mut lanes = self.lanes;
+        let mut stripes = bytes.chunks_exact(32);
+        for stripe in &mut stripes {
+            lanes = Self::absorb(lanes, stripe.try_into().expect("32-byte chunk"));
+        }
+        self.lanes = lanes;
+        let rest = stripes.remainder();
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
+    }
+
+    fn absorb(mut lanes: [u64; 4], stripe: &[u8; 32]) -> [u64; 4] {
+        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+            *lane = (*lane ^ word)
+                .rotate_left(27)
+                .wrapping_mul(Self::MULTIPLIER);
+        }
+        lanes
+    }
+
+    fn finish(mut self) -> u64 {
+        if self.pending_len > 0 {
+            self.pending[self.pending_len..].fill(0);
+            self.lanes = Self::absorb(self.lanes, &self.pending);
+        }
+        let [a, b, c, d] = self.lanes;
+        let folded = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        mix64(folded ^ self.total_len.wrapping_mul(0x9E3779B97F4A7C15))
     }
 }
 
@@ -1607,10 +1688,7 @@ struct ConnTrace<'a> {
 
 /// SplitMix64: derive a deterministic trace id from the epoch seed.
 fn derive_trace_id(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    mix64(seed.wrapping_add(0x9E3779B97F4A7C15))
 }
 
 /// Consume one epoch from `workers`, delivering every sample to
@@ -2095,9 +2173,12 @@ fn drive_assignment<F>(
                     Ok(codec) => codec,
                     Err(_) => return,
                 };
-                let framed = match codec.decompress(&block) {
-                    Ok(framed) => framed,
-                    Err(_) => return,
+                let framed = match codec {
+                    Codec::None => block,
+                    _ => match codec.decompress(&block) {
+                        Ok(framed) => framed,
+                        Err(_) => return,
+                    },
                 };
                 let mut records = RecordReader::new(&framed);
                 let mut decoded = 0u32;
@@ -2367,6 +2448,135 @@ mod tests {
         let mut missing = MultisetChecksum::default();
         missing.add(&a);
         assert_ne!(fwd.digest(), missing.digest());
+        let mut other = MultisetChecksum::default();
+        other.add(&b);
+        missing.merge(other);
+        assert_eq!(missing, fwd);
+        // A multiset, not a set: the same sample twice is not once.
+        let mut twice = fwd;
+        twice.add(&a);
+        assert_ne!(twice, fwd);
+        assert_eq!(twice.count, 3);
+    }
+
+    fn hash_bytes(bytes: &[u8]) -> u64 {
+        let mut hasher = StripeHasher::default();
+        hasher.write(bytes);
+        hasher.finish()
+    }
+
+    fn hash_sample(sample: &Sample) -> u64 {
+        let mut sum = MultisetChecksum::default();
+        sum.add(sample);
+        sum.sum
+    }
+
+    /// One sample of every payload kind, sized to end mid-stripe, on a
+    /// stripe boundary and inside the first stripe.
+    fn sample_zoo() -> Vec<Sample> {
+        use crate::sample::Payload;
+        use presto_dsp::image::ImageBuf;
+        use presto_tensor::Tensor;
+        let ramp = |n: usize| (0..n).map(|i| (i * 37 + 11) as u8).collect::<Vec<u8>>();
+        let mut zoo = vec![
+            Sample::from_bytes(1, Vec::new()),
+            Sample::from_bytes(2, ramp(23)), // 8 + 1 + 23: exactly one stripe
+            Sample::from_bytes(3, ramp(200)),
+            Sample::from_tensors(
+                4,
+                vec![
+                    Tensor::from_vec(vec![3, 5], (0..15).map(|i| i as f32 * 0.5).collect())
+                        .unwrap(),
+                    Tensor::from_vec(vec![7], ramp(7)).unwrap(),
+                ],
+            ),
+        ];
+        for (key, payload) in [
+            Payload::Text("héllo, wörld".into()),
+            Payload::Tokens(vec![-1, 0, 65_536, 7]),
+            Payload::Audio(vec![-100, 200, 300], 16_000),
+            Payload::Image(ImageBuf::from_u8(4, 2, 3, ramp(24))),
+            Payload::Image(ImageBuf::from_u16(2, 2, 1, vec![60_000, 1, 2, 3])),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            zoo.push(Sample {
+                key: 10 + key as u64,
+                payload,
+            });
+        }
+        zoo
+    }
+
+    #[test]
+    fn sample_hash_is_the_hash_of_the_encoded_bytes() {
+        // `encode()` is allocated here and nowhere on the hashing path:
+        // equal hashes exactly when the encoded bytes are equal.
+        let zoo = sample_zoo();
+        for sample in &zoo {
+            assert_eq!(hash_sample(sample), hash_bytes(&sample.encode()));
+        }
+        for (i, a) in zoo.iter().enumerate() {
+            for b in &zoo[i + 1..] {
+                assert_ne!(a.encode(), b.encode());
+                assert_ne!(hash_sample(a), hash_sample(b));
+            }
+        }
+        // A copy decoded from its bytes, owned or aliasing a shared
+        // frame, hashes like the original.
+        for sample in &zoo {
+            let frame = bytes::Bytes::from(sample.encode());
+            let owned = Sample::decode(&frame).unwrap();
+            let (shared, _) = Sample::decode_shared(&frame, &frame).unwrap();
+            assert_eq!(hash_sample(&owned), hash_sample(sample));
+            assert_eq!(hash_sample(&shared), hash_sample(sample));
+        }
+    }
+
+    #[test]
+    fn sample_hash_does_not_depend_on_how_writes_cut_the_stream() {
+        let bytes: Vec<u8> = (0..200u32).map(|i| (i * 29 + 3) as u8).collect();
+        let whole = hash_bytes(&bytes);
+        for first in 0..=bytes.len() {
+            for second in [0, 1, 7, 31, 32, 33, 64] {
+                let mid = (first + second).min(bytes.len());
+                let mut hasher = StripeHasher::default();
+                hasher.write(&bytes[..first]);
+                hasher.write(&bytes[first..mid]);
+                hasher.write(&bytes[mid..]);
+                assert_eq!(hasher.finish(), whole, "cuts at {first} and {mid}");
+            }
+        }
+        let mut bytewise = StripeHasher::default();
+        bytes.iter().for_each(|b| bytewise.write(&[*b]));
+        assert_eq!(bytewise.finish(), whole);
+    }
+
+    #[test]
+    fn sample_hash_sees_every_bit_flip_truncation_and_zero_extension() {
+        for sample in sample_zoo() {
+            let bytes = sample.encode();
+            let hash = hash_bytes(&bytes);
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(hash_bytes(&flipped), hash, "key {} bit {bit}", sample.key);
+            }
+            for cut in 0..bytes.len() {
+                assert_ne!(
+                    hash_bytes(&bytes[..cut]),
+                    hash,
+                    "key {} cut {cut}",
+                    sample.key
+                );
+            }
+            let mut extended = bytes.clone();
+            for extra in 1..=96 {
+                extended.push(0);
+                assert_ne!(hash_bytes(&extended), hash, "key {} +{extra}", sample.key);
+            }
+        }
     }
 
     #[test]

@@ -174,6 +174,13 @@ struct Tenant {
     alive: Arc<AtomicBool>,
 }
 
+impl Tenant {
+    /// Has a shard a dispatcher may take now (deficit aside).
+    fn dispatchable(&self, max_inflight: usize) -> bool {
+        self.alive.load(Ordering::Acquire) && !self.queue.is_empty() && self.inflight < max_inflight
+    }
+}
+
 /// Scheduler state shared by client connections and dispatchers.
 #[derive(Default)]
 struct Sched {
@@ -207,6 +214,33 @@ impl Sched {
             }
             alive && !done
         });
+    }
+
+    /// DRR top-up: while every dispatchable tenant has exhausted its
+    /// deficit, every tenant with queued shards gets another
+    /// `quantum × weight`. Charging happens at completion, in delivered
+    /// samples, so a shard larger than the quantum leaves its tenant
+    /// more than one round short; the rounds are handed out back to
+    /// back, because a dispatcher that finds no tenant in credit goes
+    /// to sleep on the condvar and nothing but another tenant's
+    /// completion (or the poll timeout) would wake it. Terminates:
+    /// weights are ≥ 1 (clamped at REGISTER). No-op when nothing can be
+    /// dispatched.
+    fn top_up(&mut self, quantum: u64, max_inflight: usize) {
+        if !self.tenants.iter().any(|t| t.dispatchable(max_inflight)) {
+            return;
+        }
+        while !self
+            .tenants
+            .iter()
+            .any(|t| t.dispatchable(max_inflight) && t.deficit > 0)
+        {
+            for t in self.tenants.iter_mut() {
+                if t.alive.load(Ordering::Acquire) && !t.queue.is_empty() {
+                    t.deficit += (quantum.max(1) * u64::from(t.weight)) as i64;
+                }
+            }
+        }
     }
 }
 
@@ -649,22 +683,10 @@ fn next_task(shared: &DaemonShared, backend: usize) -> Option<Dispatch> {
             return None;
         }
         sched.prune(&shared.tenants);
-        let eligible = |t: &Tenant| {
-            t.alive.load(Ordering::Acquire)
-                && !t.queue.is_empty()
-                && t.inflight < shared.config.max_inflight
-        };
+        let max_inflight = shared.config.max_inflight;
+        let eligible = |t: &Tenant| t.dispatchable(max_inflight);
         if sched.tenants.iter().any(eligible) {
-            // DRR top-up: when every eligible tenant has exhausted its
-            // deficit, everyone gets another quantum × weight. Charging
-            // happens at completion, in delivered samples.
-            if !sched.tenants.iter().any(|t| eligible(t) && t.deficit > 0) {
-                for t in sched.tenants.iter_mut() {
-                    if t.alive.load(Ordering::Acquire) && !t.queue.is_empty() {
-                        t.deficit += (shared.config.quantum.max(1) * u64::from(t.weight)) as i64;
-                    }
-                }
-            }
+            sched.top_up(shared.config.quantum, max_inflight);
             // Prefer a tenant holding a shard affine to this backend;
             // break ties (and the no-affinity case) by largest deficit,
             // then by round-robin order so equals alternate.
@@ -726,9 +748,9 @@ fn dispatcher_loop(shared: &Arc<DaemonShared>, backend: usize) {
     let mut consecutive_failures = 0u32;
     while let Some(dispatch) = next_task(shared, backend) {
         match serve_task(shared, &addr, &mut conn, &dispatch) {
-            Ok((samples, batches)) => {
+            Ok(buffered) => {
                 consecutive_failures = 0;
-                complete_task(shared, backend, &dispatch, samples, batches);
+                complete_task(shared, backend, &dispatch, buffered);
             }
             Err(failure) => {
                 conn = None;
@@ -757,21 +779,25 @@ struct TaskFailure {
     started: bool,
 }
 
-/// Run one shard on the backend and relay it to the tenant's client.
+/// A relayed BATCH awaiting its shard's EOF: `(count, codec, block)`.
+type BufferedBatch = (u32, u8, Vec<u8>);
+
+/// Run one shard on the backend and buffer it for the tenant's client.
 ///
 /// The relay is **shard-atomic**: batches are buffered here and only
-/// flushed to the tenant outbox once the backend's EOF arrives. The
-/// client's connection to the daemon survives a backend death, so a
-/// half-streamed shard must leave no trace — the requeued shard will
-/// be served again from scratch (bit-identically, thanks to
-/// [`crate::shard_rng_seed`]) and anything already forwarded would
-/// have doubled its samples. Returns `(samples, batches)` delivered.
+/// flushed to the tenant outbox (by [`complete_task`]) once the
+/// backend's EOF arrives. The client's connection to the daemon
+/// survives a backend death, so a half-streamed shard must leave no
+/// trace — the requeued shard will be served again from scratch
+/// (bit-identically, thanks to [`crate::shard_rng_seed`]) and anything
+/// already forwarded would have doubled its samples. Returns the
+/// shard's batches.
 fn serve_task(
     shared: &DaemonShared,
     addr: &str,
     conn: &mut Option<(TcpStream, BufReader<TcpStream>)>,
     dispatch: &Dispatch,
-) -> Result<(u64, u64), TaskFailure> {
+) -> Result<Vec<BufferedBatch>, TaskFailure> {
     let unstarted = |error: ServeError| TaskFailure {
         error,
         started: false,
@@ -825,8 +851,7 @@ fn serve_task(
         },
     )
     .map_err(unstarted)?;
-    let mut samples = 0u64;
-    let mut buffered: Vec<(u32, u8, Vec<u8>)> = Vec::new();
+    let mut buffered: Vec<BufferedBatch> = Vec::new();
     loop {
         let frame = read_frame(reader)
             .map_err(started)?
@@ -858,48 +883,42 @@ fn serve_task(
                 )))
             }
         };
-        samples += u64::from(count);
         buffered.push((count, codec, block));
         // Re-credit the backend immediately: client backpressure is
         // absorbed by the tenant's outbox + gate, never by stalling
         // the shared backend.
         write_frame(writer, &Frame::Credit { n: 1 }).map_err(started)?;
     }
-    // EOF reached: the shard is complete — flush it atomically.
-    let batches = buffered.len() as u64;
-    if dispatch.alive.load(Ordering::Acquire) {
-        for (count, codec, block) in buffered {
-            let bytes = block.len() as u64;
-            let _ = dispatch.outbox.send(Out::Frame(Frame::Batch {
-                shard: dispatch.task.index,
-                count,
-                codec,
-                block,
-            }));
-            shared
-                .tenants
-                .delivered(&dispatch.tenant, u64::from(count), 1, bytes);
-        }
-        let _ = dispatch.outbox.send(Out::Frame(Frame::Eof {
-            shard: dispatch.task.index,
-        }));
-        shared.tenants.shard_done(&dispatch.tenant);
-    }
-    Ok((samples, batches))
+    Ok(buffered)
 }
 
-/// Record a completed shard: affinity, DRR charge, epoch completion.
+/// Record a completed shard (affinity, DRR charge, epoch completion),
+/// then flush it to the tenant's outbox atomically. The books are
+/// closed *before* the frames are released: a client that has read its
+/// last EOF finds its tenant entry already `done` with every shard
+/// counted.
 fn complete_task(
     shared: &DaemonShared,
     backend: usize,
     dispatch: &Dispatch,
-    samples: u64,
-    batches: u64,
+    buffered: Vec<BufferedBatch>,
 ) {
+    let samples: u64 = buffered.iter().map(|(count, ..)| u64::from(*count)).sum();
+    let batches = buffered.len() as u64;
     let mut sched = shared.sched.lock().unwrap();
     sched.affinity.insert(dispatch.task.shard.clone(), backend);
+    let deliver = dispatch.alive.load(Ordering::Acquire);
+    if deliver {
+        for (count, _, block) in &buffered {
+            shared
+                .tenants
+                .delivered(&dispatch.tenant, u64::from(*count), 1, block.len() as u64);
+        }
+        shared.tenants.shard_done(&dispatch.tenant);
+    }
     // Identity match, not name: a same-name rejoin starts a fresh
     // incarnation whose accounting a stale dispatch must not touch.
+    let mut trailer: Vec<Out> = Vec::new();
     if let Some(t) = sched
         .tenants
         .iter_mut()
@@ -919,13 +938,29 @@ fn complete_task(
                     peer_version: PROTOCOL_VERSION,
                     ..FleetWorkerEntry::default()
                 };
-                let _ = t.outbox.send(Out::Frame(Frame::Stats {
+                trailer.push(Out::Frame(Frame::Stats {
                     entry: Box::new(entry),
                 }));
             }
-            let _ = t.outbox.send(Out::Finish);
+            trailer.push(Out::Finish);
             shared.tenants.finished(&t.name);
         }
+    }
+    if deliver {
+        for (count, codec, block) in buffered {
+            let _ = dispatch.outbox.send(Out::Frame(Frame::Batch {
+                shard: dispatch.task.index,
+                count,
+                codec,
+                block,
+            }));
+        }
+        let _ = dispatch.outbox.send(Out::Frame(Frame::Eof {
+            shard: dispatch.task.index,
+        }));
+    }
+    for out in trailer {
+        let _ = dispatch.outbox.send(out);
     }
     drop(sched);
     shared.wake_all();
@@ -962,8 +997,12 @@ fn requeue_task(shared: &DaemonShared, dispatch: &Dispatch, charged: bool) {
                     t.name, shared.config.policy.max_requeues
                 ),
             }));
+            // The gate stays open: the writer thread closes it after
+            // the ERR frame is on the wire. Closing it here would make
+            // the writer quit at the first relayed BATCH still queued
+            // ahead of the ERR, and the client would wait out its read
+            // timeout instead of hearing why it failed.
             t.alive.store(false, Ordering::Release);
-            t.gate.close();
             shared.tenants.failed(&t.name);
         } else {
             // Front of the queue: the shard was next in line when it
@@ -973,4 +1012,68 @@ fn requeue_task(shared: &DaemonShared, dispatch: &Dispatch, charged: bool) {
     }
     drop(sched);
     shared.wake_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tenant(name: &str, weight: u32, queued: usize, inflight: usize, deficit: i64) -> Tenant {
+        Tenant {
+            name: name.into(),
+            weight,
+            epoch_seed: 0,
+            assigned: true,
+            queue: (0..queued)
+                .map(|i| Task {
+                    shard: format!("{name}-{i}"),
+                    index: i as u32,
+                })
+                .collect(),
+            inflight,
+            deficit,
+            requeues: 0,
+            shards_total: queued + inflight,
+            shards_done: 0,
+            samples: 0,
+            batches: 0,
+            started: Instant::now(),
+            want_stats: false,
+            outbox: mpsc::channel().0,
+            gate: Arc::new(crate::serve::CreditGate::new()),
+            alive: Arc::new(AtomicBool::new(true)),
+        }
+    }
+
+    fn deficits(sched: &Sched) -> Vec<i64> {
+        sched.tenants.iter().map(|t| t.deficit).collect()
+    }
+
+    #[test]
+    fn top_up_hands_out_rounds_until_a_shard_can_go() {
+        // `b` was charged three 64-sample shards against quanta of 32
+        // and is the only tenant a dispatcher may serve: `a` sits at the
+        // in-flight cap. One call must leave `b` dispatchable — a single
+        // round would have sent the dispatcher to sleep on its condvar.
+        let mut sched = Sched::default();
+        sched.tenants.push(tenant("a", 2, 3, 2, 0));
+        sched.tenants.push(tenant("b", 1, 2, 0, -96));
+        sched.top_up(32, 2);
+        assert_eq!(deficits(&sched), [4 * 64, 32]);
+        // Somebody can go already: nothing is handed out.
+        sched.top_up(32, 2);
+        assert_eq!(deficits(&sched), [4 * 64, 32]);
+    }
+
+    #[test]
+    fn top_up_leaves_a_scheduler_with_nothing_to_dispatch_alone() {
+        let mut sched = Sched::default();
+        sched.top_up(32, 2);
+        sched.tenants.push(tenant("capped", 1, 4, 2, -10));
+        sched.tenants.push(tenant("drained", 1, 0, 1, -10));
+        sched.tenants.push(tenant("gone", 1, 4, 0, -10));
+        sched.tenants[2].alive.store(false, Ordering::Release);
+        sched.top_up(32, 2);
+        assert_eq!(deficits(&sched), [-10, -10, -10]);
+    }
 }

@@ -122,25 +122,20 @@ impl<'a> RecordReader<'a> {
     }
 
     fn read_one(&mut self) -> Result<&'a [u8], RecordError> {
-        let remaining = &self.data[self.pos..];
-        if remaining.len() < 12 {
+        if self.data.len() - self.pos < 12 {
             return Err(RecordError::UnexpectedEof);
         }
-        let len_bytes: [u8; 8] = remaining[0..8].try_into().unwrap();
-        let stored_crc = u32::from_le_bytes(remaining[8..12].try_into().unwrap());
-        if Crc32::checksum(&len_bytes) != stored_crc {
-            return Err(RecordError::BadLengthCrc);
-        }
-        let len = u64::from_le_bytes(len_bytes) as usize;
-        if remaining.len() < 12 + len + 4 {
-            return Err(RecordError::UnexpectedEof);
-        }
-        let payload = &remaining[12..12 + len];
-        let payload_crc = u32::from_le_bytes(remaining[12 + len..12 + len + 4].try_into().unwrap());
-        if Crc32::checksum(payload) != payload_crc {
+        let len = self
+            .intact_header_at(self.pos)
+            .ok_or(RecordError::BadLengthCrc)?;
+        let end = self
+            .record_end(self.pos, len)
+            .ok_or(RecordError::UnexpectedEof)?;
+        let (payload, crc) = self.data[self.pos + 12..end].split_at(len as usize);
+        if Crc32::checksum(payload) != u32::from_le_bytes(crc.try_into().unwrap()) {
             return Err(RecordError::BadPayloadCrc);
         }
-        self.pos += 12 + len + 4;
+        self.pos = end;
         Ok(payload)
     }
 
@@ -155,39 +150,40 @@ impl<'a> RecordReader<'a> {
     /// Reaching the end of the stream discards the remaining bytes.
     pub fn resync(&mut self) -> usize {
         let start = self.pos;
-        if let Some(len) = self.intact_header_at(self.pos) {
-            if self.pos + RECORD_OVERHEAD + len <= self.data.len() {
-                self.pos += RECORD_OVERHEAD + len;
-                return self.pos - start;
-            }
+        let intact_record_end = |pos| {
+            let len = self.intact_header_at(pos)?;
+            self.record_end(pos, len)
+        };
+        if let Some(end) = intact_record_end(start) {
+            self.pos = end;
+            return end - start;
         }
-        let mut pos = self.pos + 1;
-        while pos < self.data.len() {
-            if let Some(len) = self.intact_header_at(pos) {
-                if pos + RECORD_OVERHEAD + len <= self.data.len() {
-                    self.pos = pos;
-                    return pos - start;
-                }
-            }
-            pos += 1;
-        }
-        self.pos = self.data.len();
-        self.data.len() - start
+        self.pos = (start + 1..self.data.len())
+            .find(|&pos| intact_record_end(pos).is_some())
+            .unwrap_or(self.data.len());
+        self.pos - start
     }
 
     /// The record length at `pos`, when a CRC-valid length header
     /// starts there.
-    fn intact_header_at(&self, pos: usize) -> Option<usize> {
-        let remaining = self.data.get(pos..)?;
-        if remaining.len() < 12 {
+    fn intact_header_at(&self, pos: usize) -> Option<u64> {
+        let header = self.data.get(pos..)?.get(..12)?;
+        let (len_bytes, stored_crc) = header.split_at(8);
+        if Crc32::checksum(len_bytes) != u32::from_le_bytes(stored_crc.try_into().unwrap()) {
             return None;
         }
-        let len_bytes: [u8; 8] = remaining[0..8].try_into().unwrap();
-        let stored_crc = u32::from_le_bytes(remaining[8..12].try_into().unwrap());
-        if Crc32::checksum(&len_bytes) != stored_crc {
-            return None;
-        }
-        Some(u64::from_le_bytes(len_bytes) as usize)
+        Some(u64::from_le_bytes(len_bytes.try_into().unwrap()))
+    }
+
+    /// One past the last byte of a record at `pos` declaring `len`
+    /// payload bytes, when all of it lies inside the stream. `len` is
+    /// whatever eight bytes on the medium say, up to `u64::MAX`.
+    fn record_end(&self, pos: usize, len: u64) -> Option<usize> {
+        let end = usize::try_from(len)
+            .ok()?
+            .checked_add(RECORD_OVERHEAD)?
+            .checked_add(pos)?;
+        (end <= self.data.len()).then_some(end)
     }
 
     /// Collect all remaining records.
@@ -361,6 +357,41 @@ mod tests {
                 }
                 assert!(ok >= 3, "flip at byte {byte} bit {bit} lost too much: {ok}");
             }
+        }
+    }
+
+    /// A record header declaring `len` payload bytes, with a valid
+    /// length CRC, followed by `body`.
+    fn lying_record(len: u64, body: &[u8]) -> Vec<u8> {
+        let mut data = len.to_le_bytes().to_vec();
+        data.extend_from_slice(&Crc32::checksum(&len.to_le_bytes()).to_le_bytes());
+        data.extend_from_slice(body);
+        data
+    }
+
+    #[test]
+    fn crc_valid_length_past_the_end_is_eof_not_a_panic() {
+        // `12 + len + 4` and `pos + RECORD_OVERHEAD + len` used to be
+        // computed unchecked: add-overflow in the test profile, a
+        // slice index past the end in release.
+        let intact = stream(1);
+        let body = [0xABu8; 40];
+        let past_the_end = (12 + body.len() + intact.len() + 1) as u64;
+        for len in [u64::MAX, u64::MAX - 15, past_the_end] {
+            let mut data = lying_record(len, &body);
+            let lie_len = data.len();
+            data.extend_from_slice(&intact);
+            let mut reader = RecordReader::new(&data);
+            assert_eq!(reader.next().unwrap(), Err(RecordError::UnexpectedEof));
+            // The header is intact but its record is not in bounds, so
+            // resync scans to the next real record.
+            assert_eq!(reader.resync(), lie_len, "len {len:#x}");
+            assert_eq!(reader.next().unwrap(), Ok(&[0u8; 24][..]));
+            assert!(reader.next().is_none());
+            let mut alone = RecordReader::new(&data[..lie_len]);
+            assert_eq!(alone.next().unwrap(), Err(RecordError::UnexpectedEof));
+            assert_eq!(alone.resync(), lie_len);
+            assert!(alone.next().is_none());
         }
     }
 

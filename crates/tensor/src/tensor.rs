@@ -187,13 +187,19 @@ impl Tensor {
     /// `[dtype:u8][ndim:u8][dim:u32-le]*[data]`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(2 + self.shape.len() * 4 + self.data.len());
-        out.push(self.dtype.tag());
-        out.push(self.shape.len() as u8);
-        for &dim in &self.shape {
-            out.extend_from_slice(&(dim as u32).to_le_bytes());
-        }
-        out.extend_from_slice(&self.data);
+        self.encode_to(|piece| out.extend_from_slice(piece));
         out
+    }
+
+    /// Hand the bytes of [`Tensor::encode`] to `sink` piece by piece, in
+    /// order, without assembling them: the data goes out as the one
+    /// slice it already is.
+    pub fn encode_to(&self, mut sink: impl FnMut(&[u8])) {
+        sink(&[self.dtype.tag(), self.shape.len() as u8]);
+        for &dim in &self.shape {
+            sink(&(dim as u32).to_le_bytes());
+        }
+        sink(&self.data);
     }
 
     /// Inverse of [`Tensor::encode`]; returns the tensor and the bytes consumed.
