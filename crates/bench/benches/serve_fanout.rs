@@ -107,7 +107,7 @@ fn main() {
     drop(worker);
 
     // Fleet tracing priced against the bare protocol on the same
-    // worker: the v2 clock handshake, per-shard client spans, metered
+    // worker: the clock handshake, per-shard client spans, metered
     // reads and the end-of-assignment STATS frame. `tracing: false`
     // skips all of it while keeping the telemetry handle, so the
     // delta is exactly what observability costs.

@@ -17,7 +17,7 @@ use presto_pipeline::real::{
 };
 use presto_pipeline::serve::{
     serve_epoch, MultisetChecksum, ServeClientConfig, ServeReport, ServeWorker, ServeWorkerConfig,
-    TenantSpec, PROTOCOL_VERSION,
+    TenantSpec,
 };
 use presto_pipeline::sim::{EpochReport, SimEnv, Simulator, StrategyProfile};
 use presto_pipeline::telemetry::causal as telemetry_causal;
@@ -72,7 +72,9 @@ commands:
       [--batch N] [--wire-codec none|gzip|zlib] [--retries N]
       [--policy failfast|degrade] [--max-skip N] [--max-lost N]
       [--kill-after-batches N] [--batch-pace-ms MS] [--metrics ADDR]
-      [--sample-ms MS] [--run-secs S] [--proto-max V]
+      [--sample-ms MS] [--run-secs S]
+      wire protocol: one version, matched exactly at HELLO (a client
+      of another build gets ERR and a close); strict frame bodies
   train-client <pipeline>        consume one epoch from serve-workers
       --workers A,B,... [--samples N] [--split N] [--shards N] [--seed S]
       [--tenant NAME] [--weight W] register as a multi-tenant job with
@@ -81,7 +83,9 @@ commands:
       [--timeout-ms MS] [--connect-timeout-ms MS]
       [--reconnect-attempts N] [--reconnect-base-ms MS]
       [--reconnect-deadline-ms MS]
-      [--trace-id N] [--no-trace] [--proto-max V] [--fleet-out FILE]
+      [--trace-id N] [--no-trace] [--fleet-out FILE]
+      wire protocol: one version, matched exactly at HELLO (a worker
+      of another build fails the epoch); strict frame bodies
       [--serve ADDR] serve /metrics + /fleet.json during the epoch,
       plus [--serve-linger-ms MS] to keep them scrapeable afterwards
       [--json] [--history-dir DIR] [--no-history]
@@ -965,7 +969,6 @@ fn cmd_serve_worker(args: &Args) -> Result<(), String> {
         "metrics",
         "sample-ms",
         "run-secs",
-        "proto-max",
     ])?;
     let bind = args
         .get_str("bind")
@@ -984,7 +987,6 @@ fn cmd_serve_worker(args: &Args) -> Result<(), String> {
             Some(_) => Some(args.get_or("kill-after-batches", u64::MAX)?),
             None => None,
         },
-        max_version: args.get_or("proto-max", PROTOCOL_VERSION)?,
     };
 
     let store = Arc::new(MemStore::new());
@@ -1085,7 +1087,6 @@ fn cmd_train_client(args: &Args) -> Result<(), String> {
         "storm-ms-per-hour",
         "trace-id",
         "no-trace",
-        "proto-max",
         "fleet-out",
         "serve",
         "serve-linger-ms",
@@ -1130,7 +1131,6 @@ fn cmd_train_client(args: &Args) -> Result<(), String> {
         reconnect: parse_reconnect(args)?,
         tracing,
         trace_id: args.get_or("trace-id", 0u64)?,
-        max_version: args.get_or("proto-max", PROTOCOL_VERSION)?,
         tenant: match args.get_str("tenant") {
             Some(name) => Some(TenantSpec::new(name, args.get_or("weight", 1u32)?.max(1))),
             None => {
@@ -1815,7 +1815,6 @@ fn cmd_preempt_storm(args: &Args) -> Result<(), String> {
         wire_codec: parse_wire_codec(args)?,
         batch_pace: Duration::from_millis(pace_ms),
         fail_after_batches: None,
-        ..ServeWorkerConfig::default()
     };
 
     let spawn_worker = |bind: &str| {

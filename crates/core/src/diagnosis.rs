@@ -786,9 +786,10 @@ mod tests {
 
     #[test]
     fn missing_worker_stats_fall_back_to_worker_compute() {
-        // v1 workers send no STATS frame: fleet entries have zero
-        // elapsed. An idle wire still blames worker compute (we cannot
-        // see credit stalls without remote stats).
+        // No STATS frame arrived (tracing off, or a worker that died
+        // after its last EOF): fleet entries have zero elapsed. An idle
+        // wire still blames worker compute (we cannot see credit stalls
+        // without remote stats).
         let fleet = FleetSnapshot {
             active: true,
             ..FleetSnapshot::default()

@@ -302,7 +302,7 @@ fn profile_pool(
 /// Run `f(0..count)` on a work-stealing pool of `jobs` threads and
 /// return the results in index order. Each worker owns a strided slice
 /// of the index space and steals from the back of its neighbours' when
-/// it runs dry; results travel back over a crossbeam channel tagged
+/// it runs dry; results travel back over a channel tagged
 /// with their index, so the output order — and therefore any report
 /// built from it — is independent of the thread schedule.
 pub fn run_pool<T, F>(jobs: usize, count: usize, f: F) -> Vec<T>
@@ -317,7 +317,7 @@ where
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
         .map(|w| Mutex::new((0..count).filter(|i| i % workers == w).collect()))
         .collect();
-    let (tx, rx) = crossbeam::channel::bounded::<(usize, T)>(count);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, T)>(count);
     std::thread::scope(|scope| {
         for w in 0..workers {
             let tx = tx.clone();

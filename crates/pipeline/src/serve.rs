@@ -8,29 +8,36 @@
 //! The protocol is a dependency-free length-prefixed binary framing
 //! layered on [`std::net`], reusing the CRC record framing from
 //! [`presto_tensor::record`] for every frame and the sample wire
-//! encoding from [`crate::sample`] for payloads:
+//! encoding from [`crate::sample`] for payloads. This table is the
+//! authoritative one; `docs/distributed.md` repeats it:
 //!
-//! | frame  | direction       | body                                            |
-//! |--------|-----------------|-------------------------------------------------|
-//! | HELLO  | both, once      | `version: u32` (+v2: `trace_id: u64`)           |
-//! | ASSIGN | client → worker | `epoch_seed: u64`, `credits: u32`, shard names (+v2: `trace_id: u64`, `parent_span: u64`, `flags: u8`) |
-//! | BATCH  | worker → client | `shard: u32`, `count: u32`, `codec: u8`, block  |
-//! | CREDIT | client → worker | `n: u32`                                        |
-//! | EOF    | worker → client | `shard: u32` (shard complete, commit it)        |
-//! | ERR    | worker → client | UTF-8 message (fatal, fail the epoch)           |
-//! | PING   | client → worker | `t0: u64`, `seq: u32` (v2, handshake only)      |
-//! | PONG   | worker → client | `t0: u64`, `t_worker: u64`, `seq: u32` (v2)     |
-//! | STATS  | worker → client | worker totals + span timeline (v2, after EOFs)  |
-//! | BATCH2 | worker → client | BATCH + `span_id: u64`, `t_send: u64` (v2)      |
+//! | frame    | tag | direction       | body                                            |
+//! |----------|-----|-----------------|-------------------------------------------------|
+//! | HELLO    | 1   | both, first     | `version: u32`, `trace_id: u64`                 |
+//! | ASSIGN   | 2   | client → worker | `epoch_seed: u64`, `credits: u32`, `count: u32`, `count` × (`len: u32`, UTF-8 shard name), `trace_id: u64`, `parent_span: u64`, `flags: u8` |
+//! | CREDIT   | 4   | client → worker | `n: u32`                                        |
+//! | EOF      | 5   | worker → client | `shard: u32` (shard complete, commit it)        |
+//! | ERR      | 6   | either → peer   | UTF-8 message (fatal, the connection is over)   |
+//! | PING     | 7   | client → worker | `t0: u64`, `seq: u32` (traced connections)      |
+//! | PONG     | 8   | worker → client | `t0: u64`, `t_worker: u64`, `seq: u32`          |
+//! | STATS    | 9   | worker → client | worker totals + span timeline (after the EOFs, when ASSIGN asked) |
+//! | BATCH2   | 10  | worker → client | `shard: u32`, `count: u32`, `codec: u8`, `span_id: u64`, `t_send: u64`, block |
+//! | REGISTER | 11  | client → worker | `len: u32` + tenant name, `weight: u32`, `shards: u32` |
+//! | ADMIT    | 12  | worker → client | `len: u32` + tenant name, `quota: u32`          |
+//! | REJECT   | 13  | worker → client | `len: u32` + tenant name, `len: u32` + reason   |
 //!
-//! **Version negotiation** (v2): both sides advertise their highest
-//! version in HELLO and speak `min(local, remote)`; version 0 is
-//! rejected. v1 decoders read a known prefix of HELLO/ASSIGN and
-//! ignore trailing bytes, which is what lets v2 append the trace
-//! fields without a flag day — a v2 client against a v1 worker simply
-//! skips the PING handshake and never sees STATS/BATCH2.
+//! **One version, exact match.** There is one protocol version,
+//! [`PROTOCOL_VERSION`]. Each side sends HELLO as its first frame and
+//! requires the peer's first frame to be a HELLO carrying the same
+//! version (`handshake`); any other first frame, or a second HELLO
+//! later, is answered with ERR and a close, and on the dialing side it
+//! is a [`ServeError::Protocol`] that fails the epoch — a peer from
+//! another build does not get better on retry. Bodies are **strict**:
+//! a missing field, or a byte left over after the last field of a
+//! fixed-layout frame, is a decode error. Tag 3 (the retired untraced
+//! BATCH) and every tag not listed are unknown frame types.
 //!
-//! **Fleet tracing** (v2): the client stamps every connection with a
+//! **Fleet tracing**: the client stamps every connection with a
 //! trace id, estimates the per-connection clock offset from a burst of
 //! PINGs at handshake time (NTP-style, minimum-RTT sample wins), and
 //! collects each worker's remote stats + span timeline from the STATS
@@ -78,8 +85,8 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Highest protocol version this build speaks. Peers negotiate
-/// `min(local, remote)` at HELLO time; version 0 is rejected.
+/// The protocol version this build speaks. A peer whose HELLO carries
+/// any other number is refused (see `handshake`).
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// PINGs sent per connection handshake; the minimum-RTT sample wins.
@@ -148,11 +155,11 @@ impl From<ServeError> for PipelineError {
 /// One protocol message. See the module docs for the frame table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Version handshake; first frame in each direction.
+    /// Version handshake; first frame in each direction, sent once.
     Hello {
-        /// Speaker's highest supported version (≤ [`PROTOCOL_VERSION`]).
+        /// The speaker's [`PROTOCOL_VERSION`].
         version: u32,
-        /// Fleet trace id (v2; 0 when absent or untraced).
+        /// Fleet trace id (0 when untraced).
         trace_id: u64,
     },
     /// Client asks the worker to serve these shards of an epoch.
@@ -163,24 +170,13 @@ pub enum Frame {
         credits: u32,
         /// Shard blob names; BATCH/EOF reference them by index.
         shards: Vec<String>,
-        /// Fleet trace id (v2; 0 when absent).
+        /// Fleet trace id (0 when untraced).
         trace_id: u64,
-        /// Client-side span this assignment nests under (v2; 0 when
-        /// absent).
+        /// Client-side span this assignment nests under (0 when
+        /// untraced).
         parent_span: u64,
-        /// Assignment flags (v2): [`ASSIGN_WANT_STATS`].
+        /// Assignment flags: [`ASSIGN_WANT_STATS`].
         flags: u8,
-    },
-    /// One batch of encoded samples from one shard.
-    Batch {
-        /// Index into the ASSIGN shard list.
-        shard: u32,
-        /// Samples in the block.
-        count: u32,
-        /// Wire compression tag (see [`wire_codec`]).
-        codec: u8,
-        /// Record-framed [`Sample::encode`] payloads, compressed.
-        block: Vec<u8>,
     },
     /// Client grants `n` more BATCH credits.
     Credit {
@@ -197,14 +193,14 @@ pub enum Frame {
         /// Human-readable cause.
         message: String,
     },
-    /// Clock-offset probe (v2, client → worker, handshake only).
+    /// Clock-offset probe (client → worker, handshake only).
     Ping {
         /// Client-clock [`mono_ns`] at send time, echoed back.
         t0: u64,
         /// Probe sequence number, echoed back.
         seq: u32,
     },
-    /// Clock-offset reply (v2, worker → client).
+    /// Clock-offset reply (worker → client).
     Pong {
         /// The PING's `t0`, echoed.
         t0: u64,
@@ -213,7 +209,7 @@ pub enum Frame {
         /// The PING's `seq`, echoed.
         seq: u32,
     },
-    /// End-of-assignment worker stats + span timeline (v2, sent after
+    /// End-of-assignment worker stats + span timeline (sent after
     /// the final EOF when the ASSIGN asked for it). The entry's
     /// client-local fields (`addr`, `conn`, handshake estimates) are
     /// not on the wire; the client fills them on receipt.
@@ -221,8 +217,9 @@ pub enum Frame {
         /// The worker's contribution to the fleet picture.
         entry: Box<FleetWorkerEntry>,
     },
-    /// BATCH plus tracing context (v2): worker-side span id and
-    /// worker-clock send timestamp.
+    /// One batch of encoded samples from one shard, with its tracing
+    /// context: worker-side span id and worker-clock send timestamp
+    /// (both 0 on a relayed frame, see [`crate::tenant`]).
     Batch2 {
         /// Index into the ASSIGN shard list.
         shard: u32,
@@ -237,7 +234,7 @@ pub enum Frame {
         /// Record-framed [`Sample::encode`] payloads, compressed.
         block: Vec<u8>,
     },
-    /// Tenant registration (v2, client → daemon/worker, after HELLO and
+    /// Tenant registration (client → daemon/worker, after HELLO and
     /// before ASSIGN). Declares the job so the receiver can admit or
     /// reject it before any shard work starts.
     Register {
@@ -249,14 +246,14 @@ pub enum Frame {
         /// per-tenant shard quota at admission time.
         shards: u32,
     },
-    /// Registration accepted (v2, daemon/worker → client).
+    /// Registration accepted (daemon/worker → client).
     Admit {
         /// The registered tenant name, echoed.
         tenant: String,
         /// Effective per-tenant shard quota (`u32::MAX` = unlimited).
         quota: u32,
     },
-    /// Registration refused (v2, daemon/worker → client). The
+    /// Registration refused (daemon/worker → client). The
     /// connection is useless for ASSIGN after this.
     Reject {
         /// The registered tenant name, echoed.
@@ -268,7 +265,6 @@ pub enum Frame {
 
 const FRAME_HELLO: u8 = 1;
 const FRAME_ASSIGN: u8 = 2;
-const FRAME_BATCH: u8 = 3;
 const FRAME_CREDIT: u8 = 4;
 const FRAME_EOF: u8 = 5;
 const FRAME_ERR: u8 = 6;
@@ -286,16 +282,59 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Decode a length-prefixed string at `at`; returns (string, next offset).
-fn read_str(body: &[u8], at: usize, what: &str) -> Result<(String, usize), ServeError> {
-    let len = read_u32(body, at)? as usize;
-    let at = at + 4;
-    let bytes = body
-        .get(at..at + len)
-        .ok_or_else(|| ServeError::Protocol(format!("{what} overruns frame")))?;
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| ServeError::Protocol(format!("{what} is not UTF-8")))?;
-    Ok((text.to_string(), at + len))
+/// Read cursor over a frame body. Every getter checks bounds, and
+/// [`Body::end`] refuses bytes left over after the last field, so a
+/// body is accepted only when it is exactly the fields of its frame.
+struct Body<'a>(&'a [u8]);
+
+impl<'a> Body<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
+        if n > self.0.len() {
+            return Err(ServeError::Protocol("frame body too short".into()));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// Everything not yet read: the variable-length tail of BATCH2/ERR.
+    fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.0)
+    }
+
+    fn u8(&mut self) -> Result<u8, ServeError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, ServeError> {
+        let bytes = self.take(4)?.try_into().expect("took 4 bytes");
+        Ok(u32::from_le_bytes(bytes))
+    }
+
+    fn u64(&mut self) -> Result<u64, ServeError> {
+        let bytes = self.take(8)?.try_into().expect("took 8 bytes");
+        Ok(u64::from_le_bytes(bytes))
+    }
+
+    /// A length-prefixed string (`len u32` + UTF-8 bytes).
+    fn str(&mut self, what: &str) -> Result<String, ServeError> {
+        let len = self.u32()? as usize;
+        let bytes = self
+            .take(len)
+            .map_err(|_| ServeError::Protocol(format!("{what} overruns frame")))?;
+        let text = std::str::from_utf8(bytes)
+            .map_err(|_| ServeError::Protocol(format!("{what} is not UTF-8")))?;
+        Ok(text.to_string())
+    }
+
+    fn end(self) -> Result<(), ServeError> {
+        match self.0.len() {
+            0 => Ok(()),
+            extra => Err(ServeError::Protocol(format!(
+                "{extra} trailing bytes after the last field"
+            ))),
+        }
+    }
 }
 
 /// Wire tag for a phase-kind label in STATS step entries.
@@ -340,19 +379,16 @@ pub fn wire_codec_tag(codec: Codec) -> u8 {
     }
 }
 
-fn read_u32(buf: &[u8], at: usize) -> Result<u32, ServeError> {
-    buf.get(at..at + 4)
-        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        .ok_or_else(|| ServeError::Protocol("frame body too short".into()))
-}
-
-fn read_u64(buf: &[u8], at: usize) -> Result<u64, ServeError> {
-    buf.get(at..at + 8)
-        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        .ok_or_else(|| ServeError::Protocol("frame body too short".into()))
-}
-
 impl Frame {
+    /// The PONG answering a PING, stamped with this process's clock.
+    pub(crate) fn pong(t0: u64, seq: u32) -> Frame {
+        Frame::Pong {
+            t0,
+            t_worker: mono_ns(),
+            seq,
+        }
+    }
+
     /// Serialize to a frame payload (type byte + body, no framing).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -360,8 +396,6 @@ impl Frame {
             Frame::Hello { version, trace_id } => {
                 out.push(FRAME_HELLO);
                 out.extend_from_slice(&version.to_le_bytes());
-                // Appended in v2; v1 decoders read the version and
-                // ignore trailing bytes.
                 out.extend_from_slice(&trace_id.to_le_bytes());
             }
             Frame::Assign {
@@ -377,26 +411,11 @@ impl Frame {
                 out.extend_from_slice(&credits.to_le_bytes());
                 out.extend_from_slice(&(shards.len() as u32).to_le_bytes());
                 for shard in shards {
-                    out.extend_from_slice(&(shard.len() as u32).to_le_bytes());
-                    out.extend_from_slice(shard.as_bytes());
+                    push_str(&mut out, shard);
                 }
-                // Appended in v2; v1 decoders read exactly `count`
-                // names and ignore trailing bytes.
                 out.extend_from_slice(&trace_id.to_le_bytes());
                 out.extend_from_slice(&parent_span.to_le_bytes());
                 out.push(*flags);
-            }
-            Frame::Batch {
-                shard,
-                count,
-                codec,
-                block,
-            } => {
-                out.push(FRAME_BATCH);
-                out.extend_from_slice(&shard.to_le_bytes());
-                out.extend_from_slice(&count.to_le_bytes());
-                out.push(*codec);
-                out.extend_from_slice(block);
             }
             Frame::Credit { n } => {
                 out.push(FRAME_CREDIT);
@@ -436,8 +455,7 @@ impl Frame {
                 }
                 out.extend_from_slice(&(entry.steps.len() as u32).to_le_bytes());
                 for (name, kind, busy_ns) in &entry.steps {
-                    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-                    out.extend_from_slice(name.as_bytes());
+                    push_str(&mut out, name);
                     out.push(kind_tag(kind));
                     out.extend_from_slice(&busy_ns.to_le_bytes());
                 }
@@ -490,114 +508,66 @@ impl Frame {
     }
 
     /// Parse a frame payload produced by [`Frame::encode_payload`].
+    /// Strict: the body must be exactly the frame's fields — a short
+    /// body, or bytes after the last field, is an error.
     pub fn decode_payload(payload: &[u8]) -> Result<Frame, ServeError> {
         let (&kind, body) = payload
             .split_first()
             .ok_or_else(|| ServeError::Protocol("empty frame payload".into()))?;
-        match kind {
-            FRAME_HELLO => Ok(Frame::Hello {
-                version: read_u32(body, 0)?,
-                // Absent from v1 peers; default to "untraced".
-                trace_id: read_u64(body, 4).unwrap_or(0),
-            }),
+        let mut body = Body(body);
+        let frame = match kind {
+            FRAME_HELLO => Frame::Hello {
+                version: body.u32()?,
+                trace_id: body.u64()?,
+            },
             FRAME_ASSIGN => {
-                let epoch_seed = read_u64(body, 0)?;
-                let credits = read_u32(body, 8)?;
-                let count = read_u32(body, 12)? as usize;
+                let epoch_seed = body.u64()?;
+                let credits = body.u32()?;
+                let count = body.u32()? as usize;
                 let mut shards = Vec::with_capacity(count.min(1024));
-                let mut at = 16;
                 for _ in 0..count {
-                    let len = read_u32(body, at)? as usize;
-                    at += 4;
-                    let bytes = body
-                        .get(at..at + len)
-                        .ok_or_else(|| ServeError::Protocol("shard name overruns frame".into()))?;
-                    at += len;
-                    let name = std::str::from_utf8(bytes)
-                        .map_err(|_| ServeError::Protocol("shard name is not UTF-8".into()))?;
-                    shards.push(name.to_string());
+                    shards.push(body.str("shard name")?);
                 }
-                // v2 trailer; absent from v1 peers.
-                let (trace_id, parent_span, flags) = if body.len() >= at + 17 {
-                    (read_u64(body, at)?, read_u64(body, at + 8)?, body[at + 16])
-                } else {
-                    (0, 0, 0)
-                };
-                Ok(Frame::Assign {
+                Frame::Assign {
                     epoch_seed,
                     credits,
                     shards,
-                    trace_id,
-                    parent_span,
-                    flags,
-                })
+                    trace_id: body.u64()?,
+                    parent_span: body.u64()?,
+                    flags: body.u8()?,
+                }
             }
-            FRAME_BATCH => {
-                let shard = read_u32(body, 0)?;
-                let count = read_u32(body, 4)?;
-                let codec = *body
-                    .get(8)
-                    .ok_or_else(|| ServeError::Protocol("frame body too short".into()))?;
-                Ok(Frame::Batch {
-                    shard,
-                    count,
-                    codec,
-                    block: body[9..].to_vec(),
-                })
-            }
-            FRAME_CREDIT => Ok(Frame::Credit {
-                n: read_u32(body, 0)?,
-            }),
-            FRAME_EOF => Ok(Frame::Eof {
-                shard: read_u32(body, 0)?,
-            }),
-            FRAME_ERR => Ok(Frame::Err {
-                message: String::from_utf8_lossy(body).into_owned(),
-            }),
-            FRAME_PING => Ok(Frame::Ping {
-                t0: read_u64(body, 0)?,
-                seq: read_u32(body, 8)?,
-            }),
-            FRAME_PONG => Ok(Frame::Pong {
-                t0: read_u64(body, 0)?,
-                t_worker: read_u64(body, 8)?,
-                seq: read_u32(body, 16)?,
-            }),
+            FRAME_CREDIT => Frame::Credit { n: body.u32()? },
+            FRAME_EOF => Frame::Eof { shard: body.u32()? },
+            FRAME_ERR => Frame::Err {
+                message: String::from_utf8_lossy(body.rest()).into_owned(),
+            },
+            FRAME_PING => Frame::Ping {
+                t0: body.u64()?,
+                seq: body.u32()?,
+            },
+            FRAME_PONG => Frame::Pong {
+                t0: body.u64()?,
+                t_worker: body.u64()?,
+                seq: body.u32()?,
+            },
             FRAME_STATS => {
                 let mut entry = FleetWorkerEntry {
-                    assign_start_mono_ns: read_u64(body, 0)?,
-                    elapsed_ns: read_u64(body, 8)?,
-                    samples: read_u64(body, 16)?,
-                    batches: read_u64(body, 24)?,
-                    produce_ns: read_u64(body, 32)?,
-                    credit_wait_ns: read_u64(body, 40)?,
-                    dropped_spans: read_u64(body, 48)?,
+                    assign_start_mono_ns: body.u64()?,
+                    elapsed_ns: body.u64()?,
+                    samples: body.u64()?,
+                    batches: body.u64()?,
+                    produce_ns: body.u64()?,
+                    credit_wait_ns: body.u64()?,
+                    dropped_spans: body.u64()?,
                     ..FleetWorkerEntry::default()
                 };
-                let step_count = read_u32(body, 56)? as usize;
-                let mut at = 60;
-                for _ in 0..step_count {
-                    let len = read_u32(body, at)? as usize;
-                    at += 4;
-                    let bytes = body
-                        .get(at..at + len)
-                        .ok_or_else(|| ServeError::Protocol("step name overruns frame".into()))?;
-                    at += len;
-                    let name = std::str::from_utf8(bytes)
-                        .map_err(|_| ServeError::Protocol("step name is not UTF-8".into()))?
-                        .to_string();
-                    let kind = *body
-                        .get(at)
-                        .ok_or_else(|| ServeError::Protocol("frame body too short".into()))?;
-                    at += 1;
-                    let busy_ns = read_u64(body, at)?;
-                    at += 8;
-                    entry
-                        .steps
-                        .push((name, kind_label(kind).to_string(), busy_ns));
+                for _ in 0..body.u32()? {
+                    let name = body.str("step name")?;
+                    let kind = kind_label(body.u8()?).to_string();
+                    entry.steps.push((name, kind, body.u64()?));
                 }
-                let span_count = read_u32(body, at)? as usize;
-                at += 4;
+                let span_count = body.u32()? as usize;
                 if span_count > STATS_SPAN_CAP {
                     return Err(ServeError::Protocol(format!(
                         "STATS declares {span_count} spans, cap is {STATS_SPAN_CAP}"
@@ -605,59 +575,41 @@ impl Frame {
                 }
                 for _ in 0..span_count {
                     entry.spans.push(presto_telemetry::SpanEvent {
-                        worker: read_u32(body, at)?,
-                        phase: read_u32(body, at + 4)?,
-                        start_ns: read_u64(body, at + 8)?,
-                        dur_ns: read_u64(body, at + 16)?,
+                        worker: body.u32()?,
+                        phase: body.u32()?,
+                        start_ns: body.u64()?,
+                        dur_ns: body.u64()?,
                     });
-                    at += 24;
                 }
-                Ok(Frame::Stats {
+                Frame::Stats {
                     entry: Box::new(entry),
-                })
+                }
             }
-            FRAME_BATCH2 => {
-                let shard = read_u32(body, 0)?;
-                let count = read_u32(body, 4)?;
-                let codec = *body
-                    .get(8)
-                    .ok_or_else(|| ServeError::Protocol("frame body too short".into()))?;
-                let span_id = read_u64(body, 9)?;
-                let t_send = read_u64(body, 17)?;
-                Ok(Frame::Batch2 {
-                    shard,
-                    count,
-                    codec,
-                    span_id,
-                    t_send,
-                    block: body
-                        .get(25..)
-                        .ok_or_else(|| ServeError::Protocol("frame body too short".into()))?
-                        .to_vec(),
-                })
-            }
-            FRAME_REGISTER => {
-                let (tenant, at) = read_str(body, 0, "tenant name")?;
-                Ok(Frame::Register {
-                    tenant,
-                    weight: read_u32(body, at)?,
-                    shards: read_u32(body, at + 4)?,
-                })
-            }
-            FRAME_ADMIT => {
-                let (tenant, at) = read_str(body, 0, "tenant name")?;
-                Ok(Frame::Admit {
-                    tenant,
-                    quota: read_u32(body, at)?,
-                })
-            }
-            FRAME_REJECT => {
-                let (tenant, at) = read_str(body, 0, "tenant name")?;
-                let (reason, _) = read_str(body, at, "reject reason")?;
-                Ok(Frame::Reject { tenant, reason })
-            }
-            other => Err(ServeError::Protocol(format!("unknown frame type {other}"))),
-        }
+            FRAME_BATCH2 => Frame::Batch2 {
+                shard: body.u32()?,
+                count: body.u32()?,
+                codec: body.u8()?,
+                span_id: body.u64()?,
+                t_send: body.u64()?,
+                block: body.rest().to_vec(),
+            },
+            FRAME_REGISTER => Frame::Register {
+                tenant: body.str("tenant name")?,
+                weight: body.u32()?,
+                shards: body.u32()?,
+            },
+            FRAME_ADMIT => Frame::Admit {
+                tenant: body.str("tenant name")?,
+                quota: body.u32()?,
+            },
+            FRAME_REJECT => Frame::Reject {
+                tenant: body.str("tenant name")?,
+                reason: body.str("reject reason")?,
+            },
+            other => return Err(ServeError::Protocol(format!("unknown frame type {other}"))),
+        };
+        body.end()?;
+        Ok(frame)
     }
 }
 
@@ -713,6 +665,51 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Frame>, ServeError> {
         return Err(ServeError::BadPayload);
     }
     Frame::decode_payload(body).map(Some)
+}
+
+/// End a conversation the peer broke: tell it why in an ERR frame
+/// (best effort — it may already be gone) and hand back the typed
+/// error for the caller to return.
+pub(crate) fn reject(writer: &mut impl Write, why: &str) -> ServeError {
+    let _ = write_frame(
+        writer,
+        &Frame::Err {
+            message: why.into(),
+        },
+    );
+    ServeError::Protocol(why.into())
+}
+
+/// The version rule, the same on the dialing and the accepting side:
+/// send HELLO, then require the peer's *first* frame to be a HELLO
+/// carrying exactly [`PROTOCOL_VERSION`]. Any other well-formed first
+/// frame is [`reject`]ed; a transport failure (close, CRC, timeout)
+/// comes back as the error it was, so callers can tell a peer from
+/// another build ([`ServeError::Protocol`], no point retrying) from a
+/// broken link.
+pub(crate) fn handshake(
+    writer: &mut impl Write,
+    reader: &mut impl Read,
+    trace_id: u64,
+) -> Result<(), ServeError> {
+    write_frame(
+        writer,
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+            trace_id,
+        },
+    )?;
+    match read_frame(reader)? {
+        Some(Frame::Hello { version, .. }) if version == PROTOCOL_VERSION => Ok(()),
+        Some(Frame::Hello { version, .. }) => Err(reject(
+            writer,
+            &format!(
+                "peer speaks protocol version {version}, this build speaks {PROTOCOL_VERSION}"
+            ),
+        )),
+        Some(_) => Err(reject(writer, "the first frame must be HELLO")),
+        None => Err(ServeError::Truncated),
+    }
 }
 
 /// Order-insensitive fingerprint of a sample multiset: the wrapping sum
@@ -912,10 +909,6 @@ pub struct ServeWorkerConfig {
     /// worker drops every connection and stops accepting — a simulated
     /// mid-epoch crash for failover tests.
     pub fail_after_batches: Option<u64>,
-    /// Highest protocol version to advertise (capped at
-    /// [`PROTOCOL_VERSION`]). Tests pin this to 1 to exercise
-    /// mixed-version fleets.
-    pub max_version: u32,
 }
 
 impl Default for ServeWorkerConfig {
@@ -925,7 +918,6 @@ impl Default for ServeWorkerConfig {
             wire_codec: Codec::None,
             batch_pace: Duration::ZERO,
             fail_after_batches: None,
-            max_version: PROTOCOL_VERSION,
         }
     }
 }
@@ -1104,32 +1096,16 @@ impl Drop for ServeWorker {
     }
 }
 
-/// A frame the worker's reader thread forwards to its writer loop.
-/// Credits short-circuit straight into the gate; everything that needs
-/// a *reply* or a state change (HELLO for negotiation, PING for
-/// PONGs, ASSIGN for serving) funnels through here so only one thread
-/// ever writes to the socket.
-enum ClientMsg {
-    Hello {
-        version: u32,
-    },
-    Ping {
-        t0: u64,
-        seq: u32,
-    },
-    Assign {
-        epoch_seed: u64,
-        credits: u32,
-        shards: Vec<String>,
-        flags: u8,
-    },
-    Register {
-        tenant: String,
-    },
-}
+/// ERR text for a well-formed frame the receiver has no use for at
+/// this point of the conversation.
+pub(crate) const UNEXPECTED_FRAME: &str =
+    "unexpected frame: HELLO is sent once, as the first frame, and only \
+     PING, REGISTER, ASSIGN and CREDIT may follow it";
 
-/// Serve one client connection: HELLO, then PING/ASSIGN/CREDIT frames
-/// in, PONG/BATCH/EOF/STATS/ERR frames out, until either side closes.
+/// Serve one client connection: the HELLO exchange, then
+/// PING/REGISTER/ASSIGN/CREDIT frames in and
+/// PONG/ADMIT/BATCH2/EOF/STATS/ERR frames out, until either side
+/// closes.
 fn handle_client(shared: &Arc<WorkerShared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
@@ -1142,128 +1118,82 @@ fn handle_client(shared: &Arc<WorkerShared>, stream: TcpStream) {
         // Lost the race with a crash that already swept the registry.
         gate.close();
     }
-    let (msg_tx, msg_rx) = mpsc::channel::<ClientMsg>();
+    let mut reader = BufReader::new(stream);
+    if handshake(&mut writer, &mut reader, 0).is_err() {
+        let _ = writer.shutdown(Shutdown::Both);
+        return;
+    }
+    // Credits short-circuit straight into the gate; every other frame
+    // needs a *reply* (PONG, ADMIT, the assignment itself, or ERR for
+    // a frame out of place) and is forwarded to the loop below, so
+    // only one thread ever writes to the socket.
+    let (frame_tx, frame_rx) = mpsc::channel::<Frame>();
     let reader_gate = Arc::clone(&gate);
     let reader = std::thread::spawn(move || {
-        let mut reader = BufReader::new(stream);
         loop {
             match read_frame(&mut reader) {
-                Ok(Some(Frame::Hello { version, .. })) => {
-                    if msg_tx.send(ClientMsg::Hello { version }).is_err() {
-                        break;
-                    }
-                }
-                Ok(Some(Frame::Ping { t0, seq })) => {
-                    if msg_tx.send(ClientMsg::Ping { t0, seq }).is_err() {
-                        break;
-                    }
-                }
                 Ok(Some(Frame::Credit { n })) => reader_gate.add(u64::from(n)),
-                Ok(Some(Frame::Assign {
-                    epoch_seed,
-                    credits,
-                    shards,
-                    flags,
-                    ..
-                })) => {
-                    let msg = ClientMsg::Assign {
-                        epoch_seed,
-                        credits,
-                        shards,
-                        flags,
-                    };
-                    if msg_tx.send(msg).is_err() {
+                Ok(Some(frame)) => {
+                    if frame_tx.send(frame).is_err() {
                         break;
                     }
                 }
-                Ok(Some(Frame::Register { tenant, .. })) => {
-                    if msg_tx.send(ClientMsg::Register { tenant }).is_err() {
-                        break;
-                    }
-                }
-                // Anything else — including a clean close — ends the
+                // A clean close or a broken stream ends the
                 // conversation.
                 _ => break,
             }
         }
         reader_gate.close();
     });
-    let local_max = shared.config.max_version.clamp(1, PROTOCOL_VERSION);
-    // Until the client's HELLO arrives, assume the lowest version so a
-    // legacy peer that ASSIGNs without saying hello still gets plain
-    // v1 frames.
-    let mut negotiated = 1u32;
-    if write_frame(
-        &mut writer,
-        &Frame::Hello {
-            version: local_max,
-            trace_id: 0,
-        },
-    )
-    .is_ok()
-    {
-        'conn: loop {
-            let msg = match msg_rx.recv_timeout(Duration::from_millis(100)) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => {
-                    if shared.stop.load(Ordering::Acquire) {
-                        break 'conn;
-                    }
-                    continue;
+    'conn: loop {
+        let frame = match frame_rx.recv_timeout(Duration::from_millis(100)) {
+            Ok(frame) => frame,
+            Err(RecvTimeoutError::Timeout) => {
+                if shared.stop.load(Ordering::Acquire) {
+                    break 'conn;
                 }
-                Err(RecvTimeoutError::Disconnected) => break 'conn,
-            };
-            match msg {
-                ClientMsg::Hello { version } => {
-                    if version == 0 {
-                        break 'conn; // nonsense version: reject
-                    }
-                    negotiated = local_max.min(version);
+                continue;
+            }
+            Err(RecvTimeoutError::Disconnected) => break 'conn,
+        };
+        match frame {
+            Frame::Ping { t0, seq } => {
+                if write_frame(&mut writer, &Frame::pong(t0, seq)).is_err() {
+                    break 'conn;
                 }
-                ClientMsg::Ping { t0, seq } => {
-                    let pong = Frame::Pong {
-                        t0,
-                        t_worker: mono_ns(),
-                        seq,
-                    };
-                    if write_frame(&mut writer, &pong).is_err() {
-                        break 'conn;
-                    }
+            }
+            Frame::Register { tenant, .. } => {
+                // A plain worker serves one assignment at a time
+                // and enforces no quota — every registration is
+                // admitted. Admission policy lives in `fleetd`
+                // (see [`crate::tenant`]); answering here keeps
+                // `--tenant` clients working against either.
+                let admit = Frame::Admit {
+                    tenant,
+                    quota: u32::MAX,
+                };
+                if write_frame(&mut writer, &admit).is_err() {
+                    break 'conn;
                 }
-                ClientMsg::Register { tenant } => {
-                    // A plain worker serves one assignment at a time
-                    // and enforces no quota — every registration is
-                    // admitted. Admission policy lives in `fleetd`
-                    // (see [`crate::tenant`]); answering here keeps
-                    // `--tenant` clients working against either.
-                    let admit = Frame::Admit {
-                        tenant,
-                        quota: u32::MAX,
-                    };
-                    if write_frame(&mut writer, &admit).is_err() {
-                        break 'conn;
-                    }
+            }
+            Frame::Assign {
+                epoch_seed,
+                credits,
+                shards,
+                flags,
+                ..
+            } => {
+                gate.add(u64::from(credits));
+                let result =
+                    serve_assignment(shared, &gate, &mut writer, epoch_seed, &shards, flags);
+                if result.is_err() {
+                    break 'conn;
                 }
-                ClientMsg::Assign {
-                    epoch_seed,
-                    credits,
-                    shards,
-                    flags,
-                } => {
-                    gate.add(u64::from(credits));
-                    let result = serve_assignment(
-                        shared,
-                        &gate,
-                        &mut writer,
-                        epoch_seed,
-                        &shards,
-                        negotiated,
-                        flags,
-                    );
-                    if result.is_err() {
-                        break 'conn;
-                    }
-                }
+            }
+            // A second HELLO above all: ERR, then close.
+            _ => {
+                let _ = reject(&mut writer, UNEXPECTED_FRAME);
+                break 'conn;
             }
         }
     }
@@ -1277,16 +1207,15 @@ fn handle_client(shared: &Arc<WorkerShared>, stream: TcpStream) {
 /// [`ServeWorkerConfig::batch_pace`] sleep is **produce** time (what a
 /// compute-bound worker is doing); blocking in [`CreditGate::take`] is
 /// **queue-wait** (backpressure from the client); writing frames is
-/// **hand-off**. On a v2 connection whose ASSIGN set
-/// [`ASSIGN_WANT_STATS`], a STATS frame with these totals and the
-/// recorder's span timeline follows the final EOF.
+/// **hand-off**. When the ASSIGN set [`ASSIGN_WANT_STATS`], a STATS
+/// frame with these totals and the recorder's span timeline follows
+/// the final EOF.
 fn serve_assignment(
     shared: &WorkerShared,
     gate: &CreditGate,
     writer: &mut TcpStream,
     epoch_seed: u64,
     shards: &[String],
-    negotiated: u32,
     flags: u8,
 ) -> Result<(), ServeError> {
     // Fixed capacity: one assignment runs at a time (see `work_lock`).
@@ -1382,22 +1311,13 @@ fn serve_assignment(
             let codec = wire_codec_tag(shared.config.wire_codec);
             let count = chunk.len() as u32;
             let shard = index as u32;
-            let frame = if negotiated >= 2 {
-                Frame::Batch2 {
-                    shard,
-                    count,
-                    codec,
-                    span_id: shared.batches_sent.load(Ordering::Acquire) + 1,
-                    t_send: mono_ns(),
-                    block,
-                }
-            } else {
-                Frame::Batch {
-                    shard,
-                    count,
-                    codec,
-                    block,
-                }
+            let frame = Frame::Batch2 {
+                shard,
+                count,
+                codec,
+                span_id: shared.batches_sent.load(Ordering::Acquire) + 1,
+                t_send: mono_ns(),
+                block,
             };
             let t_send = rec.begin();
             let wire_bytes = write_frame(writer, &frame)?;
@@ -1434,7 +1354,7 @@ fn serve_assignment(
         skipped > 0 || lost > 0,
     );
     shared.progress.produce_time(produce_ns);
-    if negotiated >= 2 && flags & ASSIGN_WANT_STATS != 0 {
+    if flags & ASSIGN_WANT_STATS != 0 {
         let credit_wait_ns = shared
             .progress
             .snapshot()
@@ -1499,20 +1419,16 @@ pub struct ServeClientConfig {
     pub reconnect: RetryPolicy,
     /// Fleet tracing: when true (and a [`Telemetry`] handle is
     /// attached), the client records a per-shard client span timeline,
-    /// runs the clock-offset PING handshake on every v2 connection,
+    /// runs the clock-offset PING handshake on every connection,
     /// requests end-of-assignment STATS, and meters its socket reads
     /// into the gap/stream wait-state gauges. Turn off to measure the
     /// bare protocol (the `serve_fanout` bench overhead gate does).
     pub tracing: bool,
     /// Fleet trace id; 0 derives one from the epoch seed.
     pub trace_id: u64,
-    /// Highest protocol version to advertise (capped at
-    /// [`PROTOCOL_VERSION`]). Tests pin this to 1 to exercise
-    /// mixed-version fleets.
-    pub max_version: u32,
-    /// Tenant identity for multi-tenant serving: when set (and the
-    /// connection negotiates v2), the client sends REGISTER after the
-    /// handshake and waits for ADMIT before assigning shards. A REJECT
+    /// Tenant identity for multi-tenant serving: when set, the client
+    /// sends REGISTER after the handshake and waits for ADMIT before
+    /// assigning shards. A REJECT
     /// is fatal for the epoch — admission is policy, not a transient
     /// fault, so there is no failover.
     pub tenant: Option<TenantSpec>,
@@ -1547,7 +1463,6 @@ impl Default for ServeClientConfig {
             reconnect: RetryPolicy::none(),
             tracing: true,
             trace_id: 0,
-            max_version: PROTOCOL_VERSION,
             tenant: None,
         }
     }
@@ -1995,9 +1910,9 @@ where
     outcome
 }
 
-/// The wire conversation of one connection: HELLO negotiation, the
-/// v2 clock-offset handshake, ASSIGN, then the BATCH/EOF/ERR drain
-/// loop and (when requested) the trailing STATS frame. Mutates
+/// The wire conversation of one connection: the HELLO exchange, the
+/// clock-offset handshake, REGISTER, ASSIGN, then the BATCH2/EOF/ERR
+/// drain loop and (when requested) the trailing STATS frame. Mutates
 /// `outcome` in place so every early return leaves a consistent
 /// partial result for failover.
 #[allow(clippy::too_many_arguments)]
@@ -2014,99 +1929,71 @@ fn drive_assignment<F>(
 ) where
     F: Fn(&Sample) + Send + Sync,
 {
-    let local_max = config.max_version.clamp(1, PROTOCOL_VERSION);
     let trace_id = trace.map_or(0, |t| t.trace_id);
-    if write_frame(
-        writer,
-        &Frame::Hello {
-            version: local_max,
-            trace_id,
-        },
-    )
-    .is_err()
-    {
+    reader.get_mut().start_frame();
+    if let Err(e) = handshake(writer, reader, trace_id) {
+        // A worker from another build fails the epoch; a broken link
+        // is a dead connection like any other and fails over.
+        if matches!(e, ServeError::Protocol(_)) {
+            outcome.fatal = Some(PipelineError::Other(format!("worker {addr}: {e}")));
+        }
         return;
     }
-    reader.get_mut().start_frame();
-    let negotiated = match read_frame(reader) {
-        Ok(Some(Frame::Hello { version, .. })) if version >= 1 => local_max.min(version),
-        Ok(Some(Frame::Hello { version, .. })) => {
-            outcome.fatal = Some(
-                ServeError::Protocol(format!("worker speaks protocol v{version}, minimum is 1"))
-                    .into(),
-            );
-            return;
-        }
-        _ => return,
-    };
     if let Some(trace) = trace {
-        if negotiated >= 2 {
-            // NTP-style offset estimate: the minimum-RTT PING's
-            // midpoint is the least-delayed view of the worker clock.
-            let mut best_rtt = u64::MAX;
-            let mut offset = 0i64;
-            for seq in 0..PING_BURST {
-                let t0 = mono_ns();
-                if write_frame(writer, &Frame::Ping { t0, seq }).is_err() {
-                    return;
-                }
-                reader.get_mut().start_frame();
-                match read_frame(reader) {
-                    Ok(Some(Frame::Pong {
-                        t0: echo,
-                        t_worker,
-                        seq: echo_seq,
-                    })) if echo == t0 && echo_seq == seq => {
-                        let rtt = mono_ns().saturating_sub(t0);
-                        if rtt < best_rtt {
-                            best_rtt = rtt;
-                            offset = t_worker as i64 - (t0 + rtt / 2) as i64;
-                        }
-                    }
-                    _ => return,
-                }
-            }
-            trace
-                .fleet
-                .record_handshake(addr, trace.conn, negotiated, offset, best_rtt);
-        } else {
-            // v1 worker: no clock exchange; record the connection so
-            // the fleet document still lists it.
-            trace
-                .fleet
-                .record_handshake(addr, trace.conn, negotiated, 0, 0);
-        }
-    }
-    // Multi-tenant admission: declare the job before asking for work.
-    // REGISTER is a v2 frame; a v1 peer cannot enforce quotas anyway,
-    // so the exchange is skipped there (single-job semantics).
-    if let Some(tenant) = &config.tenant {
-        if negotiated >= 2 {
-            let register = Frame::Register {
-                tenant: tenant.name.clone(),
-                weight: tenant.weight.max(1),
-                shards: shards.len() as u32,
-            };
-            if write_frame(writer, &register).is_err() {
+        // NTP-style offset estimate: the minimum-RTT PING's
+        // midpoint is the least-delayed view of the worker clock.
+        let mut best_rtt = u64::MAX;
+        let mut offset = 0i64;
+        for seq in 0..PING_BURST {
+            let t0 = mono_ns();
+            if write_frame(writer, &Frame::Ping { t0, seq }).is_err() {
                 return;
             }
             reader.get_mut().start_frame();
             match read_frame(reader) {
-                Ok(Some(Frame::Admit { .. })) => {}
-                Ok(Some(Frame::Reject { reason, .. })) => {
-                    // Policy, not a fault: retrying elsewhere would
-                    // dodge the admission controller.
-                    outcome.fatal = Some(PipelineError::Other(format!(
-                        "tenant '{}' rejected by {addr}: {reason}",
-                        tenant.name
-                    )));
-                    return;
+                Ok(Some(Frame::Pong {
+                    t0: echo,
+                    t_worker,
+                    seq: echo_seq,
+                })) if echo == t0 && echo_seq == seq => {
+                    let rtt = mono_ns().saturating_sub(t0);
+                    if rtt < best_rtt {
+                        best_rtt = rtt;
+                        offset = t_worker as i64 - (t0 + rtt / 2) as i64;
+                    }
                 }
                 _ => return,
             }
         }
+        trace
+            .fleet
+            .record_handshake(addr, trace.conn, PROTOCOL_VERSION, offset, best_rtt);
     }
-    let want_stats = trace.is_some() && negotiated >= 2;
+    // Multi-tenant admission: declare the job before asking for work.
+    if let Some(tenant) = &config.tenant {
+        let register = Frame::Register {
+            tenant: tenant.name.clone(),
+            weight: tenant.weight.max(1),
+            shards: shards.len() as u32,
+        };
+        if write_frame(writer, &register).is_err() {
+            return;
+        }
+        reader.get_mut().start_frame();
+        match read_frame(reader) {
+            Ok(Some(Frame::Admit { .. })) => {}
+            Ok(Some(Frame::Reject { reason, .. })) => {
+                // Policy, not a fault: retrying elsewhere would
+                // dodge the admission controller.
+                outcome.fatal = Some(PipelineError::Other(format!(
+                    "tenant '{}' rejected by {addr}: {reason}",
+                    tenant.name
+                )));
+                return;
+            }
+            _ => return,
+        }
+    }
     if write_frame(
         writer,
         &Frame::Assign {
@@ -2119,7 +2006,11 @@ fn drive_assignment<F>(
             } else {
                 0
             },
-            flags: if want_stats { ASSIGN_WANT_STATS } else { 0 },
+            flags: if trace.is_some() {
+                ASSIGN_WANT_STATS
+            } else {
+                0
+            },
         },
     )
     .is_err()
@@ -2139,29 +2030,15 @@ fn drive_assignment<F>(
             // fails over.
             _ => return,
         };
-        // A v2 BATCH2 carries the same payload as a BATCH plus trace
-        // context the client does not need for delivery.
-        let frame = match frame {
+        match frame {
+            // `span_id`/`t_send` are trace context the client does not
+            // need for delivery.
             Frame::Batch2 {
                 shard,
                 count,
                 codec,
                 block,
                 ..
-            } => Frame::Batch {
-                shard,
-                count,
-                codec,
-                block,
-            },
-            frame => frame,
-        };
-        match frame {
-            Frame::Batch {
-                shard,
-                count,
-                codec,
-                block,
             } => {
                 let index = shard as usize;
                 if index >= buffers.len() || done[index] {
@@ -2240,22 +2117,20 @@ fn drive_assignment<F>(
     // All shards committed; the worker's STATS frame (if requested)
     // trails the final EOF. Best-effort: a worker that dies here has
     // already delivered everything.
-    if want_stats {
-        if let Some(trace) = trace {
-            loop {
-                reader.get_mut().start_frame();
-                match read_frame(reader) {
-                    Ok(Some(Frame::Stats { entry })) => {
-                        let mut entry = *entry;
-                        entry.addr = addr.to_string();
-                        entry.conn = trace.conn;
-                        entry.peer_version = negotiated;
-                        trace.fleet.record_stats(entry);
-                        break;
-                    }
-                    Ok(Some(_)) => continue,
-                    _ => break,
+    if let Some(trace) = trace {
+        loop {
+            reader.get_mut().start_frame();
+            match read_frame(reader) {
+                Ok(Some(Frame::Stats { entry })) => {
+                    let mut entry = *entry;
+                    entry.addr = addr.to_string();
+                    entry.conn = trace.conn;
+                    entry.peer_version = PROTOCOL_VERSION;
+                    trace.fleet.record_stats(entry);
+                    break;
                 }
+                Ok(Some(_)) => continue,
+                _ => break,
             }
         }
     }
@@ -2265,8 +2140,9 @@ fn drive_assignment<F>(
 mod tests {
     use super::*;
 
-    #[test]
-    fn frames_round_trip_through_payload_encoding() {
+    /// One frame of every kind, with every string and list non-empty
+    /// somewhere so each length and count field guards real bytes.
+    fn frame_zoo() -> Vec<Frame> {
         let entry = FleetWorkerEntry {
             assign_start_mono_ns: 11,
             elapsed_ns: 1_000,
@@ -2287,7 +2163,7 @@ mod tests {
             }],
             ..FleetWorkerEntry::default()
         };
-        let frames = [
+        vec![
             Frame::Hello {
                 version: 7,
                 trace_id: 0xFACE,
@@ -2299,12 +2175,6 @@ mod tests {
                 trace_id: 42,
                 parent_span: 7,
                 flags: ASSIGN_WANT_STATS,
-            },
-            Frame::Batch {
-                shard: 3,
-                count: 0,
-                codec: 0,
-                block: Vec::new(),
             },
             Frame::Credit { n: 1 },
             Frame::Eof { shard: 9 },
@@ -2328,6 +2198,14 @@ mod tests {
                 t_send: 999,
                 block: vec![1, 2, 3],
             },
+            Frame::Batch2 {
+                shard: 3,
+                count: 0,
+                codec: 0,
+                span_id: 0,
+                t_send: 0,
+                block: Vec::new(),
+            },
             Frame::Register {
                 tenant: "résnet-50".into(), // names survive as UTF-8
                 weight: 4,
@@ -2341,53 +2219,110 @@ mod tests {
                 tenant: "greedy".into(),
                 reason: "12 shards over quota 8".into(),
             },
-        ];
-        for frame in frames {
-            let decoded = Frame::decode_payload(&frame.encode_payload()).expect("round trip");
-            assert_eq!(decoded, frame);
+        ]
+    }
+
+    #[test]
+    fn frames_round_trip_through_payload_encoding() {
+        for frame in frame_zoo() {
+            let payload = frame.encode_payload();
+            assert_eq!(Frame::decode_payload(&payload).as_ref(), Ok(&frame));
+            // Strict bodies. A cut anywhere before the variable-length
+            // tail (BATCH2's block, ERR's text) is a typed error, and
+            // so is a byte after the last field of a fixed layout.
+            let tail = match &frame {
+                Frame::Err { message } => Some(message.len()),
+                Frame::Batch2 { block, .. } => Some(block.len()),
+                _ => None,
+            };
+            for cut in 0..payload.len() - tail.unwrap_or(0) {
+                let got = Frame::decode_payload(&payload[..cut]);
+                assert!(
+                    matches!(got, Err(ServeError::Protocol(_))),
+                    "{frame:?} cut at {cut}: {got:?}"
+                );
+            }
+            if tail.is_none() {
+                let got = Frame::decode_payload(&[&payload[..], &[0]].concat());
+                assert!(
+                    matches!(got, Err(ServeError::Protocol(_))),
+                    "{frame:?} with a trailing byte: {got:?}"
+                );
+            }
+            // A flipped bit reads as a typed error or as some other
+            // frame — never a panic, never the frame that was sent.
+            // (STATS step kinds are a 4-value label: tags 3..=255 all
+            // read back as "step", so a flip there can be invisible.)
+            for bit in 0..payload.len() * 8 {
+                let mut flipped = payload.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                match Frame::decode_payload(&flipped) {
+                    Ok(other) => assert!(
+                        other != frame || matches!(frame, Frame::Stats { .. }),
+                        "{frame:?} bit {bit}"
+                    ),
+                    Err(ServeError::Protocol(_)) => {}
+                    Err(other) => panic!("{frame:?} bit {bit}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4096))]
+
+        /// Every length and count on the wire is a `u32` at some
+        /// offset: overwrite any four bytes of any frame with a lie and
+        /// the decoder still answers with a typed error or a frame.
+        /// (That it allocates nothing for the lie: `tests/serve.rs`.)
+        #[test]
+        fn lying_length_and_count_fields_never_panic(
+            index in proptest::arbitrary::any::<usize>(),
+            at in proptest::arbitrary::any::<usize>(),
+            lie in proptest::prop_oneof![
+                proptest::strategy::Just(u32::MAX),
+                proptest::arbitrary::any::<u32>(),
+            ],
+        ) {
+            let zoo = frame_zoo();
+            let mut payload = zoo[index % zoo.len()].encode_payload();
+            if payload.len() >= 5 {
+                let at = 1 + at % (payload.len() - 4);
+                payload[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+            }
+            let got = Frame::decode_payload(&payload);
+            proptest::prop_assert!(matches!(got, Ok(_) | Err(ServeError::Protocol(_))), "{got:?}");
         }
     }
 
     #[test]
-    fn v1_peers_survive_v2_hello_and_assign_trailers() {
-        // A v1 decoder reads the known prefix and ignores trailing
-        // bytes. Simulate one by truncating the v2 encodings at the
-        // v1 boundary and checking the v2 decoder defaults the
-        // missing trailer — the exact tolerance a real v1 peer relies
-        // on in reverse.
-        let hello = Frame::Hello {
-            version: 2,
-            trace_id: 0xAB,
-        };
-        let payload = hello.encode_payload();
-        let v1_cut = &payload[..5]; // tag + version only
+    fn wire_bytes_are_pinned_and_retired_dialects_are_refused() {
+        // HELLO, ASSIGN and BATCH2 of the zoo as the commit before
+        // protocol v1 was deleted encoded them: the surviving frames
+        // are byte-identical (chaos fault windows count bytes).
+        let zoo = frame_zoo();
+        for (index, pinned) in [
+            (0, "0107000000cefa000000000000"),
+            (
+                1,
+                "02efbeadde0000000004000000030000000c000000612d73686172642d30303030\
+                 0100000062000000002a00000000000000070000000000000001",
+            ),
+            (
+                8,
+                "0a0100000003000000004d00000000000000e703000000000000010203",
+            ),
+        ] {
+            let payload = zoo[index].encode_payload();
+            let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pinned, "{:?}", zoo[index]);
+        }
+        // Tag 3 was the untraced BATCH: `shard`, `count`, `codec`, block.
+        // (HELLO without `trace_id` and ASSIGN without its trailer, the
+        // other v1 shapes, are cuts the round-trip test covers.)
         assert_eq!(
-            Frame::decode_payload(v1_cut).expect("v1 hello"),
-            Frame::Hello {
-                version: 2,
-                trace_id: 0,
-            }
-        );
-        let assign = Frame::Assign {
-            epoch_seed: 9,
-            credits: 2,
-            shards: vec!["s0".into(), "s1".into()],
-            trace_id: 5,
-            parent_span: 6,
-            flags: ASSIGN_WANT_STATS,
-        };
-        let payload = assign.encode_payload();
-        let v1_cut = &payload[..payload.len() - 17]; // strip v2 trailer
-        assert_eq!(
-            Frame::decode_payload(v1_cut).expect("v1 assign"),
-            Frame::Assign {
-                epoch_seed: 9,
-                credits: 2,
-                shards: vec!["s0".into(), "s1".into()],
-                trace_id: 0,
-                parent_span: 0,
-                flags: 0,
-            }
+            Frame::decode_payload(&[3, 1, 0, 0, 0, 3, 0, 0, 0, 0, 1, 2, 3]),
+            Err(ServeError::Protocol("unknown frame type 3".into()))
         );
     }
 

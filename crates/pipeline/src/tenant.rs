@@ -13,7 +13,7 @@
 //! train-client ──┘                       └── serve-worker
 //! ```
 //!
-//! [`FleetDaemon`] speaks the same v2 wire protocol on both sides.
+//! [`FleetDaemon`] speaks the same wire protocol on both sides.
 //! Clients REGISTER a tenant (name + DRR weight), pass the
 //! **admission controller** (max concurrent jobs, per-tenant shard
 //! quota), then ASSIGN their shards exactly as they would against a
@@ -47,9 +47,9 @@
 
 use crate::error::PipelineError;
 use crate::serve::{
-    read_frame, write_frame, Frame, ServeError, ASSIGN_WANT_STATS, PROTOCOL_VERSION,
+    handshake, read_frame, reject, write_frame, Frame, ServeError, ASSIGN_WANT_STATS,
+    PROTOCOL_VERSION, UNEXPECTED_FRAME,
 };
-use presto_telemetry::fleet::mono_ns;
 use presto_telemetry::{FleetWorkerEntry, ServeProgress, Telemetry, TenantsProgress};
 use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
@@ -126,7 +126,7 @@ impl Default for FleetDaemonConfig {
 struct Task {
     /// Shard blob name (what the backend's ASSIGN carries).
     shard: String,
-    /// Index into the owning client's ASSIGN shard list — BATCH/EOF
+    /// Index into the owning client's ASSIGN shard list — BATCH2/EOF
     /// frames relayed to the client are rewritten to this index.
     index: u32,
 }
@@ -167,7 +167,7 @@ struct Tenant {
     /// Writer-thread inbox. Dispatchers send relayed frames here and
     /// never block on client I/O.
     outbox: Sender<Out>,
-    /// Client credits; the writer blocks here before each BATCH.
+    /// Client credits; the writer blocks here before each BATCH2.
     gate: Arc<crate::serve::CreditGate>,
     /// Cleared when the client connection dies or the tenant fails;
     /// dispatchers drop the tenant's work on the next visit.
@@ -380,63 +380,56 @@ impl Drop for FleetDaemon {
     }
 }
 
-/// Serve one client connection: HELLO → REGISTER (admission) →
-/// ASSIGN (enqueue shard tasks) → relay CREDIT/PING until the epoch
-/// finishes or either side dies.
+/// Serve one client connection, then close it.
 fn handle_tenant_client(shared: &Arc<DaemonShared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-    let mut writer = match stream.try_clone() {
-        Ok(writer) => writer,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    if write_frame(
-        &mut writer,
-        &Frame::Hello {
-            version: PROTOCOL_VERSION,
-            trace_id: 0,
-        },
-    )
-    .is_err()
-    {
+    if let Ok(writer) = stream.try_clone() {
+        let mut reader = BufReader::new(stream);
+        tenant_conversation(shared, &mut reader, writer);
+        // `DaemonShared::conns` keeps a clone of the socket until the
+        // daemon stops, so dropping ours would leave the peer waiting.
+        let _ = reader.get_ref().shutdown(Shutdown::Both);
+    }
+}
+
+/// The client's next frame that is not a clock probe (those are
+/// answered here, before and after admission alike). `None` once the
+/// connection is gone.
+fn next_request(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream) -> Option<Frame> {
+    loop {
+        match read_frame(reader) {
+            Ok(Some(Frame::Ping { t0, seq })) => {
+                write_frame(writer, &Frame::pong(t0, seq)).ok()?;
+            }
+            Ok(Some(frame)) => return Some(frame),
+            _ => return None,
+        }
+    }
+}
+
+/// The conversation with one client: HELLO → REGISTER (admission) →
+/// ASSIGN (enqueue shard tasks) → relay CREDIT/PING until the epoch
+/// finishes or either side dies.
+fn tenant_conversation(
+    shared: &Arc<DaemonShared>,
+    mut reader: &mut BufReader<TcpStream>,
+    mut writer: TcpStream,
+) {
+    if handshake(&mut writer, &mut reader, 0).is_err() {
         return;
     }
-    // Handshake: the daemon needs REGISTER, which is a v2 frame — a
-    // v1 client cannot be admitted at all.
-    match read_frame(&mut reader) {
-        Ok(Some(Frame::Hello { version, .. })) if version >= 2 => {}
-        Ok(Some(Frame::Hello { .. })) => {
-            let _ = write_frame(
-                &mut writer,
-                &Frame::Err {
-                    message: "fleetd requires protocol v2 (REGISTER)".into(),
-                },
-            );
+    let (name, weight, declared) = match next_request(reader, &mut writer) {
+        Some(Frame::Register {
+            tenant,
+            weight,
+            shards,
+        }) => (tenant, weight.max(1), shards),
+        Some(_) => {
+            let _ = reject(&mut writer, UNEXPECTED_FRAME);
             return;
         }
-        _ => return,
-    }
-    // Pre-admission frames: answer clock probes, wait for REGISTER.
-    let (name, weight, declared) = loop {
-        match read_frame(&mut reader) {
-            Ok(Some(Frame::Ping { t0, seq })) => {
-                let pong = Frame::Pong {
-                    t0,
-                    t_worker: mono_ns(),
-                    seq,
-                };
-                if write_frame(&mut writer, &pong).is_err() {
-                    return;
-                }
-            }
-            Ok(Some(Frame::Register {
-                tenant,
-                weight,
-                shards,
-            })) => break (tenant, weight.max(1), shards),
-            _ => return,
-        }
+        None => return,
     };
     // Admission. Same-name re-registration is a *rejoin* (the chaos
     // path: a client reconnecting after a cut): the stale entry is
@@ -514,7 +507,7 @@ fn handle_tenant_client(shared: &Arc<DaemonShared>, stream: TcpStream) {
         )
         .is_ok()
         {
-            serve_admitted(shared, &mut reader, writer, out_rx, &gate, &alive);
+            serve_admitted(shared, reader, writer, out_rx, &gate, &alive);
         }
         // Unified cleanup: every exit after admission lands here, so a
         // slot can never leak (ADMIT write failure, death before
@@ -538,27 +531,19 @@ fn serve_admitted(
     alive: &Arc<AtomicBool>,
 ) {
     // The assignment: turn the shard list into scheduled tasks.
-    let (epoch_seed, credits, shards, flags) = loop {
-        match read_frame(&mut reader) {
-            Ok(Some(Frame::Ping { t0, seq })) => {
-                let pong = Frame::Pong {
-                    t0,
-                    t_worker: mono_ns(),
-                    seq,
-                };
-                if write_frame(&mut writer, &pong).is_err() {
-                    return;
-                }
-            }
-            Ok(Some(Frame::Assign {
-                epoch_seed,
-                credits,
-                shards,
-                flags,
-                ..
-            })) => break (epoch_seed, credits, shards, flags),
-            _ => return,
+    let (epoch_seed, credits, shards, flags) = match next_request(reader, &mut writer) {
+        Some(Frame::Assign {
+            epoch_seed,
+            credits,
+            shards,
+            flags,
+            ..
+        }) => (epoch_seed, credits, shards, flags),
+        Some(_) => {
+            let _ = reject(&mut writer, UNEXPECTED_FRAME);
+            return;
         }
+        None => return,
     };
     if shards.len() as u32 > shared.config.policy.shard_quota {
         let _ = write_frame(
@@ -602,7 +587,7 @@ fn serve_admitted(
     }
     shared.wake_all();
     // Writer thread: drains the outbox toward the client, blocking on
-    // the tenant's own credit gate before each BATCH. Nothing another
+    // the tenant's own credit gate before each BATCH2. Nothing another
     // tenant does can stall this thread.
     let writer_shared = Arc::clone(shared);
     let writer_alive = Arc::clone(alive);
@@ -611,7 +596,7 @@ fn serve_admitted(
         while let Ok(out) = out_rx.recv() {
             match out {
                 Out::Frame(frame) => {
-                    if matches!(frame, Frame::Batch { .. } | Frame::Batch2 { .. })
+                    if matches!(frame, Frame::Batch2 { .. })
                         && !writer_gate.take(&writer_shared.gate_progress)
                     {
                         break; // gate closed: client is gone
@@ -629,30 +614,32 @@ fn serve_admitted(
         writer_shared.wake_all();
     });
     // Reader loop: client credits and clock probes until it closes.
+    // Replies are routed through the outbox: the writer thread owns
+    // the socket now.
+    let to_client = |frame: Frame| {
+        if alive.load(Ordering::Acquire) {
+            let outbox = {
+                let sched = shared.sched.lock().unwrap();
+                sched
+                    .tenants
+                    .iter()
+                    .find(|t| Arc::ptr_eq(&t.alive, alive))
+                    .map(|t| t.outbox.clone())
+            };
+            if let Some(outbox) = outbox {
+                let _ = outbox.send(Out::Frame(frame));
+            }
+        }
+    };
     loop {
         match read_frame(&mut reader) {
             Ok(Some(Frame::Credit { n })) => gate.add(u64::from(n)),
-            Ok(Some(Frame::Ping { t0, seq })) => {
-                let pong = Frame::Pong {
-                    t0,
-                    t_worker: mono_ns(),
-                    seq,
-                };
-                // Routed through the outbox: the writer thread owns
-                // the socket now.
-                if alive.load(Ordering::Acquire) {
-                    let tenant_pong = {
-                        let sched = shared.sched.lock().unwrap();
-                        sched
-                            .tenants
-                            .iter()
-                            .find(|t| Arc::ptr_eq(&t.alive, alive))
-                            .map(|t| t.outbox.clone())
-                    };
-                    if let Some(outbox) = tenant_pong {
-                        let _ = outbox.send(Out::Frame(pong));
-                    }
-                }
+            Ok(Some(Frame::Ping { t0, seq })) => to_client(Frame::pong(t0, seq)),
+            Ok(Some(_)) => {
+                to_client(Frame::Err {
+                    message: UNEXPECTED_FRAME.into(),
+                });
+                break;
             }
             _ => break,
         }
@@ -779,7 +766,7 @@ struct TaskFailure {
     started: bool,
 }
 
-/// A relayed BATCH awaiting its shard's EOF: `(count, codec, block)`.
+/// A relayed BATCH2 awaiting its shard's EOF: `(count, codec, block)`.
 type BufferedBatch = (u32, u8, Vec<u8>);
 
 /// Run one shard on the backend and buffer it for the tenant's client.
@@ -820,22 +807,7 @@ fn serve_task(
             .map_err(|e| unstarted(e.into()))?;
         let mut writer = stream.try_clone().map_err(|e| unstarted(e.into()))?;
         let mut reader = BufReader::new(stream);
-        write_frame(
-            &mut writer,
-            &Frame::Hello {
-                version: PROTOCOL_VERSION,
-                trace_id: 0,
-            },
-        )
-        .map_err(unstarted)?;
-        match read_frame(&mut reader).map_err(unstarted)? {
-            Some(Frame::Hello { version, .. }) if version >= 1 => {}
-            _ => {
-                return Err(unstarted(ServeError::Protocol(
-                    "backend handshake failed".into(),
-                )))
-            }
-        }
+        handshake(&mut writer, &mut reader, 0).map_err(unstarted)?;
         *conn = Some((writer, reader));
     }
     let (writer, reader) = conn.as_mut().expect("connection established above");
@@ -856,16 +828,10 @@ fn serve_task(
         let frame = read_frame(reader)
             .map_err(started)?
             .ok_or_else(|| started(ServeError::Protocol("backend closed mid-shard".into())))?;
-        // The v2 BATCH2 trace context is backend-local; the relay
-        // forwards plain BATCH frames under the client's shard index.
+        // The backend's shard index and trace context are its own;
+        // `complete_task` relays the rest under the client's index.
         let (count, codec, block) = match frame {
-            Frame::Batch {
-                count,
-                codec,
-                block,
-                ..
-            }
-            | Frame::Batch2 {
+            Frame::Batch2 {
                 count,
                 codec,
                 block,
@@ -948,10 +914,12 @@ fn complete_task(
     }
     if deliver {
         for (count, codec, block) in buffered {
-            let _ = dispatch.outbox.send(Out::Frame(Frame::Batch {
+            let _ = dispatch.outbox.send(Out::Frame(Frame::Batch2 {
                 shard: dispatch.task.index,
                 count,
                 codec,
+                span_id: 0,
+                t_send: 0,
                 block,
             }));
         }

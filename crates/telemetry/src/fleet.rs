@@ -57,7 +57,8 @@ pub struct FleetWorkerEntry {
     /// Index of this worker in the client's candidate list — the
     /// `worker` field of client-side spans for this connection.
     pub conn: u32,
-    /// Wire protocol version the connection negotiated.
+    /// Wire protocol version the peer's HELLO carried (one version
+    /// exists; the handshake refuses any other).
     pub peer_version: u32,
     /// Estimated `worker_mono − client_mono`, nanoseconds (min-RTT
     /// ping sample). 0 until the handshake completes.
@@ -115,7 +116,7 @@ impl FleetProgress {
         state.workers.clear();
     }
 
-    /// Record (or refresh) a connection handshake: negotiated version
+    /// Record (or refresh) a connection handshake: the peer's version
     /// plus the clock-offset estimate. Creates the entry if the
     /// address is new; keeps any stats already recorded otherwise.
     pub fn record_handshake(

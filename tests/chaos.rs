@@ -32,6 +32,19 @@ fn chaos_seeds() -> Vec<u64> {
     }
 }
 
+/// Seeds for the tests that assert "some seed injected the fault": a
+/// 4–8 % per-window draw over one epoch's few dozen windows can come
+/// up empty for a single seed (`FAULT_SEED=2` never disconnects), so a
+/// pinned seed stands for a family of five derived from it and the
+/// aggregate is taken over the family. Checksum parity is still
+/// asserted on every member.
+fn chaos_seed_family() -> Vec<u64> {
+    match chaos_seeds()[..] {
+        [seed] => (0..5).map(|member| seed + 1_000 * member).collect(),
+        _ => chaos_seeds(),
+    }
+}
+
 /// The CV pipeline with its random crop kept online (sample bytes
 /// depend on per-shard step RNG), materialized small enough that a
 /// whole chaos matrix stays fast. The 32×32 resize keeps each shard a
@@ -168,7 +181,7 @@ fn latency_spikes_never_change_the_multiset() {
 fn mid_frame_disconnects_fail_over_and_complete() {
     let mut total_disconnects = 0u64;
     let mut total_preemptions = 0u64;
-    for seed in chaos_seeds() {
+    for seed in chaos_seed_family() {
         let (report, _, stats) = chaotic_epoch(
             seed,
             vec![ChaosFault::Disconnect { probability: 0.04 }],
@@ -192,7 +205,7 @@ fn mid_frame_disconnects_fail_over_and_complete() {
 #[test]
 fn corruption_is_detected_and_retried_never_delivered() {
     let mut total_corruptions = 0u64;
-    for seed in chaos_seeds() {
+    for seed in chaos_seed_family() {
         // Checksum parity inside chaotic_epoch is the real assertion:
         // a flipped byte must become a CRC failure and a retry, never
         // a silently different sample.
@@ -210,7 +223,7 @@ fn corruption_is_detected_and_retried_never_delivered() {
 #[test]
 fn partitions_stall_then_fail_over() {
     let mut total_partitions = 0u64;
-    for seed in chaos_seeds() {
+    for seed in chaos_seed_family() {
         let (_, _, stats) = chaotic_epoch(
             seed,
             vec![ChaosFault::Partition {

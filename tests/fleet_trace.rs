@@ -1,4 +1,4 @@
-//! Integration tests of fleet tracing end to end: the v2 clock-offset
+//! Integration tests of fleet tracing end to end: the clock-offset
 //! handshake, the `presto.fleet.v1` bundle, the merged Chrome trace,
 //! and — the acceptance bar — [`presto::diagnose_fleet`] naming the
 //! injected bottleneck on four seed-matrixed scenarios (paced workers,
@@ -316,94 +316,6 @@ fn slow_consumer_diagnoses_as_consumer_bound() {
 }
 
 #[test]
-fn mixed_version_fleet_downgrades_without_changing_the_multiset() {
-    let (pipeline, dataset, store) = workload(64, 56, 24, 6);
-    let reference = reference_checksum(&pipeline, &dataset, &store, 42);
-
-    // A v1 worker in a v2 fleet: the connection downgrades, skips the
-    // clock handshake and STATS, and still serves its shards.
-    let v1_worker = ServeWorkerConfig {
-        max_version: 1,
-        ..ServeWorkerConfig::default()
-    };
-    let workers = [
-        ServeWorker::spawn(
-            "127.0.0.1:0",
-            &pipeline,
-            &dataset,
-            store.clone() as Arc<dyn presto_pipeline::BlobStore>,
-            Resilience::default(),
-            Some(Telemetry::new()),
-            v1_worker,
-        )
-        .unwrap(),
-        ServeWorker::spawn(
-            "127.0.0.1:0",
-            &pipeline,
-            &dataset,
-            store.clone() as Arc<dyn presto_pipeline::BlobStore>,
-            Resilience::default(),
-            Some(Telemetry::new()),
-            ServeWorkerConfig::default(),
-        )
-        .unwrap(),
-    ];
-    let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
-    let telemetry = Telemetry::new();
-    let report = serve_epoch(
-        &addrs,
-        &dataset.shards,
-        42,
-        &ServeClientConfig::default(),
-        Some(&telemetry),
-        |_| {},
-    )
-    .unwrap();
-    assert_eq!(report.checksum, reference);
-    let fleet = telemetry.fleet().snapshot();
-    assert_eq!(fleet.workers.len(), 2);
-    let old = fleet
-        .workers
-        .iter()
-        .find(|w| w.addr == addrs[0])
-        .expect("v1 worker listed");
-    assert_eq!(old.peer_version, 1);
-    assert_eq!((old.clock_offset_ns, old.rtt_ns), (0, 0));
-    assert!(old.spans.is_empty(), "no STATS from a v1 worker");
-    let new = fleet
-        .workers
-        .iter()
-        .find(|w| w.addr == addrs[1])
-        .expect("v2 worker listed");
-    assert_eq!(new.peer_version, 2);
-    assert!(new.samples > 0, "v2 STATS carry totals: {new:?}");
-
-    // And the symmetric case: a v1 client against v2 workers.
-    let telemetry = Telemetry::new();
-    let report = serve_epoch(
-        &addrs,
-        &dataset.shards,
-        42,
-        &ServeClientConfig {
-            max_version: 1,
-            ..ServeClientConfig::default()
-        },
-        Some(&telemetry),
-        |_| {},
-    )
-    .unwrap();
-    assert_eq!(report.checksum, reference);
-    let fleet = telemetry.fleet().snapshot();
-    assert!(
-        fleet.workers.iter().all(|w| w.peer_version == 1),
-        "{fleet:?}"
-    );
-    for worker in workers {
-        worker.stop();
-    }
-}
-
-#[test]
 fn merged_chrome_trace_nests_offset_corrected_worker_spans() {
     let (pipeline, dataset, store) = workload(64, 56, 24, 6);
     let run = run_fleet(
@@ -417,7 +329,7 @@ fn merged_chrome_trace_nests_offset_corrected_worker_spans() {
         None,
         Duration::ZERO,
     );
-    // Every v2 worker entry's assignment start, corrected onto the
+    // Every worker entry's assignment start, corrected onto the
     // client clock via the handshake offset, must land inside the
     // client's epoch (with slack for connect/handshake jitter) — the
     // invariant that makes the merged trace nest without clamping

@@ -12,12 +12,18 @@ use presto_pipeline::real::{
 };
 use presto_pipeline::serve::{
     read_frame, serve_epoch, write_frame, Frame, MultisetChecksum, ServeClientConfig, ServeError,
-    ServeWorker, ServeWorkerConfig, MAX_FRAME_LEN,
+    ServeWorker, ServeWorkerConfig, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
+use presto_pipeline::telemetry::alloc::{self, CountingAllocator};
 use presto_pipeline::{
     FaultPolicy, Pipeline, PipelineError, Resilience, Sample, Strategy, Telemetry,
 };
+use presto_tensor::RecordWriter;
 use std::sync::Arc;
+
+/// Feeds the per-thread allocation counters [`read_hostile`] reads.
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator::system();
 
 /// Fault seeds under test; CI sweeps one at a time via `FAULT_SEED`.
 fn fault_seeds() -> Vec<u64> {
@@ -84,10 +90,12 @@ fn collect_checksum() -> (
 #[test]
 fn batch_frames_round_trip_zero_length_and_max_size() {
     // Zero-length: a batch with no samples at all.
-    let empty = Frame::Batch {
+    let empty = Frame::Batch2 {
         shard: 0,
         count: 0,
         codec: 0,
+        span_id: 0,
+        t_send: 0,
         block: Vec::new(),
     };
     let mut wire = Vec::new();
@@ -96,11 +104,13 @@ fn batch_frames_round_trip_zero_length_and_max_size() {
 
     // Max-size: payload exactly at MAX_FRAME_LEN passes; one byte more
     // is rejected before the allocation.
-    let batch_overhead = 1 + 4 + 4 + 1; // type + shard + count + codec
-    let huge = Frame::Batch {
+    let batch_overhead = 1 + 4 + 4 + 1 + 8 + 8; // type + shard + count + codec + span_id + t_send
+    let huge = Frame::Batch2 {
         shard: 1,
         count: 1,
         codec: 0,
+        span_id: 0,
+        t_send: 0,
         block: vec![0x5A; MAX_FRAME_LEN as usize - batch_overhead],
     };
     let mut wire = Vec::new();
@@ -114,6 +124,16 @@ fn batch_frames_round_trip_zero_length_and_max_size() {
         read_frame(&mut &wire[..]),
         Err(ServeError::TooLarge(MAX_FRAME_LEN + 1))
     );
+}
+
+/// [`read_frame`] on hostile bytes: whatever it answers, it never held
+/// more than one capped frame (payload plus its CRC) to get there.
+fn read_hostile(wire: &[u8]) -> Result<Option<Frame>, ServeError> {
+    let scope = alloc::scope_begin();
+    let result = read_frame(&mut &wire[..]);
+    let peak = alloc::scope_end(scope).peak_live;
+    assert!(peak <= MAX_FRAME_LEN + 4, "{peak} bytes held");
+    result
 }
 
 #[test]
@@ -140,6 +160,39 @@ fn truncated_streams_and_garbage_headers_are_rejected() {
             "cut at {cut} gave {err:?}"
         );
     }
+    // A lying length, with a header CRC that vouches for it, is refused
+    // before anything is allocated for it, or runs into the end of the
+    // stream; a lying shard count or name length inside the payload
+    // (any u32 of it) is a protocol error. `read_hostile` bounds what
+    // either may allocate on the way.
+    let payload_len = wire.len() as u64 - 16;
+    let relen = |len: u64| {
+        let mut lying = wire.clone();
+        lying[..8].copy_from_slice(&len.to_le_bytes());
+        let crc = Crc32::checksum(&lying[..8]);
+        lying[8..12].copy_from_slice(&crc.to_le_bytes());
+        lying
+    };
+    for len in [MAX_FRAME_LEN + 1, u64::MAX] {
+        assert_eq!(read_hostile(&relen(len)), Err(ServeError::TooLarge(len)));
+    }
+    for len in [MAX_FRAME_LEN, payload_len + 1] {
+        assert_eq!(read_hostile(&relen(len)), Err(ServeError::Truncated));
+    }
+    assert_eq!(
+        read_hostile(&relen(payload_len - 1)),
+        Err(ServeError::BadPayload)
+    );
+    for at in 13..wire.len() - 7 {
+        let mut rec = RecordWriter::new();
+        rec.write(&[&wire[12..at], &[0xFF; 4], &wire[at + 4..wire.len() - 4]].concat());
+        let got = read_hostile(&rec.finish());
+        assert!(
+            matches!(got, Ok(Some(_)) | Err(ServeError::Protocol(_))),
+            "lie at payload byte {}: {got:?}",
+            at - 12
+        );
+    }
     // Garbage where the header should be: length CRC cannot match.
     let garbage = [0x5Cu8; 64];
     assert_eq!(read_frame(&mut &garbage[..]), Err(ServeError::BadHeader));
@@ -147,6 +200,61 @@ fn truncated_streams_and_garbage_headers_are_rejected() {
     let last = wire.len() - 5; // inside the payload, before its CRC
     wire[last] ^= 0xFF;
     assert_eq!(read_frame(&mut &wire[..]), Err(ServeError::BadPayload));
+}
+
+#[test]
+fn worker_takes_hello_once_and_first_or_answers_err_and_closes() {
+    let (pipeline, dataset, store) = cv_workload(8, 2);
+    let worker = ServeWorker::spawn(
+        "127.0.0.1:0",
+        &pipeline,
+        &dataset,
+        store.clone() as Arc<dyn presto_pipeline::BlobStore>,
+        Resilience::default(),
+        None,
+        ServeWorkerConfig::default(),
+    )
+    .unwrap();
+    presto_integration_tests::assert_hello_is_required_once_and_first(worker.addr());
+
+    // The dialing side of the same rule: a worker of another version
+    // fails the epoch, with the healthy worker right beside it — and
+    // is told why before the client hangs up.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let stranger = listener.local_addr().unwrap().to_string();
+    let heard = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION + 1,
+            trace_id: 0,
+        };
+        write_frame(&mut stream, &hello).unwrap();
+        let mut heard = Vec::new();
+        while let Ok(Some(frame)) = read_frame(&mut stream) {
+            heard.push(frame);
+        }
+        heard
+    });
+    let err = serve_epoch(
+        &[stranger, worker.addr().to_string()],
+        &dataset.shards,
+        3,
+        &ServeClientConfig::default(),
+        None,
+        |_| {},
+    )
+    .unwrap_err();
+    let version = PROTOCOL_VERSION + 1;
+    assert!(
+        err.to_string()
+            .contains(&format!("protocol version {version}")),
+        "{err}"
+    );
+    let heard = heard.join().unwrap();
+    assert!(
+        matches!(heard[..], [Frame::Hello { .. }, Frame::Err { .. }]),
+        "{heard:?}"
+    );
 }
 
 #[test]

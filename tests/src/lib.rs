@@ -18,3 +18,62 @@ pub fn fast_env_ssd() -> SimEnv {
         ..SimEnv::paper_vm_ssd()
     }
 }
+
+/// Speak to an accepting serve peer (`serve-worker` or `fleetd`) by
+/// hand and check the one handshake rule: the peer sends its own HELLO
+/// first, takes exactly one HELLO of its own version as the client's
+/// first frame, and answers anything else — a frame before HELLO,
+/// another version, a second HELLO — with ERR and a close.
+pub fn assert_hello_is_required_once_and_first(addr: std::net::SocketAddr) {
+    use presto_pipeline::serve::{read_frame, write_frame, Frame, PROTOCOL_VERSION};
+    let hello = |version| Frame::Hello {
+        version,
+        trace_id: 0,
+    };
+    let ours = hello(PROTOCOL_VERSION);
+    let assign = Frame::Assign {
+        epoch_seed: 1,
+        credits: 1,
+        shards: vec!["no-such-shard".into()],
+        trace_id: 0,
+        parent_span: 0,
+        flags: 0,
+    };
+    let register = Frame::Register {
+        tenant: "early".into(),
+        weight: 1,
+        shards: 1,
+    };
+    let scripts = [
+        vec![Frame::Ping { t0: 1, seq: 0 }],
+        vec![assign],
+        vec![register],
+        vec![hello(PROTOCOL_VERSION - 1)],
+        vec![hello(PROTOCOL_VERSION + 1)],
+        vec![ours.clone(), ours.clone()],
+    ];
+    for script in scripts {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        for frame in &script {
+            write_frame(&mut stream, frame).unwrap();
+        }
+        assert_eq!(
+            read_frame(&mut stream).unwrap(),
+            Some(ours.clone()),
+            "{script:?}"
+        );
+        let reply = read_frame(&mut stream).unwrap();
+        assert!(
+            matches!(reply, Some(Frame::Err { .. })),
+            "{script:?} was answered with {reply:?}"
+        );
+        let after = read_frame(&mut stream);
+        assert!(
+            matches!(after, Ok(None)),
+            "{script:?}: connection still open after ERR: {after:?}"
+        );
+    }
+}

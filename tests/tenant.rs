@@ -129,6 +129,20 @@ fn raw_register(addr: SocketAddr, name: &str, shards: u32) -> (TcpStream, Frame)
 }
 
 #[test]
+fn fleetd_takes_hello_once_and_first_or_answers_err_and_closes() {
+    let (pipeline, dataset, store) = cv_workload(8, 2);
+    let worker = spawn_worker(&pipeline, &dataset, &store, ServeWorkerConfig::default());
+    let daemon = FleetDaemon::spawn(
+        "127.0.0.1:0",
+        &[worker.addr().to_string()],
+        FleetDaemonConfig::default(),
+        None,
+    )
+    .unwrap();
+    presto_integration_tests::assert_hello_is_required_once_and_first(daemon.addr());
+}
+
+#[test]
 fn admission_enforces_quota_capacity_and_latest_wins_rejoin() {
     let (pipeline, dataset, store) = cv_workload(16, 8);
     let worker = spawn_worker(&pipeline, &dataset, &store, ServeWorkerConfig::default());
