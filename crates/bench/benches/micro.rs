@@ -3,6 +3,7 @@
 //! the building blocks whose cost models the simulator uses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use presto_codecs::container::zlib_decompress;
 use presto_codecs::deflate::deflate;
 use presto_codecs::inflate::inflate;
 use presto_codecs::Level;
@@ -37,9 +38,67 @@ fn bench_deflate(c: &mut Criterion) {
             b.iter(|| deflate(data, level))
         });
     }
-    let compressed = deflate(&data, Level::DEFAULT);
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.bench_function("inflate", |b| b.iter(|| inflate(&compressed).unwrap()));
+    group.finish();
+}
+
+/// `bytes` of payload: `piece(0)`, `piece(1)`, ... end to end.
+fn concatenated(bytes: usize, piece: impl Fn(u64) -> Vec<u8>) -> Vec<u8> {
+    let mut out = Vec::new();
+    for seed in 0.. {
+        if out.len() >= bytes {
+            break;
+        }
+        out.extend(piece(seed));
+    }
+    out.truncate(bytes);
+    out
+}
+
+/// Pixel-centred 64x64 RGB images as f32, the tensors `cv-offline` stores.
+fn f32_tensors(bytes: usize) -> Vec<u8> {
+    concatenated(bytes, |seed| {
+        let image = generators::natural_image(64, 64, seed);
+        image
+            .pixel_center()
+            .into_iter()
+            .flat_map(f32::to_le_bytes)
+            .collect()
+    })
+}
+
+/// Quantized DCT coefficients as i16, the payload `jpg::decode` inflates.
+fn dct_coefficients(bytes: usize) -> Vec<u8> {
+    concatenated(bytes, |seed| {
+        let encoded = jpg::encode(&generators::natural_image(96, 80, seed), 85);
+        zlib_decompress(&encoded[22..]).unwrap()
+    })
+}
+
+/// Inflate as a curve over payload size and content: one point hides
+/// what table construction costs on a one-block 4 KiB payload and what
+/// the match-copy loop gains on a 1.5 MiB shard.
+fn bench_inflate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("inflate");
+    group
+        .measurement_time(Duration::from_secs(3))
+        .warm_up_time(Duration::from_millis(500));
+    type Generator = fn(usize) -> Vec<u8>;
+    let kinds: [(&str, Generator); 3] = [
+        ("text", corpus),
+        ("f32-tensor", f32_tensors),
+        ("dct-i16", dct_coefficients),
+    ];
+    for (kind, generate) in kinds {
+        for kib in [4, 48, 768, 1536] {
+            let data = generate(kib * 1024);
+            let compressed = deflate(&data, Level::DEFAULT);
+            assert_eq!(inflate(&compressed).unwrap(), data);
+            group.throughput(Throughput::Bytes(data.len() as u64));
+            group.bench_with_input(BenchmarkId::new(kind, kib), &compressed, |b, compressed| {
+                b.iter(|| inflate(compressed).unwrap())
+            });
+        }
+    }
     group.finish();
 }
 
@@ -139,6 +198,7 @@ fn bench_text(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_inflate,
     bench_deflate,
     bench_records,
     bench_dsp,

@@ -67,12 +67,17 @@ impl BitWriter {
 }
 
 /// Reads bits LSB-first from a byte slice.
+///
+/// `bit_buf` holds `bit_count` (at most 63) unread bits starting at its
+/// least significant bit and zeros above them; `pos` is the next input byte
+/// not yet in `bit_buf`. The fields are crate-visible so inflate's fast
+/// loop can keep them in locals and store them back.
 #[derive(Debug)]
 pub struct BitReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    bit_buf: u64,
-    bit_count: u32,
+    pub(crate) data: &'a [u8],
+    pub(crate) pos: usize,
+    pub(crate) bit_buf: u64,
+    pub(crate) bit_count: u32,
 }
 
 impl<'a> BitReader<'a> {
@@ -87,11 +92,26 @@ impl<'a> BitReader<'a> {
     }
 
     fn refill(&mut self) {
-        while self.bit_count <= 56 && self.pos < self.data.len() {
+        while self.bit_count < 56 && self.pos < self.data.len() {
             self.bit_buf |= (self.data[self.pos] as u64) << self.bit_count;
             self.pos += 1;
             self.bit_count += 8;
         }
+    }
+
+    /// Buffer as many whole bytes as fit (at least 56 bits unless the
+    /// input ends first) and return the bits with their count, consuming
+    /// nothing. Bits past the end of the input read as zero.
+    pub fn peek(&mut self) -> (u64, u32) {
+        self.refill();
+        (self.bit_buf, self.bit_count)
+    }
+
+    /// Drop `count` bits that a [`BitReader::peek`] reported as buffered.
+    pub fn consume(&mut self, count: u32) {
+        debug_assert!(count <= self.bit_count);
+        self.bit_buf >>= count;
+        self.bit_count -= count;
     }
 
     /// Read `count` bits (LSB first). `count <= 32`.
@@ -103,14 +123,8 @@ impl<'a> BitReader<'a> {
                 return Err(CodecError::UnexpectedEof);
             }
         }
-        let mask = if count == 32 {
-            u64::MAX >> 32
-        } else {
-            (1u64 << count) - 1
-        };
-        let value = (self.bit_buf & mask) as u32;
-        self.bit_buf >>= count;
-        self.bit_count -= count;
+        let value = (self.bit_buf & ((1u64 << count) - 1)) as u32;
+        self.consume(count);
         Ok(value)
     }
 
@@ -121,27 +135,23 @@ impl<'a> BitReader<'a> {
 
     /// Drop buffered bits up to the next byte boundary.
     pub fn align_to_byte(&mut self) {
-        let drop = self.bit_count % 8;
-        self.bit_buf >>= drop;
-        self.bit_count -= drop;
+        self.consume(self.bit_count % 8);
     }
 
-    /// Read `len` raw bytes; must be byte-aligned.
-    pub fn read_bytes(&mut self, len: usize) -> Result<Vec<u8>, CodecError> {
+    /// Borrow the next `len` raw bytes of the input; must be
+    /// byte-aligned.
+    pub fn read_bytes(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
         debug_assert_eq!(self.bit_count % 8, 0);
-        let mut out = Vec::with_capacity(len);
-        while out.len() < len && self.bit_count >= 8 {
-            out.push((self.bit_buf & 0xFF) as u8);
-            self.bit_buf >>= 8;
-            self.bit_count -= 8;
-        }
-        let remaining = len - out.len();
-        if self.pos + remaining > self.data.len() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        out.extend_from_slice(&self.data[self.pos..self.pos + remaining]);
-        self.pos += remaining;
-        Ok(out)
+        // Un-read the buffered whole bytes, then slice the input.
+        let start = self.bytes_consumed();
+        let end = start
+            .checked_add(len)
+            .filter(|&end| end <= self.data.len())
+            .ok_or(CodecError::UnexpectedEof)?;
+        self.pos = end;
+        self.bit_buf = 0;
+        self.bit_count = 0;
+        Ok(&self.data[start..end])
     }
 
     /// Bytes of input consumed, counting buffered-but-unread bits as consumed.

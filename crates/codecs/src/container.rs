@@ -3,7 +3,7 @@
 
 use crate::checksum::{Adler32, Crc32};
 use crate::deflate::deflate;
-use crate::inflate::inflate_into;
+use crate::inflate::{inflate_into, inflate_stream, MAX_EXPANSION};
 use crate::{CodecError, Level};
 
 const GZIP_MAGIC: [u8; 2] = [0x1F, 0x8B];
@@ -59,11 +59,15 @@ pub fn gzip_decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), CodecE
         ));
     }
     let payload = &data[10..data.len() - 8];
-    out.clear();
-    inflate_into(payload, out)?;
     let trailer = &data[data.len() - 8..];
     let expected_crc = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
     let expected_len = u32::from_le_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
+    // ISIZE is the length modulo 2^32, so it sizes and bounds the output
+    // only of a payload too short to inflate to 4 GiB.
+    let wraps = payload.len() > u32::MAX as usize / MAX_EXPANSION;
+    let declared = (!wraps).then_some(expected_len as usize);
+    out.clear();
+    inflate_stream(payload, out, declared, true)?;
     let actual_crc = Crc32::checksum(out);
     if actual_crc != expected_crc {
         return Err(CodecError::ChecksumMismatch {

@@ -1,8 +1,8 @@
 //! Canonical Huffman coding: length-limited code construction
 //! (package-merge), canonical code assignment (RFC 1951 §3.2.2) and a
-//! bit-serial canonical decoder.
+//! table-driven canonical decoder.
 
-use crate::bitio::BitReader;
+use crate::bitio::{reverse_bits, BitReader};
 use crate::CodecError;
 
 /// Maximum code length permitted by DEFLATE.
@@ -132,26 +132,74 @@ pub fn kraft_sum(lengths: &[u8]) -> f64 {
         .sum()
 }
 
-/// Canonical Huffman decoder.
+/// Largest alphabet a [`Decoder`] holds (DEFLATE's literal/length one).
+pub const MAX_SYMBOLS: usize = 288;
+
+/// Entry flag: the value is an output byte.
+pub const LITERAL: u32 = 1 << 12;
+/// Entry flag: nothing a match-copy loop handles — end of block, a
+/// reserved symbol, or (with length 0) no code at all.
+pub const STOP: u32 = 1 << 13;
+const NO_CODE: u32 = STOP;
+
+/// Pack what a decoder needs to know about one symbol: its `value` (a
+/// literal byte, a base length or distance, or the symbol itself), how
+/// many `extra_bits` follow its code, and [`LITERAL`] / [`STOP`].
+/// [`Decoder::from_lengths`] adds the code length twice: to the low
+/// byte, which then counts every bit the symbol takes from the stream
+/// (one shift consumes code and extra bits together), and on its own in
+/// bits 8..=11.
+pub const fn entry(value: u16, extra_bits: u8, flags: u32) -> u32 {
+    (value as u32) << 16 | flags | extra_bits as u32
+}
+
+/// The `value` an entry was packed with.
+pub const fn entry_value(entry: u32) -> usize {
+    (entry >> 16) as usize
+}
+
+/// The length in bits of the code an entry was decoded from.
+pub const fn entry_code_len(entry: u32) -> u32 {
+    (entry >> 8) & 0xF
+}
+
+/// Code length plus extra bits: all the input a decoded symbol takes.
+pub const fn entry_total_bits(entry: u32) -> u32 {
+    entry & 0xFF
+}
+
+/// Canonical Huffman decoder: one packed lookup table per code.
 ///
-/// Decodes bit-serially using per-length first-code/first-symbol tables,
-/// which is compact, simple to verify, and fast enough for this crate's
-/// purpose.
+/// `table` is indexed by the next `log2(SIZE)` bits of input and holds,
+/// for every code no longer than that, the symbol's [`entry`] and code
+/// length: one load decodes a symbol and says how far to advance. Longer
+/// codes (each rarer than one symbol in `SIZE`) leave [`STOP`] with
+/// length 0 there and are resolved by the canonical first-code walk,
+/// seeded with the bits already looked at. Everything is a fixed array:
+/// building a decoder allocates nothing.
 #[derive(Debug, Clone)]
-pub struct Decoder {
+pub struct Decoder<const SIZE: usize> {
+    table: [u32; SIZE],
     /// `first_code[len]`: smallest canonical code of length `len`.
     first_code: [u32; MAX_BITS + 1],
-    /// `first_index[len]`: index into `symbols` of that smallest code.
+    /// `first_index[len]`: index into `sorted` of that smallest code.
     first_index: [u32; MAX_BITS + 1],
     /// Count of codes per length.
     count: [u32; MAX_BITS + 1],
-    /// Symbols ordered by (length, symbol).
-    symbols: Vec<u16>,
+    /// Entries ordered by (length, symbol).
+    sorted: [u32; MAX_SYMBOLS],
 }
 
-impl Decoder {
-    /// Build a decoder from per-symbol code lengths.
-    pub fn from_lengths(lengths: &[u8]) -> Result<Self, CodecError> {
+impl<const SIZE: usize> Decoder<SIZE> {
+    const INDEX_BITS: u32 = SIZE.trailing_zeros();
+
+    /// Build a decoder from per-symbol code lengths; `entry_of(symbol)`
+    /// is the [`entry`] a decoded symbol yields.
+    pub fn from_lengths(
+        lengths: &[u8],
+        entry_of: impl Fn(usize) -> u32,
+    ) -> Result<Self, CodecError> {
+        assert!(SIZE.is_power_of_two() && lengths.len() <= MAX_SYMBOLS);
         let mut count = [0u32; MAX_BITS + 1];
         for &len in lengths {
             if len as usize > MAX_BITS {
@@ -186,40 +234,75 @@ impl Decoder {
             index += count[len];
         }
 
-        let mut symbols = vec![0u16; total as usize];
+        let mut table = [NO_CODE; SIZE];
+        let mut sorted = [NO_CODE; MAX_SYMBOLS];
         let mut next = first_index;
-        for (sym, &len) in lengths.iter().enumerate() {
-            if len > 0 {
-                symbols[next[len as usize] as usize] = sym as u16;
-                next[len as usize] += 1;
+        for (symbol, &len) in lengths.iter().enumerate() {
+            if len == 0 {
+                continue;
             }
-        }
-        Ok(Decoder {
-            first_code,
-            first_index,
-            count,
-            symbols,
-        })
-    }
-
-    /// Decode one symbol from `reader`.
-    pub fn decode(&self, reader: &mut BitReader<'_>) -> Result<u16, CodecError> {
-        let mut code = 0u32;
-        for len in 1..=MAX_BITS {
-            code = (code << 1) | reader.read_bit()?;
-            let n = self.count[len];
-            if n > 0 {
-                let first = self.first_code[len];
-                if code < first + n {
-                    if code < first {
-                        return Err(CodecError::Corrupt("invalid Huffman code"));
-                    }
-                    let idx = self.first_index[len] + (code - first);
-                    return Ok(self.symbols[idx as usize]);
+            let slot = &mut next[len as usize];
+            let code = first_code[len as usize] + (*slot - first_index[len as usize]);
+            let packed = entry_of(symbol) + u32::from(len) * 0x101;
+            sorted[*slot as usize] = packed;
+            *slot += 1;
+            // Codes arrive MSB first, so a table index is the reversed
+            // code followed by any combination of the bits after it; a
+            // code longer than the index is left to `lookup_long`.
+            if u32::from(len) <= Self::INDEX_BITS {
+                for i in (reverse_bits(code, len.into()) as usize..SIZE).step_by(1 << len) {
+                    table[i] = packed;
                 }
             }
         }
-        Err(CodecError::Corrupt("Huffman code longer than 15 bits"))
+        Ok(Decoder {
+            table,
+            first_code,
+            first_index,
+            count,
+            sorted,
+        })
+    }
+
+    /// The entry of the code that the low 15 of `bits` (LSB first) start
+    /// with, its length included; [`STOP`] with length 0 if they start none.
+    #[inline(always)]
+    pub(crate) fn lookup(&self, bits: u64) -> u32 {
+        match self.table[bits as usize & (SIZE - 1)] {
+            NO_CODE => self.lookup_long(bits),
+            packed => packed,
+        }
+    }
+
+    #[cold]
+    fn lookup_long(&self, bits: u64) -> u32 {
+        let mut code = reverse_bits(bits as u32 & (SIZE as u32 - 1), Self::INDEX_BITS);
+        for len in Self::INDEX_BITS as usize + 1..=MAX_BITS {
+            code = (code << 1) | (bits >> (len - 1)) as u32 & 1;
+            let offset = code.wrapping_sub(self.first_code[len]);
+            if offset < self.count[len] {
+                return self.sorted[(self.first_index[len] + offset) as usize];
+            }
+        }
+        NO_CODE
+    }
+
+    /// Decode one symbol from `reader`, returning its entry.
+    pub fn decode(&self, reader: &mut BitReader<'_>) -> Result<u32, CodecError> {
+        let (bits, available) = reader.peek();
+        let packed = self.lookup(bits);
+        let len = entry_code_len(packed);
+        // Bits past the end of the input peek as zeros, so a code only
+        // counts when all of it was really there.
+        if len == 0 || len > available {
+            return Err(if available < MAX_BITS as u32 {
+                CodecError::UnexpectedEof
+            } else {
+                CodecError::Corrupt("Huffman code longer than 15 bits")
+            });
+        }
+        reader.consume(len);
+        Ok(packed)
     }
 }
 
@@ -227,6 +310,11 @@ impl Decoder {
 mod tests {
     use super::*;
     use crate::bitio::BitWriter;
+
+    /// A decoder over plain symbols: each entry's value is its index.
+    fn symbol_decoder(lengths: &[u8]) -> Result<Decoder<256>, CodecError> {
+        Decoder::from_lengths(lengths, |sym| entry(sym as u16, 0, 0))
+    }
 
     fn roundtrip(freqs: &[u64], max_len: usize) {
         let lengths = code_lengths(freqs, max_len);
@@ -241,7 +329,7 @@ mod tests {
             );
         }
         let codes = canonical_codes(&lengths);
-        let decoder = Decoder::from_lengths(&lengths).unwrap();
+        let decoder = symbol_decoder(&lengths).unwrap();
         // Encode every active symbol once and decode it back.
         let mut w = BitWriter::new();
         let mut expected = Vec::new();
@@ -254,7 +342,7 @@ mod tests {
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
         for &sym in &expected {
-            assert_eq!(decoder.decode(&mut r).unwrap(), sym);
+            assert_eq!(entry_value(decoder.decode(&mut r).unwrap()), sym as usize);
         }
     }
 
@@ -288,12 +376,12 @@ mod tests {
     fn single_symbol_gets_one_bit() {
         let lengths = code_lengths(&[0, 7, 0], 15);
         assert_eq!(lengths, vec![0, 1, 0]);
-        let decoder = Decoder::from_lengths(&lengths).unwrap();
+        let decoder = symbol_decoder(&lengths).unwrap();
         let mut w = BitWriter::new();
         w.write_code(0, 1);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(decoder.decode(&mut r).unwrap(), 1);
+        assert_eq!(entry_value(decoder.decode(&mut r).unwrap()), 1);
     }
 
     #[test]
@@ -305,12 +393,12 @@ mod tests {
     #[test]
     fn oversubscribed_code_rejected() {
         // Three 1-bit codes cannot exist.
-        assert!(Decoder::from_lengths(&[1, 1, 1]).is_err());
+        assert!(symbol_decoder(&[1, 1, 1]).is_err());
     }
 
     #[test]
     fn empty_code_rejected() {
-        assert!(Decoder::from_lengths(&[0, 0, 0]).is_err());
+        assert!(symbol_decoder(&[0, 0, 0]).is_err());
     }
 
     #[test]

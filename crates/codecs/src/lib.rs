@@ -17,9 +17,11 @@
 //! - [`checksum`]: CRC-32 (IEEE) and Adler-32,
 //! - [`Codec`]: the user-facing enum used by pipeline strategies.
 //!
-//! The implementation favours clarity over raw speed but is a real,
-//! self-inverse compressor: `decompress(compress(x)) == x` for arbitrary
-//! input (verified by property tests).
+//! It is a real, self-inverse compressor: `decompress(compress(x)) == x`
+//! for arbitrary input (verified by property tests), and [`inflate`]
+//! also decodes what zlib writes (`tests/vectors.rs`). Inflate is
+//! table-driven and runs at memory-adjacent speed; deflate still favours
+//! clarity over raw speed.
 
 pub mod bitio;
 pub mod checksum;

@@ -1,9 +1,13 @@
 //! Property tests: compression invariants over arbitrary inputs.
 
+mod oracle;
+
+use presto_codecs::bitio::BitReader;
 use presto_codecs::checksum::{Adler32, Crc32};
 use presto_codecs::deflate::deflate;
-use presto_codecs::inflate::inflate;
-use presto_codecs::{Codec, Level};
+use presto_codecs::huffman::{code_lengths, entry, entry_value, Decoder};
+use presto_codecs::inflate::{inflate, inflate_into, inflate_stream};
+use presto_codecs::{Codec, CodecError, Level};
 use proptest::prelude::*;
 
 /// CRC-32 by the slicing-by-8 tables alone: the oracle for the
@@ -80,9 +84,15 @@ proptest! {
         }
     }
 
-    /// Decompressing arbitrary garbage must error, never panic.
+    /// Decompressing arbitrary garbage must error, never panic. The
+    /// first three bits are BFINAL and a BTYPE that is not the reserved
+    /// one, so the garbage reaches the block decoders.
     #[test]
-    fn inflate_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
+    fn inflate_never_panics(mut data in proptest::collection::vec(any::<u8>(), 0..8192),
+                            header in 0u8..6) {
+        if let Some(first) = data.first_mut() {
+            *first = (*first & !0b111) | header;
+        }
         let _ = inflate(&data);
         let _ = Codec::Gzip(Level::DEFAULT).decompress(&data);
         let _ = Codec::Zlib(Level::DEFAULT).decompress(&data);
@@ -171,5 +181,193 @@ proptest! {
             // successful decode must reproduce the original bytes.
             prop_assert_eq!(out, data);
         }
+    }
+}
+
+/// A decoder over plain symbols: each entry's value is its index.
+fn symbol_decoder<const SIZE: usize>(lengths: &[u8]) -> Result<Decoder<SIZE>, CodecError> {
+    Decoder::from_lengths(lengths, |sym| entry(sym as u16, 0, 0))
+}
+
+/// Decode `stream` to its end with a table decoder and with the
+/// bit-serial oracle: the same symbols and the same final error. A few
+/// "extra" bits are read after every symbol, as inflate does, so a
+/// decoder that consumed a different number of bits reads other values.
+fn decoders_agree<const SIZE: usize>(lengths: &[u8], stream: &[u8]) {
+    let oracle = oracle::Decoder::from_lengths(lengths);
+    let table = symbol_decoder::<SIZE>(lengths);
+    let (oracle, table) = match (oracle, table) {
+        (Ok(oracle), Ok(table)) => (oracle, table),
+        (oracle, table) => {
+            assert_eq!(oracle.err(), table.err());
+            return;
+        }
+    };
+    let (mut slow, mut fast) = (BitReader::new(stream), BitReader::new(stream));
+    loop {
+        let expected = oracle.decode(&mut slow).map(usize::from);
+        assert_eq!(table.decode(&mut fast).map(entry_value), expected);
+        let Ok(symbol) = expected else { return };
+        let extra = symbol as u32 % 14;
+        assert_eq!(fast.read_bits(extra), slow.read_bits(extra));
+    }
+}
+
+/// The three decoders on one raw stream: the fast loop, the careful
+/// loop and the bit-serial oracle return the same bytes or the same
+/// error, and the output buffer stays under DEFLATE's maximum expansion.
+fn inflates_agree(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    let result = inflate_into(stream, &mut out).map(|()| out.clone());
+    assert!(out.capacity() <= 1032 * stream.len() + 64 * 1024);
+    let mut careful = Vec::new();
+    let by_careful_loop = inflate_stream(stream, &mut careful, None, false).map(|()| careful);
+    assert_eq!(by_careful_loop, result);
+    assert_eq!(oracle::inflate(stream), result);
+    result
+}
+
+macro_rules! vector {
+    ($name:literal) => {
+        include_bytes!(concat!("vectors/", $name)).as_slice()
+    };
+}
+
+/// Every truncation and every single-bit flip of `framed`: a typed
+/// error, or the original bytes (the flip hit padding or a header field
+/// nothing reads) — never a panic, other bytes, or a buffer past the cap.
+fn survives_mutation(codec: Codec, framed: &[u8]) -> usize {
+    let original = codec.decompress(framed).unwrap();
+    let mut out = Vec::new();
+    let mut check = |mutated: &[u8]| {
+        if codec.decompress_into(mutated, &mut out).is_ok() {
+            assert!(out == original);
+        }
+        assert!(out.capacity() <= 1032 * mutated.len() + 64 * 1024);
+    };
+    for cut in 0..framed.len() {
+        check(&framed[..cut]);
+    }
+    let mut mutated = framed.to_vec();
+    for bit in 0..framed.len() * 8 {
+        mutated[bit / 8] ^= 1 << (bit % 8);
+        check(&mutated);
+        mutated[bit / 8] ^= 1 << (bit % 8);
+    }
+    framed.len() * 9
+}
+
+/// Three representative streams, mutated exhaustively: zlib's own text
+/// (matches, a dynamic block), its 15-bit-code stream, and our gzip
+/// writer's output.
+#[test]
+fn mutated_containers_error_or_decode_to_the_original() {
+    let ours = Codec::Gzip(Level::DEFAULT).compress(&noise(1500, 7)[..].repeat(2));
+    let cases = survives_mutation(Codec::Zlib(Level::DEFAULT), vector!("fibonacci-l9.zlib"))
+        + survives_mutation(Codec::Gzip(Level::DEFAULT), vector!("text-l6.gzip"))
+        + survives_mutation(Codec::Gzip(Level::DEFAULT), &ours);
+    assert!(cases >= 4096);
+}
+
+/// The same for raw streams, where there is no trailer to reject a
+/// changed output: all three decoders must then agree on it.
+#[test]
+fn mutated_raw_streams_decode_alike() {
+    for stream in [
+        vector!("window.raw"),
+        vector!("fixed-l6.raw"),
+        vector!("zeros-l6.raw"),
+    ] {
+        for cut in 0..stream.len() {
+            let _ = inflates_agree(&stream[..cut]);
+        }
+        let mut mutated = stream.to_vec();
+        for bit in 0..stream.len() * 8 {
+            mutated[bit / 8] ^= 1 << (bit % 8);
+            let _ = inflates_agree(&mutated);
+            mutated[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+}
+
+/// A gzip trailer that lies about the size fails without reserving
+/// what it claims.
+#[test]
+fn lying_isize_errors_within_the_cap() {
+    let data = noise(3000, 9)[..].repeat(3);
+    let framed = Codec::Gzip(Level::DEFAULT).compress(&data);
+    let len = data.len() as u32;
+    for isize in [0, len - 1, len + 1, u32::MAX] {
+        let mut lying = framed.clone();
+        let at = lying.len() - 4;
+        lying[at..].copy_from_slice(&isize.to_le_bytes());
+        let mut out = Vec::new();
+        let result = Codec::Gzip(Level::DEFAULT).decompress_into(&lying, &mut out);
+        assert!(
+            matches!(result, Err(CodecError::Corrupt(_))),
+            "{isize}: {result:?}"
+        );
+        assert!(out.capacity() <= 1032 * lying.len() + 64 * 1024);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The table decoder and the bit-serial walk agree symbol for symbol
+    /// on any code — complete, incomplete or invalid — and any stream,
+    /// whether a code resolves in the table (2048 entries) or almost
+    /// always in the walk behind it (16 entries).
+    #[test]
+    fn table_decoder_matches_bit_serial_oracle(
+        freqs in proptest::collection::vec(0u64..1000, 1..288),
+        max_len in 9usize..=15,
+        dropped in proptest::collection::vec(0usize..288, 0..3),
+        raw_lengths in any::<bool>(),
+        stream in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut lengths = if raw_lengths {
+            // Mostly over-subscribed: both constructors must say so.
+            freqs.iter().map(|&f| (f % 16) as u8).collect()
+        } else {
+            code_lengths(&freqs, max_len)
+        };
+        for index in dropped {
+            // An incomplete code: some bit patterns start no symbol.
+            let index = index % lengths.len();
+            lengths[index] = 0;
+        }
+        decoders_agree::<2048>(&lengths, &stream);
+        decoders_agree::<16>(&lengths, &stream);
+    }
+
+    /// Fast loop, careful loop and oracle agree on what our own deflate
+    /// writes, at every level, for noise and for match-heavy input.
+    #[test]
+    fn inflate_loops_match_oracle_on_valid_streams(
+        data in proptest::collection::vec(any::<u8>(), 0..1024),
+        unit in 1usize..48,
+        reps in 0usize..40,
+        level in 0u8..=9,
+    ) {
+        let mut input = data;
+        let start = input.len().saturating_sub(unit);
+        let repeated = input[start..].repeat(reps);
+        input.extend_from_slice(&repeated);
+        let compressed = deflate(&input, Level(level));
+        prop_assert_eq!(inflates_agree(&compressed), Ok(input));
+    }
+
+    /// ... and on garbage behind a valid block header, where the result
+    /// is nearly always an error: the same error from all three.
+    #[test]
+    fn inflate_loops_match_oracle_on_garbage(
+        mut data in proptest::collection::vec(any::<u8>(), 0..2048),
+        header in 0u8..6,
+    ) {
+        if let Some(first) = data.first_mut() {
+            *first = (*first & !0b111) | header;
+        }
+        let _ = inflates_agree(&data);
     }
 }

@@ -134,7 +134,10 @@ impl<'a> ContainerReader<'a> {
             for _ in 0..chunk_count {
                 let offset = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
                 let len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-                if (offset + len) as usize > index_offset {
+                if !offset
+                    .checked_add(len)
+                    .is_some_and(|end| end <= index_offset as u64)
+                {
                     return Err(FormatError::Corrupt("chunk extends into index"));
                 }
                 chunks.push((offset, len));
@@ -163,7 +166,8 @@ impl<'a> ContainerReader<'a> {
         let &(offset, len) = chunks
             .get(chunk)
             .ok_or(FormatError::Corrupt("no such chunk"))?;
-        let bytes = &self.data[offset as usize..(offset + len) as usize];
+        // `open` checked that the chunk ends inside `data`.
+        let bytes = &self.data[offset as usize..][..len as usize];
         let (&flag, body) = bytes
             .split_first()
             .ok_or(FormatError::Corrupt("empty chunk"))?;

@@ -226,10 +226,7 @@ pub fn decode(data: &[u8]) -> Result<ImageBuf, FormatError> {
     if w == 0 || h == 0 || !(1..=4).contains(&c) {
         return Err(FormatError::BadHeader("bad dimensions"));
     }
-    if data.len() < 22 + payload_len {
-        return Err(FormatError::UnexpectedEof);
-    }
-    let payload = container::zlib_decompress(&data[22..22 + payload_len])?;
+    let payload = container::zlib_decompress(super::payload(data, payload_len)?)?;
 
     let blocks_x = w.div_ceil(8);
     let blocks_y = h.div_ceil(8);

@@ -153,10 +153,7 @@ pub fn decode(data: &[u8]) -> Result<ImageBuf, FormatError> {
     if w == 0 || h == 0 || !(1..=4).contains(&c) || !(depth == 8 || depth == 16) {
         return Err(FormatError::BadHeader("bad dimensions"));
     }
-    if data.len() < 22 + payload_len {
-        return Err(FormatError::UnexpectedEof);
-    }
-    let filtered = container::zlib_decompress(&data[22..22 + payload_len])?;
+    let filtered = container::zlib_decompress(super::payload(data, payload_len)?)?;
 
     let bpp = c * (depth as usize / 8);
     let row_bytes = w * bpp;

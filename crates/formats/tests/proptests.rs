@@ -5,6 +5,7 @@ use presto_dsp::image::ImageBuf;
 use presto_formats::audio::{adpcm, flac};
 use presto_formats::container::{ContainerReader, ContainerWriter};
 use presto_formats::image::{jpg, png};
+use presto_formats::FormatError;
 use presto_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -30,6 +31,45 @@ fn arb_image16() -> impl Strategy<Value = ImageBuf> {
             proptest::collection::vec(any::<u16>(), w * h * c)
                 .prop_map(move |data| ImageBuf::from_u16(w, h, c, data))
         })
+}
+
+/// A header whose payload length points past the input — or, added to
+/// the header size, past `usize::MAX` — is a short read, not a panic.
+#[test]
+fn image_payload_len_is_checked() {
+    type Decode = fn(&[u8]) -> Result<ImageBuf, FormatError>;
+    let image = ImageBuf::from_u8(4, 4, 3, vec![9; 48]);
+    let cases: [(Vec<u8>, Decode); 2] = [
+        (jpg::encode(&image, 85), jpg::decode),
+        (png::encode(&image, presto_codecs::Level::FAST), png::decode),
+    ];
+    for (encoded, decode) in cases {
+        assert!(decode(&encoded).is_ok());
+        for payload_len in [u64::MAX, u64::MAX - 21, encoded.len() as u64 + 1] {
+            let mut lying = encoded.clone();
+            lying[14..22].copy_from_slice(&payload_len.to_le_bytes());
+            assert_eq!(decode(&lying).err(), Some(FormatError::UnexpectedEof));
+        }
+    }
+}
+
+/// A chunk whose `offset + len` wraps around is rejected when the index
+/// is parsed.
+#[test]
+fn container_chunk_range_is_checked() {
+    let mut writer = ContainerWriter::new();
+    writer.append_chunk(
+        "signal",
+        &Tensor::from_vec(vec![3], vec![1.0f64, 2.0, 3.0]).unwrap(),
+    );
+    let mut bytes = writer.finish();
+    // The single index entry sits just before the 8-byte trailer.
+    let entry = bytes.len() - 8 - 16;
+    bytes[entry + 8..entry + 16].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert!(matches!(
+        ContainerReader::open(&bytes),
+        Err(FormatError::Corrupt("chunk extends into index"))
+    ));
 }
 
 proptest! {

@@ -393,7 +393,6 @@ pub(crate) fn process_shard(
     epoch_seed: u64,
     bytes_read: &AtomicU64,
     delay: Option<&DelayPlan>,
-    pool: Option<&BufferPool>,
     deliver: &mut dyn FnMut(Sample) -> Deliver,
 ) -> Result<bool, PipelineError> {
     let mut rng = SmallRng::seed_from_u64(shard_rng_seed(epoch_seed, shard_name));
@@ -426,25 +425,12 @@ pub(crate) fn process_shard(
     let in_decompress = (rec.begin(), rec.alloc_begin());
     // Uncompressed shards skip materialization entirely: the store
     // blob *is* the frame, and samples decoded from it alias its
-    // refcounted allocation. Compressed shards inflate into pooled
-    // scratch (when a pool is attached), then seal one shared frame.
+    // refcounted allocation. Compressed shards inflate into one vector
+    // sized from the container's trailer, which then *becomes* the
+    // shared frame.
     let decompressed: Result<Bytes, presto_codecs::CodecError> = match codec {
         Codec::None => Ok(blob),
-        _ => match pool {
-            Some(pool) => {
-                let (mut scratch, hit) = pool.get_bytes(blob.len().saturating_mul(3));
-                if hit {
-                    rec.pool_hits(1);
-                } else {
-                    rec.pool_misses(1);
-                }
-                let inflated = codec.decompress_into(&blob, &mut scratch);
-                let sealed = inflated.map(|()| Bytes::copy_from_slice(&scratch));
-                pool.put_bytes(scratch);
-                sealed
-            }
-            None => codec.decompress(&blob).map(Bytes::from),
-        },
+        _ => codec.decompress(&blob).map(Bytes::from),
     };
     end_phase(PHASE_DECOMPRESS, in_decompress);
     let framed = match decompressed {
@@ -557,8 +543,7 @@ impl RealExecutor {
     }
 
     /// Enable or disable buffer pooling (`--pool`): recycling bundle
-    /// containers and decompress scratch across shards and epochs.
-    /// Enabled by default.
+    /// containers across shards and epochs. Enabled by default.
     pub fn with_pooling(mut self, enabled: bool) -> Self {
         self.pooling = enabled;
         self
@@ -567,16 +552,6 @@ impl RealExecutor {
     /// True when buffer pooling is enabled.
     pub fn pooling(&self) -> bool {
         self.pooling
-    }
-
-    /// The executor's buffer pool (shared across epochs), or `None`
-    /// when pooling is disabled.
-    fn pool_ref(&self) -> Option<&BufferPool> {
-        if self.pooling {
-            Some(&self.pool)
-        } else {
-            None
-        }
     }
 
     /// Attach a [`Telemetry`] handle: every subsequent epoch records
@@ -875,7 +850,6 @@ impl RealExecutor {
                             epoch_seed,
                             bytes_read,
                             delay,
-                            self.pool_ref(),
                             &mut deliver,
                         ) {
                             Ok(true) => {}
@@ -1211,7 +1185,6 @@ impl RealExecutor {
                         epoch_seed,
                         &bytes_read,
                         delay.as_deref(),
-                        pool_ref,
                         &mut deliver,
                     ) {
                         Ok(true) => {

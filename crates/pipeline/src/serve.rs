@@ -1265,7 +1265,6 @@ fn serve_assignment(
             epoch_seed,
             &bytes_read,
             None,
-            Some(&shared.pool),
             &mut deliver,
         );
         produce_ns += t_produce.elapsed().as_nanos() as u64;
