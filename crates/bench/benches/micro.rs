@@ -26,21 +26,6 @@ fn corpus(bytes: usize) -> Vec<u8> {
     out
 }
 
-fn bench_deflate(c: &mut Criterion) {
-    let mut group = c.benchmark_group("deflate");
-    group
-        .measurement_time(Duration::from_secs(3))
-        .warm_up_time(Duration::from_millis(500));
-    let data = corpus(256 * 1024);
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    for level in [Level::FAST, Level::DEFAULT] {
-        group.bench_with_input(BenchmarkId::new("compress", level.0), &data, |b, data| {
-            b.iter(|| deflate(data, level))
-        });
-    }
-    group.finish();
-}
-
 /// `bytes` of payload: `piece(0)`, `piece(1)`, ... end to end.
 fn concatenated(bytes: usize, piece: impl Fn(u64) -> Vec<u8>) -> Vec<u8> {
     let mut out = Vec::new();
@@ -74,6 +59,41 @@ fn dct_coefficients(bytes: usize) -> Vec<u8> {
     })
 }
 
+type Generator = fn(usize) -> Vec<u8>;
+/// The three kinds of payload the pipelines store.
+const KINDS: [(&str, Generator); 3] = [
+    ("text", corpus),
+    ("f32-tensor", f32_tensors),
+    ("dct-i16", dct_coefficients),
+];
+
+/// Deflate as a curve over content, payload size (one sample, half a
+/// shard, a shard) and level; the ratio achieved is printed beside each
+/// point's MiB/s.
+fn bench_deflate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("deflate");
+    group
+        .measurement_time(Duration::from_secs(3))
+        .warm_up_time(Duration::from_millis(500));
+    for (kind, generate) in KINDS {
+        for kib in [48, 768, 1536] {
+            let data = generate(kib * 1024);
+            group.throughput(Throughput::Bytes(data.len() as u64));
+            for level in [Level::FAST, Level::DEFAULT, Level::BEST] {
+                let point = format!("{kib}@L{}", level.0);
+                let compressed = deflate(&data, level);
+                assert_eq!(inflate(&compressed).unwrap(), data);
+                let ratio = compressed.len() as f64 / data.len() as f64;
+                println!("deflate/{kind}/{point}: ratio {ratio:.4}");
+                group.bench_with_input(BenchmarkId::new(kind, point), &data, |b, data| {
+                    b.iter(|| deflate(data, level))
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
 /// Inflate as a curve over payload size and content: one point hides
 /// what table construction costs on a one-block 4 KiB payload and what
 /// the match-copy loop gains on a 1.5 MiB shard.
@@ -82,13 +102,7 @@ fn bench_inflate(c: &mut Criterion) {
     group
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
-    type Generator = fn(usize) -> Vec<u8>;
-    let kinds: [(&str, Generator); 3] = [
-        ("text", corpus),
-        ("f32-tensor", f32_tensors),
-        ("dct-i16", dct_coefficients),
-    ];
-    for (kind, generate) in kinds {
+    for (kind, generate) in KINDS {
         for kib in [4, 48, 768, 1536] {
             let data = generate(kib * 1024);
             let compressed = deflate(&data, Level::DEFAULT);

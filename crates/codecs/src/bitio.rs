@@ -7,7 +7,8 @@
 
 use crate::CodecError;
 
-/// Accumulates bits LSB-first into a byte vector.
+/// Accumulates bits LSB-first into a byte vector, a 32-bit word at a
+/// time: `bit_buf` holds `bit_count` (at most 31) bits not yet in `out`.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     out: Vec<u8>,
@@ -21,16 +22,29 @@ impl BitWriter {
         Self::default()
     }
 
+    /// A writer that appends to `out`, with room for `additional` bytes
+    /// reserved up front.
+    pub fn appending(mut out: Vec<u8>, additional: usize) -> Self {
+        out.reserve(additional);
+        BitWriter {
+            out,
+            bit_buf: 0,
+            bit_count: 0,
+        }
+    }
+
     /// Write the low `count` bits of `bits` (LSB first). `count <= 32`.
+    #[inline]
     pub fn write_bits(&mut self, bits: u32, count: u32) {
         debug_assert!(count <= 32);
         debug_assert!(count == 32 || bits < (1u32 << count));
         self.bit_buf |= (bits as u64) << self.bit_count;
         self.bit_count += count;
-        while self.bit_count >= 8 {
-            self.out.push((self.bit_buf & 0xFF) as u8);
-            self.bit_buf >>= 8;
-            self.bit_count -= 8;
+        if self.bit_count >= 32 {
+            self.out
+                .extend_from_slice(&(self.bit_buf as u32).to_le_bytes());
+            self.bit_buf >>= 32;
+            self.bit_count -= 32;
         }
     }
 
@@ -41,16 +55,17 @@ impl BitWriter {
 
     /// Pad with zero bits to the next byte boundary.
     pub fn align_to_byte(&mut self) {
-        if self.bit_count > 0 {
-            self.out.push((self.bit_buf & 0xFF) as u8);
-            self.bit_buf = 0;
-            self.bit_count = 0;
-        }
+        let bytes = self.bit_count.div_ceil(8) as usize;
+        self.out
+            .extend_from_slice(&self.bit_buf.to_le_bytes()[..bytes]);
+        self.bit_buf = 0;
+        self.bit_count = 0;
     }
 
     /// Append raw bytes; the writer must be byte-aligned.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        debug_assert_eq!(self.bit_count, 0, "write_bytes requires byte alignment");
+        debug_assert_eq!(self.bit_count % 8, 0, "write_bytes requires byte alignment");
+        self.align_to_byte();
         self.out.extend_from_slice(bytes);
     }
 
@@ -62,7 +77,7 @@ impl BitWriter {
 
     /// Bytes written so far (excluding a partial trailing byte).
     pub fn byte_len(&self) -> usize {
-        self.out.len()
+        self.out.len() + (self.bit_count / 8) as usize
     }
 }
 

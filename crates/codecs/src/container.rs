@@ -2,7 +2,7 @@
 //! DEFLATE payloads. These are the two formats the paper profiles.
 
 use crate::checksum::{Adler32, Crc32};
-use crate::deflate::deflate;
+use crate::deflate::deflate_onto;
 use crate::inflate::{inflate_into, inflate_stream, MAX_EXPANSION};
 use crate::{CodecError, Level};
 
@@ -12,8 +12,7 @@ const GZIP_METHOD_DEFLATE: u8 = 8;
 /// Compress into a GZIP member: 10-byte header, DEFLATE payload,
 /// CRC-32 + ISIZE trailer.
 pub fn gzip_compress(data: &[u8], level: Level) -> Vec<u8> {
-    let payload = deflate(data, level);
-    let mut out = Vec::with_capacity(payload.len() + 18);
+    let mut out = Vec::new();
     out.extend_from_slice(&GZIP_MAGIC);
     out.push(GZIP_METHOD_DEFLATE);
     out.push(0); // FLG: no extra fields
@@ -27,7 +26,7 @@ pub fn gzip_compress(data: &[u8], level: Level) -> Vec<u8> {
         0
     });
     out.push(255); // OS: unknown
-    out.extend_from_slice(&payload);
+    let mut out = deflate_onto(out, data, level);
     out.extend_from_slice(&Crc32::checksum(data).to_le_bytes());
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
     out
@@ -84,8 +83,6 @@ pub fn gzip_decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), CodecE
 /// Compress into a ZLIB stream: 2-byte header, DEFLATE payload,
 /// Adler-32 trailer.
 pub fn zlib_compress(data: &[u8], level: Level) -> Vec<u8> {
-    let payload = deflate(data, level);
-    let mut out = Vec::with_capacity(payload.len() + 6);
     let cmf = 0x78u8; // deflate, 32K window
     let flevel: u8 = if level >= Level::BEST {
         3
@@ -102,9 +99,7 @@ pub fn zlib_compress(data: &[u8], level: Level) -> Vec<u8> {
     if rem != 0 {
         flg += (31 - rem) as u8;
     }
-    out.push(cmf);
-    out.push(flg);
-    out.extend_from_slice(&payload);
+    let mut out = deflate_onto(vec![cmf, flg], data, level);
     out.extend_from_slice(&Adler32::checksum(data).to_be_bytes());
     out
 }

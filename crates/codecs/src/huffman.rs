@@ -14,79 +14,74 @@ pub const MAX_BITS: usize = 15;
 /// Returns one length per symbol, each `<= max_len`.
 pub fn code_lengths(freqs: &[u64], max_len: usize) -> Vec<u8> {
     assert!(max_len <= MAX_BITS);
-    let active: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
+    let mut leaves: Vec<(u64, usize)> = freqs
+        .iter()
+        .copied()
+        .zip(0..)
+        .filter(|&(weight, _)| weight > 0)
+        .collect();
     let mut lengths = vec![0u8; freqs.len()];
-    match active.len() {
-        0 => return lengths,
-        1 => {
+    match leaves[..] {
+        [] => return lengths,
+        [(_, only)] => {
             // A single symbol still needs a 1-bit code so the decoder
             // has something to read.
-            lengths[active[0]] = 1;
+            lengths[only] = 1;
             return lengths;
         }
         _ => {}
     }
     assert!(
-        (1usize << max_len) >= active.len(),
+        (1usize << max_len) >= leaves.len(),
         "cannot fit {} symbols in {}-bit codes",
-        active.len(),
+        leaves.len(),
         max_len
     );
+    leaves.sort_by_key(|&(weight, _)| weight);
 
-    // Package-merge: item = (weight, set of leaf symbols). At each of
-    // the `max_len` levels, pair up items and merge with the leaf list.
-    #[derive(Clone)]
-    struct Item {
-        weight: u64,
-        symbols: Vec<usize>,
-    }
-
-    let mut leaves: Vec<Item> = active
-        .iter()
-        .map(|&s| Item {
-            weight: freqs[s],
-            symbols: vec![s],
-        })
-        .collect();
-    leaves.sort_by_key(|item| item.weight);
-
-    let mut level: Vec<Item> = leaves.clone();
+    // Package-merge: each of the `max_len` lists is the leaves merged,
+    // in weight order, with the packages that pair up the list before.
+    // A list's items are a prefix of its leaves and a prefix of its
+    // packages, so all that is kept of one is which items are leaves.
+    let mut weights: Vec<u64> = leaves.iter().map(|&(weight, _)| weight).collect();
+    let mut lists = vec![vec![true; leaves.len()]];
     for _ in 1..max_len {
-        // Package: pair adjacent items.
-        let mut packages: Vec<Item> = Vec::with_capacity(level.len() / 2);
-        let mut iter = level.chunks_exact(2);
-        for pair in &mut iter {
-            let mut symbols = pair[0].symbols.clone();
-            symbols.extend_from_slice(&pair[1].symbols);
-            packages.push(Item {
-                weight: pair[0].weight + pair[1].weight,
-                symbols,
-            });
-        }
-        // Merge with the original leaves, keeping sorted order.
-        let mut merged = Vec::with_capacity(packages.len() + leaves.len());
-        let (mut i, mut j) = (0, 0);
-        while i < packages.len() || j < leaves.len() {
-            let take_package =
-                j >= leaves.len() || (i < packages.len() && packages[i].weight <= leaves[j].weight);
-            if take_package {
-                merged.push(packages[i].clone());
-                i += 1;
+        let mut packages = weights
+            .chunks_exact(2)
+            .map(|pair| pair[0] + pair[1])
+            .peekable();
+        let mut leaf_weights = leaves.iter().map(|&(weight, _)| weight).peekable();
+        let mut merged = Vec::with_capacity(leaves.len() + weights.len() / 2);
+        let mut is_leaf = Vec::with_capacity(merged.capacity());
+        loop {
+            let leaf_next = match (packages.peek(), leaf_weights.peek()) {
+                (Some(package), Some(leaf)) => leaf < package,
+                (None, Some(_)) => true,
+                (Some(_), None) => false,
+                (None, None) => break,
+            };
+            let next = if leaf_next {
+                leaf_weights.next()
             } else {
-                merged.push(leaves[j].clone());
-                j += 1;
-            }
+                packages.next()
+            };
+            merged.extend(next);
+            is_leaf.push(leaf_next);
         }
-        level = merged;
+        weights = merged;
+        lists.push(is_leaf);
     }
 
-    // The first 2n-2 items of the final level determine the lengths:
-    // each appearance of a leaf symbol adds one bit to its code length.
-    let take = 2 * active.len() - 2;
-    for item in level.iter().take(take) {
-        for &s in &item.symbols {
-            lengths[s] += 1;
+    // The first 2n-2 items of the last list are taken, and of each list
+    // before it the items that the packages taken after it pair up.
+    // Each time a leaf is taken its code grows by one bit.
+    let mut take = 2 * leaves.len() - 2;
+    for is_leaf in lists.iter().rev() {
+        let taken_leaves = is_leaf[..take].iter().filter(|&&leaf| leaf).count();
+        for &(_, symbol) in &leaves[..taken_leaves] {
+            lengths[symbol] += 1;
         }
+        take = 2 * (take - taken_leaves);
     }
     lengths
 }

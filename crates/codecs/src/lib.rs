@@ -19,9 +19,12 @@
 //!
 //! It is a real, self-inverse compressor: `decompress(compress(x)) == x`
 //! for arbitrary input (verified by property tests), and [`inflate`]
-//! also decodes what zlib writes (`tests/vectors.rs`). Inflate is
-//! table-driven and runs at memory-adjacent speed; deflate still favours
-//! clarity over raw speed.
+//! also decodes what zlib writes (`tests/vectors.rs`), as zlib decodes
+//! what [`deflate`] writes (`scripts/gen_inflate_vectors.py --check`).
+//! Inflate is table-driven and runs at memory-adjacent speed; deflate
+//! searches two bounded hash chains and at level 6 compresses a shard of
+//! f32 tensors at ~30 ns per byte (zlib -6: 56, for an output 0.6 %
+//! larger), some 25 times what inflate takes.
 
 pub mod bitio;
 pub mod checksum;
@@ -106,6 +109,31 @@ impl Level {
             0..=3 => 16,
             4..=6 => 64,
             7..=8 => 128,
+            _ => lz77::MAX_MATCH,
+        }
+    }
+
+    /// A held-back match at least this long gets a quarter of the chain
+    /// for its lazy probe (zlib's `good_length`).
+    pub(crate) fn good_length(self) -> usize {
+        match self.0 {
+            0..=4 => 4,
+            5..=7 => 8,
+            _ => 32,
+        }
+    }
+
+    /// A held-back match at least this long gets no lazy probe at all
+    /// (zlib's `max_lazy`).
+    pub(crate) fn max_lazy(self) -> usize {
+        match self.0 {
+            0..=1 => 4,
+            2 => 5,
+            3 => 6,
+            4 => 8,
+            5..=6 => 16,
+            7 => 32,
+            8 => 128,
             _ => lz77::MAX_MATCH,
         }
     }

@@ -6,6 +6,8 @@
 
 #![allow(dead_code)]
 
+pub mod deflate;
+
 use presto_codecs::bitio::BitReader;
 use presto_codecs::deflate::{
     fixed_dist_lengths, fixed_litlen_lengths, CLEN_ORDER, DIST_TABLE, LENGTH_TABLE,

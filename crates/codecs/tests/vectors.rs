@@ -1,64 +1,15 @@
 //! Interop vectors: streams written by a real zlib (and one assembled by
-//! hand) that our own one-block `deflate` never produces. The streams
+//! hand) that our own `deflate` does not produce. The streams
 //! are committed under `tests/vectors/`; `scripts/gen_inflate_vectors.py`
-//! makes them, and the inputs below are that script's, rebuilt byte for
+//! makes them, and `payloads` rebuilds that script's inputs byte for
 //! byte.
 
 mod oracle;
+mod payloads;
 
+use payloads::{fibonacci, noise_bytes, noise_f32, text};
 use presto_codecs::container::{gzip_decompress, zlib_decompress};
 use presto_codecs::inflate::{inflate, inflate_stream};
-
-/// Knuth's MMIX generator, as in the script.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
-
-fn text(size: usize) -> Vec<u8> {
-    let mut out = Vec::new();
-    for i in 0.. {
-        if out.len() >= size {
-            break;
-        }
-        out.extend_from_slice(format!("record {:06} field value {} ", i, i % 97).as_bytes());
-    }
-    out.truncate(size);
-    out
-}
-
-fn noise_f32(count: usize) -> Vec<u8> {
-    let mut rng = Lcg(1);
-    (0..count)
-        .flat_map(|_| ((rng.next() % 64) as f32 / 32.0 - 1.0).to_le_bytes())
-        .collect()
-}
-
-fn fibonacci(symbols: u8) -> Vec<u8> {
-    let mut out = Vec::new();
-    let (mut a, mut b) = (1usize, 2usize);
-    for k in 0..symbols {
-        out.extend(std::iter::repeat(k).take(a));
-        (a, b) = (b, a + b);
-    }
-    let mut rng = Lcg(2);
-    for i in (1..out.len()).rev() {
-        out.swap(i, (rng.next() % (i as u64 + 1)) as usize);
-    }
-    out
-}
-
-fn noise_bytes(size: usize) -> Vec<u8> {
-    let mut rng = Lcg(3);
-    (0..size).map(|_| (rng.next() % 256) as u8).collect()
-}
 
 /// What `window.raw` spells out: "abc" repeated by 127 matches of length
 /// 258 at distance 3, then length 258 at distance 32768, length 3 at

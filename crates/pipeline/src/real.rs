@@ -655,9 +655,10 @@ impl RealExecutor {
                 let stored = &stored;
                 let counters = &counters;
                 scope.spawn(move || {
-                    let mut writer = RecordWriter::new();
+                    let mine = source.iter().skip(shard_idx).step_by(shards);
+                    let mut writer: Option<RecordWriter> = None;
                     let mut rng = SmallRng::seed_from_u64(0xFEED ^ shard_idx as u64);
-                    for sample in source.iter().skip(shard_idx).step_by(shards) {
+                    for sample in mine.clone() {
                         let mut current = sample.clone();
                         for step in steps {
                             let exec = step.exec.as_deref().unwrap();
@@ -669,9 +670,14 @@ impl RealExecutor {
                                 }
                             }
                         }
-                        writer.write(&current.encode());
+                        // One allocation for the shard, sized by its first
+                        // record: samples leave the same steps alike.
+                        let record = current.nbytes() + 64;
+                        writer
+                            .get_or_insert_with(|| RecordWriter::with_capacity(mine.len() * record))
+                            .write_pieces(record, |sink| current.encode_to(sink));
                     }
-                    let framed = writer.finish();
+                    let framed = writer.unwrap_or_default().finish();
                     let compressed = strategy.compression.compress(&framed);
                     stored.fetch_add(compressed.len() as u64, Ordering::Relaxed);
                     let seed = shard_idx as u64 ^ 0x5B07;

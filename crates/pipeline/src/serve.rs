@@ -1302,7 +1302,7 @@ fn serve_assignment(
             }
             let mut block = RecordWriter::with_buffer(scratch);
             for sample in chunk {
-                block.write(&sample.encode());
+                block.write_pieces(sample.nbytes() + 64, |sink| sample.encode_to(sink));
             }
             let encoded = block.finish();
             let block = shared.config.wire_codec.compress(&encoded);

@@ -72,14 +72,24 @@ impl RecordWriter {
 
     /// Append one record.
     pub fn write(&mut self, payload: &[u8]) {
-        let len = payload.len() as u64;
-        let len_bytes = len.to_le_bytes();
-        self.buf.extend_from_slice(&len_bytes);
-        self.buf
-            .extend_from_slice(&Crc32::checksum(&len_bytes).to_le_bytes());
-        self.buf.extend_from_slice(payload);
-        self.buf
-            .extend_from_slice(&Crc32::checksum(payload).to_le_bytes());
+        self.write_pieces(payload.len(), |sink| sink(payload));
+    }
+
+    /// Append one record whose payload `fill` hands to its sink piece by
+    /// piece, in order, so that it is assembled here and nowhere else.
+    /// `size_hint` is the expected payload size, reserved up front; the
+    /// header is written from the size that arrived.
+    pub fn write_pieces(&mut self, size_hint: usize, fill: impl FnOnce(&mut dyn FnMut(&[u8]))) {
+        self.buf.reserve(size_hint + RECORD_OVERHEAD);
+        let header = self.buf.len();
+        self.buf.extend_from_slice(&[0; 12]);
+        fill(&mut |piece| self.buf.extend_from_slice(piece));
+        let payload = header + 12;
+        let len_bytes = ((self.buf.len() - payload) as u64).to_le_bytes();
+        self.buf[header..header + 8].copy_from_slice(&len_bytes);
+        self.buf[header + 8..payload].copy_from_slice(&Crc32::checksum(&len_bytes).to_le_bytes());
+        let payload_crc = Crc32::checksum(&self.buf[payload..]);
+        self.buf.extend_from_slice(&payload_crc.to_le_bytes());
         self.records += 1;
     }
 
@@ -230,6 +240,33 @@ mod tests {
         let mut writer = RecordWriter::new();
         writer.write(&[0u8; 10]);
         assert_eq!(writer.byte_len(), 10 + RECORD_OVERHEAD);
+    }
+
+    /// Pieces frame exactly as the one slice they add up to, and the
+    /// bytes are those the writer produced before it took pieces.
+    #[test]
+    fn pieces_frame_like_one_slice_and_the_bytes_are_pinned() {
+        let mut whole = RecordWriter::new();
+        whole.write(b"presto-rs");
+        whole.write(b"");
+        let mut pieces = RecordWriter::new();
+        pieces.write_pieces(0, |sink| {
+            sink(b"pre");
+            sink(b"");
+            sink(b"sto-rs");
+        });
+        pieces.write_pieces(7, |_| {});
+        assert_eq!(pieces.record_count(), 2);
+        let stream = pieces.finish();
+        assert_eq!(stream, whole.finish());
+        #[rustfmt::skip]
+        let pinned = [
+            0x09, 0, 0, 0, 0, 0, 0, 0, 0x42, 0xC4, 0x6D, 0x7A,
+            b'p', b'r', b'e', b's', b't', b'o', b'-', b'r', b's', 0xA0, 0x12, 0x60, 0x27,
+            0x00, 0, 0, 0, 0, 0, 0, 0, 0x69, 0xDF, 0x22, 0x65,
+            0, 0, 0, 0,
+        ];
+        assert_eq!(stream, pinned);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Interop vectors for presto-codecs' inflate, made by a real zlib.
 
-Our own `deflate` writes one block per stream, so round-trip tests never
-see what another compressor emits: several dynamic blocks in a row,
-length-limited 15-bit codes, a fixed-Huffman block with long matches, the
-largest distance the format allows. This script writes such streams with
+Round-trip tests never see what another compressor emits: zlib's block
+boundaries, length-limited 15-bit codes, a fixed-Huffman block with long
+matches, the largest distance the format allows. This script writes such streams with
 the machine's `zlib` module into crates/codecs/tests/vectors/; the inputs
 are rebuilt byte for byte by crates/codecs/tests/vectors.rs, which checks
 that inflate reproduces them.
@@ -16,15 +15,23 @@ that inflate reproduces them.
 by zlib, to this script's input. It compares the bytes zlib would write
 today only under the zlib version the fixtures were made with: another
 version may pick other, equally valid, matches.
+
+`--check` also goes the other way: it has the `dump_deflate` example of
+presto-codecs compress three of the inputs at levels 1, 6 and 9 in the
+raw, gzip and zlib framings, and proves that zlib inflates each stream to
+the input.
 """
 
 import struct
+import subprocess
 import sys
+import tempfile
 import zlib
 from pathlib import Path
 
 MADE_WITH = "1.2.13"
-VECTORS = Path(__file__).resolve().parent.parent / "crates/codecs/tests/vectors"
+ROOT = Path(__file__).resolve().parent.parent
+VECTORS = ROOT / "crates/codecs/tests/vectors"
 MASK = (1 << 64) - 1
 
 
@@ -163,6 +170,32 @@ def vectors():
     return made
 
 
+def ours_inflate_by_zlib():
+    """Names of our own streams that zlib does not inflate to their input."""
+    words, floats, deep = text(64 * 1024), noise_f32(52_000), fibonacci(18)
+    payloads = {"text": words, "noise-f32": floats, "fibonacci": deep}
+    wbits = {"raw": -15, "gzip": 31, "zlib": 15}
+    with tempfile.TemporaryDirectory() as out:
+        subprocess.run(
+            ["cargo", "run", "--quiet", "--release", "--offline", "-p", "presto-codecs",
+             "--example", "dump_deflate", "--", out],
+            cwd=ROOT,
+            check=True,
+        )
+        streams = {path.name: path.read_bytes() for path in Path(out).iterdir()}
+    failed = []
+    for payload, expected in payloads.items():
+        for level in (1, 6, 9):
+            for framing, bits in wbits.items():
+                name = "%s-l%d.%s" % (payload, level, framing)
+                try:
+                    if zlib.decompress(streams.pop(name, b""), bits) != expected:
+                        failed.append(name)
+                except zlib.error:
+                    failed.append(name)
+    return failed + sorted(streams)
+
+
 def main():
     check = sys.argv[1:] == ["--check"]
     if sys.argv[1:] and not check:
@@ -187,6 +220,10 @@ def main():
         print("zlib %s, not %s: checked outputs only" % (zlib.ZLIB_RUNTIME_VERSION, MADE_WITH))
     if drifted:
         sys.exit("drifted from scripts/gen_inflate_vectors.py: " + ", ".join(drifted))
+    if check:
+        failed = ours_inflate_by_zlib()
+        if failed:
+            sys.exit("zlib does not inflate our streams to their input: " + ", ".join(failed))
 
 
 if __name__ == "__main__":
