@@ -58,7 +58,7 @@ impl Weights {
 }
 
 /// A strategy with its normalized metrics and objective score.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScoredStrategy {
     /// Display label of the strategy.
     pub label: String,

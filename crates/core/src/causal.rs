@@ -449,7 +449,7 @@ fn simulated_verdict(outcome: &SimOutcome) -> Bottleneck {
 /// seeded trials, rank, predict the thread/queue knobs and
 /// cross-validate the verdicts. Deterministic: the same snapshot,
 /// `source` and options always produce an identical profile (and so,
-/// via `causal_json`, byte-identical output).
+/// written as its `presto.causal.v1` document, byte-identical output).
 pub fn profile_from_snapshot(
     snapshot: &TelemetrySnapshot,
     source: &str,
@@ -633,7 +633,7 @@ pub fn measured_point(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use presto_pipeline::telemetry::causal::causal_json;
+    use presto_pipeline::telemetry::doc::write as causal_json;
     use presto_pipeline::telemetry::{PhaseKind, QueueSnapshot};
 
     /// A synthetic sealed snapshot: engine phases + one pipeline step,
@@ -732,7 +732,7 @@ mod tests {
         let opts = CausalOptions::default();
         let a = profile_from_snapshot(&snap, "file:test", &opts).unwrap();
         let b = profile_from_snapshot(&snap, "file:test", &opts).unwrap();
-        assert_eq!(causal_json(&a), causal_json(&b));
+        assert_eq!(causal_json(a.clone()), causal_json(b));
         let other = profile_from_snapshot(
             &snap,
             "file:test",
@@ -743,8 +743,8 @@ mod tests {
         )
         .unwrap();
         assert_ne!(
-            causal_json(&a),
-            causal_json(&other),
+            causal_json(a),
+            causal_json(other),
             "a different seed draws different latencies"
         );
     }

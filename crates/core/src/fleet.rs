@@ -34,6 +34,7 @@
 //! real serve workers on the simulated schedule and checks the
 //! simulator's survival verdict against the measured outcome.
 
+use presto_pipeline::telemetry::doc::{Record, Visitor};
 use std::collections::BinaryHeap;
 
 /// SplitMix64 finalizer — the workspace-wide deterministic mixer.
@@ -485,7 +486,7 @@ pub fn rank_policies(config: &FleetConfig, seed: u64) -> Vec<FleetOutcome> {
 
 /// One training job's slice of a shared preprocessing fleet under the
 /// weighted processor-sharing model ([`tenant_shares`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TenantShare {
     /// Job name (`job-1`..`job-N`).
     pub name: String,
@@ -498,6 +499,17 @@ pub struct TenantShare {
     /// Capacity fraction the job averaged over its own lifetime —
     /// rises above `fair_share` as lighter competitors drain away.
     pub mean_share: f64,
+}
+
+/// A job's share as `presto.fleetsim.v1` carries it.
+impl Record for TenantShare {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("name", &mut self.name);
+        v.req("weight", &mut self.weight);
+        v.fixed("fair_share", &mut self.fair_share, 6);
+        v.fixed("mean_share", &mut self.mean_share, 6);
+        v.fixed("finish_hours", &mut self.finish_hours, 4);
+    }
 }
 
 /// Layer `tenants` equal-size training jobs with weights `1..=N` onto

@@ -32,10 +32,9 @@ use crate::fidelity;
 use crate::profiler::Presto;
 use presto_codecs::{Codec, Level};
 use presto_pipeline::sim::{OfflineMemo, StrategyProfile};
-use presto_pipeline::telemetry::export::json_escape;
+use presto_pipeline::telemetry::doc::{self, Document, Record, Visitor};
 use presto_pipeline::{CacheLevel, Pipeline, SearchProgress, Strategy};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// Stable schema identifier of [`report_json`].
@@ -354,83 +353,82 @@ fn next_task(queues: &[Mutex<VecDeque<usize>>], own: usize) -> Option<usize> {
     None
 }
 
-/// Render a search report as the stable `presto.search.v1` JSON
-/// document. Deliberately excludes anything schedule- or wall-clock-
-/// dependent (job count, timings): two searches over the same grid must
-/// serialize byte-identically however they were executed — CI diffs
-/// `--jobs 1` against `--jobs 4` with this document.
-pub fn report_json(pipeline: &str, weights: Weights, report: &SearchReport) -> String {
-    let mut out = String::with_capacity(4096);
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"{JSON_SCHEMA}\",");
-    let _ = writeln!(out, "  \"pipeline\": \"{}\",", json_escape(pipeline));
-    let _ = writeln!(
-        out,
-        "  \"weights\": {{\"preprocessing\": {}, \"storage\": {}, \"throughput\": {}}},",
-        weights.preprocessing, weights.storage, weights.throughput
-    );
-    let stats = &report.stats;
-    let _ = writeln!(out, "  \"grid_size\": {},", stats.grid_size);
-    let _ = writeln!(out, "  \"profiled\": {},", stats.profiled);
-    let _ = writeln!(
-        out,
-        "  \"memo\": {{\"hits\": {}, \"misses\": {}}},",
-        stats.memo_hits, stats.memo_misses
-    );
-    let _ = writeln!(out, "  \"probe_samples\": {},", stats.probe_samples);
-    let _ = writeln!(out, "  \"probe_agreement\": {},", stats.probe_agreement);
-    let _ = writeln!(
-        out,
-        "  \"probe_throughput_drift\": {},",
-        stats.probe_throughput_drift
-    );
-    let _ = writeln!(out, "  \"pruned\": [");
-    for (i, label) in stats.pruned.iter().enumerate() {
-        let comma = if i + 1 < stats.pruned.len() { "," } else { "" };
-        let _ = writeln!(out, "    \"{}\"{comma}", json_escape(label));
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"failed\": [");
-    let failed: Vec<&StrategyProfile> = report
-        .analysis
-        .profiles()
-        .iter()
-        .filter(|p| p.error.is_some())
-        .collect();
-    for (i, p) in failed.iter().enumerate() {
-        let comma = if i + 1 < failed.len() { "," } else { "" };
-        let _ = writeln!(out, "    \"{}\"{comma}", json_escape(&p.label));
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"ranking\": [");
-    let ranked = report.analysis.rank(weights);
-    for (i, s) in ranked.iter().enumerate() {
-        let comma = if i + 1 < ranked.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", scored_json(s));
-    }
-    let _ = writeln!(out, "  ],");
-    let recommendation = ranked.first().map_or(String::from("null"), |s| {
-        format!("\"{}\"", json_escape(&s.label))
-    });
-    let _ = writeln!(out, "  \"recommendation\": {recommendation}");
-    let _ = writeln!(out, "}}");
-    out
+/// The stable `presto.search.v1` document. Deliberately excludes
+/// anything schedule- or wall-clock-dependent (job count, timings):
+/// two searches over the same grid must serialize byte-identically
+/// however they were executed — CI diffs `--jobs 1` against `--jobs 4`
+/// with this document.
+struct SearchDocument {
+    pipeline: String,
+    weights: Weights,
+    stats: SearchStats,
+    failed: Vec<String>,
+    ranking: Vec<ScoredStrategy>,
+    recommendation: Option<String>,
 }
 
-fn scored_json(s: &ScoredStrategy) -> String {
-    format!(
-        "{{\"label\": \"{}\", \"score\": {}, \"throughput_sps\": {}, \
-         \"preprocessing_secs\": {}, \"storage_bytes\": {}, \
-         \"normalized\": [{}, {}, {}]}}",
-        json_escape(&s.label),
-        s.score,
-        s.throughput_sps,
-        s.preprocessing_secs,
-        s.storage_bytes,
-        s.normalized.0,
-        s.normalized.1,
-        s.normalized.2
-    )
+impl Record for ScoredStrategy {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("label", &mut self.label);
+        v.req("score", &mut self.score);
+        v.req("throughput_sps", &mut self.throughput_sps);
+        v.req("preprocessing_secs", &mut self.preprocessing_secs);
+        v.req("storage_bytes", &mut self.storage_bytes);
+        let (p, s, t) = self.normalized;
+        let mut normalized = vec![p, s, t];
+        v.list("normalized", &mut normalized);
+        if let [p, s, t] = normalized[..] {
+            self.normalized = (p, s, t);
+        }
+    }
+}
+
+impl Record for SearchDocument {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("pipeline", &mut self.pipeline);
+        v.object("weights", false, |v| {
+            v.req("preprocessing", &mut self.weights.preprocessing);
+            v.req("storage", &mut self.weights.storage);
+            v.req("throughput", &mut self.weights.throughput);
+        });
+        let stats = &mut self.stats;
+        v.req("grid_size", &mut stats.grid_size);
+        v.req("profiled", &mut stats.profiled);
+        v.object("memo", false, |v| {
+            v.req("hits", &mut stats.memo_hits);
+            v.req("misses", &mut stats.memo_misses);
+        });
+        v.req("probe_samples", &mut stats.probe_samples);
+        v.req("probe_agreement", &mut stats.probe_agreement);
+        v.req("probe_throughput_drift", &mut stats.probe_throughput_drift);
+        v.list("pruned", &mut stats.pruned);
+        v.list("failed", &mut self.failed);
+        v.records("ranking", &mut self.ranking);
+        v.req("recommendation", &mut self.recommendation);
+    }
+}
+
+impl Document for SearchDocument {
+    const SCHEMA: &'static str = JSON_SCHEMA;
+}
+
+/// Render a search report as its `presto.search.v1` JSON document.
+pub fn report_json(pipeline: &str, weights: Weights, report: &SearchReport) -> String {
+    let ranking = report.analysis.rank(weights);
+    doc::write(SearchDocument {
+        pipeline: pipeline.to_string(),
+        weights,
+        stats: report.stats.clone(),
+        failed: report
+            .analysis
+            .profiles()
+            .iter()
+            .filter(|p| p.error.is_some())
+            .map(|p| p.label.clone())
+            .collect(),
+        recommendation: ranking.first().map(|s| s.label.clone()),
+        ranking,
+    })
 }
 
 #[cfg(test)]

@@ -18,8 +18,9 @@
 //! error the client's failover path must absorb — exactly the
 //! end-to-end property the chaos tests assert.
 
-use presto_telemetry::fleet::{mono_ns, CHAOS_SCHEMA};
-use std::fmt::Write as _;
+use presto_telemetry::doc;
+pub use presto_telemetry::fleet::ChaosEvent;
+use presto_telemetry::fleet::{mono_ns, ChaosLog};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,27 +33,6 @@ pub const WINDOW_BYTES: usize = 4096;
 /// Cap on retained [`ChaosEvent`]s; overflow bumps a dropped counter
 /// instead of growing without bound under a long throttled run.
 pub const CHAOS_EVENT_CAP: usize = 16_384;
-
-/// One fault the proxy actually injected, timestamped on the proxy's
-/// monotonic clock (the same [`mono_ns`] anchor the serve processes
-/// use, but the proxy's clock is never exchanged — the merged Chrome
-/// trace gives these events their own normalized timeline).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosEvent {
-    /// Fault kind: `delay`, `throttle`, `partition`, `corrupt`,
-    /// or `disconnect`.
-    pub kind: &'static str,
-    /// Proxied connection the fault landed on.
-    pub conn: u64,
-    /// Stream direction: `up` (client → worker) or `down`.
-    pub dir: &'static str,
-    /// Window index within that direction's byte stream.
-    pub window: u64,
-    /// [`mono_ns`] when the fault fired.
-    pub t_ns: u64,
-    /// How long the fault held the stream (0 for corrupt/disconnect).
-    pub dur_ns: u64,
-}
 
 /// Bounded, timestamped log of injected faults.
 #[derive(Default)]
@@ -302,26 +282,11 @@ impl ChaosProxy {
     /// document [`presto_telemetry::fleet::merge_chrome_trace`]
     /// accepts for the chaos track of a merged fleet trace.
     pub fn events_json(&self) -> String {
-        let (events, dropped) = self.events();
-        let mut out = String::with_capacity(256 + events.len() * 96);
-        let _ = writeln!(out, "{{\n  \"schema\": \"{CHAOS_SCHEMA}\",");
-        let _ = writeln!(out, "  \"dropped_events\": {dropped},");
-        out.push_str("  \"events\": [\n");
-        for (i, e) in events.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"kind\": \"{}\", \"conn\": {}, \"dir\": \"{}\", \"window\": {}, \"t_ns\": {}, \"dur_ns\": {}}}{}",
-                e.kind,
-                e.conn,
-                e.dir,
-                e.window,
-                e.t_ns,
-                e.dur_ns,
-                if i + 1 < events.len() { "," } else { "" }
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let (events, dropped_events) = self.events();
+        doc::write(ChaosLog {
+            dropped_events,
+            events,
+        })
     }
 
     /// Stop accepting, sever all proxied connections, join threads.
@@ -523,10 +488,10 @@ fn emit(
         Direction::Upstream => "up",
         Direction::Downstream => "down",
     };
-    let event = |kind: &'static str, t_ns: u64, dur_ns: u64| ChaosEvent {
-        kind,
+    let event = |kind: &str, t_ns: u64, dur_ns: u64| ChaosEvent {
+        kind: kind.to_string(),
         conn,
-        dir,
+        dir: dir.to_string(),
         window: index,
         t_ns,
         dur_ns,

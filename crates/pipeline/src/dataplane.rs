@@ -2,8 +2,9 @@
 //! bundles, and the sharded MPSC ring that replaced the single bounded
 //! channel.
 //!
-//! The committed `BENCH_realrun.json` of PR 8 showed the paper's
-//! "hidden trade-off" live in this repo: ~86% of epoch busy time went
+//! The realrun epoch document committed in PR 8 (its successor is
+//! `tests/fixtures/realrun-epoch.json`) showed the paper's "hidden
+//! trade-off" live in this repo: ~86% of epoch busy time went
 //! to the two deliver phases (`queue-wait` + `hand-off`) while the
 //! preprocessing steps themselves were cheap. Three mechanics fix it:
 //!

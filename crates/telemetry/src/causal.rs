@@ -1,5 +1,5 @@
-//! The `presto.causal.v1` schema: the data model, exporter, parser
-//! and validator for causal-profile documents.
+//! The `presto.causal.v1` schema: the data model of causal-profile
+//! documents and their one field list.
 //!
 //! A causal profile answers the question busy-time shares cannot:
 //! *if step X were K% faster, how much would end-to-end SPS actually
@@ -9,14 +9,13 @@
 //! epochs. This module owns only the stable document format; the
 //! experiment machinery lives in `presto::causal`.
 //!
-//! The document is hand-rendered with fixed float precision, so the
-//! same profile always serializes to the same bytes — `same seed ⇒
-//! byte-identical JSON` is part of the contract tests rely on.
+//! The document is written and read through [`crate::doc`] with fixed
+//! float precision, so the same profile always serializes to the same
+//! bytes — `same seed ⇒ byte-identical JSON` is part of the contract
+//! tests rely on.
 
 use crate::alloc::{AllocProfile, AllocStepReport};
-use crate::export::{json_escape, parse_json, JsonValue};
-use crate::{PhaseKind, TelemetrySnapshot};
-use std::fmt::Write as _;
+use crate::doc::{Document, Record, Visitor};
 
 /// Current causal-profile schema identifier.
 pub const CAUSAL_SCHEMA: &str = "presto.causal.v1";
@@ -24,7 +23,7 @@ pub const CAUSAL_SCHEMA: &str = "presto.causal.v1";
 /// One virtual-speedup experiment: the predicted end-to-end SPS gain
 /// from making `step` `speedup_pct`% faster, averaged over seeded
 /// trials.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CausalExperiment {
     /// Phase or step name (`deliver` is the queue-wait + hand-off +
     /// consumer composite).
@@ -42,7 +41,7 @@ pub struct CausalExperiment {
 }
 
 /// One entry of the causal ranking (most causal first).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CausalRank {
     /// Phase or step name.
     pub step: String,
@@ -54,7 +53,7 @@ pub struct CausalRank {
 
 /// Predicted effect of turning a real knob — the signal an autotuner
 /// consumes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CausalKnob {
     /// Knob name (`threads` or `queue-capacity`).
     pub knob: String,
@@ -69,7 +68,7 @@ pub struct CausalKnob {
 /// One live delay-injection experiment (Coz-style): every phase
 /// *except* `step` was dilated, and the measured SPS scaled back by
 /// the dilation estimates the virtually-sped-up run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MeasuredPoint {
     /// The step virtually sped up (the only one not dilated).
     pub step: String,
@@ -86,7 +85,7 @@ pub struct MeasuredPoint {
 }
 
 /// How well the virtual model reproduces the recorded epoch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CausalCalibration {
     /// Calibrated consumer cost per sample, nanoseconds (bisected so
     /// the simulated queue-wait matches the recorded one).
@@ -120,7 +119,7 @@ pub struct CausalVerdicts {
 }
 
 /// A complete causal profile — everything `presto causal` prints.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CausalProfile {
     /// Where the baseline came from (`file:<path>` or `live:<name>`).
     pub source: String,
@@ -155,398 +154,160 @@ pub struct CausalProfile {
     pub alloc: AllocProfile,
 }
 
-/// Parse a `presto.telemetry.v1` document back into a
-/// [`TelemetrySnapshot`] (spans are not part of the JSON schema and
-/// come back empty). This is how `presto causal --from FILE` replays
-/// a recorded epoch.
-pub fn parse_telemetry_snapshot(input: &str) -> Result<TelemetrySnapshot, String> {
-    let doc = crate::export::validate_json(input)?;
-    let epoch = doc.require("epoch")?;
-    let faults = doc.require("faults")?;
-    let cache = doc.require("cache")?;
-    let queue = doc.require("queue")?;
-    let steps = doc
-        .require("steps")?
-        .as_array()
-        .ok_or("'steps' must be an array")?
-        .iter()
-        .map(|s| {
-            Ok(crate::StepSnapshot {
-                name: s.require_str("name")?.to_string(),
-                kind: kind_from_label(s.get("kind").and_then(JsonValue::as_str).unwrap_or("step")),
-                count: s.require_f64("count")? as u64,
-                busy_ns: s.require_f64("busy_ns")? as u64,
-                p50_ns: s.require_f64("p50_ns")? as u64,
-                p95_ns: s.require_f64("p95_ns")? as u64,
-                p99_ns: s.require_f64("p99_ns")? as u64,
-                max_ns: s.require_f64("max_ns")? as u64,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let workers = doc
-        .require("workers")?
-        .as_array()
-        .ok_or("'workers' must be an array")?
-        .iter()
-        .map(|w| {
-            Ok(crate::WorkerSnapshot {
-                worker: w.require_f64("worker")? as usize,
-                busy_ns: w.require_f64("busy_ns")? as u64,
-                deliver_ns: w
-                    .get("deliver_ns")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0) as u64,
-                idle_ns: w.require_f64("idle_ns")? as u64,
-                samples: w.require_f64("samples")? as u64,
-                bytes_read: w.require_f64("bytes_read")? as u64,
-                retries: w.require_f64("retries")? as u64,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(TelemetrySnapshot {
-        elapsed_ns: epoch.require_f64("elapsed_ns")? as u64,
-        epoch_seed: epoch.get("seed").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64,
-        threads: epoch.require_f64("threads")? as usize,
-        samples: epoch.require_f64("samples")? as u64,
-        bytes_read: epoch.require_f64("bytes_read")? as u64,
-        bytes_decoded: epoch.require_f64("bytes_decoded")? as u64,
-        cache_hits: cache.require_f64("hits")? as u64,
-        cache_misses: cache.require_f64("misses")? as u64,
-        retries: faults.require_f64("retries")? as u64,
-        skipped_samples: faults.require_f64("skipped_samples")? as u64,
-        lost_shards: faults.require_f64("lost_shards")? as u64,
-        degraded: matches!(faults.require("degraded")?, JsonValue::Bool(true)),
-        steps,
-        workers,
-        queue: crate::QueueSnapshot {
-            capacity: queue.require_f64("capacity")? as u64,
-            observations: queue
-                .get("observations")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0) as u64,
-            max_depth: queue.require_f64("max_depth")? as u64,
-            mean_depth: queue.require_f64("mean_depth")?,
-        },
-        // Optional section: documents exported before batched delivery
-        // have no data_plane object and parse as all-zero.
-        data_plane: match doc.get("data_plane") {
-            Some(dp) => crate::DataPlaneSnapshot {
-                bundles: dp.get("bundles").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64,
-                pool_hits: dp
-                    .get("pool_hits")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0) as u64,
-                pool_misses: dp
-                    .get("pool_misses")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0) as u64,
-            },
-            None => crate::DataPlaneSnapshot::default(),
-        },
-        spans: Vec::new(),
-        dropped_spans: doc
-            .get("dropped_spans")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0) as u64,
-    })
-}
-
-fn kind_from_label(label: &str) -> PhaseKind {
-    match label {
-        "io" => PhaseKind::Io,
-        "cpu" => PhaseKind::Cpu,
-        "deliver" => PhaseKind::Deliver,
-        _ => PhaseKind::Step,
+impl Record for CausalExperiment {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("step", &mut self.step);
+        v.req("kind", &mut self.kind);
+        v.req("speedup_pct", &mut self.speedup_pct);
+        v.fixed("mean_gain", &mut self.mean_gain, 4);
+        v.fixed("stddev", &mut self.stddev, 4);
+        v.req("trials", &mut self.trials);
     }
 }
 
-/// Render a profile as the stable `presto.causal.v1` JSON document.
-/// Every float is printed with fixed precision, so equal profiles
-/// serialize to identical bytes.
-pub fn causal_json(profile: &CausalProfile) -> String {
-    let mut out = String::with_capacity(4096);
-    let _ = writeln!(out, "{{\n  \"schema\": \"{CAUSAL_SCHEMA}\",");
-    let _ = writeln!(out, "  \"source\": \"{}\",", json_escape(&profile.source));
-    let _ = writeln!(out, "  \"seed\": {},", profile.seed);
-    let _ = writeln!(out, "  \"trials\": {},", profile.trials);
-    let _ = writeln!(
-        out,
-        "  \"baseline\": {{\"threads\": {}, \"queue_capacity\": {}, \"samples\": {}, \"observed_sps\": {:.3}, \"simulated_sps\": {:.3}}},",
-        profile.threads,
-        profile.queue_capacity,
-        profile.samples,
-        profile.observed_sps,
-        profile.baseline_sps
-    );
-    let c = &profile.calibration;
-    let _ = writeln!(
-        out,
-        "  \"calibration\": {{\"consumer_ns_per_sample\": {:.1}, \"queue_wait_target_ns\": {}, \"queue_wait_sim_ns\": {:.1}, \"sps_error\": {:.4}}},",
-        c.consumer_ns_per_sample, c.queue_wait_target_ns, c.queue_wait_sim_ns, c.sps_error
-    );
-    out.push_str("  \"experiments\": [\n");
-    for (i, e) in profile.experiments.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"step\": \"{}\", \"kind\": \"{}\", \"speedup_pct\": {}, \"mean_gain\": {:.4}, \"stddev\": {:.4}, \"trials\": {}}}{}",
-            json_escape(&e.step),
-            json_escape(&e.kind),
-            e.speedup_pct,
-            e.mean_gain,
-            e.stddev,
-            e.trials,
-            if i + 1 < profile.experiments.len() { "," } else { "" }
-        );
+impl Record for CausalRank {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("step", &mut self.step);
+        v.req("kind", &mut self.kind);
+        v.fixed("score", &mut self.score, 4);
     }
-    out.push_str("  ],\n  \"ranking\": [\n");
-    for (i, r) in profile.ranking.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"step\": \"{}\", \"kind\": \"{}\", \"score\": {:.4}}}{}",
-            json_escape(&r.step),
-            json_escape(&r.kind),
-            r.score,
-            if i + 1 < profile.ranking.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    out.push_str("  ],\n  \"knobs\": [\n");
-    for (i, k) in profile.knobs.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"knob\": \"{}\", \"value\": {}, \"predicted_sps\": {:.3}, \"predicted_gain\": {:.4}}}{}",
-            json_escape(&k.knob),
-            k.value,
-            k.predicted_sps,
-            k.predicted_gain,
-            if i + 1 < profile.knobs.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n  \"measured\": [\n");
-    for (i, m) in profile.measured.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"step\": \"{}\", \"speedup_pct\": {}, \"baseline_sps\": {:.3}, \"experiment_sps\": {:.3}, \"virtual_sps\": {:.3}, \"measured_gain\": {:.4}}}{}",
-            json_escape(&m.step),
-            m.speedup_pct,
-            m.baseline_sps,
-            m.experiment_sps,
-            m.virtual_sps,
-            m.measured_gain,
-            if i + 1 < profile.measured.len() { "," } else { "" }
-        );
-    }
-    let v = &profile.verdicts;
-    out.push_str("  ],\n");
-    let disagreements: Vec<String> = v
-        .disagreements
-        .iter()
-        .map(|d| format!("\"{}\"", json_escape(d)))
-        .collect();
-    let _ = writeln!(
-        out,
-        "  \"verdicts\": {{\"causal_top\": \"{}\", \"causal_kind\": \"{}\", \"observed\": \"{}\", \"simulated\": \"{}\", \"agree\": {}, \"disagreements\": [{}]}},",
-        json_escape(&v.causal_top),
-        json_escape(&v.causal_kind),
-        json_escape(&v.observed),
-        json_escape(&v.simulated),
-        v.agree,
-        disagreements.join(", ")
-    );
-    let a = &profile.alloc;
-    let _ = writeln!(
-        out,
-        "  \"alloc\": {{\"buffer_allocs\": {}, \"buffer_reuses\": {}, \"steps\": [",
-        a.buffer_allocs, a.buffer_reuses
-    );
-    for (i, s) in a.steps.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"bytes\": {}, \"allocations\": {}, \"peak_live\": {}}}{}",
-            json_escape(&s.name),
-            s.bytes,
-            s.allocations,
-            s.peak_live,
-            if i + 1 < a.steps.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]}\n}\n");
-    out
 }
 
-/// Parse a `presto.causal.v1` document back into a [`CausalProfile`].
-pub fn parse_causal_json(input: &str) -> Result<CausalProfile, String> {
-    let doc = parse_json(input)?;
-    match doc.require("schema")?.as_str() {
-        Some(CAUSAL_SCHEMA) => {}
-        Some(other) => {
+impl Record for CausalKnob {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("knob", &mut self.knob);
+        v.req("value", &mut self.value);
+        v.fixed("predicted_sps", &mut self.predicted_sps, 3);
+        v.fixed("predicted_gain", &mut self.predicted_gain, 4);
+    }
+}
+
+impl Record for MeasuredPoint {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("step", &mut self.step);
+        v.req("speedup_pct", &mut self.speedup_pct);
+        v.fixed("baseline_sps", &mut self.baseline_sps, 3);
+        v.fixed("experiment_sps", &mut self.experiment_sps, 3);
+        v.fixed("virtual_sps", &mut self.virtual_sps, 3);
+        v.fixed("measured_gain", &mut self.measured_gain, 4);
+    }
+}
+
+impl Record for CausalCalibration {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.fixed(
+            "consumer_ns_per_sample",
+            &mut self.consumer_ns_per_sample,
+            1,
+        );
+        v.req("queue_wait_target_ns", &mut self.queue_wait_target_ns);
+        v.fixed("queue_wait_sim_ns", &mut self.queue_wait_sim_ns, 1);
+        v.fixed("sps_error", &mut self.sps_error, 4);
+    }
+}
+
+impl Record for CausalVerdicts {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("causal_top", &mut self.causal_top);
+        v.req("causal_kind", &mut self.causal_kind);
+        v.req("observed", &mut self.observed);
+        v.req("simulated", &mut self.simulated);
+        v.req("agree", &mut self.agree);
+        v.list("disagreements", &mut self.disagreements);
+    }
+}
+
+impl Record for AllocStepReport {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("name", &mut self.name);
+        v.req("bytes", &mut self.bytes);
+        v.req("allocations", &mut self.allocations);
+        v.req("peak_live", &mut self.peak_live);
+    }
+}
+
+impl Record for AllocProfile {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("buffer_allocs", &mut self.buffer_allocs);
+        v.req("buffer_reuses", &mut self.buffer_reuses);
+        v.records("steps", &mut self.steps);
+    }
+}
+
+/// The stable `presto.causal.v1` document. Every float is printed with
+/// fixed precision, so equal profiles serialize to identical bytes.
+impl Record for CausalProfile {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("source", &mut self.source);
+        v.req("seed", &mut self.seed);
+        v.req("trials", &mut self.trials);
+        v.object("baseline", false, |v| {
+            v.req("threads", &mut self.threads);
+            v.req("queue_capacity", &mut self.queue_capacity);
+            v.req("samples", &mut self.samples);
+            v.fixed("observed_sps", &mut self.observed_sps, 3);
+            v.fixed("simulated_sps", &mut self.baseline_sps, 3);
+        });
+        v.record("calibration", &mut self.calibration);
+        v.records("experiments", &mut self.experiments);
+        v.records("ranking", &mut self.ranking);
+        v.records("knobs", &mut self.knobs);
+        v.records("measured", &mut self.measured);
+        v.record("verdicts", &mut self.verdicts);
+        v.record("alloc", &mut self.alloc);
+    }
+}
+
+impl Document for CausalProfile {
+    const SCHEMA: &'static str = CAUSAL_SCHEMA;
+
+    /// A non-empty ranking sorted by descending score whose head is
+    /// `verdicts.causal_top`, and every experiment's speedup inside
+    /// the published matrix.
+    fn check(&self) -> Result<(), String> {
+        let head = self.ranking.first().ok_or("ranking must not be empty")?;
+        if head.step != self.verdicts.causal_top {
             return Err(format!(
-                "wrong schema '{other}', expected '{CAUSAL_SCHEMA}'"
-            ))
+                "ranking head '{}' does not match verdicts.causal_top '{}'",
+                head.step, self.verdicts.causal_top
+            ));
         }
-        None => return Err("'schema' must be a string".into()),
-    }
-    let baseline = doc.require("baseline")?;
-    let calibration = doc.require("calibration")?;
-    let experiments = doc
-        .require("experiments")?
-        .as_array()
-        .ok_or("'experiments' must be an array")?
-        .iter()
-        .map(|e| {
-            Ok(CausalExperiment {
-                step: e.require_str("step")?.to_string(),
-                kind: e.require_str("kind")?.to_string(),
-                speedup_pct: e.require_f64("speedup_pct")? as u32,
-                mean_gain: e.require_f64("mean_gain")?,
-                stddev: e.require_f64("stddev")?,
-                trials: e.require_f64("trials")? as u32,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let ranking = doc
-        .require("ranking")?
-        .as_array()
-        .ok_or("'ranking' must be an array")?
-        .iter()
-        .map(|r| {
-            Ok(CausalRank {
-                step: r.require_str("step")?.to_string(),
-                kind: r.require_str("kind")?.to_string(),
-                score: r.require_f64("score")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let knobs = doc
-        .require("knobs")?
-        .as_array()
-        .ok_or("'knobs' must be an array")?
-        .iter()
-        .map(|k| {
-            Ok(CausalKnob {
-                knob: k.require_str("knob")?.to_string(),
-                value: k.require_f64("value")? as u64,
-                predicted_sps: k.require_f64("predicted_sps")?,
-                predicted_gain: k.require_f64("predicted_gain")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let measured = doc
-        .require("measured")?
-        .as_array()
-        .ok_or("'measured' must be an array")?
-        .iter()
-        .map(|m| {
-            Ok(MeasuredPoint {
-                step: m.require_str("step")?.to_string(),
-                speedup_pct: m.require_f64("speedup_pct")? as u32,
-                baseline_sps: m.require_f64("baseline_sps")?,
-                experiment_sps: m.require_f64("experiment_sps")?,
-                virtual_sps: m.require_f64("virtual_sps")?,
-                measured_gain: m.require_f64("measured_gain")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let v = doc.require("verdicts")?;
-    let disagreements = v
-        .require("disagreements")?
-        .as_array()
-        .ok_or("'verdicts.disagreements' must be an array")?
-        .iter()
-        .map(|d| {
-            d.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "disagreements must be strings".to_string())
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let a = doc.require("alloc")?;
-    let alloc_steps = a
-        .require("steps")?
-        .as_array()
-        .ok_or("'alloc.steps' must be an array")?
-        .iter()
-        .map(|s| {
-            Ok(AllocStepReport {
-                name: s.require_str("name")?.to_string(),
-                bytes: s.require_f64("bytes")? as u64,
-                allocations: s.require_f64("allocations")? as u64,
-                peak_live: s.require_f64("peak_live")? as u64,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(CausalProfile {
-        source: doc.require_str("source")?.to_string(),
-        seed: doc.require_f64("seed")? as u64,
-        trials: doc.require_f64("trials")? as u32,
-        threads: baseline.require_f64("threads")? as usize,
-        queue_capacity: baseline.require_f64("queue_capacity")? as u64,
-        samples: baseline.require_f64("samples")? as u64,
-        observed_sps: baseline.require_f64("observed_sps")?,
-        baseline_sps: baseline.require_f64("simulated_sps")?,
-        calibration: CausalCalibration {
-            consumer_ns_per_sample: calibration.require_f64("consumer_ns_per_sample")?,
-            queue_wait_target_ns: calibration.require_f64("queue_wait_target_ns")? as u64,
-            queue_wait_sim_ns: calibration.require_f64("queue_wait_sim_ns")?,
-            sps_error: calibration.require_f64("sps_error")?,
-        },
-        experiments,
-        ranking,
-        knobs,
-        measured,
-        verdicts: CausalVerdicts {
-            causal_top: v.require_str("causal_top")?.to_string(),
-            causal_kind: v.require_str("causal_kind")?.to_string(),
-            observed: v.require_str("observed")?.to_string(),
-            simulated: v.require_str("simulated")?.to_string(),
-            agree: matches!(v.require("agree")?, JsonValue::Bool(true)),
-            disagreements,
-        },
-        alloc: AllocProfile {
-            steps: alloc_steps,
-            buffer_allocs: a.require_f64("buffer_allocs")? as u64,
-            buffer_reuses: a.require_f64("buffer_reuses")? as u64,
-        },
-    })
-}
-
-/// Validate a `presto.causal.v1` document: it must parse back into a
-/// profile, carry a non-empty ranking whose head matches
-/// `verdicts.causal_top`, and keep every experiment's speedup in the
-/// published matrix. Returns the number of experiment cells.
-pub fn validate_causal_json(input: &str) -> Result<usize, String> {
-    let profile = parse_causal_json(input)?;
-    if profile.ranking.is_empty() {
-        return Err("ranking must not be empty".into());
-    }
-    if profile.ranking[0].step != profile.verdicts.causal_top {
-        return Err(format!(
-            "ranking head '{}' does not match verdicts.causal_top '{}'",
-            profile.ranking[0].step, profile.verdicts.causal_top
-        ));
-    }
-    for w in profile.ranking.windows(2) {
-        if w[0].score < w[1].score {
+        if self.ranking.windows(2).any(|w| w[0].score < w[1].score) {
             return Err("ranking must be sorted by descending score".into());
         }
-    }
-    for e in &profile.experiments {
-        if !matches!(e.speedup_pct, 10 | 25 | 50 | 75) {
-            return Err(format!("unexpected speedup_pct {}", e.speedup_pct));
+        match self
+            .experiments
+            .iter()
+            .find(|e| !matches!(e.speedup_pct, 10 | 25 | 50 | 75))
+        {
+            Some(e) => Err(format!("unexpected speedup_pct {}", e.speedup_pct)),
+            None => Ok(()),
         }
     }
-    Ok(profile.experiments.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc;
+    use crate::export::RunDocument;
+    use crate::PhaseKind;
+
+    fn causal_json(profile: &CausalProfile) -> String {
+        doc::write(profile.clone())
+    }
+
+    fn parse_causal_json(input: &str) -> Result<CausalProfile, String> {
+        doc::read(input)
+    }
+
+    fn parse_telemetry_snapshot(input: &str) -> Result<crate::TelemetrySnapshot, String> {
+        doc::read::<RunDocument>(input).map(|run| run.snapshot)
+    }
 
     fn sample_profile() -> CausalProfile {
         CausalProfile {
-            source: "file:BENCH_realrun.json".into(),
+            source: "file:realrun-epoch.json".into(),
             seed: 42,
             trials: 3,
             threads: 4,
@@ -630,13 +391,7 @@ mod tests {
         let profile = sample_profile();
         let rendered = causal_json(&profile);
         let parsed = parse_causal_json(&rendered).expect("round-trips");
-        assert_eq!(parsed.source, profile.source);
-        assert_eq!(parsed.seed, 42);
-        assert_eq!(parsed.experiments.len(), 2);
-        assert_eq!(parsed.ranking[0].step, "deliver");
-        assert_eq!(parsed.alloc.buffer_allocs, 64);
-        assert!(parsed.verdicts.agree);
-        assert!((parsed.experiments[0].mean_gain - 0.95).abs() < 1e-9);
+        assert_eq!(parsed, profile);
     }
 
     #[test]
@@ -648,15 +403,15 @@ mod tests {
     #[test]
     fn validator_accepts_good_and_rejects_broken() {
         let good = causal_json(&sample_profile());
-        assert_eq!(validate_causal_json(&good), Ok(2));
-        assert!(validate_causal_json("{").is_err());
-        assert!(validate_causal_json("{}").is_err());
+        assert_eq!(parse_causal_json(&good).map(|p| p.experiments.len()), Ok(2));
+        assert!(parse_causal_json("{").is_err());
+        assert!(parse_causal_json("{}").is_err());
         let wrong_schema = good.replace(CAUSAL_SCHEMA, "presto.causal.v2");
-        assert!(validate_causal_json(&wrong_schema).is_err());
+        assert!(parse_causal_json(&wrong_schema).is_err());
         let bad_pct = good.replace("\"speedup_pct\": 50", "\"speedup_pct\": 33");
-        assert!(validate_causal_json(&bad_pct).is_err());
+        assert!(parse_causal_json(&bad_pct).is_err());
         let bad_head = good.replace("\"causal_top\": \"deliver\"", "\"causal_top\": \"decode\"");
-        assert!(validate_causal_json(&bad_head)
+        assert!(parse_causal_json(&bad_head)
             .unwrap_err()
             .contains("causal_top"));
     }

@@ -2,12 +2,16 @@
 //! the stable `presto.telemetry.v1` JSON schema, and Chrome
 //! `trace_event` JSON loadable in `chrome://tracing` / Perfetto.
 //!
-//! The schemas are documented in `docs/observability.md`; the JSON
-//! validator here ([`validate_json`]) is the same check CI runs with
-//! `jq` and exists so tests (and downstream tools without `jq`) can
-//! assert the contract without a JSON dependency.
+//! The schemas are documented in `docs/observability.md`. The JSON
+//! document's members are listed once, in the [`Record`] impls here,
+//! and written and read through [`crate::doc`]; the minimal JSON
+//! reader underneath lives here too, so no JSON dependency is needed.
 
-use crate::{SearchSnapshot, ServeSnapshot, TelemetrySnapshot};
+use crate::doc::{self, Document, Record, Scalar, Visitor};
+use crate::{
+    DataPlaneSnapshot, PhaseKind, QueueSnapshot, SearchSnapshot, ServeSnapshot, StepSnapshot,
+    TelemetrySnapshot, WorkerSnapshot,
+};
 use std::fmt::Write as _;
 
 /// Current JSON schema identifier.
@@ -37,536 +41,553 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// The one Prometheus text-exposition writer (format 0.0.4): every
+/// `/metrics` series in the crate goes through these two methods.
+#[derive(Debug)]
+pub(crate) struct Exposition(pub(crate) String);
+
+impl Exposition {
+    /// `# HELP`/`# TYPE` headers, then one sample line per `(suffix,
+    /// value)`. The suffix is whatever follows the family name on the
+    /// sample line: nothing, a `{label="…"}` set, or a summary's
+    /// `_count{…}`/`_sum{…}` companions.
+    pub(crate) fn family<V: std::fmt::Display>(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: &str,
+        samples: impl IntoIterator<Item = (String, V)>,
+    ) {
+        let _ = writeln!(self.0, "# HELP {name} {help}");
+        let _ = writeln!(self.0, "# TYPE {name} {kind}");
+        for (suffix, value) in samples {
+            let _ = writeln!(self.0, "{name}{suffix} {value}");
+        }
+    }
+
+    /// A family of one unlabelled sample.
+    pub(crate) fn metric(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: &str,
+        value: impl std::fmt::Display,
+    ) {
+        self.family(name, help, kind, [(String::new(), value)]);
+    }
+}
+
 /// Render `snapshot` in the Prometheus text exposition format
 /// (version 0.0.4): counters and gauges with `# TYPE` headers, and
 /// per-step latency quantiles as summary-style series.
 pub fn prometheus(snapshot: &TelemetrySnapshot) -> String {
-    let mut out = String::with_capacity(4096);
-    let mut counter = |name: &str, help: &str, value: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {value}");
-    };
-    counter(
-        "presto_epoch_samples_total",
-        "Samples delivered this epoch.",
-        snapshot.samples,
-    );
-    counter(
-        "presto_epoch_bytes_read_total",
-        "Compressed bytes read from the store.",
-        snapshot.bytes_read,
-    );
-    counter(
-        "presto_epoch_bytes_decoded_total",
-        "Decompressed bytes produced.",
-        snapshot.bytes_decoded,
-    );
-    counter(
-        "presto_epoch_cache_hits_total",
-        "Samples served from the application cache.",
-        snapshot.cache_hits,
-    );
-    counter(
-        "presto_epoch_cache_misses_total",
-        "Samples produced while filling the cache.",
-        snapshot.cache_misses,
-    );
-    counter(
-        "presto_epoch_retries_total",
-        "Storage retries performed.",
-        snapshot.retries,
-    );
-    counter(
-        "presto_epoch_skipped_samples_total",
-        "Samples skipped under a degrade policy.",
-        snapshot.skipped_samples,
-    );
-    counter(
-        "presto_epoch_lost_shards_total",
-        "Shards lost under a degrade policy.",
-        snapshot.lost_shards,
-    );
-    counter(
-        "presto_epoch_dropped_spans_total",
-        "Span events dropped past the budget.",
-        snapshot.dropped_spans,
-    );
+    let mut x = Exposition(String::with_capacity(4096));
+    for (name, help, value) in [
+        (
+            "presto_epoch_samples_total",
+            "Samples delivered this epoch.",
+            snapshot.samples,
+        ),
+        (
+            "presto_epoch_bytes_read_total",
+            "Compressed bytes read from the store.",
+            snapshot.bytes_read,
+        ),
+        (
+            "presto_epoch_bytes_decoded_total",
+            "Decompressed bytes produced.",
+            snapshot.bytes_decoded,
+        ),
+        (
+            "presto_epoch_cache_hits_total",
+            "Samples served from the application cache.",
+            snapshot.cache_hits,
+        ),
+        (
+            "presto_epoch_cache_misses_total",
+            "Samples produced while filling the cache.",
+            snapshot.cache_misses,
+        ),
+        (
+            "presto_epoch_retries_total",
+            "Storage retries performed.",
+            snapshot.retries,
+        ),
+        (
+            "presto_epoch_skipped_samples_total",
+            "Samples skipped under a degrade policy.",
+            snapshot.skipped_samples,
+        ),
+        (
+            "presto_epoch_lost_shards_total",
+            "Shards lost under a degrade policy.",
+            snapshot.lost_shards,
+        ),
+        (
+            "presto_epoch_dropped_spans_total",
+            "Span events dropped past the budget.",
+            snapshot.dropped_spans,
+        ),
+    ] {
+        x.metric(name, help, "counter", value);
+    }
     // Alias without the epoch_ prefix: the name monitoring rules key
     // on for span-loss alerts (same value, stable going forward).
-    counter(
+    x.metric(
         "presto_dropped_spans_total",
         "Span events dropped past the budget (alias).",
+        "counter",
         snapshot.dropped_spans,
     );
+    x.metric(
+        "presto_epoch_duration_seconds",
+        "Epoch wall time.",
+        "gauge",
+        secs(snapshot.elapsed_ns),
+    );
+    x.metric(
+        "presto_epoch_degraded",
+        "Whether any fault was absorbed (0/1).",
+        "gauge",
+        u8::from(snapshot.degraded),
+    );
 
-    let _ = writeln!(out, "# HELP presto_epoch_duration_seconds Epoch wall time.");
-    let _ = writeln!(out, "# TYPE presto_epoch_duration_seconds gauge");
-    let _ = writeln!(
-        out,
-        "presto_epoch_duration_seconds {}",
-        secs(snapshot.elapsed_ns)
+    let step = |s: &StepSnapshot| {
+        format!(
+            "{{step=\"{}\",kind=\"{}\"}}",
+            json_escape(&s.name),
+            s.kind.label()
+        )
+    };
+    x.family(
+        "presto_step_invocations_total",
+        "Invocations per phase/step.",
+        "counter",
+        snapshot.steps.iter().map(|s| (step(s), s.count)),
     );
-    let _ = writeln!(
-        out,
-        "# HELP presto_epoch_degraded Whether any fault was absorbed (0/1)."
+    x.family(
+        "presto_step_busy_seconds_total",
+        "Wall time per phase/step across workers.",
+        "counter",
+        snapshot.steps.iter().map(|s| (step(s), secs(s.busy_ns))),
     );
-    let _ = writeln!(out, "# TYPE presto_epoch_degraded gauge");
-    let _ = writeln!(out, "presto_epoch_degraded {}", u8::from(snapshot.degraded));
+    x.family(
+        "presto_step_latency_seconds",
+        "Per-invocation latency quantiles.",
+        "summary",
+        snapshot.steps.iter().flat_map(|s| {
+            let name = json_escape(&s.name);
+            let quantile = |q: &str, ns: u64| {
+                (
+                    format!("{{step=\"{name}\",quantile=\"{q}\"}}"),
+                    secs(ns).to_string(),
+                )
+            };
+            [
+                quantile("0.5", s.p50_ns),
+                quantile("0.95", s.p95_ns),
+                quantile("0.99", s.p99_ns),
+                (format!("_count{{step=\"{name}\"}}"), s.count.to_string()),
+                (
+                    format!("_sum{{step=\"{name}\"}}"),
+                    secs(s.busy_ns).to_string(),
+                ),
+            ]
+        }),
+    );
 
-    let _ = writeln!(
-        out,
-        "# HELP presto_step_invocations_total Invocations per phase/step."
+    let worker = |w: &WorkerSnapshot| format!("{{worker=\"{}\"}}", w.worker);
+    x.family(
+        "presto_worker_busy_seconds_total",
+        "Measured busy time per worker.",
+        "counter",
+        snapshot
+            .workers
+            .iter()
+            .map(|w| (worker(w), secs(w.busy_ns))),
     );
-    let _ = writeln!(out, "# TYPE presto_step_invocations_total counter");
-    for step in &snapshot.steps {
-        let name = json_escape(&step.name);
-        let _ = writeln!(
-            out,
-            "presto_step_invocations_total{{step=\"{name}\",kind=\"{}\"}} {}",
-            step.kind.label(),
-            step.count
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP presto_step_busy_seconds_total Wall time per phase/step across workers."
+    x.family(
+        "presto_worker_idle_seconds_total",
+        "Unmeasured (idle) time per worker.",
+        "counter",
+        snapshot
+            .workers
+            .iter()
+            .map(|w| (worker(w), secs(w.idle_ns))),
     );
-    let _ = writeln!(out, "# TYPE presto_step_busy_seconds_total counter");
-    for step in &snapshot.steps {
-        let _ = writeln!(
-            out,
-            "presto_step_busy_seconds_total{{step=\"{}\",kind=\"{}\"}} {}",
-            json_escape(&step.name),
-            step.kind.label(),
-            secs(step.busy_ns)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP presto_step_latency_seconds Per-invocation latency quantiles."
+    x.family(
+        "presto_worker_samples_total",
+        "Samples delivered per worker.",
+        "counter",
+        snapshot.workers.iter().map(|w| (worker(w), w.samples)),
     );
-    let _ = writeln!(out, "# TYPE presto_step_latency_seconds summary");
-    for step in &snapshot.steps {
-        let name = json_escape(&step.name);
-        for (q, v) in [
-            ("0.5", step.p50_ns),
-            ("0.95", step.p95_ns),
-            ("0.99", step.p99_ns),
-        ] {
-            let _ = writeln!(
-                out,
-                "presto_step_latency_seconds{{step=\"{name}\",quantile=\"{q}\"}} {}",
-                secs(v)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "presto_step_latency_seconds_count{{step=\"{name}\"}} {}",
-            step.count
-        );
-        let _ = writeln!(
-            out,
-            "presto_step_latency_seconds_sum{{step=\"{name}\"}} {}",
-            secs(step.busy_ns)
-        );
-    }
 
-    let _ = writeln!(
-        out,
-        "# HELP presto_worker_busy_seconds_total Measured busy time per worker."
+    let queue = &snapshot.queue;
+    x.metric(
+        "presto_queue_depth_max",
+        "Deepest observed prefetch queue.",
+        "gauge",
+        queue.max_depth,
     );
-    let _ = writeln!(out, "# TYPE presto_worker_busy_seconds_total counter");
-    for w in &snapshot.workers {
-        let _ = writeln!(
-            out,
-            "presto_worker_busy_seconds_total{{worker=\"{}\"}} {}",
-            w.worker,
-            secs(w.busy_ns)
-        );
+    x.metric(
+        "presto_queue_depth_mean",
+        "Mean observed prefetch-queue depth.",
+        "gauge",
+        queue.mean_depth,
+    );
+    x.metric(
+        "presto_queue_capacity",
+        "Prefetch channel capacity.",
+        "gauge",
+        queue.capacity,
+    );
+    let plane = &snapshot.data_plane;
+    for (name, help, value) in [
+        (
+            "presto_bundles_total",
+            "Sample bundles handed to the prefetch ring.",
+            plane.bundles,
+        ),
+        (
+            "presto_pool_hits_total",
+            "Scratch buffers served from the buffer pool.",
+            plane.pool_hits,
+        ),
+        (
+            "presto_pool_misses_total",
+            "Buffer-pool requests that allocated fresh.",
+            plane.pool_misses,
+        ),
+    ] {
+        x.metric(name, help, "counter", value);
     }
-    let _ = writeln!(
-        out,
-        "# HELP presto_worker_idle_seconds_total Unmeasured (idle) time per worker."
-    );
-    let _ = writeln!(out, "# TYPE presto_worker_idle_seconds_total counter");
-    for w in &snapshot.workers {
-        let _ = writeln!(
-            out,
-            "presto_worker_idle_seconds_total{{worker=\"{}\"}} {}",
-            w.worker,
-            secs(w.idle_ns)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP presto_worker_samples_total Samples delivered per worker."
-    );
-    let _ = writeln!(out, "# TYPE presto_worker_samples_total counter");
-    for w in &snapshot.workers {
-        let _ = writeln!(
-            out,
-            "presto_worker_samples_total{{worker=\"{}\"}} {}",
-            w.worker, w.samples
-        );
-    }
-
-    let _ = writeln!(
-        out,
-        "# HELP presto_queue_depth_max Deepest observed prefetch queue."
-    );
-    let _ = writeln!(out, "# TYPE presto_queue_depth_max gauge");
-    let _ = writeln!(out, "presto_queue_depth_max {}", snapshot.queue.max_depth);
-    let _ = writeln!(
-        out,
-        "# HELP presto_queue_depth_mean Mean observed prefetch-queue depth."
-    );
-    let _ = writeln!(out, "# TYPE presto_queue_depth_mean gauge");
-    let _ = writeln!(out, "presto_queue_depth_mean {}", snapshot.queue.mean_depth);
-    let _ = writeln!(
-        out,
-        "# HELP presto_queue_capacity Prefetch channel capacity."
-    );
-    let _ = writeln!(out, "# TYPE presto_queue_capacity gauge");
-    let _ = writeln!(out, "presto_queue_capacity {}", snapshot.queue.capacity);
-
-    let _ = writeln!(
-        out,
-        "# HELP presto_bundles_total Sample bundles handed to the prefetch ring."
-    );
-    let _ = writeln!(out, "# TYPE presto_bundles_total counter");
-    let _ = writeln!(out, "presto_bundles_total {}", snapshot.data_plane.bundles);
-    let _ = writeln!(
-        out,
-        "# HELP presto_pool_hits_total Scratch buffers served from the buffer pool."
-    );
-    let _ = writeln!(out, "# TYPE presto_pool_hits_total counter");
-    let _ = writeln!(
-        out,
-        "presto_pool_hits_total {}",
-        snapshot.data_plane.pool_hits
-    );
-    let _ = writeln!(
-        out,
-        "# HELP presto_pool_misses_total Buffer-pool requests that allocated fresh."
-    );
-    let _ = writeln!(out, "# TYPE presto_pool_misses_total counter");
-    let _ = writeln!(
-        out,
-        "presto_pool_misses_total {}",
-        snapshot.data_plane.pool_misses
-    );
-    out
+    x.0
 }
 
 /// Render a strategy-search progress snapshot in the Prometheus text
 /// exposition format. Emitted by `/metrics` alongside the epoch series
 /// whenever a search has started (`total > 0`).
 pub fn prometheus_search(search: &SearchSnapshot) -> String {
-    let mut out = String::with_capacity(1024);
-    let mut gauge = |name: &str, help: &str, value: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {value}");
-    };
-    gauge(
-        "presto_search_strategies_total",
-        "Grid points the search will profile.",
-        search.total,
-    );
-    gauge(
-        "presto_search_strategies_completed",
-        "Strategies fully profiled so far.",
-        search.completed,
-    );
-    gauge(
-        "presto_search_strategies_pruned",
-        "Strategies eliminated by the pruned mode.",
-        search.pruned,
-    );
-    gauge(
-        "presto_search_memo_hits",
-        "Offline simulations served from the shared memo.",
-        search.memo_hits,
-    );
-    gauge(
-        "presto_search_memo_misses",
-        "Offline simulations actually run (unique offline phases).",
-        search.memo_misses,
-    );
-    gauge(
-        "presto_search_jobs",
-        "Worker threads in the profiling pool.",
-        search.jobs,
-    );
-    gauge(
-        "presto_search_done",
-        "Whether the search has finished (0/1).",
-        u64::from(search.done),
-    );
-    out
+    let mut x = Exposition(String::with_capacity(1024));
+    for (name, help, value) in [
+        (
+            "presto_search_strategies_total",
+            "Grid points the search will profile.",
+            search.total,
+        ),
+        (
+            "presto_search_strategies_completed",
+            "Strategies fully profiled so far.",
+            search.completed,
+        ),
+        (
+            "presto_search_strategies_pruned",
+            "Strategies eliminated by the pruned mode.",
+            search.pruned,
+        ),
+        (
+            "presto_search_memo_hits",
+            "Offline simulations served from the shared memo.",
+            search.memo_hits,
+        ),
+        (
+            "presto_search_memo_misses",
+            "Offline simulations actually run (unique offline phases).",
+            search.memo_misses,
+        ),
+        (
+            "presto_search_jobs",
+            "Worker threads in the profiling pool.",
+            search.jobs,
+        ),
+        (
+            "presto_search_done",
+            "Whether the search has finished (0/1).",
+            u64::from(search.done),
+        ),
+    ] {
+        x.metric(name, help, "gauge", value);
+    }
+    x.0
 }
 
 /// Render a serve-session progress snapshot in the Prometheus text
 /// exposition format. Emitted by `/metrics` alongside the epoch series
 /// whenever a serve session has started (`workers > 0`).
 pub fn prometheus_serve(serve: &ServeSnapshot) -> String {
-    let mut out = String::with_capacity(1024);
-    let mut gauge = |name: &str, help: &str, value: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {value}");
-    };
-    gauge(
-        "presto_serve_workers",
-        "Peers in the serve session (connections or workers).",
-        serve.workers,
-    );
-    gauge(
-        "presto_serve_batches_sent_total",
-        "BATCH frames sent over the wire.",
-        serve.batches_sent,
-    );
-    gauge(
-        "presto_serve_bytes_sent_total",
-        "Wire bytes in BATCH frames.",
-        serve.bytes_sent,
-    );
-    gauge(
-        "presto_serve_credit_stalls_total",
-        "Stalls waiting for flow-control credit.",
-        serve.credit_stalls,
-    );
-    gauge(
-        "presto_serve_credit_wait_ns_total",
-        "Time spent stalled waiting for credit, nanoseconds.",
-        serve.credit_wait_ns,
-    );
-    gauge(
-        "presto_serve_credit_wakes_total",
-        "Condvar wakeups while stalled on credit.",
-        serve.credit_wakes,
-    );
-    gauge(
-        "presto_serve_reassignments_total",
-        "Shards reassigned after worker failures.",
-        serve.reassignments,
-    );
-    gauge(
-        "presto_serve_preemptions_total",
-        "Worker connections lost mid-epoch (presumed preemptions).",
-        serve.preemptions,
-    );
-    gauge(
-        "presto_serve_reconnect_attempts_total",
-        "Reconnect attempts to previously failed workers.",
-        serve.reconnect_attempts,
-    );
-    gauge(
-        "presto_serve_rejoins_total",
-        "Workers re-admitted mid-epoch after a failure.",
-        serve.rejoins,
-    );
-    gauge(
-        "presto_serve_gap_wait_ns_total",
-        "Client time blocked waiting for the first byte of a frame, ns.",
-        serve.gap_wait_ns,
-    );
-    gauge(
-        "presto_serve_stream_read_ns_total",
-        "Client time reading frame bytes after the first byte, ns.",
-        serve.stream_read_ns,
-    );
-    gauge(
-        "presto_serve_consume_ns_total",
-        "Client time inside the consume callback, ns.",
-        serve.consume_ns,
-    );
-    gauge(
-        "presto_serve_produce_ns_total",
-        "Worker time producing samples (processing + pacing), ns.",
-        serve.produce_ns,
-    );
-    gauge(
-        "presto_serve_done",
-        "Whether the serve session has finished (0/1).",
-        u64::from(serve.done),
-    );
-    out
+    let mut x = Exposition(String::with_capacity(1024));
+    for (name, help, value) in [
+        (
+            "presto_serve_workers",
+            "Peers in the serve session (connections or workers).",
+            serve.workers,
+        ),
+        (
+            "presto_serve_batches_sent_total",
+            "BATCH frames sent over the wire.",
+            serve.batches_sent,
+        ),
+        (
+            "presto_serve_bytes_sent_total",
+            "Wire bytes in BATCH frames.",
+            serve.bytes_sent,
+        ),
+        (
+            "presto_serve_credit_stalls_total",
+            "Stalls waiting for flow-control credit.",
+            serve.credit_stalls,
+        ),
+        (
+            "presto_serve_credit_wait_ns_total",
+            "Time spent stalled waiting for credit, nanoseconds.",
+            serve.credit_wait_ns,
+        ),
+        (
+            "presto_serve_credit_wakes_total",
+            "Condvar wakeups while stalled on credit.",
+            serve.credit_wakes,
+        ),
+        (
+            "presto_serve_reassignments_total",
+            "Shards reassigned after worker failures.",
+            serve.reassignments,
+        ),
+        (
+            "presto_serve_preemptions_total",
+            "Worker connections lost mid-epoch (presumed preemptions).",
+            serve.preemptions,
+        ),
+        (
+            "presto_serve_reconnect_attempts_total",
+            "Reconnect attempts to previously failed workers.",
+            serve.reconnect_attempts,
+        ),
+        (
+            "presto_serve_rejoins_total",
+            "Workers re-admitted mid-epoch after a failure.",
+            serve.rejoins,
+        ),
+        (
+            "presto_serve_gap_wait_ns_total",
+            "Client time blocked waiting for the first byte of a frame, ns.",
+            serve.gap_wait_ns,
+        ),
+        (
+            "presto_serve_stream_read_ns_total",
+            "Client time reading frame bytes after the first byte, ns.",
+            serve.stream_read_ns,
+        ),
+        (
+            "presto_serve_consume_ns_total",
+            "Client time inside the consume callback, ns.",
+            serve.consume_ns,
+        ),
+        (
+            "presto_serve_produce_ns_total",
+            "Worker time producing samples (processing + pacing), ns.",
+            serve.produce_ns,
+        ),
+        (
+            "presto_serve_done",
+            "Whether the serve session has finished (0/1).",
+            u64::from(serve.done),
+        ),
+    ] {
+        x.metric(name, help, "gauge", value);
+    }
+    x.0
 }
 
 /// Render the fleet registry as Prometheus series with a per-worker
 /// `worker="addr"` breakout. Emitted by `/metrics` alongside the serve
 /// gauges whenever a fleet session is active.
 pub fn prometheus_fleet(fleet: &crate::FleetSnapshot) -> String {
-    let mut out = String::with_capacity(1024);
-    let _ = writeln!(
-        out,
-        "# HELP presto_fleet_trace_id Trace id of the fleet session."
+    let mut x = Exposition(String::with_capacity(1024));
+    x.metric(
+        "presto_fleet_trace_id",
+        "Trace id of the fleet session.",
+        "gauge",
+        fleet.trace_id,
     );
-    let _ = writeln!(out, "# TYPE presto_fleet_trace_id gauge");
-    let _ = writeln!(out, "presto_fleet_trace_id {}", fleet.trace_id);
-    let _ = writeln!(
-        out,
-        "# HELP presto_fleet_workers Workers the fleet has contacted."
+    x.metric(
+        "presto_fleet_workers",
+        "Workers the fleet has contacted.",
+        "gauge",
+        fleet.workers.len(),
     );
-    let _ = writeln!(out, "# TYPE presto_fleet_workers gauge");
-    let _ = writeln!(out, "presto_fleet_workers {}", fleet.workers.len());
-    fn series(out: &mut String, name: &str, help: &str) {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-    }
-    series(
-        &mut out,
-        "presto_fleet_worker_clock_offset_ns",
-        "Estimated worker_mono - client_mono per connection, ns.",
-    );
-    for w in &fleet.workers {
-        let _ = writeln!(
-            out,
-            "presto_fleet_worker_clock_offset_ns{{worker=\"{}\"}} {}",
-            json_escape(&w.addr),
-            w.clock_offset_ns
+    type Reading = fn(&crate::FleetWorkerEntry) -> i128;
+    let families: [(&str, &str, Reading); 5] = [
+        (
+            "presto_fleet_worker_clock_offset_ns",
+            "Estimated worker_mono - client_mono per connection, ns.",
+            |w| w.clock_offset_ns.into(),
+        ),
+        (
+            "presto_fleet_worker_rtt_ns",
+            "Round-trip time of the clock-offset sample, ns.",
+            |w| w.rtt_ns.into(),
+        ),
+        (
+            "presto_fleet_worker_samples_total",
+            "Samples produced per worker.",
+            |w| w.samples.into(),
+        ),
+        (
+            "presto_fleet_worker_produce_ns_total",
+            "Time producing samples per worker, ns.",
+            |w| w.produce_ns.into(),
+        ),
+        (
+            "presto_fleet_worker_credit_wait_ns_total",
+            "Time stalled waiting for credit per worker, ns.",
+            |w| w.credit_wait_ns.into(),
+        ),
+    ];
+    for (name, help, reading) in families {
+        x.family(
+            name,
+            help,
+            "gauge",
+            fleet.workers.iter().map(|w| {
+                (
+                    format!("{{worker=\"{}\"}}", json_escape(&w.addr)),
+                    reading(w),
+                )
+            }),
         );
     }
-    series(
-        &mut out,
-        "presto_fleet_worker_rtt_ns",
-        "Round-trip time of the clock-offset sample, ns.",
-    );
-    for w in &fleet.workers {
-        let _ = writeln!(
-            out,
-            "presto_fleet_worker_rtt_ns{{worker=\"{}\"}} {}",
-            json_escape(&w.addr),
-            w.rtt_ns
-        );
-    }
-    series(
-        &mut out,
-        "presto_fleet_worker_samples_total",
-        "Samples produced per worker.",
-    );
-    for w in &fleet.workers {
-        let _ = writeln!(
-            out,
-            "presto_fleet_worker_samples_total{{worker=\"{}\"}} {}",
-            json_escape(&w.addr),
-            w.samples
-        );
-    }
-    series(
-        &mut out,
-        "presto_fleet_worker_produce_ns_total",
-        "Time producing samples per worker, ns.",
-    );
-    for w in &fleet.workers {
-        let _ = writeln!(
-            out,
-            "presto_fleet_worker_produce_ns_total{{worker=\"{}\"}} {}",
-            json_escape(&w.addr),
-            w.produce_ns
-        );
-    }
-    series(
-        &mut out,
-        "presto_fleet_worker_credit_wait_ns_total",
-        "Time stalled waiting for credit per worker, ns.",
-    );
-    for w in &fleet.workers {
-        let _ = writeln!(
-            out,
-            "presto_fleet_worker_credit_wait_ns_total{{worker=\"{}\"}} {}",
-            json_escape(&w.addr),
-            w.credit_wait_ns
-        );
-    }
-    out
+    x.0
 }
 
-/// Render `snapshot` as the stable `presto.telemetry.v1` JSON object.
-/// The shape is documented in `docs/observability.md` and enforced by
-/// [`validate_json`]; spans are *not* included (use [`chrome_trace`]).
+impl Scalar for PhaseKind {
+    const KIND: &'static str = "a string";
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.label());
+    }
+    /// A label this build does not know reads as a pipeline step.
+    fn read(value: &JsonValue) -> Option<Self> {
+        let label = value.as_str()?;
+        let known = [PhaseKind::Io, PhaseKind::Cpu, PhaseKind::Deliver];
+        Some(
+            known
+                .into_iter()
+                .find(|kind| kind.label() == label)
+                .unwrap_or_default(),
+        )
+    }
+}
+
+impl Record for StepSnapshot {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("name", &mut self.name);
+        v.opt("kind", &mut self.kind);
+        v.req("count", &mut self.count);
+        v.req("busy_ns", &mut self.busy_ns);
+        v.req("p50_ns", &mut self.p50_ns);
+        v.req("p95_ns", &mut self.p95_ns);
+        v.req("p99_ns", &mut self.p99_ns);
+        v.req("max_ns", &mut self.max_ns);
+    }
+}
+
+impl Record for WorkerSnapshot {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("worker", &mut self.worker);
+        v.req("busy_ns", &mut self.busy_ns);
+        v.opt("deliver_ns", &mut self.deliver_ns);
+        v.req("idle_ns", &mut self.idle_ns);
+        v.req("samples", &mut self.samples);
+        v.req("bytes_read", &mut self.bytes_read);
+        v.req("retries", &mut self.retries);
+    }
+}
+
+impl Record for QueueSnapshot {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("capacity", &mut self.capacity);
+        v.opt("observations", &mut self.observations);
+        v.req("max_depth", &mut self.max_depth);
+        v.fixed("mean_depth", &mut self.mean_depth, 3);
+    }
+}
+
+impl Record for DataPlaneSnapshot {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.opt("bundles", &mut self.bundles);
+        v.opt("pool_hits", &mut self.pool_hits);
+        v.opt("pool_misses", &mut self.pool_misses);
+    }
+}
+
+/// The members of a `presto.telemetry.v1` document below its `mode`
+/// tag. Spans are *not* part of the schema (use [`chrome_trace`]) and
+/// read back empty.
+impl Record for TelemetrySnapshot {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        let sps = self.samples_per_second();
+        v.object("epoch", false, |v| {
+            v.req("elapsed_ns", &mut self.elapsed_ns);
+            v.req("threads", &mut self.threads);
+            v.req("samples", &mut self.samples);
+            v.derived("samples_per_second", sps, 3);
+            v.req("bytes_read", &mut self.bytes_read);
+            v.req("bytes_decoded", &mut self.bytes_decoded);
+            v.opt("seed", &mut self.epoch_seed);
+        });
+        v.object("faults", false, |v| {
+            v.req("retries", &mut self.retries);
+            v.req("skipped_samples", &mut self.skipped_samples);
+            v.req("lost_shards", &mut self.lost_shards);
+            v.req("degraded", &mut self.degraded);
+        });
+        v.object("cache", false, |v| {
+            v.req("hits", &mut self.cache_hits);
+            v.req("misses", &mut self.cache_misses);
+        });
+        v.records("steps", &mut self.steps);
+        v.records("workers", &mut self.workers);
+        v.record("queue", &mut self.queue);
+        v.object("data_plane", true, |v| self.data_plane.fields(v));
+        v.opt("dropped_spans", &mut self.dropped_spans);
+    }
+}
+
+/// The stable `presto.telemetry.v1` document: one epoch's snapshot
+/// under an optional delivery-mode tag. Written by [`json`] /
+/// [`json_with_mode`], read back with [`doc::read`]; the shape is
+/// documented in `docs/observability.md`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunDocument {
+    /// Delivery mode (`"serve"` for epochs delivered by the
+    /// disaggregated service); `None` is the plain single-process
+    /// document, which omits the member.
+    pub mode: Option<String>,
+    /// The epoch.
+    pub snapshot: TelemetrySnapshot,
+}
+
+impl Record for RunDocument {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.opt("mode", &mut self.mode);
+        self.snapshot.fields(v);
+    }
+}
+
+impl Document for RunDocument {
+    const SCHEMA: &'static str = JSON_SCHEMA;
+}
+
+/// Render `snapshot` as an untagged `presto.telemetry.v1` document.
 pub fn json(snapshot: &TelemetrySnapshot) -> String {
     json_with_mode(snapshot, None)
 }
 
-/// [`json`] with an explicit top-level `"mode"` tag (e.g. `"serve"`
-/// for epochs delivered by the disaggregated service). `None` omits
-/// the field, matching the plain single-process document.
+/// [`json`] with an explicit top-level `"mode"` tag.
 pub fn json_with_mode(snapshot: &TelemetrySnapshot, mode: Option<&str>) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str(&format!("{{\n  \"schema\": \"{JSON_SCHEMA}\",\n"));
-    if let Some(mode) = mode {
-        let _ = writeln!(out, "  \"mode\": \"{}\",", json_escape(mode));
-    }
-    let _ = writeln!(
-        out,
-        "  \"epoch\": {{\"elapsed_ns\": {}, \"threads\": {}, \"samples\": {}, \"samples_per_second\": {:.3}, \"bytes_read\": {}, \"bytes_decoded\": {}, \"seed\": {}}},",
-        snapshot.elapsed_ns,
-        snapshot.threads,
-        snapshot.samples,
-        snapshot.samples_per_second(),
-        snapshot.bytes_read,
-        snapshot.bytes_decoded,
-        snapshot.epoch_seed
-    );
-    let _ = writeln!(
-        out,
-        "  \"faults\": {{\"retries\": {}, \"skipped_samples\": {}, \"lost_shards\": {}, \"degraded\": {}}},",
-        snapshot.retries, snapshot.skipped_samples, snapshot.lost_shards, snapshot.degraded
-    );
-    let _ = writeln!(
-        out,
-        "  \"cache\": {{\"hits\": {}, \"misses\": {}}},",
-        snapshot.cache_hits, snapshot.cache_misses
-    );
-    out.push_str("  \"steps\": [\n");
-    for (i, step) in snapshot.steps.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"kind\": \"{}\", \"count\": {}, \"busy_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}{}",
-            json_escape(&step.name),
-            step.kind.label(),
-            step.count,
-            step.busy_ns,
-            step.p50_ns,
-            step.p95_ns,
-            step.p99_ns,
-            step.max_ns,
-            if i + 1 < snapshot.steps.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n  \"workers\": [\n");
-    for (i, w) in snapshot.workers.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"worker\": {}, \"busy_ns\": {}, \"deliver_ns\": {}, \"idle_ns\": {}, \"samples\": {}, \"bytes_read\": {}, \"retries\": {}}}{}",
-            w.worker,
-            w.busy_ns,
-            w.deliver_ns,
-            w.idle_ns,
-            w.samples,
-            w.bytes_read,
-            w.retries,
-            if i + 1 < snapshot.workers.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(
-        out,
-        "  ],\n  \"queue\": {{\"capacity\": {}, \"observations\": {}, \"max_depth\": {}, \"mean_depth\": {:.3}}},\n",
-        snapshot.queue.capacity,
-        snapshot.queue.observations,
-        snapshot.queue.max_depth,
-        snapshot.queue.mean_depth
-    );
-    let _ = writeln!(
-        out,
-        "  \"data_plane\": {{\"bundles\": {}, \"pool_hits\": {}, \"pool_misses\": {}}},",
-        snapshot.data_plane.bundles, snapshot.data_plane.pool_hits, snapshot.data_plane.pool_misses
-    );
-    let _ = write!(out, "  \"dropped_spans\": {}\n}}\n", snapshot.dropped_spans);
-    out
+    doc::write(RunDocument {
+        mode: mode.map(str::to_string),
+        snapshot: snapshot.clone(),
+    })
 }
 
 /// Render the span timeline as Chrome `trace_event` JSON (the
@@ -699,9 +720,15 @@ pub fn series_value(series: &[(String, f64)], name: &str) -> Result<f64, String>
         .ok_or_else(|| format!("missing series '{name}'"))
 }
 
+/// Deepest container nesting [`parse_json`] follows. The parser
+/// recurses once per level, so input decides its stack depth; our
+/// deepest document nests 5.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -730,8 +757,20 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' | b'[' if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            open @ (b'{' | b'[') => {
+                self.depth += 1;
+                let container = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                container
+            }
             b'"' => Ok(JsonValue::String(self.string()?)),
             b't' => self.literal("true", JsonValue::Bool(true)),
             b'f' => self.literal("false", JsonValue::Bool(false)),
@@ -768,7 +807,9 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Bytes, not chars: a multi-byte character arrives one byte at
+        // a time and is whole again once the closing quote is reached.
+        let mut out = Vec::new();
         loop {
             let c = *self
                 .bytes
@@ -776,7 +817,7 @@ impl<'a> Parser<'a> {
                 .ok_or_else(|| "unterminated string".to_string())?;
             self.pos += 1;
             match c {
-                b'"' => return Ok(out),
+                b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
                 b'\\' => {
                     let esc = *self
                         .bytes
@@ -784,14 +825,12 @@ impl<'a> Parser<'a> {
                         .ok_or_else(|| "unterminated escape".to_string())?;
                     self.pos += 1;
                     match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
+                        b'"' | b'\\' | b'/' => out.push(esc),
+                        b'n' => out.push(b'\n'),
+                        b'r' => out.push(b'\r'),
+                        b't' => out.push(b'\t'),
+                        b'b' => out.push(8),
+                        b'f' => out.push(12),
                         b'u' => {
                             let hex = self
                                 .bytes
@@ -800,12 +839,13 @@ impl<'a> Parser<'a> {
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| "invalid \\u escape".to_string())?;
                             self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                            let c = char::from_u32(hex).unwrap_or('\u{fffd}');
+                            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
                         }
                         other => return Err(format!("invalid escape '\\{}'", other as char)),
                     }
                 }
-                c => out.push(c as char),
+                c => out.push(c),
             }
         }
     }
@@ -859,6 +899,7 @@ pub fn parse_json(input: &str) -> Result<JsonValue, String> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_ws();
@@ -866,96 +907,6 @@ pub fn parse_json(input: &str) -> Result<JsonValue, String> {
         return Err(format!("trailing garbage at byte {}", parser.pos));
     }
     Ok(value)
-}
-
-fn require<'v>(value: &'v JsonValue, path: &[&str]) -> Result<&'v JsonValue, String> {
-    let mut current = value;
-    for key in path {
-        current = current
-            .get(key)
-            .ok_or_else(|| format!("missing required field '{}'", path.join(".")))?;
-    }
-    Ok(current)
-}
-
-/// Validate a document against the `presto.telemetry.v1` schema: it
-/// must parse, carry the schema tag, and contain every required field
-/// with the right shape. Returns the parsed document on success.
-pub fn validate_json(input: &str) -> Result<JsonValue, String> {
-    let doc = parse_json(input)?;
-    match require(&doc, &["schema"])?.as_str() {
-        Some(JSON_SCHEMA) => {}
-        Some(other) => return Err(format!("wrong schema '{other}', expected '{JSON_SCHEMA}'")),
-        None => return Err("'schema' must be a string".into()),
-    }
-    for path in [
-        ["epoch", "elapsed_ns"],
-        ["epoch", "threads"],
-        ["epoch", "samples"],
-        ["epoch", "samples_per_second"],
-        ["epoch", "bytes_read"],
-        ["epoch", "bytes_decoded"],
-        ["faults", "retries"],
-        ["faults", "skipped_samples"],
-        ["faults", "lost_shards"],
-        ["cache", "hits"],
-        ["cache", "misses"],
-        ["queue", "capacity"],
-        ["queue", "max_depth"],
-        ["queue", "mean_depth"],
-    ] {
-        if require(&doc, &path)?.as_f64().is_none() {
-            return Err(format!("'{}' must be a number", path.join(".")));
-        }
-    }
-    if !matches!(require(&doc, &["faults", "degraded"])?, JsonValue::Bool(_)) {
-        return Err("'faults.degraded' must be a boolean".into());
-    }
-    // `epoch.seed` is optional (pre-PR-3 documents lack it) but must
-    // be numeric when present.
-    if let Some(seed) = require(&doc, &["epoch"])?.get("seed") {
-        if seed.as_f64().is_none() {
-            return Err("'epoch.seed' must be a number when present".into());
-        }
-    }
-    // `mode` is optional (single-process documents omit it; serve runs
-    // tag themselves) but must be a string when present.
-    if let Some(mode) = doc.get("mode") {
-        if mode.as_str().is_none() {
-            return Err("'mode' must be a string when present".into());
-        }
-    }
-    let steps = require(&doc, &["steps"])?
-        .as_array()
-        .ok_or_else(|| "'steps' must be an array".to_string())?;
-    for step in steps {
-        if step.get("name").and_then(JsonValue::as_str).is_none() {
-            return Err("every step needs a string 'name'".into());
-        }
-        for field in ["count", "busy_ns", "p50_ns", "p95_ns", "p99_ns", "max_ns"] {
-            if step.get(field).and_then(JsonValue::as_f64).is_none() {
-                return Err(format!("every step needs numeric '{field}'"));
-            }
-        }
-    }
-    let workers = require(&doc, &["workers"])?
-        .as_array()
-        .ok_or_else(|| "'workers' must be an array".to_string())?;
-    for worker in workers {
-        for field in [
-            "worker",
-            "busy_ns",
-            "idle_ns",
-            "samples",
-            "bytes_read",
-            "retries",
-        ] {
-            if worker.get(field).and_then(JsonValue::as_f64).is_none() {
-                return Err(format!("every worker needs numeric '{field}'"));
-            }
-        }
-    }
-    Ok(doc)
 }
 
 /// Validate a Chrome trace document: a JSON array whose `ph: "X"`
@@ -1053,10 +1004,18 @@ mod tests {
         rec.snapshot()
     }
 
+    fn read_run(input: &str) -> Result<RunDocument, String> {
+        doc::read(input)
+    }
+
     #[test]
     fn json_roundtrips_and_validates() -> Result<(), String> {
-        let snap = sample_snapshot();
-        let doc = validate_json(&json(&snap))?;
+        let mut snap = sample_snapshot();
+        let written = json(&snap);
+        // Spans are not part of the schema; everything else reads back.
+        snap.spans.clear();
+        assert_eq!(read_run(&written)?.snapshot, snap);
+        let doc = parse_json(&written)?;
         assert_eq!(doc.require("epoch")?.require_f64("samples")?, 10.0);
         assert_eq!(doc.require("faults")?.require_f64("retries")?, 2.0);
         // The new optional seed field round-trips too.
@@ -1119,32 +1078,36 @@ mod tests {
 
     #[test]
     fn validator_rejects_broken_documents() {
-        assert!(validate_json("{").is_err());
-        assert!(validate_json("{}").is_err());
-        assert!(validate_json("{\"schema\": \"presto.telemetry.v2\"}").is_err());
+        assert!(read_run("{").is_err());
+        assert!(read_run("{}").is_err());
+        assert!(read_run("{\"schema\": \"presto.telemetry.v2\"}").is_err());
         let mut good = json(&sample_snapshot());
         good = good.replace("\"faults\"", "\"falts\"");
-        assert!(validate_json(&good).is_err());
+        assert!(read_run(&good).unwrap_err().contains("'faults'"));
         assert!(validate_chrome_trace("{}").is_err());
         assert!(validate_chrome_trace("[{\"ph\": \"X\"}]").is_err());
         assert!(parse_prometheus("presto bad value").is_err());
         // Non-numeric optional seed is still rejected.
         let seeded = json(&sample_snapshot()).replace("\"seed\": 0", "\"seed\": \"x\"");
-        assert!(validate_json(&seeded).unwrap_err().contains("epoch.seed"));
+        assert!(read_run(&seeded).unwrap_err().contains("epoch.seed"));
     }
 
     #[test]
     fn mode_tag_round_trips_and_is_type_checked() {
         let snap = sample_snapshot();
         let tagged = json_with_mode(&snap, Some("serve"));
-        let doc = validate_json(&tagged).expect("mode-tagged document validates");
-        assert_eq!(doc.require_str("mode"), Ok("serve"));
+        let run = read_run(&tagged).expect("mode-tagged document validates");
+        assert_eq!(run.mode.as_deref(), Some("serve"));
         // Untagged documents still omit and still validate.
-        let plain = validate_json(&json(&snap)).expect("plain document validates");
-        assert!(plain.get("mode").is_none());
+        let plain = json(&snap);
+        assert!(!plain.contains("\"mode\""));
+        assert_eq!(
+            read_run(&plain).expect("plain document validates").mode,
+            None
+        );
         // A non-string mode is rejected.
         let bad = tagged.replace("\"mode\": \"serve\"", "\"mode\": 3");
-        assert!(validate_json(&bad).unwrap_err().contains("mode"));
+        assert!(read_run(&bad).unwrap_err().contains("mode"));
     }
 
     #[test]

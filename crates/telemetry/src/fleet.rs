@@ -12,9 +12,10 @@
 //!   to workers — clock offset + RTT per connection at handshake time,
 //!   then each worker's remote stats, step totals and span timeline
 //!   when the assignment completes.
-//! - [`fleet_json`] / [`validate_fleet_json`]: the stable
-//!   `presto.fleet.v1` document served at `/fleet.json` and written by
-//!   `train-client --fleet-out`.
+//! - [`FleetDocument`] / [`fleet_json`]: the stable `presto.fleet.v1`
+//!   document served at `/fleet.json` and written by
+//!   `train-client --fleet-out`; [`ChaosLog`] is the chaos proxy's
+//!   companion `presto.chaos.v1` event log.
 //! - [`merge_chrome_trace`]: one Chrome `trace_event` document for the
 //!   whole fleet — client spans on pid 1, each worker on its own pid
 //!   with span timestamps corrected onto the client's clock (and
@@ -27,7 +28,8 @@
 //! minimum-RTT sample. To move a worker-clock reading onto the client
 //! clock, *subtract* the offset.
 
-use crate::export::{json_escape, parse_json, JsonValue};
+use crate::doc::{self, Document, Record, Scalar, Visitor};
+use crate::export::{json_escape, JsonValue};
 use crate::{ServeSnapshot, SpanEvent, TelemetrySnapshot};
 use parking_lot::Mutex;
 use std::fmt::Write as _;
@@ -198,278 +200,248 @@ pub struct FleetSnapshot {
     pub workers: Vec<FleetWorkerEntry>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_process(
-    out: &mut String,
-    indent: &str,
-    elapsed_ns: u64,
-    threads: usize,
-    samples: u64,
-    dropped_spans: u64,
-    steps: &[(String, String, u64)],
-    spans: &[SpanEvent],
+/// One process's epoch as the fleet document carries it: totals, step
+/// triples `(name, kind label, busy_ns)` and the span timeline.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FleetProcess {
+    /// Epoch wall time, nanoseconds.
+    pub elapsed_ns: u64,
+    /// Threads (connections, on the client) the spans are spread over.
+    pub threads: usize,
+    /// Samples delivered.
+    pub samples: u64,
+    /// Span events dropped past the budget.
+    pub dropped_spans: u64,
+    /// Step totals: `(name, kind label, busy_ns)`.
+    pub steps: Vec<(String, String, u64)>,
+    /// Span timeline, relative to the process's epoch start.
+    pub spans: Vec<SpanEvent>,
+}
+
+/// The stable `presto.fleet.v1` document: the client's epoch (with
+/// spans), the serve gauge set, and every worker's handshake + remote
+/// stats (with spans). Served at `/fleet.json`, written by
+/// [`fleet_json`], read back with [`doc::read`] and consumed by
+/// [`merge_chrome_trace`].
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FleetDocument {
+    /// Trace id propagated to every worker over the wire.
+    pub trace_id: u64,
+    /// Client-clock [`mono_ns`] reading at epoch start.
+    pub epoch_start_mono_ns: u64,
+    /// The client's epoch.
+    pub client: FleetProcess,
+    /// The serve gauge set (the members the document carries).
+    pub serve: ServeSnapshot,
+    /// Per-worker entries, in first-contact order.
+    pub workers: Vec<FleetWorkerEntry>,
+}
+
+/// A 64-bit id as a `"0x…"` string: a JSON number cannot carry 64 bits
+/// through an f64 parser. Bare numbers are tolerated on read, for
+/// hand-written documents.
+#[derive(Default)]
+struct HexId(u64);
+
+impl Scalar for HexId {
+    const KIND: &'static str = "a hex string";
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "\"{:#018x}\"", self.0);
+    }
+    fn read(value: &JsonValue) -> Option<Self> {
+        match value.as_str() {
+            Some(text) => u64::from_str_radix(text.strip_prefix("0x").unwrap_or(text), 16).ok(),
+            None => u64::read(value),
+        }
+        .map(HexId)
+    }
+}
+
+impl Record for SpanEvent {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("worker", &mut self.worker);
+        v.req("phase", &mut self.phase);
+        v.req("start_ns", &mut self.start_ns);
+        v.req("dur_ns", &mut self.dur_ns);
+    }
+}
+
+impl Record for (String, String, u64) {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("name", &mut self.0);
+        v.req("kind", &mut self.1);
+        v.req("busy_ns", &mut self.2);
+    }
+}
+
+/// The per-process members the client and every worker share; spans
+/// travel as compact `[worker, phase, start_ns, dur_ns]` rows.
+fn process_fields<V: Visitor>(
+    v: &mut V,
+    elapsed_ns: &mut u64,
+    threads: &mut usize,
+    samples: &mut u64,
+    dropped_spans: &mut u64,
+    steps: &mut Vec<(String, String, u64)>,
+    spans: &mut Vec<SpanEvent>,
 ) {
-    let _ = writeln!(
-        out,
-        "{indent}\"elapsed_ns\": {elapsed_ns}, \"threads\": {threads}, \"samples\": {samples}, \"dropped_spans\": {dropped_spans},"
-    );
-    let _ = write!(out, "{indent}\"steps\": [");
-    for (i, (name, kind, busy_ns)) in steps.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{{\"name\": \"{}\", \"kind\": \"{}\", \"busy_ns\": {}}}",
-            if i == 0 { "" } else { ", " },
-            json_escape(name),
-            json_escape(kind),
-            busy_ns
-        );
-    }
-    let _ = writeln!(out, "],");
-    let _ = write!(out, "{indent}\"spans\": [");
-    for (i, s) in spans.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}[{}, {}, {}, {}]",
-            if i == 0 { "" } else { ", " },
-            s.worker,
-            s.phase,
-            s.start_ns,
-            s.dur_ns
-        );
-    }
-    let _ = write!(out, "]");
+    v.req("elapsed_ns", elapsed_ns);
+    v.req("threads", threads);
+    v.req("samples", samples);
+    v.req("dropped_spans", dropped_spans);
+    v.records("steps", steps);
+    v.rows("spans", spans);
 }
 
-fn step_triples(snapshot: &TelemetrySnapshot) -> Vec<(String, String, u64)> {
-    snapshot
-        .steps
-        .iter()
-        .map(|s| (s.name.clone(), s.kind.label().to_string(), s.busy_ns))
-        .collect()
+impl Record for FleetProcess {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        process_fields(
+            v,
+            &mut self.elapsed_ns,
+            &mut self.threads,
+            &mut self.samples,
+            &mut self.dropped_spans,
+            &mut self.steps,
+            &mut self.spans,
+        );
+    }
 }
 
-/// Render the fleet as the stable `presto.fleet.v1` JSON document:
-/// the client's epoch (with spans), the serve gauge set, and every
-/// worker's handshake + remote stats (with spans). This is what
-/// `/fleet.json` serves and what [`merge_chrome_trace`] consumes.
+/// The serve gauges as `presto.fleet.v1` carries them (`credit_wakes`,
+/// `reconnect_attempts` and `done` are `/metrics`-only).
+impl Record for ServeSnapshot {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("workers", &mut self.workers);
+        v.req("batches_sent", &mut self.batches_sent);
+        v.req("bytes_sent", &mut self.bytes_sent);
+        v.req("credit_stalls", &mut self.credit_stalls);
+        v.req("credit_wait_ns", &mut self.credit_wait_ns);
+        v.req("reassignments", &mut self.reassignments);
+        v.req("preemptions", &mut self.preemptions);
+        v.req("rejoins", &mut self.rejoins);
+        v.req("gap_wait_ns", &mut self.gap_wait_ns);
+        v.req("stream_read_ns", &mut self.stream_read_ns);
+        v.req("consume_ns", &mut self.consume_ns);
+        v.req("produce_ns", &mut self.produce_ns);
+    }
+}
+
+impl Record for FleetWorkerEntry {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("addr", &mut self.addr);
+        v.req("conn", &mut self.conn);
+        v.req("peer_version", &mut self.peer_version);
+        v.req("clock_offset_ns", &mut self.clock_offset_ns);
+        v.req("rtt_ns", &mut self.rtt_ns);
+        v.req("assign_start_mono_ns", &mut self.assign_start_mono_ns);
+        v.req("batches", &mut self.batches);
+        v.req("produce_ns", &mut self.produce_ns);
+        v.req("credit_wait_ns", &mut self.credit_wait_ns);
+        // A serve worker produces on one thread.
+        process_fields(
+            v,
+            &mut self.elapsed_ns,
+            &mut 1,
+            &mut self.samples,
+            &mut self.dropped_spans,
+            &mut self.steps,
+            &mut self.spans,
+        );
+    }
+}
+
+impl Record for FleetDocument {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        let mut trace_id = HexId(self.trace_id);
+        v.req("trace_id", &mut trace_id);
+        self.trace_id = trace_id.0;
+        v.req("epoch_start_mono_ns", &mut self.epoch_start_mono_ns);
+        v.record("client", &mut self.client);
+        v.record("serve", &mut self.serve);
+        v.records("workers", &mut self.workers);
+    }
+}
+
+impl Document for FleetDocument {
+    const SCHEMA: &'static str = FLEET_SCHEMA;
+}
+
+/// Render the fleet as its `presto.fleet.v1` document from the three
+/// snapshots a serve client holds.
 pub fn fleet_json(
     client: &TelemetrySnapshot,
     serve: &ServeSnapshot,
     fleet: &FleetSnapshot,
 ) -> String {
-    let mut out = String::with_capacity(4096);
-    let _ = writeln!(out, "{{\n  \"schema\": \"{FLEET_SCHEMA}\",");
-    // Hex string, not a number: 64-bit trace ids do not survive the
-    // f64 round-trip a JSON number implies.
-    let _ = writeln!(out, "  \"trace_id\": \"{:#018x}\",", fleet.trace_id);
-    let _ = writeln!(
-        out,
-        "  \"epoch_start_mono_ns\": {},",
-        fleet.epoch_start_mono_ns
-    );
-    out.push_str("  \"client\": {\n");
-    write_process(
-        &mut out,
-        "    ",
-        client.elapsed_ns,
-        client.threads,
-        client.samples,
-        client.dropped_spans,
-        &step_triples(client),
-        &client.spans,
-    );
-    out.push_str("\n  },\n");
-    let _ = writeln!(
-        out,
-        "  \"serve\": {{\"workers\": {}, \"batches_sent\": {}, \"bytes_sent\": {}, \"credit_stalls\": {}, \"credit_wait_ns\": {}, \"reassignments\": {}, \"preemptions\": {}, \"rejoins\": {}, \"gap_wait_ns\": {}, \"stream_read_ns\": {}, \"consume_ns\": {}, \"produce_ns\": {}}},",
-        serve.workers,
-        serve.batches_sent,
-        serve.bytes_sent,
-        serve.credit_stalls,
-        serve.credit_wait_ns,
-        serve.reassignments,
-        serve.preemptions,
-        serve.rejoins,
-        serve.gap_wait_ns,
-        serve.stream_read_ns,
-        serve.consume_ns,
-        serve.produce_ns
-    );
-    out.push_str("  \"workers\": [\n");
-    for (i, w) in fleet.workers.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(
-            out,
-            "      \"addr\": \"{}\", \"conn\": {}, \"peer_version\": {}, \"clock_offset_ns\": {}, \"rtt_ns\": {}, \"assign_start_mono_ns\": {},",
-            json_escape(&w.addr),
-            w.conn,
-            w.peer_version,
-            w.clock_offset_ns,
-            w.rtt_ns,
-            w.assign_start_mono_ns
-        );
-        let _ = writeln!(
-            out,
-            "      \"batches\": {}, \"produce_ns\": {}, \"credit_wait_ns\": {},",
-            w.batches, w.produce_ns, w.credit_wait_ns
-        );
-        write_process(
-            &mut out,
-            "      ",
-            w.elapsed_ns,
-            1,
-            w.samples,
-            w.dropped_spans,
-            &w.steps,
-            &w.spans,
-        );
-        let _ = write!(
-            out,
-            "\n    }}{}\n",
-            if i + 1 < fleet.workers.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn parse_spans(value: &JsonValue, what: &str) -> Result<Vec<SpanEvent>, String> {
-    let items = value
-        .as_array()
-        .ok_or_else(|| format!("'{what}.spans' must be an array"))?;
-    let mut spans = Vec::with_capacity(items.len());
-    for item in items {
-        let quad = item
-            .as_array()
-            .ok_or_else(|| format!("'{what}.spans' entries must be [worker, phase, start, dur]"))?;
-        if quad.len() != 4 || quad.iter().any(|v| v.as_f64().is_none()) {
-            return Err(format!(
-                "'{what}.spans' entries must be 4 numbers, got {item:?}"
-            ));
-        }
-        spans.push(SpanEvent {
-            worker: quad[0].as_f64().unwrap_or(0.0) as u32,
-            phase: quad[1].as_f64().unwrap_or(0.0) as u32,
-            start_ns: quad[2].as_f64().unwrap_or(0.0) as u64,
-            dur_ns: quad[3].as_f64().unwrap_or(0.0) as u64,
-        });
-    }
-    Ok(spans)
-}
-
-fn parse_steps(value: &JsonValue, what: &str) -> Result<Vec<(String, String, u64)>, String> {
-    let items = value
-        .as_array()
-        .ok_or_else(|| format!("'{what}.steps' must be an array"))?;
-    items
-        .iter()
-        .map(|step| {
-            Ok((
-                step.require_str("name")?.to_string(),
-                step.require_str("kind")?.to_string(),
-                step.require_f64("busy_ns")? as u64,
-            ))
-        })
-        .collect()
-}
-
-/// Parse a document's `trace_id`: a `"0x…"` hex string on the wire
-/// (a JSON number cannot carry 64 bits through an f64 parser), with
-/// bare decimal numbers tolerated for hand-written documents.
-fn parse_trace_id(doc: &JsonValue) -> Result<u64, String> {
-    let value = doc.require("trace_id")?;
-    if let Some(text) = value.as_str() {
-        let digits = text.strip_prefix("0x").unwrap_or(text);
-        return u64::from_str_radix(digits, 16)
-            .map_err(|_| format!("'trace_id' is not a hex id: '{text}'"));
-    }
-    match value.as_f64() {
-        Some(n) if n >= 0.0 => Ok(n as u64),
-        _ => Err("'trace_id' must be a hex string or number".into()),
-    }
-}
-
-/// Validate a document against the `presto.fleet.v1` schema and
-/// return the parsed document on success.
-pub fn validate_fleet_json(input: &str) -> Result<JsonValue, String> {
-    let doc = parse_json(input)?;
-    match doc.require("schema")?.as_str() {
-        Some(FLEET_SCHEMA) => {}
-        Some(other) => return Err(format!("wrong schema '{other}', expected '{FLEET_SCHEMA}'")),
-        None => return Err("'schema' must be a string".into()),
-    }
-    parse_trace_id(&doc)?;
-    doc.require_f64("epoch_start_mono_ns")?;
-    let client = doc.require("client")?;
-    client.require_f64("elapsed_ns")?;
-    client.require_f64("samples")?;
-    parse_steps(client.require("steps")?, "client")?;
-    parse_spans(client.require("spans")?, "client")?;
-    let serve = doc.require("serve")?;
-    for field in [
-        "workers",
-        "batches_sent",
-        "gap_wait_ns",
-        "stream_read_ns",
-        "consume_ns",
-        "credit_wait_ns",
-    ] {
-        serve.require_f64(field)?;
-    }
-    let workers = doc
-        .require("workers")?
-        .as_array()
-        .ok_or_else(|| "'workers' must be an array".to_string())?;
-    for worker in workers {
-        worker.require_str("addr")?;
-        for field in [
-            "conn",
-            "peer_version",
-            "clock_offset_ns",
-            "rtt_ns",
-            "assign_start_mono_ns",
-            "elapsed_ns",
-            "produce_ns",
-            "credit_wait_ns",
-        ] {
-            worker.require_f64(field)?;
-        }
-        parse_steps(worker.require("steps")?, "worker")?;
-        parse_spans(worker.require("spans")?, "worker")?;
-    }
-    Ok(doc)
-}
-
-/// Parse a `presto.fleet.v1` document back into the structures the
-/// merge and diagnosis layers use. Handshake-only entries (no stats
-/// yet) round-trip with zeroed stats.
-pub fn parse_fleet_json(input: &str) -> Result<FleetSnapshot, String> {
-    let doc = validate_fleet_json(input)?;
-    let mut workers = Vec::new();
-    for w in doc.require("workers")?.as_array().unwrap_or(&[]) {
-        workers.push(FleetWorkerEntry {
-            addr: w.require_str("addr")?.to_string(),
-            conn: w.require_f64("conn")? as u32,
-            peer_version: w.require_f64("peer_version")? as u32,
-            clock_offset_ns: w.require_f64("clock_offset_ns")? as i64,
-            rtt_ns: w.require_f64("rtt_ns")? as u64,
-            assign_start_mono_ns: w.require_f64("assign_start_mono_ns")? as u64,
-            elapsed_ns: w.require_f64("elapsed_ns")? as u64,
-            samples: w.require_f64("samples")? as u64,
-            batches: w.require_f64("batches")? as u64,
-            produce_ns: w.require_f64("produce_ns")? as u64,
-            credit_wait_ns: w.require_f64("credit_wait_ns")? as u64,
-            dropped_spans: w.require_f64("dropped_spans")? as u64,
-            steps: parse_steps(w.require("steps")?, "worker")?,
-            spans: parse_spans(w.require("spans")?, "worker")?,
-        });
-    }
-    Ok(FleetSnapshot {
-        active: true,
-        trace_id: parse_trace_id(&doc)?,
-        epoch_start_mono_ns: doc.require_f64("epoch_start_mono_ns")? as u64,
-        workers,
+    doc::write(FleetDocument {
+        trace_id: fleet.trace_id,
+        epoch_start_mono_ns: fleet.epoch_start_mono_ns,
+        client: FleetProcess {
+            elapsed_ns: client.elapsed_ns,
+            threads: client.threads,
+            samples: client.samples,
+            dropped_spans: client.dropped_spans,
+            steps: client
+                .steps
+                .iter()
+                .map(|s| (s.name.clone(), s.kind.label().to_string(), s.busy_ns))
+                .collect(),
+            spans: client.spans.clone(),
+        },
+        serve: *serve,
+        workers: fleet.workers.clone(),
     })
+}
+
+/// One fault a chaos proxy injected, timestamped on the proxy's own
+/// monotonic clock.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ChaosEvent {
+    /// Fault kind: `delay`, `throttle`, `partition`, `corrupt`,
+    /// or `disconnect`.
+    pub kind: String,
+    /// Proxied connection the fault landed on.
+    pub conn: u64,
+    /// Stream direction: `up` (client → worker) or `down`.
+    pub dir: String,
+    /// Window index within that direction's byte stream.
+    pub window: u64,
+    /// [`mono_ns`] when the fault fired.
+    pub t_ns: u64,
+    /// How long the fault held the stream (0 for corrupt/disconnect).
+    pub dur_ns: u64,
+}
+
+/// The `presto.chaos.v1` document: a chaos proxy's bounded event log,
+/// the optional second input of [`merge_chrome_trace`].
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ChaosLog {
+    /// Events that overflowed the proxy's log cap.
+    pub dropped_events: u64,
+    /// Injected faults, in firing order.
+    pub events: Vec<ChaosEvent>,
+}
+
+impl Record for ChaosEvent {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("kind", &mut self.kind);
+        v.req("conn", &mut self.conn);
+        v.opt("dir", &mut self.dir);
+        v.opt("window", &mut self.window);
+        v.req("t_ns", &mut self.t_ns);
+        v.opt("dur_ns", &mut self.dur_ns);
+    }
+}
+
+impl Record for ChaosLog {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.opt("dropped_events", &mut self.dropped_events);
+        v.records("events", &mut self.events);
+    }
+}
+
+impl Document for ChaosLog {
+    const SCHEMA: &'static str = CHAOS_SCHEMA;
 }
 
 fn step_name(steps: &[(String, String, u64)], phase: u32) -> (String, String) {
@@ -486,8 +458,8 @@ fn push_event(
     cat: &str,
     ts_ns: i128,
     dur_ns: u64,
-    pid: u32,
-    tid: u32,
+    pid: u64,
+    tid: u64,
     args: Option<&str>,
 ) {
     let _ = write!(
@@ -502,7 +474,7 @@ fn push_event(
     out.push('}');
 }
 
-fn push_meta(out: &mut String, kind: &str, pid: u32, tid: u32, name: &str, first: bool) {
+fn push_meta(out: &mut String, kind: &str, pid: u64, tid: u64, name: &str, first: bool) {
     let _ = write!(
         out,
         "{}{{\"name\": \"{kind}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"name\": \"{}\"}}}}",
@@ -530,44 +502,24 @@ fn push_meta(out: &mut String, kind: &str, pid: u32, tid: u32, name: &str, first
 /// The output is a pure function of the input documents — merging the
 /// same bundle twice yields byte-identical output.
 pub fn merge_chrome_trace(fleet_doc: &str, chaos_doc: Option<&str>) -> Result<String, String> {
-    let doc = validate_fleet_json(fleet_doc)?;
-    let epoch_start = doc.require_f64("epoch_start_mono_ns")? as i128;
-    let client = doc.require("client")?;
-    let client_steps = parse_steps(client.require("steps")?, "client")?;
-    let client_spans = parse_spans(client.require("spans")?, "client")?;
-    let workers = doc.require("workers")?.as_array().unwrap_or(&[]).to_vec();
+    let fleet: FleetDocument = doc::read(fleet_doc)?;
+    let epoch_start = fleet.epoch_start_mono_ns as i128;
 
     let mut out = String::with_capacity(4096);
     out.push_str("[\n");
     push_meta(&mut out, "process_name", 1, 0, "train-client", true);
-    for w in &workers {
-        let conn = w.require_f64("conn")? as u32;
-        let addr = w.require_str("addr")?;
-        push_meta(
-            &mut out,
-            "thread_name",
-            1,
-            conn,
-            &format!("conn-{conn} {addr}"),
-            false,
-        );
+    for w in &fleet.workers {
+        let name = format!("conn-{} {}", w.conn, w.addr);
+        push_meta(&mut out, "thread_name", 1, w.conn.into(), &name, false);
     }
-    for (i, w) in workers.iter().enumerate() {
-        let pid = 2 + i as u32;
-        let addr = w.require_str("addr")?;
-        push_meta(
-            &mut out,
-            "process_name",
-            pid,
-            0,
-            &format!("serve-worker {addr}"),
-            false,
-        );
+    for (pid, w) in (2..).zip(&fleet.workers) {
+        let name = format!("serve-worker {}", w.addr);
+        push_meta(&mut out, "process_name", pid, 0, &name, false);
     }
 
     // Client spans: already relative to the client epoch start.
-    for span in &client_spans {
-        let (name, cat) = step_name(&client_steps, span.phase);
+    for span in &fleet.client.spans {
+        let (name, cat) = step_name(&fleet.client.steps, span.phase);
         push_event(
             &mut out,
             &name,
@@ -575,7 +527,7 @@ pub fn merge_chrome_trace(fleet_doc: &str, chaos_doc: Option<&str>) -> Result<St
             span.start_ns as i128,
             span.dur_ns,
             1,
-            span.worker,
+            span.worker.into(),
             None,
         );
     }
@@ -583,30 +535,15 @@ pub fn merge_chrome_trace(fleet_doc: &str, chaos_doc: Option<&str>) -> Result<St
     // Worker spans: correct onto the client clock, then clamp into the
     // client-side envelope of that connection (clock-offset estimation
     // error must not break visual nesting; the raw value is kept).
-    for (i, w) in workers.iter().enumerate() {
-        let pid = 2 + i as u32;
-        let conn = w.require_f64("conn")? as u32;
-        let offset = w.require_f64("clock_offset_ns")? as i128;
-        let assign_start = w.require_f64("assign_start_mono_ns")? as i128;
-        let steps = parse_steps(w.require("steps")?, "worker")?;
-        let spans = parse_spans(w.require("spans")?, "worker")?;
-        let envelope = {
-            let mine: Vec<&SpanEvent> = client_spans.iter().filter(|s| s.worker == conn).collect();
-            if mine.is_empty() {
-                None
-            } else {
-                let lo = mine.iter().map(|s| s.start_ns).min().unwrap_or(0) as i128;
-                let hi = mine
-                    .iter()
-                    .map(|s| s.start_ns + s.dur_ns)
-                    .max()
-                    .unwrap_or(0) as i128;
-                Some((lo, hi))
-            }
-        };
-        let base = assign_start - offset - epoch_start;
-        for span in &spans {
-            let (name, cat) = step_name(&steps, span.phase);
+    for (pid, w) in (2..).zip(&fleet.workers) {
+        let mine = || fleet.client.spans.iter().filter(|s| s.worker == w.conn);
+        let envelope = mine().map(|s| s.start_ns).min().map(|lo| {
+            let hi = mine().map(|s| s.start_ns + s.dur_ns).max().unwrap_or(lo);
+            (lo as i128, hi as i128)
+        });
+        let base = w.assign_start_mono_ns as i128 - w.clock_offset_ns as i128 - epoch_start;
+        for span in &w.spans {
+            let (name, cat) = step_name(&w.steps, span.phase);
             let raw_start = base + span.start_ns as i128;
             let raw_end = raw_start + span.dur_ns as i128;
             let (start, end) = match envelope {
@@ -628,7 +565,7 @@ pub fn merge_chrome_trace(fleet_doc: &str, chaos_doc: Option<&str>) -> Result<St
                 start,
                 (end - start).max(0) as u64,
                 pid,
-                span.worker,
+                span.worker.into(),
                 args.as_deref(),
             );
         }
@@ -636,50 +573,27 @@ pub fn merge_chrome_trace(fleet_doc: &str, chaos_doc: Option<&str>) -> Result<St
 
     // Chaos events: separate clock domain, normalized to first event.
     if let Some(chaos) = chaos_doc {
-        let chaos = parse_json(chaos)?;
-        match chaos.require("schema")?.as_str() {
-            Some(CHAOS_SCHEMA) => {}
-            Some(other) => {
-                return Err(format!(
-                    "wrong chaos schema '{other}', expected '{CHAOS_SCHEMA}'"
-                ))
-            }
-            None => return Err("chaos 'schema' must be a string".into()),
-        }
+        let chaos: ChaosLog = doc::read(chaos)?;
         push_meta(&mut out, "process_name", 99, 0, "chaos-proxy", false);
-        let events = chaos
-            .require("events")?
-            .as_array()
-            .ok_or_else(|| "'events' must be an array".to_string())?;
-        let t0 = events
-            .iter()
-            .filter_map(|e| e.get("t_ns").and_then(JsonValue::as_f64))
-            .fold(f64::INFINITY, f64::min);
-        let t0 = if t0.is_finite() { t0 as i128 } else { 0 };
-        for event in events {
-            let kind = event.require_str("kind")?;
-            let conn = event.require_f64("conn")? as u32;
-            let dir = event.get("dir").and_then(JsonValue::as_str).unwrap_or("?");
-            let t_ns = event.require_f64("t_ns")? as i128;
-            let dur_ns = event
-                .get("dur_ns")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0) as u64;
-            let window = event
-                .get("window")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0) as u64;
+        let t0 = chaos.events.iter().map(|e| e.t_ns).min().unwrap_or(0);
+        for event in &chaos.events {
+            let dir = if event.dir.is_empty() {
+                "?"
+            } else {
+                &event.dir
+            };
             push_event(
                 &mut out,
-                &json_escape(kind),
+                &json_escape(&event.kind),
                 "chaos",
-                t_ns - t0,
-                dur_ns,
+                event.t_ns as i128 - t0 as i128,
+                event.dur_ns,
                 99,
-                conn,
+                event.conn,
                 Some(&format!(
-                    "{{\"dir\": \"{}\", \"window\": {window}}}",
-                    json_escape(dir)
+                    "{{\"dir\": \"{}\", \"window\": {}}}",
+                    json_escape(dir),
+                    event.window
                 )),
             );
         }
@@ -692,8 +606,12 @@ pub fn merge_chrome_trace(fleet_doc: &str, chaos_doc: Option<&str>) -> Result<St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::validate_chrome_trace;
+    use crate::export::{parse_json, validate_chrome_trace};
     use crate::{Telemetry, PHASE_READ};
+
+    fn parse_fleet_json(input: &str) -> Result<FleetDocument, String> {
+        doc::read(input)
+    }
 
     fn client_snapshot() -> TelemetrySnapshot {
         let t = Telemetry::new();
@@ -795,8 +713,8 @@ mod tests {
 
     #[test]
     fn validator_rejects_broken_fleet_documents() {
-        assert!(validate_fleet_json("{}").is_err());
-        assert!(validate_fleet_json("{\"schema\": \"presto.fleet.v2\"}").is_err());
+        assert!(parse_fleet_json("{}").is_err());
+        assert!(parse_fleet_json("{\"schema\": \"presto.fleet.v2\"}").is_err());
         let progress = FleetProgress::default();
         progress.begin(1);
         let good = fleet_json(
@@ -804,9 +722,9 @@ mod tests {
             &ServeSnapshot::default(),
             &progress.snapshot(),
         );
-        assert!(validate_fleet_json(&good).is_ok());
+        assert!(parse_fleet_json(&good).is_ok());
         let bad = good.replace("\"serve\"", "\"swerve\"");
-        assert!(validate_fleet_json(&bad).is_err());
+        assert!(parse_fleet_json(&bad).is_err());
     }
 
     #[test]

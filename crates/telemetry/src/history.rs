@@ -5,7 +5,8 @@
 //! `presto compare` resolves any two entries (by id or by path) into
 //! [`RunMetrics`] for the regression analysis in `core::analysis`.
 
-use crate::export::{self, JsonValue};
+use crate::doc;
+use crate::export::{self, RunDocument};
 use crate::TelemetrySnapshot;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -72,50 +73,30 @@ pub struct RunRecord {
     pub metrics: RunMetrics,
 }
 
-/// Extract [`RunMetrics`] from a validated `presto.telemetry.v1`
-/// document. Errors name the missing/mistyped field (the validator's
-/// contract), never panic.
+/// Read a `presto.telemetry.v1` document and reduce it to its
+/// [`RunMetrics`]. Errors name the missing/mistyped field, never
+/// panic.
 pub fn parse_run_document(input: &str) -> Result<RunMetrics, String> {
-    let doc = export::validate_json(input)?;
-    let epoch = doc.require("epoch")?;
-    let faults = doc.require("faults")?;
-    let cache = doc.require("cache")?;
-    let as_u64 = |v: f64| v.max(0.0) as u64;
-    let steps = doc
-        .require("steps")?
-        .as_array()
-        .ok_or_else(|| "'steps' must be an array".to_string())?
-        .iter()
-        .map(|s| {
-            Ok((
-                s.require_str("name")?.to_string(),
-                s.require_f64("busy_ns")?,
-                s.require_f64("p95_ns")?,
-            ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+    let RunDocument { mode, snapshot } = doc::read(input)?;
     Ok(RunMetrics {
-        samples: as_u64(epoch.require_f64("samples")?),
-        sps: epoch.require_f64("samples_per_second")?,
-        elapsed_ns: as_u64(epoch.require_f64("elapsed_ns")?),
-        threads: as_u64(epoch.require_f64("threads")?),
-        bytes_read: as_u64(epoch.require_f64("bytes_read")?),
-        retries: as_u64(faults.require_f64("retries")?),
-        skipped_samples: as_u64(faults.require_f64("skipped_samples")?),
-        lost_shards: as_u64(faults.require_f64("lost_shards")?),
-        degraded: matches!(faults.require("degraded")?, JsonValue::Bool(true)),
-        cache_hits: as_u64(cache.require_f64("hits")?),
-        cache_misses: as_u64(cache.require_f64("misses")?),
-        seed: epoch
-            .get("seed")
-            .and_then(JsonValue::as_f64)
-            .map_or(0, |v| v.max(0.0) as u64),
-        mode: doc
-            .get("mode")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("real")
-            .to_string(),
-        steps,
+        samples: snapshot.samples,
+        sps: snapshot.samples_per_second(),
+        elapsed_ns: snapshot.elapsed_ns,
+        threads: snapshot.threads as u64,
+        bytes_read: snapshot.bytes_read,
+        retries: snapshot.retries,
+        skipped_samples: snapshot.skipped_samples,
+        lost_shards: snapshot.lost_shards,
+        degraded: snapshot.degraded,
+        cache_hits: snapshot.cache_hits,
+        cache_misses: snapshot.cache_misses,
+        seed: snapshot.epoch_seed,
+        mode: mode.unwrap_or_else(|| "real".to_string()),
+        steps: snapshot
+            .steps
+            .iter()
+            .map(|s| (s.name.clone(), s.busy_ns as f64, s.p95_ns as f64))
+            .collect(),
     })
 }
 
@@ -147,7 +128,7 @@ impl RunStore {
     /// Append a raw `presto.telemetry.v1` document after validating
     /// it; returns `(run_id, path)`.
     pub fn append_document(&self, document: &str) -> Result<(String, PathBuf), String> {
-        export::validate_json(document)
+        doc::read::<RunDocument>(document)
             .map_err(|e| format!("refusing to store invalid run: {e}"))?;
         fs::create_dir_all(&self.dir).map_err(|e| format!("create {}: {e}", self.dir.display()))?;
         let next = self

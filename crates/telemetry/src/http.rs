@@ -7,7 +7,7 @@
 //! - `GET /metrics` — Prometheus text exposition of the current (live,
 //!   mid-epoch) snapshot via [`crate::export::prometheus`];
 //! - `GET /timeseries.json` — the sampler ring as
-//!   `presto.timeseries.v1` JSON via [`crate::timeseries::json`];
+//!   `presto.timeseries.v1` JSON ([`TimeSeriesDocument`]);
 //! - `GET /fleet.json` — the fleet trace bundle as `presto.fleet.v1`
 //!   JSON via [`crate::fleet::fleet_json`] (404 until a traced serve
 //!   epoch has begun);
@@ -17,10 +17,9 @@
 //! so a scrape costs the engine nothing but relaxed atomic loads on
 //! the handler's own core.
 
-use crate::export;
-use crate::timeseries::{self, TimeSeries};
-use crate::Telemetry;
-use std::io::{self, BufRead, BufReader, Write as _};
+use crate::timeseries::{TimeSeries, TimeSeriesDocument};
+use crate::{doc, export, Telemetry};
+use std::io::{self, BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -188,7 +187,7 @@ fn handle_connection(stream: TcpStream, telemetry: &Arc<Telemetry>, series: &Arc
         "/tenants.json" => {
             let tenants = telemetry.tenants().snapshot();
             if tenants.active {
-                let body = crate::tenants::tenants_json(&tenants);
+                let body = doc::write(tenants);
                 respond(&mut stream, 200, "application/json; charset=utf-8", &body)
             } else {
                 respond(
@@ -200,7 +199,10 @@ fn handle_connection(stream: TcpStream, telemetry: &Arc<Telemetry>, series: &Arc
             }
         }
         "/timeseries.json" => {
-            let body = timeseries::json(&series.points(), series.evicted());
+            let body = doc::write(TimeSeriesDocument {
+                evicted: series.evicted(),
+                points: series.points(),
+            });
             respond(&mut stream, 200, "application/json; charset=utf-8", &body)
         }
         _ => respond(&mut stream, 404, "text/plain; charset=utf-8", "not found\n"),
@@ -225,6 +227,10 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
     stream.flush()
 }
 
+/// Most response bytes [`get`] will read: 64 MiB, far above any
+/// document this crate serves.
+const MAX_RESPONSE_BYTES: u64 = 64 << 20;
+
 /// Blocking `GET` against a served path; returns `(status, body)`.
 /// Shared by tests and `presto watch --attach`-style tooling so the
 /// repo needs no HTTP client dependency either.
@@ -238,7 +244,8 @@ pub fn get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
         "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
     )?;
     stream.flush()?;
-    let mut reader = BufReader::new(stream);
+    // The peer decides how much it sends; we decide how much we keep.
+    let mut reader = BufReader::new(stream.take(MAX_RESPONSE_BYTES + 1));
     let mut status_line = String::new();
     reader.read_line(&mut status_line)?;
     let status: u16 = status_line
@@ -252,7 +259,13 @@ pub fn get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
     }
     let mut body = String::new();
     // Connection: close — read to EOF.
-    io::Read::read_to_string(&mut reader, &mut body)?;
+    reader.read_to_string(&mut body)?;
+    if reader.get_ref().limit() == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("response exceeds {MAX_RESPONSE_BYTES} bytes"),
+        ));
+    }
     Ok((status, body))
 }
 
@@ -260,7 +273,6 @@ pub fn get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
 mod tests {
     use super::*;
     use crate::export::parse_prometheus;
-    use crate::timeseries::validate_json;
 
     fn served() -> (MetricsServer, Arc<Telemetry>, Arc<TimeSeries>) {
         let telemetry = Telemetry::new();
@@ -320,8 +332,9 @@ mod tests {
         rec.phase_done(0, crate::BUILTIN_PHASES, t0);
         let (status, body) = get(server.addr(), "/fleet.json").expect("active fleet");
         assert_eq!(status, 200);
-        let doc = crate::fleet::validate_fleet_json(&body).expect("schema-valid document");
-        assert_eq!(doc.require_str("trace_id"), Ok("0x00000000000f1ee7"));
+        let fleet: crate::fleet::FleetDocument = doc::read(&body).expect("schema-valid document");
+        assert_eq!(fleet.trace_id, 0xF1EE7);
+        assert!(body.contains("\"trace_id\": \"0x00000000000f1ee7\""));
 
         // The active fleet also shows up in the Prometheus exposition.
         let (status, metrics) = get(server.addr(), "/metrics").expect("metrics");
@@ -342,8 +355,8 @@ mod tests {
         telemetry.tenants().delivered("job-a", 64, 4, 4_096);
         let (status, body) = get(server.addr(), "/tenants.json").expect("active tenants");
         assert_eq!(status, 200);
-        let doc = crate::tenants::validate_tenants_json(&body).expect("schema-valid document");
-        assert_eq!(doc.require_f64("max_jobs"), Ok(4.0));
+        let tenants: crate::TenantsSnapshot = doc::read(&body).expect("schema-valid document");
+        assert_eq!(tenants.max_jobs, 4);
 
         // The registry also shows up in the Prometheus exposition,
         // labeled per tenant with an unlabeled back-compat sum.
@@ -370,7 +383,8 @@ mod tests {
         series.push(crate::timeseries::point_between(None, &curr, 0, 1_000_000));
         let (status, body) = get(server.addr(), "/timeseries.json").expect("timeseries");
         assert_eq!(status, 200);
-        assert_eq!(validate_json(&body), Ok(1));
+        let series: TimeSeriesDocument = doc::read(&body).expect("schema-valid document");
+        assert_eq!(series.points.len(), 1);
         server.stop();
     }
 }

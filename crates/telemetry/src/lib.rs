@@ -31,6 +31,7 @@
 
 pub mod alloc;
 pub mod causal;
+pub mod doc;
 pub mod export;
 pub mod fleet;
 pub mod history;
@@ -142,7 +143,7 @@ impl Histogram {
 
 /// What a timed phase spends its wall time on — the signal the
 /// bottleneck attribution keys off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PhaseKind {
     /// Storage I/O (shard fetches).
     Io,
@@ -152,6 +153,7 @@ pub enum PhaseKind {
     /// callback, or blocking on the bounded prefetch channel.
     Deliver,
     /// A pipeline step proper.
+    #[default]
     Step,
 }
 
@@ -195,7 +197,7 @@ fn phase_kind(index: usize) -> PhaseKind {
 }
 
 /// One timed interval of one worker, relative to the epoch start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanEvent {
     /// Worker (thread) index.
     pub worker: u32,
@@ -1073,7 +1075,7 @@ pub struct ServeSnapshot {
 }
 
 /// Aggregated latency of one phase or pipeline step over an epoch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StepSnapshot {
     /// Phase or step name (`read`/`decompress`/`decode`/`queue-wait`/
     /// `hand-off` are engine phases; the rest are the pipeline's
@@ -1096,7 +1098,7 @@ pub struct StepSnapshot {
 }
 
 /// One worker's activity over an epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WorkerSnapshot {
     /// Worker index.
     pub worker: usize,
@@ -1116,7 +1118,7 @@ pub struct WorkerSnapshot {
 }
 
 /// Prefetch-channel depth statistics over an epoch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueueSnapshot {
     /// Channel capacity (0 = no channel, callback delivery).
     pub capacity: u64,
@@ -1156,7 +1158,7 @@ impl DataPlaneSnapshot {
 
 /// Everything one epoch recorded, as plain data — the input to every
 /// exporter and to real-run bottleneck diagnosis.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySnapshot {
     /// Epoch wall time, nanoseconds.
     pub elapsed_ns: u64,

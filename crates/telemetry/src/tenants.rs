@@ -12,15 +12,16 @@
 //!   and freezes the window at the first finish — the frozen
 //!   `window_samples` cover exactly the all-tenants-active interval,
 //!   which is what the CI gate compares against the weights.
-//! - [`tenants_json`] / [`parse_tenants_json`] /
-//!   [`validate_tenants_json`]: the stable `presto.tenants.v1`
-//!   document served at `/tenants.json`.
+//! - [`TenantsSnapshot`] is itself the stable `presto.tenants.v1`
+//!   document served at `/tenants.json`: written and read through
+//!   [`crate::doc`] from its one field list.
 //! - [`prometheus_tenants`]: per-tenant labeled `/metrics` series
 //!   (`presto_serve_batches_total{tenant="…"}` …) plus the
 //!   back-compatible unlabeled sums the single-tenant dashboards
 //!   already scrape.
 
-use crate::export::{json_escape, parse_json, JsonValue};
+use crate::doc::{Document, Record, Scalar, Visitor};
+use crate::export::{json_escape, Exposition, JsonValue};
 use crate::fleet::mono_ns;
 use parking_lot::Mutex;
 use std::fmt::Write as _;
@@ -29,9 +30,10 @@ use std::fmt::Write as _;
 pub const TENANTS_SCHEMA: &str = "presto.tenants.v1";
 
 /// Lifecycle of a registered tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TenantState {
     /// Admitted and (presumed) assigning shards.
+    #[default]
     Serving,
     /// Epoch delivered completely.
     Done,
@@ -48,19 +50,10 @@ impl TenantState {
             TenantState::Failed => "failed",
         }
     }
-
-    fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "serving" => Some(TenantState::Serving),
-            "done" => Some(TenantState::Done),
-            "failed" => Some(TenantState::Failed),
-            _ => None,
-        }
-    }
 }
 
 /// One tenant's accounting, as exposed by [`TenantsProgress::snapshot`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TenantEntry {
     /// Tenant (job) name from REGISTER.
     pub name: String,
@@ -95,16 +88,8 @@ impl TenantEntry {
         TenantEntry {
             name: name.to_string(),
             weight: weight.max(1),
-            state: TenantState::Serving,
             shards_total,
-            shards_done: 0,
-            requeues: 0,
-            samples: 0,
-            batches: 0,
-            bytes: 0,
-            in_window: false,
-            window_samples: 0,
-            elapsed_ns: 0,
+            ..TenantEntry::default()
         }
     }
 }
@@ -367,150 +352,78 @@ impl TenantsProgress {
     }
 }
 
-/// Render the registry as the stable `presto.tenants.v1` document:
-/// admission policy, fair-share window state, and one entry per
-/// tenant with its delivery counters and both share readings.
-pub fn tenants_json(snapshot: &TenantsSnapshot) -> String {
-    let mut out = String::with_capacity(1024);
-    let _ = writeln!(out, "{{\n  \"schema\": \"{TENANTS_SCHEMA}\",");
-    let _ = writeln!(
-        out,
-        "  \"max_jobs\": {}, \"shard_quota\": {}, \"rejected\": {},",
-        snapshot.max_jobs, snapshot.shard_quota, snapshot.rejected
-    );
-    let _ = writeln!(
-        out,
-        "  \"window\": {{\"open\": {}, \"closed\": {}}},",
-        snapshot.window_open, snapshot.window_closed
-    );
-    out.push_str("  \"tenants\": [\n");
-    for (i, t) in snapshot.tenants.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(
-            out,
-            "      \"name\": \"{}\", \"weight\": {}, \"state\": \"{}\",",
-            json_escape(&t.name),
-            t.weight,
-            t.state.label()
-        );
-        let _ = writeln!(
-            out,
-            "      \"shards_total\": {}, \"shards_done\": {}, \"requeues\": {},",
-            t.shards_total, t.shards_done, t.requeues
-        );
-        let _ = writeln!(
-            out,
-            "      \"samples\": {}, \"batches\": {}, \"bytes\": {}, \"elapsed_ns\": {},",
-            t.samples, t.batches, t.bytes, t.elapsed_ns
-        );
-        let _ = writeln!(
-            out,
-            "      \"in_window\": {}, \"window_samples\": {},",
-            t.in_window, t.window_samples
-        );
-        let _ = writeln!(
-            out,
-            "      \"fair_share\": {:.6}, \"measured_share\": {:.6}",
-            snapshot.fair_share(&t.name).unwrap_or(0.0),
-            snapshot.measured_share(&t.name).unwrap_or(0.0)
-        );
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if i + 1 < snapshot.tenants.len() {
-                ","
-            } else {
-                ""
-            }
-        );
+impl Scalar for TenantState {
+    const KIND: &'static str = "one of \"serving\", \"done\", \"failed\"";
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.label());
     }
-    out.push_str("  ]\n}\n");
-    out
+    fn read(value: &JsonValue) -> Option<Self> {
+        let label = value.as_str()?;
+        [TenantState::Serving, TenantState::Done, TenantState::Failed]
+            .into_iter()
+            .find(|state| state.label() == label)
+    }
 }
 
-/// Validate a document against the `presto.tenants.v1` schema and
-/// return the parsed document on success.
-pub fn validate_tenants_json(input: &str) -> Result<JsonValue, String> {
-    let doc = parse_json(input)?;
-    match doc.require("schema")?.as_str() {
-        Some(TENANTS_SCHEMA) => {}
-        Some(other) => {
-            return Err(format!(
-                "wrong schema '{other}', expected '{TENANTS_SCHEMA}'"
-            ))
-        }
-        None => return Err("'schema' must be a string".into()),
-    }
-    for field in ["max_jobs", "shard_quota", "rejected"] {
-        doc.require_f64(field)?;
-    }
-    doc.require("window")?;
-    let tenants = doc
-        .require("tenants")?
-        .as_array()
-        .ok_or_else(|| "'tenants' must be an array".to_string())?;
-    for tenant in tenants {
-        let name = tenant.require_str("name")?;
-        let state = tenant.require_str("state")?;
-        if TenantState::from_label(state).is_none() {
-            return Err(format!("tenant '{name}' has unknown state '{state}'"));
-        }
-        for field in [
-            "weight",
-            "shards_total",
-            "shards_done",
-            "requeues",
-            "samples",
-            "batches",
-            "bytes",
-            "elapsed_ns",
-            "window_samples",
-            "fair_share",
-            "measured_share",
-        ] {
-            tenant.require_f64(field)?;
-        }
-    }
-    Ok(doc)
+/// One tenant on the wire: its entry plus both share readings, which
+/// are derived from the whole registry and so computed by
+/// [`TenantsSnapshot`]'s field list before the entries are visited.
+#[derive(Default)]
+struct TenantRow {
+    entry: TenantEntry,
+    fair_share: f64,
+    measured_share: f64,
 }
 
-/// Parse a `presto.tenants.v1` document back into a snapshot (what
-/// `presto tenants` renders after scraping `/tenants.json`).
-pub fn parse_tenants_json(input: &str) -> Result<TenantsSnapshot, String> {
-    let doc = validate_tenants_json(input)?;
-    let window = doc.require("window")?;
-    let truthy = |v: &JsonValue, what: &str| -> Result<bool, String> {
-        match v.require(what)? {
-            JsonValue::Bool(b) => Ok(*b),
-            _ => Err(format!("'{what}' must be a boolean")),
-        }
-    };
-    let mut tenants = Vec::new();
-    for t in doc.require("tenants")?.as_array().unwrap_or(&[]) {
-        tenants.push(TenantEntry {
-            name: t.require_str("name")?.to_string(),
-            weight: t.require_f64("weight")? as u32,
-            state: TenantState::from_label(t.require_str("state")?).unwrap_or(TenantState::Serving),
-            shards_total: t.require_f64("shards_total")? as u64,
-            shards_done: t.require_f64("shards_done")? as u64,
-            requeues: t.require_f64("requeues")? as u64,
-            samples: t.require_f64("samples")? as u64,
-            batches: t.require_f64("batches")? as u64,
-            bytes: t.require_f64("bytes")? as u64,
-            in_window: truthy(t, "in_window")?,
-            window_samples: t.require_f64("window_samples")? as u64,
-            elapsed_ns: t.require_f64("elapsed_ns")? as u64,
+impl Record for TenantRow {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        let t = &mut self.entry;
+        v.req("name", &mut t.name);
+        v.req("weight", &mut t.weight);
+        v.req("state", &mut t.state);
+        v.req("shards_total", &mut t.shards_total);
+        v.req("shards_done", &mut t.shards_done);
+        v.req("requeues", &mut t.requeues);
+        v.req("samples", &mut t.samples);
+        v.req("batches", &mut t.batches);
+        v.req("bytes", &mut t.bytes);
+        v.req("elapsed_ns", &mut t.elapsed_ns);
+        v.req("in_window", &mut t.in_window);
+        v.req("window_samples", &mut t.window_samples);
+        v.derived("fair_share", self.fair_share, 6);
+        v.derived("measured_share", self.measured_share, 6);
+    }
+}
+
+/// The stable `presto.tenants.v1` document served at `/tenants.json`:
+/// admission policy, fair-share window state, and one entry per tenant
+/// with its delivery counters and both share readings. `active` is
+/// not on the wire and reads back `false`.
+impl Record for TenantsSnapshot {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("max_jobs", &mut self.max_jobs);
+        v.req("shard_quota", &mut self.shard_quota);
+        v.req("rejected", &mut self.rejected);
+        v.object("window", false, |v| {
+            v.req("open", &mut self.window_open);
+            v.req("closed", &mut self.window_closed);
         });
+        let mut rows: Vec<TenantRow> = self
+            .tenants
+            .iter()
+            .map(|t| TenantRow {
+                entry: t.clone(),
+                fair_share: self.fair_share(&t.name).unwrap_or(0.0),
+                measured_share: self.measured_share(&t.name).unwrap_or(0.0),
+            })
+            .collect();
+        v.records("tenants", &mut rows);
+        self.tenants = rows.into_iter().map(|row| row.entry).collect();
     }
-    Ok(TenantsSnapshot {
-        active: true,
-        max_jobs: doc.require_f64("max_jobs")? as u64,
-        shard_quota: doc.require_f64("shard_quota")? as u64,
-        rejected: doc.require_f64("rejected")? as u64,
-        window_open: truthy(window, "open")?,
-        window_closed: truthy(window, "closed")?,
-        tenants,
-    })
+}
+
+impl Document for TenantsSnapshot {
+    const SCHEMA: &'static str = TENANTS_SCHEMA;
 }
 
 /// Per-tenant labeled Prometheus series plus unlabeled sums.
@@ -521,76 +434,77 @@ pub fn parse_tenants_json(input: &str) -> Result<TenantsSnapshot, String> {
 /// unlabeled carrying the sum — existing single-tenant dashboards
 /// keep scraping the same name, multi-tenant ones select the label.
 pub fn prometheus_tenants(snapshot: &TenantsSnapshot) -> String {
-    let mut out = String::with_capacity(1024);
-    let mut gauge = |name: &str, help: &str, value: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {value}");
-    };
-    gauge(
+    let mut x = Exposition(String::with_capacity(1024));
+    x.metric(
         "presto_tenants_max_jobs",
         "Admission policy: max concurrently admitted jobs.",
+        "gauge",
         snapshot.max_jobs,
     );
-    gauge(
+    x.metric(
         "presto_tenants_shard_quota",
         "Admission policy: per-tenant shard quota.",
+        "gauge",
         snapshot.shard_quota,
     );
-    gauge(
+    x.metric(
         "presto_tenants_rejected_total",
         "Registrations refused by the admission controller.",
+        "gauge",
         snapshot.rejected,
     );
-    let mut labeled = |name: &str, help: &str, value_of: &dyn Fn(&TenantEntry) -> u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let mut sum = 0u64;
-        for t in &snapshot.tenants {
-            let value = value_of(t);
-            sum += value;
-            let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {value}", json_escape(&t.name));
-        }
+    type Reading = fn(&TenantEntry) -> u64;
+    let families: [(&str, &str, Reading); 6] = [
+        (
+            "presto_tenant_weight",
+            "Deficit-round-robin weight from REGISTER.",
+            |t| t.weight.into(),
+        ),
+        (
+            "presto_tenant_requeues_total",
+            "Shards requeued after backend failures, charged per tenant.",
+            |t| t.requeues,
+        ),
+        (
+            "presto_tenant_window_samples",
+            "Samples delivered inside the fair-share window.",
+            |t| t.window_samples,
+        ),
+        (
+            "presto_serve_samples_total",
+            "Samples delivered to clients.",
+            |t| t.samples,
+        ),
+        (
+            "presto_serve_batches_total",
+            "BATCH frames delivered to clients.",
+            |t| t.batches,
+        ),
+        (
+            "presto_serve_bytes_total",
+            "Compressed block bytes delivered to clients.",
+            |t| t.bytes,
+        ),
+    ];
+    for (name, help, reading) in families {
+        let labeled = snapshot.tenants.iter().map(|t| {
+            (
+                format!("{{tenant=\"{}\"}}", json_escape(&t.name)),
+                reading(t),
+            )
+        });
         // Back-compat unlabeled sum: single-tenant dashboards scrape
         // the bare name.
-        let _ = writeln!(out, "{name} {sum}");
-    };
-    labeled(
-        "presto_tenant_weight",
-        "Deficit-round-robin weight from REGISTER.",
-        &|t| u64::from(t.weight),
-    );
-    labeled(
-        "presto_tenant_requeues_total",
-        "Shards requeued after backend failures, charged per tenant.",
-        &|t| t.requeues,
-    );
-    labeled(
-        "presto_tenant_window_samples",
-        "Samples delivered inside the fair-share window.",
-        &|t| t.window_samples,
-    );
-    labeled(
-        "presto_serve_samples_total",
-        "Samples delivered to clients.",
-        &|t| t.samples,
-    );
-    labeled(
-        "presto_serve_batches_total",
-        "BATCH frames delivered to clients.",
-        &|t| t.batches,
-    );
-    labeled(
-        "presto_serve_bytes_total",
-        "Compressed block bytes delivered to clients.",
-        &|t| t.bytes,
-    );
-    out
+        let sum = snapshot.tenants.iter().map(reading).sum();
+        x.family(name, help, "gauge", labeled.chain([(String::new(), sum)]));
+    }
+    x.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc;
     use crate::export::{parse_prometheus, series_value};
 
     fn three_tenant_registry() -> TenantsProgress {
@@ -645,22 +559,22 @@ mod tests {
         progress.finished("c");
         progress.failed("b");
         let snapshot = progress.snapshot();
-        let doc = tenants_json(&snapshot);
-        validate_tenants_json(&doc).expect("schema-valid");
-        let parsed = parse_tenants_json(&doc).expect("parses");
+        let doc = doc::write(snapshot.clone());
+        let parsed: TenantsSnapshot = doc::read(&doc).expect("parses");
         assert_eq!(parsed.max_jobs, 4);
         assert_eq!(parsed.shard_quota, 64);
         assert!(parsed.window_closed);
-        assert_eq!(parsed.tenants.len(), snapshot.tenants.len());
-        for (got, want) in parsed.tenants.iter().zip(&snapshot.tenants) {
-            assert_eq!(got.name, want.name);
-            assert_eq!(got.state, want.state);
-            assert_eq!(got.samples, want.samples);
-            assert_eq!(got.window_samples, want.window_samples);
-        }
+        // Everything but `active` (not on the wire) reads back.
+        assert_eq!(
+            parsed,
+            TenantsSnapshot {
+                active: false,
+                ..snapshot
+            }
+        );
         // Wrong schema string is refused.
         let bad = doc.replace(TENANTS_SCHEMA, "presto.fleet.v1");
-        assert!(validate_tenants_json(&bad).is_err());
+        assert!(doc::read::<TenantsSnapshot>(&bad).is_err());
     }
 
     #[test]

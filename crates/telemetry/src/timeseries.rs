@@ -12,11 +12,10 @@
 //! detected by recorder identity ([`crate::Telemetry::begin_epoch`]
 //! allocates a fresh recorder), so a ring can span many epochs.
 
-use crate::export::json_escape;
+use crate::doc::{Document, Record, Visitor};
 use crate::{EpochRecorder, PhaseKind, Telemetry, TelemetrySnapshot};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,7 +30,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 600;
 pub const DEFAULT_PERIOD: Duration = Duration::from_millis(200);
 
 /// One phase/step's activity during a sampling interval.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StepActivity {
     /// Phase or step name (matches [`crate::StepSnapshot::name`]).
     pub name: String,
@@ -45,7 +44,7 @@ pub struct StepActivity {
 }
 
 /// One periodic observation of a running (or just-finished) epoch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimePoint {
     /// Offset from the sampler's start, nanoseconds.
     pub t_ns: u64,
@@ -215,103 +214,56 @@ impl TimeSeries {
     }
 }
 
-/// Render points as the stable `presto.timeseries.v1` JSON document
-/// served at `/timeseries.json` (schema in `docs/observability.md`).
-pub fn json(points: &[TimePoint], evicted: u64) -> String {
-    let mut out = String::with_capacity(256 + points.len() * 256);
-    let _ = write!(
-        out,
-        "{{\n  \"schema\": \"{TIMESERIES_SCHEMA}\",\n  \"evicted\": {evicted},\n  \"points\": [\n"
-    );
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"t_ns\": {}, \"interval_ns\": {}, \"epoch_seed\": {}, \"samples\": {}, \"sps\": {:.3}, \"queue_depth\": {:.3}, \"cache_hit_rate\": {:.4}, \"retries\": {}, \"skipped_samples\": {}, \"lost_shards\": {}, \"dropped_spans\": {}, \"io_share\": {:.4}, \"cpu_share\": {:.4}, \"deliver_share\": {:.4}, \"steps\": [",
-            p.t_ns,
-            p.interval_ns,
-            p.epoch_seed,
-            p.samples,
-            p.sps,
-            p.queue_depth,
-            p.cache_hit_rate,
-            p.retries,
-            p.skipped_samples,
-            p.lost_shards,
-            p.dropped_spans,
-            p.io_share,
-            p.cpu_share,
-            p.deliver_share,
-        );
-        for (j, s) in p.steps.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"name\": \"{}\", \"kind\": \"{}\", \"invocations\": {}, \"busy_share\": {:.4}}}",
-                if j == 0 { "" } else { ", " },
-                json_escape(&s.name),
-                s.kind.label(),
-                s.invocations,
-                s.busy_share,
-            );
-        }
-        let _ = writeln!(out, "]}}{}", if i + 1 < points.len() { "," } else { "" });
+impl Record for StepActivity {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("name", &mut self.name);
+        v.req("kind", &mut self.kind);
+        v.req("invocations", &mut self.invocations);
+        v.fixed("busy_share", &mut self.busy_share, 4);
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
-/// Validate a `presto.timeseries.v1` document: parse, check the schema
-/// tag and every point's required numeric fields. Returns the point
-/// count on success.
-pub fn validate_json(input: &str) -> Result<usize, String> {
-    let doc = crate::export::parse_json(input)?;
-    match doc.require("schema")?.as_str() {
-        Some(TIMESERIES_SCHEMA) => {}
-        Some(other) => {
-            return Err(format!(
-                "wrong schema '{other}', expected '{TIMESERIES_SCHEMA}'"
-            ))
-        }
-        None => return Err("'schema' must be a string".into()),
+impl Record for TimePoint {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("t_ns", &mut self.t_ns);
+        v.req("interval_ns", &mut self.interval_ns);
+        v.req("epoch_seed", &mut self.epoch_seed);
+        v.req("samples", &mut self.samples);
+        v.fixed("sps", &mut self.sps, 3);
+        v.fixed("queue_depth", &mut self.queue_depth, 3);
+        v.fixed("cache_hit_rate", &mut self.cache_hit_rate, 4);
+        v.req("retries", &mut self.retries);
+        v.req("skipped_samples", &mut self.skipped_samples);
+        v.req("lost_shards", &mut self.lost_shards);
+        // Newer than the schema's first writer; every other member
+        // has been written since the first.
+        v.opt("dropped_spans", &mut self.dropped_spans);
+        v.fixed("io_share", &mut self.io_share, 4);
+        v.fixed("cpu_share", &mut self.cpu_share, 4);
+        v.fixed("deliver_share", &mut self.deliver_share, 4);
+        v.records("steps", &mut self.steps);
     }
-    let points = doc
-        .require("points")?
-        .as_array()
-        .ok_or_else(|| "'points' must be an array".to_string())?;
-    for point in points {
-        for field in [
-            "t_ns",
-            "interval_ns",
-            "samples",
-            "sps",
-            "queue_depth",
-            "cache_hit_rate",
-            "retries",
-            "io_share",
-            "cpu_share",
-            "deliver_share",
-        ] {
-            point
-                .require_f64(field)
-                .map_err(|e| format!("point: {e}"))?;
-        }
-        // `dropped_spans` is optional (older documents lack it) but
-        // must be numeric when present.
-        if let Some(dropped) = point.get("dropped_spans") {
-            if dropped.as_f64().is_none() {
-                return Err("point 'dropped_spans' must be a number when present".into());
-            }
-        }
-        let steps = point
-            .require("steps")?
-            .as_array()
-            .ok_or_else(|| "point 'steps' must be an array".to_string())?;
-        for step in steps {
-            step.require_str("name").map_err(|e| format!("step: {e}"))?;
-            step.require_f64("busy_share")
-                .map_err(|e| format!("step: {e}"))?;
-        }
+}
+
+/// The stable `presto.timeseries.v1` document served at
+/// `/timeseries.json`: a dump of a [`TimeSeries`] ring.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct TimeSeriesDocument {
+    /// Points evicted after the ring filled up.
+    pub evicted: u64,
+    /// Retained points, oldest first.
+    pub points: Vec<TimePoint>,
+}
+
+impl Record for TimeSeriesDocument {
+    fn fields<V: Visitor>(&mut self, v: &mut V) {
+        v.req("evicted", &mut self.evicted);
+        v.records("points", &mut self.points);
     }
-    Ok(points.len())
+}
+
+impl Document for TimeSeriesDocument {
+    const SCHEMA: &'static str = TIMESERIES_SCHEMA;
 }
 
 /// A background thread sampling the telemetry registry every `period`
@@ -411,7 +363,19 @@ fn run_sampler(telemetry: &Telemetry, ring: &TimeSeries, period: Duration, stop:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc;
     use crate::{QueueSnapshot, StepSnapshot};
+
+    fn json(points: &[TimePoint], evicted: u64) -> String {
+        doc::write(TimeSeriesDocument {
+            evicted,
+            points: points.to_vec(),
+        })
+    }
+
+    fn validate_json(input: &str) -> Result<usize, String> {
+        doc::read::<TimeSeriesDocument>(input).map(|series| series.points.len())
+    }
 
     fn snapshot(samples: u64, busy: &[(&str, PhaseKind, u64, u64)]) -> TelemetrySnapshot {
         TelemetrySnapshot {

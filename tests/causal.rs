@@ -24,8 +24,9 @@
 use presto::{profile_from_snapshot, CausalOptions};
 use presto_pipeline::real::{BlobStore, MemStore, RealExecutor};
 use presto_pipeline::step::{CostModel, SizeModel, Step, StepSpec};
-use presto_pipeline::telemetry::causal::{causal_json, CausalProfile};
-use presto_pipeline::telemetry::TelemetrySnapshot;
+use presto_pipeline::telemetry::causal::CausalProfile;
+use presto_pipeline::telemetry::export::RunDocument;
+use presto_pipeline::telemetry::{doc, TelemetrySnapshot};
 use presto_pipeline::{Pipeline, PipelineError, Resilience, Sample, Strategy, Telemetry};
 use presto_tensor::Tensor;
 use rand::rngs::SmallRng;
@@ -236,13 +237,12 @@ fn deliver_and_thread_knobs_match_on_a_deliver_bound_pipeline() {
 
 #[test]
 fn committed_benchmark_no_longer_ranks_deliver_and_replays_byte_identically() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCH_realrun.json");
-    let doc = std::fs::read_to_string(path).unwrap();
-    let snapshot = presto_pipeline::telemetry::causal::parse_telemetry_snapshot(&doc).unwrap();
+    let RunDocument { snapshot, .. } =
+        doc::read(include_str!("fixtures/realrun-epoch.json")).unwrap();
     let opts = CausalOptions::default();
-    let a = profile_from_snapshot(&snapshot, "file:BENCH_realrun.json", &opts).unwrap();
-    let b = profile_from_snapshot(&snapshot, "file:BENCH_realrun.json", &opts).unwrap();
-    assert_eq!(causal_json(&a), causal_json(&b));
+    let a = profile_from_snapshot(&snapshot, "file:realrun-epoch.json", &opts).unwrap();
+    let b = profile_from_snapshot(&snapshot, "file:realrun-epoch.json", &opts).unwrap();
+    assert_eq!(doc::write(a.clone()), doc::write(b));
     // The batched zero-copy data plane retired the deliver bottleneck:
     // the committed baseline must rank real compute first, not the
     // hand-off machinery.

@@ -13,8 +13,9 @@ use presto_pipeline::real::{Materialized, MemStore, RealExecutor};
 use presto_pipeline::serve::{
     serve_epoch, MultisetChecksum, ServeClientConfig, ServeWorker, ServeWorkerConfig,
 };
+use presto_pipeline::telemetry::doc;
 use presto_pipeline::telemetry::export::validate_chrome_trace;
-use presto_pipeline::telemetry::fleet::{fleet_json, merge_chrome_trace, parse_fleet_json};
+use presto_pipeline::telemetry::fleet::{fleet_json, merge_chrome_trace, FleetDocument};
 use presto_pipeline::{Pipeline, Resilience, Sample, Strategy, Telemetry};
 use std::sync::Arc;
 use std::time::Duration;
@@ -350,9 +351,9 @@ fn merged_chrome_trace_nests_offset_corrected_worker_spans() {
     }
 
     let doc = fleet_json(&run.client, &run.serve, &run.fleet);
-    let parsed = parse_fleet_json(&doc).expect("fleet doc round-trips");
+    let parsed: FleetDocument = doc::read(&doc).expect("fleet doc round-trips");
     assert_eq!(parsed.trace_id, run.fleet.trace_id);
-    assert_eq!(parsed.workers.len(), 2);
+    assert_eq!(parsed.workers, run.fleet.workers);
 
     let merged = merge_chrome_trace(&doc, None).expect("merge");
     let events = validate_chrome_trace(&merged).expect("valid Chrome trace");

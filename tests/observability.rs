@@ -9,7 +9,8 @@ use presto_datasets::{generators, steps};
 use presto_formats::image::jpg;
 use presto_pipeline::real::{MemStore, RealExecutor};
 use presto_pipeline::telemetry::history::{parse_run_document, RunStore};
-use presto_pipeline::telemetry::{export, http, timeseries, Telemetry};
+use presto_pipeline::telemetry::timeseries::{self, TimeSeriesDocument};
+use presto_pipeline::telemetry::{doc, export, http, Telemetry};
 use presto_pipeline::{Sample, Strategy};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,7 +94,8 @@ fn metrics_endpoint_and_sampler_observe_a_live_run() {
     );
     let (status, body) = http::get(addr, "/timeseries.json").unwrap();
     assert_eq!(status, 200);
-    let served_points = timeseries::validate_json(&body).expect("valid timeseries document");
+    let served: TimeSeriesDocument = doc::read(&body).expect("valid timeseries document");
+    let served_points = served.points.len();
     assert_eq!(http::get(addr, "/nope").unwrap().0, 404);
     server.stop();
 
@@ -114,8 +116,12 @@ fn metrics_endpoint_and_sampler_observe_a_live_run() {
             );
         }
     }
-    let doc = timeseries::json(&points, ring.evicted());
-    assert_eq!(timeseries::validate_json(&doc), Ok(points.len()));
+    let written = doc::write(TimeSeriesDocument {
+        evicted: ring.evicted(),
+        points: points.clone(),
+    });
+    let read: TimeSeriesDocument = doc::read(&written).expect("own document reads back");
+    assert_eq!(read.points.len(), points.len());
     // The trend diagnosis consumes the same points the endpoint serves.
     let trend = diagnose_window(&points).expect("non-empty window diagnoses");
     assert_eq!(trend.points.len(), points.len());
@@ -172,8 +178,10 @@ fn committed_fixtures_pin_the_regression_verdict() {
     // 30% fewer samples per second than run A, far past the 20% gate.
     let a = parse_run_document(include_str!("fixtures/run-a.json")).expect("fixture A valid");
     let b = parse_run_document(include_str!("fixtures/run-b.json")).expect("fixture B valid");
-    assert_eq!(a.sps, 1000.0);
-    assert_eq!(b.sps, 700.0);
+    // Computed from `samples` and `elapsed_ns`, not read from the
+    // document's 3-decimal `samples_per_second`.
+    assert!((a.sps - 1000.0).abs() < 1e-6, "{}", a.sps);
+    assert!((b.sps - 700.0).abs() < 1e-6, "{}", b.sps);
     assert_eq!((a.seed, b.seed), (41, 42));
 
     let comparison = compare_runs(&a, &b, 0.05, 0.20);

@@ -122,6 +122,24 @@ fn four_jobs_match_serial_byte_for_byte() {
     );
 }
 
+/// `presto.search.v1` went onto the one document writer without
+/// moving a byte: the fixture is what the last hand-written
+/// `report_json` printed for this same pruned search.
+#[test]
+fn search_document_is_byte_identical_to_the_hand_written_writer() {
+    let weights = Weights::MAX_THROUGHPUT;
+    let pruned = profile_grid_pruned(
+        &presto_for("NLP", 500),
+        weights,
+        &SearchOptions::serial(),
+        &PruneOptions::default(),
+    );
+    assert_eq!(
+        report_json("NLP", weights, &pruned),
+        include_str!("../crates/telemetry/tests/fixtures/search.json")
+    );
+}
+
 /// Successive-halving must not change the answer: the pruned search
 /// re-profiles probe survivors at full fidelity and must land on the
 /// same recommendation as the exhaustive grid, on both CV and NLP.

@@ -176,7 +176,9 @@ fn exporters_round_trip() {
     );
 
     let doc = export::json(&snapshot);
-    let parsed = export::validate_json(&doc).unwrap();
+    let run: export::RunDocument = presto_pipeline::telemetry::doc::read(&doc).unwrap();
+    assert_eq!(run.snapshot.samples, stats.samples);
+    let parsed = export::parse_json(&doc).unwrap();
     assert_eq!(
         parsed
             .get("epoch")
