@@ -1,6 +1,8 @@
-//! Command dispatch and implementations.
+//! Command dispatch and implementations. Every command (and every mode
+//! of one, selected by a flag) is declared once in [`COMMANDS`]: usage,
+//! flag validation and parsing all come from that table.
 
-use crate::args::{parse, Args};
+use crate::args::{find, parse, switch, value, Args, Flag};
 use crate::render;
 use presto::cost::{cheapest, cheapest_feeding, cost_of, Campaign, CloudPricing};
 use presto::fleet::{
@@ -14,13 +16,14 @@ use presto_datasets::{all_workloads, cv, generators, steps, Workload};
 use presto_pipeline::chaos::{ChaosFault, ChaosProxy};
 use presto_pipeline::distributed;
 use presto_pipeline::real::{
-    AppCache, BlobStore, FaultSpec, FaultStore, MemStore, RealExecutor, RetryPolicy,
+    AppCache, BlobStore, EpochStats, FaultSpec, FaultStore, Materialized, MemStore, RealExecutor,
+    RetryPolicy,
 };
 use presto_pipeline::serve::{
     serve_epoch, MultisetChecksum, ServeClientConfig, ServeReport, ServeWorker, ServeWorkerConfig,
     TenantSpec,
 };
-use presto_pipeline::sim::{EpochReport, SimEnv, Simulator, StrategyProfile};
+use presto_pipeline::sim::{SimEnv, Simulator};
 use presto_pipeline::telemetry::causal as telemetry_causal;
 use presto_pipeline::telemetry::doc;
 use presto_pipeline::telemetry::export as telemetry_export;
@@ -30,154 +33,612 @@ use presto_pipeline::telemetry::http::MetricsServer;
 use presto_pipeline::telemetry::tenants::{self as telemetry_tenants, TenantsSnapshot};
 use presto_pipeline::telemetry::timeseries::{self, Sampler};
 use presto_pipeline::tenant::{AdmissionPolicy, FleetDaemon, FleetDaemonConfig};
-use presto_pipeline::{CacheLevel, FaultPolicy, Pipeline, Resilience, Sample, Strategy, Telemetry};
+use presto_pipeline::{
+    CacheLevel, FaultPolicy, Pipeline, PipelineError, Resilience, Sample, Strategy, Telemetry,
+};
 use presto_storage::fio::{self, FioWorkload};
-use presto_storage::{DeviceProfile, Dstat, Nanos};
-use std::sync::Arc;
-use std::time::Duration;
+use presto_storage::DeviceProfile;
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
-usage: presto <command> [options]
+// Flag groups shared by several commands, declared once.
 
-commands:
-  pipelines                      list built-in workloads
-  steps <pipeline> [--split N]   show the step chain and a split
-  profile <pipeline>             profile every strategy
-      [--ssd] [--epochs N] [--samples N] [--codec gzip|zlib]
-      [--cache sys|app] [--threads N] [--csv]
-  recommend <pipeline>           search the full strategy grid and rank
-      [--wp W] [--ws W] [--wt W] [--samples N] [--ssd]
-      [--jobs N] [--prune] [--probe-samples N] [--keep F]
-      [--no-memo] [--top N] [--json]
-  cost <pipeline>                cheapest strategy for a campaign
-      [--epochs N] [--months M] [--vm $/h] [--gb-month $] [--feed SPS]
-  diagnose <pipeline>            bottleneck attribution per strategy
-      [--samples N] [--ssd]
-  causal [<pipeline>]            causal profile: virtual-speedup experiments
-      [--from FILE] replay a recorded presto.telemetry.v1 document
-      live mode: [--samples N] [--threads N] [--split N] [--prefetch N]
-      plus [--live-experiments] to run dilated validation epochs
-      [--seed S] [--trials N] [--json] [--out FILE]
-  fio [--device hdd|ssd|nvme]    storage microbenchmark (Table 3)
-  realrun <pipeline>             run the real engine over synthetic data
-      [--samples N] [--threads N] [--split N] [--epochs N] [--prefetch N]
-      [--bundle-size N] [--pool on|off]
-      [--retries N] [--policy failfast|degrade] [--max-skip N] [--max-lost N]
-      [--inject-faults] [--fault-seed S] [--fail-pct P]
-      [--corrupt-shard I] [--lose-shard I]
-      [--metrics table|json|prom] [--trace-out FILE] [--json]
-      [--serve ADDR] [--sample-ms MS] [--history-dir DIR] [--no-history]
-  serve-worker <pipeline>        serve preprocessed sample batches over TCP
-      --bind ADDR (127.0.0.1:0 picks an ephemeral port; the bound
-      address is printed on stdout) [--samples N] [--split N] [--shards N]
-      [--batch N] [--wire-codec none|gzip|zlib] [--retries N]
-      [--policy failfast|degrade] [--max-skip N] [--max-lost N]
-      [--kill-after-batches N] [--batch-pace-ms MS] [--metrics ADDR]
-      [--sample-ms MS] [--run-secs S]
-      wire protocol: one version, matched exactly at HELLO (a client
-      of another build gets ERR and a close); strict frame bodies
-  train-client <pipeline>        consume one epoch from serve-workers
-      --workers A,B,... [--samples N] [--split N] [--shards N] [--seed S]
-      [--tenant NAME] [--weight W] register as a multi-tenant job with
-      a fleetd daemon (REGISTER/ADMIT before ASSIGN)
-      [--credits N] [--policy failfast|degrade] [--max-lost N]
-      [--timeout-ms MS] [--connect-timeout-ms MS]
-      [--reconnect-attempts N] [--reconnect-base-ms MS]
-      [--reconnect-deadline-ms MS]
-      [--trace-id N] [--no-trace] [--fleet-out FILE]
-      wire protocol: one version, matched exactly at HELLO (a worker
-      of another build fails the epoch); strict frame bodies
-      [--serve ADDR] serve /metrics + /fleet.json during the epoch,
-      plus [--serve-linger-ms MS] to keep them scrapeable afterwards
-      [--json] [--history-dir DIR] [--no-history]
-      [--preempt-storm SEED] live preemption drill: spawns local
-      workers, replays the fleet simulator's kill schedule against
-      them, and checks checksum parity + the predicted verdict, plus
-      [--storm-policy greedy-spot|on-demand-fallback|on-demand-only]
-      [--storm-workers N] [--storm-ms-per-hour MS] [--batch N]
-  fleet-sim                      rank fleet policies under a spot storm
-      [--workers N] [--seed S] [--market volatile|storm] [--budget N]
-      [--epoch-hours H] [--rejoin-hours H] [--on-demand $/h]
-      [--policy greedy-spot|on-demand-fallback|on-demand-only]
-      [--fallback-after N] [--kill-log] [--json]
-      [--tenants N] layer N weighted jobs (weights 1..N) onto each
-      outcome via processor sharing and report per-job finish + share
-  fleetd                         multi-tenant scheduler daemon
-      --bind ADDR --backends A,B,... (running serve-workers)
-      [--max-jobs N] [--quota N] [--max-requeues N] [--credits N]
-      [--quantum N] [--max-inflight N] [--metrics ADDR] [--run-secs S]
-  tenants --attach ADDR          per-tenant status table scraped from a
-      fleetd /tenants.json endpoint [--json]
-  sim-vs-real <pipeline>         fan-out model vs the real TCP service
-      [--samples N] [--split N] [--shards N] [--jobs J] [--sim-samples N]
-  chaos-proxy --upstream ADDR    deterministic fault-injecting TCP proxy
-      [--seed S] [--throttle-bps N] [--delay-ms MS] [--delay-pct P]
-      [--partition-ms MS] [--partition-pct P] [--corrupt-pct P]
-      [--disconnect-pct P] [--events-out FILE] [--run-secs S]
-  trace --merge                  merge fleet + chaos docs into one
-      --fleet FILE [--chaos FILE] [--out FILE]   Chrome trace
-  watch <pipeline>               live dashboard over a real-engine run
-      [--samples N] [--threads N] [--split N] [--epochs N] [--cache]
-      [--refresh-ms MS] [--sample-ms MS] [--plain]
-      [--attach ADDR] render serve/fleet gauges scraped from a running
-      serve-worker or train-client /metrics, plus [--frames N]
-      [--search] live strategy-search progress (any pipeline), plus
-      [--jobs N] [--prune] [--probe-samples N] [--keep F] [--serve ADDR]
-      [--wp W] [--ws W] [--wt W] [--ssd]
-  history                        list runs stored in the history dir
-      [--history-dir DIR] [--prune N] delete all but the newest N runs
-      [--mode real|serve] list only runs recorded in that mode
-  compare <run-a> <run-b>        per-metric deltas + regression verdict
-      [--noise F] [--fail F] [--fail-on-regression] [--history-dir DIR]
-      [--mode real|serve] refuse to compare runs from other modes
-  validate <file>                check a document with presto's own parsers
-      --format json|prom|trace|timeseries|fleet|causal|tenants
-  help                           this text";
+/// The simulator's environment: `profile`, `recommend`, `cost`,
+/// `diagnose`, `watch --search`.
+const SIM: &[Flag] = &[
+    value("samples", "N", "simulated subset size"),
+    switch("ssd", "the paper's SSD VM instead of its HDD one"),
+];
 
-/// Dispatch a CLI invocation.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
-    let args = parse(argv)?;
-    let command = args
-        .positional
-        .first()
-        .map(String::as_str)
-        .unwrap_or("help");
-    match command {
-        "pipelines" => cmd_pipelines(),
-        "steps" => cmd_steps(&args),
-        "profile" => cmd_profile(&args),
-        "recommend" => cmd_recommend(&args),
-        "cost" => cmd_cost(&args),
-        "diagnose" => cmd_diagnose(&args),
-        "causal" => cmd_causal(&args),
-        "fio" => cmd_fio(&args),
-        "realrun" => cmd_realrun(&args),
-        "serve-worker" => cmd_serve_worker(&args),
-        "train-client" => cmd_train_client(&args),
-        "chaos-proxy" => cmd_chaos_proxy(&args),
-        "trace" => cmd_trace(&args),
-        "fleetd" => cmd_fleetd(&args),
-        "tenants" => cmd_tenants(&args),
-        "fleet-sim" => cmd_fleet_sim(&args),
-        "sim-vs-real" => cmd_sim_vs_real(&args),
-        "watch" => cmd_watch(&args),
-        "history" => cmd_history(&args),
-        "compare" => cmd_compare(&args),
-        "validate" => cmd_validate(&args),
-        "help" | "--help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'")),
+/// The strategy grid search: `recommend`, `watch --search`.
+const SEARCH: &[Flag] = &[
+    value("wp", "W", "weight of preprocessing time"),
+    value("ws", "W", "weight of storage"),
+    value("wt", "W", "weight of throughput"),
+    value("jobs", "N", "search threads (0 = one per core)"),
+    switch("prune", "probe all on a subset, profile the best"),
+    value("probe-samples", "N", "--prune: probe subset size"),
+    value("keep", "F", "--prune: share kept after probing"),
+];
+
+/// The real engine's shape: `realrun`, live `causal`, `watch`.
+const ENGINE: &[Flag] = &[
+    value("samples", "N", "synthetic CV samples to materialize"),
+    value("threads", "N", "engine worker threads"),
+    value("split", "N", "steps applied offline"),
+];
+const PREFETCH: Flag = value("prefetch", "N", "prefetch ring capacity in samples");
+
+/// Fault handling: `realrun`, `serve-worker`, `train-client`.
+const FAULT_POLICY: &[Flag] = &[
+    value("policy", "failfast|degrade", "stop at a fault or skip it"),
+    value("max-skip", "N", "degrade: samples that may be skipped"),
+    value("max-lost", "N", "degrade: shards that may be lost"),
+];
+/// Storage read retries: the commands that read storage (`realrun`,
+/// `serve-worker`).
+const RETRIES: Flag = value("retries", "N", "attempts per storage read");
+
+const SERVE: Flag = value("serve", "ADDR", "serve /metrics and /*.json while running");
+
+/// The sampled live endpoint of every long-running command; `watch
+/// --search` serves its gauges unsampled.
+const ENDPOINT: &[Flag] = &[
+    SERVE,
+    value("sample-ms", "MS", "--serve: time-series sampling period"),
+];
+
+const HISTORY_DIR: Flag = value("history-dir", "DIR", "run history (default .presto/runs)");
+
+/// Run history: `realrun`, `train-client`.
+const HISTORY: &[Flag] = &[HISTORY_DIR, switch("no-history", "do not record this run")];
+
+/// The served dataset; a client must name the workers' values.
+const DATASET: &[Flag] = &[
+    value("samples", "N", "synthetic CV samples"),
+    value("split", "N", "steps applied before serving"),
+    value("shards", "N", "shards the samples are written to"),
+];
+
+/// What a serve worker sends: `serve-worker`, the storm's workers.
+const WORKER: &[Flag] = &[
+    value("batch", "N", "samples per wire batch"),
+    value("wire-codec", "none|gzip|zlib", "wire compression"),
+];
+
+/// The serve client's connection handling: both `train-client` modes.
+const CLIENT: &[Flag] = &[
+    value("credits", "N", "batches in flight per worker"),
+    value("timeout-ms", "MS", "read timeout"),
+    value("connect-timeout-ms", "MS", "connect timeout"),
+    value("reconnect-attempts", "N", "connection attempts per worker"),
+    value("reconnect-base-ms", "MS", "first reconnect backoff"),
+];
+
+/// `refresh-ms`/`plain`: every `watch` mode.
+const DASHBOARD: &[Flag] = &[
+    value("refresh-ms", "MS", "frame period"),
+    switch("plain", "append frames instead of redrawing"),
+];
+
+const BIND: Flag = value("bind", "ADDR", "listen address (port 0 picks one)");
+const RUN_SECS: Flag = value("run-secs", "S", "exit after S seconds (default: never)");
+const JSON: Flag = switch("json", "print one JSON document on stdout only");
+
+/// The causal profile's output: both `causal` modes.
+const CAUSAL: &[Flag] = &[
+    value("seed", "S", "latency-draw seed"),
+    value("trials", "N", "trials per experiment"),
+    JSON,
+    value("out", "FILE", "also write the presto.causal.v1 document"),
+];
+
+const FLEET_POLICIES: &str = "greedy-spot|on-demand-fallback|on-demand-only";
+
+/// One command, or one mode of a command: what `presto help` prints,
+/// which flags the parser accepts, and the handler.
+struct Command {
+    name: &'static str,
+    /// The flag selecting this mode; `None` for the command's default.
+    mode: Option<&'static str>,
+    /// The positional operands, as `presto help` shows them.
+    operands: &'static str,
+    about: &'static str,
+    flags: &'static [&'static [Flag]],
+    run: fn(&Args) -> Result<(), String>,
+}
+
+impl Command {
+    /// `name operands --mode VALUE`, as `presto help` prints it.
+    fn synopsis(&self) -> String {
+        let mode = self.mode.and_then(|m| find(self.flags, m));
+        let mode = mode.map(Flag::synopsis).unwrap_or_default();
+        [self.name, self.operands, &mode]
+            .into_iter()
+            .filter(|part| !part.is_empty())
+            .collect::<Vec<_>>()
+            .join(" ")
     }
 }
 
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "pipelines",
+        mode: None,
+        operands: "",
+        about: "list built-in workloads",
+        flags: &[],
+        run: cmd_pipelines,
+    },
+    Command {
+        name: "steps",
+        mode: None,
+        operands: "<pipeline>",
+        about: "show the step chain and a split",
+        flags: &[&[value("split", "N", "split to show (default: deepest)")]],
+        run: cmd_steps,
+    },
+    Command {
+        name: "profile",
+        mode: None,
+        operands: "<pipeline>",
+        about: "profile every strategy",
+        flags: &[
+            SIM,
+            &[
+                value("epochs", "N", "epochs per strategy"),
+                value("codec", "gzip|zlib", "compress offline-processed data"),
+                value("cache", "sys|app", "cache level"),
+                value("threads", "N", "preprocessing threads"),
+                switch("csv", "print CSV instead of a table"),
+            ],
+        ],
+        run: cmd_profile,
+    },
+    Command {
+        name: "recommend",
+        mode: None,
+        operands: "<pipeline>",
+        about: "search the full strategy grid and rank",
+        flags: &[
+            SIM,
+            SEARCH,
+            &[
+                value("top", "N", "ranked strategies to print"),
+                switch("json", "print the presto.search.v1 document only"),
+            ],
+        ],
+        run: cmd_recommend,
+    },
+    Command {
+        name: "cost",
+        mode: None,
+        operands: "<pipeline>",
+        about: "cheapest strategy for a campaign",
+        flags: &[
+            SIM,
+            &[
+                value("epochs", "N", "training epochs"),
+                value("months", "M", "storage retention"),
+                value("vm", "$/h", "VM price"),
+                value("gb-month", "$", "storage price"),
+                value("feed", "SPS", "cheapest strategy reaching this throughput"),
+            ],
+        ],
+        run: cmd_cost,
+    },
+    Command {
+        name: "diagnose",
+        mode: None,
+        operands: "<pipeline>",
+        about: "bottleneck attribution per strategy",
+        flags: &[SIM],
+        run: cmd_diagnose,
+    },
+    Command {
+        name: "causal",
+        mode: None,
+        operands: "[<pipeline>]",
+        about: "causal profile of a live real-engine epoch",
+        flags: &[
+            ENGINE,
+            CAUSAL,
+            &[
+                PREFETCH,
+                switch("live-experiments", "check the top two with dilated epochs"),
+            ],
+        ],
+        run: cmd_causal_live,
+    },
+    Command {
+        name: "causal",
+        mode: Some("from"),
+        operands: "",
+        about: "causal profile replayed from a recorded run",
+        flags: &[
+            CAUSAL,
+            &[value("from", "FILE", "a presto.telemetry.v1 document")],
+        ],
+        run: cmd_causal_replay,
+    },
+    Command {
+        name: "fio",
+        mode: None,
+        operands: "",
+        about: "storage microbenchmark (Table 3)",
+        flags: &[&[value("device", "hdd|ssd|nvme", "device profile")]],
+        run: cmd_fio,
+    },
+    Command {
+        name: "realrun",
+        mode: None,
+        operands: "[<pipeline>]",
+        about: "run the real engine over synthetic data",
+        flags: &[
+            ENGINE,
+            FAULT_POLICY,
+            ENDPOINT,
+            HISTORY,
+            &[
+                PREFETCH,
+                RETRIES,
+                value("epochs", "N", "epochs to run"),
+                switch("inject-faults", "read through a fault-injecting store"),
+                value("fault-seed", "S", "fault draw seed"),
+                value("fail-pct", "P", "share of reads that fail"),
+                value("corrupt-shard", "I", "bit-flip shard I"),
+                value("lose-shard", "I", "lose shard I"),
+                value("metrics", "table|prom", "last-epoch telemetry format"),
+                value("trace-out", "FILE", "write a Chrome trace"),
+                JSON,
+            ],
+        ],
+        run: cmd_realrun,
+    },
+    Command {
+        name: "serve-worker",
+        mode: None,
+        operands: "[<pipeline>]",
+        about: "serve preprocessed sample batches over TCP",
+        flags: &[
+            DATASET,
+            WORKER,
+            FAULT_POLICY,
+            ENDPOINT,
+            &[
+                RETRIES,
+                BIND,
+                value("kill-after-batches", "N", "crash after N batches"),
+                value("batch-pace-ms", "MS", "sleep between batches"),
+                RUN_SECS,
+            ],
+        ],
+        run: cmd_serve_worker,
+    },
+    Command {
+        name: "train-client",
+        mode: None,
+        operands: "[<pipeline>]",
+        about: "consume one epoch from serve-workers or fleetd",
+        flags: &[
+            DATASET,
+            FAULT_POLICY,
+            CLIENT,
+            ENDPOINT,
+            HISTORY,
+            &[
+                value("workers", "A,B,...", "serve-worker or fleetd addresses"),
+                value("seed", "S", "epoch seed"),
+                value("tenant", "NAME", "register as a fleetd tenant"),
+                value("weight", "W", "--tenant: fair-share weight"),
+                value("reconnect-deadline-ms", "MS", "stop reconnecting after MS"),
+                value("fleet-out", "FILE", "write the presto.fleet.v1 document"),
+                value("serve-linger-ms", "MS", "--serve: keep serving MS longer"),
+                JSON,
+            ],
+        ],
+        run: cmd_train_client,
+    },
+    Command {
+        name: "train-client",
+        mode: Some("preempt-storm"),
+        operands: "[<pipeline>]",
+        about: "live preemption drill: local workers killed on the simulated schedule",
+        flags: &[
+            DATASET,
+            WORKER,
+            CLIENT,
+            &[
+                value("preempt-storm", "SEED", "the storm's simulator seed"),
+                value("storm-policy", FLEET_POLICIES, "fleet policy"),
+                value("storm-workers", "N", "local workers"),
+                value("storm-ms-per-hour", "MS", "live ms per simulated hour"),
+                switch("no-history", "ignored: the drill records no history"),
+            ],
+        ],
+        run: cmd_preempt_storm,
+    },
+    Command {
+        name: "fleet-sim",
+        mode: None,
+        operands: "",
+        about: "rank fleet policies under a spot storm",
+        flags: &[&[
+            value("workers", "N", "fleet size"),
+            value("seed", "S", "market seed"),
+            value("market", "volatile|storm", "spot market"),
+            value("budget", "N", "reconnects per worker"),
+            value("epoch-hours", "H", "epoch length"),
+            value("rejoin-hours", "H", "preempted worker downtime"),
+            value("on-demand", "$/h", "on-demand price"),
+            value("policy", FLEET_POLICIES, "simulate one policy only"),
+            value("fallback-after", "N", "kills before on-demand promotion"),
+            switch("kill-log", "print every kill"),
+            value("tenants", "N", "split each outcome over N weighted jobs"),
+            switch("json", "print the presto.fleetsim.v1 document only"),
+        ]],
+        run: cmd_fleet_sim,
+    },
+    Command {
+        name: "fleetd",
+        mode: None,
+        operands: "",
+        about: "multi-tenant scheduler daemon",
+        flags: &[
+            ENDPOINT,
+            &[
+                BIND,
+                value("backends", "A,B,...", "running serve-worker addresses"),
+                value("max-jobs", "N", "admitted tenants at once"),
+                value("quota", "N", "shards per tenant"),
+                value("max-requeues", "N", "requeues before a tenant fails"),
+                value("credits", "N", "batches in flight per backend"),
+                value("quantum", "N", "deficit round robin quantum"),
+                value("max-inflight", "N", "shards in flight per tenant"),
+                RUN_SECS,
+            ],
+        ],
+        run: cmd_fleetd,
+    },
+    Command {
+        name: "tenants",
+        mode: None,
+        operands: "",
+        about: "per-tenant status scraped from fleetd",
+        flags: &[&[value("attach", "ADDR", "a fleetd --serve endpoint"), JSON]],
+        run: cmd_tenants,
+    },
+    Command {
+        name: "sim-vs-real",
+        mode: None,
+        operands: "[<pipeline>]",
+        about: "fan-out model vs the real TCP service",
+        flags: &[
+            DATASET,
+            &[value("jobs", "J", "most concurrent training jobs")],
+        ],
+        run: cmd_sim_vs_real,
+    },
+    Command {
+        name: "chaos-proxy",
+        mode: None,
+        operands: "",
+        about: "deterministic fault-injecting TCP proxy",
+        flags: &[&[
+            value("upstream", "ADDR", "the serve-worker or fleetd to proxy"),
+            value("seed", "S", "fault draw seed"),
+            value("throttle-bps", "N", "bandwidth cap"),
+            value("delay-ms", "MS", "delay windows by MS"),
+            value("delay-pct", "P", "share of windows delayed"),
+            value("partition-ms", "MS", "stall windows by MS"),
+            value("partition-pct", "P", "share of windows stalled"),
+            value("corrupt-pct", "P", "share of windows bit-flipped"),
+            value("disconnect-pct", "P", "share of windows cut"),
+            value("events-out", "FILE", "write the presto.chaos.v1 event log"),
+            RUN_SECS,
+        ]],
+        run: cmd_chaos_proxy,
+    },
+    Command {
+        name: "trace",
+        mode: None,
+        operands: "",
+        about: "merge fleet + chaos documents into one Chrome trace",
+        flags: &[&[
+            value("fleet", "FILE", "a presto.fleet.v1 document"),
+            value("chaos", "FILE", "a presto.chaos.v1 event log"),
+            value("out", "FILE", "write here instead of stdout"),
+        ]],
+        run: cmd_trace,
+    },
+    Command {
+        name: "watch",
+        mode: None,
+        operands: "[<pipeline>]",
+        about: "live dashboard over a real-engine run",
+        flags: &[
+            ENGINE,
+            DASHBOARD,
+            &[
+                value("epochs", "N", "epochs to run"),
+                switch("cache", "serve later epochs from an app cache"),
+                value("sample-ms", "MS", "time-series sampling period"),
+            ],
+        ],
+        run: cmd_watch,
+    },
+    Command {
+        name: "watch",
+        mode: Some("attach"),
+        operands: "",
+        about: "serve/fleet gauges scraped from a --serve endpoint",
+        flags: &[
+            DASHBOARD,
+            &[
+                value("attach", "ADDR", "the endpoint to scrape"),
+                value("frames", "N", "stop after N frames"),
+            ],
+        ],
+        run: watch_attach,
+    },
+    Command {
+        name: "watch",
+        mode: Some("search"),
+        operands: "<pipeline>",
+        about: "live strategy-search progress (any pipeline)",
+        flags: &[
+            SIM,
+            SEARCH,
+            DASHBOARD,
+            &[SERVE, switch("search", "watch a grid search")],
+        ],
+        run: watch_search,
+    },
+    Command {
+        name: "history",
+        mode: None,
+        operands: "",
+        about: "list runs stored in the history dir",
+        flags: &[&[
+            HISTORY_DIR,
+            value("prune", "N", "delete all but the newest N runs"),
+            value("mode", "real|serve", "list only runs of that mode"),
+        ]],
+        run: cmd_history,
+    },
+    Command {
+        name: "compare",
+        mode: None,
+        operands: "<run-a> <run-b>",
+        about: "per-metric deltas + regression verdict",
+        flags: &[&[
+            HISTORY_DIR,
+            value("noise", "F", "relative change treated as noise"),
+            value("fail", "F", "relative regression that fails"),
+            switch("fail-on-regression", "exit non-zero past --fail"),
+            value("mode", "real|serve", "refuse runs of other modes"),
+        ]],
+        run: cmd_compare,
+    },
+    Command {
+        name: "validate",
+        mode: None,
+        operands: "<file>",
+        about: "check a document with presto's own parsers",
+        flags: &[],
+        run: cmd_validate,
+    },
+];
+
+/// The command (mode) `argv` invokes and its parsed arguments. A mode
+/// is chosen by the presence of its selecting flag; flags of any other
+/// mode are then unknown.
+fn resolve(argv: &[String]) -> Result<(&'static Command, Args), String> {
+    let name = argv.first().map_or("help", String::as_str);
+    let modes = || COMMANDS.iter().filter(move |c| c.name == name);
+    let given = |flag: &str| argv.iter().any(|w| w.strip_prefix("--") == Some(flag));
+    let command = modes()
+        .find(|c| c.mode.is_some_and(given))
+        .or_else(|| modes().find(|c| c.mode.is_none()))
+        .ok_or_else(|| format!("unknown command '{name}'"))?;
+    let invocation = match command.mode {
+        Some(mode) => format!("presto {name} --{mode}"),
+        None => format!("presto {name}"),
+    };
+    let args = parse(argv, command.flags).map_err(|e| format!("{invocation}: {e}"))?;
+    Ok((command, args))
+}
+
+/// Dispatch a CLI invocation.
+pub fn dispatch(argv: &[String]) -> Result<(), String> {
+    match argv.first().map(String::as_str) {
+        None | Some("help" | "--help") => {
+            print!("{}", usage(argv.get(1).map(String::as_str)));
+            Ok(())
+        }
+        Some(_) => {
+            let (command, args) = resolve(argv)?;
+            (command.run)(&args)
+        }
+    }
+}
+
+/// Usage of one command (every mode), or of all when `command` is not
+/// one: every declared flag with its help line.
+pub fn usage(command: Option<&str>) -> String {
+    let only = command.filter(|name| COMMANDS.iter().any(|c| c.name == *name));
+    let mut out = String::new();
+    if only.is_none() {
+        out.push_str("usage: presto <command> [options]\n\ncommands:\n");
+    }
+    for c in COMMANDS
+        .iter()
+        .filter(|c| only.map_or(true, |name| name == c.name))
+    {
+        usage_row(&mut out, 2, &c.synopsis(), c.about);
+        for flag in c.flags.iter().flat_map(|group| group.iter()) {
+            usage_row(&mut out, 6, &flag.synopsis(), flag.help);
+        }
+    }
+    if only.is_none() {
+        usage_row(
+            &mut out,
+            2,
+            "help [<command>]",
+            "this text, or one command's",
+        );
+    }
+    out
+}
+
+/// One `left  right` usage line, `right` aligned (or on its own line
+/// when `left` is too long).
+fn usage_row(out: &mut String, indent: usize, left: &str, right: &str) {
+    const COLUMN: usize = 34;
+    let width = COLUMN - indent - 1;
+    if left.len() > width {
+        let _ = writeln!(out, "{:indent$}{left}\n{:COLUMN$}{right}", "", "");
+    } else {
+        let _ = writeln!(out, "{:indent$}{left:width$} {right}", "");
+    }
+}
+
+/// A progress line: stdout, or stderr under `--json` so stdout stays
+/// one pure document.
+fn note(json: bool, line: String) {
+    if json {
+        eprintln!("{line}");
+    } else {
+        println!("{line}");
+    }
+}
+
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
+}
+
+fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))
+}
+
+/// The `<pipeline>` operand of the real-engine commands; `CV` when
+/// omitted.
+fn pipeline_arg(args: &Args) -> &str {
+    args.positional.get(1).map_or("CV", String::as_str)
+}
+
+/// The required `<pipeline>` operand of the simulator commands.
 fn find_workload(args: &Args) -> Result<Workload, String> {
     let name = args
         .positional
         .get(1)
         .ok_or_else(|| "missing pipeline name (try `presto pipelines`)".to_string())?;
+    workload_named(name)
+}
+
+fn workload_named(name: &str) -> Result<Workload, String> {
     if name == "CV+grey" {
         return Ok(cv::cv_with_greyscale(true));
     }
@@ -188,7 +649,7 @@ fn find_workload(args: &Args) -> Result<Workload, String> {
 }
 
 fn env_from(args: &Args) -> Result<SimEnv, String> {
-    let mut env = if args.get_str("ssd").is_some() {
+    let mut env = if args.has("ssd") {
         SimEnv::paper_vm_ssd()
     } else {
         SimEnv::paper_vm()
@@ -197,7 +658,85 @@ fn env_from(args: &Args) -> Result<SimEnv, String> {
     Ok(env)
 }
 
-fn cmd_pipelines() -> Result<(), String> {
+/// A comma-separated address list flag (`--workers`, `--backends`).
+fn addr_list(args: &Args, key: &str) -> Result<Vec<String>, String> {
+    let list: Vec<String> = args
+        .get_str(key)
+        .ok_or_else(|| format!("missing --{key} A,B,... (serve-worker addresses)"))?
+        .split(',')
+        .map(|w| w.trim().to_string())
+        .filter(|w| !w.is_empty())
+        .collect();
+    if list.is_empty() {
+        return Err(format!("--{key} lists no addresses"));
+    }
+    Ok(list)
+}
+
+/// Block until `--run-secs` elapses (forever without it) or `stopped`
+/// turns true; returns whether `stopped` ended the wait.
+fn run_until(args: &Args, stopped: impl Fn() -> bool) -> Result<bool, String> {
+    let limit = args.get_opt("run-secs")?.map(Duration::from_secs);
+    let started = Instant::now();
+    loop {
+        if stopped() {
+            return Ok(true);
+        }
+        if limit.is_some_and(|limit| started.elapsed() >= limit) {
+            return Ok(false);
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+/// `--serve ADDR`: the HTTP endpoint over `telemetry`, shut down when
+/// dropped. When `sampled`, a sampler every `--sample-ms` feeds its
+/// time series; otherwise the series stays empty.
+fn serve_endpoint(
+    args: &Args,
+    telemetry: &Arc<Telemetry>,
+    sampled: bool,
+    json: bool,
+) -> Result<Option<(Option<Sampler>, MetricsServer)>, String> {
+    let Some(addr) = args.get_str("serve") else {
+        return Ok(None);
+    };
+    let sampler = if sampled {
+        let period = Duration::from_millis(args.get_or("sample-ms", 200u64)?.max(1));
+        let capacity = timeseries::DEFAULT_RING_CAPACITY;
+        Some(Sampler::spawn(Arc::clone(telemetry), period, capacity))
+    } else {
+        None
+    };
+    let series = sampler.as_ref().map_or_else(
+        || timeseries::TimeSeries::new(timeseries::DEFAULT_RING_CAPACITY),
+        Sampler::series,
+    );
+    let server = MetricsServer::serve(addr, Arc::clone(telemetry), series)
+        .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
+    note(json, format!("serving http://{}/metrics", server.addr()));
+    Ok(Some((sampler, server)))
+}
+
+/// The history store selected by `--history-dir` (default
+/// `.presto/runs/`).
+fn run_store(args: &Args) -> RunStore {
+    RunStore::new(args.get_str("history-dir").unwrap_or(history::DEFAULT_DIR))
+}
+
+/// Append a run's `presto.telemetry.v1` document to the history store
+/// unless `--no-history`.
+fn record_run(args: &Args, document: &str, json: bool) {
+    if args.has("no-history") {
+        return;
+    }
+    match run_store(args).append_document(document) {
+        Ok((id, path)) => note(json, format!("recorded {id} -> {}", path.display())),
+        Err(e) => eprintln!("warning: run not recorded: {e}"),
+    }
+}
+
+fn cmd_pipelines(_: &Args) -> Result<(), String> {
     let mut table = TableBuilder::new(&["pipeline", "dataset", "samples", "size", "steps"]);
     for workload in all_workloads() {
         table.row(&[
@@ -214,7 +753,6 @@ fn cmd_pipelines() -> Result<(), String> {
 }
 
 fn cmd_steps(args: &Args) -> Result<(), String> {
-    args.expect_known(&["split"])?;
     let workload = find_workload(args)?;
     println!("{}", render::pipeline_chain(&workload.pipeline));
     println!();
@@ -231,9 +769,6 @@ fn cmd_steps(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_profile(args: &Args) -> Result<(), String> {
-    args.expect_known(&[
-        "ssd", "epochs", "samples", "codec", "cache", "threads", "csv",
-    ])?;
     let workload = find_workload(args)?;
     let env = env_from(args)?;
     let epochs: usize = args.get_or("epochs", 1)?;
@@ -252,7 +787,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     let threads: usize = args.get_or("threads", 8)?;
 
     let presto = Presto::new(workload.pipeline.clone(), workload.dataset.clone(), env);
-    let want_csv = args.get_str("csv").is_some();
+    let want_csv = args.has("csv");
     let mut profiles = Vec::new();
     let mut table = TableBuilder::new(&[
         "strategy",
@@ -263,11 +798,8 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         "T1/T2/T3 MB/s",
     ]);
     for base in Strategy::enumerate(&workload.pipeline) {
-        let step_codec = if base_split_allows_codec(&base) {
-            codec
-        } else {
-            Codec::None
-        };
+        // Only offline-processed data is stored, so only it compresses.
+        let step_codec = if base.split > 0 { codec } else { Codec::None };
         let strategy = base
             .with_threads(threads)
             .with_compression(step_codec)
@@ -305,24 +837,20 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn base_split_allows_codec(strategy: &Strategy) -> bool {
-    strategy.split > 0
+fn weights(args: &Args) -> Result<Weights, String> {
+    Ok(Weights::new(
+        args.get_or("wp", 0.0)?,
+        args.get_or("ws", 0.0)?,
+        args.get_or("wt", 1.0)?,
+    ))
 }
 
 fn search_options(args: &Args) -> Result<presto::SearchOptions, String> {
     Ok(presto::SearchOptions {
         jobs: args.get_or("jobs", 0usize)?,
         epochs: 1,
-        no_memo: args.get_str("no-memo").is_some(),
+        no_memo: false,
         progress: None,
-    })
-}
-
-fn prune_options(args: &Args) -> Result<presto::PruneOptions, String> {
-    let defaults = presto::PruneOptions::default();
-    Ok(presto::PruneOptions {
-        probe_samples: args.get_or("probe-samples", defaults.probe_samples)?,
-        keep: args.get_or("keep", defaults.keep)?,
     })
 }
 
@@ -332,45 +860,26 @@ fn run_search(
     opts: &presto::SearchOptions,
     args: &Args,
 ) -> Result<presto::SearchReport, String> {
-    if args.get_str("prune").is_some() {
-        Ok(presto::profile_grid_pruned(
-            presto,
-            weights,
-            opts,
-            &prune_options(args)?,
-        ))
-    } else {
-        Ok(presto::profile_grid_parallel(presto, opts))
+    if !args.has("prune") {
+        return Ok(presto::profile_grid_parallel(presto, opts));
     }
+    let defaults = presto::PruneOptions::default();
+    let prune = presto::PruneOptions {
+        probe_samples: args.get_or("probe-samples", defaults.probe_samples)?,
+        keep: args.get_or("keep", defaults.keep)?,
+    };
+    Ok(presto::profile_grid_pruned(presto, weights, opts, &prune))
 }
 
 fn cmd_recommend(args: &Args) -> Result<(), String> {
-    args.expect_known(&[
-        "wp",
-        "ws",
-        "wt",
-        "samples",
-        "ssd",
-        "jobs",
-        "prune",
-        "probe-samples",
-        "keep",
-        "no-memo",
-        "top",
-        "json",
-    ])?;
     let workload = find_workload(args)?;
     let env = env_from(args)?;
-    let weights = Weights::new(
-        args.get_or("wp", 0.0)?,
-        args.get_or("ws", 0.0)?,
-        args.get_or("wt", 1.0)?,
-    );
+    let weights = weights(args)?;
     let presto = Presto::new(workload.pipeline.clone(), workload.dataset.clone(), env);
     let opts = search_options(args)?;
     let report = run_search(&presto, weights, &opts, args)?;
 
-    if args.get_str("json").is_some() {
+    if args.has("json") {
         // Stable `presto.search.v1` document: identical bytes for any
         // --jobs value (CI's search-parity gate diffs them).
         print!(
@@ -385,10 +894,10 @@ fn cmd_recommend(args: &Args) -> Result<(), String> {
         weights.preprocessing, weights.storage, weights.throughput
     );
     println!("{}", render::search_summary(&report.stats));
-    let top: usize = args.get_or("top", 15)?;
+    let top = args.get_or("top", 15usize)?.max(1);
     let ranked = report.analysis.rank(weights);
     let mut table = TableBuilder::new(&["rank", "strategy", "score", "SPS", "storage", "prep"]);
-    for (rank, scored) in ranked.iter().take(top.max(1)).enumerate() {
+    for (rank, scored) in ranked.iter().take(top).enumerate() {
         table.row(&[
             (rank + 1).to_string(),
             scored.label.clone(),
@@ -399,19 +908,13 @@ fn cmd_recommend(args: &Args) -> Result<(), String> {
         ]);
     }
     println!("{}", table.render());
-    if ranked.len() > top.max(1) {
-        println!(
-            "({} more; raise --top to see them)",
-            ranked.len() - top.max(1)
-        );
+    if ranked.len() > top {
+        println!("({} more; raise --top to see them)", ranked.len() - top);
     }
     Ok(())
 }
 
 fn cmd_cost(args: &Args) -> Result<(), String> {
-    args.expect_known(&[
-        "epochs", "months", "vm", "gb-month", "feed", "samples", "ssd",
-    ])?;
     let workload = find_workload(args)?;
     let env = env_from(args)?;
     let campaign = Campaign {
@@ -471,7 +974,6 @@ fn cmd_cost(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_diagnose(args: &Args) -> Result<(), String> {
-    args.expect_known(&["samples", "ssd"])?;
     let workload = find_workload(args)?;
     let env = env_from(args)?;
     let presto = Presto::new(
@@ -508,7 +1010,6 @@ fn cmd_diagnose(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_fio(args: &Args) -> Result<(), String> {
-    args.expect_known(&["device"])?;
     let device = match args.get_str("device").unwrap_or("hdd") {
         "hdd" => DeviceProfile::hdd_ceph(),
         "ssd" => DeviceProfile::ssd_ceph(),
@@ -530,143 +1031,99 @@ fn cmd_fio(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the executable CV workload used by `realrun` and `watch`:
-/// the pipeline plus `samples` synthetic JPEG-encoded natural images.
-fn cv_workload(name: &str, samples: usize) -> Result<(Pipeline, Vec<Sample>), String> {
+/// The executable CV pipeline, the only one the real engine runs.
+fn cv_pipeline(name: &str) -> Result<Pipeline, String> {
     if !name.eq_ignore_ascii_case("CV") {
         return Err(format!(
             "the real engine currently supports the CV pipeline only (got '{name}')"
         ));
     }
-    let pipeline = steps::executable_cv_pipeline(64, 56);
-    let source: Vec<Sample> = (0..samples as u64)
+    Ok(steps::executable_cv_pipeline(64, 56))
+}
+
+/// `samples` synthetic JPEG-encoded natural images.
+fn cv_source(samples: usize) -> Vec<Sample> {
+    (0..samples as u64)
         .map(|key| {
             let img = generators::natural_image(96, 80, key);
             Sample::from_bytes(key, presto_formats::image::jpg::encode(&img, 85))
         })
-        .collect();
-    Ok((pipeline, source))
+        .collect()
 }
 
-/// The history store selected by `--history-dir` (default
-/// `.presto/runs/`).
-fn run_store(args: &Args) -> RunStore {
-    RunStore::new(args.get_str("history-dir").unwrap_or(history::DEFAULT_DIR))
-}
-
-fn cmd_realrun(args: &Args) -> Result<(), String> {
-    args.expect_known(&[
-        "samples",
-        "threads",
-        "split",
-        "epochs",
-        "prefetch",
-        "bundle-size",
-        "pool",
-        "retries",
-        "policy",
-        "max-skip",
-        "max-lost",
-        "inject-faults",
-        "fault-seed",
-        "fail-pct",
-        "corrupt-shard",
-        "lose-shard",
-        "metrics",
-        "trace-out",
-        "json",
-        "serve",
-        "sample-ms",
-        "history-dir",
-        "no-history",
-    ])?;
-    let samples = args.get_or("samples", 32usize)?;
-    let threads = args.get_or("threads", 4usize)?;
-    let epochs = args.get_or("epochs", 2usize)?;
-    let prefetch = args.get_or("prefetch", 16usize)?;
-    let bundle_size = args.get_or("bundle-size", presto_pipeline::DEFAULT_BUNDLE_SIZE)?;
-    let pooling = match args.get_str("pool").unwrap_or("on") {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("unknown --pool mode '{other}' (on|off)")),
-    };
-    // --json: one presto.telemetry.v1 document on stdout, nothing else.
-    let json_only = args.get_str("json").is_some();
-    let metrics = match args.get_str("metrics").unwrap_or("table") {
-        m @ ("table" | "json" | "prom") => m,
-        other => {
-            return Err(format!(
-                "unknown metrics format '{other}' (table|json|prom)"
-            ))
-        }
-    };
-    let name = args.positional.get(1).map(String::as_str).unwrap_or("CV");
-    let (pipeline, source) = cv_workload(name, samples)?;
-    let split = args.get_or("split", pipeline.max_split())?;
-    let strategy = Strategy::at_split(split).with_threads(threads);
-
-    let resilience = parse_resilience(args, samples as u64, strategy.shards as u64)?;
-
-    let telemetry = Telemetry::new();
-    let exec = RealExecutor::new(threads)
-        .with_telemetry(Arc::clone(&telemetry))
-        .with_bundle_size(bundle_size)
-        .with_pooling(pooling);
-    // Continuous observability: `--serve` starts a sampler thread over
-    // the live registry plus the embedded HTTP endpoint. Both shut
-    // down (via Drop) when the run ends.
-    let sample_ms = args.get_or("sample-ms", 200u64)?;
-    let _observability = match args.get_str("serve") {
-        Some(addr) => {
-            let sampler = Sampler::spawn(
-                Arc::clone(&telemetry),
-                Duration::from_millis(sample_ms.max(1)),
-                timeseries::DEFAULT_RING_CAPACITY,
-            );
-            let server = MetricsServer::serve(addr, Arc::clone(&telemetry), sampler.series())
-                .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
-            let bound = server.addr();
-            // Keep --json stdout a pure telemetry document.
-            if json_only {
-                eprintln!("serving http://{bound}/metrics (also /timeseries.json, /healthz)");
-            } else {
-                println!("serving http://{bound}/metrics (also /timeseries.json, /healthz)");
-            }
-            Some((sampler, server))
-        }
-        None => None,
-    };
-    let base = Arc::new(MemStore::new());
+/// The real engine's workload: `samples` synthetic CV images
+/// materialized by `exec` into a fresh in-memory store, at `--split`
+/// (default `default_split`, capped at the deepest) in the strategy
+/// `shape` makes of it.
+fn materialize_cv(
+    args: &Args,
+    exec: &RealExecutor,
+    samples: usize,
+    default_split: usize,
+    shape: impl FnOnce(Strategy) -> Strategy,
+    json: bool,
+) -> Result<(Pipeline, Materialized, Arc<MemStore>), String> {
+    let pipeline = cv_pipeline(pipeline_arg(args))?;
+    let split = args.get_or("split", default_split.min(pipeline.max_split()))?;
+    let store = Arc::new(MemStore::new());
     let (dataset, prep) = exec
-        .materialize(&pipeline, &strategy, &source, base.as_ref())
+        .materialize(
+            &pipeline,
+            &shape(Strategy::at_split(split)),
+            &cv_source(samples),
+            store.as_ref(),
+        )
         .map_err(|e| e.to_string())?;
-    if !json_only {
-        println!(
+    note(
+        json,
+        format!(
             "materialized {} samples into {} shards ({}) in {:.2?}",
             dataset.sample_count,
             dataset.shards.len(),
             format_bytes(dataset.stored_bytes),
             prep
-        );
-    }
+        ),
+    );
+    Ok((pipeline, dataset, store))
+}
 
-    let fault_store = if args.get_str("inject-faults").is_some() {
+fn cmd_realrun(args: &Args) -> Result<(), String> {
+    let samples = args.get_or("samples", 32usize)?;
+    let threads = args.get_or("threads", 4usize)?;
+    let epochs = args.get_or("epochs", 2usize)?;
+    let prefetch = args.get_or("prefetch", 16usize)?;
+    // --json: one presto.telemetry.v1 document on stdout, nothing else.
+    let json = args.has("json");
+    let prom = match args.get_str("metrics").unwrap_or("table") {
+        "table" => false,
+        "prom" => true,
+        other => return Err(format!("unknown metrics format '{other}' (table|prom)")),
+    };
+
+    let telemetry = Telemetry::new();
+    let exec = RealExecutor::new(threads).with_telemetry(Arc::clone(&telemetry));
+    let _endpoint = serve_endpoint(args, &telemetry, true, json)?;
+    let (pipeline, dataset, base) = materialize_cv(
+        args,
+        &exec,
+        samples,
+        usize::MAX,
+        |s| s.with_threads(threads),
+        json,
+    )?;
+    let resilience = parse_resilience(args, samples as u64, dataset.shards.len() as u64)?;
+
+    let fault_store = if args.has("inject-faults") {
         let mut spec = FaultSpec::new(args.get_or("fault-seed", 47u64)?)
             .with_get_failures(args.get_or("fail-pct", 20u8)?);
-        if let Some(idx) = args.get_str("corrupt-shard") {
-            let idx: usize = idx
-                .parse()
-                .map_err(|_| "invalid --corrupt-shard".to_string())?;
+        if let Some(idx) = args.get_opt::<usize>("corrupt-shard")? {
             let shard = dataset
                 .shards
                 .get(idx)
                 .ok_or("--corrupt-shard out of range")?;
             spec = spec.with_corrupt_blob(shard.clone());
         }
-        if let Some(idx) = args.get_str("lose-shard") {
-            let idx: usize = idx
-                .parse()
-                .map_err(|_| "invalid --lose-shard".to_string())?;
+        if let Some(idx) = args.get_opt::<usize>("lose-shard")? {
             let shard = dataset.shards.get(idx).ok_or("--lose-shard out of range")?;
             spec = spec.with_lost_blob(shard.clone());
         }
@@ -683,24 +1140,16 @@ fn cmd_realrun(args: &Args) -> Result<(), String> {
         "epoch", "samples", "SPS", "read", "retries", "skipped", "lost", "degraded",
     ]);
     for epoch in 0..epochs {
-        let mut stream = exec
-            .stream_epoch_with(
-                &pipeline,
-                &dataset,
-                Arc::clone(&store),
-                prefetch,
-                epoch as u64,
-                resilience.clone(),
-            )
-            .map_err(|e| e.to_string())?;
-        for result in &mut stream {
-            if let Err(e) = result {
-                return Err(format!("epoch {epoch} failed: {e}"));
-            }
-        }
-        let stats = stream
-            .join()
-            .map_err(|e| format!("epoch {epoch} failed: {e}"))?;
+        let stats = drain_epoch(
+            &exec,
+            &pipeline,
+            &dataset,
+            &store,
+            prefetch,
+            epoch as u64,
+            &resilience,
+        )
+        .map_err(|e| format!("epoch {epoch} failed: {e}"))?;
         table.row(&[
             epoch.to_string(),
             stats.samples.to_string(),
@@ -709,52 +1158,36 @@ fn cmd_realrun(args: &Args) -> Result<(), String> {
             stats.retries.to_string(),
             stats.skipped_samples.to_string(),
             stats.lost_shards.to_string(),
-            if stats.degraded {
-                "yes".into()
-            } else {
-                "no".into()
-            },
+            if stats.degraded { "yes" } else { "no" }.into(),
         ]);
     }
     let snapshot = telemetry
         .last_epoch()
         .ok_or_else(|| "no telemetry recorded (zero epochs?)".to_string())?;
-    if args.get_str("no-history").is_none() {
-        match run_store(args).append_snapshot(&snapshot) {
-            Ok((id, path)) => {
-                if json_only {
-                    eprintln!("recorded {id} -> {}", path.display());
-                } else {
-                    println!("recorded {id} -> {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: run not recorded: {e}"),
-        }
-    }
+    let document = telemetry_export::json(&snapshot);
+    record_run(args, &document, json);
     if let Some(path) = args.get_str("trace-out") {
-        std::fs::write(path, telemetry_export::chrome_trace(&snapshot))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        if !json_only {
-            println!(
+        write_file(path, &telemetry_export::chrome_trace(&snapshot))?;
+        note(
+            json,
+            format!(
                 "wrote Chrome trace ({} spans) to {path}",
                 snapshot.spans.len()
-            );
-        }
+            ),
+        );
     }
-    if json_only {
-        println!("{}", telemetry_export::json(&snapshot));
+    if json {
+        println!("{document}");
         return Ok(());
     }
     println!("{}", table.render());
-    match metrics {
-        "json" => println!("{}", telemetry_export::json(&snapshot)),
-        "prom" => print!("{}", telemetry_export::prometheus(&snapshot)),
-        _ => {
-            println!("last epoch telemetry:");
-            println!("{}", render::telemetry_table(&snapshot));
-            if let Some(diagnosed) = presto::diagnose_real(&snapshot) {
-                println!("{}", render::real_diagnosis(&diagnosed));
-            }
+    if prom {
+        print!("{}", telemetry_export::prometheus(&snapshot));
+    } else {
+        println!("last epoch telemetry:");
+        println!("{}", render::telemetry_table(&snapshot));
+        if let Some(diagnosed) = presto::diagnose_real(&snapshot) {
+            println!("{}", render::real_diagnosis(&diagnosed));
         }
     }
     if let Some(faulty) = fault_store {
@@ -770,53 +1203,73 @@ fn cmd_realrun(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Fault handling shared by the engine-backed commands (`realrun`,
-/// `serve-worker`, `train-client`): `--retries`, `--policy`,
-/// `--max-skip`, `--max-lost`.
-fn parse_resilience(
-    args: &Args,
-    default_skip: u64,
-    default_lost: u64,
-) -> Result<Resilience, String> {
+/// `--policy` with its `--max-skip`/`--max-lost` budgets (defaults
+/// `max_skip`/`max_lost`).
+fn parse_policy(args: &Args, max_skip: u64, max_lost: u64) -> Result<FaultPolicy, String> {
+    match args.get_str("policy").unwrap_or("failfast") {
+        "failfast" => Ok(FaultPolicy::FailFast),
+        "degrade" => Ok(FaultPolicy::Degrade {
+            max_skipped_samples: args.get_or("max-skip", max_skip)?,
+            max_lost_shards: args.get_or("max-lost", max_lost)?,
+        }),
+        other => Err(format!("unknown policy '{other}' (failfast|degrade)")),
+    }
+}
+
+/// [`parse_policy`] plus `--retries` per storage read.
+fn parse_resilience(args: &Args, max_skip: u64, max_lost: u64) -> Result<Resilience, String> {
     let retry = RetryPolicy {
         max_attempts: args.get_or("retries", 3u32)?,
         ..RetryPolicy::default()
     };
-    let policy = match args.get_str("policy").unwrap_or("failfast") {
-        "failfast" => FaultPolicy::FailFast,
-        "degrade" => FaultPolicy::Degrade {
-            max_skipped_samples: args.get_or("max-skip", default_skip)?,
-            max_lost_shards: args.get_or("max-lost", default_lost)?,
-        },
-        other => return Err(format!("unknown policy '{other}' (failfast|degrade)")),
-    };
-    Ok(Resilience::new(retry, policy))
+    Ok(Resilience::new(
+        retry,
+        parse_policy(args, max_skip, max_lost)?,
+    ))
 }
 
-/// Drain one real epoch and return its measured SPS.
-fn timed_epoch(
+/// Drain one streamed epoch, as a training loop would, and return its
+/// stats.
+fn drain_epoch(
     exec: &RealExecutor,
     pipeline: &Pipeline,
-    dataset: &presto_pipeline::real::Materialized,
+    dataset: &Materialized,
     store: &Arc<dyn BlobStore>,
     prefetch: usize,
     seed: u64,
-) -> Result<f64, String> {
-    let mut stream = exec
-        .stream_epoch_with(
-            pipeline,
-            dataset,
-            Arc::clone(store),
-            prefetch,
-            seed,
-            Resilience::default(),
-        )
-        .map_err(|e| e.to_string())?;
+    resilience: &Resilience,
+) -> Result<EpochStats, PipelineError> {
+    let mut stream = exec.stream_epoch_with(
+        pipeline,
+        dataset,
+        Arc::clone(store),
+        prefetch,
+        seed,
+        resilience.clone(),
+    )?;
     for result in &mut stream {
-        result.map_err(|e| e.to_string())?;
+        result?;
     }
-    let stats = stream.join().map_err(|e| e.to_string())?;
-    Ok(stats.samples_per_second())
+    stream.join()
+}
+
+fn causal_options(args: &Args) -> Result<presto::CausalOptions, String> {
+    Ok(presto::CausalOptions {
+        seed: args.get_or("seed", 42u64)?,
+        trials: args.get_or("trials", 3u32)?,
+    })
+}
+
+/// `causal --from FILE`: profile a recorded run.
+fn cmd_causal_replay(args: &Args) -> Result<(), String> {
+    let path = args.get_str("from").unwrap_or_default();
+    let run: telemetry_export::RunDocument = doc::read(&read_file(path)?)?;
+    let profile = presto::profile_from_snapshot(
+        &run.snapshot,
+        &format!("file:{path}"),
+        &causal_options(args)?,
+    )?;
+    print_causal(args, &profile)
 }
 
 /// Live causal profiling: run a baseline epoch of the real engine,
@@ -824,27 +1277,32 @@ fn timed_epoch(
 /// the epoch's allocation attribution and — under
 /// `--live-experiments` — validate the top predictions with actual
 /// Coz-style dilated epochs.
-fn live_causal_profile(
-    args: &Args,
-    opts: &presto::CausalOptions,
-) -> Result<telemetry_causal::CausalProfile, String> {
+fn cmd_causal_live(args: &Args) -> Result<(), String> {
+    let opts = causal_options(args)?;
     let samples = args.get_or("samples", 64usize)?;
     let threads = args.get_or("threads", 4usize)?;
     let prefetch = args.get_or("prefetch", 16usize)?;
-    let name = args.positional.get(1).map(String::as_str).unwrap_or("CV");
-    let (pipeline, source) = cv_workload(name, samples)?;
-    let split = args.get_or("split", pipeline.max_split())?;
-    let strategy = Strategy::at_split(split).with_threads(threads);
+    let json = args.has("json");
 
     let telemetry = Telemetry::new();
     let exec = RealExecutor::new(threads).with_telemetry(Arc::clone(&telemetry));
-    let base = Arc::new(MemStore::new());
-    let (dataset, _prep) = exec
-        .materialize(&pipeline, &strategy, &source, base.as_ref())
-        .map_err(|e| e.to_string())?;
-    let store: Arc<dyn BlobStore> = base;
+    let (pipeline, dataset, store) = materialize_cv(
+        args,
+        &exec,
+        samples,
+        usize::MAX,
+        |s| s.with_threads(threads),
+        json,
+    )?;
+    let store: Arc<dyn BlobStore> = store;
+    let resilience = Resilience::default();
+    let timed_epoch = |exec: &RealExecutor| {
+        drain_epoch(exec, &pipeline, &dataset, &store, prefetch, 1, &resilience)
+            .map(|stats| stats.samples_per_second())
+            .map_err(|e| e.to_string())
+    };
 
-    let baseline_sps = timed_epoch(&exec, &pipeline, &dataset, &store, prefetch, 1)?;
+    let baseline_sps = timed_epoch(&exec)?;
     let snapshot = telemetry
         .last_epoch()
         .ok_or_else(|| "no telemetry recorded".to_string())?;
@@ -852,10 +1310,11 @@ fn live_causal_profile(
         .current_recorder()
         .map(|r| r.alloc_profile())
         .unwrap_or_default();
-    let mut profile = presto::profile_from_snapshot(&snapshot, &format!("live:{name}"), opts)?;
+    let label = format!("live:{}", pipeline_arg(args));
+    let mut profile = presto::profile_from_snapshot(&snapshot, &label, &opts)?;
     profile.alloc = alloc;
 
-    if args.get_str("live-experiments").is_some() {
+    if args.has("live-experiments") {
         // Validate the two strongest predictions with real dilated
         // epochs: every phase EXCEPT the target spins by the dilation,
         // and dividing the dilated clock back out yields the virtual
@@ -871,7 +1330,7 @@ fn live_causal_profile(
             let exp_exec = RealExecutor::new(threads)
                 .with_telemetry(Telemetry::new())
                 .with_delay_plan(Arc::new(plan));
-            let exp_sps = timed_epoch(&exp_exec, &pipeline, &dataset, &store, prefetch, 1)?;
+            let exp_sps = timed_epoch(&exp_exec)?;
             profile.measured.push(presto::measured_point(
                 &rank.step,
                 50,
@@ -880,47 +1339,23 @@ fn live_causal_profile(
             ));
         }
     }
-    Ok(profile)
+    print_causal(args, &profile)
 }
 
-fn cmd_causal(args: &Args) -> Result<(), String> {
-    args.expect_known(&[
-        "from",
-        "seed",
-        "trials",
-        "json",
-        "out",
-        "samples",
-        "threads",
-        "split",
-        "prefetch",
-        "live-experiments",
-    ])?;
-    let opts = presto::CausalOptions {
-        seed: args.get_or("seed", 42u64)?,
-        trials: args.get_or("trials", 3u32)?,
-    };
-    let json_only = args.get_str("json").is_some();
-    let profile = match args.get_str("from") {
-        Some(path) => {
-            let input =
-                std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let run: telemetry_export::RunDocument = doc::read(&input)?;
-            presto::profile_from_snapshot(&run.snapshot, &format!("file:{path}"), &opts)?
-        }
-        None => live_causal_profile(args, &opts)?,
-    };
+fn print_causal(args: &Args, profile: &telemetry_causal::CausalProfile) -> Result<(), String> {
+    let json = args.has("json");
     let document = doc::write(profile.clone());
     if let Some(path) = args.get_str("out") {
-        std::fs::write(path, &document).map_err(|e| format!("writing {path}: {e}"))?;
-        if !json_only {
-            println!("wrote {} to {path}", telemetry_causal::CAUSAL_SCHEMA);
-        }
+        write_file(path, &document)?;
+        note(
+            json,
+            format!("wrote {} to {path}", telemetry_causal::CAUSAL_SCHEMA),
+        );
     }
-    if json_only {
+    if json {
         print!("{document}");
     } else {
-        println!("{}", render::causal_table(&profile));
+        println!("{}", render::causal_table(profile));
     }
     Ok(())
 }
@@ -936,12 +1371,9 @@ fn parse_reconnect(args: &Args) -> Result<RetryPolicy, String> {
         base_backoff: Duration::from_millis(base),
         max_backoff: Duration::from_millis(base.saturating_mul(16).max(1)),
         jitter: true,
-        deadline: match args.get_str("reconnect-deadline-ms") {
-            Some(_) => Some(Duration::from_millis(
-                args.get_or("reconnect-deadline-ms", 0u64)?,
-            )),
-            None => None,
-        },
+        deadline: args
+            .get_opt("reconnect-deadline-ms")?
+            .map(Duration::from_millis),
     })
 }
 
@@ -955,72 +1387,30 @@ fn parse_wire_codec(args: &Args) -> Result<Codec, String> {
 }
 
 fn cmd_serve_worker(args: &Args) -> Result<(), String> {
-    args.expect_known(&[
-        "bind",
-        "samples",
-        "split",
-        "shards",
-        "batch",
-        "wire-codec",
-        "retries",
-        "policy",
-        "max-skip",
-        "max-lost",
-        "kill-after-batches",
-        "batch-pace-ms",
-        "metrics",
-        "sample-ms",
-        "run-secs",
-    ])?;
     let bind = args
         .get_str("bind")
         .ok_or("missing --bind ADDR (use 127.0.0.1:0 for an ephemeral port)")?;
     let samples = args.get_or("samples", 32usize)?;
-    let name = args.positional.get(1).map(String::as_str).unwrap_or("CV");
-    let (pipeline, source) = cv_workload(name, samples)?;
-    let split = args.get_or("split", pipeline.max_split())?;
-    let strategy = Strategy::at_split(split).with_shards(args.get_or("shards", 4usize)?);
-    let resilience = parse_resilience(args, samples as u64, strategy.shards as u64)?;
+    let shards = args.get_or("shards", 4usize)?;
     let config = ServeWorkerConfig {
         batch_samples: args.get_or("batch", 16usize)?,
         wire_codec: parse_wire_codec(args)?,
         batch_pace: Duration::from_millis(args.get_or("batch-pace-ms", 0u64)?),
-        fail_after_batches: match args.get_str("kill-after-batches") {
-            Some(_) => Some(args.get_or("kill-after-batches", u64::MAX)?),
-            None => None,
-        },
+        fail_after_batches: args.get_opt("kill-after-batches")?,
     };
-
-    let store = Arc::new(MemStore::new());
     let exec = RealExecutor::new(2);
-    let (dataset, prep) = exec
-        .materialize(&pipeline, &strategy, &source, store.as_ref())
-        .map_err(|e| e.to_string())?;
-    println!(
-        "materialized {} samples into {} shards ({}) in {:.2?}",
-        dataset.sample_count,
-        dataset.shards.len(),
-        format_bytes(dataset.stored_bytes),
-        prep
-    );
+    let (pipeline, dataset, store) = materialize_cv(
+        args,
+        &exec,
+        samples,
+        usize::MAX,
+        |s| s.with_shards(shards),
+        false,
+    )?;
+    let resilience = parse_resilience(args, samples as u64, dataset.shards.len() as u64)?;
 
     let telemetry = Telemetry::new();
-    let sample_ms = args.get_or("sample-ms", 200u64)?;
-    let _observability = match args.get_str("metrics") {
-        Some(addr) => {
-            let sampler = Sampler::spawn(
-                Arc::clone(&telemetry),
-                Duration::from_millis(sample_ms.max(1)),
-                timeseries::DEFAULT_RING_CAPACITY,
-            );
-            let server = MetricsServer::serve(addr, Arc::clone(&telemetry), sampler.series())
-                .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
-            println!("metrics on http://{}/metrics", server.addr());
-            Some((sampler, server))
-        }
-        None => None,
-    };
-
+    let _endpoint = serve_endpoint(args, &telemetry, true, false)?;
     let worker = ServeWorker::spawn(
         bind,
         &pipeline,
@@ -1037,22 +1427,8 @@ fn cmd_serve_worker(args: &Args) -> Result<(), String> {
     // connects.
     println!("worker listening on {}", worker.addr());
 
-    let started = std::time::Instant::now();
-    let deadline = match args.get_str("run-secs") {
-        Some(_) => Some(Duration::from_secs(args.get_or("run-secs", 0u64)?)),
-        None => None,
-    };
-    loop {
-        if worker.is_stopped() {
-            println!("worker stopped (kill switch or fatal error)");
-            break;
-        }
-        if let Some(limit) = deadline {
-            if started.elapsed() >= limit {
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(50));
+    if run_until(args, || worker.is_stopped())? {
+        println!("worker stopped (kill switch or fatal error)");
     }
     let snapshot = telemetry.serve().snapshot();
     println!(
@@ -1065,55 +1441,10 @@ fn cmd_serve_worker(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_train_client(args: &Args) -> Result<(), String> {
-    args.expect_known(&[
-        "workers",
-        "samples",
-        "split",
-        "shards",
-        "batch",
-        "seed",
-        "tenant",
-        "weight",
-        "credits",
-        "policy",
-        "max-skip",
-        "max-lost",
-        "timeout-ms",
-        "connect-timeout-ms",
-        "reconnect-attempts",
-        "reconnect-base-ms",
-        "reconnect-deadline-ms",
-        "preempt-storm",
-        "storm-policy",
-        "storm-workers",
-        "storm-ms-per-hour",
-        "trace-id",
-        "no-trace",
-        "fleet-out",
-        "serve",
-        "serve-linger-ms",
-        "sample-ms",
-        "json",
-        "history-dir",
-        "no-history",
-    ])?;
-    if args.get_str("preempt-storm").is_some() {
-        return cmd_preempt_storm(args);
-    }
-    let workers: Vec<String> = args
-        .get_str("workers")
-        .ok_or("missing --workers A,B,... (serve-worker addresses)")?
-        .split(',')
-        .map(|w| w.trim().to_string())
-        .filter(|w| !w.is_empty())
-        .collect();
-    if workers.is_empty() {
-        return Err("--workers lists no addresses".into());
-    }
+    let workers = addr_list(args, "workers")?;
     let samples = args.get_or("samples", 32usize)?;
-    let json_only = args.get_str("json").is_some();
-    let name = args.positional.get(1).map(String::as_str).unwrap_or("CV");
-    let (pipeline, _source) = cv_workload(name, samples.min(1))?;
+    let json = args.has("json");
+    let pipeline = cv_pipeline(pipeline_arg(args))?;
     let split = args.get_or("split", pipeline.max_split())?;
     let shards = args.get_or("shards", 4usize)?;
     // Must mirror the worker's materialization exactly: same count
@@ -1123,63 +1454,25 @@ fn cmd_train_client(args: &Args) -> Result<(), String> {
         .map(|i| format!("{}-split{}-shard{:04}", pipeline.name, split, i))
         .collect();
     let seed = args.get_or("seed", 0u64)?;
-    let resilience = parse_resilience(args, samples as u64, shard_count as u64)?;
-    let tracing = args.get_str("no-trace").is_none();
     let config = ServeClientConfig {
         credits: args.get_or("credits", 8u32)?,
-        policy: resilience.policy,
+        policy: parse_policy(args, samples as u64, shard_count as u64)?,
         read_timeout: Duration::from_millis(args.get_or("timeout-ms", 30_000u64)?),
         connect_timeout: Duration::from_millis(args.get_or("connect-timeout-ms", 5_000u64)?),
         reconnect: parse_reconnect(args)?,
-        tracing,
-        trace_id: args.get_or("trace-id", 0u64)?,
         tenant: match args.get_str("tenant") {
             Some(name) => Some(TenantSpec::new(name, args.get_or("weight", 1u32)?.max(1))),
-            None => {
-                if args.get_str("weight").is_some() {
-                    return Err("--weight needs --tenant NAME".into());
-                }
-                None
-            }
+            None if args.has("weight") => return Err("--weight needs --tenant NAME".into()),
+            None => None,
         },
+        ..ServeClientConfig::default()
     };
 
     let telemetry = Telemetry::new();
     // --serve: the fleet aggregator endpoint. /metrics carries the
     // merged epoch + serve + fleet gauge families, /fleet.json the
     // presto.fleet.v1 bundle, live while the epoch runs.
-    let _observability = match args.get_str("serve") {
-        Some(addr) => {
-            let sampler = Sampler::spawn(
-                Arc::clone(&telemetry),
-                Duration::from_millis(args.get_or("sample-ms", 200u64)?.max(1)),
-                timeseries::DEFAULT_RING_CAPACITY,
-            );
-            let server = MetricsServer::serve(addr, Arc::clone(&telemetry), sampler.series())
-                .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
-            let line = format!(
-                "serving http://{0}/metrics and http://{0}/fleet.json",
-                server.addr()
-            );
-            if json_only {
-                eprintln!("{line}");
-            } else {
-                println!("{line}");
-            }
-            Some((sampler, server))
-        }
-        None => None,
-    };
-    // With tracing on, serve_epoch owns the epoch recorder (shards as
-    // steps, per-shard client spans); with --no-trace we record the
-    // epoch envelope ourselves so history and JSON export still work.
-    let manual_rec = if tracing {
-        None
-    } else {
-        let rec = telemetry.begin_epoch(&["serve".to_string()], workers.len(), 0);
-        rec.set_epoch_seed(seed);
-        Some(rec)
-    };
+    let endpoint = serve_endpoint(args, &telemetry, true, json)?;
     let report = serve_epoch(
         &workers,
         &shard_names,
@@ -1189,56 +1482,27 @@ fn cmd_train_client(args: &Args) -> Result<(), String> {
         |_| {},
     )
     .map_err(|e| e.to_string())?;
-    if let Some(rec) = manual_rec {
-        rec.finish(
-            report.elapsed,
-            report.samples,
-            report.bytes_received,
-            0,
-            0,
-            report.lost_shards,
-            report.degraded,
-        );
-    }
     let snapshot = telemetry
         .last_epoch()
         .ok_or_else(|| "no telemetry recorded".to_string())?;
     let document = telemetry_export::json_with_mode(&snapshot, Some("serve"));
-    if args.get_str("no-history").is_none() {
-        match run_store(args).append_document(&document) {
-            Ok((id, path)) => {
-                if json_only {
-                    eprintln!("recorded {id} -> {}", path.display());
-                } else {
-                    println!("recorded {id} -> {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: run not recorded: {e}"),
-        }
-    }
+    record_run(args, &document, json);
     let serve_snapshot = telemetry.serve().snapshot();
     let fleet = telemetry.fleet().snapshot();
     if let Some(path) = args.get_str("fleet-out") {
-        if fleet.active {
-            let fleet_doc = telemetry_fleet::fleet_json(&snapshot, &serve_snapshot, &fleet);
-            std::fs::write(path, &fleet_doc).map_err(|e| format!("writing {path}: {e}"))?;
-            let line = format!("fleet trace -> {path}");
-            if json_only {
-                eprintln!("{line}");
-            } else {
-                println!("{line}");
-            }
-        } else {
-            eprintln!("warning: --fleet-out ignored (fleet tracing is off)");
-        }
+        write_file(
+            path,
+            &telemetry_fleet::fleet_json(&snapshot, &serve_snapshot, &fleet),
+        )?;
+        note(json, format!("fleet trace -> {path}"));
     }
     // Keep the aggregator scrapeable after the epoch so CI (and
     // humans) can pull the finished /fleet.json.
     let linger = args.get_or("serve-linger-ms", 0u64)?;
-    if _observability.is_some() && linger > 0 {
+    if endpoint.is_some() && linger > 0 {
         std::thread::sleep(Duration::from_millis(linger));
     }
-    if json_only {
+    if json {
         println!("{document}");
         return Ok(());
     }
@@ -1262,9 +1526,7 @@ fn cmd_train_client(args: &Args) -> Result<(), String> {
             report.lost_shards
         );
     }
-    if let Some(diag) =
-        presto::diagnose_fleet(&snapshot, &serve_snapshot, &fleet).filter(|_| fleet.active)
-    {
+    if let Some(diag) = presto::diagnose_fleet(&snapshot, &serve_snapshot, &fleet) {
         println!(
             "fleet bottleneck: {} (gap {:.0}% · stream {:.0}% · consume {:.0}% · worker produce {:.0}% · credit {:.0}%)",
             diag.bottleneck,
@@ -1282,75 +1544,50 @@ fn cmd_train_client(args: &Args) -> Result<(), String> {
 /// `presto chaos-proxy`: a deterministic fault-injecting TCP proxy in
 /// front of one serve-worker. Every fault it fires lands in a bounded
 /// event log; `--events-out` writes that log as `presto.chaos.v1` so
-/// `presto trace --merge --chaos` can lay the faults on their own
-/// track of the merged fleet trace.
+/// `presto trace --chaos` can lay the faults on their own track of the
+/// merged fleet trace.
 fn cmd_chaos_proxy(args: &Args) -> Result<(), String> {
-    args.expect_known(&[
-        "upstream",
-        "seed",
-        "throttle-bps",
-        "delay-ms",
-        "delay-pct",
-        "partition-ms",
-        "partition-pct",
-        "corrupt-pct",
-        "disconnect-pct",
-        "events-out",
-        "run-secs",
-    ])?;
     let upstream = args
         .get_str("upstream")
         .ok_or("missing --upstream ADDR (a serve-worker address)")?;
     let seed = args.get_or("seed", 1u64)?;
     let mut faults = Vec::new();
-    if args.get_str("throttle-bps").is_some() {
+    if let Some(bytes_per_sec) = args.get_opt::<u64>("throttle-bps")? {
         faults.push(ChaosFault::Throttle {
-            bytes_per_sec: args.get_or("throttle-bps", 64 * 1024u64)?.max(1),
+            bytes_per_sec: bytes_per_sec.max(1),
         });
     }
-    if args.get_str("delay-ms").is_some() {
+    if let Some(ms) = args.get_opt("delay-ms")? {
         faults.push(ChaosFault::Delay {
             probability: args.get_or("delay-pct", 100.0f64)? / 100.0,
-            hold: Duration::from_millis(args.get_or("delay-ms", 0u64)?),
+            hold: Duration::from_millis(ms),
         });
     }
-    if args.get_str("partition-ms").is_some() {
+    if let Some(ms) = args.get_opt("partition-ms")? {
         faults.push(ChaosFault::Partition {
             probability: args.get_or("partition-pct", 100.0f64)? / 100.0,
-            hold: Duration::from_millis(args.get_or("partition-ms", 0u64)?),
+            hold: Duration::from_millis(ms),
         });
     }
-    if args.get_str("corrupt-pct").is_some() {
+    if let Some(pct) = args.get_opt::<f64>("corrupt-pct")? {
         faults.push(ChaosFault::Corrupt {
-            probability: args.get_or("corrupt-pct", 0.0f64)? / 100.0,
+            probability: pct / 100.0,
         });
     }
-    if args.get_str("disconnect-pct").is_some() {
+    if let Some(pct) = args.get_opt::<f64>("disconnect-pct")? {
         faults.push(ChaosFault::Disconnect {
-            probability: args.get_or("disconnect-pct", 0.0f64)? / 100.0,
+            probability: pct / 100.0,
         });
     }
     let proxy = ChaosProxy::start(upstream, seed, faults).map_err(|e| e.to_string())?;
     // Scripts parse this line the same way they parse the worker's.
     println!("chaos proxy listening on {} -> {upstream}", proxy.addr());
 
-    let started = std::time::Instant::now();
-    let deadline = match args.get_str("run-secs") {
-        Some(_) => Some(Duration::from_secs(args.get_or("run-secs", 0u64)?)),
-        None => None,
-    };
-    loop {
-        if let Some(limit) = deadline {
-            if started.elapsed() >= limit {
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    run_until(args, || false)?;
     let stats = proxy.injected();
     let (events, dropped) = proxy.events();
     if let Some(path) = args.get_str("events-out") {
-        std::fs::write(path, proxy.events_json()).map_err(|e| format!("writing {path}: {e}"))?;
+        write_file(path, &proxy.events_json())?;
         println!(
             "chaos events -> {path} ({} events, {dropped} dropped)",
             events.len()
@@ -1370,32 +1607,22 @@ fn cmd_chaos_proxy(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `presto trace --merge`: merge a `presto.fleet.v1` bundle (and
-/// optionally a `presto.chaos.v1` event log) into one Chrome trace
-/// covering the whole fleet — client, workers on the offset-corrected
-/// client clock, and chaos faults on their own track.
+/// `presto trace`: merge a `presto.fleet.v1` bundle (and optionally a
+/// `presto.chaos.v1` event log) into one Chrome trace covering the
+/// whole fleet — client, workers on the offset-corrected client clock,
+/// and chaos faults on their own track.
 fn cmd_trace(args: &Args) -> Result<(), String> {
-    args.expect_known(&["merge", "fleet", "chaos", "out"])?;
-    if args.get_str("merge").is_none() {
-        return Err("usage: presto trace --merge --fleet FILE [--chaos FILE] [--out FILE]".into());
-    }
     let fleet_path = args
         .get_str("fleet")
         .ok_or("missing --fleet FILE (a presto.fleet.v1 document)")?;
-    let fleet_doc =
-        std::fs::read_to_string(fleet_path).map_err(|e| format!("reading {fleet_path}: {e}"))?;
-    let chaos_doc = match args.get_str("chaos") {
-        Some(path) => {
-            Some(std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?)
-        }
-        None => None,
-    };
+    let fleet_doc = read_file(fleet_path)?;
+    let chaos_doc = args.get_str("chaos").map(read_file).transpose()?;
     let merged = telemetry_fleet::merge_chrome_trace(&fleet_doc, chaos_doc.as_deref())?;
     let events = telemetry_export::validate_chrome_trace(&merged)
         .map_err(|e| format!("merged trace failed self-validation: {e}"))?;
     match args.get_str("out") {
         Some(path) => {
-            std::fs::write(path, &merged).map_err(|e| format!("writing {path}: {e}"))?;
+            write_file(path, &merged)?;
             println!("merged trace -> {path} ({events} complete events)");
         }
         None => print!("{merged}"),
@@ -1427,32 +1654,10 @@ fn fleet_verdict_name(verdict: FleetVerdict) -> &'static str {
 /// serve-workers and clients register weighted jobs against the
 /// daemon's admission policy with `train-client --tenant`.
 fn cmd_fleetd(args: &Args) -> Result<(), String> {
-    args.expect_known(&[
-        "bind",
-        "backends",
-        "max-jobs",
-        "quota",
-        "max-requeues",
-        "credits",
-        "quantum",
-        "max-inflight",
-        "metrics",
-        "sample-ms",
-        "run-secs",
-    ])?;
     let bind = args
         .get_str("bind")
         .ok_or("missing --bind ADDR (use 127.0.0.1:0 for an ephemeral port)")?;
-    let backends: Vec<String> = args
-        .get_str("backends")
-        .ok_or("missing --backends A,B,... (serve-worker addresses)")?
-        .split(',')
-        .map(|w| w.trim().to_string())
-        .filter(|w| !w.is_empty())
-        .collect();
-    if backends.is_empty() {
-        return Err("--backends lists no addresses".into());
-    }
+    let backends = addr_list(args, "backends")?;
     let config = FleetDaemonConfig {
         policy: AdmissionPolicy {
             max_jobs: args.get_or("max-jobs", 8usize)?.max(1),
@@ -1465,58 +1670,26 @@ fn cmd_fleetd(args: &Args) -> Result<(), String> {
         ..FleetDaemonConfig::default()
     };
     let telemetry = Telemetry::new();
-    let sample_ms = args.get_or("sample-ms", 200u64)?;
-    let _observability = match args.get_str("metrics") {
-        Some(addr) => {
-            let sampler = Sampler::spawn(
-                Arc::clone(&telemetry),
-                Duration::from_millis(sample_ms.max(1)),
-                timeseries::DEFAULT_RING_CAPACITY,
-            );
-            let server = MetricsServer::serve(addr, Arc::clone(&telemetry), sampler.series())
-                .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
-            println!(
-                "serving http://{0}/metrics and http://{0}/tenants.json",
-                server.addr()
-            );
-            Some((sampler, server))
-        }
-        None => None,
-    };
+    let _endpoint = serve_endpoint(args, &telemetry, true, false)?;
     let daemon = FleetDaemon::spawn(bind, &backends, config, Some(Arc::clone(&telemetry)))
         .map_err(|e| e.to_string())?;
     // The line scripts and CI parse: with --bind 127.0.0.1:0 this is
     // the only way to learn the kernel-assigned port.
     println!("fleetd listening on {}", daemon.addr());
-    let started = std::time::Instant::now();
-    let deadline = match args.get_str("run-secs") {
-        Some(_) => Some(Duration::from_secs(args.get_or("run-secs", 0u64)?)),
-        None => None,
-    };
-    loop {
-        if let Some(limit) = deadline {
-            if started.elapsed() >= limit {
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    run_until(args, || false)?;
     let snapshot = telemetry.tenants().snapshot();
-    let done = snapshot
-        .tenants
-        .iter()
-        .filter(|t| t.state.label() == "done")
-        .count();
-    let failed = snapshot
-        .tenants
-        .iter()
-        .filter(|t| t.state.label() == "failed")
-        .count();
+    let count = |state: &str| {
+        snapshot
+            .tenants
+            .iter()
+            .filter(|t| t.state.label() == state)
+            .count()
+    };
     println!(
         "fleetd saw {} tenant(s): {} done, {} failed, {} rejected",
         snapshot.tenants.len(),
-        done,
-        failed,
+        count("done"),
+        count("failed"),
         snapshot.rejected
     );
     Ok(())
@@ -1525,10 +1698,9 @@ fn cmd_fleetd(args: &Args) -> Result<(), String> {
 /// `presto tenants --attach ADDR`: the per-tenant status table scraped
 /// from a running fleetd's `/tenants.json` endpoint.
 fn cmd_tenants(args: &Args) -> Result<(), String> {
-    args.expect_known(&["attach", "json"])?;
     let addr: std::net::SocketAddr = args
         .get_str("attach")
-        .ok_or("missing --attach ADDR (a fleetd --metrics endpoint)")?
+        .ok_or("missing --attach ADDR (a fleetd --serve endpoint)")?
         .parse()
         .map_err(|_| {
             "bad --attach ADDR (need host:port of a /tenants.json endpoint)".to_string()
@@ -1546,7 +1718,7 @@ fn cmd_tenants(args: &Args) -> Result<(), String> {
     // Parse before printing even in --json mode: a malformed document
     // should fail loudly, not propagate downstream.
     let snapshot: TenantsSnapshot = doc::read(&body)?;
-    if args.get_str("json").is_some() {
+    if args.has("json") {
         println!("{body}");
         return Ok(());
     }
@@ -1571,14 +1743,9 @@ fn cmd_tenants(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The fleet configuration shared by `fleet-sim` and the live
-/// `--preempt-storm` drill, from the common flags.
-fn parse_fleet_config(
-    args: &Args,
-    workers_key: &str,
-    default_workers: u32,
-) -> Result<FleetConfig, String> {
-    let workers = args.get_or(workers_key, default_workers)?.max(1);
+/// The simulated fleet of `fleet-sim`.
+fn parse_fleet_config(args: &Args) -> Result<FleetConfig, String> {
+    let workers = args.get_or("workers", 4u32)?.max(1);
     let mut config = match args.get_str("market").unwrap_or("storm") {
         "volatile" => FleetConfig::drill(workers),
         "storm" => FleetConfig::storm(workers),
@@ -1674,22 +1841,8 @@ fn fleet_sim_json(
 }
 
 fn cmd_fleet_sim(args: &Args) -> Result<(), String> {
-    args.expect_known(&[
-        "workers",
-        "seed",
-        "market",
-        "budget",
-        "epoch-hours",
-        "rejoin-hours",
-        "on-demand",
-        "policy",
-        "fallback-after",
-        "kill-log",
-        "tenants",
-        "json",
-    ])?;
     let seed = args.get_or("seed", 1u64)?;
-    let config = parse_fleet_config(args, "workers", 4)?;
+    let config = parse_fleet_config(args)?;
     let fallback_after = args.get_or("fallback-after", config.reconnect_budget.max(2) - 1)?;
     let outcomes: Vec<FleetOutcome> = match args.get_str("policy") {
         Some(name) => vec![simulate(
@@ -1700,7 +1853,7 @@ fn cmd_fleet_sim(args: &Args) -> Result<(), String> {
         None => rank_policies(&config, seed),
     };
     let tenants_n = args.get_or("tenants", 0u32)?;
-    if args.get_str("json").is_some() {
+    if args.has("json") {
         print!("{}", fleet_sim_json(seed, &config, &outcomes, tenants_n));
         return Ok(());
     }
@@ -1755,7 +1908,7 @@ fn cmd_fleet_sim(args: &Args) -> Result<(), String> {
             println!("{}", shares_table.render());
         }
     }
-    if args.get_str("kill-log").is_some() {
+    if args.has("kill-log") {
         for o in &outcomes {
             if o.kill_log.is_empty() {
                 println!("{}: no kills", o.policy.name());
@@ -1806,7 +1959,6 @@ fn cmd_preempt_storm(args: &Args) -> Result<(), String> {
     let shards = args.get_or("shards", 12usize)?.max(1);
     let batch = args.get_or("batch", 4usize)?.max(1);
     let credits = args.get_or("credits", 4u32)?.max(1);
-    let name = args.positional.get(1).map(String::as_str).unwrap_or("CV");
 
     // Predict first: the same seed that will drive the live storm.
     let mut config = FleetConfig::storm(args.get_or("storm-workers", 3u32)?.max(1));
@@ -1828,18 +1980,17 @@ fn cmd_preempt_storm(args: &Args) -> Result<(), String> {
 
     // Workload, materialization, and the single-process baseline the
     // stormed epoch must reproduce.
-    let (pipeline, source) = cv_workload(name, samples)?;
-    let split = args.get_or("split", 2usize.min(pipeline.max_split()))?;
-    let strategy = Strategy::at_split(split)
-        .with_threads(2)
-        .with_shards(shards);
-    let store = Arc::new(MemStore::new());
     let exec = RealExecutor::new(2);
-    let (dataset, _prep) = exec
-        .materialize(&pipeline, &strategy, &source, store.as_ref())
-        .map_err(|e| e.to_string())?;
+    let (pipeline, dataset, store) = materialize_cv(
+        args,
+        &exec,
+        samples,
+        2,
+        |s| s.with_threads(2).with_shards(shards),
+        false,
+    )?;
     let baseline = {
-        let checksum = std::sync::Mutex::new(MultisetChecksum::default());
+        let checksum = Mutex::new(MultisetChecksum::default());
         exec.epoch(&pipeline, &dataset, store.as_ref(), None, seed, |sample| {
             checksum.lock().unwrap().add(sample)
         })
@@ -1898,70 +2049,6 @@ fn cmd_preempt_storm(args: &Args) -> Result<(), String> {
     }
     schedule.sort_by_key(|(at, _, _)| *at);
 
-    let fleet = Arc::new(std::sync::Mutex::new(initial));
-    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let storm = {
-        let fleet = Arc::clone(&fleet);
-        let done = Arc::clone(&done);
-        let addrs = addrs.clone();
-        let pipeline = pipeline.clone();
-        let dataset = dataset.clone();
-        let store = Arc::clone(&store);
-        let worker_config = worker_config.clone();
-        std::thread::spawn(move || {
-            use std::sync::atomic::Ordering;
-            let started = std::time::Instant::now();
-            let mut kills = 0u64;
-            for (at_ms, w, action) in schedule {
-                loop {
-                    if done.load(Ordering::Acquire) {
-                        return kills;
-                    }
-                    let elapsed = started.elapsed().as_millis() as u64;
-                    if elapsed >= at_ms {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis((at_ms - elapsed).min(20)));
-                }
-                match action {
-                    StormAction::Kill => {
-                        if let Some(worker) = fleet.lock().unwrap()[w].take() {
-                            worker.stop();
-                            kills += 1;
-                            println!("storm: {at_ms:>5}ms killed worker {w} ({})", addrs[w]);
-                        }
-                    }
-                    StormAction::Respawn => {
-                        // The listener port is free again (SO_REUSEADDR);
-                        // a few bind retries absorb shutdown races.
-                        for _ in 0..40 {
-                            match ServeWorker::spawn(
-                                &addrs[w],
-                                &pipeline,
-                                &dataset,
-                                Arc::clone(&store) as Arc<dyn BlobStore>,
-                                Resilience::default(),
-                                None,
-                                worker_config.clone(),
-                            ) {
-                                Ok(worker) => {
-                                    println!(
-                                        "storm: {at_ms:>5}ms worker {w} rejoined ({})",
-                                        addrs[w]
-                                    );
-                                    fleet.lock().unwrap()[w] = Some(worker);
-                                    break;
-                                }
-                                Err(_) => std::thread::sleep(Duration::from_millis(25)),
-                            }
-                        }
-                    }
-                }
-            }
-            kills
-        })
-    };
-
     // The consuming client: a reconnect budget matching the simulated
     // one, and a policy matching the drill's intent — greedy-spot runs
     // are allowed to degrade (that is the lesson they teach), the
@@ -1986,18 +2073,65 @@ fn cmd_preempt_storm(args: &Args) -> Result<(), String> {
         },
         ..ServeClientConfig::default()
     };
-    let live = std::sync::Mutex::new(MultisetChecksum::default());
-    let result = serve_epoch(
-        &addrs,
-        &dataset.shards,
-        seed,
-        &client_config,
-        None,
-        |sample| live.lock().unwrap().add(sample),
-    );
-    done.store(true, std::sync::atomic::Ordering::Release);
-    let live_kills = storm.join().unwrap_or(0);
-    for worker in fleet.lock().unwrap().drain(..).flatten() {
+    let fleet = Mutex::new(initial);
+    let done = AtomicBool::new(false);
+    let live = Mutex::new(MultisetChecksum::default());
+    let (result, live_kills) = std::thread::scope(|scope| {
+        let storm = scope.spawn(|| {
+            let started = Instant::now();
+            let mut kills = 0u64;
+            for (at_ms, w, action) in schedule {
+                loop {
+                    if done.load(Ordering::Acquire) {
+                        return kills;
+                    }
+                    let elapsed = started.elapsed().as_millis() as u64;
+                    if elapsed >= at_ms {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis((at_ms - elapsed).min(20)));
+                }
+                match action {
+                    StormAction::Kill => {
+                        if let Some(worker) = fleet.lock().unwrap()[w].take() {
+                            worker.stop();
+                            kills += 1;
+                            println!("storm: {at_ms:>5}ms killed worker {w} ({})", addrs[w]);
+                        }
+                    }
+                    StormAction::Respawn => {
+                        // The listener port is free again (SO_REUSEADDR);
+                        // a few bind retries absorb shutdown races.
+                        for _ in 0..40 {
+                            match spawn_worker(&addrs[w]) {
+                                Ok(worker) => {
+                                    println!(
+                                        "storm: {at_ms:>5}ms worker {w} rejoined ({})",
+                                        addrs[w]
+                                    );
+                                    fleet.lock().unwrap()[w] = Some(worker);
+                                    break;
+                                }
+                                Err(_) => std::thread::sleep(Duration::from_millis(25)),
+                            }
+                        }
+                    }
+                }
+            }
+            kills
+        });
+        let result = serve_epoch(
+            &addrs,
+            &dataset.shards,
+            seed,
+            &client_config,
+            None,
+            |sample| live.lock().unwrap().add(sample),
+        );
+        done.store(true, Ordering::Release);
+        (result, storm.join().unwrap_or(0))
+    });
+    for worker in fleet.into_inner().unwrap().into_iter().flatten() {
         worker.stop();
     }
     let report = result.map_err(|e| format!("stormed epoch failed outright: {e}"))?;
@@ -2051,29 +2185,6 @@ fn cmd_preempt_storm(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// A minimal [`StrategyProfile`] wrapping one fan-out throughput
-/// number, so the sim-vs-real comparison reports drift through the same
-/// [`fidelity::profile_drift`] used by the simulator fidelity suite.
-/// Profiles pair by the `fanout@J` label.
-fn fan_out_profile(strategy: &Strategy, jobs: usize, sps: f64) -> StrategyProfile {
-    StrategyProfile {
-        strategy: strategy.clone(),
-        label: format!("fanout@{jobs}"),
-        storage_bytes: 0,
-        stored_sample_bytes: 0.0,
-        sample_bytes: 0.0,
-        offline: None,
-        epochs: vec![EpochReport {
-            epoch: 1,
-            throughput_sps: sps,
-            network_read_mbps: 0.0,
-            elapsed_full: Nanos::ZERO,
-            stats: Dstat::default(),
-        }],
-        error: None,
-    }
-}
-
 /// Where fan-out saturates, as `(model, measurement)` job counts: the
 /// first fan-out the model calls link-bound, and the first whose
 /// measured straggler falls below 70% of the one-client `sps1`.
@@ -2089,28 +2200,22 @@ fn fan_out_saturation(
 }
 
 fn cmd_sim_vs_real(args: &Args) -> Result<(), String> {
-    args.expect_known(&["samples", "split", "shards", "jobs", "sim-samples"])?;
     let samples = args.get_or("samples", 32usize)?;
     let jobs = args.get_or("jobs", 3usize)?.max(1);
-    let name = args.positional.get(1).map(String::as_str).unwrap_or("CV");
-    let (pipeline, source) = cv_workload(name, samples)?;
-    // Default to a mid split: enough online work (JPEG decode + crop)
-    // that serving time dominates connection overhead.
-    let split = args.get_or("split", 2usize.min(pipeline.max_split()))?;
-    let strategy = Strategy::at_split(split).with_shards(args.get_or("shards", 4usize)?);
+    let shards = args.get_or("shards", 4usize)?;
 
     // One fixed-capacity preprocessing node shared by every training
-    // job: the paper's concurrent-training fan-out, run for real.
-    let store = Arc::new(MemStore::new());
+    // job: the paper's concurrent-training fan-out, run for real. A
+    // mid split by default: enough online work (JPEG decode + crop)
+    // that serving time dominates connection overhead.
     let exec = RealExecutor::new(2);
-    let (dataset, _prep) = exec
-        .materialize(&pipeline, &strategy, &source, store.as_ref())
-        .map_err(|e| e.to_string())?;
+    let (pipeline, dataset, store) =
+        materialize_cv(args, &exec, samples, 2, |s| s.with_shards(shards), false)?;
     let worker = ServeWorker::spawn(
         "127.0.0.1:0",
         &pipeline,
         &dataset,
-        Arc::clone(&store) as Arc<dyn BlobStore>,
+        store as Arc<dyn BlobStore>,
         Resilience::default(),
         None,
         ServeWorkerConfig::default(),
@@ -2165,8 +2270,6 @@ fn cmd_sim_vs_real(args: &Args) -> Result<(), String> {
     );
 
     let mut table = TableBuilder::new(&["jobs", "sim SPS/job", "link-bound", "real SPS/job"]);
-    let mut sim_profiles = Vec::new();
-    let mut real_profiles = Vec::new();
     let mut all_predicted = Vec::new();
     let mut all_measured = Vec::new();
     for j in 1..=jobs {
@@ -2191,8 +2294,6 @@ fn cmd_sim_vs_real(args: &Args) -> Result<(), String> {
             .fold(f64::INFINITY, f64::min);
         all_predicted.push(predicted);
         all_measured.push(real_sps);
-        sim_profiles.push(fan_out_profile(&strategy, j, predicted.per_job_sps));
-        real_profiles.push(fan_out_profile(&strategy, j, real_sps));
         table.row(&[
             j.to_string(),
             format!("{:.0}", predicted.per_job_sps),
@@ -2202,7 +2303,13 @@ fn cmd_sim_vs_real(args: &Args) -> Result<(), String> {
     }
     worker.stop();
     println!("{}", table.render());
-    let (t_drift, _) = presto::fidelity::profile_drift(&real_profiles, &sim_profiles);
+    // The throughput half of `fidelity::profile_drift`, on bare numbers.
+    let t_drift = all_predicted
+        .iter()
+        .zip(&all_measured)
+        .filter(|(p, _)| p.per_job_sps > 0.0)
+        .map(|(p, real)| (real - p.per_job_sps).abs() / p.per_job_sps)
+        .fold(0.0, f64::max);
     println!(
         "max per-job throughput drift vs the fan-out model: {:.0}%",
         t_drift * 100.0
@@ -2210,14 +2317,12 @@ fn cmd_sim_vs_real(args: &Args) -> Result<(), String> {
 
     // Context: the simulator's distributed offline-phase scaling for
     // the same pipeline and split.
-    if let Some(workload) = all_workloads()
-        .into_iter()
-        .find(|w| w.pipeline.name.eq_ignore_ascii_case(name))
-    {
+    if let Ok(workload) = workload_named(pipeline_arg(args)) {
         let mut env = SimEnv::paper_vm();
-        env.subset_samples = args.get_or("sim-samples", 256)?;
+        env.subset_samples = 256;
         let sim = Simulator::new(workload.pipeline.clone(), workload.dataset.clone(), env);
-        let sim_strategy = Strategy::at_split(split.min(workload.pipeline.max_split()).max(1));
+        let sim_strategy =
+            Strategy::at_split(dataset.split.min(workload.pipeline.max_split()).max(1));
         let mut scaling = TableBuilder::new(&["workers", "offline", "speedup"]);
         for row in distributed::offline_scaling(&sim, &sim_strategy, &[1, 2, 4]) {
             scaling.row(&[
@@ -2249,46 +2354,35 @@ fn cmd_sim_vs_real(args: &Args) -> Result<(), String> {
     }
 }
 
+/// Redraw in place (clear screen + home) unless `--plain` asks for
+/// appended frames (tests, CI, non-ANSI terminals).
+fn clear_frame(args: &Args) {
+    if !args.has("plain") {
+        print!("\x1b[2J\x1b[H");
+    }
+}
+
+fn refresh(args: &Args) -> Result<Duration, String> {
+    Ok(Duration::from_millis(
+        args.get_or("refresh-ms", 250u64)?.max(10),
+    ))
+}
+
 fn cmd_watch(args: &Args) -> Result<(), String> {
-    if args.get_str("search").is_some() {
-        return watch_search(args);
-    }
-    if args.get_str("attach").is_some() {
-        return watch_attach(args);
-    }
-    args.expect_known(&[
-        "samples",
-        "threads",
-        "split",
-        "epochs",
-        "cache",
-        "refresh-ms",
-        "sample-ms",
-        "plain",
-    ])?;
     let samples = args.get_or("samples", 64usize)?;
     let threads = args.get_or("threads", 4usize)?;
     let epochs = args.get_or("epochs", 3usize)?;
-    let refresh = Duration::from_millis(args.get_or("refresh-ms", 250u64)?.max(10));
+    let refresh = refresh(args)?;
     let sample_ms = args.get_or("sample-ms", 100u64)?.max(1);
-    // --plain: append frames instead of redrawing in place (tests, CI,
-    // non-ANSI terminals).
-    let plain = args.get_str("plain").is_some();
-    let name = args.positional.get(1).map(String::as_str).unwrap_or("CV");
-    let (pipeline, source) = cv_workload(name, samples)?;
     // Default to split 0 (everything online) so the dashboard has the
     // full step chain to show; with --cache the verdict visibly moves
     // once epoch 2 serves from the warm cache.
-    let split = args.get_or("split", 0usize)?;
-    let strategy = Strategy::at_split(split).with_threads(threads);
-    let cache = args.get_str("cache").map(|_| AppCache::new(1 << 28));
+    let cache = args.has("cache").then(|| AppCache::new(1 << 28));
 
     let telemetry = Telemetry::new();
     let exec = RealExecutor::new(threads).with_telemetry(Arc::clone(&telemetry));
-    let store = MemStore::new();
-    let (dataset, _) = exec
-        .materialize(&pipeline, &strategy, &source, &store)
-        .map_err(|e| e.to_string())?;
+    let (pipeline, dataset, store) =
+        materialize_cv(args, &exec, samples, 0, |s| s.with_threads(threads), false)?;
     let sampler = Sampler::spawn(
         Arc::clone(&telemetry),
         Duration::from_millis(sample_ms),
@@ -2302,7 +2396,7 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
                 exec.epoch_with(
                     &pipeline,
                     &dataset,
-                    &store,
+                    store.as_ref(),
                     cache.as_ref(),
                     epoch as u64,
                     &Resilience::default(),
@@ -2316,10 +2410,7 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
             std::thread::sleep(refresh);
             let points = series.points();
             let trend = presto::diagnose_window(&points);
-            if !plain {
-                // Clear screen + home, then draw the frame in place.
-                print!("\x1b[2J\x1b[H");
-            }
+            clear_frame(args);
             println!("{}", render::watch_frame(&points, trend.as_ref()));
         }
         worker
@@ -2350,15 +2441,13 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
 /// `/metrics` endpoint. `--frames N` stops after N frames (CI);
 /// without it the dashboard runs until the endpoint goes away.
 fn watch_attach(args: &Args) -> Result<(), String> {
-    args.expect_known(&["attach", "refresh-ms", "frames", "plain"])?;
     let addr: std::net::SocketAddr = args
         .get_str("attach")
         .unwrap_or_default()
         .parse()
         .map_err(|_| "bad --attach ADDR (need host:port of a /metrics endpoint)".to_string())?;
-    let refresh = Duration::from_millis(args.get_or("refresh-ms", 250u64)?.max(10));
+    let refresh = refresh(args)?;
     let frames = args.get_or("frames", 0u64)?;
-    let plain = args.get_str("plain").is_some();
     let mut rendered = 0u64;
     loop {
         let body = match presto_pipeline::telemetry::http::get(addr, "/metrics") {
@@ -2374,9 +2463,7 @@ fn watch_attach(args: &Args) -> Result<(), String> {
             }
         };
         let series = telemetry_export::parse_prometheus(&body)?;
-        if !plain {
-            print!("\x1b[2J\x1b[H");
-        }
+        clear_frame(args);
         println!("{}", render::serve_frame(&series));
         rendered += 1;
         if frames > 0 && rendered >= frames {
@@ -2393,80 +2480,34 @@ fn watch_attach(args: &Args) -> Result<(), String> {
 /// With `--serve ADDR` the same gauges are scrapeable at `/metrics`
 /// while the search runs.
 fn watch_search(args: &Args) -> Result<(), String> {
-    args.expect_known(&[
-        "search",
-        "samples",
-        "ssd",
-        "jobs",
-        "prune",
-        "probe-samples",
-        "keep",
-        "no-memo",
-        "wp",
-        "ws",
-        "wt",
-        "refresh-ms",
-        "plain",
-        "serve",
-        "top",
-    ])?;
-    let name = args.positional.get(1).map(String::as_str).unwrap_or("CV");
-    let workload = if name == "CV+grey" {
-        cv::cv_with_greyscale(true)
-    } else {
-        all_workloads()
-            .into_iter()
-            .find(|w| w.pipeline.name.eq_ignore_ascii_case(name))
-            .ok_or_else(|| format!("unknown pipeline '{name}' (try `presto pipelines`)"))?
-    };
+    let workload = workload_named(pipeline_arg(args))?;
     let env = env_from(args)?;
-    let weights = Weights::new(
-        args.get_or("wp", 0.0)?,
-        args.get_or("ws", 0.0)?,
-        args.get_or("wt", 1.0)?,
-    );
-    let refresh = Duration::from_millis(args.get_or("refresh-ms", 250u64)?.max(10));
-    let plain = args.get_str("plain").is_some();
+    let weights = weights(args)?;
+    let refresh = refresh(args)?;
     let presto = Presto::new(workload.pipeline.clone(), workload.dataset.clone(), env);
 
     // Progress lives in the telemetry registry so `/metrics` can serve
     // it live when --serve is given.
     let telemetry = Telemetry::new();
     let progress = telemetry.search();
-    let _server = match args.get_str("serve") {
-        Some(addr) => {
-            let series = timeseries::TimeSeries::new(timeseries::DEFAULT_RING_CAPACITY);
-            let server = MetricsServer::serve(addr, Arc::clone(&telemetry), series)
-                .map_err(|e| format!("--serve {addr}: {e}"))?;
-            println!("serving /metrics on http://{}", server.addr());
-            Some(server)
-        }
-        None => None,
-    };
+    let _endpoint = serve_endpoint(args, &telemetry, false, false)?;
     let mut opts = search_options(args)?;
     opts.progress = Some(Arc::clone(&progress));
+    let frame = || render::search_frame(&workload.pipeline.name, &progress.snapshot());
 
     let report = std::thread::scope(|scope| {
         let worker = scope.spawn(|| run_search(&presto, weights, &opts, args));
         while !worker.is_finished() {
             std::thread::sleep(refresh);
-            if !plain {
-                print!("\x1b[2J\x1b[H");
-            }
-            println!(
-                "{}",
-                render::search_frame(&workload.pipeline.name, &progress.snapshot())
-            );
+            clear_frame(args);
+            println!("{}", frame());
         }
         worker
             .join()
             .map_err(|_| "search worker panicked".to_string())?
     })?;
 
-    println!(
-        "{}",
-        render::search_frame(&workload.pipeline.name, &progress.snapshot())
-    );
+    println!("{}", frame());
     println!("{}", render::search_summary(&report.stats));
     if let Some(best) = report.analysis.try_recommend(weights) {
         println!(
@@ -2481,10 +2522,8 @@ fn watch_search(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_history(args: &Args) -> Result<(), String> {
-    args.expect_known(&["history-dir", "prune", "mode"])?;
     let store = run_store(args);
-    if args.get_str("prune").is_some() {
-        let keep: usize = args.get_or("prune", 0usize)?;
+    if let Some(keep) = args.get_opt::<usize>("prune")? {
         let removed = store.prune(keep)?;
         println!("pruned {} run(s); keeping the newest {keep}", removed.len());
     }
@@ -2515,7 +2554,6 @@ fn cmd_history(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &Args) -> Result<(), String> {
-    args.expect_known(&["noise", "fail", "fail-on-regression", "history-dir", "mode"])?;
     let (Some(spec_a), Some(spec_b)) = (args.positional.get(1), args.positional.get(2)) else {
         return Err("usage: presto compare <run-a> <run-b> (run ids or snapshot paths)".into());
     };
@@ -2552,9 +2590,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         fail * 100.0
     );
     println!("{}", render::compare_table(&comparison));
-    if args.get_str("fail-on-regression").is_some()
-        && comparison.worst == presto::Verdict::Regression
-    {
+    if args.has("fail-on-regression") && comparison.worst == presto::Verdict::Regression {
         return Err(format!(
             "regression past the {:.0}% bar: {}",
             fail * 100.0,
@@ -2564,72 +2600,65 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `presto validate FILE`: the document says what it is — a JSON
+/// object by its `schema` member, a JSON array is a Chrome trace, and
+/// anything else must be Prometheus text.
 fn cmd_validate(args: &Args) -> Result<(), String> {
-    args.expect_known(&["format"])?;
-    let path = args.positional.get(1).ok_or_else(|| {
-        "usage: presto validate <file> --format json|prom|trace|timeseries|fleet|causal|tenants"
-            .to_string()
-    })?;
-    let input = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    match args.get_str("format").unwrap_or("json") {
-        "json" => {
-            doc::read::<telemetry_export::RunDocument>(&input)?;
-            println!("{path}: valid {}", telemetry_export::JSON_SCHEMA);
+    let path = args
+        .positional
+        .get(1)
+        .ok_or("usage: presto validate <file>")?;
+    let input = read_file(path)?;
+    let what = match input.trim_start().as_bytes().first() {
+        Some(b'{') => {
+            let json = telemetry_export::parse_json(&input)?;
+            let schema = json.require_str("schema")?;
+            let detail = match schema {
+                telemetry_export::JSON_SCHEMA => {
+                    doc::read::<telemetry_export::RunDocument>(&input)?;
+                    String::new()
+                }
+                timeseries::TIMESERIES_SCHEMA => {
+                    let series: timeseries::TimeSeriesDocument = doc::read(&input)?;
+                    format!(" ({} points)", series.points.len())
+                }
+                telemetry_fleet::FLEET_SCHEMA => {
+                    let fleet: telemetry_fleet::FleetDocument = doc::read(&input)?;
+                    format!(
+                        " ({} worker(s), trace 0x{:016x})",
+                        fleet.workers.len(),
+                        fleet.trace_id
+                    )
+                }
+                telemetry_causal::CAUSAL_SCHEMA => {
+                    let profile: telemetry_causal::CausalProfile = doc::read(&input)?;
+                    format!(" ({} experiments)", profile.experiments.len())
+                }
+                telemetry_tenants::TENANTS_SCHEMA => {
+                    let snapshot: TenantsSnapshot = doc::read(&input)?;
+                    format!(
+                        " ({} tenant(s), {} rejected)",
+                        snapshot.tenants.len(),
+                        snapshot.rejected
+                    )
+                }
+                other => return Err(format!("{path}: no validator for schema '{other}'")),
+            };
+            format!("{schema}{detail}")
         }
-        "prom" => {
+        Some(b'[') => {
+            let complete = telemetry_export::validate_chrome_trace(&input)?;
+            format!("Chrome trace ({complete} complete events)")
+        }
+        _ => {
             let series = telemetry_export::parse_prometheus(&input)?;
             if series.is_empty() {
                 return Err(format!("{path}: no metric samples in exposition"));
             }
-            println!(
-                "{path}: valid Prometheus exposition ({} series)",
-                series.len()
-            );
+            format!("Prometheus exposition ({} series)", series.len())
         }
-        "trace" => {
-            let complete = telemetry_export::validate_chrome_trace(&input)?;
-            println!("{path}: valid Chrome trace ({complete} complete events)");
-        }
-        "timeseries" => {
-            let series: timeseries::TimeSeriesDocument = doc::read(&input)?;
-            println!(
-                "{path}: valid {} ({} points)",
-                timeseries::TIMESERIES_SCHEMA,
-                series.points.len()
-            );
-        }
-        "fleet" => {
-            let fleet: telemetry_fleet::FleetDocument = doc::read(&input)?;
-            println!(
-                "{path}: valid {} ({} worker(s), trace 0x{:016x})",
-                telemetry_fleet::FLEET_SCHEMA,
-                fleet.workers.len(),
-                fleet.trace_id
-            );
-        }
-        "causal" => {
-            let profile: telemetry_causal::CausalProfile = doc::read(&input)?;
-            println!(
-                "{path}: valid {} ({} experiments)",
-                telemetry_causal::CAUSAL_SCHEMA,
-                profile.experiments.len()
-            );
-        }
-        "tenants" => {
-            let snapshot: TenantsSnapshot = doc::read(&input)?;
-            println!(
-                "{path}: valid {} ({} tenant(s), {} rejected)",
-                telemetry_tenants::TENANTS_SCHEMA,
-                snapshot.tenants.len(),
-                snapshot.rejected
-            );
-        }
-        other => {
-            return Err(format!(
-                "unknown format '{other}' (json|prom|trace|timeseries|fleet|causal|tenants)"
-            ))
-        }
-    }
+    };
+    println!("{path}: valid {what}");
     Ok(())
 }
 
@@ -2690,16 +2719,7 @@ mod tests {
             "--json",
         ])
         .unwrap();
-        run(&[
-            "recommend",
-            "FLAC",
-            "--samples",
-            "500",
-            "--no-memo",
-            "--top",
-            "3",
-        ])
-        .unwrap();
+        run(&["recommend", "FLAC", "--samples", "500", "--top", "3"]).unwrap();
         run(&[
             "recommend",
             "FLAC",
@@ -2713,6 +2733,7 @@ mod tests {
         ])
         .unwrap();
         assert!(run(&["recommend", "FLAC", "--jobs", "two"]).is_err());
+        assert!(run(&["recommend", "FLAC", "--no-memo"]).is_err());
     }
 
     #[test]
@@ -2822,9 +2843,10 @@ mod tests {
             words.extend_from_slice(extra);
             run(&words)
         };
-        with(&["--metrics", "json"]).unwrap();
         with(&["--metrics", "prom"]).unwrap();
         with(&["--json"]).unwrap();
+        // `--json` is the document; `--metrics` only picks a text format.
+        assert!(with(&["--metrics", "json"]).is_err());
         assert!(with(&["--metrics", "xml"]).is_err());
 
         let path = std::env::temp_dir().join(format!("presto-trace-{}.json", std::process::id()));
@@ -2971,7 +2993,7 @@ mod tests {
         let a = std::fs::read_to_string(&out_a).unwrap();
         let b = std::fs::read_to_string(&out_b).unwrap();
         assert_eq!(a, b, "same seed must produce byte-identical documents");
-        run(&["validate", out_a.to_str().unwrap(), "--format", "causal"]).unwrap();
+        run(&["validate", out_a.to_str().unwrap()]).unwrap();
         // The batched data plane retired the deliver bottleneck: the
         // committed run must rank real compute on top, not hand-off.
         let profile: telemetry_causal::CausalProfile = doc::read(&a).unwrap();
@@ -3086,14 +3108,30 @@ mod tests {
         let rec = telemetry.begin_epoch(&["s".into()], 1, 0);
         rec.finish(Duration::from_millis(1), 1, 1, 0, 0, 0, false);
         std::fs::write(&json_path, telemetry_export::json(&rec.snapshot())).unwrap();
-        run(&["validate", &json_str, "--format", "json"]).unwrap();
+        run(&["validate", &json_str]).unwrap();
         let prom_path = dir.join("metrics.prom");
         std::fs::write(&prom_path, telemetry_export::prometheus(&rec.snapshot())).unwrap();
-        run(&["validate", prom_path.to_str().unwrap(), "--format", "prom"]).unwrap();
-        // Wrong format for the file content fails.
-        assert!(run(&["validate", &json_str, "--format", "prom"]).is_err());
-        assert!(run(&["validate", &json_str, "--format", "nope"]).is_err());
-        assert!(run(&["validate", "/definitely/missing.json", "--format", "json"]).is_err());
+        run(&["validate", prom_path.to_str().unwrap()]).unwrap();
+        // The document names its own format: a lying schema, a
+        // schema-less object, an unknown schema and non-Prometheus text
+        // all fail, and --format is gone.
+        let bad = dir.join("bad.txt");
+        for content in [
+            "{\"schema\": \"presto.tenants.v1\"}",
+            "{\"epoch\": {}}",
+            "{\"schema\": \"presto.nope.v1\"}",
+            "[{\"ph\": 7}]",
+            "not a metric line at all",
+            "",
+        ] {
+            std::fs::write(&bad, content).unwrap();
+            assert!(
+                run(&["validate", bad.to_str().unwrap()]).is_err(),
+                "{content}"
+            );
+        }
+        assert!(run(&["validate", &json_str, "--format", "json"]).is_err());
+        assert!(run(&["validate", "/definitely/missing.json"]).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -3135,7 +3173,7 @@ mod tests {
     /// A library-level worker matching `train-client`'s defaults for
     /// `--samples 8`: same pipeline, split, shard count and naming.
     fn spawn_cli_compatible_worker(samples: usize) -> (ServeWorker, String) {
-        let (pipeline, source) = cv_workload("CV", samples).unwrap();
+        let (pipeline, source) = (cv_pipeline("CV").unwrap(), cv_source(samples));
         let strategy = Strategy::at_split(pipeline.max_split()).with_shards(4);
         let store = Arc::new(MemStore::new());
         let exec = RealExecutor::new(2);
@@ -3270,19 +3308,11 @@ mod tests {
         ])
         .unwrap();
         worker.stop();
-        run(&["validate", &fleet_str, "--format", "fleet"]).unwrap();
+        run(&["validate", &fleet_str]).unwrap();
 
         let merged_path = dir.join("merged.json");
         let merged_str = merged_path.to_str().unwrap().to_string();
-        run(&[
-            "trace",
-            "--merge",
-            "--fleet",
-            &fleet_str,
-            "--out",
-            &merged_str,
-        ])
-        .unwrap();
+        run(&["trace", "--fleet", &fleet_str, "--out", &merged_str]).unwrap();
         let merged = std::fs::read_to_string(&merged_path).unwrap();
         assert!(telemetry_export::validate_chrome_trace(&merged).unwrap() > 0);
         assert!(merged.contains("train-client"), "{merged}");
@@ -3298,7 +3328,6 @@ mod tests {
         .unwrap();
         run(&[
             "trace",
-            "--merge",
             "--fleet",
             &fleet_str,
             "--chaos",
@@ -3310,9 +3339,9 @@ mod tests {
         let merged = std::fs::read_to_string(&merged_path).unwrap();
         assert!(merged.contains("chaos-proxy"), "{merged}");
 
-        assert!(run(&["trace", "--fleet", &fleet_str]).is_err()); // missing --merge
-        assert!(run(&["trace", "--merge"]).is_err()); // missing --fleet
-        assert!(run(&["trace", "--merge", "--fleet", "/missing.json"]).is_err());
+        assert!(run(&["trace", "--merge", "--fleet", &fleet_str]).is_err()); // --merge is gone
+        assert!(run(&["trace"]).is_err()); // missing --fleet
+        assert!(run(&["trace", "--fleet", "/missing.json"]).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -3570,11 +3599,181 @@ mod tests {
         reg.rejected();
         let path = dir.join("tenants.json");
         std::fs::write(&path, doc::write(reg.snapshot())).unwrap();
-        run(&["validate", path.to_str().unwrap(), "--format", "tenants"]).unwrap();
-        // A different document under the tenants parser fails loudly.
+        run(&["validate", path.to_str().unwrap()]).unwrap();
+        // A tenants schema over another document's body fails loudly.
         let bogus = dir.join("bogus.json");
-        std::fs::write(&bogus, "{}").unwrap();
-        assert!(run(&["validate", bogus.to_str().unwrap(), "--format", "tenants"]).is_err());
+        std::fs::write(
+            &bogus,
+            "{\"schema\": \"presto.tenants.v1\", \"rejected\": 0}",
+        )
+        .unwrap();
+        assert!(run(&["validate", bogus.to_str().unwrap()]).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn resolved(words: &[&str]) -> Result<(&'static str, Vec<String>), String> {
+        let argv: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        resolve(&argv).map(|(c, args)| (c.mode.unwrap_or(""), args.positional))
+    }
+
+    #[test]
+    fn switches_never_swallow_the_next_word() {
+        // Each switch first and last: same positionals, same run.
+        for (switch_first, switch_last) in [
+            (
+                vec!["recommend", "--json", "CV", "--samples", "500"],
+                vec!["recommend", "CV", "--samples", "500", "--json"],
+            ),
+            (
+                vec!["profile", "--csv", "MP3", "--samples", "500"],
+                vec!["profile", "MP3", "--samples", "500", "--csv"],
+            ),
+            (
+                vec![
+                    "realrun",
+                    "--json",
+                    "CV",
+                    "--samples",
+                    "4",
+                    "--epochs",
+                    "1",
+                    "--no-history",
+                ],
+                vec![
+                    "realrun",
+                    "CV",
+                    "--samples",
+                    "4",
+                    "--epochs",
+                    "1",
+                    "--no-history",
+                    "--json",
+                ],
+            ),
+        ] {
+            assert_eq!(resolved(&switch_first), resolved(&switch_last));
+            run(&switch_first).unwrap();
+            run(&switch_last).unwrap();
+        }
+        // A value flag never takes a flag as its value.
+        let err = run(&["realrun", "CV", "--serve", "--json"]).unwrap_err();
+        assert!(err.contains("--serve needs a value"), "{err}");
+    }
+
+    #[test]
+    fn modes_refuse_each_others_flags() {
+        let storm = ["train-client", "CV", "--preempt-storm", "1"];
+        let with = |extra: &[&str]| {
+            let mut words = storm.to_vec();
+            words.extend_from_slice(extra);
+            resolved(&words)
+        };
+        assert_eq!(
+            with(&["--wire-codec", "gzip", "--no-history"]).unwrap().0,
+            "preempt-storm"
+        );
+        for foreign in [["--workers", "127.0.0.1:9"], ["--tenant", "alice"]] {
+            let err = with(&foreign).unwrap_err();
+            assert!(
+                err.starts_with("presto train-client --preempt-storm: unknown option"),
+                "{err}"
+            );
+        }
+        assert!(resolved(&["watch", "CV", "--search", "--attach", "127.0.0.1:9"]).is_err());
+        assert!(resolved(&["watch", "CV", "--search", "--sample-ms", "5"]).is_err());
+        assert!(resolved(&["watch", "CV", "--attach", "127.0.0.1:9", "--epochs", "2"]).is_err());
+        assert!(resolved(&["causal", "--from", "run.json", "--samples", "8"]).is_err());
+        assert_eq!(resolved(&["causal", "CV", "--samples", "8"]).unwrap().0, "");
+        assert!(run(&[
+            "train-client",
+            "CV",
+            "--workers",
+            "127.0.0.1:9",
+            "--no-trace"
+        ])
+        .is_err());
+        assert!(run(&["serve-worker", "CV", "--metrics", "127.0.0.1:0"]).is_err());
+    }
+
+    #[test]
+    fn help_lists_every_declared_flag() {
+        let all = usage(None);
+        for command in COMMANDS {
+            let own = usage(Some(command.name));
+            let synopsis = command.synopsis();
+            assert!(all.contains(&own), "{synopsis} missing from help");
+            assert!(own.contains(&synopsis), "{synopsis}");
+            for flag in command.flags.iter().flat_map(|group| group.iter()) {
+                assert!(
+                    own.contains(&flag.synopsis()),
+                    "{synopsis}: --{}",
+                    flag.name
+                );
+            }
+            if let Some(mode) = command.mode {
+                assert!(
+                    find(command.flags, mode).is_some(),
+                    "--{mode} selects but is undeclared"
+                );
+            }
+        }
+        run(&["help", "train-client"]).unwrap();
+    }
+
+    /// The `presto <command> …` invocations the docs and CI show, with
+    /// `\` continuations joined, must parse: every flag declared by the
+    /// mode the invocation selects.
+    #[test]
+    fn documented_invocations_use_declared_flags() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = vec![
+            root.join("README.md"),
+            root.join(".github/workflows/ci.yml"),
+        ];
+        for entry in std::fs::read_dir(root.join("docs")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "md") {
+                files.push(path);
+            }
+        }
+        let mut checked = 0;
+        for file in &files {
+            let text = std::fs::read_to_string(file).unwrap().replace("\\\n", " ");
+            for line in text.lines() {
+                for (at, _) in line.match_indices("presto") {
+                    let rest = &line[at + "presto".len()..];
+                    let Some(rest) = rest.strip_prefix(' ').or(rest.strip_prefix("-cli -- "))
+                    else {
+                        continue;
+                    };
+                    let name = rest.split_whitespace().next().unwrap_or("");
+                    if !COMMANDS.iter().any(|c| c.name == name) {
+                        continue;
+                    }
+                    let end = rest
+                        .find(['`', '|', '>', ';', '#', ')'])
+                        .unwrap_or(rest.len());
+                    let mut argv: Vec<String> = rest[..end]
+                        .split_whitespace()
+                        .map(|word| word.trim_end_matches([',', '.', '"', '\'']).to_string())
+                        .collect();
+                    // Prose may end on a value flag without its value:
+                    // supply the placeholder the table declares.
+                    let last = argv.last().and_then(|w| w.strip_prefix("--"));
+                    let placeholder = last.and_then(|flag| {
+                        COMMANDS
+                            .iter()
+                            .filter(|c| c.name == name)
+                            .find_map(|c| find(c.flags, flag)?.value)
+                    });
+                    argv.extend(placeholder.map(String::from));
+                    if let Err(e) = resolve(&argv) {
+                        panic!("{}: {e}: {line}", file.display());
+                    }
+                    checked += argv.iter().filter(|w| w.starts_with("--")).count();
+                }
+            }
+        }
+        assert!(checked > 100, "only {checked} documented flags found");
     }
 }

@@ -1,5 +1,5 @@
 //! `presto` — command-line interface to the preprocessing-strategy
-//! profiler.
+//! profiler; `presto help` lists every command and flag.
 //!
 //! ```text
 //! presto pipelines                     list built-in workloads
@@ -7,7 +7,7 @@
 //! presto profile CV [options]          strategy sweep table
 //! presto recommend CV --wt 1 --wp 1    weighted recommendation
 //! presto cost CV --epochs 90           cheapest strategy for a campaign
-//! presto fio [--device ssd]            Table-3-style storage profile
+//! presto fio --device ssd              Table-3-style storage profile
 //! ```
 
 mod args;
@@ -32,7 +32,7 @@ fn main() -> ExitCode {
         Err(message) => {
             eprintln!("error: {message}");
             eprintln!();
-            eprintln!("{}", commands::USAGE);
+            eprint!("{}", commands::usage(argv.first().map(String::as_str)));
             ExitCode::FAILURE
         }
     }

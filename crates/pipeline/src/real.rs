@@ -511,7 +511,6 @@ pub struct RealExecutor {
     telemetry: Option<Arc<Telemetry>>,
     delay: Option<Arc<DelayPlan>>,
     bundle_size: usize,
-    pooling: bool,
     pool: Arc<BufferPool>,
 }
 
@@ -524,34 +523,17 @@ impl RealExecutor {
             telemetry: None,
             delay: None,
             bundle_size: DEFAULT_BUNDLE_SIZE,
-            pooling: true,
             pool: Arc::new(BufferPool::new()),
         }
     }
 
-    /// Set the streaming hand-off batch size (`--bundle-size`): how
-    /// many finished samples ride in one [`SampleBundle`] through the
-    /// prefetch ring. 1 restores per-sample hand-off.
+    /// Set the streaming hand-off batch size: how many finished
+    /// samples ride in one [`SampleBundle`] through the prefetch ring
+    /// (default [`DEFAULT_BUNDLE_SIZE`]; 1 is per-sample hand-off).
+    /// Only the flush-boundary tests set it.
     pub fn with_bundle_size(mut self, samples: usize) -> Self {
         self.bundle_size = samples.max(1);
         self
-    }
-
-    /// The streaming hand-off batch size.
-    pub fn bundle_size(&self) -> usize {
-        self.bundle_size
-    }
-
-    /// Enable or disable buffer pooling (`--pool`): recycling bundle
-    /// containers across shards and epochs. Enabled by default.
-    pub fn with_pooling(mut self, enabled: bool) -> Self {
-        self.pooling = enabled;
-        self
-    }
-
-    /// True when buffer pooling is enabled.
-    pub fn pooling(&self) -> bool {
-        self.pooling
     }
 
     /// Attach a [`Telemetry`] handle: every subsequent epoch records
@@ -911,7 +893,6 @@ pub struct EpochStream {
     /// yields them FIFO.
     pending: Vec<Sample>,
     pool: Arc<BufferPool>,
-    pooling: bool,
     handles: Vec<std::thread::JoinHandle<()>>,
     bytes_read: Arc<AtomicU64>,
     counters: Arc<FaultCounters>,
@@ -940,9 +921,7 @@ impl Iterator for EpochStream {
                     // Swap the drained container for the fresh bundle
                     // and recycle it back to the producers' pool.
                     let drained = std::mem::replace(&mut self.pending, bundle.samples);
-                    if self.pooling {
-                        self.pool.put_bundle(drained);
-                    }
+                    self.pool.put_bundle(drained);
                     self.pending.reverse();
                     // Workers never send empty bundles, so this loops
                     // at most once per received bundle.
@@ -1010,7 +989,7 @@ struct BundleFlusher<'a> {
     sender: dataplane::RingSender<Result<SampleBundle, PipelineError>>,
     bundle: Vec<Sample>,
     bundle_cap: usize,
-    pool: Option<&'a BufferPool>,
+    pool: &'a BufferPool,
     rec: &'a EpochRecorder,
     in_flight: &'a AtomicU64,
     capacity: usize,
@@ -1019,20 +998,15 @@ struct BundleFlusher<'a> {
 }
 
 impl BundleFlusher<'_> {
-    /// A bundle container, pool-recycled when pooling is on.
-    fn acquire(pool: Option<&BufferPool>, cap: usize, rec: &EpochRecorder) -> Vec<Sample> {
-        match pool {
-            Some(pool) => {
-                let (container, hit) = pool.get_bundle(cap);
-                if hit {
-                    rec.pool_hits(1);
-                } else {
-                    rec.pool_misses(1);
-                }
-                container
-            }
-            None => Vec::with_capacity(cap),
+    /// A pool-recycled bundle container.
+    fn acquire(pool: &BufferPool, cap: usize, rec: &EpochRecorder) -> Vec<Sample> {
+        let (container, hit) = pool.get_bundle(cap);
+        if hit {
+            rec.pool_hits(1);
+        } else {
+            rec.pool_misses(1);
         }
+        container
     }
 
     fn push(&mut self, sample: Sample) -> Deliver {
@@ -1144,7 +1118,6 @@ impl RealExecutor {
         rec.set_epoch_seed(epoch_seed);
         let in_flight = Arc::new(AtomicU64::new(0));
         let bundle_cap = self.bundle_size.max(1);
-        let pooling = self.pooling;
         let mut handles = Vec::with_capacity(self.threads);
         for (worker, sender) in senders.into_iter().enumerate() {
             let steps = steps.clone();
@@ -1165,12 +1138,11 @@ impl RealExecutor {
                 .collect();
             let codec = dataset.codec;
             handles.push(std::thread::spawn(move || {
-                let pool_ref = if pooling { Some(&*pool) } else { None };
                 let mut flusher = BundleFlusher {
-                    bundle: BundleFlusher::acquire(pool_ref, bundle_cap, &rec),
+                    bundle: BundleFlusher::acquire(&pool, bundle_cap, &rec),
                     sender,
                     bundle_cap,
-                    pool: pool_ref,
+                    pool: &pool,
                     rec: &rec,
                     in_flight: &in_flight,
                     capacity,
@@ -1214,7 +1186,6 @@ impl RealExecutor {
             receiver,
             pending: Vec::new(),
             pool: Arc::clone(&self.pool),
-            pooling,
             handles,
             bytes_read,
             counters,

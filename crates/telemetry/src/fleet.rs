@@ -99,7 +99,7 @@ struct FleetState {
 
 /// Live fleet registry attached to a [`Telemetry`](crate::Telemetry)
 /// handle. The serve client writes to it; `/fleet.json`, the merged
-/// `/metrics` and `presto trace --merge` read it. Updates are rare
+/// `/metrics` and `presto trace` read it. Updates are rare
 /// (one per handshake, one per finished assignment), so a mutex is
 /// fine — nothing on the per-sample hot path touches this.
 #[derive(Debug, Default)]

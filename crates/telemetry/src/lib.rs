@@ -795,7 +795,7 @@ impl Telemetry {
 
     /// The fleet registry attached to this handle: per-worker clock
     /// offsets, remote stats and remote span timelines collected by a
-    /// serve client. `/fleet.json` and `presto trace --merge` read it.
+    /// serve client. `/fleet.json` and `presto trace` read it.
     pub fn fleet(&self) -> Arc<FleetProgress> {
         Arc::clone(&self.fleet)
     }

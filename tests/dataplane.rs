@@ -2,8 +2,8 @@
 //! shard boundaries and EOF, pool hygiene across faulted (resynced)
 //! epochs, per-blocked-wait queue-wait attribution, and the invariant
 //! everything else hangs off — the delivered sample multiset is
-//! bit-identical across thread counts, bundle sizes, pooling modes,
-//! and the served two-worker deployment.
+//! bit-identical across thread counts, bundle sizes and the served
+//! two-worker deployment.
 
 use presto_datasets::{generators, steps};
 use presto_formats::image::jpg;
@@ -72,9 +72,9 @@ fn stream_checksum(
     (checksum, stats.samples)
 }
 
-/// The tentpole invariant: every bundle size, thread count, and
-/// pooling mode delivers the exact reference multiset — and so does a
-/// two-worker served epoch consuming the same shards over TCP.
+/// The tentpole invariant: every bundle size and thread count
+/// delivers the exact reference multiset — and so does a two-worker
+/// served epoch consuming the same shards over TCP.
 #[test]
 fn bundle_sizes_thread_counts_and_serving_preserve_the_multiset() {
     let (pipeline, dataset, store) = workload(24, 8);
@@ -83,22 +83,18 @@ fn bundle_sizes_thread_counts_and_serving_preserve_the_multiset() {
 
     for bundle in [1usize, 7, 64] {
         for threads in [1usize, 8] {
-            for pooling in [false, true] {
-                let exec = RealExecutor::new(threads)
-                    .with_bundle_size(bundle)
-                    .with_pooling(pooling);
-                let (checksum, samples) = stream_checksum(
-                    &exec,
-                    &pipeline,
-                    &dataset,
-                    Arc::clone(&store) as Arc<dyn BlobStore>,
-                );
-                assert_eq!(samples, 24);
-                assert_eq!(
-                    checksum, reference,
-                    "multiset diverged: bundle={bundle} threads={threads} pooling={pooling}"
-                );
-            }
+            let exec = RealExecutor::new(threads).with_bundle_size(bundle);
+            let (checksum, samples) = stream_checksum(
+                &exec,
+                &pipeline,
+                &dataset,
+                Arc::clone(&store) as Arc<dyn BlobStore>,
+            );
+            assert_eq!(samples, 24);
+            assert_eq!(
+                checksum, reference,
+                "multiset diverged: bundle={bundle} threads={threads}"
+            );
         }
     }
 
@@ -213,8 +209,9 @@ fn degraded_epochs_flush_surviving_bundles() {
 /// Pool hygiene across faulted epochs: recycling bundle containers
 /// and decompress scratch through an epoch that skipped corrupt
 /// records (reader resync) must not leak stale samples into later
-/// epochs — the pooled run reproduces the unpooled multiset exactly,
-/// epoch after epoch, on the same executor (same warm pool).
+/// epochs — the streamed run reproduces the pool-free callback
+/// epoch's multiset exactly, epoch after epoch, on the same executor
+/// (same warm pool).
 #[test]
 fn pool_reuse_after_resync_never_recycles_poisoned_buffers() {
     let (pipeline, dataset, store) = workload(24, 6);
@@ -245,13 +242,28 @@ fn pool_reuse_after_resync_never_recycles_poisoned_buffers() {
         (checksum, stats.samples)
     };
 
-    let unpooled = RealExecutor::new(2).with_pooling(false).with_bundle_size(7);
-    let (reference, reference_samples) = run(&unpooled);
+    // The callback epoch hands samples straight to the consumer: no
+    // bundle containers, no pool.
+    let reference = Mutex::new(MultisetChecksum::default());
+    let stats = RealExecutor::new(1)
+        .epoch_with(
+            &pipeline,
+            &dataset,
+            faulty.as_ref(),
+            None,
+            EPOCH_SEED,
+            &resilience,
+            |sample| reference.lock().unwrap().add(sample),
+        )
+        .unwrap();
+    let reference = reference.into_inner().unwrap();
+    let reference_samples = stats.samples;
+    assert!(stats.degraded, "the corrupt shard must degrade the epoch");
     assert!(reference_samples < 24, "corruption must cost samples");
 
     // Same executor (and thus the same warm buffer pool) across three
     // epochs: any poisoned recycling shows up as a checksum drift.
-    let pooled = RealExecutor::new(2).with_pooling(true).with_bundle_size(7);
+    let pooled = RealExecutor::new(2).with_bundle_size(7);
     for epoch in 0..3 {
         let (checksum, samples) = run(&pooled);
         assert_eq!(samples, reference_samples, "epoch {epoch}");
