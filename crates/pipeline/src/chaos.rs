@@ -18,6 +18,7 @@
 //! error the client's failover path must absorb — exactly the
 //! end-to-end property the chaos tests assert.
 
+use crate::serve::{accept_until, wake_acceptor};
 use presto_telemetry::doc;
 pub use presto_telemetry::fleet::ChaosEvent;
 use presto_telemetry::fleet::{mono_ns, ChaosLog};
@@ -185,7 +186,6 @@ impl ChaosProxy {
     pub fn start(upstream: &str, seed: u64, faults: Vec<ChaosFault>) -> io::Result<ChaosProxy> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(StatsCells::default());
         let log = Arc::new(EventLog::default());
@@ -201,39 +201,33 @@ impl ChaosProxy {
                 .spawn(move || {
                     let mut next_conn = 0u64;
                     let mut handles = Vec::new();
-                    while !stop.load(Ordering::Acquire) {
-                        match listener.accept() {
-                            Ok((client, _)) => {
-                                let conn = next_conn;
-                                next_conn += 1;
-                                stats.connections.fetch_add(1, Ordering::Relaxed);
-                                match TcpStream::connect(&upstream) {
-                                    Ok(server) => {
-                                        track(&conns, &client, &server);
-                                        handles.push(spawn_pair(
-                                            client,
-                                            server,
-                                            conn,
-                                            seed,
-                                            faults.clone(),
-                                            Arc::clone(&stats),
-                                            Arc::clone(&log),
-                                            Arc::clone(&stop),
-                                        ));
-                                    }
-                                    Err(_) => {
-                                        // Upstream down: drop the client;
-                                        // it sees a refused connection.
-                                        let _ = client.shutdown(Shutdown::Both);
-                                    }
-                                }
+                    // The wake-up connection of a stop is never served:
+                    // it opens no upstream and is not counted.
+                    accept_until(listener, &stop, |client| {
+                        let conn = next_conn;
+                        next_conn += 1;
+                        stats.connections.fetch_add(1, Ordering::Relaxed);
+                        match TcpStream::connect(&upstream) {
+                            Ok(server) => {
+                                track(&conns, &client, &server);
+                                handles.push(spawn_pair(
+                                    client,
+                                    server,
+                                    conn,
+                                    seed,
+                                    faults.clone(),
+                                    Arc::clone(&stats),
+                                    Arc::clone(&log),
+                                    Arc::clone(&stop),
+                                ));
                             }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
+                            Err(_) => {
+                                // Upstream down: drop the client;
+                                // it sees a refused connection.
+                                let _ = client.shutdown(Shutdown::Both);
                             }
-                            Err(_) => std::thread::sleep(Duration::from_millis(5)),
                         }
-                    }
+                    });
                     for handle in handles {
                         for h in handle {
                             let _ = h.join();
@@ -295,9 +289,11 @@ impl ChaosProxy {
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        for stream in self.conns.lock().unwrap().drain(..) {
-            let _ = stream.shutdown(Shutdown::Both);
+        if !self.stop.swap(true, Ordering::AcqRel) {
+            for stream in self.conns.lock().unwrap().drain(..) {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            wake_acceptor(self.addr);
         }
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
@@ -607,6 +603,29 @@ mod tests {
         drop(stream);
         proxy.stop();
         let _ = server.join();
+    }
+
+    #[test]
+    fn an_idle_proxy_stops_without_serving_its_wake_up() {
+        let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+        let upstream_addr = upstream.local_addr().unwrap();
+        let proxy = ChaosProxy::start(&upstream_addr.to_string(), 1, vec![]).unwrap();
+        let stats = Arc::clone(&proxy.stats);
+        let (done, stopped) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            proxy.stop();
+            let _ = done.send(());
+        });
+        stopped
+            .recv_timeout(Duration::from_secs(60))
+            .expect("stop() of a proxy that never saw a client must return");
+        assert_eq!(stats.connections.load(Ordering::Acquire), 0);
+        // Had the wake-up opened an upstream, it would be queued ahead
+        // of this probe.
+        let probe = TcpStream::connect(upstream_addr).unwrap();
+        let (first, _) = upstream.accept().unwrap();
+        assert_eq!(first.peer_addr().unwrap(), probe.local_addr().unwrap());
+        drop(ChaosProxy::start(&upstream_addr.to_string(), 1, vec![]).unwrap());
     }
 
     #[test]

@@ -69,6 +69,7 @@ use crate::pipeline::Pipeline;
 use crate::real::{executable_steps, fnv64, process_shard, Deliver, Materialized};
 use crate::sample::Sample;
 use crate::store::BlobStore;
+use bytes::Bytes;
 use presto_codecs::checksum::Crc32;
 use presto_codecs::{Codec, Level};
 use presto_telemetry::fleet::mono_ns;
@@ -78,10 +79,10 @@ use presto_telemetry::{
 };
 use presto_tensor::{RecordReader, RecordWriter};
 use std::collections::HashMap;
-use std::io::{self, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, IoSlice, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -337,6 +338,28 @@ impl<'a> Body<'a> {
     }
 }
 
+/// BATCH2's fixed fields, ahead of its block. One parser for
+/// [`Frame::decode_payload`] and the client's in-place path alike.
+struct Batch2Head {
+    shard: u32,
+    count: u32,
+    codec: u8,
+    span_id: u64,
+    t_send: u64,
+}
+
+impl Batch2Head {
+    fn read(body: &mut Body<'_>) -> Result<Batch2Head, ServeError> {
+        Ok(Batch2Head {
+            shard: body.u32()?,
+            count: body.u32()?,
+            codec: body.u8()?,
+            span_id: body.u64()?,
+            t_send: body.u64()?,
+        })
+    }
+}
+
 /// Wire tag for a phase-kind label in STATS step entries.
 fn kind_tag(label: &str) -> u8 {
     match label {
@@ -392,6 +415,15 @@ impl Frame {
     /// Serialize to a frame payload (type byte + body, no framing).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        let tail = self.encode_head(&mut out);
+        out.extend_from_slice(tail);
+        out
+    }
+
+    /// Append the payload to `out`, all of it but a variable-length
+    /// tail — BATCH2's block, ERR's text — which is returned instead,
+    /// so that [`write_frame`] can send it from where it lies.
+    fn encode_head<'a>(&'a self, out: &mut Vec<u8>) -> &'a [u8] {
         match self {
             Frame::Hello { version, trace_id } => {
                 out.push(FRAME_HELLO);
@@ -411,7 +443,7 @@ impl Frame {
                 out.extend_from_slice(&credits.to_le_bytes());
                 out.extend_from_slice(&(shards.len() as u32).to_le_bytes());
                 for shard in shards {
-                    push_str(&mut out, shard);
+                    push_str(out, shard);
                 }
                 out.extend_from_slice(&trace_id.to_le_bytes());
                 out.extend_from_slice(&parent_span.to_le_bytes());
@@ -425,10 +457,7 @@ impl Frame {
                 out.push(FRAME_EOF);
                 out.extend_from_slice(&shard.to_le_bytes());
             }
-            Frame::Err { message } => {
-                out.push(FRAME_ERR);
-                out.extend_from_slice(message.as_bytes());
-            }
+            Frame::Err { .. } => out.push(FRAME_ERR),
             Frame::Ping { t0, seq } => {
                 out.push(FRAME_PING);
                 out.extend_from_slice(&t0.to_le_bytes());
@@ -455,7 +484,7 @@ impl Frame {
                 }
                 out.extend_from_slice(&(entry.steps.len() as u32).to_le_bytes());
                 for (name, kind, busy_ns) in &entry.steps {
-                    push_str(&mut out, name);
+                    push_str(out, name);
                     out.push(kind_tag(kind));
                     out.extend_from_slice(&busy_ns.to_le_bytes());
                 }
@@ -473,7 +502,7 @@ impl Frame {
                 codec,
                 span_id,
                 t_send,
-                block,
+                ..
             } => {
                 out.push(FRAME_BATCH2);
                 out.extend_from_slice(&shard.to_le_bytes());
@@ -481,7 +510,6 @@ impl Frame {
                 out.push(*codec);
                 out.extend_from_slice(&span_id.to_le_bytes());
                 out.extend_from_slice(&t_send.to_le_bytes());
-                out.extend_from_slice(block);
             }
             Frame::Register {
                 tenant,
@@ -489,22 +517,26 @@ impl Frame {
                 shards,
             } => {
                 out.push(FRAME_REGISTER);
-                push_str(&mut out, tenant);
+                push_str(out, tenant);
                 out.extend_from_slice(&weight.to_le_bytes());
                 out.extend_from_slice(&shards.to_le_bytes());
             }
             Frame::Admit { tenant, quota } => {
                 out.push(FRAME_ADMIT);
-                push_str(&mut out, tenant);
+                push_str(out, tenant);
                 out.extend_from_slice(&quota.to_le_bytes());
             }
             Frame::Reject { tenant, reason } => {
                 out.push(FRAME_REJECT);
-                push_str(&mut out, tenant);
-                push_str(&mut out, reason);
+                push_str(out, tenant);
+                push_str(out, reason);
             }
         }
-        out
+        match self {
+            Frame::Err { message } => message.as_bytes(),
+            Frame::Batch2 { block, .. } => block,
+            _ => &[],
+        }
     }
 
     /// Parse a frame payload produced by [`Frame::encode_payload`].
@@ -585,14 +617,17 @@ impl Frame {
                     entry: Box::new(entry),
                 }
             }
-            FRAME_BATCH2 => Frame::Batch2 {
-                shard: body.u32()?,
-                count: body.u32()?,
-                codec: body.u8()?,
-                span_id: body.u64()?,
-                t_send: body.u64()?,
-                block: body.rest().to_vec(),
-            },
+            FRAME_BATCH2 => {
+                let head = Batch2Head::read(&mut body)?;
+                Frame::Batch2 {
+                    shard: head.shard,
+                    count: head.count,
+                    codec: head.codec,
+                    span_id: head.span_id,
+                    t_send: head.t_send,
+                    block: body.rest().to_vec(),
+                }
+            }
             FRAME_REGISTER => Frame::Register {
                 tenant: body.str("tenant name")?,
                 weight: body.u32()?,
@@ -614,13 +649,42 @@ impl Frame {
 }
 
 /// Write one frame in record framing; returns the bytes put on the wire.
+///
+/// The record header and the frame's fixed fields are assembled in a
+/// small scratch buffer; the variable-length tail (a BATCH2 block) is
+/// not copied but handed to the writer as it lies, gathered with the
+/// header and the trailing CRC into `write_vectored` calls.
 pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> Result<u64, ServeError> {
-    let mut rec = RecordWriter::new();
-    rec.write(&frame.encode_payload());
-    let bytes = rec.finish();
-    writer.write_all(&bytes)?;
+    let mut head = Vec::with_capacity(64);
+    head.extend_from_slice(&[0; 12]);
+    let tail = frame.encode_head(&mut head);
+    let len = ((head.len() - 12 + tail.len()) as u64).to_le_bytes();
+    head[..8].copy_from_slice(&len);
+    head[8..12].copy_from_slice(&Crc32::checksum(&len).to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&head[12..]);
+    crc.update(tail);
+    let crc = crc.finish().to_le_bytes();
+    let wire_len = head.len() + tail.len() + crc.len();
+    // What is still to go of each part; a short write advances them in
+    // order (by hand: `IoSlice::advance_slices` is newer than the MSRV).
+    let mut parts = [&head[..], tail, &crc[..]];
+    while parts.iter().any(|part| !part.is_empty()) {
+        match writer.write_vectored(&parts.map(IoSlice::new)) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(mut written) => {
+                for part in &mut parts {
+                    let done = written.min(part.len());
+                    *part = &part[done..];
+                    written -= done;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     writer.flush()?;
-    Ok(bytes.len() as u64)
+    Ok(wire_len as u64)
 }
 
 /// Fill `buf`, distinguishing a clean close before any byte
@@ -639,9 +703,10 @@ fn read_exact_or_closed(reader: &mut impl Read, buf: &mut [u8]) -> Result<bool, 
     Ok(true)
 }
 
-/// Read one frame. `Ok(None)` is a clean close at a frame boundary;
-/// every CRC/length violation is a typed [`ServeError`].
-pub fn read_frame(reader: &mut impl Read) -> Result<Option<Frame>, ServeError> {
+/// Read one frame's payload (type byte + body) with its header CRC,
+/// length cap and payload CRC checked. `Ok(None)` is a clean close at
+/// a frame boundary; every violation is a typed [`ServeError`].
+fn read_payload(reader: &mut impl Read) -> Result<Option<Vec<u8>>, ServeError> {
     // Record framing: [len u64][crc32(len) u32][payload][crc32(payload) u32].
     let mut header = [0u8; 12];
     if !read_exact_or_closed(reader, &mut header)? {
@@ -655,16 +720,89 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Frame>, ServeError> {
     if len > MAX_FRAME_LEN {
         return Err(ServeError::TooLarge(len));
     }
-    let mut payload = vec![0u8; len as usize + 4];
+    let len = len as usize;
+    let mut payload = vec![0u8; len + 4];
     if !read_exact_or_closed(reader, &mut payload)? {
         return Err(ServeError::Truncated);
     }
-    let (body, crc) = payload.split_at(len as usize);
-    let stored = u32::from_le_bytes(crc.try_into().unwrap());
-    if Crc32::checksum(body) != stored {
+    let stored = u32::from_le_bytes(payload[len..].try_into().unwrap());
+    payload.truncate(len);
+    if Crc32::checksum(&payload) != stored {
         return Err(ServeError::BadPayload);
     }
-    Frame::decode_payload(body).map(Some)
+    Ok(Some(payload))
+}
+
+/// Read one frame. `Ok(None)` is a clean close at a frame boundary;
+/// every CRC/length violation is a typed [`ServeError`].
+pub fn read_frame(reader: &mut impl Read) -> Result<Option<Frame>, ServeError> {
+    match read_payload(reader)? {
+        Some(payload) => Frame::decode_payload(&payload).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// A received BATCH2, decoded where it lies: its fixed fields, and the
+/// record stream its samples alias — the received payload itself under
+/// [`Codec::None`], the unpacked block under any other wire codec.
+struct ReceivedBatch {
+    head: Batch2Head,
+    /// Block bytes as they crossed the wire.
+    wire_len: usize,
+    records: Bytes,
+}
+
+impl ReceivedBatch {
+    /// Take a BATCH2 payload (type byte first) over without copying it.
+    fn parse(payload: Vec<u8>) -> Result<ReceivedBatch, ServeError> {
+        let mut body = match payload.split_first() {
+            Some((&FRAME_BATCH2, body)) => Body(body),
+            _ => return Err(ServeError::Protocol("not a BATCH2 payload".into())),
+        };
+        let head = Batch2Head::read(&mut body)?;
+        let at = payload.len() - body.rest().len();
+        let codec = wire_codec(head.codec)?;
+        let block = Bytes::from(payload).slice(at..);
+        let records = match codec {
+            Codec::None => block.clone(),
+            codec => Bytes::from(
+                codec
+                    .decompress(&block)
+                    .map_err(|e| ServeError::Protocol(format!("BATCH2 block: {e}")))?,
+            ),
+        };
+        Ok(ReceivedBatch {
+            head,
+            wire_len: block.len(),
+            records,
+        })
+    }
+
+    /// Append the batch's samples to `out`, each aliasing the record
+    /// stream: exactly `head.count` of them, or an error and `out` as
+    /// it was.
+    fn decode_into(&self, out: &mut Vec<Sample>) -> Result<(), ServeError> {
+        let start = out.len();
+        let count = self.head.count as usize;
+        let mut records = RecordReader::new(&self.records);
+        let failure = loop {
+            let record = match records.next() {
+                None if out.len() - start == count => return Ok(()),
+                None => break format!("{} samples in a block of {count}", out.len() - start),
+                Some(_) if out.len() - start == count => {
+                    break format!("more than {count} samples")
+                }
+                Some(Err(e)) => break e.to_string(),
+                Some(Ok(record)) => record,
+            };
+            match Sample::decode_shared(&self.records, record) {
+                Ok((sample, _)) => out.push(sample),
+                Err(e) => break e.to_string(),
+            }
+        };
+        out.truncate(start);
+        Err(ServeError::Protocol(format!("BATCH2 block: {failure}")))
+    }
 }
 
 /// End a conversation the peer broke: tell it why in an ERR frame
@@ -892,6 +1030,125 @@ impl CreditGate {
     }
 }
 
+/// Serve `listener` until `stop` is raised: block in `accept`, hand
+/// each connection to `serve`, and return — dropping the listener, so
+/// later dials are refused — as soon as an `accept` returns with the
+/// flag up. That first connection is never served: whoever raises the
+/// flag makes it with [`wake_acceptor`]. A failed `accept` (a full fd
+/// table, a peer that aborted while queued) is not the listener's end;
+/// the loop backs off [`ACCEPT_RETRY`] and goes on, so a full fd table
+/// — where every retry fails at once — does not spin a core that the
+/// connection threads freeing those fds need.
+pub(crate) fn accept_until(
+    listener: TcpListener,
+    stop: &AtomicBool,
+    mut serve: impl FnMut(TcpStream),
+) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => serve(stream),
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
+        }
+    }
+}
+
+/// How long [`accept_until`] waits after a failed `accept`.
+const ACCEPT_RETRY: Duration = Duration::from_millis(5);
+
+/// Unblock the [`accept_until`] loop listening on `addr`, whose stop
+/// flag the caller has already raised: one connection to it, which the
+/// loop drops unserved. Call it once per loop — after the loop has
+/// gone, the port may belong to someone else.
+pub(crate) fn wake_acceptor(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(5));
+}
+
+/// The open connections of one listener, so that stop and the kill
+/// switch can sever them: each entry is a clone of the socket and the
+/// credit gate its sender blocks on, and leaves when its connection
+/// ends (see [`ConnEntry`]). Once [`Conns::sever`]ed, the registry
+/// refuses newcomers, so a connection accepted just before a stop
+/// cannot slip in after the sweep.
+#[derive(Default)]
+pub(crate) struct Conns {
+    state: Mutex<ConnsState>,
+    /// Signalled whenever an entry leaves.
+    left: Condvar,
+}
+
+#[derive(Default)]
+struct ConnsState {
+    next_id: u64,
+    open: HashMap<u64, (TcpStream, Arc<CreditGate>)>,
+    severed: bool,
+}
+
+impl Conns {
+    /// Register a connection for as long as the returned entry lives;
+    /// `None` once severed (the caller drops the connection unserved).
+    pub(crate) fn enter(
+        &self,
+        stream: &TcpStream,
+        gate: &Arc<CreditGate>,
+    ) -> Option<ConnEntry<'_>> {
+        let clone = stream.try_clone().ok()?;
+        let mut state = self.state.lock().unwrap();
+        if state.severed {
+            return None;
+        }
+        let id = state.next_id;
+        state.next_id += 1;
+        state.open.insert(id, (clone, Arc::clone(gate)));
+        Some(ConnEntry { conns: self, id })
+    }
+
+    /// Shut every open socket, close every gate, refuse newcomers.
+    pub(crate) fn sever(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.severed = true;
+        for (stream, gate) in state.open.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+            gate.close();
+        }
+    }
+
+    /// Wait until no connection is registered, or `timeout` passes;
+    /// returns how many still are.
+    #[cfg(test)]
+    pub(crate) fn wait_empty(&self, timeout: Duration) -> usize {
+        let state = self.state.lock().unwrap();
+        let (state, _) = self
+            .left
+            .wait_timeout_while(state, timeout, |state| !state.open.is_empty())
+            .unwrap();
+        state.open.len()
+    }
+}
+
+/// A connection's place in [`Conns`], given up on drop.
+pub(crate) struct ConnEntry<'a> {
+    conns: &'a Conns,
+    id: u64,
+}
+
+impl Drop for ConnEntry<'_> {
+    fn drop(&mut self) {
+        self.conns.state.lock().unwrap().open.remove(&self.id);
+        self.conns.left.notify_all();
+    }
+}
+
 /// Tuning and fault-injection knobs for a [`ServeWorker`].
 #[derive(Debug, Clone)]
 pub struct ServeWorkerConfig {
@@ -943,24 +1200,22 @@ struct WorkerShared {
     /// instead of multiplying it (this is what makes measured fan-out
     /// saturate like [`crate::distributed::fan_out`] predicts).
     work_lock: Mutex<()>,
-    /// Open connections, for abrupt shutdown on stop/kill.
-    conns: Mutex<Vec<TcpStream>>,
-    /// Per-connection credit gates, closed on stop/kill so senders
-    /// blocked in [`CreditGate::take`] wake immediately instead of
-    /// polling for the stop flag.
-    gates: Mutex<Vec<Arc<CreditGate>>>,
+    /// Open connections and their credit gates, severed on stop/kill
+    /// so readers see the close and senders blocked in
+    /// [`CreditGate::take`] wake at once.
+    conns: Conns,
+    /// The listener's address, for the wake-up connection on stop.
+    addr: SocketAddr,
 }
 
 impl WorkerShared {
-    /// Kill every open connection and stop accepting.
+    /// Stop accepting and kill every open connection. Idempotent.
     fn crash(&self) {
-        self.stop.store(true, Ordering::Release);
-        for stream in self.conns.lock().unwrap().iter() {
-            let _ = stream.shutdown(Shutdown::Both);
+        if self.stop.swap(true, Ordering::AcqRel) {
+            return;
         }
-        for gate in self.gates.lock().unwrap().iter() {
-            gate.close();
-        }
+        self.conns.sever();
+        wake_acceptor(self.addr);
     }
 }
 
@@ -1003,9 +1258,6 @@ impl ServeWorker {
         let addr = listener
             .local_addr()
             .map_err(|e| PipelineError::Io(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| PipelineError::Io(e.to_string()))?;
         let progress = telemetry
             .as_ref()
             .map(|t| t.serve())
@@ -1024,31 +1276,21 @@ impl ServeWorker {
             stop: AtomicBool::new(false),
             pool: BufferPool::new(),
             work_lock: Mutex::new(()),
-            conns: Mutex::new(Vec::new()),
-            gates: Mutex::new(Vec::new()),
+            conns: Conns::default(),
+            addr,
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("presto-serve-accept".into())
             .spawn(move || {
-                let mut handles = Vec::new();
-                while !accept_shared.stop.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if let Ok(clone) = stream.try_clone() {
-                                accept_shared.conns.lock().unwrap().push(clone);
-                            }
-                            let conn_shared = Arc::clone(&accept_shared);
-                            handles.push(std::thread::spawn(move || {
-                                handle_client(&conn_shared, stream);
-                            }));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                    }
-                }
+                let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
+                accept_until(listener, &accept_shared.stop, |stream| {
+                    handles.retain(|handle| !handle.is_finished());
+                    let conn_shared = Arc::clone(&accept_shared);
+                    handles.push(std::thread::spawn(move || {
+                        handle_client(&conn_shared, stream);
+                    }));
+                });
                 for handle in handles {
                     let _ = handle.join();
                 }
@@ -1108,16 +1350,16 @@ pub(crate) const UNEXPECTED_FRAME: &str =
 /// closes.
 fn handle_client(shared: &Arc<WorkerShared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
+    let gate = Arc::new(CreditGate::new());
+    // Registered until this function returns; a stopped worker's
+    // registry refuses the connection and it is dropped unserved.
+    let Some(_entry) = shared.conns.enter(&stream, &gate) else {
+        return;
+    };
     let mut writer = match stream.try_clone() {
         Ok(writer) => writer,
         Err(_) => return,
     };
-    let gate = Arc::new(CreditGate::new());
-    shared.gates.lock().unwrap().push(Arc::clone(&gate));
-    if shared.stop.load(Ordering::Acquire) {
-        // Lost the race with a crash that already swept the registry.
-        gate.close();
-    }
     let mut reader = BufReader::new(stream);
     if handshake(&mut writer, &mut reader, 0).is_err() {
         let _ = writer.shutdown(Shutdown::Both);
@@ -1145,21 +1387,13 @@ fn handle_client(shared: &Arc<WorkerShared>, stream: TcpStream) {
         }
         reader_gate.close();
     });
-    'conn: loop {
-        let frame = match frame_rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(frame) => frame,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    break 'conn;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => break 'conn,
-        };
+    // A stop or kill shuts the socket, which ends the reader thread and
+    // with it the channel: there is no stop flag to poll here.
+    while let Ok(frame) = frame_rx.recv() {
         match frame {
             Frame::Ping { t0, seq } => {
                 if write_frame(&mut writer, &Frame::pong(t0, seq)).is_err() {
-                    break 'conn;
+                    break;
                 }
             }
             Frame::Register { tenant, .. } => {
@@ -1173,7 +1407,7 @@ fn handle_client(shared: &Arc<WorkerShared>, stream: TcpStream) {
                     quota: u32::MAX,
                 };
                 if write_frame(&mut writer, &admit).is_err() {
-                    break 'conn;
+                    break;
                 }
             }
             Frame::Assign {
@@ -1187,13 +1421,13 @@ fn handle_client(shared: &Arc<WorkerShared>, stream: TcpStream) {
                 let result =
                     serve_assignment(shared, &gate, &mut writer, epoch_seed, &shards, flags);
                 if result.is_err() {
-                    break 'conn;
+                    break;
                 }
             }
             // A second HELLO above all: ERR, then close.
             _ => {
                 let _ = reject(&mut writer, UNEXPECTED_FRAME);
-                break 'conn;
+                break;
             }
         }
     }
@@ -1291,9 +1525,8 @@ fn serve_assignment(
                 std::thread::sleep(shared.config.batch_pace);
                 produce_ns += t_pace.elapsed().as_nanos() as u64;
             }
-            // Encode scratch comes from the pool; `finish` hands the
-            // allocation to the frame, so the recycled win is the
-            // record-framing growth, not the final block itself.
+            // The block is encoded into a pooled buffer, sent from where
+            // it lies, and goes back to the pool once written.
             let (scratch, hit) = shared.pool.get_bytes(0);
             if hit {
                 rec.pool_hits(1);
@@ -1305,8 +1538,14 @@ fn serve_assignment(
                 block.write_pieces(sample.nbytes() + 64, |sink| sample.encode_to(sink));
             }
             let encoded = block.finish();
-            let block = shared.config.wire_codec.compress(&encoded);
-            shared.pool.put_bytes(encoded);
+            let block = match shared.config.wire_codec {
+                Codec::None => encoded,
+                codec => {
+                    let packed = codec.compress(&encoded);
+                    shared.pool.put_bytes(encoded);
+                    packed
+                }
+            };
             let codec = wire_codec_tag(shared.config.wire_codec);
             let count = chunk.len() as u32;
             let shard = index as u32;
@@ -1322,6 +1561,9 @@ fn serve_assignment(
             let wire_bytes = write_frame(writer, &frame)?;
             if let Some(t0) = t_send {
                 rec.phase_done(0, PHASE_HANDOFF, t0);
+            }
+            if let Frame::Batch2 { block, .. } = frame {
+                shared.pool.put_bytes(block);
             }
             shared.progress.batch_sent(wire_bytes);
             batches += 1;
@@ -2022,60 +2264,37 @@ fn drive_assignment<F>(
     let mut done = vec![false; shards.len()];
     loop {
         reader.get_mut().start_frame();
-        let frame = match read_frame(reader) {
-            Ok(Some(frame)) => frame,
+        let payload = match read_payload(reader) {
+            Ok(Some(payload)) => payload,
             // Clean close mid-assignment, CRC garbage, timeout: the
             // connection is unusable — whatever was not committed
             // fails over.
             _ => return,
         };
-        match frame {
+        if payload.first() == Some(&FRAME_BATCH2) {
+            // Decoded in place: the samples alias the received payload.
             // `span_id`/`t_send` are trace context the client does not
             // need for delivery.
-            Frame::Batch2 {
-                shard,
-                count,
-                codec,
-                block,
-                ..
-            } => {
-                let index = shard as usize;
-                if index >= buffers.len() || done[index] {
-                    return; // protocol violation: treat conn as dead
-                }
-                outcome.batches += 1;
-                outcome.bytes += block.len() as u64;
-                let codec = match wire_codec(codec) {
-                    Ok(codec) => codec,
-                    Err(_) => return,
-                };
-                let framed = match codec {
-                    Codec::None => block,
-                    _ => match codec.decompress(&block) {
-                        Ok(framed) => framed,
-                        Err(_) => return,
-                    },
-                };
-                let mut records = RecordReader::new(&framed);
-                let mut decoded = 0u32;
-                while let Some(record) = records.next() {
-                    let sample = match record
-                        .map_err(|_| ())
-                        .and_then(|r| Sample::decode(r).map_err(|_| ()))
-                    {
-                        Ok(sample) => sample,
-                        Err(()) => return,
-                    };
-                    buffers[index].push(sample);
-                    decoded += 1;
-                }
-                if decoded != count {
-                    return;
-                }
-                if write_frame(writer, &Frame::Credit { n: 1 }).is_err() {
-                    return;
-                }
+            let Ok(batch) = ReceivedBatch::parse(payload) else {
+                return;
+            };
+            let index = batch.head.shard as usize;
+            if index >= buffers.len() || done[index] {
+                return; // protocol violation: treat conn as dead
             }
+            outcome.batches += 1;
+            outcome.bytes += batch.wire_len as u64;
+            if batch.decode_into(&mut buffers[index]).is_err()
+                || write_frame(writer, &Frame::Credit { n: 1 }).is_err()
+            {
+                return;
+            }
+            continue;
+        }
+        let Ok(frame) = Frame::decode_payload(&payload) else {
+            return;
+        };
+        match frame {
             Frame::Eof { shard } => {
                 let index = shard as usize;
                 if index >= buffers.len() || done[index] {
@@ -2218,7 +2437,122 @@ mod tests {
                 tenant: "greedy".into(),
                 reason: "12 shards over quota 8".into(),
             },
+            // A block of real samples, for the client's in-place path.
+            batch_of(2, &sample_zoo()[..4]),
         ]
+    }
+
+    /// A BATCH2 as a worker sends it: `samples` record-framed, no codec.
+    fn batch_of(shard: u32, samples: &[Sample]) -> Frame {
+        let mut block = RecordWriter::new();
+        for sample in samples {
+            block.write_pieces(sample.nbytes() + 64, |sink| sample.encode_to(sink));
+        }
+        Frame::Batch2 {
+            shard,
+            count: samples.len() as u32,
+            codec: 0,
+            span_id: 5,
+            t_send: 6,
+            block: block.finish(),
+        }
+    }
+
+    /// The samples a BATCH2's block carries, decoded by copying — or
+    /// `None` when the block is not `count` well-formed records.
+    fn carried(frame: &Frame) -> Option<Vec<Sample>> {
+        let Frame::Batch2 { count, block, .. } = frame else {
+            return None;
+        };
+        let samples = RecordReader::new(block)
+            .map(|record| Sample::decode(record.ok()?).ok())
+            .collect::<Option<Vec<Sample>>>()?;
+        (samples.len() == *count as usize).then_some(samples)
+    }
+
+    /// 16 samples of one 112×112×3 `u8` tensor each (37 632 bytes), the
+    /// size of a served CV batch, and their BATCH2.
+    fn image_batch() -> (Vec<Sample>, Frame) {
+        use presto_tensor::Tensor;
+        let samples: Vec<Sample> = (0..16u64)
+            .map(|key| {
+                let pixels = (0..37_632u64).map(|i| (i * 31 + key) as u8).collect();
+                let tensor = Tensor::from_vec(vec![112, 112, 3], pixels).unwrap();
+                Sample::from_tensors(key, vec![tensor])
+            })
+            .collect();
+        let frame = batch_of(7, &samples);
+        (samples, frame)
+    }
+
+    /// The wire bytes of `frame` as the parent construction made them:
+    /// the whole payload assembled, then copied into record framing.
+    fn oracle_wire(frame: &Frame) -> Vec<u8> {
+        let mut rec = RecordWriter::new();
+        rec.write(&frame.encode_payload());
+        rec.finish()
+    }
+
+    /// The samples the client's in-place path makes of a payload.
+    fn receive(payload: Vec<u8>) -> Result<Vec<Sample>, ServeError> {
+        let batch = ReceivedBatch::parse(payload)?;
+        let mut samples = Vec::new();
+        batch.decode_into(&mut samples)?;
+        Ok(samples)
+    }
+
+    /// `payload` — `frame`'s, perhaps damaged — through the in-place
+    /// path: a typed error, or exactly the samples `frame` carries
+    /// (a damaged shard index or trace field is the transport CRC's to
+    /// catch, not this path's).
+    fn in_place_is_faithful(frame: &Frame, payload: Vec<u8>) -> bool {
+        match receive(payload) {
+            Ok(samples) => Some(samples) == carried(frame),
+            Err(ServeError::Protocol(_)) => true,
+            Err(_) => false,
+        }
+    }
+
+    /// A `Write` that keeps every slice it is handed (where it lay, how
+    /// long it was) and takes at most `limit` bytes per call.
+    struct Recording {
+        limit: usize,
+        slices: Vec<(*const u8, usize)>,
+        bytes: Vec<u8>,
+    }
+
+    impl Recording {
+        fn new(limit: usize) -> Self {
+            Recording {
+                limit,
+                slices: Vec::new(),
+                bytes: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut taken = 0;
+            for buf in bufs {
+                self.slices.push((buf.as_ptr(), buf.len()));
+                let take = buf.len().min(self.limit - taken);
+                self.bytes.extend_from_slice(&buf[..take]);
+                taken += take;
+                if taken == self.limit {
+                    break;
+                }
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]
@@ -2267,6 +2601,190 @@ mod tests {
         }
     }
 
+    #[test]
+    fn wire_and_in_place_reads_answer_cuts_and_flips_with_typed_errors() {
+        for frame in frame_zoo() {
+            let payload = frame.encode_payload();
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &frame).unwrap();
+            assert_eq!(read_payload(&mut &wire[..]), Ok(Some(payload.clone())));
+            // On the wire: a cut is a clean close at the boundary and
+            // truncation anywhere else; a flipped bit fails the header
+            // or the payload CRC.
+            assert_eq!(read_payload(&mut &wire[..0]), Ok(None));
+            for cut in 1..wire.len() {
+                let got = read_payload(&mut &wire[..cut]);
+                assert_eq!(got, Err(ServeError::Truncated), "{frame:?} cut at {cut}");
+            }
+            for bit in 0..wire.len() * 8 {
+                let mut flipped = wire.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let got = read_payload(&mut &flipped[..]);
+                assert!(
+                    matches!(got, Err(ServeError::BadHeader | ServeError::BadPayload)),
+                    "{frame:?} wire bit {bit}: {got:?}"
+                );
+            }
+            // In place, past the CRCs: the client's BATCH2 path answers
+            // every cut and flip of the payload with a typed error or
+            // the samples that were sent.
+            if !matches!(frame, Frame::Batch2 { .. }) {
+                continue;
+            }
+            assert_eq!(receive(payload.clone()).ok(), carried(&frame));
+            for cut in 0..payload.len() {
+                let got = receive(payload[..cut].to_vec());
+                assert!(
+                    matches!(got, Err(ServeError::Protocol(_))),
+                    "{frame:?} cut at {cut}: {got:?}"
+                );
+            }
+            for bit in 0..payload.len() * 8 {
+                let mut flipped = payload.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    in_place_is_faithful(&frame, flipped),
+                    "{frame:?} payload bit {bit}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn write_frame_puts_the_parent_constructions_bytes_on_the_wire() {
+        let (_, batch) = image_batch();
+        for (index, frame) in frame_zoo().iter().chain([&batch]).enumerate() {
+            let oracle = oracle_wire(frame);
+            // Whole writes, and a writer taking 7 bytes a call.
+            for limit in [usize::MAX, 7] {
+                let mut recording = Recording::new(limit);
+                let sent = write_frame(&mut recording, frame).unwrap();
+                assert!(recording.bytes == oracle, "frame {index}, limit {limit}");
+                assert_eq!(sent, oracle.len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn write_frame_hands_the_block_over_where_it_lies() {
+        let (_, batch) = image_batch();
+        let Frame::Batch2 { block, .. } = &batch else {
+            unreachable!("image_batch is a BATCH2")
+        };
+        let mut recording = Recording::new(usize::MAX);
+        write_frame(&mut recording, &batch).unwrap();
+        assert!(
+            recording.slices.contains(&(block.as_ptr(), block.len())),
+            "the block was copied before the write: {:?}",
+            recording.slices
+        );
+    }
+
+    #[test]
+    fn received_samples_alias_the_received_frame() {
+        let (samples, batch) = image_batch();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &batch).unwrap();
+        let payload = read_payload(&mut &wire[..]).unwrap().unwrap();
+        let frame = payload.as_ptr() as usize..payload.as_ptr() as usize + payload.len();
+        let received = receive(payload).unwrap();
+        assert!(received == samples);
+        for sample in &received {
+            let crate::sample::Payload::Tensors(tensors) = &sample.payload else {
+                panic!("sample {} lost its tensor", sample.key)
+            };
+            for tensor in tensors {
+                let at = tensor.bytes().as_ptr() as usize;
+                assert!(frame.contains(&at), "sample {} was copied", sample.key);
+            }
+        }
+    }
+
+    #[test]
+    fn ended_connections_leave_the_registry() {
+        let dataset = Materialized {
+            shards: Vec::new(),
+            codec: Codec::None,
+            sample_count: 0,
+            stored_bytes: 0,
+            split: 0,
+        };
+        let worker = ServeWorker::spawn(
+            "127.0.0.1:0",
+            &Pipeline::new("idle"),
+            &dataset,
+            Arc::new(crate::store::MemStore::new()),
+            Resilience::default(),
+            None,
+            ServeWorkerConfig::default(),
+        )
+        .unwrap();
+        for _ in 0..200 {
+            let mut stream = TcpStream::connect(worker.addr()).unwrap();
+            let mut reader = stream.try_clone().unwrap();
+            handshake(&mut stream, &mut reader, 0).unwrap();
+        }
+        // Each connection thread deregisters as it ends; the wait is on
+        // that signal, bounded only so a leak fails instead of hanging.
+        assert_eq!(worker.shared.conns.wait_empty(Duration::from_secs(60)), 0);
+    }
+
+    #[test]
+    fn a_dial_that_meets_the_stop_flag_is_closed_unserved() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (served_tx, served) = mpsc::channel();
+        let loop_stop = Arc::clone(&stop);
+        let acceptor = std::thread::spawn(move || {
+            accept_until(listener, &loop_stop, |stream| {
+                served_tx.send(stream).unwrap();
+            });
+        });
+        // Served while the flag is down...
+        let _first = TcpStream::connect(addr).unwrap();
+        let _kept = served.recv_timeout(Duration::from_secs(60)).unwrap();
+        // ...but not once it is up. The loop owns the listener until
+        // it has taken this dial, so the port is still the loop's.
+        stop.store(true, Ordering::Release);
+        let mut late = TcpStream::connect(addr).unwrap();
+        late.set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        match late.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            other => panic!("a dial after stop read {other:?}"),
+        }
+        acceptor.join().unwrap();
+        assert!(served.try_recv().is_err(), "the late dial was served");
+    }
+
+    #[test]
+    fn the_kill_switch_ends_the_accept_loop_on_its_own() {
+        let dataset = Materialized {
+            shards: Vec::new(),
+            codec: Codec::None,
+            sample_count: 0,
+            stored_bytes: 0,
+            split: 0,
+        };
+        let mut worker = ServeWorker::spawn(
+            "127.0.0.1:0",
+            &Pipeline::new("idle"),
+            &dataset,
+            Arc::new(crate::store::MemStore::new()),
+            Resilience::default(),
+            None,
+            ServeWorkerConfig::default(),
+        )
+        .unwrap();
+        // What `fail_after_batches` fires; no `stop()` or drop follows,
+        // yet the accept thread (the listener's owner) returns.
+        worker.shared.crash();
+        worker.accept.take().unwrap().join().unwrap();
+        assert!(worker.is_stopped());
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4096))]
 
@@ -2284,13 +2802,29 @@ mod tests {
             ],
         ) {
             let zoo = frame_zoo();
-            let mut payload = zoo[index % zoo.len()].encode_payload();
+            let frame = &zoo[index % zoo.len()];
+            let mut payload = frame.encode_payload();
             if payload.len() >= 5 {
                 let at = 1 + at % (payload.len() - 4);
                 payload[at..at + 4].copy_from_slice(&lie.to_le_bytes());
             }
             let got = Frame::decode_payload(&payload);
             proptest::prop_assert!(matches!(got, Ok(_) | Err(ServeError::Protocol(_))), "{got:?}");
+            if matches!(frame, Frame::Batch2 { .. }) {
+                proptest::prop_assert!(in_place_is_faithful(frame, payload.clone()));
+            }
+            // The same lie on the wire, anywhere in the record framing:
+            // the CRCs refuse it, or it changed nothing.
+            let mut wire = Vec::new();
+            write_frame(&mut wire, frame).unwrap();
+            let at = at % (wire.len() - 3);
+            wire[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+            match read_payload(&mut &wire[..]) {
+                Ok(Some(read)) => proptest::prop_assert_eq!(read, frame.encode_payload()),
+                Err(ServeError::BadHeader | ServeError::BadPayload | ServeError::TooLarge(_)
+                    | ServeError::Truncated) => {}
+                other => proptest::prop_assert!(false, "{other:?}"),
+            }
         }
     }
 

@@ -47,13 +47,13 @@
 
 use crate::error::PipelineError;
 use crate::serve::{
-    handshake, read_frame, reject, write_frame, Frame, ServeError, ASSIGN_WANT_STATS,
-    PROTOCOL_VERSION, UNEXPECTED_FRAME,
+    accept_until, handshake, read_frame, reject, wake_acceptor, write_frame, Conns, CreditGate,
+    Frame, ServeError, ASSIGN_WANT_STATS, PROTOCOL_VERSION, UNEXPECTED_FRAME,
 };
 use presto_telemetry::{FleetWorkerEntry, ServeProgress, Telemetry, TenantsProgress};
 use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -168,7 +168,7 @@ struct Tenant {
     /// never block on client I/O.
     outbox: Sender<Out>,
     /// Client credits; the writer blocks here before each BATCH2.
-    gate: Arc<crate::serve::CreditGate>,
+    gate: Arc<CreditGate>,
     /// Cleared when the client connection dies or the tenant fails;
     /// dispatchers drop the tenant's work on the next visit.
     alive: Arc<AtomicBool>,
@@ -254,8 +254,8 @@ struct DaemonShared {
     /// Dummy progress sink for the client-side credit gates (fleetd's
     /// own serve gauges stay untouched — it is a relay, not a worker).
     gate_progress: ServeProgress,
-    /// Client connections, for shutdown.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Open client connections and their credit gates, for shutdown.
+    conns: Conns,
 }
 
 impl DaemonShared {
@@ -297,9 +297,6 @@ impl FleetDaemon {
         let addr = listener
             .local_addr()
             .map_err(|e| PipelineError::Other(format!("fleetd local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| PipelineError::Other(format!("fleetd set_nonblocking: {e}")))?;
         let tenants = telemetry
             .as_ref()
             .map(|t| t.tenants())
@@ -316,27 +313,14 @@ impl FleetDaemon {
             stop: AtomicBool::new(false),
             tenants,
             gate_progress: ServeProgress::default(),
-            conns: Mutex::new(Vec::new()),
+            conns: Conns::default(),
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || {
-            while !accept_shared.stop.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        accept_shared
-                            .conns
-                            .lock()
-                            .unwrap()
-                            .push(stream.try_clone().expect("clone client stream"));
-                        let conn_shared = Arc::clone(&accept_shared);
-                        std::thread::spawn(move || handle_tenant_client(&conn_shared, stream));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => break,
-                }
-            }
+            accept_until(listener, &accept_shared.stop, |stream| {
+                let conn_shared = Arc::clone(&accept_shared);
+                std::thread::spawn(move || handle_tenant_client(&conn_shared, stream));
+            });
         });
         let dispatchers = (0..shared.backends.len())
             .map(|backend| {
@@ -360,11 +344,12 @@ impl FleetDaemon {
     /// Stop accepting, wake every dispatcher, and sever client
     /// connections. Idempotent.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.wake_all();
-        for conn in self.shared.conns.lock().unwrap().drain(..) {
-            let _ = conn.shutdown(Shutdown::Both);
+        if self.shared.stop.swap(true, Ordering::AcqRel) {
+            return;
         }
+        self.shared.wake_all();
+        self.shared.conns.sever();
+        wake_acceptor(self.addr);
     }
 }
 
@@ -384,12 +369,15 @@ impl Drop for FleetDaemon {
 fn handle_tenant_client(shared: &Arc<DaemonShared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
+    // The client's credit gate, registered with its socket so a stop
+    // severs both; both leave the registry when this function returns.
+    let gate = Arc::new(CreditGate::new());
+    let Some(_entry) = shared.conns.enter(&stream, &gate) else {
+        return;
+    };
     if let Ok(writer) = stream.try_clone() {
         let mut reader = BufReader::new(stream);
-        tenant_conversation(shared, &mut reader, writer);
-        // `DaemonShared::conns` keeps a clone of the socket until the
-        // daemon stops, so dropping ours would leave the peer waiting.
-        let _ = reader.get_ref().shutdown(Shutdown::Both);
+        tenant_conversation(shared, &mut reader, writer, gate);
     }
 }
 
@@ -415,6 +403,7 @@ fn tenant_conversation(
     shared: &Arc<DaemonShared>,
     mut reader: &mut BufReader<TcpStream>,
     mut writer: TcpStream,
+    gate: Arc<CreditGate>,
 ) {
     if handshake(&mut writer, &mut reader, 0).is_err() {
         return;
@@ -475,7 +464,6 @@ fn tenant_conversation(
         // a client that registers and stalls before ASSIGN still
         // counts against `max_jobs` (and is reaped when it hangs up).
         let (out_tx, out_rx) = mpsc::channel::<Out>();
-        let gate = Arc::new(crate::serve::CreditGate::new());
         let alive = Arc::new(AtomicBool::new(true));
         sched.tenants.push(Tenant {
             name: name.clone(),
@@ -527,7 +515,7 @@ fn serve_admitted(
     mut reader: &mut BufReader<TcpStream>,
     mut writer: TcpStream,
     out_rx: mpsc::Receiver<Out>,
-    gate: &Arc<crate::serve::CreditGate>,
+    gate: &Arc<CreditGate>,
     alive: &Arc<AtomicBool>,
 ) {
     // The assignment: turn the shard list into scheduled tasks.
@@ -1008,7 +996,7 @@ mod tests {
             started: Instant::now(),
             want_stats: false,
             outbox: mpsc::channel().0,
-            gate: Arc::new(crate::serve::CreditGate::new()),
+            gate: Arc::new(CreditGate::new()),
             alive: Arc::new(AtomicBool::new(true)),
         }
     }
@@ -1031,6 +1019,26 @@ mod tests {
         // Somebody can go already: nothing is handed out.
         sched.top_up(32, 2);
         assert_eq!(deficits(&sched), [4 * 64, 32]);
+    }
+
+    #[test]
+    fn ended_connections_leave_the_registry() {
+        // The backend is never dialled: no client gets as far as ASSIGN.
+        let daemon = FleetDaemon::spawn(
+            "127.0.0.1:0",
+            &["127.0.0.1:9".to_string()],
+            FleetDaemonConfig::default(),
+            None,
+        )
+        .unwrap();
+        for _ in 0..200 {
+            let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+            let mut reader = stream.try_clone().unwrap();
+            handshake(&mut stream, &mut reader, 0).unwrap();
+        }
+        // Each connection thread deregisters as it ends; the wait is on
+        // that signal, bounded only so a leak fails instead of hanging.
+        assert_eq!(daemon.shared.conns.wait_empty(Duration::from_secs(60)), 0);
     }
 
     #[test]

@@ -357,6 +357,51 @@ fn killed_worker_fails_over_with_identical_multiset() {
 }
 
 #[test]
+fn idle_and_killed_workers_stop_and_drop() {
+    use presto_integration_tests::returns;
+    let (pipeline, dataset, store) = cv_workload(8, 2);
+    let spawn = |config| {
+        ServeWorker::spawn(
+            "127.0.0.1:0",
+            &pipeline,
+            &dataset,
+            store.clone() as Arc<dyn presto_pipeline::BlobStore>,
+            Resilience::default(),
+            None,
+            config,
+        )
+        .unwrap()
+    };
+    // Never saw a client: nothing but the blocked accept to undo.
+    let idle = spawn(ServeWorkerConfig::default());
+    returns("stop() of an idle worker", move || idle.stop());
+    let idle = spawn(ServeWorkerConfig::default());
+    returns("drop of an idle worker", move || drop(idle));
+
+    // The kill switch fires on the first batch. That a dial racing it is
+    // never served is checked where the listener's lifetime is known
+    // (`serve.rs`'s unit tests): once the listener is gone its port may
+    // already be another test's.
+    let killed = spawn(ServeWorkerConfig {
+        batch_samples: 1,
+        fail_after_batches: Some(1),
+        ..ServeWorkerConfig::default()
+    });
+    let addr = killed.addr();
+    let epoch = serve_epoch(
+        &[addr.to_string()],
+        &dataset.shards,
+        5,
+        &ServeClientConfig::default(),
+        None,
+        |_| {},
+    );
+    assert!(epoch.is_err());
+    assert!(killed.is_stopped());
+    returns("drop of a killed worker", move || drop(killed));
+}
+
+#[test]
 fn all_workers_dead_is_policy_controlled() {
     let (pipeline, dataset, store) = cv_workload(16, 4);
     let spawn_doomed = || {

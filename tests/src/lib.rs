@@ -19,6 +19,20 @@ pub fn fast_env_ssd() -> SimEnv {
     }
 }
 
+/// Run `f` on a thread of its own and return its result, failing with
+/// `what` if it has not returned within a minute: for checks that a
+/// stop or a drop returns at all, which a bug would turn into a hung
+/// suite instead of a failed test.
+pub fn returns<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(f());
+    });
+    result
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("{what} did not return"))
+}
+
 /// Speak to an accepting serve peer (`serve-worker` or `fleetd`) by
 /// hand and check the one handshake rule: the peer sends its own HELLO
 /// first, takes exactly one HELLO of its own version as the client's

@@ -143,6 +143,21 @@ fn fleetd_takes_hello_once_and_first_or_answers_err_and_closes() {
 }
 
 #[test]
+fn an_idle_daemon_stops_and_drops() {
+    use presto_integration_tests::returns;
+    // Never saw a client, and never dials its backend.
+    let backends = ["127.0.0.1:9".to_string()];
+    let spawn = || FleetDaemon::spawn("127.0.0.1:0", &backends, FleetDaemonConfig::default(), None);
+    let daemon = spawn().unwrap();
+    returns("stop() and drop of an idle daemon", move || {
+        daemon.stop();
+        drop(daemon);
+    });
+    let daemon = spawn().unwrap();
+    returns("drop of an idle daemon", move || drop(daemon));
+}
+
+#[test]
 fn admission_enforces_quota_capacity_and_latest_wins_rejoin() {
     let (pipeline, dataset, store) = cv_workload(16, 8);
     let worker = spawn_worker(&pipeline, &dataset, &store, ServeWorkerConfig::default());
