@@ -7,6 +7,11 @@
 //! under 64 bytes, CPUs without the instruction, and other
 //! architectures. The table path is also the oracle the property
 //! tests hold the kernel to, bit for bit.
+//!
+//! CRC-32 is linear, so the CRC of `A‖B` follows from `crc(A)`,
+//! `crc(B)` and `len(B)` alone: [`Crc32::combine`] computes it in
+//! O(log len) with no pass over the bytes, and [`Crc32::resume`]
+//! continues a stream from a finished value.
 
 /// Table-driven CRC-32 with the reflected IEEE polynomial `0xEDB88320`.
 #[derive(Debug, Clone)]
@@ -57,10 +62,74 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
+/// `a · b mod P` for two polynomials in the reflected representation
+/// of the CRC state (bit 31 is x^0), after zlib's `multmodp`.
+const fn multmodp(mut a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    while a != 0 {
+        if a & 0x8000_0000 != 0 {
+            product ^= b;
+        }
+        a <<= 1;
+        b = if b & 1 != 0 {
+            (b >> 1) ^ 0xEDB8_8320
+        } else {
+            b >> 1
+        };
+    }
+    product
+}
+
+/// `X2N_TABLE[k]` is `x^(2^k) mod P`, reflected: the factors that
+/// shift a CRC past `2^k` zero bits (zlib's `x2n_table`).
+const fn x2n_table() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    let mut p = 1 << 30; // x^1
+    table[0] = p;
+    let mut k = 1;
+    while k < 32 {
+        p = multmodp(p, p);
+        table[k] = p;
+        k += 1;
+    }
+    table
+}
+
+static X2N_TABLE: [u32; 32] = x2n_table();
+
+/// `x^(n · 2^k) mod P`, reflected: one table factor per set bit of `n`.
+fn x2nmodp(mut n: u64, mut k: usize) -> u32 {
+    let mut p = 1 << 31; // x^0
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N_TABLE[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
 impl Crc32 {
     /// Start a fresh checksum.
     pub fn new() -> Self {
         Crc32 { state: 0xFFFF_FFFF }
+    }
+
+    /// Continue the checksum of a stream whose CRC so far is `crc`, as
+    /// if the bytes behind it had gone through [`Crc32::update`].
+    pub fn resume(crc: u32) -> Self {
+        Crc32 {
+            state: crc ^ 0xFFFF_FFFF,
+        }
+    }
+
+    /// The CRC of `A‖B` from `crc_a = crc(A)`, `crc_b = crc(B)` and
+    /// `len_b = len(B)` in bytes, without touching either (zlib's
+    /// `crc32_combine`): `crc_a` is carried past `len_b` zero bytes by
+    /// one multiplication mod P, O(log len_b), and `crc_b` added.
+    pub fn combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+        multmodp(x2nmodp(len_b, 3), crc_a) ^ crc_b
     }
 
     /// Feed bytes into the checksum.

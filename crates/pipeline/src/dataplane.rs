@@ -72,18 +72,38 @@ impl SampleBundle {
 /// shelved, so a buffer recycled after a fault/resync can never leak
 /// stale samples into the next shard. Acquire methods report whether
 /// the request was served from the shelf (`true`) or had to allocate.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BufferPool {
     bundles: Mutex<Vec<Vec<Sample>>>,
     bytes: Mutex<Vec<Vec<u8>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Idle buffers kept per shelf; further returns are dropped.
+    shelf_cap: usize,
+}
+
+impl Default for BufferPool {
+    fn default() -> Self {
+        BufferPool::with_shelf_cap(POOL_SHELF_CAP)
+    }
 }
 
 impl BufferPool {
     /// An empty pool.
     pub fn new() -> Self {
         BufferPool::default()
+    }
+
+    /// An empty pool that keeps at most `shelf_cap` idle buffers per
+    /// shelf — sized to what its users can have in flight.
+    pub fn with_shelf_cap(shelf_cap: usize) -> Self {
+        BufferPool {
+            bundles: Mutex::default(),
+            bytes: Mutex::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            shelf_cap,
+        }
     }
 
     /// A bundle container with room for `capacity` samples, recycled
@@ -104,7 +124,7 @@ impl BufferPool {
     pub fn put_bundle(&self, mut container: Vec<Sample>) {
         container.clear();
         let mut shelf = self.bundles.lock().unwrap();
-        if shelf.len() < POOL_SHELF_CAP {
+        if shelf.len() < self.shelf_cap {
             shelf.push(container);
         }
     }
@@ -125,7 +145,7 @@ impl BufferPool {
     pub fn put_bytes(&self, mut buffer: Vec<u8>) {
         buffer.clear();
         let mut shelf = self.bytes.lock().unwrap();
-        if shelf.len() < POOL_SHELF_CAP {
+        if shelf.len() < self.shelf_cap {
             shelf.push(buffer);
         }
     }

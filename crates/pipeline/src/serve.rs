@@ -77,6 +77,7 @@ use presto_telemetry::{
     EpochRecorder, FleetProgress, FleetWorkerEntry, ServeProgress, Telemetry, BUILTIN_PHASES,
     PHASE_HANDOFF, PHASE_QUEUE_WAIT,
 };
+use presto_tensor::record::{fold_record, record_header, record_trailer};
 use presto_tensor::{RecordReader, RecordWriter};
 use std::collections::HashMap;
 use std::io::{self, BufReader, IoSlice, Read, Write};
@@ -339,14 +340,18 @@ impl<'a> Body<'a> {
 }
 
 /// BATCH2's fixed fields, ahead of its block. One parser for
-/// [`Frame::decode_payload`] and the client's in-place path alike.
-struct Batch2Head {
-    shard: u32,
-    count: u32,
-    codec: u8,
-    span_id: u64,
-    t_send: u64,
+/// [`Frame::decode_payload`], the client's in-place path and the relay.
+pub(crate) struct Batch2Head {
+    pub(crate) shard: u32,
+    pub(crate) count: u32,
+    pub(crate) codec: u8,
+    pub(crate) span_id: u64,
+    pub(crate) t_send: u64,
 }
+
+/// Bytes of a BATCH2 payload ahead of its block: the type byte and the
+/// fixed fields of [`Batch2Head`].
+pub(crate) const BATCH2_HEAD: usize = 26;
 
 impl Batch2Head {
     fn read(body: &mut Body<'_>) -> Result<Batch2Head, ServeError> {
@@ -357,6 +362,15 @@ impl Batch2Head {
             span_id: body.u64()?,
             t_send: body.u64()?,
         })
+    }
+
+    /// The head of a BATCH2 payload (type byte first), or `None` when
+    /// `payload` is not one or is too short to hold the fields.
+    pub(crate) fn parse(payload: &[u8]) -> Option<Batch2Head> {
+        match payload.split_first() {
+            Some((&FRAME_BATCH2, body)) => Batch2Head::read(&mut Body(body)).ok(),
+            _ => None,
+        }
     }
 }
 
@@ -423,7 +437,7 @@ impl Frame {
     /// Append the payload to `out`, all of it but a variable-length
     /// tail — BATCH2's block, ERR's text — which is returned instead,
     /// so that [`write_frame`] can send it from where it lies.
-    fn encode_head<'a>(&'a self, out: &mut Vec<u8>) -> &'a [u8] {
+    pub(crate) fn encode_head<'a>(&'a self, out: &mut Vec<u8>) -> &'a [u8] {
         match self {
             Frame::Hello { version, trace_id } => {
                 out.push(FRAME_HELLO);
@@ -655,20 +669,48 @@ impl Frame {
 /// not copied but handed to the writer as it lies, gathered with the
 /// header and the trailing CRC into `write_vectored` calls.
 pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> Result<u64, ServeError> {
+    write_frame_folded(writer, frame, None)
+}
+
+/// [`write_frame`], given the CRC of the frame's tail when the caller
+/// has it already — a BATCH2 block's, folded by [`RecordWriter::crc`]
+/// from its record CRCs. The frame CRC is then combined from the CRC
+/// of the fixed fields and that one ([`Crc32::combine`]) instead of a
+/// second pass over the block.
+fn write_frame_folded(
+    writer: &mut impl Write,
+    frame: &Frame,
+    tail_crc: Option<u32>,
+) -> Result<u64, ServeError> {
     let mut head = Vec::with_capacity(64);
-    head.extend_from_slice(&[0; 12]);
     let tail = frame.encode_head(&mut head);
-    let len = ((head.len() - 12 + tail.len()) as u64).to_le_bytes();
-    head[..8].copy_from_slice(&len);
-    head[8..12].copy_from_slice(&Crc32::checksum(&len).to_le_bytes());
-    let mut crc = Crc32::new();
-    crc.update(&head[12..]);
-    crc.update(tail);
-    let crc = crc.finish().to_le_bytes();
-    let wire_len = head.len() + tail.len() + crc.len();
+    let crc = match tail_crc {
+        Some(tail_crc) => Crc32::combine(Crc32::checksum(&head), tail_crc, tail.len() as u64),
+        None => {
+            let mut crc = Crc32::new();
+            crc.update(&head);
+            crc.update(tail);
+            crc.finish()
+        }
+    };
+    write_record(writer, &head, tail, crc)
+}
+
+/// Send the payload `head ‖ tail`, whose CRC is `crc`, as one record:
+/// `[header, head, tail, trailer]` in `write_vectored` calls, neither
+/// part copied. Returns the bytes put on the wire.
+pub(crate) fn write_record(
+    writer: &mut impl Write,
+    head: &[u8],
+    tail: &[u8],
+    crc: u32,
+) -> Result<u64, ServeError> {
+    let header = record_header((head.len() + tail.len()) as u64);
+    let trailer = record_trailer(crc);
+    let wire_len = header.len() + head.len() + tail.len() + trailer.len();
     // What is still to go of each part; a short write advances them in
     // order (by hand: `IoSlice::advance_slices` is newer than the MSRV).
-    let mut parts = [&head[..], tail, &crc[..]];
+    let mut parts = [&header[..], head, tail, &trailer[..]];
     while parts.iter().any(|part| !part.is_empty()) {
         match writer.write_vectored(&parts.map(IoSlice::new)) {
             Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
@@ -703,34 +745,55 @@ fn read_exact_or_closed(reader: &mut impl Read, buf: &mut [u8]) -> Result<bool, 
     Ok(true)
 }
 
-/// Read one frame's payload (type byte + body) with its header CRC,
-/// length cap and payload CRC checked. `Ok(None)` is a clean close at
-/// a frame boundary; every violation is a typed [`ServeError`].
-fn read_payload(reader: &mut impl Read) -> Result<Option<Vec<u8>>, ServeError> {
-    // Record framing: [len u64][crc32(len) u32][payload][crc32(payload) u32].
+/// Read one frame's payload (type byte + body) into `payload`, with
+/// its header CRC and length cap checked, and return the CRC stored
+/// after it — *not* yet checked against the payload: that is the
+/// caller's, by [`check_payload`] or by a fold. `payload` is cleared
+/// and filled from its spare capacity, without zero-filling it first.
+/// `Ok(None)` is a clean close at a frame boundary; every violation is
+/// a typed [`ServeError`].
+pub(crate) fn read_unchecked(
+    reader: &mut impl Read,
+    payload: &mut Vec<u8>,
+) -> Result<Option<u32>, ServeError> {
     let mut header = [0u8; 12];
     if !read_exact_or_closed(reader, &mut header)? {
         return Ok(None);
     }
     let len = u64::from_le_bytes(header[..8].try_into().unwrap());
-    let stored = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    if Crc32::checksum(&header[..8]) != stored {
+    if header != record_header(len) {
         return Err(ServeError::BadHeader);
     }
     if len > MAX_FRAME_LEN {
         return Err(ServeError::TooLarge(len));
     }
-    let len = len as usize;
-    let mut payload = vec![0u8; len + 4];
-    if !read_exact_or_closed(reader, &mut payload)? {
+    payload.clear();
+    payload.reserve(len as usize);
+    let read = reader.take(len).read_to_end(payload)?;
+    let mut trailer = [0u8; 4];
+    if read as u64 != len || !read_exact_or_closed(reader, &mut trailer)? {
         return Err(ServeError::Truncated);
     }
-    let stored = u32::from_le_bytes(payload[len..].try_into().unwrap());
-    payload.truncate(len);
-    if Crc32::checksum(&payload) != stored {
-        return Err(ServeError::BadPayload);
+    Ok(Some(u32::from_le_bytes(trailer)))
+}
+
+/// The one-pass frame check: `payload` against the CRC stored after it.
+pub(crate) fn check_payload(payload: &[u8], stored: u32) -> Result<(), ServeError> {
+    if Crc32::checksum(payload) == stored {
+        Ok(())
+    } else {
+        Err(ServeError::BadPayload)
     }
-    Ok(Some(payload))
+}
+
+/// Read one frame's payload with every check done. `Ok(None)` is a
+/// clean close at a frame boundary.
+fn read_payload(reader: &mut impl Read) -> Result<Option<Vec<u8>>, ServeError> {
+    let mut payload = Vec::new();
+    match read_unchecked(reader, &mut payload)? {
+        Some(stored) => check_payload(&payload, stored).map(|()| Some(payload)),
+        None => Ok(None),
+    }
 }
 
 /// Read one frame. `Ok(None)` is a clean close at a frame boundary;
@@ -742,6 +805,29 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Frame>, ServeError> {
     }
 }
 
+/// One frame as the client takes it off the wire: a BATCH2 held for
+/// in-place decoding, or any other frame decoded.
+enum Received {
+    Batch(ReceivedBatch),
+    Frame(Frame),
+}
+
+/// Read one frame for the client. A BATCH2 with an uncompressed block
+/// is not checked here: its frame CRC is folded from its record CRCs
+/// as [`ReceivedBatch::decode_into`] verifies them, so each byte is
+/// checked once. Every other frame is checked in one pass first.
+fn receive(reader: &mut impl Read) -> Result<Option<Received>, ServeError> {
+    let mut payload = Vec::new();
+    let Some(stored) = read_unchecked(reader, &mut payload)? else {
+        return Ok(None);
+    };
+    if payload.first() == Some(&FRAME_BATCH2) {
+        return ReceivedBatch::parse(payload, stored).map(|batch| Some(Received::Batch(batch)));
+    }
+    check_payload(&payload, stored)?;
+    Frame::decode_payload(&payload).map(|frame| Some(Received::Frame(frame)))
+}
+
 /// A received BATCH2, decoded where it lies: its fixed fields, and the
 /// record stream its samples alias — the received payload itself under
 /// [`Codec::None`], the unpacked block under any other wire codec.
@@ -750,20 +836,34 @@ struct ReceivedBatch {
     /// Block bytes as they crossed the wire.
     wire_len: usize,
     records: Bytes,
+    /// Set while the frame check is still to be folded from the record
+    /// CRCs; `None` once the frame was checked in one pass.
+    deferred: Option<Deferred>,
+}
+
+/// A BATCH2's frame check, left for [`ReceivedBatch::decode_into`].
+struct Deferred {
+    /// CRC of the type byte and the fixed fields.
+    head_crc: u32,
+    /// The frame CRC as stored on the wire.
+    stored: u32,
 }
 
 impl ReceivedBatch {
-    /// Take a BATCH2 payload (type byte first) over without copying it.
-    fn parse(payload: Vec<u8>) -> Result<ReceivedBatch, ServeError> {
-        let mut body = match payload.split_first() {
-            Some((&FRAME_BATCH2, body)) => Body(body),
-            _ => return Err(ServeError::Protocol("not a BATCH2 payload".into())),
-        };
-        let head = Batch2Head::read(&mut body)?;
-        let at = payload.len() - body.rest().len();
-        let codec = wire_codec(head.codec)?;
-        let block = Bytes::from(payload).slice(at..);
-        let records = match codec {
+    /// Take a BATCH2 payload (type byte first), whose CRC as stored on
+    /// the wire is `stored`, over without copying it. An uncompressed
+    /// block defers the frame check to [`ReceivedBatch::decode_into`];
+    /// anything else is checked here, before it is parsed.
+    fn parse(payload: Vec<u8>, stored: u32) -> Result<ReceivedBatch, ServeError> {
+        let head = Batch2Head::parse(&payload);
+        let defer = matches!(&head, Some(head) if head.codec == wire_codec_tag(Codec::None));
+        if !defer {
+            check_payload(&payload, stored)?;
+        }
+        let head = head.ok_or_else(|| ServeError::Protocol("BATCH2 head too short".into()))?;
+        let head_crc = defer.then(|| Crc32::checksum(&payload[..BATCH2_HEAD]));
+        let block = Bytes::from(payload).slice(BATCH2_HEAD..);
+        let records = match wire_codec(head.codec)? {
             Codec::None => block.clone(),
             codec => Bytes::from(
                 codec
@@ -775,33 +875,57 @@ impl ReceivedBatch {
             head,
             wire_len: block.len(),
             records,
+            deferred: head_crc.map(|head_crc| Deferred { head_crc, stored }),
         })
     }
 
     /// Append the batch's samples to `out`, each aliasing the record
     /// stream: exactly `head.count` of them, or an error and `out` as
-    /// it was.
+    /// it was. A deferred frame check is done here: the CRC of the head
+    /// is extended by each record's header, verified payload CRC and
+    /// trailer ([`fold_record`]), and the frame is accepted only when
+    /// that is the stored CRC — else it is [`ServeError::BadPayload`],
+    /// the answer of the one-pass check.
     fn decode_into(&self, out: &mut Vec<Sample>) -> Result<(), ServeError> {
         let start = out.len();
-        let count = self.head.count as usize;
+        let mut folded = self.deferred.as_ref().map(|d| d.head_crc);
         let mut records = RecordReader::new(&self.records);
         let failure = loop {
-            let record = match records.next() {
-                None if out.len() - start == count => return Ok(()),
-                None => break format!("{} samples in a block of {count}", out.len() - start),
-                Some(_) if out.len() - start == count => {
-                    break format!("more than {count} samples")
-                }
-                Some(Err(e)) => break e.to_string(),
-                Some(Ok(record)) => record,
+            let (record, crc) = match records.next_with_crc() {
+                None => break None,
+                Some(Err(e)) => break Some(e.to_string()),
+                Some(Ok(pair)) => pair,
             };
+            if let Some(folded) = &mut folded {
+                *folded = fold_record(*folded, record.len() as u64, crc);
+            }
             match Sample::decode_shared(&self.records, record) {
                 Ok((sample, _)) => out.push(sample),
-                Err(e) => break e.to_string(),
+                Err(e) => break Some(e.to_string()),
             }
         };
+        let (got, count) = (out.len() - start, self.head.count as usize);
+        let failure = failure
+            .or_else(|| (got != count).then(|| format!("{got} samples in a block of {count}")));
+        let error = match (failure, &self.deferred) {
+            (None, None) => return Ok(()),
+            (None, Some(deferred)) if folded == Some(deferred.stored) => return Ok(()),
+            (None, Some(_)) => ServeError::BadPayload,
+            // The records did not decode, so there is no fold to end:
+            // whether the frame is damaged takes the one pass.
+            (Some(_), Some(deferred))
+                if Crc32::combine(
+                    deferred.head_crc,
+                    Crc32::checksum(&self.records),
+                    self.records.len() as u64,
+                ) != deferred.stored =>
+            {
+                ServeError::BadPayload
+            }
+            (Some(why), _) => ServeError::Protocol(format!("BATCH2 block: {why}")),
+        };
         out.truncate(start);
-        Err(ServeError::Protocol(format!("BATCH2 block: {failure}")))
+        Err(error)
     }
 }
 
@@ -1537,13 +1661,16 @@ fn serve_assignment(
             for sample in chunk {
                 block.write_pieces(sample.nbytes() + 64, |sink| sample.encode_to(sink));
             }
+            // An uncompressed block's CRC is folded from its record
+            // CRCs, so the frame CRC needs no second pass over it.
+            let block_crc = block.crc();
             let encoded = block.finish();
-            let block = match shared.config.wire_codec {
-                Codec::None => encoded,
+            let (block, block_crc) = match shared.config.wire_codec {
+                Codec::None => (encoded, Some(block_crc)),
                 codec => {
                     let packed = codec.compress(&encoded);
                     shared.pool.put_bytes(encoded);
-                    packed
+                    (packed, None)
                 }
             };
             let codec = wire_codec_tag(shared.config.wire_codec);
@@ -1558,7 +1685,7 @@ fn serve_assignment(
                 block,
             };
             let t_send = rec.begin();
-            let wire_bytes = write_frame(writer, &frame)?;
+            let wire_bytes = write_frame_folded(writer, &frame, block_crc)?;
             if let Some(t0) = t_send {
                 rec.phase_done(0, PHASE_HANDOFF, t0);
             }
@@ -2264,35 +2391,31 @@ fn drive_assignment<F>(
     let mut done = vec![false; shards.len()];
     loop {
         reader.get_mut().start_frame();
-        let payload = match read_payload(reader) {
-            Ok(Some(payload)) => payload,
+        let frame = match receive(reader) {
+            Ok(Some(Received::Frame(frame))) => frame,
+            Ok(Some(Received::Batch(batch))) => {
+                // Decoded in place: the samples alias the received
+                // payload. `span_id`/`t_send` are trace context the
+                // client does not need for delivery. The shard index is
+                // not checked yet under a deferred frame check, but a
+                // frame that fails it leaves every buffer as it was.
+                let index = batch.head.shard as usize;
+                if index >= buffers.len() || done[index] {
+                    return; // protocol violation: treat conn as dead
+                }
+                if batch.decode_into(&mut buffers[index]).is_err()
+                    || write_frame(writer, &Frame::Credit { n: 1 }).is_err()
+                {
+                    return;
+                }
+                outcome.batches += 1;
+                outcome.bytes += batch.wire_len as u64;
+                continue;
+            }
             // Clean close mid-assignment, CRC garbage, timeout: the
             // connection is unusable — whatever was not committed
             // fails over.
             _ => return,
-        };
-        if payload.first() == Some(&FRAME_BATCH2) {
-            // Decoded in place: the samples alias the received payload.
-            // `span_id`/`t_send` are trace context the client does not
-            // need for delivery.
-            let Ok(batch) = ReceivedBatch::parse(payload) else {
-                return;
-            };
-            let index = batch.head.shard as usize;
-            if index >= buffers.len() || done[index] {
-                return; // protocol violation: treat conn as dead
-            }
-            outcome.batches += 1;
-            outcome.bytes += batch.wire_len as u64;
-            if batch.decode_into(&mut buffers[index]).is_err()
-                || write_frame(writer, &Frame::Credit { n: 1 }).is_err()
-            {
-                return;
-            }
-            continue;
-        }
-        let Ok(frame) = Frame::decode_payload(&payload) else {
-            return;
         };
         match frame {
             Frame::Eof { shard } => {
@@ -2493,12 +2616,24 @@ mod tests {
         rec.finish()
     }
 
-    /// The samples the client's in-place path makes of a payload.
-    fn receive(payload: Vec<u8>) -> Result<Vec<Sample>, ServeError> {
-        let batch = ReceivedBatch::parse(payload)?;
+    /// The samples the client's in-place path makes of a payload that
+    /// crossed the wire intact: its stored CRC is its own.
+    fn receive_payload(payload: Vec<u8>) -> Result<Vec<Sample>, ServeError> {
+        let stored = Crc32::checksum(&payload);
+        let batch = ReceivedBatch::parse(payload, stored)?;
         let mut samples = Vec::new();
         batch.decode_into(&mut samples)?;
         Ok(samples)
+    }
+
+    /// What the client makes of `wire`: one frame read as
+    /// `drive_assignment` reads it, a BATCH2 decoded onto the end of
+    /// `buffer`. `Ok(true)` when a BATCH2 was accepted.
+    fn receive_wire(wire: &[u8], buffer: &mut Vec<Sample>) -> Result<bool, ServeError> {
+        match receive(&mut &wire[..])? {
+            Some(Received::Batch(batch)) => batch.decode_into(buffer).map(|()| true),
+            _ => Ok(false),
+        }
     }
 
     /// `payload` — `frame`'s, perhaps damaged — through the in-place
@@ -2506,7 +2641,7 @@ mod tests {
     /// (a damaged shard index or trace field is the transport CRC's to
     /// catch, not this path's).
     fn in_place_is_faithful(frame: &Frame, payload: Vec<u8>) -> bool {
-        match receive(payload) {
+        match receive_payload(payload) {
             Ok(samples) => Some(samples) == carried(frame),
             Err(ServeError::Protocol(_)) => true,
             Err(_) => false,
@@ -2625,15 +2760,42 @@ mod tests {
                     "{frame:?} wire bit {bit}: {got:?}"
                 );
             }
+            // The client's read: an uncompressed BATCH2's frame CRC is
+            // folded from its records as they decode, not checked in a
+            // pass of its own. The folded check rejects every flip —
+            // head, record header, payload, trailer or frame CRC — with
+            // a typed error, and the shard buffer keeps what it held.
+            let Frame::Batch2 { codec, .. } = frame else {
+                continue;
+            };
+            let held = sample_zoo()[4..6].to_vec();
+            let mut buffer = held.clone();
+            let sent = carried(&frame);
+            match receive_wire(&wire, &mut buffer) {
+                Ok(true) => assert!(Some(buffer[held.len()..].to_vec()) == sent),
+                got => assert!(sent.is_none() && got.is_err(), "{frame:?}: {got:?}"),
+            }
+            assert_eq!(codec, wire_codec_tag(Codec::None));
+            for bit in 0..wire.len() * 8 {
+                let mut flipped = wire.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let mut buffer = held.clone();
+                let got = receive_wire(&flipped, &mut buffer);
+                assert!(
+                    matches!(got, Err(ServeError::BadHeader | ServeError::BadPayload)),
+                    "{frame:?} wire bit {bit}: {got:?}"
+                );
+                assert!(
+                    buffer == held,
+                    "{frame:?} wire bit {bit} left samples behind"
+                );
+            }
             // In place, past the CRCs: the client's BATCH2 path answers
             // every cut and flip of the payload with a typed error or
             // the samples that were sent.
-            if !matches!(frame, Frame::Batch2 { .. }) {
-                continue;
-            }
-            assert_eq!(receive(payload.clone()).ok(), carried(&frame));
+            assert_eq!(receive_payload(payload.clone()).ok(), sent);
             for cut in 0..payload.len() {
-                let got = receive(payload[..cut].to_vec());
+                let got = receive_payload(payload[..cut].to_vec());
                 assert!(
                     matches!(got, Err(ServeError::Protocol(_))),
                     "{frame:?} cut at {cut}: {got:?}"
@@ -2655,12 +2817,19 @@ mod tests {
         let (_, batch) = image_batch();
         for (index, frame) in frame_zoo().iter().chain([&batch]).enumerate() {
             let oracle = oracle_wire(frame);
-            // Whole writes, and a writer taking 7 bytes a call.
+            // Whole writes, and a writer taking 7 bytes a call; a block's
+            // CRC handed in, as the worker folds it, changes no byte.
+            let block_crc = match frame {
+                Frame::Batch2 { block, .. } => Some(Crc32::checksum(block)),
+                _ => None,
+            };
             for limit in [usize::MAX, 7] {
-                let mut recording = Recording::new(limit);
-                let sent = write_frame(&mut recording, frame).unwrap();
-                assert!(recording.bytes == oracle, "frame {index}, limit {limit}");
-                assert_eq!(sent, oracle.len() as u64);
+                for tail_crc in [None, block_crc] {
+                    let mut recording = Recording::new(limit);
+                    let sent = write_frame_folded(&mut recording, frame, tail_crc).unwrap();
+                    assert!(recording.bytes == oracle, "frame {index}, limit {limit}");
+                    assert_eq!(sent, oracle.len() as u64);
+                }
             }
         }
     }
@@ -2687,7 +2856,7 @@ mod tests {
         write_frame(&mut wire, &batch).unwrap();
         let payload = read_payload(&mut &wire[..]).unwrap().unwrap();
         let frame = payload.as_ptr() as usize..payload.as_ptr() as usize + payload.len();
-        let received = receive(payload).unwrap();
+        let received = receive_payload(payload).unwrap();
         assert!(received == samples);
         for sample in &received {
             let crate::sample::Payload::Tensors(tensors) = &sample.payload else {

@@ -40,19 +40,32 @@
 //!   max_requeues`]); one tenant exhausting its budget gets an ERR
 //!   frame while everyone else keeps streaming.
 //!
+//! The relay forwards verified payloads opaque, never decoding them. Each
+//! backend BATCH2 is read into a pooled buffer and checked once, as
+//! `combine(crc(head), crc(block), len(block))`; the block's CRC is
+//! kept. When the shard's EOF arrives, the head is rewritten in place
+//! for the client (its shard index, trace fields cleared), the frame
+//! CRC re-derived from the kept block CRC by
+//! [`Crc32::combine`](presto_codecs::checksum::Crc32::combine), and
+//! the writer thread sends `[record header, payload, CRC]` by
+//! gather-write and hands the buffer back to the pool.
+//!
 //! Accounting lands in the attached
 //! [`TenantsProgress`](presto_telemetry::TenantsProgress) registry:
 //! `/tenants.json` (the `presto.tenants.v1` document) and per-tenant
 //! labeled `/metrics` series.
 
+use crate::dataplane::BufferPool;
 use crate::error::PipelineError;
 use crate::serve::{
-    accept_until, handshake, read_frame, reject, wake_acceptor, write_frame, Conns, CreditGate,
-    Frame, ServeError, ASSIGN_WANT_STATS, PROTOCOL_VERSION, UNEXPECTED_FRAME,
+    accept_until, check_payload, handshake, read_frame, read_unchecked, reject, wake_acceptor,
+    write_frame, write_record, Batch2Head, Conns, CreditGate, Frame, ServeError, ASSIGN_WANT_STATS,
+    BATCH2_HEAD, PROTOCOL_VERSION, UNEXPECTED_FRAME,
 };
+use presto_codecs::checksum::Crc32;
 use presto_telemetry::{FleetWorkerEntry, ServeProgress, Telemetry, TenantsProgress};
 use std::collections::{HashMap, VecDeque};
-use std::io::BufReader;
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -135,6 +148,8 @@ struct Task {
 /// message that ends the stream.
 enum Out {
     Frame(Frame),
+    /// A relayed BATCH2, already addressed to the client.
+    Batch(RelayedBatch),
     /// All shards delivered: write the final STATS (if the ASSIGN
     /// asked) and let the client close.
     Finish,
@@ -256,6 +271,9 @@ struct DaemonShared {
     gate_progress: ServeProgress,
     /// Open client connections and their credit gates, for shutdown.
     conns: Conns,
+    /// Buffers relayed BATCH2 payloads are read into; the tenant
+    /// writer threads hand them back once written.
+    relay_pool: BufferPool,
 }
 
 impl DaemonShared {
@@ -307,13 +325,19 @@ impl FleetDaemon {
         );
         let shared = Arc::new(DaemonShared {
             backends: backends.to_vec(),
-            config,
             sched: Mutex::new(Sched::default()),
             cv: Condvar::new(),
             stop: AtomicBool::new(false),
             tenants,
             gate_progress: ServeProgress::default(),
             conns: Conns::default(),
+            // A backend has up to its credit window of batches in
+            // flight toward the relay; idle buffers beyond that many
+            // per backend are freed.
+            relay_pool: BufferPool::with_shelf_cap(
+                backends.len() * config.backend_credits.max(1) as usize,
+            ),
+            config,
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || {
@@ -583,12 +607,17 @@ fn serve_admitted(
     let writer_handle = std::thread::spawn(move || {
         while let Ok(out) = out_rx.recv() {
             match out {
-                Out::Frame(frame) => {
-                    if matches!(frame, Frame::Batch2 { .. })
-                        && !writer_gate.take(&writer_shared.gate_progress)
-                    {
+                Out::Batch(batch) => {
+                    if !writer_gate.take(&writer_shared.gate_progress) {
                         break; // gate closed: client is gone
                     }
+                    let written = batch.write_to(&mut writer);
+                    writer_shared.relay_pool.put_bytes(batch.payload);
+                    if written.is_err() {
+                        break;
+                    }
+                }
+                Out::Frame(frame) => {
                     let fatal = matches!(frame, Frame::Err { .. });
                     if write_frame(&mut writer, &frame).is_err() || fatal {
                         break;
@@ -745,42 +774,128 @@ fn dispatcher_loop(shared: &Arc<DaemonShared>, backend: usize) {
     }
 }
 
-/// Why a shard task failed, and whether the backend had started it.
+/// Why a shard task failed: whether the backend had started it.
 struct TaskFailure {
-    #[allow(dead_code)]
-    error: ServeError,
     /// The ASSIGN reached the backend: the failure interrupted real
     /// work, so it charges the owning tenant's fault budget.
     started: bool,
 }
 
-/// A relayed BATCH2 awaiting its shard's EOF: `(count, codec, block)`.
-type BufferedBatch = (u32, u8, Vec<u8>);
+/// A backend's BATCH2 as the relay holds it: the payload as it crossed
+/// the wire, in a buffer from the relay pool, checked on arrival and
+/// never decoded. The block's CRC is kept, so that once the head is
+/// rewritten for the client the frame CRC follows by
+/// [`Crc32::combine`] with no second pass over the block.
+struct RelayedBatch {
+    payload: Vec<u8>,
+    /// The fixed fields, from the checked head; `count` is the DRR
+    /// charge.
+    head: Batch2Head,
+    block_crc: u32,
+    /// CRC of `payload` as it stands.
+    crc: u32,
+}
+
+impl RelayedBatch {
+    fn block_len(&self) -> usize {
+        self.payload.len() - BATCH2_HEAD
+    }
+
+    /// Address the batch to the client's shard `index` with the
+    /// backend's trace context cleared — a relayed BATCH2 carries
+    /// `span_id` and `t_send` 0 — and re-derive the frame CRC.
+    fn readdress(&mut self, index: u32) {
+        let relayed = Frame::Batch2 {
+            shard: index,
+            count: self.head.count,
+            codec: self.head.codec,
+            span_id: 0,
+            t_send: 0,
+            block: Vec::new(),
+        };
+        let mut head = Vec::with_capacity(BATCH2_HEAD);
+        relayed.encode_head(&mut head);
+        self.payload[..BATCH2_HEAD].copy_from_slice(&head);
+        self.crc = Crc32::combine(
+            Crc32::checksum(&head),
+            self.block_crc,
+            self.block_len() as u64,
+        );
+    }
+
+    /// Send the payload as one record, gathered from where it lies.
+    fn write_to(&self, writer: &mut impl Write) -> Result<u64, ServeError> {
+        let (head, block) = self.payload.split_at(BATCH2_HEAD);
+        write_record(writer, head, block, self.crc)
+    }
+}
+
+/// One frame from a backend, as the relay takes it.
+enum FromBackend {
+    Batch(RelayedBatch),
+    Frame(Frame),
+}
+
+/// Read one backend frame into a buffer from `pool`, filled without
+/// zero-filling it first, and check it once. A BATCH2 is checked as
+/// `combine(crc(head), crc(block), len(block))` and kept as it lies,
+/// with its block CRC; any other frame is checked in one pass and
+/// decoded, and its buffer goes back to the pool. `Ok(None)` is a clean
+/// close at a frame boundary; every violation is a typed
+/// [`ServeError`] and hands nothing on.
+fn read_from_backend(
+    reader: &mut impl Read,
+    pool: &BufferPool,
+) -> Result<Option<FromBackend>, ServeError> {
+    let (mut payload, _) = pool.get_bytes(0);
+    let stored = match read_unchecked(reader, &mut payload) {
+        Ok(Some(stored)) => stored,
+        other => {
+            pool.put_bytes(payload);
+            return other.map(|_| None);
+        }
+    };
+    if let Some(head) = Batch2Head::parse(&payload) {
+        let block = &payload[BATCH2_HEAD..];
+        let block_crc = Crc32::checksum(block);
+        let head_crc = Crc32::checksum(&payload[..BATCH2_HEAD]);
+        let crc = Crc32::combine(head_crc, block_crc, block.len() as u64);
+        if crc != stored {
+            pool.put_bytes(payload);
+            return Err(ServeError::BadPayload);
+        }
+        return Ok(Some(FromBackend::Batch(RelayedBatch {
+            payload,
+            head,
+            block_crc,
+            crc,
+        })));
+    }
+    let frame = check_payload(&payload, stored).and_then(|()| Frame::decode_payload(&payload));
+    pool.put_bytes(payload);
+    frame.map(|frame| Some(FromBackend::Frame(frame)))
+}
 
 /// Run one shard on the backend and buffer it for the tenant's client.
 ///
-/// The relay is **shard-atomic**: batches are buffered here and only
-/// flushed to the tenant outbox (by [`complete_task`]) once the
-/// backend's EOF arrives. The client's connection to the daemon
-/// survives a backend death, so a half-streamed shard must leave no
-/// trace — the requeued shard will be served again from scratch
-/// (bit-identically, thanks to [`crate::shard_rng_seed`]) and anything
-/// already forwarded would have doubled its samples. Returns the
-/// shard's batches.
+/// The relay forwards verified payloads opaque: each BATCH2 is checked
+/// once on arrival ([`read_from_backend`]) and held in its pooled
+/// buffer, never decoded into a [`Frame`]. The relay is
+/// **shard-atomic**: batches are buffered here and only flushed to the
+/// tenant outbox (by [`complete_task`]) once the backend's EOF arrives.
+/// The client's connection to the daemon survives a backend death, so a
+/// half-streamed shard must leave no trace — the requeued shard will be
+/// served again from scratch (bit-identically, thanks to
+/// [`crate::shard_rng_seed`]) and anything already forwarded would have
+/// doubled its samples. Returns the shard's batches.
 fn serve_task(
     shared: &DaemonShared,
     addr: &str,
     conn: &mut Option<(TcpStream, BufReader<TcpStream>)>,
     dispatch: &Dispatch,
-) -> Result<Vec<BufferedBatch>, TaskFailure> {
-    let unstarted = |error: ServeError| TaskFailure {
-        error,
-        started: false,
-    };
-    let started = |error: ServeError| TaskFailure {
-        error,
-        started: true,
-    };
+) -> Result<Vec<RelayedBatch>, TaskFailure> {
+    let unstarted = |_: ServeError| TaskFailure { started: false };
+    let started = |_: ServeError| TaskFailure { started: true };
     if conn.is_none() {
         let target: SocketAddr = addr
             .to_socket_addrs()
@@ -811,33 +926,17 @@ fn serve_task(
         },
     )
     .map_err(unstarted)?;
-    let mut buffered: Vec<BufferedBatch> = Vec::new();
+    let mut buffered: Vec<RelayedBatch> = Vec::new();
     loop {
-        let frame = read_frame(reader)
-            .map_err(started)?
-            .ok_or_else(|| started(ServeError::Protocol("backend closed mid-shard".into())))?;
         // The backend's shard index and trace context are its own;
-        // `complete_task` relays the rest under the client's index.
-        let (count, codec, block) = match frame {
-            Frame::Batch2 {
-                count,
-                codec,
-                block,
-                ..
-            } => (count, codec, block),
-            Frame::Eof { .. } => break,
-            Frame::Err { message } => {
-                return Err(started(ServeError::Protocol(format!(
-                    "backend error: {message}"
-                ))))
-            }
-            _ => {
-                return Err(started(ServeError::Protocol(
-                    "unexpected frame from backend".into(),
-                )))
-            }
-        };
-        buffered.push((count, codec, block));
+        // `complete_task` rewrites them for the client.
+        match read_from_backend(reader, &shared.relay_pool) {
+            Ok(Some(FromBackend::Batch(batch))) => buffered.push(batch),
+            Ok(Some(FromBackend::Frame(Frame::Eof { .. }))) => break,
+            // Backend ERR, an unexpected frame, a close mid-shard or a
+            // damaged frame: the shard is lost on this backend.
+            _ => return Err(TaskFailure { started: true }),
+        }
         // Re-credit the backend immediately: client backpressure is
         // absorbed by the tenant's outbox + gate, never by stalling
         // the shared backend.
@@ -855,18 +954,17 @@ fn complete_task(
     shared: &DaemonShared,
     backend: usize,
     dispatch: &Dispatch,
-    buffered: Vec<BufferedBatch>,
+    buffered: Vec<RelayedBatch>,
 ) {
-    let samples: u64 = buffered.iter().map(|(count, ..)| u64::from(*count)).sum();
+    let samples: u64 = buffered.iter().map(|b| u64::from(b.head.count)).sum();
     let batches = buffered.len() as u64;
     let mut sched = shared.sched.lock().unwrap();
     sched.affinity.insert(dispatch.task.shard.clone(), backend);
     let deliver = dispatch.alive.load(Ordering::Acquire);
     if deliver {
-        for (count, _, block) in &buffered {
-            shared
-                .tenants
-                .delivered(&dispatch.tenant, u64::from(*count), 1, block.len() as u64);
+        for batch in &buffered {
+            let (count, bytes) = (u64::from(batch.head.count), batch.block_len() as u64);
+            shared.tenants.delivered(&dispatch.tenant, count, 1, bytes);
         }
         shared.tenants.shard_done(&dispatch.tenant);
     }
@@ -901,19 +999,17 @@ fn complete_task(
         }
     }
     if deliver {
-        for (count, codec, block) in buffered {
-            let _ = dispatch.outbox.send(Out::Frame(Frame::Batch2 {
-                shard: dispatch.task.index,
-                count,
-                codec,
-                span_id: 0,
-                t_send: 0,
-                block,
-            }));
+        for mut batch in buffered {
+            batch.readdress(dispatch.task.index);
+            let _ = dispatch.outbox.send(Out::Batch(batch));
         }
         let _ = dispatch.outbox.send(Out::Frame(Frame::Eof {
             shard: dispatch.task.index,
         }));
+    } else {
+        for batch in buffered {
+            shared.relay_pool.put_bytes(batch.payload);
+        }
     }
     for out in trailer {
         let _ = dispatch.outbox.send(out);
@@ -1039,6 +1135,131 @@ mod tests {
         // Each connection thread deregisters as it ends; the wait is on
         // that signal, bounded only so a leak fails instead of hanging.
         assert_eq!(daemon.shared.conns.wait_empty(Duration::from_secs(60)), 0);
+    }
+
+    /// BATCH2 frames as a backend sends them: shard 5 with trace
+    /// context, an uncompressed block of real samples, the same block
+    /// gzipped, an empty block, and 16 × 37 632-byte image tensors.
+    fn backend_batches() -> Vec<Frame> {
+        use crate::sample::Sample;
+        use presto_codecs::{Codec, Level};
+        use presto_tensor::{RecordWriter, Tensor};
+        let block = |samples: &[Sample]| {
+            let mut block = RecordWriter::new();
+            for sample in samples {
+                block.write_pieces(sample.nbytes(), |sink| sample.encode_to(sink));
+            }
+            block.finish()
+        };
+        let batch = |count: usize, codec: Codec, block: Vec<u8>| Frame::Batch2 {
+            shard: 5,
+            count: count as u32,
+            codec: crate::serve::wire_codec_tag(codec),
+            span_id: 77,
+            t_send: 999,
+            block,
+        };
+        let small: Vec<Sample> = (0..3u64)
+            .map(|key| Sample::from_bytes(key, vec![key as u8; 40 + key as usize]))
+            .collect();
+        let images: Vec<Sample> = (0..16u64)
+            .map(|key| {
+                let pixels = (0..37_632u64).map(|i| (i * 31 + key) as u8).collect();
+                let tensor = Tensor::from_vec(vec![112, 112, 3], pixels).unwrap();
+                Sample::from_tensors(key, vec![tensor])
+            })
+            .collect();
+        let gzip = Codec::Gzip(Level::FAST);
+        vec![
+            batch(small.len(), Codec::None, block(&small)),
+            batch(small.len(), gzip, gzip.compress(&block(&small))),
+            batch(0, Codec::None, Vec::new()),
+            batch(images.len(), Codec::None, block(&images)),
+        ]
+    }
+
+    fn wire(frame: &Frame) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, frame).unwrap();
+        wire
+    }
+
+    /// A backend BATCH2 through the relay's read, re-address and write
+    /// puts on the client's wire exactly what `write_frame` makes of
+    /// the frame the daemon used to rebuild: the client's shard index,
+    /// trace fields 0, the block untouched.
+    #[test]
+    fn relayed_batches_put_the_rebuilt_frames_bytes_on_the_wire() {
+        let pool = BufferPool::with_shelf_cap(4);
+        for frame in backend_batches() {
+            let Some(FromBackend::Batch(mut batch)) =
+                read_from_backend(&mut &wire(&frame)[..], &pool).unwrap()
+            else {
+                panic!("a BATCH2 is relayed opaque: {frame:?}");
+            };
+            batch.readdress(2);
+            let mut out = Vec::new();
+            let sent = batch.write_to(&mut out).unwrap();
+            let Frame::Batch2 {
+                count,
+                codec,
+                block,
+                ..
+            } = frame
+            else {
+                unreachable!("backend_batches are BATCH2s")
+            };
+            let rebuilt = Frame::Batch2 {
+                shard: 2,
+                count,
+                codec,
+                span_id: 0,
+                t_send: 0,
+                block,
+            };
+            assert!(out == wire(&rebuilt), "count {count}, codec {codec}");
+            assert_eq!(sent, out.len() as u64);
+        }
+    }
+
+    /// Every cut and every single-bit flip of a backend frame is a typed
+    /// error on the relay's read path, which hands nothing on and puts
+    /// its buffer back.
+    #[test]
+    fn the_relay_read_answers_cuts_and_flips_with_typed_errors() {
+        let pool = BufferPool::with_shelf_cap(4);
+        // The image batch is left out: 4.8M flips of it say nothing new.
+        let mut frames = backend_batches();
+        frames.truncate(3);
+        frames.push(Frame::Eof { shard: 5 });
+        for frame in &frames {
+            let wire = wire(frame);
+            assert!(matches!(
+                read_from_backend(&mut &wire[..0], &pool),
+                Ok(None)
+            ));
+            for cut in 1..wire.len() {
+                let got = read_from_backend(&mut &wire[..cut], &pool);
+                assert!(
+                    matches!(got, Err(ServeError::Truncated)),
+                    "{frame:?} cut at {cut}"
+                );
+            }
+            for bit in 0..wire.len() * 8 {
+                let mut flipped = wire.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let got = read_from_backend(&mut &flipped[..], &pool);
+                assert!(
+                    matches!(got, Err(ServeError::BadHeader | ServeError::BadPayload)),
+                    "{frame:?} bit {bit}"
+                );
+            }
+        }
+        let (buffer, reused) = pool.get_bytes(0);
+        assert!(
+            reused && buffer.capacity() > 0,
+            "failed reads return their buffer"
+        );
     }
 
     #[test]

@@ -18,6 +18,33 @@ use std::fmt;
 /// Framing overhead added to every record, in bytes.
 pub const RECORD_OVERHEAD: usize = 8 + 4 + 4;
 
+/// The 12 bytes that open a record of `len` payload bytes: the length
+/// and its CRC.
+pub fn record_header(len: u64) -> [u8; 12] {
+    let len = len.to_le_bytes();
+    let mut header = [0; 12];
+    header[..8].copy_from_slice(&len);
+    header[8..].copy_from_slice(&Crc32::checksum(&len).to_le_bytes());
+    header
+}
+
+/// The 4 bytes that close a record whose payload CRC is `crc`.
+pub fn record_trailer(crc: u32) -> [u8; 4] {
+    crc.to_le_bytes()
+}
+
+/// The CRC of a stream whose CRC was `crc` once one record of `len`
+/// payload bytes with payload CRC `payload_crc` is appended: the header
+/// and trailer go through the CRC, the payload costs one
+/// [`Crc32::combine`] and no pass over its bytes.
+pub fn fold_record(crc: u32, len: u64, payload_crc: u32) -> u32 {
+    let mut state = Crc32::resume(crc);
+    state.update(&record_header(len));
+    let mut state = Crc32::resume(Crc32::combine(state.finish(), payload_crc, len));
+    state.update(&record_trailer(payload_crc));
+    state.finish()
+}
+
 /// Errors from reading a record stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecordError {
@@ -46,6 +73,8 @@ impl std::error::Error for RecordError {}
 pub struct RecordWriter {
     buf: Vec<u8>,
     records: usize,
+    /// CRC of `buf`, folded per record by [`fold_record`].
+    crc: u32,
 }
 
 impl RecordWriter {
@@ -58,7 +87,7 @@ impl RecordWriter {
     pub fn with_capacity(bytes: usize) -> Self {
         RecordWriter {
             buf: Vec::with_capacity(bytes),
-            records: 0,
+            ..Self::default()
         }
     }
 
@@ -67,7 +96,10 @@ impl RecordWriter {
     /// loops.
     pub fn with_buffer(mut buf: Vec<u8>) -> Self {
         buf.clear();
-        RecordWriter { buf, records: 0 }
+        RecordWriter {
+            buf,
+            ..Self::default()
+        }
     }
 
     /// Append one record.
@@ -85,12 +117,20 @@ impl RecordWriter {
         self.buf.extend_from_slice(&[0; 12]);
         fill(&mut |piece| self.buf.extend_from_slice(piece));
         let payload = header + 12;
-        let len_bytes = ((self.buf.len() - payload) as u64).to_le_bytes();
-        self.buf[header..header + 8].copy_from_slice(&len_bytes);
-        self.buf[header + 8..payload].copy_from_slice(&Crc32::checksum(&len_bytes).to_le_bytes());
+        let len = (self.buf.len() - payload) as u64;
+        self.buf[header..payload].copy_from_slice(&record_header(len));
         let payload_crc = Crc32::checksum(&self.buf[payload..]);
-        self.buf.extend_from_slice(&payload_crc.to_le_bytes());
+        self.buf.extend_from_slice(&record_trailer(payload_crc));
+        self.crc = fold_record(self.crc, len, payload_crc);
         self.records += 1;
+    }
+
+    /// CRC-32 of the stream written so far — of what [`finish`]
+    /// returns — folded from the record CRCs, with no pass of its own.
+    ///
+    /// [`finish`]: RecordWriter::finish
+    pub fn crc(&self) -> u32 {
+        self.crc
     }
 
     /// Number of records written.
@@ -125,13 +165,20 @@ impl<'a> RecordReader<'a> {
     /// Read the next record, or `None` at a clean end of stream.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Result<&'a [u8], RecordError>> {
+        Some(self.next_with_crc()?.map(|(payload, _)| payload))
+    }
+
+    /// [`RecordReader::next`], with the payload CRC the record was
+    /// verified against — what [`fold_record`] needs to extend the CRC
+    /// of the whole stream past it.
+    pub fn next_with_crc(&mut self) -> Option<Result<(&'a [u8], u32), RecordError>> {
         if self.pos == self.data.len() {
             return None;
         }
         Some(self.read_one())
     }
 
-    fn read_one(&mut self) -> Result<&'a [u8], RecordError> {
+    fn read_one(&mut self) -> Result<(&'a [u8], u32), RecordError> {
         if self.data.len() - self.pos < 12 {
             return Err(RecordError::UnexpectedEof);
         }
@@ -141,12 +188,13 @@ impl<'a> RecordReader<'a> {
         let end = self
             .record_end(self.pos, len)
             .ok_or(RecordError::UnexpectedEof)?;
-        let (payload, crc) = self.data[self.pos + 12..end].split_at(len as usize);
-        if Crc32::checksum(payload) != u32::from_le_bytes(crc.try_into().unwrap()) {
+        let (payload, trailer) = self.data[self.pos + 12..end].split_at(len as usize);
+        let crc = Crc32::checksum(payload);
+        if trailer != record_trailer(crc) {
             return Err(RecordError::BadPayloadCrc);
         }
         self.pos = end;
-        Ok(payload)
+        Ok((payload, crc))
     }
 
     /// Resynchronize after an error from [`RecordReader::next`]: skip
@@ -178,11 +226,8 @@ impl<'a> RecordReader<'a> {
     /// starts there.
     fn intact_header_at(&self, pos: usize) -> Option<u64> {
         let header = self.data.get(pos..)?.get(..12)?;
-        let (len_bytes, stored_crc) = header.split_at(8);
-        if Crc32::checksum(len_bytes) != u32::from_le_bytes(stored_crc.try_into().unwrap()) {
-            return None;
-        }
-        Some(u64::from_le_bytes(len_bytes.try_into().unwrap()))
+        let len = u64::from_le_bytes(header[..8].try_into().unwrap());
+        (header == record_header(len)).then_some(len)
     }
 
     /// One past the last byte of a record at `pos` declaring `len`
@@ -267,6 +312,32 @@ mod tests {
             0, 0, 0, 0,
         ];
         assert_eq!(stream, pinned);
+    }
+
+    /// The writer's folded CRC is the CRC of its stream, and the reader
+    /// hands back each record's payload CRC, from which the stream's CRC
+    /// folds again.
+    #[test]
+    fn folded_crcs_are_the_crcs_of_the_bytes() {
+        let payloads: Vec<Vec<u8>> = vec![vec![], vec![1], (0..=255).collect(), vec![9; 4099]];
+        let mut writer = RecordWriter::with_buffer(vec![0xEE; 32]);
+        assert_eq!(writer.crc(), Crc32::checksum(b""));
+        for payload in &payloads {
+            writer.write(payload);
+        }
+        let crc = writer.crc();
+        let stream = writer.finish();
+        assert_eq!(crc, Crc32::checksum(&stream));
+        let mut reader = RecordReader::new(&stream);
+        let mut folded = 0;
+        for payload in &payloads {
+            let (record, record_crc) = reader.next_with_crc().unwrap().unwrap();
+            assert_eq!(record, &payload[..]);
+            assert_eq!(record_crc, Crc32::checksum(payload));
+            folded = fold_record(folded, record.len() as u64, record_crc);
+        }
+        assert!(reader.next_with_crc().is_none());
+        assert_eq!(folded, crc);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Integration tests of the multi-tenant fleet daemon
 //! ([`presto_pipeline::tenant`]): admission control (quota, capacity,
 //! latest-wins rejoin), weighted fair sharing with per-tenant bitwise
-//! parity, seed-matrixed backend-death requeues, and fault-budget
-//! isolation between tenants.
+//! parity, seed-matrixed backend-death requeues, fault-budget
+//! isolation between tenants, and corruption on a daemon–backend link.
 
 use presto_datasets::generators;
 use presto_datasets::steps;
 use presto_formats::image::jpg;
+use presto_pipeline::chaos::{ChaosFault, ChaosProxy};
 use presto_pipeline::real::{Materialized, MemStore, RealExecutor};
 use presto_pipeline::serve::{
     read_frame, serve_epoch, write_frame, Frame, MultisetChecksum, ServeClientConfig, ServeWorker,
@@ -544,4 +545,77 @@ fn fault_budget_exhaustion_fails_one_tenant_and_spares_the_next() {
         beta.requeues, 0,
         "alpha's crash and the dead backend must not consume beta's budget"
     );
+}
+
+#[test]
+fn a_corrupted_backend_link_requeues_and_the_tenant_still_gets_its_multiset() {
+    let (pipeline, dataset, store) = cv_workload(32, 8);
+    for seed in fault_seeds() {
+        let epoch_seed = 600 + seed;
+        let reference = reference_checksum(&pipeline, &dataset, &store, epoch_seed);
+        let config = ServeWorkerConfig {
+            batch_samples: 2,
+            ..ServeWorkerConfig::default()
+        };
+        let corrupted = spawn_worker(&pipeline, &dataset, &store, config.clone());
+        // Paced, so the corrupted backend keeps being handed shards
+        // instead of the healthy one draining the queue alone.
+        let healthy = spawn_worker(
+            &pipeline,
+            &dataset,
+            &store,
+            ServeWorkerConfig {
+                batch_pace: Duration::from_millis(10),
+                ..config
+            },
+        );
+        // Flips between the daemon and one backend, in both directions:
+        // the relay's one check on arrival (or the backend's on an
+        // ASSIGN or CREDIT) must catch each, and the shard requeue.
+        let proxy = ChaosProxy::start(
+            &corrupted.addr().to_string(),
+            seed,
+            vec![ChaosFault::Corrupt { probability: 0.1 }],
+        )
+        .unwrap();
+        let backends = vec![proxy.addr().to_string(), healthy.addr().to_string()];
+        let telemetry = Arc::new(Telemetry::new());
+        let daemon = FleetDaemon::spawn(
+            "127.0.0.1:0",
+            &backends,
+            FleetDaemonConfig {
+                policy: AdmissionPolicy {
+                    max_requeues: 1_000,
+                    ..AdmissionPolicy::default()
+                },
+                ..FleetDaemonConfig::default()
+            },
+            Some(Arc::clone(&telemetry)),
+        )
+        .unwrap();
+        let report = serve_epoch(
+            &[daemon.addr().to_string()],
+            &dataset.shards,
+            epoch_seed,
+            &tenant_config("alpha", 1),
+            None,
+            |_| {},
+        )
+        .unwrap();
+        assert_eq!(report.samples, 32, "seed {seed}");
+        assert_eq!(report.checksum, reference, "seed {seed}");
+        assert!(
+            proxy.injected().corruptions > 0,
+            "seed {seed}: nothing corrupted"
+        );
+        let snapshot = telemetry.tenants().snapshot();
+        let alpha = snapshot.tenants.iter().find(|t| t.name == "alpha").unwrap();
+        assert!(
+            alpha.requeues >= 1,
+            "seed {seed}: no corruption cost a shard"
+        );
+        assert_eq!(alpha.state.label(), "done", "seed {seed}");
+        drop(daemon);
+        proxy.stop();
+    }
 }
