@@ -64,26 +64,26 @@
 
 use crate::dataplane::BufferPool;
 use crate::error::PipelineError;
-use crate::fault::{FaultCounters, FaultPolicy, Resilience, RetryPolicy};
+use crate::fault::{FaultPolicy, Resilience, RetryPolicy};
 use crate::pipeline::Pipeline;
 use crate::real::{executable_steps, fnv64, process_shard, Deliver, Materialized};
 use crate::sample::Sample;
 use crate::store::BlobStore;
+use crate::tenant::{AdmissionPolicy, Batch, Books, FleetDaemonConfig, Pending, Server, Source};
 use bytes::Bytes;
 use presto_codecs::checksum::Crc32;
 use presto_codecs::{Codec, Level};
 use presto_telemetry::fleet::mono_ns;
 use presto_telemetry::{
     EpochRecorder, FleetProgress, FleetWorkerEntry, ServeProgress, Telemetry, BUILTIN_PHASES,
-    PHASE_HANDOFF, PHASE_QUEUE_WAIT,
+    PHASE_HANDOFF,
 };
 use presto_tensor::record::{fold_record, record_header, record_trailer};
 use presto_tensor::{RecordReader, RecordWriter};
 use std::collections::HashMap;
 use std::io::{self, BufReader, IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -96,7 +96,7 @@ const PING_BURST: u32 = 5;
 
 /// Remote span events carried in one STATS frame at most; the rest
 /// are counted into the entry's `dropped_spans`.
-const STATS_SPAN_CAP: usize = 8192;
+pub(crate) const STATS_SPAN_CAP: usize = 8192;
 
 /// ASSIGN flag bit: the client wants a STATS frame after the final EOF.
 pub const ASSIGN_WANT_STATS: u8 = 1;
@@ -669,31 +669,12 @@ impl Frame {
 /// not copied but handed to the writer as it lies, gathered with the
 /// header and the trailing CRC into `write_vectored` calls.
 pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> Result<u64, ServeError> {
-    write_frame_folded(writer, frame, None)
-}
-
-/// [`write_frame`], given the CRC of the frame's tail when the caller
-/// has it already — a BATCH2 block's, folded by [`RecordWriter::crc`]
-/// from its record CRCs. The frame CRC is then combined from the CRC
-/// of the fixed fields and that one ([`Crc32::combine`]) instead of a
-/// second pass over the block.
-fn write_frame_folded(
-    writer: &mut impl Write,
-    frame: &Frame,
-    tail_crc: Option<u32>,
-) -> Result<u64, ServeError> {
     let mut head = Vec::with_capacity(64);
     let tail = frame.encode_head(&mut head);
-    let crc = match tail_crc {
-        Some(tail_crc) => Crc32::combine(Crc32::checksum(&head), tail_crc, tail.len() as u64),
-        None => {
-            let mut crc = Crc32::new();
-            crc.update(&head);
-            crc.update(tail);
-            crc.finish()
-        }
-    };
-    write_record(writer, &head, tail, crc)
+    let mut crc = Crc32::new();
+    crc.update(&head);
+    crc.update(tail);
+    write_record(writer, &head, tail, crc.finish())
 }
 
 /// Send the payload `head ‖ tail`, whose CRC is `crc`, as one record:
@@ -1094,8 +1075,8 @@ impl StripeHasher {
     }
 }
 
-/// Credit gate: the worker blocks here before each BATCH until the
-/// client grants more credits (or the connection/worker dies).
+/// Credit gate: a server's writer blocks here before each BATCH until
+/// the client grants more credits (or the connection/server dies).
 pub(crate) struct CreditGate {
     state: Mutex<(u64, bool)>, // (credits, closed)
     cv: Condvar,
@@ -1121,14 +1102,14 @@ impl CreditGate {
     }
 
     /// Take one credit, blocking as needed; counts at most one stall
-    /// per call. Returns false once closed. Purely notification-driven:
-    /// the condvar is signalled on every credit grant and on close
-    /// (connection end, worker stop, kill switch all funnel through
-    /// [`CreditGate::close`] via the gate registry in `WorkerShared`),
+    /// per call. Returns the nanoseconds stalled, or `None` once closed.
+    /// Purely notification-driven: the condvar is signalled on every
+    /// credit grant and on close (connection end, server stop and kill
+    /// switch all end the connection's reader, which closes the gate),
     /// so there is no poll interval — stall time and wakeup count land
     /// in [`ServeProgress::credit_wait`], which is how tests prove the
     /// absence of a busy-wait.
-    pub(crate) fn take(&self, progress: &ServeProgress) -> bool {
+    pub(crate) fn take(&self, progress: &ServeProgress) -> Option<u64> {
         let mut state = self.state.lock().unwrap();
         let mut stalled: Option<Instant> = None;
         let mut wakes = 0u64;
@@ -1147,10 +1128,11 @@ impl CreditGate {
             state = self.cv.wait(state).unwrap();
             wakes += 1;
         };
-        if let Some(since) = stalled {
-            progress.credit_wait(since.elapsed().as_nanos() as u64, wakes);
+        let stall_ns = stalled.map_or(0, |since| since.elapsed().as_nanos() as u64);
+        if stalled.is_some() {
+            progress.credit_wait(stall_ns, wakes);
         }
-        granted
+        granted.then_some(stall_ns)
     }
 }
 
@@ -1199,9 +1181,10 @@ pub(crate) fn wake_acceptor(addr: SocketAddr) {
 }
 
 /// The open connections of one listener, so that stop and the kill
-/// switch can sever them: each entry is a clone of the socket and the
-/// credit gate its sender blocks on, and leaves when its connection
-/// ends (see [`ConnEntry`]). Once [`Conns::sever`]ed, the registry
+/// switch can sever them: each entry is a clone of the socket, and
+/// leaves when its connection ends (see [`ConnEntry`]). A severed
+/// connection's reader sees the close and closes its credit gate, which
+/// wakes a writer blocked on it. Once [`Conns::sever`]ed, the registry
 /// refuses newcomers, so a connection accepted just before a stop
 /// cannot slip in after the sweep.
 #[derive(Default)]
@@ -1214,18 +1197,14 @@ pub(crate) struct Conns {
 #[derive(Default)]
 struct ConnsState {
     next_id: u64,
-    open: HashMap<u64, (TcpStream, Arc<CreditGate>)>,
+    open: HashMap<u64, TcpStream>,
     severed: bool,
 }
 
 impl Conns {
     /// Register a connection for as long as the returned entry lives;
     /// `None` once severed (the caller drops the connection unserved).
-    pub(crate) fn enter(
-        &self,
-        stream: &TcpStream,
-        gate: &Arc<CreditGate>,
-    ) -> Option<ConnEntry<'_>> {
+    pub(crate) fn enter(&self, stream: &TcpStream) -> Option<ConnEntry<'_>> {
         let clone = stream.try_clone().ok()?;
         let mut state = self.state.lock().unwrap();
         if state.severed {
@@ -1233,17 +1212,16 @@ impl Conns {
         }
         let id = state.next_id;
         state.next_id += 1;
-        state.open.insert(id, (clone, Arc::clone(gate)));
+        state.open.insert(id, clone);
         Some(ConnEntry { conns: self, id })
     }
 
-    /// Shut every open socket, close every gate, refuse newcomers.
+    /// Shut every open socket and refuse newcomers.
     pub(crate) fn sever(&self) {
         let mut state = self.state.lock().unwrap();
         state.severed = true;
-        for (stream, gate) in state.open.values() {
+        for stream in state.open.values() {
             let _ = stream.shutdown(Shutdown::Both);
-            gate.close();
         }
     }
 
@@ -1303,59 +1281,18 @@ impl Default for ServeWorkerConfig {
     }
 }
 
-struct WorkerShared {
-    steps: Vec<(String, Arc<dyn crate::step::Step>)>,
-    step_names: Vec<String>,
-    dataset: Materialized,
-    store: Arc<dyn BlobStore>,
-    resilience: Resilience,
-    telemetry: Option<Arc<Telemetry>>,
-    progress: Arc<ServeProgress>,
-    config: ServeWorkerConfig,
-    batches_sent: AtomicU64,
-    stop: AtomicBool,
-    /// Scratch recycling for the serve-side data plane: decompress
-    /// scratch inside [`process_shard`] and wire-encode blocks in
-    /// [`serve_assignment`] both draw from here, so steady-state
-    /// assignments allocate ~nothing per sample.
-    pool: BufferPool,
-    /// One assignment at a time: the worker models a fixed-capacity
-    /// preprocessing node, so concurrent clients share its capacity
-    /// instead of multiplying it (this is what makes measured fan-out
-    /// saturate like [`crate::distributed::fan_out`] predicts).
-    work_lock: Mutex<()>,
-    /// Open connections and their credit gates, severed on stop/kill
-    /// so readers see the close and senders blocked in
-    /// [`CreditGate::take`] wake at once.
-    conns: Conns,
-    /// The listener's address, for the wake-up connection on stop.
-    addr: SocketAddr,
-}
-
-impl WorkerShared {
-    /// Stop accepting and kill every open connection. Idempotent.
-    fn crash(&self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.conns.sever();
-        wake_acceptor(self.addr);
-    }
-}
-
-/// A running serve worker: accepts client connections on a TCP
-/// listener and streams the online phase of its materialized dataset.
-/// Drop (or [`ServeWorker::stop`]) shuts it down and joins all threads.
+/// A running serve worker: the one server of [`crate::tenant`] with a
+/// local source. It accepts client connections on a TCP listener and
+/// streams the online phase of its materialized dataset. Drop (or
+/// [`ServeWorker::stop`]) shuts it down and joins all threads.
 pub struct ServeWorker {
-    addr: SocketAddr,
-    shared: Arc<WorkerShared>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    pub(crate) server: Server,
 }
 
 impl std::fmt::Debug for ServeWorker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeWorker")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .finish()
     }
 }
@@ -1376,232 +1313,108 @@ impl ServeWorker {
         config: ServeWorkerConfig,
     ) -> Result<ServeWorker, PipelineError> {
         let steps = executable_steps(pipeline, dataset.split)?;
-        let step_names: Vec<String> = steps.iter().map(|(name, _)| name.clone()).collect();
-        let listener =
-            TcpListener::bind(bind).map_err(|e| PipelineError::Io(format!("bind {bind}: {e}")))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| PipelineError::Io(e.to_string()))?;
+        let step_names = steps.iter().map(|(name, _)| name.clone()).collect();
         let progress = telemetry
             .as_ref()
-            .map(|t| t.serve())
-            .unwrap_or_else(|| Arc::new(ServeProgress::default()));
+            .map_or_else(Default::default, |t| t.serve());
         progress.begin(1);
-        let shared = Arc::new(WorkerShared {
+        let local = Local {
             steps,
             step_names,
             dataset: dataset.clone(),
             store,
             resilience,
             telemetry,
-            progress,
             config,
-            batches_sent: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            pool: BufferPool::new(),
-            work_lock: Mutex::new(()),
-            conns: Conns::default(),
-            addr,
-        });
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::Builder::new()
-            .name("presto-serve-accept".into())
-            .spawn(move || {
-                let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-                accept_until(listener, &accept_shared.stop, |stream| {
-                    handles.retain(|handle| !handle.is_finished());
-                    let conn_shared = Arc::clone(&accept_shared);
-                    handles.push(std::thread::spawn(move || {
-                        handle_client(&conn_shared, stream);
-                    }));
-                });
-                for handle in handles {
-                    let _ = handle.join();
-                }
-            })
-            .map_err(|e| PipelineError::Io(e.to_string()))?;
-        Ok(ServeWorker {
-            addr,
-            shared,
-            accept: Some(accept),
-        })
+        };
+        // One dispatcher is the node's fixed capacity: concurrent
+        // clients share it instead of multiplying it (this is what makes
+        // measured fan-out saturate like
+        // [`crate::distributed::fan_out`] predicts). Everyone is
+        // admitted. A client's next shard is made once its current one
+        // is on the wire: made sooner, `serve-direct` measured slower
+        // and held a shard more per client.
+        let config = FleetDaemonConfig {
+            policy: AdmissionPolicy {
+                max_jobs: usize::MAX,
+                shard_quota: u32::MAX,
+                ..AdmissionPolicy::default()
+            },
+            max_inflight: 1,
+            ..FleetDaemonConfig::default()
+        };
+        let source = Source::Local(Box::new(local));
+        let server = Server::spawn(
+            bind,
+            source,
+            config,
+            Default::default(),
+            progress,
+            BufferPool::new(),
+        )?;
+        Ok(ServeWorker { server })
     }
 
     /// The bound address (resolves port `0` to the real port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// True once the worker has stopped (explicitly, or because the
     /// [`ServeWorkerConfig::fail_after_batches`] kill switch fired).
     pub fn is_stopped(&self) -> bool {
-        self.shared.stop.load(Ordering::Acquire)
+        self.server.is_stopped()
     }
 
     /// BATCH frames sent across all connections so far.
     pub fn batches_sent(&self) -> u64 {
-        self.shared.batches_sent.load(Ordering::Acquire)
+        self.server.batches_sent()
     }
 
     /// Stop accepting, drop connections, and join all threads.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.shared.crash();
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
-impl Drop for ServeWorker {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+/// The local source: a worker's materialized dataset, run through the
+/// online steps in this process ([`process_shard`]), exactly like the
+/// in-process engine.
+pub(crate) struct Local {
+    steps: Vec<(String, Arc<dyn crate::step::Step>)>,
+    step_names: Vec<String>,
+    dataset: Materialized,
+    store: Arc<dyn BlobStore>,
+    resilience: Resilience,
+    telemetry: Option<Arc<Telemetry>>,
+    pub(crate) config: ServeWorkerConfig,
 }
 
-/// ERR text for a well-formed frame the receiver has no use for at
-/// this point of the conversation.
-pub(crate) const UNEXPECTED_FRAME: &str =
-    "unexpected frame: HELLO is sent once, as the first frame, and only \
-     PING, REGISTER, ASSIGN and CREDIT may follow it";
+impl Local {
+    /// The recorder of one assignment: an epoch of the worker's
+    /// telemetry when it has one, so each assignment's STATS carry its
+    /// own steps and spans.
+    pub(crate) fn recorder(&self, epoch_seed: u64) -> Arc<EpochRecorder> {
+        let Some(telemetry) = &self.telemetry else {
+            return EpochRecorder::noop();
+        };
+        let rec = telemetry.begin_epoch(&self.step_names, 1, 0);
+        rec.set_epoch_seed(epoch_seed);
+        rec
+    }
 
-/// Serve one client connection: the HELLO exchange, then
-/// PING/REGISTER/ASSIGN/CREDIT frames in and
-/// PONG/ADMIT/BATCH2/EOF/STATS/ERR frames out, until either side
-/// closes.
-fn handle_client(shared: &Arc<WorkerShared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let gate = Arc::new(CreditGate::new());
-    // Registered until this function returns; a stopped worker's
-    // registry refuses the connection and it is dropped unserved.
-    let Some(_entry) = shared.conns.enter(&stream, &gate) else {
-        return;
-    };
-    let mut writer = match stream.try_clone() {
-        Ok(writer) => writer,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    if handshake(&mut writer, &mut reader, 0).is_err() {
-        let _ = writer.shutdown(Shutdown::Both);
-        return;
-    }
-    // Credits short-circuit straight into the gate; every other frame
-    // needs a *reply* (PONG, ADMIT, the assignment itself, or ERR for
-    // a frame out of place) and is forwarded to the loop below, so
-    // only one thread ever writes to the socket.
-    let (frame_tx, frame_rx) = mpsc::channel::<Frame>();
-    let reader_gate = Arc::clone(&gate);
-    let reader = std::thread::spawn(move || {
-        loop {
-            match read_frame(&mut reader) {
-                Ok(Some(Frame::Credit { n })) => reader_gate.add(u64::from(n)),
-                Ok(Some(frame)) => {
-                    if frame_tx.send(frame).is_err() {
-                        break;
-                    }
-                }
-                // A clean close or a broken stream ends the
-                // conversation.
-                _ => break,
-            }
-        }
-        reader_gate.close();
-    });
-    // A stop or kill shuts the socket, which ends the reader thread and
-    // with it the channel: there is no stop flag to poll here.
-    while let Ok(frame) = frame_rx.recv() {
-        match frame {
-            Frame::Ping { t0, seq } => {
-                if write_frame(&mut writer, &Frame::pong(t0, seq)).is_err() {
-                    break;
-                }
-            }
-            Frame::Register { tenant, .. } => {
-                // A plain worker serves one assignment at a time
-                // and enforces no quota — every registration is
-                // admitted. Admission policy lives in `fleetd`
-                // (see [`crate::tenant`]); answering here keeps
-                // `--tenant` clients working against either.
-                let admit = Frame::Admit {
-                    tenant,
-                    quota: u32::MAX,
-                };
-                if write_frame(&mut writer, &admit).is_err() {
-                    break;
-                }
-            }
-            Frame::Assign {
-                epoch_seed,
-                credits,
-                shards,
-                flags,
-                ..
-            } => {
-                gate.add(u64::from(credits));
-                let result =
-                    serve_assignment(shared, &gate, &mut writer, epoch_seed, &shards, flags);
-                if result.is_err() {
-                    break;
-                }
-            }
-            // A second HELLO above all: ERR, then close.
-            _ => {
-                let _ = reject(&mut writer, UNEXPECTED_FRAME);
-                break;
-            }
-        }
-    }
-    let _ = writer.shutdown(Shutdown::Both);
-    let _ = reader.join();
-}
-
-/// Stream every assigned shard to the client as credit-gated batches.
-///
-/// Wait-state attribution: time inside [`process_shard`] plus any
-/// [`ServeWorkerConfig::batch_pace`] sleep is **produce** time (what a
-/// compute-bound worker is doing); blocking in [`CreditGate::take`] is
-/// **queue-wait** (backpressure from the client); writing frames is
-/// **hand-off**. When the ASSIGN set [`ASSIGN_WANT_STATS`], a STATS
-/// frame with these totals and the recorder's span timeline follows
-/// the final EOF.
-fn serve_assignment(
-    shared: &WorkerShared,
-    gate: &CreditGate,
-    writer: &mut TcpStream,
-    epoch_seed: u64,
-    shards: &[String],
-    flags: u8,
-) -> Result<(), ServeError> {
-    // Fixed capacity: one assignment runs at a time (see `work_lock`).
-    let _capacity = shared.work_lock.lock().unwrap();
-    let started = Instant::now();
-    let assign_start_mono_ns = mono_ns();
-    let credit_wait_before = shared.progress.snapshot().credit_wait_ns;
-    let rec = shared
-        .telemetry
-        .as_ref()
-        .map(|t| t.begin_epoch(&shared.step_names, 1, 0))
-        .unwrap_or_else(EpochRecorder::noop);
-    rec.set_epoch_seed(epoch_seed);
-    let counters = FaultCounters::default();
-    let bytes_read = AtomicU64::new(0);
-    let mut delivered = 0u64;
-    let mut batches = 0u64;
-    let mut produce_ns = 0u64;
-    // Shard sample container recycled across the whole assignment:
-    // after the first shard, pushes land in already-grown capacity.
-    let (mut samples, hit) = shared.pool.get_bundle(0);
-    if hit {
-        rec.pool_hits(1);
-    } else {
-        rec.pool_misses(1);
-    }
-    for (index, shard_name) in shards.iter().enumerate() {
-        samples.clear();
+    /// Run `shard`: its samples, in batches of
+    /// [`ServeWorkerConfig::batch_samples`] that the writer encodes
+    /// ([`encode_batch`]) just before it sends them. `Err` is a fault the
+    /// resilience policy would not absorb.
+    pub(crate) fn produce(
+        &self,
+        shard: &str,
+        epoch_seed: u64,
+        books: &Books,
+    ) -> Result<Vec<Pending>, PipelineError> {
+        let rec = &books.rec;
+        let mut samples = Vec::new();
         let mut deliver = |sample: Sample| {
             let t0 = rec.begin();
             samples.push(sample);
@@ -1610,155 +1423,60 @@ fn serve_assignment(
             }
             Deliver::Delivered
         };
-        let t_produce = Instant::now();
-        let processed = process_shard(
-            shared.store.as_ref(),
-            shard_name,
-            shared.dataset.codec,
-            &shared.steps,
-            &shared.resilience,
-            &counters,
-            &rec,
+        process_shard(
+            self.store.as_ref(),
+            shard,
+            self.dataset.codec,
+            &self.steps,
+            &self.resilience,
+            &books.counters,
+            rec,
             0,
             epoch_seed,
-            &bytes_read,
+            &books.bytes_read,
             None,
             &mut deliver,
-        );
-        produce_ns += t_produce.elapsed().as_nanos() as u64;
-        if let Err(fatal) = processed {
-            let _ = write_frame(
-                writer,
-                &Frame::Err {
-                    message: fatal.to_string(),
-                },
-            );
-            return Err(ServeError::Protocol(fatal.to_string()));
-        }
-        delivered += samples.len() as u64;
-        for chunk in samples.chunks(shared.config.batch_samples.max(1)) {
-            let t_gate = rec.begin();
-            if !gate.take(&shared.progress) {
-                return Err(ServeError::Truncated);
-            }
-            if let Some(t0) = t_gate {
-                rec.phase_done(0, PHASE_QUEUE_WAIT, t0);
-            }
-            if !shared.config.batch_pace.is_zero() {
-                let t_pace = Instant::now();
-                std::thread::sleep(shared.config.batch_pace);
-                produce_ns += t_pace.elapsed().as_nanos() as u64;
-            }
-            // The block is encoded into a pooled buffer, sent from where
-            // it lies, and goes back to the pool once written.
-            let (scratch, hit) = shared.pool.get_bytes(0);
-            if hit {
-                rec.pool_hits(1);
-            } else {
-                rec.pool_misses(1);
-            }
-            let mut block = RecordWriter::with_buffer(scratch);
-            for sample in chunk {
-                block.write_pieces(sample.nbytes() + 64, |sink| sample.encode_to(sink));
-            }
-            // An uncompressed block's CRC is folded from its record
-            // CRCs, so the frame CRC needs no second pass over it.
-            let block_crc = block.crc();
-            let encoded = block.finish();
-            let (block, block_crc) = match shared.config.wire_codec {
-                Codec::None => (encoded, Some(block_crc)),
-                codec => {
-                    let packed = codec.compress(&encoded);
-                    shared.pool.put_bytes(encoded);
-                    (packed, None)
-                }
-            };
-            let codec = wire_codec_tag(shared.config.wire_codec);
-            let count = chunk.len() as u32;
-            let shard = index as u32;
-            let frame = Frame::Batch2 {
-                shard,
-                count,
-                codec,
-                span_id: shared.batches_sent.load(Ordering::Acquire) + 1,
-                t_send: mono_ns(),
-                block,
-            };
-            let t_send = rec.begin();
-            let wire_bytes = write_frame_folded(writer, &frame, block_crc)?;
-            if let Some(t0) = t_send {
-                rec.phase_done(0, PHASE_HANDOFF, t0);
-            }
-            if let Frame::Batch2 { block, .. } = frame {
-                shared.pool.put_bytes(block);
-            }
-            shared.progress.batch_sent(wire_bytes);
-            batches += 1;
-            let sent = shared.batches_sent.fetch_add(1, Ordering::AcqRel) + 1;
-            if let Some(limit) = shared.config.fail_after_batches {
-                if sent >= limit {
-                    // Simulated crash: drop everything mid-epoch.
-                    shared.crash();
-                    return Err(ServeError::Truncated);
-                }
-            }
-        }
-        write_frame(
-            writer,
-            &Frame::Eof {
-                shard: index as u32,
-            },
         )?;
+        let size = self.config.batch_samples.max(1);
+        let mut samples = samples.into_iter();
+        let batch = || Some(samples.by_ref().take(size).collect::<Vec<_>>());
+        let batches = std::iter::from_fn(batch).take_while(|batch| !batch.is_empty());
+        let codec = self.config.wire_codec;
+        Ok(batches.map(|batch| Pending::Local(batch, codec)).collect())
     }
-    shared.pool.put_bundle(samples);
-    let (retries, skipped, lost) = counters.snapshot();
-    rec.finish(
-        started.elapsed(),
-        delivered,
-        bytes_read.load(Ordering::Relaxed),
-        retries,
-        skipped,
-        lost,
-        skipped > 0 || lost > 0,
-    );
-    shared.progress.produce_time(produce_ns);
-    if flags & ASSIGN_WANT_STATS != 0 {
-        let credit_wait_ns = shared
-            .progress
-            .snapshot()
-            .credit_wait_ns
-            .saturating_sub(credit_wait_before);
-        let snapshot = shared.telemetry.as_ref().and_then(|t| t.last_epoch());
-        let mut entry = FleetWorkerEntry {
-            assign_start_mono_ns,
-            elapsed_ns: started.elapsed().as_nanos() as u64,
-            samples: delivered,
-            batches,
-            produce_ns,
-            credit_wait_ns,
-            ..FleetWorkerEntry::default()
-        };
-        if let Some(snapshot) = snapshot {
-            entry.dropped_spans = snapshot.dropped_spans;
-            entry.steps = snapshot
-                .steps
-                .iter()
-                .map(|s| (s.name.clone(), s.kind.label().to_string(), s.busy_ns))
-                .collect();
-            entry.spans = snapshot.spans;
-            if entry.spans.len() > STATS_SPAN_CAP {
-                entry.dropped_spans += (entry.spans.len() - STATS_SPAN_CAP) as u64;
-                entry.spans.truncate(STATS_SPAN_CAP);
-            }
+}
+
+/// Encode `samples` into a block from `pool` under wire codec `codec`.
+/// An uncompressed block's CRC is folded from its record CRCs by
+/// [`RecordWriter::crc`], so no byte takes a pass beyond the copy into
+/// the block and the record CRC.
+pub(crate) fn encode_batch(
+    samples: &[Sample],
+    codec: Codec,
+    pool: &BufferPool,
+    rec: &EpochRecorder,
+) -> Batch {
+    let (scratch, hit) = pool.get_bytes(0);
+    if hit {
+        rec.pool_hits(1);
+    } else {
+        rec.pool_misses(1);
+    }
+    let mut block = RecordWriter::with_buffer(scratch);
+    for sample in samples {
+        block.write_pieces(sample.nbytes() + 64, |sink| sample.encode_to(sink));
+    }
+    let (crc, encoded) = (block.crc(), block.finish());
+    let (block, crc) = match codec {
+        Codec::None => (encoded, crc),
+        codec => {
+            let packed = codec.compress(&encoded);
+            pool.put_bytes(encoded);
+            let crc = Crc32::checksum(&packed);
+            (packed, crc)
         }
-        write_frame(
-            writer,
-            &Frame::Stats {
-                entry: Box::new(entry),
-            },
-        )?;
-    }
-    Ok(())
+    };
+    Batch::local(block, samples.len() as u32, wire_codec_tag(codec), crc)
 }
 
 /// Client-side tuning: credits bound worker-side in-flight batches,
@@ -2480,6 +2198,7 @@ fn drive_assignment<F>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     /// One frame of every kind, with every string and list non-empty
     /// somewhere so each length and count field guards real bytes.
@@ -2817,19 +2536,12 @@ mod tests {
         let (_, batch) = image_batch();
         for (index, frame) in frame_zoo().iter().chain([&batch]).enumerate() {
             let oracle = oracle_wire(frame);
-            // Whole writes, and a writer taking 7 bytes a call; a block's
-            // CRC handed in, as the worker folds it, changes no byte.
-            let block_crc = match frame {
-                Frame::Batch2 { block, .. } => Some(Crc32::checksum(block)),
-                _ => None,
-            };
+            // Whole writes, and a writer taking 7 bytes a call.
             for limit in [usize::MAX, 7] {
-                for tail_crc in [None, block_crc] {
-                    let mut recording = Recording::new(limit);
-                    let sent = write_frame_folded(&mut recording, frame, tail_crc).unwrap();
-                    assert!(recording.bytes == oracle, "frame {index}, limit {limit}");
-                    assert_eq!(sent, oracle.len() as u64);
-                }
+                let mut recording = Recording::new(limit);
+                let sent = write_frame(&mut recording, frame).unwrap();
+                assert!(recording.bytes == oracle, "frame {index}, limit {limit}");
+                assert_eq!(sent, oracle.len() as u64);
             }
         }
     }
@@ -2867,35 +2579,6 @@ mod tests {
                 assert!(frame.contains(&at), "sample {} was copied", sample.key);
             }
         }
-    }
-
-    #[test]
-    fn ended_connections_leave_the_registry() {
-        let dataset = Materialized {
-            shards: Vec::new(),
-            codec: Codec::None,
-            sample_count: 0,
-            stored_bytes: 0,
-            split: 0,
-        };
-        let worker = ServeWorker::spawn(
-            "127.0.0.1:0",
-            &Pipeline::new("idle"),
-            &dataset,
-            Arc::new(crate::store::MemStore::new()),
-            Resilience::default(),
-            None,
-            ServeWorkerConfig::default(),
-        )
-        .unwrap();
-        for _ in 0..200 {
-            let mut stream = TcpStream::connect(worker.addr()).unwrap();
-            let mut reader = stream.try_clone().unwrap();
-            handshake(&mut stream, &mut reader, 0).unwrap();
-        }
-        // Each connection thread deregisters as it ends; the wait is on
-        // that signal, bounded only so a leak fails instead of hanging.
-        assert_eq!(worker.shared.conns.wait_empty(Duration::from_secs(60)), 0);
     }
 
     #[test]
@@ -2947,10 +2630,10 @@ mod tests {
             ServeWorkerConfig::default(),
         )
         .unwrap();
-        // What `fail_after_batches` fires; no `stop()` or drop follows,
-        // yet the accept thread (the listener's owner) returns.
-        worker.shared.crash();
-        worker.accept.take().unwrap().join().unwrap();
+        // What `fail_after_batches` fires; no drop follows, yet the
+        // accept thread (the listener's owner) returns.
+        worker.server.stop();
+        worker.server.join_accept();
         assert!(worker.is_stopped());
     }
 
@@ -3172,6 +2855,36 @@ mod tests {
     }
 
     #[test]
+    fn ended_connections_leave_the_registry() {
+        let dataset = Materialized {
+            shards: Vec::new(),
+            codec: Codec::None,
+            sample_count: 0,
+            stored_bytes: 0,
+            split: 0,
+        };
+        let worker = ServeWorker::spawn(
+            "127.0.0.1:0",
+            &Pipeline::new("idle"),
+            &dataset,
+            Arc::new(crate::store::MemStore::new()),
+            Resilience::default(),
+            None,
+            ServeWorkerConfig::default(),
+        )
+        .unwrap();
+        for _ in 0..200 {
+            let mut stream = TcpStream::connect(worker.addr()).unwrap();
+            let mut reader = stream.try_clone().unwrap();
+            handshake(&mut stream, &mut reader, 0).unwrap();
+        }
+        // Each connection thread deregisters as it ends; the wait is on
+        // that signal, bounded only so a leak fails instead of hanging.
+        let left = worker.server.wait_conns_empty(Duration::from_secs(60));
+        assert_eq!(left, 0);
+    }
+
+    #[test]
     fn sample_hash_does_not_depend_on_how_writes_cut_the_stream() {
         let bytes: Vec<u8> = (0..200u32).map(|i| (i * 29 + 3) as u8).collect();
         let whole = hash_bytes(&bytes);
@@ -3221,18 +2934,18 @@ mod tests {
         let gate = Arc::new(CreditGate::new());
         let progress = ServeProgress::default();
         gate.add(1);
-        assert!(gate.take(&progress));
+        assert_eq!(gate.take(&progress), Some(0));
         assert_eq!(progress.snapshot().credit_stalls, 0);
         let waiter = Arc::clone(&gate);
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             waiter.add(1);
         });
-        assert!(gate.take(&progress));
+        assert!(gate.take(&progress).is_some_and(|ns| ns > 0));
         assert_eq!(progress.snapshot().credit_stalls, 1);
         handle.join().unwrap();
         gate.close();
-        assert!(!gate.take(&progress));
+        assert_eq!(gate.take(&progress), None);
     }
 
     #[test]
@@ -3249,9 +2962,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(300));
             waiter.add(1);
         });
-        assert!(gate.take(&progress));
+        let stall_ns = gate.take(&progress).unwrap();
         handle.join().unwrap();
         let snap = progress.snapshot();
+        assert_eq!(stall_ns, snap.credit_wait_ns);
         assert_eq!(snap.credit_stalls, 1);
         assert!(
             snap.credit_wait_ns >= 250_000_000,
@@ -3267,9 +2981,9 @@ mod tests {
 
     #[test]
     fn crash_wakes_a_sender_blocked_on_credit() {
-        // The gate registry must propagate a worker crash to senders
-        // parked in `take` — without the old poll loop, a missed
-        // close would hang them forever.
+        // A crash reaches senders parked in `take` through the gate's
+        // close — without the old poll loop, a missed close would hang
+        // them forever.
         let gate = Arc::new(CreditGate::new());
         let progress = ServeProgress::default();
         let closer = Arc::clone(&gate);
@@ -3278,7 +2992,7 @@ mod tests {
             closer.close();
         });
         let started = Instant::now();
-        assert!(!gate.take(&progress));
+        assert_eq!(gate.take(&progress), None);
         assert!(started.elapsed() < Duration::from_secs(5));
         handle.join().unwrap();
     }

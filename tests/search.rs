@@ -254,3 +254,41 @@ fn cv_grid_shape_is_the_paper_cross_product() {
         "thread sweep must not disturb sharding"
     );
 }
+
+/// The simulator's golden: `presto recommend <P> --json` for all seven
+/// pipelines, made the way the command makes it (default weights,
+/// `paper_vm`, all cores) and compared byte for byte with the documents
+/// under `tests/fixtures/sim/`. A change to the model shows up here as
+/// a diff to review, not as a recommendation that moved silently.
+/// After a deliberate model change, regenerate them with
+///
+/// ```sh
+/// for p in CV CV2-JPG CV2-PNG NLP NILM MP3 FLAC; do
+///   cargo run --release -q -p presto-cli -- recommend $p --json \
+///     > tests/fixtures/sim/recommend-$p.json
+/// done
+/// ```
+#[test]
+fn recommend_documents_match_the_simulator_golden() {
+    let weights = Weights::new(0.0, 0.0, 1.0);
+    let opts = SearchOptions {
+        jobs: 0,
+        epochs: 1,
+        no_memo: false,
+        progress: None,
+    };
+    for w in all_workloads() {
+        let name = w.pipeline.name.clone();
+        let presto = Presto::new(w.pipeline, w.dataset, SimEnv::paper_vm());
+        let got = report_json(&name, weights, &profile_grid_parallel(&presto, &opts));
+        let path = format!(
+            "{}/fixtures/sim/recommend-{name}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let want = std::fs::read_to_string(&path).unwrap();
+        if got != want {
+            let line = got.lines().zip(want.lines()).position(|(a, b)| a != b);
+            panic!("{path}: the simulator's document differs, first at line {line:?}");
+        }
+    }
+}

@@ -306,7 +306,8 @@ fn killed_worker_fails_over_with_identical_multiset() {
         let reference = reference_checksum(&pipeline, &dataset, &store, epoch_seed);
         // Victim dies after a seed-dependent number of batches;
         // batch_samples 1 makes every sample its own frame so the kill
-        // lands mid-shard.
+        // lands mid-shard. It is assigned 16 samples (4 shards of 4), so
+        // the kill point wraps there: a later one would never fire.
         let victim = ServeWorker::spawn(
             "127.0.0.1:0",
             &pipeline,
@@ -316,7 +317,7 @@ fn killed_worker_fails_over_with_identical_multiset() {
             None,
             ServeWorkerConfig {
                 batch_samples: 1,
-                fail_after_batches: Some(seed + 1),
+                fail_after_batches: Some(1 + seed % 16),
                 ..ServeWorkerConfig::default()
             },
         )

@@ -1,8 +1,9 @@
 //! Integration tests of the multi-tenant fleet daemon
 //! ([`presto_pipeline::tenant`]): admission control (quota, capacity,
-//! latest-wins rejoin), weighted fair sharing with per-tenant bitwise
-//! parity, seed-matrixed backend-death requeues, fault-budget
-//! isolation between tenants, and corruption on a daemon–backend link.
+//! latest-wins rejoin), implicit tenants and sequential ASSIGNs,
+//! weighted fair sharing with per-tenant bitwise parity, seed-matrixed
+//! backend-death requeues, fault-budget isolation between tenants,
+//! corruption on a daemon–backend link, and tenants that wait or stall.
 
 use presto_datasets::generators;
 use presto_datasets::steps;
@@ -11,7 +12,7 @@ use presto_pipeline::chaos::{ChaosFault, ChaosProxy};
 use presto_pipeline::real::{Materialized, MemStore, RealExecutor};
 use presto_pipeline::serve::{
     read_frame, serve_epoch, write_frame, Frame, MultisetChecksum, ServeClientConfig, ServeWorker,
-    ServeWorkerConfig, TenantSpec, PROTOCOL_VERSION,
+    ServeWorkerConfig, TenantSpec, ASSIGN_WANT_STATS, PROTOCOL_VERSION,
 };
 use presto_pipeline::tenant::{AdmissionPolicy, FleetDaemon, FleetDaemonConfig};
 use presto_pipeline::{Pipeline, Resilience, Sample, Strategy, Telemetry};
@@ -384,14 +385,16 @@ fn backend_death_requeues_only_the_owning_tenants_shards() {
         // The victim backend crashes after a seed-dependent number of
         // single-sample batches — always mid-shard, before that
         // shard's EOF — and stops accepting; the healthy backend must
-        // absorb the requeued work.
+        // absorb the requeued work. The kill point wraps at 16 batches
+        // (4 of the 16 shards): a later one fires only when the victim
+        // happens to be handed more of them.
         let victim = spawn_worker(
             &pipeline,
             &dataset,
             &store,
             ServeWorkerConfig {
                 batch_samples: 1,
-                fail_after_batches: Some(seed + 1),
+                fail_after_batches: Some(1 + seed % 16),
                 ..ServeWorkerConfig::default()
             },
         );
@@ -618,4 +621,201 @@ fn a_corrupted_backend_link_requeues_and_the_tenant_still_gets_its_multiset() {
         drop(daemon);
         proxy.stop();
     }
+}
+
+#[test]
+fn plain_clients_are_implicit_tenants_and_a_worker_takes_sequential_assigns() {
+    let (pipeline, dataset, store) = cv_workload(16, 4);
+    let reference = reference_checksum(&pipeline, &dataset, &store, 81);
+    let worker = spawn_worker(&pipeline, &dataset, &store, ServeWorkerConfig::default());
+    let daemon = FleetDaemon::spawn(
+        "127.0.0.1:0",
+        &[worker.addr().to_string()],
+        FleetDaemonConfig::default(),
+        None,
+    )
+    .unwrap();
+    // No REGISTER: the ASSIGN opens an implicit tenant.
+    let report = serve_epoch(
+        &[daemon.addr().to_string()],
+        &dataset.shards,
+        81,
+        &ServeClientConfig::default(),
+        None,
+        |_| {},
+    )
+    .unwrap();
+    assert_eq!(report.samples, 16);
+    assert_eq!(report.checksum, reference);
+
+    // Two ASSIGNs, one after the other, on one connection to a worker:
+    // each is answered with its own shard indices and EOFs, the second
+    // with the STATS it asked for, counting its own samples only.
+    let (mut writer, mut reader) = raw_connection(worker.addr());
+    let mut checksum = MultisetChecksum::default();
+    for (shards, flags) in [
+        (&dataset.shards[..2], 0),
+        (&dataset.shards[2..], ASSIGN_WANT_STATS),
+    ] {
+        let assign = Frame::Assign {
+            epoch_seed: 81,
+            credits: 64,
+            shards: shards.to_vec(),
+            trace_id: 0,
+            parent_span: 0,
+            flags,
+        };
+        write_frame(&mut writer, &assign).unwrap();
+        let (mut eofs, mut samples) = (Vec::new(), 0);
+        while eofs.len() < shards.len() {
+            match read_frame(&mut reader).unwrap() {
+                Some(Frame::Batch2 { shard, block, .. }) => {
+                    assert!((shard as usize) < shards.len(), "shard index {shard}");
+                    for record in presto_tensor::RecordReader::new(&block) {
+                        checksum.add(&Sample::decode(record.unwrap()).unwrap());
+                        samples += 1;
+                    }
+                }
+                Some(Frame::Eof { shard }) => eofs.push(shard),
+                other => panic!("expected BATCH2 or EOF, got {other:?}"),
+            }
+        }
+        eofs.sort_unstable();
+        assert_eq!(eofs, [0, 1]);
+        if flags == ASSIGN_WANT_STATS {
+            match read_frame(&mut reader).unwrap() {
+                Some(Frame::Stats { entry }) => assert_eq!(entry.samples, samples),
+                other => panic!("expected STATS, got {other:?}"),
+            }
+        }
+    }
+    assert_eq!(checksum, reference);
+}
+
+/// A connection with the HELLO exchange done: its write side, and its
+/// read side buffered.
+fn raw_connection(addr: SocketAddr) -> (TcpStream, std::io::BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = std::io::BufReader::new(stream);
+    let hello = Frame::Hello {
+        version: PROTOCOL_VERSION,
+        trace_id: 0,
+    };
+    write_frame(&mut writer, &hello).unwrap();
+    assert_eq!(read_frame(&mut reader).unwrap(), Some(hello));
+    (writer, reader)
+}
+
+#[test]
+fn fleetd_does_not_cut_a_tenant_that_waits_for_work() {
+    // Each shard takes its backend 8 × 40 ms, and the relay hands a
+    // shard on only at its EOF: the client sends nothing for far
+    // longer than the daemon's read timeout, which covers backend links
+    // — where a frame arrives every 40 ms — and not clients.
+    let (pipeline, dataset, store) = cv_workload(16, 2);
+    let reference = reference_checksum(&pipeline, &dataset, &store, 61);
+    let worker = spawn_worker(
+        &pipeline,
+        &dataset,
+        &store,
+        ServeWorkerConfig {
+            batch_samples: 1,
+            batch_pace: Duration::from_millis(40),
+            ..ServeWorkerConfig::default()
+        },
+    );
+    let daemon = FleetDaemon::spawn(
+        "127.0.0.1:0",
+        &[worker.addr().to_string()],
+        FleetDaemonConfig {
+            read_timeout: Duration::from_millis(150),
+            ..FleetDaemonConfig::default()
+        },
+        None,
+    )
+    .unwrap();
+    let report = serve_epoch(
+        &[daemon.addr().to_string()],
+        &dataset.shards,
+        61,
+        &tenant_config("patient", 1),
+        None,
+        |_| {},
+    )
+    .unwrap();
+    assert_eq!(report.samples, 16);
+    assert_eq!(report.checksum, reference);
+}
+
+#[test]
+fn a_stalled_tenant_holds_at_most_max_inflight_shards() {
+    // Two samples a shard, one a batch: the stalled tenant's one credit
+    // is spent inside its first shard.
+    let (pipeline, dataset, store) = cv_workload(32, 16);
+    let worker = spawn_worker(
+        &pipeline,
+        &dataset,
+        &store,
+        ServeWorkerConfig {
+            batch_samples: 1,
+            ..ServeWorkerConfig::default()
+        },
+    );
+    let telemetry = Arc::new(Telemetry::new());
+    let config = FleetDaemonConfig::default();
+    let max_inflight = config.max_inflight as u64;
+    let daemon = FleetDaemon::spawn(
+        "127.0.0.1:0",
+        &[worker.addr().to_string()],
+        config,
+        Some(Arc::clone(&telemetry)),
+    )
+    .unwrap();
+    let (mut stalled, verdict) = raw_register(daemon.addr(), "stalled", 16);
+    assert!(matches!(verdict, Frame::Admit { .. }), "{verdict:?}");
+    let assign = Frame::Assign {
+        epoch_seed: 71,
+        credits: 1,
+        shards: dataset.shards.clone(),
+        trace_id: 0,
+        parent_span: 0,
+        flags: 0,
+    };
+    write_frame(&mut stalled, &assign).unwrap();
+    // Meanwhile another tenant's whole epoch goes through the daemon.
+    let reference = reference_checksum(&pipeline, &dataset, &store, 72);
+    let report = serve_epoch(
+        &[daemon.addr().to_string()],
+        &dataset.shards,
+        72,
+        &tenant_config("busy", 1),
+        None,
+        |_| {},
+    )
+    .unwrap();
+    assert_eq!(report.checksum, reference);
+    let stalled_done = || {
+        let snapshot = telemetry.tenants().snapshot();
+        let entry = snapshot.tenants.iter().find(|t| t.name == "stalled");
+        entry.expect("stalled in registry").shards_done
+    };
+    // The stalled tenant fills its slots (waited for, not slept on)...
+    let started = std::time::Instant::now();
+    while stalled_done() < max_inflight {
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "slots never filled"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // ...and no more of its shards leave the queue: none of them can
+    // reach its client while it reads nothing.
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(stalled_done(), max_inflight);
+    assert_eq!(worker.batches_sent(), 32 + 2 * max_inflight);
+    drop(stalled);
 }
