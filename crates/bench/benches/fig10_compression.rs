@@ -2,58 +2,14 @@
 //! storage consumption vs throughput (left column) and offline + online
 //! processing time (right column).
 
-use presto::report::{format_bytes, TableBuilder};
-use presto_bench::{banner, bench_env};
-use presto_codecs::{Codec, Level};
-use presto_datasets::all_workloads;
-use presto_pipeline::Strategy;
+use presto_bench::{banner, bench_env, fig10_compression_tables};
 
 fn main() {
     banner(
         "Figure 10",
         "Compression: space saving vs throughput vs offline time",
     );
-    for workload in all_workloads() {
-        let name = workload.pipeline.name.clone();
-        let sim = workload.simulator(bench_env());
-        let mut table = TableBuilder::new(&[
-            "strategy",
-            "codec",
-            "storage",
-            "saving",
-            "SPS",
-            "SPS vs none",
-            "offline vs none",
-        ]);
-        // The paper omits unprocessed (bound by random access anyway).
-        for base in Strategy::enumerate(&workload.pipeline).into_iter().skip(1) {
-            let plain = sim.profile(&base, 1);
-            let plain_sps = plain.throughput_sps();
-            let plain_offline = plain.preprocessing_secs();
-            for codec in [
-                Codec::None,
-                Codec::Gzip(Level::DEFAULT),
-                Codec::Zlib(Level::DEFAULT),
-            ] {
-                let profile = sim.profile(&base.clone().with_compression(codec), 1);
-                let saving = 1.0 - profile.storage_bytes as f64 / plain.storage_bytes as f64;
-                table.row(&[
-                    plain.label.clone(),
-                    codec.name().to_string(),
-                    format_bytes(profile.storage_bytes),
-                    format!("{:.0}%", saving * 100.0),
-                    format!("{:.0}", profile.throughput_sps()),
-                    format!("{:.2}x", profile.throughput_sps() / plain_sps),
-                    format!(
-                        "{:.2}x",
-                        profile.preprocessing_secs() / plain_offline.max(1e-9)
-                    ),
-                ]);
-            }
-        }
-        println!("-- {name}");
-        println!("{}", table.render());
-    }
+    print!("{}", fig10_compression_tables(bench_env()));
     println!("paper's observations: high space saving does not guarantee higher");
     println!("throughput (CPU-bound strategies never gain); CV-family pixel-centered");
     println!("gains 1.6-2.4x at 73-93% saving; NILM/MP3/FLAC slow down.");

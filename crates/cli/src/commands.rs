@@ -28,7 +28,6 @@ use presto_pipeline::telemetry::causal as telemetry_causal;
 use presto_pipeline::telemetry::doc;
 use presto_pipeline::telemetry::export as telemetry_export;
 use presto_pipeline::telemetry::fleet as telemetry_fleet;
-use presto_pipeline::telemetry::history::{self, RunStore};
 use presto_pipeline::telemetry::http::MetricsServer;
 use presto_pipeline::telemetry::tenants::{self as telemetry_tenants, TenantsSnapshot};
 use presto_pipeline::telemetry::timeseries::{self, Sampler};
@@ -89,11 +88,6 @@ const ENDPOINT: &[Flag] = &[
     SERVE,
     value("sample-ms", "MS", "--serve: time-series sampling period"),
 ];
-
-const HISTORY_DIR: Flag = value("history-dir", "DIR", "run history (default .presto/runs)");
-
-/// Run history: `realrun`, `train-client`.
-const HISTORY: &[Flag] = &[HISTORY_DIR, switch("no-history", "do not record this run")];
 
 /// The served dataset; a client must name the workers' values.
 const DATASET: &[Flag] = &[
@@ -280,7 +274,6 @@ const COMMANDS: &[Command] = &[
             ENGINE,
             FAULT_POLICY,
             ENDPOINT,
-            HISTORY,
             &[
                 PREFETCH,
                 RETRIES,
@@ -327,7 +320,6 @@ const COMMANDS: &[Command] = &[
             FAULT_POLICY,
             CLIENT,
             ENDPOINT,
-            HISTORY,
             &[
                 value("workers", "A,B,...", "serve-worker or fleetd addresses"),
                 value("seed", "S", "epoch seed"),
@@ -355,7 +347,6 @@ const COMMANDS: &[Command] = &[
                 value("storm-policy", FLEET_POLICIES, "fleet policy"),
                 value("storm-workers", "N", "local workers"),
                 value("storm-ms-per-hour", "MS", "live ms per simulated hour"),
-                switch("no-history", "ignored: the drill records no history"),
             ],
         ],
         run: cmd_preempt_storm,
@@ -401,14 +392,6 @@ const COMMANDS: &[Command] = &[
             ],
         ],
         run: cmd_fleetd,
-    },
-    Command {
-        name: "tenants",
-        mode: None,
-        operands: "",
-        about: "per-tenant status scraped from fleetd",
-        flags: &[&[value("attach", "ADDR", "a fleetd --serve endpoint"), JSON]],
-        run: cmd_tenants,
     },
     Command {
         name: "sim-vs-real",
@@ -473,7 +456,7 @@ const COMMANDS: &[Command] = &[
         name: "watch",
         mode: Some("attach"),
         operands: "",
-        about: "serve/fleet gauges scraped from a --serve endpoint",
+        about: "serve, fleet and tenant gauges scraped from a --serve endpoint",
         flags: &[
             DASHBOARD,
             &[
@@ -495,32 +478,6 @@ const COMMANDS: &[Command] = &[
             &[SERVE, switch("search", "watch a grid search")],
         ],
         run: watch_search,
-    },
-    Command {
-        name: "history",
-        mode: None,
-        operands: "",
-        about: "list runs stored in the history dir",
-        flags: &[&[
-            HISTORY_DIR,
-            value("prune", "N", "delete all but the newest N runs"),
-            value("mode", "real|serve", "list only runs of that mode"),
-        ]],
-        run: cmd_history,
-    },
-    Command {
-        name: "compare",
-        mode: None,
-        operands: "<run-a> <run-b>",
-        about: "per-metric deltas + regression verdict",
-        flags: &[&[
-            HISTORY_DIR,
-            value("noise", "F", "relative change treated as noise"),
-            value("fail", "F", "relative regression that fails"),
-            switch("fail-on-regression", "exit non-zero past --fail"),
-            value("mode", "real|serve", "refuse runs of other modes"),
-        ]],
-        run: cmd_compare,
     },
     Command {
         name: "validate",
@@ -716,24 +673,6 @@ fn serve_endpoint(
         .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
     note(json, format!("serving http://{}/metrics", server.addr()));
     Ok(Some((sampler, server)))
-}
-
-/// The history store selected by `--history-dir` (default
-/// `.presto/runs/`).
-fn run_store(args: &Args) -> RunStore {
-    RunStore::new(args.get_str("history-dir").unwrap_or(history::DEFAULT_DIR))
-}
-
-/// Append a run's `presto.telemetry.v1` document to the history store
-/// unless `--no-history`.
-fn record_run(args: &Args, document: &str, json: bool) {
-    if args.has("no-history") {
-        return;
-    }
-    match run_store(args).append_document(document) {
-        Ok((id, path)) => note(json, format!("recorded {id} -> {}", path.display())),
-        Err(e) => eprintln!("warning: run not recorded: {e}"),
-    }
 }
 
 fn cmd_pipelines(_: &Args) -> Result<(), String> {
@@ -1165,7 +1104,6 @@ fn cmd_realrun(args: &Args) -> Result<(), String> {
         .last_epoch()
         .ok_or_else(|| "no telemetry recorded (zero epochs?)".to_string())?;
     let document = telemetry_export::json(&snapshot);
-    record_run(args, &document, json);
     if let Some(path) = args.get_str("trace-out") {
         write_file(path, &telemetry_export::chrome_trace(&snapshot))?;
         note(
@@ -1486,7 +1424,6 @@ fn cmd_train_client(args: &Args) -> Result<(), String> {
         .last_epoch()
         .ok_or_else(|| "no telemetry recorded".to_string())?;
     let document = telemetry_export::json_with_mode(&snapshot, Some("serve"));
-    record_run(args, &document, json);
     let serve_snapshot = telemetry.serve().snapshot();
     let fleet = telemetry.fleet().snapshot();
     if let Some(path) = args.get_str("fleet-out") {
@@ -1692,54 +1629,6 @@ fn cmd_fleetd(args: &Args) -> Result<(), String> {
         count("failed"),
         snapshot.rejected
     );
-    Ok(())
-}
-
-/// `presto tenants --attach ADDR`: the per-tenant status table scraped
-/// from a running fleetd's `/tenants.json` endpoint.
-fn cmd_tenants(args: &Args) -> Result<(), String> {
-    let addr: std::net::SocketAddr = args
-        .get_str("attach")
-        .ok_or("missing --attach ADDR (a fleetd --serve endpoint)")?
-        .parse()
-        .map_err(|_| {
-            "bad --attach ADDR (need host:port of a /tenants.json endpoint)".to_string()
-        })?;
-    let body = match presto_pipeline::telemetry::http::get(addr, "/tenants.json") {
-        Ok((200, body)) => body,
-        Ok((status, body)) => {
-            return Err(format!(
-                "{addr}/tenants.json returned HTTP {status}: {}",
-                body.trim()
-            ))
-        }
-        Err(e) => return Err(format!("cannot scrape {addr}/tenants.json: {e}")),
-    };
-    // Parse before printing even in --json mode: a malformed document
-    // should fail loudly, not propagate downstream.
-    let snapshot: TenantsSnapshot = doc::read(&body)?;
-    if args.has("json") {
-        println!("{body}");
-        return Ok(());
-    }
-    println!(
-        "admission: max {} jobs, shard quota {}, {} rejected; fairness window {}",
-        snapshot.max_jobs,
-        snapshot.shard_quota,
-        snapshot.rejected,
-        if snapshot.window_closed {
-            "closed"
-        } else if snapshot.window_open {
-            "open"
-        } else {
-            "not yet open"
-        }
-    );
-    if snapshot.tenants.is_empty() {
-        println!("no tenants registered");
-        return Ok(());
-    }
-    println!("{}", render::tenants_table(&snapshot));
     Ok(())
 }
 
@@ -2437,9 +2326,10 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
 }
 
 /// `watch --attach ADDR`: render the serve-session and fleet gauge
-/// families scraped from a running serve-worker's or train-client's
-/// `/metrics` endpoint. `--frames N` stops after N frames (CI);
-/// without it the dashboard runs until the endpoint goes away.
+/// families scraped from a running `--serve` endpoint's `/metrics`,
+/// and the tenant registry of a `fleetd --serve` endpoint.
+/// `--frames N` stops after N frames (CI); without it the dashboard
+/// runs until the endpoint goes away.
 fn watch_attach(args: &Args) -> Result<(), String> {
     let addr: std::net::SocketAddr = args
         .get_str("attach")
@@ -2462,15 +2352,31 @@ fn watch_attach(args: &Args) -> Result<(), String> {
                 return Ok(());
             }
         };
-        let series = telemetry_export::parse_prometheus(&body)?;
+        let frame = attach_frame(addr, &body)?;
         clear_frame(args);
-        println!("{}", render::serve_frame(&series));
+        println!("{frame}");
         rendered += 1;
         if frames > 0 && rendered >= frames {
             return Ok(());
         }
         std::thread::sleep(refresh);
     }
+}
+
+/// One `watch --attach` frame from the endpoint's scraped `/metrics`
+/// body, with its tenant registry appended when `/tenants.json`
+/// answers 200 (a 404 means the endpoint has none).
+fn attach_frame(addr: std::net::SocketAddr, metrics: &str) -> Result<String, String> {
+    let series = telemetry_export::parse_prometheus(metrics)?;
+    let tenants: Option<TenantsSnapshot> =
+        match presto_pipeline::telemetry::http::get(addr, "/tenants.json") {
+            Ok((200, body)) => Some(doc::read(&body)?),
+            // A failed connection means the endpoint went away after
+            // answering `/metrics`; the next scrape reports that.
+            Ok((404, _)) | Err(_) => None,
+            Ok((status, _)) => return Err(format!("{addr}/tenants.json returned HTTP {status}")),
+        };
+    Ok(render::attach_frame(&series, tenants.as_ref()))
 }
 
 /// `watch --search`: live dashboard over a simulated strategy search.
@@ -2517,85 +2423,6 @@ fn watch_search(args: &Args) -> Result<(), String> {
             format_bytes(best.storage_bytes),
             best.preprocessing_secs
         );
-    }
-    Ok(())
-}
-
-fn cmd_history(args: &Args) -> Result<(), String> {
-    let store = run_store(args);
-    if let Some(keep) = args.get_opt::<usize>("prune")? {
-        let removed = store.prune(keep)?;
-        println!("pruned {} run(s); keeping the newest {keep}", removed.len());
-    }
-    let mut runs = store.runs()?;
-    // One history dir collects realrun and serve epochs alike; their
-    // SPS regimes differ by orders of magnitude, so mixed listings
-    // (and the noise-aware compare verdicts built on them) mislead.
-    // --mode narrows the view to one population.
-    if let Some(mode) = args.get_str("mode") {
-        runs.retain(|r| r.metrics.mode == mode);
-        if runs.is_empty() {
-            println!(
-                "no '{mode}' runs recorded in {} (modes: real, serve)",
-                store.dir().display()
-            );
-            return Ok(());
-        }
-    }
-    if runs.is_empty() {
-        println!(
-            "no runs recorded in {} (run `presto realrun` to record one)",
-            store.dir().display()
-        );
-        return Ok(());
-    }
-    println!("{}", render::history_table(&runs));
-    Ok(())
-}
-
-fn cmd_compare(args: &Args) -> Result<(), String> {
-    let (Some(spec_a), Some(spec_b)) = (args.positional.get(1), args.positional.get(2)) else {
-        return Err("usage: presto compare <run-a> <run-b> (run ids or snapshot paths)".into());
-    };
-    let noise = args.get_or("noise", 0.05f64)?;
-    let fail = args.get_or("fail", 0.20f64)?;
-    let store = run_store(args);
-    let before = store.resolve(spec_a)?;
-    let after = store.resolve(spec_b)?;
-    // Cross-mode comparisons produce absurd "regressions" (a serve
-    // epoch against a realrun epoch); --mode pins both sides, and even
-    // without it two different modes refuse to compare.
-    if let Some(mode) = args.get_str("mode") {
-        for run in [&before, &after] {
-            if run.metrics.mode != mode {
-                return Err(format!(
-                    "{} is a '{}' run, not '{mode}' (see `presto history --mode {mode}`)",
-                    run.id, run.metrics.mode
-                ));
-            }
-        }
-    } else if before.metrics.mode != after.metrics.mode {
-        return Err(format!(
-            "refusing to compare across modes: {} is '{}' but {} is '{}' \
-             (pick runs of one mode; see `presto history --mode`)",
-            before.id, before.metrics.mode, after.id, after.metrics.mode
-        ));
-    }
-    let comparison = presto::compare_runs(&before.metrics, &after.metrics, noise, fail);
-    println!(
-        "comparing {} -> {} (noise {:.0}%, fail bar {:.0}%)",
-        before.id,
-        after.id,
-        noise * 100.0,
-        fail * 100.0
-    );
-    println!("{}", render::compare_table(&comparison));
-    if args.has("fail-on-regression") && comparison.worst == presto::Verdict::Regression {
-        return Err(format!(
-            "regression past the {:.0}% bar: {}",
-            fail * 100.0,
-            comparison.regressions().join(", ")
-        ));
     }
     Ok(())
 }
@@ -2680,6 +2507,10 @@ mod tests {
     #[test]
     fn unknown_command_fails() {
         assert!(run(&["frobnicate"]).is_err());
+        for retired in ["history", "compare", "tenants"] {
+            let err = run(&[retired]).unwrap_err();
+            assert!(err.contains("unknown command"), "{err}");
+        }
     }
 
     #[test]
@@ -2787,7 +2618,6 @@ mod tests {
             "2",
             "--epochs",
             "1",
-            "--no-history",
         ])
         .unwrap();
         run(&[
@@ -2808,7 +2638,6 @@ mod tests {
             "degrade",
             "--retries",
             "6",
-            "--no-history",
         ])
         .unwrap();
         assert!(run(&["realrun", "NLP"]).is_err());
@@ -2836,7 +2665,6 @@ mod tests {
             "2",
             "--epochs",
             "1",
-            "--no-history",
         ];
         let with = |extra: &[&str]| {
             let mut words = base.to_vec();
@@ -2882,85 +2710,6 @@ mod tests {
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("presto-cli-{tag}-{}", std::process::id()))
-    }
-
-    #[test]
-    fn realrun_records_history_and_compare_reads_it() {
-        let dir = scratch_dir("hist");
-        let _ = std::fs::remove_dir_all(&dir);
-        let dir_str = dir.to_str().unwrap().to_string();
-        let base = [
-            "realrun",
-            "CV",
-            "--samples",
-            "8",
-            "--threads",
-            "2",
-            "--epochs",
-            "1",
-            "--history-dir",
-            &dir_str,
-        ];
-        run(&base).unwrap();
-        run(&base).unwrap();
-        assert!(dir.join("run-0001.json").is_file());
-        assert!(dir.join("run-0002.json").is_file());
-        run(&["history", "--history-dir", &dir_str]).unwrap();
-        // The regression gate is pinned by the run-a/run-b fixtures;
-        // two 8-sample epochs only prove compare reads what realrun
-        // recorded.
-        run(&["compare", "1", "2", "--history-dir", &dir_str]).unwrap();
-        assert!(run(&["compare", "1", "--history-dir", &dir_str]).is_err());
-        assert!(run(&["compare", "1", "99", "--history-dir", &dir_str]).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn history_on_empty_store_is_fine() {
-        let dir = scratch_dir("empty");
-        let _ = std::fs::remove_dir_all(&dir);
-        run(&["history", "--history-dir", dir.to_str().unwrap()]).unwrap();
-    }
-
-    #[test]
-    fn history_prune_keeps_the_newest_runs_and_compare_still_works() {
-        let dir = scratch_dir("prune");
-        let _ = std::fs::remove_dir_all(&dir);
-        let dir_str = dir.to_str().unwrap().to_string();
-        let base = [
-            "realrun",
-            "CV",
-            "--samples",
-            "8",
-            "--threads",
-            "2",
-            "--epochs",
-            "1",
-            "--history-dir",
-            &dir_str,
-        ];
-        for _ in 0..3 {
-            run(&base).unwrap();
-        }
-        run(&["history", "--history-dir", &dir_str, "--prune", "2"]).unwrap();
-        assert!(!dir.join("run-0001.json").exists(), "oldest run must go");
-        assert!(dir.join("run-0002.json").is_file());
-        assert!(dir.join("run-0003.json").is_file());
-        run(&[
-            "compare",
-            "2",
-            "3",
-            "--history-dir",
-            &dir_str,
-            "--fail",
-            "0.95",
-        ])
-        .unwrap();
-        // Numbering continues after the pruned prefix.
-        run(&base).unwrap();
-        assert!(dir.join("run-0004.json").is_file());
-        assert!(run(&["history", "--history-dir", &dir_str, "--prune", "nope"]).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The committed replay fixture, wherever the test runs from.
@@ -3025,8 +2774,6 @@ mod tests {
 
     #[test]
     fn realrun_serves_metrics_while_running() {
-        let dir = scratch_dir("serve");
-        let _ = std::fs::remove_dir_all(&dir);
         // --serve with port 0 binds an ephemeral port; the run itself
         // must stay healthy with the sampler + endpoint attached.
         run(&[
@@ -3042,8 +2789,6 @@ mod tests {
             "127.0.0.1:0",
             "--sample-ms",
             "5",
-            "--history-dir",
-            dir.to_str().unwrap(),
         ])
         .unwrap();
         assert!(run(&[
@@ -3053,12 +2798,10 @@ mod tests {
             "4",
             "--epochs",
             "1",
-            "--no-history",
             "--serve",
             "256.0.0.1:bad"
         ])
         .is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -3092,17 +2835,7 @@ mod tests {
         let json_path = dir.join("run.json");
         let json_str = json_path.to_str().unwrap().to_string();
         // A real run in --json mode emits a schema-valid document.
-        run(&[
-            "realrun",
-            "CV",
-            "--samples",
-            "8",
-            "--epochs",
-            "1",
-            "--json",
-            "--no-history",
-        ])
-        .unwrap();
+        run(&["realrun", "CV", "--samples", "8", "--epochs", "1", "--json"]).unwrap();
         // Build one directly for the validator (stdout isn't captured here).
         let telemetry = Telemetry::new();
         let rec = telemetry.begin_epoch(&["s".into()], 1, 0);
@@ -3195,33 +2928,17 @@ mod tests {
     }
 
     #[test]
-    fn train_client_consumes_an_epoch_and_records_serve_history() {
-        let dir = scratch_dir("serve-hist");
-        let _ = std::fs::remove_dir_all(&dir);
+    fn train_client_consumes_an_epoch() {
         let (worker, addr) = spawn_cli_compatible_worker(8);
-        run(&[
-            "train-client",
-            "CV",
-            "--samples",
-            "8",
-            "--workers",
-            &addr,
-            "--history-dir",
-            dir.to_str().unwrap(),
-        ])
-        .unwrap();
-        let recorded = std::fs::read_to_string(dir.join("run-0001.json")).unwrap();
-        assert!(recorded.contains("\"mode\": \"serve\""), "{recorded}");
-        run(&["history", "--history-dir", dir.to_str().unwrap()]).unwrap();
+        run(&["train-client", "CV", "--samples", "8", "--workers", &addr]).unwrap();
         worker.stop();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn train_client_fault_policy_gates_dead_workers() {
         // Nothing listens on the reserved discard port: every shard
         // fails over, and the policy decides the exit.
-        let dead = ["train-client", "CV", "--samples", "8", "--no-history"];
+        let dead = ["train-client", "CV", "--samples", "8"];
         let with = |extra: &[&str]| {
             let mut words = dead.to_vec();
             words.extend_from_slice(extra);
@@ -3302,7 +3019,6 @@ mod tests {
             "8",
             "--workers",
             &addr,
-            "--no-history",
             "--fleet-out",
             &fleet_str,
         ])
@@ -3370,19 +3086,42 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The frame `watch --attach ADDR` prints for the endpoint now.
+    fn attach_frame_of(addr: std::net::SocketAddr) -> String {
+        let (status, metrics) = presto_pipeline::telemetry::http::get(addr, "/metrics").unwrap();
+        assert_eq!(status, 200);
+        attach_frame(addr, &metrics).unwrap()
+    }
+
     #[test]
     fn watch_attach_scrapes_a_live_metrics_endpoint() {
         let telemetry = Telemetry::new();
-        // Populate the serve + fleet gauge families the frame renders.
+        // Populate the serve + fleet gauge families the frame renders,
+        // and a tenant registry as fleetd keeps one.
         telemetry.serve().begin(1);
         telemetry.fleet().begin(0xBEEF);
         telemetry
             .fleet()
             .record_handshake("127.0.0.1:7001", 0, 2, -41_000, 90_000);
+        telemetry.tenants().begin(4, 32);
+        telemetry.tenants().admitted("alpha", 2, 8);
         let series = timeseries::TimeSeries::new(16);
         let server =
             MetricsServer::serve("127.0.0.1:0", Arc::clone(&telemetry), Arc::clone(&series))
                 .unwrap();
+        let frame = attach_frame_of(server.addr());
+        assert!(frame.contains("1 peer(s)"), "{frame}");
+        assert!(frame.contains("127.0.0.1:7001"), "{frame}");
+        assert!(
+            frame.contains("admission: max 4 jobs, shard quota 32, 0 rejected"),
+            "{frame}"
+        );
+        assert!(
+            frame
+                .lines()
+                .any(|l| l.contains("alpha") && l.contains("serving") && l.contains("0/8")),
+            "{frame}"
+        );
         run(&[
             "watch",
             "--attach",
@@ -3406,73 +3145,6 @@ mod tests {
         ])
         .is_err());
         assert!(run(&["watch", "--attach", "not-an-addr"]).is_err());
-    }
-
-    #[test]
-    fn history_and_compare_filter_and_guard_by_mode() {
-        let dir = scratch_dir("mode");
-        let _ = std::fs::remove_dir_all(&dir);
-        let dir_str = dir.to_str().unwrap().to_string();
-        let realrun = [
-            "realrun",
-            "CV",
-            "--samples",
-            "8",
-            "--threads",
-            "2",
-            "--epochs",
-            "1",
-            "--history-dir",
-            &dir_str,
-        ];
-        run(&realrun).unwrap();
-        run(&realrun).unwrap();
-        let (worker, addr) = spawn_cli_compatible_worker(8);
-        run(&[
-            "train-client",
-            "CV",
-            "--samples",
-            "8",
-            "--workers",
-            &addr,
-            "--history-dir",
-            &dir_str,
-        ])
-        .unwrap();
-        worker.stop();
-        run(&["history", "--history-dir", &dir_str, "--mode", "real"]).unwrap();
-        run(&["history", "--history-dir", &dir_str, "--mode", "serve"]).unwrap();
-        // An unknown mode lists nothing rather than erroring; the
-        // empty-store hint names the real ones.
-        run(&["history", "--history-dir", &dir_str, "--mode", "imaginary"]).unwrap();
-        // Cross-mode compare refuses outright...
-        let err = run(&["compare", "1", "3", "--history-dir", &dir_str]).unwrap_err();
-        assert!(err.contains("refusing to compare across modes"), "{err}");
-        // ...and --mode pins both sides to one population.
-        run(&[
-            "compare",
-            "1",
-            "2",
-            "--history-dir",
-            &dir_str,
-            "--mode",
-            "real",
-            "--fail",
-            "0.95",
-        ])
-        .unwrap();
-        let err = run(&[
-            "compare",
-            "1",
-            "3",
-            "--history-dir",
-            &dir_str,
-            "--mode",
-            "real",
-        ])
-        .unwrap_err();
-        assert!(err.contains("is a 'serve' run"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -3516,7 +3188,6 @@ mod tests {
             "alice",
             "--weight",
             "2",
-            "--no-history",
         ])
         .unwrap();
         let err = run(&[
@@ -3528,7 +3199,6 @@ mod tests {
             &daemon_addr,
             "--weight",
             "2",
-            "--no-history",
         ])
         .unwrap_err();
         assert!(err.contains("--weight needs --tenant"), "{err}");
@@ -3537,29 +3207,45 @@ mod tests {
         assert_eq!(snapshot.tenants[0].name, "alice");
         assert_eq!(snapshot.tenants[0].state.label(), "done");
 
-        // `presto tenants` scrapes the same registry over HTTP.
+        // `watch --attach` renders the same registry over HTTP.
         let series = timeseries::TimeSeries::new(16);
         let server =
             MetricsServer::serve("127.0.0.1:0", Arc::clone(&telemetry), Arc::clone(&series))
                 .unwrap();
+        let frame = attach_frame_of(server.addr());
+        assert!(frame.starts_with("admission: max "), "{frame}");
+        assert!(
+            frame
+                .lines()
+                .any(|l| l.contains("alice") && l.contains("done")),
+            "{frame}"
+        );
         let metrics_addr = server.addr().to_string();
-        run(&["tenants", "--attach", &metrics_addr]).unwrap();
-        run(&["tenants", "--attach", &metrics_addr, "--json"]).unwrap();
-        assert!(run(&["tenants"]).is_err()); // missing --attach
-        assert!(run(&["tenants", "--attach", "not-an-addr"]).is_err());
-        assert!(run(&["tenants", "--attach", "127.0.0.1:9"]).is_err()); // nothing listening
+        run(&[
+            "watch",
+            "--attach",
+            &metrics_addr,
+            "--plain",
+            "--frames",
+            "1",
+        ])
+        .unwrap();
         server.stop();
         daemon.stop();
         worker.stop();
 
-        // A metrics endpoint without a tenant registry 404s the scrape.
+        // An endpoint with neither a serve session nor a tenant
+        // registry (`/tenants.json` 404s) says so in one line.
         let idle = Telemetry::new();
         let idle_series = timeseries::TimeSeries::new(16);
         let idle_server =
             MetricsServer::serve("127.0.0.1:0", Arc::clone(&idle), Arc::clone(&idle_series))
                 .unwrap();
-        let err = run(&["tenants", "--attach", &idle_server.addr().to_string()]).unwrap_err();
-        assert!(err.contains("HTTP 404"), "{err}");
+        let frame = attach_frame_of(idle_server.addr());
+        assert_eq!(
+            frame,
+            "no serve session or tenant registry at this endpoint…"
+        );
         idle_server.stop();
     }
 
@@ -3629,26 +3315,8 @@ mod tests {
                 vec!["profile", "MP3", "--samples", "500", "--csv"],
             ),
             (
-                vec![
-                    "realrun",
-                    "--json",
-                    "CV",
-                    "--samples",
-                    "4",
-                    "--epochs",
-                    "1",
-                    "--no-history",
-                ],
-                vec![
-                    "realrun",
-                    "CV",
-                    "--samples",
-                    "4",
-                    "--epochs",
-                    "1",
-                    "--no-history",
-                    "--json",
-                ],
+                vec!["realrun", "--json", "CV", "--samples", "4", "--epochs", "1"],
+                vec!["realrun", "CV", "--samples", "4", "--epochs", "1", "--json"],
             ),
         ] {
             assert_eq!(resolved(&switch_first), resolved(&switch_last));
@@ -3668,10 +3336,7 @@ mod tests {
             words.extend_from_slice(extra);
             resolved(&words)
         };
-        assert_eq!(
-            with(&["--wire-codec", "gzip", "--no-history"]).unwrap().0,
-            "preempt-storm"
-        );
+        assert_eq!(with(&["--wire-codec", "gzip"]).unwrap().0, "preempt-storm");
         for foreign in [["--workers", "127.0.0.1:9"], ["--tenant", "alice"]] {
             let err = with(&foreign).unwrap_err();
             assert!(
@@ -3746,10 +3411,20 @@ mod tests {
                     else {
                         continue;
                     };
-                    let name = rest.split_whitespace().next().unwrap_or("");
-                    if !COMMANDS.iter().any(|c| c.name == name) {
+                    // The word after `presto` names a command; prose
+                    // (`let presto = …`) starts with no name at all.
+                    let word = rest.split_whitespace().next().unwrap_or("");
+                    let name = word
+                        .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                        .map_or(word, |end| &word[..end]);
+                    if !name.starts_with(|c: char| c.is_ascii_lowercase()) || name == "help" {
                         continue;
                     }
+                    assert!(
+                        COMMANDS.iter().any(|c| c.name == name),
+                        "{}: `presto {name}` is not a command: {line}",
+                        file.display()
+                    );
                     let end = rest
                         .find(['`', '|', '>', ';', '#', ')'])
                         .unwrap_or(rest.len());

@@ -3,9 +3,8 @@
 
 use presto::report::{format_bytes, TableBuilder};
 use presto::search::SearchStats;
-use presto::{RealDiagnosis, RunComparison, TrendDiagnosis, Verdict};
+use presto::{RealDiagnosis, TrendDiagnosis};
 use presto_pipeline::telemetry::causal::CausalProfile;
-use presto_pipeline::telemetry::history::RunRecord;
 use presto_pipeline::telemetry::tenants::TenantsSnapshot;
 use presto_pipeline::telemetry::timeseries::TimePoint;
 use presto_pipeline::telemetry::TelemetrySnapshot;
@@ -249,15 +248,27 @@ fn prom_labeled(series: &[(String, f64)], name: &str) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// One `presto watch --attach` frame: the `presto_serve_*` session
-/// gauges (wait-state buckets, flow control, failover counters) and,
-/// when a fleet trace is active, the `presto_fleet_*` per-worker
-/// breakout — all read from a scraped `/metrics` exposition.
-pub fn serve_frame(series: &[(String, f64)]) -> String {
+/// One `presto watch --attach` frame: the serve session read from a
+/// scraped `/metrics` exposition, then the tenant registry when the
+/// endpoint has one (its `/tenants.json` document).
+pub fn attach_frame(series: &[(String, f64)], tenants: Option<&TenantsSnapshot>) -> String {
+    let serve = serve_frame(series);
+    if serve.is_none() && tenants.is_none() {
+        return String::from("no serve session or tenant registry at this endpoint…");
+    }
+    let mut out = serve.unwrap_or_default();
+    if let Some(snapshot) = tenants {
+        out.push_str(&tenants_table(snapshot));
+    }
+    out
+}
+
+/// The `presto_serve_*` session gauges (wait-state buckets, flow
+/// control, failover counters) and, when a fleet trace is active, the
+/// `presto_fleet_*` per-worker breakout; `None` without a session.
+fn serve_frame(series: &[(String, f64)]) -> Option<String> {
     let v = |name: &str| prom_value(series, name).unwrap_or(0.0);
-    let Some(workers) = prom_value(series, "presto_serve_workers") else {
-        return String::from("no serve session in this exposition…");
-    };
+    let workers = prom_value(series, "presto_serve_workers")?;
     let state = if v("presto_serve_done") > 0.0 {
         "done"
     } else {
@@ -311,7 +322,7 @@ pub fn serve_frame(series: &[(String, f64)]) -> String {
             out.push_str(&table.render());
         }
     }
-    out
+    Some(out)
 }
 
 /// One `presto watch --search` frame: a progress bar over the grid
@@ -352,71 +363,6 @@ pub fn search_summary(stats: &SearchStats) -> String {
         ));
     }
     out.push(')');
-    out
-}
-
-/// Render the run-history store as a table, oldest first.
-pub fn history_table(runs: &[RunRecord]) -> String {
-    let mut table = TableBuilder::new(&[
-        "run",
-        "mode",
-        "samples",
-        "SPS",
-        "elapsed",
-        "threads",
-        "retries",
-        "cache hit",
-        "degraded",
-    ]);
-    for run in runs {
-        let m = &run.metrics;
-        table.row(&[
-            run.id.clone(),
-            m.mode.clone(),
-            m.samples.to_string(),
-            format!("{:.0}", m.sps),
-            fmt_ns(m.elapsed_ns),
-            m.threads.to_string(),
-            m.retries.to_string(),
-            format!("{:.0}%", m.cache_hit_rate() * 100.0),
-            if m.degraded {
-                "yes".into()
-            } else {
-                "no".into()
-            },
-        ]);
-    }
-    table.render()
-}
-
-fn fmt_metric(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.0}")
-    } else if v.abs() >= 100.0 {
-        format!("{v:.1}")
-    } else {
-        format!("{v:.3}")
-    }
-}
-
-/// Render a run comparison: per-metric before/after/oriented-change
-/// rows plus the overall verdict line.
-pub fn compare_table(comparison: &RunComparison) -> String {
-    let mut table = TableBuilder::new(&["metric", "before", "after", "change", "verdict"]);
-    for delta in &comparison.deltas {
-        table.row(&[
-            delta.name.clone(),
-            fmt_metric(delta.before),
-            fmt_metric(delta.after),
-            format!("{:+.1}%", delta.goodness_delta * 100.0),
-            delta.verdict.to_string(),
-        ]);
-    }
-    let mut out = table.render();
-    out.push_str(&format!("\noverall: {}", comparison.worst));
-    if comparison.worst == Verdict::Regression {
-        out.push_str(&format!(" ({})", comparison.regressions().join(", ")));
-    }
     out
 }
 
@@ -545,12 +491,26 @@ pub fn causal_table(profile: &CausalProfile) -> String {
     out
 }
 
-/// Render the per-tenant status table behind `presto tenants`: one row
-/// per registered job with its DRR weight, lifecycle state, shard and
+/// The admission line, then the per-tenant status table: one row per
+/// registered job with its DRR weight, lifecycle state, shard and
 /// sample progress, fault-budget consumption, and — once the fairness
 /// window has data — the weight-proportional fair share next to the
 /// share actually measured.
-pub fn tenants_table(snapshot: &TenantsSnapshot) -> String {
+fn tenants_table(snapshot: &TenantsSnapshot) -> String {
+    let window = if snapshot.window_closed {
+        "closed"
+    } else if snapshot.window_open {
+        "open"
+    } else {
+        "not yet open"
+    };
+    let admission = format!(
+        "admission: max {} jobs, shard quota {}, {} rejected; fairness window {window}\n",
+        snapshot.max_jobs, snapshot.shard_quota, snapshot.rejected,
+    );
+    if snapshot.tenants.is_empty() {
+        return admission + "no tenants registered\n";
+    }
     let mut table = TableBuilder::new(&[
         "tenant",
         "weight",
@@ -577,7 +537,7 @@ pub fn tenants_table(snapshot: &TenantsSnapshot) -> String {
             share(snapshot.measured_share(&t.name)),
         ]);
     }
-    table.render()
+    admission + &table.render()
 }
 
 #[cfg(test)]
@@ -636,8 +596,9 @@ mod tests {
         use presto_pipeline::telemetry::fleet::FleetWorkerEntry;
         use presto_pipeline::{FleetSnapshot, ServeSnapshot};
 
-        // No serve session: a quiet placeholder, not a panic.
-        assert!(serve_frame(&[]).contains("no serve session"));
+        // Neither a serve session nor a tenant registry: a quiet
+        // placeholder, not a panic.
+        assert!(attach_frame(&[], None).contains("no serve session"));
 
         let serve = ServeSnapshot {
             workers: 2,
@@ -665,13 +626,23 @@ mod tests {
         let mut exposition = export::prometheus_serve(&serve);
         exposition.push_str(&export::prometheus_fleet(&fleet));
         let series = export::parse_prometheus(&exposition).expect("own exposition parses");
-        let frame = serve_frame(&series);
+        let frame = attach_frame(&series, None);
         assert!(frame.contains("2 peer(s)"), "{frame}");
         assert!(frame.contains("12 batches"), "{frame}");
         assert!(frame.contains("gap 1.5ms"), "{frame}");
         assert!(frame.contains("fleet trace 0x0000000000000abc"), "{frame}");
         assert!(frame.contains("127.0.0.1:7001"), "{frame}");
         assert!(frame.contains("-42000ns"), "{frame}");
+
+        // A fleetd endpoint: a tenant registry and no serve session.
+        let telemetry = presto_pipeline::Telemetry::new();
+        telemetry.tenants().begin(4, 32);
+        let frame = attach_frame(&[], Some(&telemetry.tenants().snapshot()));
+        assert_eq!(
+            frame,
+            "admission: max 4 jobs, shard quota 32, 0 rejected; fairness window not yet open\n\
+             no tenants registered\n"
+        );
     }
 
     #[test]
@@ -707,67 +678,6 @@ mod tests {
         assert!(frame.contains("resize"), "{frame}");
         assert!(frame.contains("bottleneck now:"), "{frame}");
         assert_eq!(watch_frame(&[], None), "waiting for samples…");
-    }
-
-    #[test]
-    fn compare_table_flags_the_regressed_metric() {
-        use presto_pipeline::telemetry::history::RunMetrics;
-        let run = |sps: f64| RunMetrics {
-            samples: 100,
-            sps,
-            elapsed_ns: 1_000_000,
-            threads: 2,
-            bytes_read: 0,
-            retries: 0,
-            skipped_samples: 0,
-            lost_shards: 0,
-            degraded: false,
-            cache_hits: 0,
-            cache_misses: 0,
-            seed: 0,
-            mode: "real".into(),
-            steps: Vec::new(),
-        };
-        let cmp = presto::compare_runs(&run(1000.0), &run(600.0), 0.05, 0.2);
-        let rendered = compare_table(&cmp);
-        assert!(rendered.contains("samples_per_second"), "{rendered}");
-        assert!(rendered.contains("REGRESSION"), "{rendered}");
-        assert!(
-            rendered.contains("overall: REGRESSION (samples_per_second)"),
-            "{rendered}"
-        );
-        let clean = compare_table(&presto::compare_runs(&run(1000.0), &run(1010.0), 0.05, 0.2));
-        assert!(clean.contains("overall: unchanged"), "{clean}");
-    }
-
-    #[test]
-    fn history_table_lists_runs() {
-        use presto_pipeline::telemetry::history::{RunMetrics, RunRecord};
-        let record = RunRecord {
-            id: "run-0001".into(),
-            path: "x.json".into(),
-            metrics: RunMetrics {
-                samples: 64,
-                sps: 5000.0,
-                elapsed_ns: 12_800_000,
-                threads: 4,
-                bytes_read: 1 << 20,
-                retries: 1,
-                skipped_samples: 0,
-                lost_shards: 0,
-                degraded: false,
-                cache_hits: 32,
-                cache_misses: 32,
-                seed: 0,
-                mode: "serve".into(),
-                steps: Vec::new(),
-            },
-        };
-        let rendered = history_table(&[record]);
-        assert!(rendered.contains("run-0001"), "{rendered}");
-        assert!(rendered.contains("serve"), "{rendered}");
-        assert!(rendered.contains("5000"), "{rendered}");
-        assert!(rendered.contains("50%"), "{rendered}");
     }
 
     #[test]

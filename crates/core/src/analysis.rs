@@ -11,7 +11,6 @@
 //! recommended default).
 
 use presto_pipeline::sim::StrategyProfile;
-use presto_pipeline::telemetry::history::RunMetrics;
 
 /// Objective weights `(w_p, w_s, w_t)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,7 +83,7 @@ pub struct StrategyAnalysis {
 }
 
 /// The `(min, max)` of a metric vector — the paper's normalization
-/// bounds. Shared by strategy ranking and run comparison.
+/// bounds.
 pub fn min_max(values: &[f64]) -> (f64, f64) {
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
@@ -201,229 +200,6 @@ impl StrategyAnalysis {
             .map(|(_, profile)| *profile)
             .collect()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Run-over-run comparison: the same min–max orientation applied to two
-// stored `realrun` snapshots instead of N simulated strategies.
-// ---------------------------------------------------------------------------
-
-/// Which way a metric is good.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Bigger values are better (throughput, cache hit rate).
-    HigherIsBetter,
-    /// Smaller values are better (wall time, retries, step busy time).
-    LowerIsBetter,
-}
-
-/// Outcome of comparing one metric across two runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Verdict {
-    /// Got better beyond the noise band.
-    Improved,
-    /// Within the noise band.
-    Unchanged,
-    /// Got worse beyond the noise band but under the failure bar (or
-    /// the metric carries no failure bar).
-    Warning,
-    /// Got worse past the failure bar — a real regression.
-    Regression,
-}
-
-impl std::fmt::Display for Verdict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Verdict::Improved => "improved",
-            Verdict::Unchanged => "unchanged",
-            Verdict::Warning => "warning",
-            Verdict::Regression => "REGRESSION",
-        })
-    }
-}
-
-/// One metric's before/after values, oriented relative change, min–max
-/// normalized pair, and verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricDelta {
-    /// Metric name (e.g. `samples_per_second`, `step:decode busy_ns`).
-    pub name: String,
-    /// Value in the baseline run.
-    pub before: f64,
-    /// Value in the candidate run.
-    pub after: f64,
-    /// Relative change oriented so positive = better, bounded to
-    /// `[-1, 1]` by dividing by `max(|before|, |after|)`.
-    pub goodness_delta: f64,
-    /// `(before, after)` min–max normalized over the pair and oriented
-    /// so 1.0 = best — the paper's normalization applied to two runs.
-    pub normalized: (f64, f64),
-    /// The verdict under the given noise band and failure bar.
-    pub verdict: Verdict,
-}
-
-/// Compare one metric across two runs. `noise` is the symmetric
-/// relative band treated as measurement noise (e.g. 0.05 on a shared
-/// CI runner); `fail` is the oriented relative drop past which the
-/// metric counts as a [`Verdict::Regression`] (`None` = warn only).
-pub fn compare_metric(
-    name: &str,
-    before: f64,
-    after: f64,
-    direction: Direction,
-    noise: f64,
-    fail: Option<f64>,
-) -> MetricDelta {
-    let scale = before.abs().max(after.abs());
-    let raw = if scale > 0.0 {
-        (after - before) / scale
-    } else {
-        0.0
-    };
-    let goodness_delta = match direction {
-        Direction::HigherIsBetter => raw,
-        Direction::LowerIsBetter => -raw,
-    };
-    let (min, max) = min_max(&[before, after]);
-    let oriented = |v: f64| match direction {
-        Direction::HigherIsBetter => norm(v, min, max),
-        Direction::LowerIsBetter => 1.0 - norm(v, min, max),
-    };
-    // norm() maps degenerate ranges to 1.0; re-orient that to "both
-    // equally good" rather than "before worst".
-    let normalized = if (max - min).is_normal() {
-        (oriented(before), oriented(after))
-    } else {
-        (1.0, 1.0)
-    };
-    let verdict = if goodness_delta.abs() <= noise {
-        Verdict::Unchanged
-    } else if goodness_delta > 0.0 {
-        Verdict::Improved
-    } else if fail.is_some_and(|bar| goodness_delta < -bar) {
-        Verdict::Regression
-    } else {
-        Verdict::Warning
-    };
-    MetricDelta {
-        name: name.to_string(),
-        before,
-        after,
-        goodness_delta,
-        normalized,
-        verdict,
-    }
-}
-
-/// A full run-over-run comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunComparison {
-    /// Per-metric deltas, headline metrics first, then per-step ones.
-    pub deltas: Vec<MetricDelta>,
-    /// The worst verdict across all metrics.
-    pub worst: Verdict,
-}
-
-impl RunComparison {
-    /// Names of metrics that regressed.
-    pub fn regressions(&self) -> Vec<&str> {
-        self.deltas
-            .iter()
-            .filter(|d| d.verdict == Verdict::Regression)
-            .map(|d| d.name.as_str())
-            .collect()
-    }
-}
-
-/// Compare two stored runs. Only `samples_per_second` carries the
-/// `fail` bar (it is the headline number CI gates on and the least
-/// noisy aggregate); everything else — wall time, fault counters,
-/// cache behaviour, per-step busy time and p95 — warns at worst, so a
-/// noisy shared runner can't fail a build on a secondary metric.
-pub fn compare_runs(
-    before: &RunMetrics,
-    after: &RunMetrics,
-    noise: f64,
-    fail: f64,
-) -> RunComparison {
-    use Direction::{HigherIsBetter, LowerIsBetter};
-    let mut deltas = vec![
-        compare_metric(
-            "samples_per_second",
-            before.sps,
-            after.sps,
-            HigherIsBetter,
-            noise,
-            Some(fail),
-        ),
-        compare_metric(
-            "elapsed_ns",
-            before.elapsed_ns as f64,
-            after.elapsed_ns as f64,
-            LowerIsBetter,
-            noise,
-            None,
-        ),
-        compare_metric(
-            "cache_hit_rate",
-            before.cache_hit_rate(),
-            after.cache_hit_rate(),
-            HigherIsBetter,
-            noise,
-            None,
-        ),
-        compare_metric(
-            "retries",
-            before.retries as f64,
-            after.retries as f64,
-            LowerIsBetter,
-            noise,
-            None,
-        ),
-        compare_metric(
-            "skipped_samples",
-            before.skipped_samples as f64,
-            after.skipped_samples as f64,
-            LowerIsBetter,
-            noise,
-            None,
-        ),
-        compare_metric(
-            "lost_shards",
-            before.lost_shards as f64,
-            after.lost_shards as f64,
-            LowerIsBetter,
-            noise,
-            None,
-        ),
-    ];
-    // Steps present in both runs, matched by name.
-    for (name, busy_ns, p95_ns) in &before.steps {
-        if let Some((_, after_busy, after_p95)) = after.steps.iter().find(|(n, _, _)| n == name) {
-            deltas.push(compare_metric(
-                &format!("step:{name} busy_ns"),
-                *busy_ns,
-                *after_busy,
-                LowerIsBetter,
-                noise,
-                None,
-            ));
-            deltas.push(compare_metric(
-                &format!("step:{name} p95_ns"),
-                *p95_ns,
-                *after_p95,
-                LowerIsBetter,
-                noise,
-                None,
-            ));
-        }
-    }
-    let worst = deltas
-        .iter()
-        .map(|d| d.verdict)
-        .max()
-        .unwrap_or(Verdict::Unchanged);
-    RunComparison { deltas, worst }
 }
 
 #[cfg(test)]
@@ -559,128 +335,6 @@ mod tests {
             let best = analysis.recommend(weights);
             assert!(front.contains(&best.label.as_str()), "{:?}", weights);
         }
-    }
-
-    fn run(sps: f64, elapsed_ns: u64, retries: u64, steps: &[(&str, f64, f64)]) -> RunMetrics {
-        RunMetrics {
-            samples: 1_000,
-            sps,
-            elapsed_ns,
-            threads: 4,
-            bytes_read: 1 << 20,
-            retries,
-            skipped_samples: 0,
-            lost_shards: 0,
-            degraded: false,
-            cache_hits: 0,
-            cache_misses: 1_000,
-            seed: 1,
-            mode: "real".into(),
-            steps: steps
-                .iter()
-                .map(|(n, b, p)| (n.to_string(), *b, *p))
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn compare_metric_verdict_boundaries() {
-        let d = compare_metric(
-            "sps",
-            1000.0,
-            1000.0,
-            Direction::HigherIsBetter,
-            0.05,
-            Some(0.2),
-        );
-        assert_eq!(d.verdict, Verdict::Unchanged);
-        assert_eq!(d.goodness_delta, 0.0);
-        assert_eq!(d.normalized, (1.0, 1.0), "degenerate pair is equally good");
-        // -10%: past noise, under the 20% bar → warning.
-        let d = compare_metric(
-            "sps",
-            1000.0,
-            900.0,
-            Direction::HigherIsBetter,
-            0.05,
-            Some(0.2),
-        );
-        assert_eq!(d.verdict, Verdict::Warning);
-        // -30%: past the bar → regression, and bounded in [-1, 1].
-        let d = compare_metric(
-            "sps",
-            1000.0,
-            700.0,
-            Direction::HigherIsBetter,
-            0.05,
-            Some(0.2),
-        );
-        assert_eq!(d.verdict, Verdict::Regression);
-        assert!((-1.0..=0.0).contains(&d.goodness_delta));
-        assert_eq!(d.normalized, (1.0, 0.0), "before was best, after worst");
-        // +30%: improved; same magnitude without a bar only warns.
-        let d = compare_metric(
-            "sps",
-            1000.0,
-            1300.0,
-            Direction::HigherIsBetter,
-            0.05,
-            Some(0.2),
-        );
-        assert_eq!(d.verdict, Verdict::Improved);
-        let d = compare_metric(
-            "elapsed",
-            1000.0,
-            1300.0,
-            Direction::LowerIsBetter,
-            0.05,
-            None,
-        );
-        assert_eq!(d.verdict, Verdict::Warning);
-        // Zero-to-zero metrics are unchanged, not NaN.
-        let d = compare_metric("retries", 0.0, 0.0, Direction::LowerIsBetter, 0.05, None);
-        assert_eq!(d.verdict, Verdict::Unchanged);
-        assert!(d.goodness_delta.is_finite());
-    }
-
-    #[test]
-    fn compare_runs_gates_only_on_sps() {
-        let before = run(1000.0, 1_000_000, 0, &[("decode", 500.0, 50.0)]);
-        // SPS down 30% AND retries exploded: only SPS may say regression.
-        let after = run(700.0, 1_400_000, 50, &[("decode", 900.0, 90.0)]);
-        let cmp = compare_runs(&before, &after, 0.05, 0.2);
-        assert_eq!(cmp.worst, Verdict::Regression);
-        assert_eq!(cmp.regressions(), vec!["samples_per_second"]);
-        // The secondary metrics still surface as warnings.
-        assert!(cmp
-            .deltas
-            .iter()
-            .any(|d| d.name == "retries" && d.verdict == Verdict::Warning));
-        assert!(cmp
-            .deltas
-            .iter()
-            .any(|d| d.name == "step:decode busy_ns" && d.verdict == Verdict::Warning));
-    }
-
-    #[test]
-    fn compare_runs_within_noise_is_clean() {
-        let before = run(1000.0, 1_000_000, 2, &[("decode", 500.0, 50.0)]);
-        let after = run(980.0, 1_020_000, 2, &[("decode", 510.0, 51.0)]);
-        let cmp = compare_runs(&before, &after, 0.05, 0.2);
-        assert_eq!(cmp.worst, Verdict::Unchanged);
-        assert!(cmp.regressions().is_empty());
-    }
-
-    #[test]
-    fn compare_runs_reports_improvements() {
-        let before = run(1000.0, 1_000_000, 0, &[]);
-        let after = run(1500.0, 700_000, 0, &[]);
-        let cmp = compare_runs(&before, &after, 0.05, 0.2);
-        assert_eq!(cmp.worst, Verdict::Unchanged, "improvements never warn");
-        assert!(cmp
-            .deltas
-            .iter()
-            .any(|d| d.name == "samples_per_second" && d.verdict == Verdict::Improved));
     }
 
     #[test]

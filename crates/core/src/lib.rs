@@ -51,10 +51,7 @@ pub mod profiler;
 pub mod report;
 pub mod search;
 
-pub use analysis::{
-    compare_metric, compare_runs, Direction, MetricDelta, RunComparison, ScoredStrategy,
-    StrategyAnalysis, Verdict, Weights,
-};
+pub use analysis::{ScoredStrategy, StrategyAnalysis, Weights};
 pub use causal::{
     dilation_for, measured_point, plan_for_deliver, plan_for_phase, profile_from_snapshot,
     virtual_gain, CausalOptions, SPEEDUPS,

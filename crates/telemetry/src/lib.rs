@@ -23,9 +23,11 @@
 //! - a **continuous layer**: a [`timeseries`] sampler thread turning
 //!   the registry into a ring buffer of mid-epoch observations, an
 //!   embedded dependency-free [`http`] server exposing `/metrics`,
-//!   `/timeseries.json` and `/healthz`, and a [`history`] store that
-//!   appends sealed run snapshots under `.presto/runs/` for
-//!   cross-run regression tracking.
+//!   `/timeseries.json` and `/healthz`.
+//!
+//! A run is recorded by keeping its `presto.telemetry.v1` document
+//! ([`export::json`]); performance is judged by `presto-benchmark`'s
+//! paired runs, not here.
 //!
 //! See `docs/observability.md` for the schemas and how to read traces.
 
@@ -34,7 +36,6 @@ pub mod causal;
 pub mod doc;
 pub mod export;
 pub mod fleet;
-pub mod history;
 pub mod http;
 pub mod tenants;
 pub mod timeseries;

@@ -8,7 +8,7 @@
 use presto::report::{comparison_table, shape_check, Comparison};
 use presto_datasets::{all_workloads, anchors, cv, nlp};
 use presto_integration_tests::{fast_env, fast_env_ssd};
-use presto_pipeline::sim::StrategyProfile;
+use presto_pipeline::sim::{SimEnv, StrategyProfile};
 use presto_pipeline::{CacheLevel, Strategy};
 
 /// Measured (SPS, MB/s) of one split under an env.
@@ -342,6 +342,34 @@ fn fig10_compression_shapes_reproduce() {
             gz.preprocessing_secs() >= plain.preprocessing_secs() * 0.999,
             "{name} offline time should not shrink"
         );
+    }
+}
+
+/// The Figure 10 tables `presto-bench`'s `fig10_compression` prints, at
+/// the bench's default environment (`PRESTO_BENCH_SAMPLES` unset),
+/// compared byte for byte with `tests/fixtures/sim/fig10_compression.txt`.
+/// A change to the compression model shows up here as a diff to review.
+/// After a deliberate model change, regenerate it with
+///
+/// ```sh
+/// cargo bench -q -p presto-bench --bench fig10_compression \
+///   | tail -n +5 | head -n -3 > tests/fixtures/sim/fig10_compression.txt
+/// ```
+#[test]
+fn fig10_compression_tables_match_the_simulator_golden() {
+    let env = SimEnv {
+        subset_samples: 8_000,
+        ..SimEnv::paper_vm()
+    };
+    let got = presto_bench::fig10_compression_tables(env);
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/fixtures/sim/fig10_compression.txt"
+    );
+    let want = std::fs::read_to_string(path).unwrap();
+    if got != want {
+        let line = got.lines().zip(want.lines()).position(|(a, b)| a != b);
+        panic!("{path}: the simulator's tables differ, first at line {line:?}");
     }
 }
 
