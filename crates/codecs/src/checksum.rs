@@ -135,6 +135,7 @@ impl Crc32 {
     /// Feed bytes into the checksum.
     #[inline]
     pub fn update(&mut self, data: &[u8]) {
+        crate::touch::crc(data.len());
         #[cfg(target_arch = "x86_64")]
         let data = {
             let (state, tail) = clmul::fold(self.state, data);
@@ -339,6 +340,7 @@ impl Adler32 {
 
     /// Feed bytes into the checksum.
     pub fn update(&mut self, data: &[u8]) {
+        crate::touch::crc(data.len());
         for chunk in data.chunks(ADLER_NMAX) {
             for &byte in chunk {
                 self.a += byte as u32;

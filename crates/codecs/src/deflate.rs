@@ -182,10 +182,20 @@ pub fn deflate(data: &[u8], level: Level) -> Vec<u8> {
     deflate_onto(Vec::new(), data, level)
 }
 
-/// [`deflate`] appended to `out` (a container's header). Room for the
-/// whole stream is reserved at once: no block is written larger than
-/// stored, so it never outgrows the input by more than the framing.
+/// [`deflate`] appended to `out` (a container's header), with its pass
+/// in and its pass out on the byte-touch ledger.
 pub(crate) fn deflate_onto(out: Vec<u8>, data: &[u8], level: Level) -> Vec<u8> {
+    let start = out.len();
+    let out = deflate_blocks(out, data, level);
+    crate::touch::copy(data.len());
+    crate::touch::copy(out.len() - start);
+    out
+}
+
+/// The blocks of [`deflate_onto`]. Room for the whole stream is reserved
+/// at once: no block is written larger than stored, so it never
+/// outgrows the input by more than the framing.
+fn deflate_blocks(out: Vec<u8>, data: &[u8], level: Level) -> Vec<u8> {
     let mut writer = BitWriter::appending(out, data.len() + data.len() / 1000 + 64);
     if level.0 == 0 {
         write_stored(&mut writer, data, true);

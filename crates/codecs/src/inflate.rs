@@ -97,9 +97,12 @@ pub fn inflate_stream(
         limit: out.len().saturating_add(size),
         buf: out,
     };
+    let start = output.pos;
     let result = inflate_blocks(&mut BitReader::new(data), &mut output, fast);
     let end = output.pos;
     out.truncate(end);
+    crate::touch::copy(data.len());
+    crate::touch::copy(end - start);
     result
 }
 
@@ -153,6 +156,7 @@ impl Output<'_> {
             let grown = target.max(self.buf.capacity() * 2).min(self.limit);
             self.buf.reserve_exact(grown - self.buf.len());
         }
+        crate::touch::zero_fill(target - self.buf.len());
         self.buf.resize(target, 0);
         Ok(())
     }

@@ -15,7 +15,9 @@
 //! - [`container`]: GZIP (CRC-32 trailer) and ZLIB (Adler-32 trailer)
 //!   framings,
 //! - [`checksum`]: CRC-32 (IEEE) and Adler-32,
-//! - [`Codec`]: the user-facing enum used by pipeline strategies.
+//! - [`Codec`]: the user-facing enum used by pipeline strategies,
+//! - [`touch`]: the byte-touch ledger, counting passes over payload
+//!   bytes when the `touch-ledger` feature is on.
 //!
 //! It is a real, self-inverse compressor: `decompress(compress(x)) == x`
 //! for arbitrary input (verified by property tests), and [`inflate`]
@@ -33,6 +35,7 @@ pub mod deflate;
 pub mod huffman;
 pub mod inflate;
 pub mod lz77;
+pub mod touch;
 
 use std::fmt;
 

@@ -195,6 +195,7 @@ impl Step for RandomCrop {
             let start = (y * w + x0) * c * esize;
             out.extend_from_slice(&raw[start..start + row_bytes]);
         }
+        presto_codecs::touch::copy(out.len());
         let cropped = Tensor::from_raw(tensor.dtype(), vec![self.height, self.width, c], out)
             .map_err(|e| PipelineError::Other(e.to_string()))?;
         Ok(Sample::from_tensors(sample.key, vec![cropped]))

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use presto_dsp::image::ImageBuf;
-use presto_tensor::Tensor;
+use presto_tensor::{Pieces, Tensor};
 
 /// The content of a sample at some point in a pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,6 +85,7 @@ impl Sample {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.nbytes() + 16);
         self.encode_to(|piece| out.extend_from_slice(piece));
+        presto_codecs::touch::copy(out.len());
         out
     }
 
@@ -93,47 +94,64 @@ impl Sample {
     /// as the slices they already are. This is the sample's canonical
     /// byte stream; [`crate::serve::MultisetChecksum`] hashes it in place.
     pub fn encode_to(&self, mut sink: impl FnMut(&[u8])) {
-        sink(&self.key.to_le_bytes());
+        self.encode_pieces(&mut sink);
+    }
+
+    /// Length of [`Sample::encode`]'s output, from the pieces' lengths
+    /// alone.
+    pub fn encoded_len(&self) -> usize {
+        let mut len = 0;
+        self.encode_to(|piece| len += piece.len());
+        len
+    }
+
+    /// The canonical encoder behind [`Sample::encode_to`]: bytes the
+    /// sample owns (a byte payload, tensor data, text, 8-bit pixels) go
+    /// to `sink` borrowed from where they lie, everything else (the key,
+    /// tags, dimensions, elements made little-endian) as small
+    /// temporaries.
+    pub fn encode_pieces<'a>(&'a self, sink: &mut impl Pieces<'a>) {
+        sink.temporary(&self.key.to_le_bytes());
         match &self.payload {
             Payload::Bytes(b) => {
-                sink(&[0]);
-                sink(b);
+                sink.temporary(&[0]);
+                sink.borrowed(b);
             }
             Payload::Tensors(ts) => {
-                sink(&[1, ts.len() as u8]);
+                sink.temporary(&[1, ts.len() as u8]);
                 for t in ts {
-                    t.encode_to(&mut sink);
+                    t.encode_pieces(sink);
                 }
             }
             Payload::Text(s) => {
-                sink(&[2]);
-                sink(s.as_bytes());
+                sink.temporary(&[2]);
+                sink.borrowed(s.as_bytes());
             }
             Payload::Tokens(tokens) => {
-                sink(&[3]);
+                sink.temporary(&[3]);
                 for t in tokens {
-                    sink(&t.to_le_bytes());
+                    sink.temporary(&t.to_le_bytes());
                 }
             }
             Payload::Audio(samples, rate) => {
-                sink(&[4]);
-                sink(&rate.to_le_bytes());
+                sink.temporary(&[4]);
+                sink.temporary(&rate.to_le_bytes());
                 for s in samples {
-                    sink(&s.to_le_bytes());
+                    sink.temporary(&s.to_le_bytes());
                 }
             }
             Payload::Image(img) => {
                 // Images are materialized as a raw tensor for
                 // simplicity: HWC u8/u16.
-                sink(&[5]);
-                sink(&(img.width as u32).to_le_bytes());
-                sink(&(img.height as u32).to_le_bytes());
-                sink(&[img.channels as u8, img.bit_depth()]);
+                sink.temporary(&[5]);
+                sink.temporary(&(img.width as u32).to_le_bytes());
+                sink.temporary(&(img.height as u32).to_le_bytes());
+                sink.temporary(&[img.channels as u8, img.bit_depth()]);
                 match &img.data {
-                    presto_dsp::image::PixelData::U8(v) => sink(v),
+                    presto_dsp::image::PixelData::U8(v) => sink.borrowed(v),
                     presto_dsp::image::PixelData::U16(v) => {
                         for s in v {
-                            sink(&s.to_le_bytes());
+                            sink.temporary(&s.to_le_bytes());
                         }
                     }
                 }
@@ -171,6 +189,11 @@ impl Sample {
         let tag = data[8];
         let body = &data[9..];
         let mut shared = false;
+        if (tag == 0 && frame.is_none()) || tag > 1 {
+            // An owning decode of a byte payload, or a kind that lives
+            // only in memory (tensors count their own, in `Tensor`).
+            presto_codecs::touch::copy(body.len());
+        }
         let payload = match tag {
             0 => Payload::Bytes(match frame {
                 Some(frame) => {

@@ -48,10 +48,19 @@
 //!
 //! Flow control is credit-based: a worker may only send a BATCH after
 //! taking one credit; the client grants `credits` up front in ASSIGN
-//! and one more per BATCH it drains, bounding worker-side in-flight
-//! data the same way the in-process prefetch channel bounds
-//! [`crate::real::EpochStream`]. Stall time waiting for credits is a
-//! [`presto_telemetry::ServeProgress`] gauge on `/metrics`.
+//! and keeps a standing window, handing back `max(1, credits/2)` each
+//! time it has drained that many (`CreditWindow`), bounding
+//! worker-side in-flight data the same way the in-process prefetch
+//! channel bounds [`crate::real::EpochStream`]. Stall time waiting for
+//! credits is a [`presto_telemetry::ServeProgress`] gauge on `/metrics`.
+//!
+//! Each payload byte takes 3 user-space passes from a worker's finished
+//! samples to the consumer, 4 through `fleetd` (`tests/ledger.rs` pins
+//! them): the worker gathers an uncompressed BATCH2 from the samples
+//! where they lie (`write_batch`), the record CRC its one pass; the
+//! client reads into a recycled buffer without zero-filling it, checks
+//! each record's CRC and hashes it for the [`MultisetChecksum`] while it
+//! is in cache.
 //!
 //! Failover: the client buffers each shard's samples and commits them
 //! only on that shard's EOF. When a connection dies mid-shard (worker
@@ -78,10 +87,10 @@ use presto_telemetry::{
     EpochRecorder, FleetProgress, FleetWorkerEntry, ServeProgress, Telemetry, BUILTIN_PHASES,
     PHASE_HANDOFF,
 };
-use presto_tensor::record::{fold_record, record_header, record_trailer};
-use presto_tensor::{RecordReader, RecordWriter};
+use presto_tensor::record::{fold_record, record_header, record_trailer, RECORD_OVERHEAD};
+use presto_tensor::{Pieces, RecordReader, RecordWriter};
 use std::collections::HashMap;
-use std::io::{self, BufReader, IoSlice, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -688,18 +697,31 @@ pub(crate) fn write_record(
 ) -> Result<u64, ServeError> {
     let header = record_header((head.len() + tail.len()) as u64);
     let trailer = record_trailer(crc);
-    let wire_len = header.len() + head.len() + tail.len() + trailer.len();
-    // What is still to go of each part; a short write advances them in
-    // order (by hand: `IoSlice::advance_slices` is newer than the MSRV).
-    let mut parts = [&header[..], head, tail, &trailer[..]];
-    while parts.iter().any(|part| !part.is_empty()) {
-        match writer.write_vectored(&parts.map(IoSlice::new)) {
+    write_parts(writer, &mut [&header[..], head, tail, &trailer[..]])
+}
+
+/// Write `parts`, in order, in `write_vectored` calls, and flush.
+/// Returns the bytes written. A short write advances the parts by hand:
+/// `IoSlice::advance_slices` is newer than the MSRV.
+fn write_parts(writer: &mut impl Write, parts: &mut [&[u8]]) -> Result<u64, ServeError> {
+    let wire_len = parts.iter().map(|part| part.len() as u64).sum();
+    let mut at = 0;
+    while at < parts.len() {
+        if parts[at].is_empty() {
+            at += 1;
+            continue;
+        }
+        let slices: Vec<IoSlice<'_>> = parts[at..].iter().map(|part| IoSlice::new(part)).collect();
+        match writer.write_vectored(&slices) {
             Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
             Ok(mut written) => {
-                for part in &mut parts {
+                for part in &mut parts[at..] {
                     let done = written.min(part.len());
                     *part = &part[done..];
                     written -= done;
+                    if written == 0 {
+                        break;
+                    }
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -707,7 +729,103 @@ pub(crate) fn write_record(
         }
     }
     writer.flush()?;
-    Ok(wire_len as u64)
+    Ok(wire_len)
+}
+
+/// Send `samples` as an uncompressed BATCH2 of the client's shard
+/// `index` (trace fields 0), gathered from where the bytes lie: the
+/// frame's and records' headers and trailers and the samples' small
+/// pieces go into one scratch buffer, and each sample's own bytes
+/// (tensor data, a byte payload) are handed to `write_vectored` as they
+/// are. Each record's CRC is the one pass over its sample's pieces; the
+/// frame CRC is folded from the record CRCs ([`fold_record`]). The wire
+/// bytes are those of the block [`RecordWriter`] makes of the samples.
+/// Returns the bytes put on the wire.
+pub(crate) fn write_batch(
+    writer: &mut impl Write,
+    index: u32,
+    samples: &[Sample],
+) -> Result<u64, ServeError> {
+    let mut gather = Gather::default();
+    gather.scratch(&[0; 12]); // the frame header, once the length is known
+    let mut head = Vec::with_capacity(BATCH2_HEAD);
+    Frame::Batch2 {
+        shard: index,
+        count: samples.len() as u32,
+        codec: wire_codec_tag(Codec::None),
+        span_id: 0,
+        t_send: 0,
+        block: Vec::new(),
+    }
+    .encode_head(&mut head);
+    gather.scratch(&head);
+    let mut frame_crc = Crc32::checksum(&head);
+    let mut payload_len = head.len() as u64;
+    for sample in samples {
+        let at = gather.bytes.len();
+        gather.scratch(&[0; 12]);
+        (gather.crc, gather.len) = (Crc32::new(), 0);
+        sample.encode_pieces(&mut gather);
+        let (len, crc) = (gather.len, gather.crc.finish());
+        gather.bytes[at..at + 12].copy_from_slice(&record_header(len));
+        gather.scratch(&record_trailer(crc));
+        frame_crc = fold_record(frame_crc, len, crc);
+        payload_len += len + RECORD_OVERHEAD as u64;
+    }
+    gather.bytes[..12].copy_from_slice(&record_header(payload_len));
+    gather.scratch(&record_trailer(frame_crc));
+    let mut parts: Vec<&[u8]> = (gather.parts.iter())
+        .map(|part| match *part {
+            Part::Scratch(start, end) => &gather.bytes[start..end],
+            Part::Borrowed(piece) => piece,
+        })
+        .collect();
+    write_parts(writer, &mut parts)
+}
+
+/// A frame being gathered: its bytes in wire order, each part a run of
+/// the scratch `bytes` or a piece borrowed from a sample; and the CRC
+/// and length of the record whose pieces are coming in.
+#[derive(Default)]
+struct Gather<'a> {
+    bytes: Vec<u8>,
+    parts: Vec<Part<'a>>,
+    crc: Crc32,
+    len: u64,
+}
+
+enum Part<'a> {
+    Scratch(usize, usize),
+    Borrowed(&'a [u8]),
+}
+
+impl Gather<'_> {
+    /// Copy a small piece into the scratch bytes, extending the last
+    /// part when it is the run that ends there.
+    fn scratch(&mut self, piece: &[u8]) {
+        presto_codecs::touch::copy(piece.len());
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(piece);
+        let end = self.bytes.len();
+        match self.parts.last_mut() {
+            Some(Part::Scratch(_, last)) if *last == start => *last = end,
+            _ => self.parts.push(Part::Scratch(start, end)),
+        }
+    }
+}
+
+impl<'a> Pieces<'a> for Gather<'a> {
+    fn borrowed(&mut self, piece: &'a [u8]) {
+        self.crc.update(piece);
+        self.len += piece.len() as u64;
+        self.parts.push(Part::Borrowed(piece));
+    }
+
+    fn temporary(&mut self, piece: &[u8]) {
+        self.crc.update(piece);
+        self.len += piece.len() as u64;
+        self.scratch(piece);
+    }
 }
 
 /// Fill `buf`, distinguishing a clean close before any byte
@@ -733,8 +851,8 @@ fn read_exact_or_closed(reader: &mut impl Read, buf: &mut [u8]) -> Result<bool, 
 /// and filled from its spare capacity, without zero-filling it first.
 /// `Ok(None)` is a clean close at a frame boundary; every violation is
 /// a typed [`ServeError`].
-pub(crate) fn read_unchecked(
-    reader: &mut impl Read,
+pub(crate) fn read_unchecked<R: Read>(
+    reader: &mut R,
     payload: &mut Vec<u8>,
 ) -> Result<Option<u32>, ServeError> {
     let mut header = [0u8; 12];
@@ -750,6 +868,7 @@ pub(crate) fn read_unchecked(
     }
     payload.clear();
     payload.reserve(len as usize);
+    presto_codecs::touch::read_into::<R>(len as usize);
     let read = reader.take(len).read_to_end(payload)?;
     let mut trailer = [0u8; 4];
     if read as u64 != len || !read_exact_or_closed(reader, &mut trailer)? {
@@ -793,20 +912,27 @@ enum Received {
     Frame(Frame),
 }
 
-/// Read one frame for the client. A BATCH2 with an uncompressed block
-/// is not checked here: its frame CRC is folded from its record CRCs
-/// as [`ReceivedBatch::decode_into`] verifies them, so each byte is
-/// checked once. Every other frame is checked in one pass first.
-fn receive(reader: &mut impl Read) -> Result<Option<Received>, ServeError> {
-    let mut payload = Vec::new();
+/// Read one frame for the client into a buffer from `spare` (a fresh
+/// one when it is empty), read into without zero-filling it first. A
+/// BATCH2 with an uncompressed block is not checked here: its frame CRC
+/// is folded from its record CRCs as [`ReceivedBatch::decode_into`]
+/// verifies them, so each byte is checked once. Every other frame is
+/// checked in one pass first, and its buffer goes back to `spare`.
+fn receive(
+    reader: &mut impl Read,
+    spare: &mut Vec<Vec<u8>>,
+) -> Result<Option<Received>, ServeError> {
+    let mut payload = spare.pop().unwrap_or_default();
     let Some(stored) = read_unchecked(reader, &mut payload)? else {
         return Ok(None);
     };
     if payload.first() == Some(&FRAME_BATCH2) {
-        return ReceivedBatch::parse(payload, stored).map(|batch| Some(Received::Batch(batch)));
+        return ReceivedBatch::parse(payload, stored, spare)
+            .map(|batch| Some(Received::Batch(batch)));
     }
-    check_payload(&payload, stored)?;
-    Frame::decode_payload(&payload).map(|frame| Some(Received::Frame(frame)))
+    let frame = check_payload(&payload, stored).and_then(|()| Frame::decode_payload(&payload));
+    spare.push(payload);
+    frame.map(|frame| Some(Received::Frame(frame)))
 }
 
 /// A received BATCH2, decoded where it lies: its fixed fields, and the
@@ -816,6 +942,8 @@ struct ReceivedBatch {
     head: Batch2Head,
     /// Block bytes as they crossed the wire.
     wire_len: usize,
+    /// The record stream, in a buffer the client recycles once the
+    /// samples aliasing it are gone.
     records: Bytes,
     /// Set while the frame check is still to be folded from the record
     /// CRCs; `None` once the frame was checked in one pass.
@@ -834,41 +962,59 @@ impl ReceivedBatch {
     /// Take a BATCH2 payload (type byte first), whose CRC as stored on
     /// the wire is `stored`, over without copying it. An uncompressed
     /// block defers the frame check to [`ReceivedBatch::decode_into`];
-    /// anything else is checked here, before it is parsed.
-    fn parse(payload: Vec<u8>, stored: u32) -> Result<ReceivedBatch, ServeError> {
+    /// anything else is checked here, before it is parsed, and unpacked
+    /// into a buffer from `spare`, where the payload then goes.
+    fn parse(
+        payload: Vec<u8>,
+        stored: u32,
+        spare: &mut Vec<Vec<u8>>,
+    ) -> Result<ReceivedBatch, ServeError> {
         let head = Batch2Head::parse(&payload);
         let defer = matches!(&head, Some(head) if head.codec == wire_codec_tag(Codec::None));
         if !defer {
             check_payload(&payload, stored)?;
         }
         let head = head.ok_or_else(|| ServeError::Protocol("BATCH2 head too short".into()))?;
-        let head_crc = defer.then(|| Crc32::checksum(&payload[..BATCH2_HEAD]));
-        let block = Bytes::from(payload).slice(BATCH2_HEAD..);
-        let records = match wire_codec(head.codec)? {
-            Codec::None => block.clone(),
-            codec => Bytes::from(
-                codec
-                    .decompress(&block)
-                    .map_err(|e| ServeError::Protocol(format!("BATCH2 block: {e}")))?,
-            ),
+        let wire_len = payload.len() - BATCH2_HEAD;
+        let (records, deferred) = match wire_codec(head.codec)? {
+            Codec::None => {
+                let head_crc = Crc32::checksum(&payload[..BATCH2_HEAD]);
+                let records = Bytes::from(payload).slice(BATCH2_HEAD..);
+                (records, Some(Deferred { head_crc, stored }))
+            }
+            codec => {
+                let mut records = spare.pop().unwrap_or_default();
+                let unpacked = codec.decompress_into(&payload[BATCH2_HEAD..], &mut records);
+                spare.push(payload);
+                unpacked.map_err(|e| ServeError::Protocol(format!("BATCH2 block: {e}")))?;
+                (Bytes::from(records), None)
+            }
         };
         Ok(ReceivedBatch {
             head,
-            wire_len: block.len(),
+            wire_len,
             records,
-            deferred: head_crc.map(|head_crc| Deferred { head_crc, stored }),
+            deferred,
         })
     }
 
     /// Append the batch's samples to `out`, each aliasing the record
-    /// stream: exactly `head.count` of them, or an error and `out` as
-    /// it was. A deferred frame check is done here: the CRC of the head
-    /// is extended by each record's header, verified payload CRC and
-    /// trailer ([`fold_record`]), and the frame is accepted only when
-    /// that is the stored CRC — else it is [`ServeError::BadPayload`],
-    /// the answer of the one-pass check.
-    fn decode_into(&self, out: &mut Vec<Sample>) -> Result<(), ServeError> {
+    /// stream, and fold them into `sum`: exactly `head.count` of them,
+    /// or an error and `out` and `sum` as they were. Each record is
+    /// hashed right after its CRC check, while its bytes are in cache; a
+    /// record that is not its sample's canonical encoding is refused, so
+    /// the hash is the sample's. A deferred frame check is done here:
+    /// the CRC of the head is extended by each record's header, verified
+    /// payload CRC and trailer ([`fold_record`]), and the frame is
+    /// accepted only when that is the stored CRC — else it is
+    /// [`ServeError::BadPayload`], the answer of the one-pass check.
+    fn decode_into(
+        &self,
+        out: &mut Vec<Sample>,
+        sum: &mut MultisetChecksum,
+    ) -> Result<(), ServeError> {
         let start = out.len();
+        let mut batch_sum = MultisetChecksum::default();
         let mut folded = self.deferred.as_ref().map(|d| d.head_crc);
         let mut records = RecordReader::new(&self.records);
         let failure = loop {
@@ -880,8 +1026,10 @@ impl ReceivedBatch {
             if let Some(folded) = &mut folded {
                 *folded = fold_record(*folded, record.len() as u64, crc);
             }
+            batch_sum.add_encoded(record);
             match Sample::decode_shared(&self.records, record) {
-                Ok((sample, _)) => out.push(sample),
+                Ok((sample, _)) if sample.encoded_len() == record.len() => out.push(sample),
+                Ok(_) => break Some("a record is not its sample's canonical encoding".into()),
                 Err(e) => break Some(e.to_string()),
             }
         };
@@ -889,9 +1037,11 @@ impl ReceivedBatch {
         let failure = failure
             .or_else(|| (got != count).then(|| format!("{got} samples in a block of {count}")));
         let error = match (failure, &self.deferred) {
-            (None, None) => return Ok(()),
-            (None, Some(deferred)) if folded == Some(deferred.stored) => return Ok(()),
-            (None, Some(_)) => ServeError::BadPayload,
+            (None, Some(deferred)) if folded != Some(deferred.stored) => ServeError::BadPayload,
+            (None, _) => {
+                sum.merge(batch_sum);
+                return Ok(());
+            }
             // The records did not decode, so there is no fold to end:
             // whether the frame is damaged takes the one pass.
             (Some(_), Some(deferred))
@@ -974,6 +1124,18 @@ impl MultisetChecksum {
     pub fn add(&mut self, sample: &Sample) {
         let mut hasher = StripeHasher::default();
         sample.encode_to(|piece| hasher.write(piece));
+        self.fold(hasher);
+    }
+
+    /// Fold in the sample whose [`Sample::encode`] bytes are `encoded`:
+    /// the same as [`MultisetChecksum::add`] of that sample.
+    pub(crate) fn add_encoded(&mut self, encoded: &[u8]) {
+        let mut hasher = StripeHasher::default();
+        hasher.write(encoded);
+        self.fold(hasher);
+    }
+
+    fn fold(&mut self, hasher: StripeHasher) {
         self.count += 1;
         self.sum = self.sum.wrapping_add(hasher.finish());
     }
@@ -1028,6 +1190,7 @@ impl StripeHasher {
     const MULTIPLIER: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
     fn write(&mut self, mut bytes: &[u8]) {
+        presto_codecs::touch::hash(bytes.len());
         self.total_len += bytes.len() as u64;
         if self.pending_len > 0 {
             let take = bytes.len().min(32 - self.pending_len);
@@ -1404,9 +1567,9 @@ impl Local {
     }
 
     /// Run `shard`: its samples, in batches of
-    /// [`ServeWorkerConfig::batch_samples`] that the writer encodes
-    /// ([`encode_batch`]) just before it sends them. `Err` is a fault the
-    /// resilience policy would not absorb.
+    /// [`ServeWorkerConfig::batch_samples`] that the writer gathers
+    /// ([`write_batch`]) or compresses ([`encode_batch`]) as it sends
+    /// them. `Err` is a fault the resilience policy would not absorb.
     pub(crate) fn produce(
         &self,
         shard: &str,
@@ -1446,16 +1609,16 @@ impl Local {
     }
 }
 
-/// Encode `samples` into a block from `pool` under wire codec `codec`.
-/// An uncompressed block's CRC is folded from its record CRCs by
-/// [`RecordWriter::crc`], so no byte takes a pass beyond the copy into
-/// the block and the record CRC.
+/// Encode `samples` into a block from `pool` and pack it under wire
+/// codec `codec`, which compresses: an uncompressed batch is never
+/// copied into a block, but gathered from its samples ([`write_batch`]).
 pub(crate) fn encode_batch(
     samples: &[Sample],
     codec: Codec,
     pool: &BufferPool,
     rec: &EpochRecorder,
 ) -> Batch {
+    debug_assert!(codec != Codec::None, "an uncompressed batch is gathered");
     let (scratch, hit) = pool.get_bytes(0);
     if hit {
         rec.pool_hits(1);
@@ -1466,17 +1629,11 @@ pub(crate) fn encode_batch(
     for sample in samples {
         block.write_pieces(sample.nbytes() + 64, |sink| sample.encode_to(sink));
     }
-    let (crc, encoded) = (block.crc(), block.finish());
-    let (block, crc) = match codec {
-        Codec::None => (encoded, crc),
-        codec => {
-            let packed = codec.compress(&encoded);
-            pool.put_bytes(encoded);
-            let crc = Crc32::checksum(&packed);
-            (packed, crc)
-        }
-    };
-    Batch::local(block, samples.len() as u32, wire_codec_tag(codec), crc)
+    let encoded = block.finish();
+    let packed = codec.compress(&encoded);
+    pool.put_bytes(encoded);
+    let crc = Crc32::checksum(&packed);
+    Batch::local(packed, samples.len() as u32, wire_codec_tag(codec), crc)
 }
 
 /// Client-side tuning: credits bound worker-side in-flight batches,
@@ -1506,9 +1663,11 @@ pub struct ServeClientConfig {
     /// Fleet tracing: when true (and a [`Telemetry`] handle is
     /// attached), the client records a per-shard client span timeline,
     /// runs the clock-offset PING handshake on every connection,
-    /// requests end-of-assignment STATS, and meters its socket reads
-    /// into the gap/stream wait-state gauges. Turn off to measure the
-    /// bare protocol (the `serve_fanout` bench overhead gate does).
+    /// requests end-of-assignment STATS, and meters each frame it
+    /// drains into the gap/stream wait-state gauges: the wait for the
+    /// frame's first byte is gap, the rest of reading it stream. Turn
+    /// off to measure the bare protocol (the `serve_fanout` bench
+    /// overhead gate does).
     pub tracing: bool,
     /// Fleet trace id; 0 derives one from the epoch seed.
     pub trace_id: u64,
@@ -1610,66 +1769,89 @@ struct ConnOutcome {
     gap_ns: u64,
     /// Time reading frame bytes after the first arrived, ns.
     stream_ns: u64,
-    /// Time inside the consume callback, ns.
+    /// Time inside the consume callback, ns. The client's own hashing
+    /// is not in it: each record is hashed as it is decoded.
     consume_ns: u64,
 }
 
-/// A [`Read`] wrapper that buckets time spent blocked in the
-/// underlying socket reads: waiting for the *first* byte of a frame
-/// means the wire was idle (nothing to receive — the `gap` bucket);
-/// reads after that mean bytes were in flight (the `stream` bucket).
-/// An idle-dominated connection is starved of production; a
-/// stream-dominated one is throttled in transfer — the first fork of
-/// the `diagnose_fleet` decision tree.
-///
-/// The split is approximate under [`BufReader`]: reads served from
-/// the buffer never reach this wrapper, so a frame whose bytes all
-/// arrived with a previous fill shows up as pure gap on its next
-/// refill. Fine for attribution — the buckets aggregate over
-/// thousands of frames.
-struct MeteredReader<R> {
-    inner: R,
-    enabled: bool,
-    awaiting_first: bool,
+/// The client's read side of one connection: the socket behind a
+/// [`BufReader`], which `read_to_end`s a frame into spare capacity
+/// without zero-filling it; the receive buffers to read into, recycled
+/// once the samples aliasing them are gone; and, when tracing, the
+/// frame-level wait meter. Waiting for a frame's first byte (the
+/// `fill_buf`) means the wire was idle — nothing to receive, the `gap`
+/// bucket; the rest of reading the frame means bytes were in flight —
+/// the `stream` bucket. An idle-dominated connection is starved of
+/// production; a stream-dominated one is throttled in transfer — the
+/// first fork of the `diagnose_fleet` decision tree.
+struct Inbound {
+    reader: BufReader<TcpStream>,
+    spare: Vec<Vec<u8>>,
+    metered: bool,
     gap_ns: u64,
     stream_ns: u64,
 }
 
-impl<R> MeteredReader<R> {
-    fn new(inner: R, enabled: bool) -> Self {
-        MeteredReader {
-            inner,
-            enabled,
-            awaiting_first: true,
+impl Inbound {
+    fn new(stream: TcpStream, metered: bool) -> Inbound {
+        Inbound {
+            reader: BufReader::new(stream),
+            spare: Vec::new(),
+            metered,
             gap_ns: 0,
             stream_ns: 0,
         }
     }
 
-    /// Mark a frame boundary: the next underlying read is the wait
-    /// for the next frame's first byte.
-    fn start_frame(&mut self) {
-        self.awaiting_first = true;
+    /// Read one frame ([`receive`]), metered when tracing.
+    fn receive(&mut self) -> Result<Option<Received>, ServeError> {
+        if !self.metered {
+            return receive(&mut self.reader, &mut self.spare);
+        }
+        let t_gap = Instant::now();
+        let waited = self.reader.fill_buf().map(|_| ());
+        let t_stream = Instant::now();
+        self.gap_ns += (t_stream - t_gap).as_nanos() as u64;
+        waited?;
+        let received = receive(&mut self.reader, &mut self.spare);
+        self.stream_ns += t_stream.elapsed().as_nanos() as u64;
+        received
+    }
+
+    /// Take a committed shard's record streams back as receive buffers:
+    /// each one nothing aliases any more. A stream the consumer still
+    /// holds samples of stays with them.
+    fn reclaim(&mut self, frames: Vec<Bytes>) {
+        for frame in frames {
+            if let Ok(buffer) = frame.try_reclaim() {
+                self.spare.push(buffer);
+            }
+        }
     }
 }
 
-impl<R: Read> Read for MeteredReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if !self.enabled {
-            return self.inner.read(buf);
+/// A standing credit window, the BATCH2 receiver's side: hand back
+/// `max(1, credits / 2)` credits each time that many batches are
+/// drained, instead of one CREDIT per batch. The sender is granted
+/// `credits` up front and never owed more than half of them, so it
+/// never runs dry of credit on a receiver that keeps draining.
+pub(crate) struct CreditWindow {
+    step: u32,
+    drained: u32,
+}
+
+impl CreditWindow {
+    pub(crate) fn new(credits: u32) -> CreditWindow {
+        CreditWindow {
+            step: (credits / 2).max(1),
+            drained: 0,
         }
-        let t0 = Instant::now();
-        let result = self.inner.read(buf);
-        let ns = t0.elapsed().as_nanos() as u64;
-        if self.awaiting_first {
-            self.gap_ns += ns;
-            if matches!(&result, Ok(n) if *n > 0) {
-                self.awaiting_first = false;
-            }
-        } else {
-            self.stream_ns += ns;
-        }
-        result
+    }
+
+    /// One batch drained: the credits to send back now, if any.
+    pub(crate) fn drained(&mut self) -> Option<u32> {
+        self.drained += 1;
+        (self.drained >= self.step).then(|| std::mem::take(&mut self.drained))
     }
 }
 
@@ -1977,7 +2159,7 @@ where
         Ok(writer) => writer,
         Err(_) => return outcome,
     };
-    let mut reader = BufReader::new(MeteredReader::new(stream, trace.is_some()));
+    let mut inbound = Inbound::new(stream, trace.is_some());
     drive_assignment(
         addr,
         shards,
@@ -1986,13 +2168,12 @@ where
         trace,
         consume,
         &mut writer,
-        &mut reader,
+        &mut inbound,
         &mut outcome,
     );
     // Whatever happened on the wire, the wait buckets are real.
-    let metered = reader.get_mut();
-    outcome.gap_ns = metered.gap_ns;
-    outcome.stream_ns = metered.stream_ns;
+    outcome.gap_ns = inbound.gap_ns;
+    outcome.stream_ns = inbound.stream_ns;
     outcome
 }
 
@@ -2010,13 +2191,13 @@ fn drive_assignment<F>(
     trace: Option<&ConnTrace<'_>>,
     consume: &F,
     writer: &mut TcpStream,
-    reader: &mut BufReader<MeteredReader<TcpStream>>,
+    inbound: &mut Inbound,
     outcome: &mut ConnOutcome,
 ) where
     F: Fn(&Sample) + Send + Sync,
 {
     let trace_id = trace.map_or(0, |t| t.trace_id);
-    reader.get_mut().start_frame();
+    let reader = &mut inbound.reader;
     if let Err(e) = handshake(writer, reader, trace_id) {
         // A worker from another build fails the epoch; a broken link
         // is a dead connection like any other and fails over.
@@ -2035,7 +2216,6 @@ fn drive_assignment<F>(
             if write_frame(writer, &Frame::Ping { t0, seq }).is_err() {
                 return;
             }
-            reader.get_mut().start_frame();
             match read_frame(reader) {
                 Ok(Some(Frame::Pong {
                     t0: echo,
@@ -2065,7 +2245,6 @@ fn drive_assignment<F>(
         if write_frame(writer, &register).is_err() {
             return;
         }
-        reader.get_mut().start_frame();
         match read_frame(reader) {
             Ok(Some(Frame::Admit { .. })) => {}
             Ok(Some(Frame::Reject { reason, .. })) => {
@@ -2105,11 +2284,15 @@ fn drive_assignment<F>(
     }
     // One client span per shard: assignment start → EOF commit.
     let assign_t0 = trace.and_then(|t| t.rec.begin());
+    // Per shard until its EOF: the samples, their checksum and the
+    // record streams they alias.
     let mut buffers: Vec<Vec<Sample>> = vec![Vec::new(); shards.len()];
+    let mut sums = vec![MultisetChecksum::default(); shards.len()];
+    let mut frames: Vec<Vec<Bytes>> = vec![Vec::new(); shards.len()];
     let mut done = vec![false; shards.len()];
+    let mut window = CreditWindow::new(config.credits.max(1));
     loop {
-        reader.get_mut().start_frame();
-        let frame = match receive(reader) {
+        let frame = match inbound.receive() {
             Ok(Some(Received::Frame(frame))) => frame,
             Ok(Some(Received::Batch(batch))) => {
                 // Decoded in place: the samples alias the received
@@ -2121,13 +2304,20 @@ fn drive_assignment<F>(
                 if index >= buffers.len() || done[index] {
                     return; // protocol violation: treat conn as dead
                 }
-                if batch.decode_into(&mut buffers[index]).is_err()
-                    || write_frame(writer, &Frame::Credit { n: 1 }).is_err()
+                if batch
+                    .decode_into(&mut buffers[index], &mut sums[index])
+                    .is_err()
                 {
                     return;
                 }
+                if let Some(n) = window.drained() {
+                    if write_frame(writer, &Frame::Credit { n }).is_err() {
+                        return;
+                    }
+                }
                 outcome.batches += 1;
                 outcome.bytes += batch.wire_len as u64;
+                frames[index].push(batch.records);
                 continue;
             }
             // Clean close mid-assignment, CRC garbage, timeout: the
@@ -2144,12 +2334,14 @@ fn drive_assignment<F>(
                 // Commit: the shard arrived whole, deliver it.
                 done[index] = true;
                 let t_consume = Instant::now();
-                for sample in std::mem::take(&mut buffers[index]) {
-                    outcome.checksum.add(&sample);
-                    outcome.samples += 1;
+                let samples = std::mem::take(&mut buffers[index]);
+                outcome.samples += samples.len() as u64;
+                for sample in samples {
                     consume(&sample);
                 }
                 outcome.consume_ns += t_consume.elapsed().as_nanos() as u64;
+                outcome.checksum.merge(std::mem::take(&mut sums[index]));
+                inbound.reclaim(std::mem::take(&mut frames[index]));
                 outcome.failed.retain(|name| name != &shards[index]);
                 if let (Some(trace), Some(t0)) = (trace, assign_t0) {
                     if let Some(&global) = trace.shard_index.get(&shards[index]) {
@@ -2178,8 +2370,7 @@ fn drive_assignment<F>(
     // already delivered everything.
     if let Some(trace) = trace {
         loop {
-            reader.get_mut().start_frame();
-            match read_frame(reader) {
+            match read_frame(&mut inbound.reader) {
                 Ok(Some(Frame::Stats { entry })) => {
                     let mut entry = *entry;
                     entry.addr = addr.to_string();
@@ -2339,20 +2530,32 @@ mod tests {
     /// crossed the wire intact: its stored CRC is its own.
     fn receive_payload(payload: Vec<u8>) -> Result<Vec<Sample>, ServeError> {
         let stored = Crc32::checksum(&payload);
-        let batch = ReceivedBatch::parse(payload, stored)?;
+        let batch = ReceivedBatch::parse(payload, stored, &mut Vec::new())?;
         let mut samples = Vec::new();
-        batch.decode_into(&mut samples)?;
+        batch.decode_into(&mut samples, &mut MultisetChecksum::default())?;
         Ok(samples)
     }
 
     /// What the client makes of `wire`: one frame read as
     /// `drive_assignment` reads it, a BATCH2 decoded onto the end of
-    /// `buffer`. `Ok(true)` when a BATCH2 was accepted.
-    fn receive_wire(wire: &[u8], buffer: &mut Vec<Sample>) -> Result<bool, ServeError> {
-        match receive(&mut &wire[..])? {
-            Some(Received::Batch(batch)) => batch.decode_into(buffer).map(|()| true),
+    /// `buffer` and folded into `sum`. `Ok(true)` when a BATCH2 was
+    /// accepted.
+    fn receive_wire(
+        wire: &[u8],
+        buffer: &mut Vec<Sample>,
+        sum: &mut MultisetChecksum,
+    ) -> Result<bool, ServeError> {
+        match receive(&mut &wire[..], &mut Vec::new())? {
+            Some(Received::Batch(batch)) => batch.decode_into(buffer, sum).map(|()| true),
             _ => Ok(false),
         }
+    }
+
+    /// The checksum of `samples`, as a consumer takes it.
+    fn checksum_of(samples: &[Sample]) -> MultisetChecksum {
+        let mut sum = MultisetChecksum::default();
+        samples.iter().for_each(|sample| sum.add(sample));
+        sum
     }
 
     /// `payload` — `frame`'s, perhaps damaged — through the in-place
@@ -2371,6 +2574,8 @@ mod tests {
     /// long it was) and takes at most `limit` bytes per call.
     struct Recording {
         limit: usize,
+        /// Take at most the first non-empty slice of each call.
+        one_slice: bool,
         slices: Vec<(*const u8, usize)>,
         bytes: Vec<u8>,
     }
@@ -2379,8 +2584,16 @@ mod tests {
         fn new(limit: usize) -> Self {
             Recording {
                 limit,
+                one_slice: false,
                 slices: Vec::new(),
                 bytes: Vec::new(),
+            }
+        }
+
+        fn one_slice_per_call() -> Self {
+            Recording {
+                one_slice: true,
+                ..Recording::new(usize::MAX)
             }
         }
     }
@@ -2397,7 +2610,7 @@ mod tests {
                 let take = buf.len().min(self.limit - taken);
                 self.bytes.extend_from_slice(&buf[..take]);
                 taken += take;
-                if taken == self.limit {
+                if taken == self.limit || (self.one_slice && taken > 0) {
                     break;
                 }
             }
@@ -2487,25 +2700,31 @@ mod tests {
             let Frame::Batch2 { codec, .. } = frame else {
                 continue;
             };
+            // Accepted records are hashed as they decode, into the
+            // shard's checksum; a rejected frame adds nothing to it.
             let held = sample_zoo()[4..6].to_vec();
-            let mut buffer = held.clone();
+            let held_sum = checksum_of(&held);
+            let (mut buffer, mut sum) = (held.clone(), held_sum);
             let sent = carried(&frame);
-            match receive_wire(&wire, &mut buffer) {
-                Ok(true) => assert!(Some(buffer[held.len()..].to_vec()) == sent),
+            match receive_wire(&wire, &mut buffer, &mut sum) {
+                Ok(true) => {
+                    assert!(Some(buffer[held.len()..].to_vec()) == sent);
+                    assert_eq!(sum, checksum_of(&buffer));
+                }
                 got => assert!(sent.is_none() && got.is_err(), "{frame:?}: {got:?}"),
             }
             assert_eq!(codec, wire_codec_tag(Codec::None));
             for bit in 0..wire.len() * 8 {
                 let mut flipped = wire.clone();
                 flipped[bit / 8] ^= 1 << (bit % 8);
-                let mut buffer = held.clone();
-                let got = receive_wire(&flipped, &mut buffer);
+                let (mut buffer, mut sum) = (held.clone(), held_sum);
+                let got = receive_wire(&flipped, &mut buffer, &mut sum);
                 assert!(
                     matches!(got, Err(ServeError::BadHeader | ServeError::BadPayload)),
                     "{frame:?} wire bit {bit}: {got:?}"
                 );
                 assert!(
-                    buffer == held,
+                    buffer == held && sum == held_sum,
                     "{frame:?} wire bit {bit} left samples behind"
                 );
             }
@@ -2559,6 +2778,79 @@ mod tests {
             "the block was copied before the write: {:?}",
             recording.slices
         );
+    }
+
+    /// The BATCH2 of `samples` for the client's shard `index` as a
+    /// block copied together by [`RecordWriter`] makes it (the
+    /// construction before the gather-write), trace fields 0.
+    fn parent_batch(index: u32, samples: &[Sample]) -> Frame {
+        let Frame::Batch2 { count, block, .. } = batch_of(index, samples) else {
+            unreachable!("batch_of makes a BATCH2")
+        };
+        Frame::Batch2 {
+            shard: index,
+            count,
+            codec: wire_codec_tag(Codec::None),
+            span_id: 0,
+            t_send: 0,
+            block,
+        }
+    }
+
+    #[test]
+    fn gathered_batches_put_the_parent_blocks_bytes_on_the_wire() {
+        let zoo = sample_zoo();
+        let (images, _) = image_batch();
+        let mut batches: Vec<&[Sample]> = zoo.chunks(1).collect();
+        batches.extend([&zoo[..0], &zoo[..], &images[..]]);
+        for (index, samples) in batches.into_iter().enumerate() {
+            let oracle = oracle_wire(&parent_batch(index as u32, samples));
+            // Whole writes, a byte a call, 7 bytes a call, one slice a call.
+            let writers = [
+                Recording::new(usize::MAX),
+                Recording::new(1),
+                Recording::new(7),
+                Recording::one_slice_per_call(),
+            ];
+            for mut recording in writers {
+                let (limit, one_slice) = (recording.limit, recording.one_slice);
+                let sent = write_batch(&mut recording, index as u32, samples).unwrap();
+                assert!(
+                    recording.bytes == oracle,
+                    "batch {index}, limit {limit}, one slice {one_slice}"
+                );
+                assert_eq!(sent, oracle.len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn gathered_batches_hand_the_tensor_data_over_where_it_lies() {
+        let (samples, _) = image_batch();
+        let mut recording = Recording::new(usize::MAX);
+        write_batch(&mut recording, 7, &samples).unwrap();
+        for sample in &samples {
+            let crate::sample::Payload::Tensors(tensors) = &sample.payload else {
+                unreachable!("image_batch samples are tensors")
+            };
+            let data = tensors[0].bytes();
+            assert!(
+                recording.slices.contains(&(data.as_ptr(), data.len())),
+                "sample {} was copied before the write",
+                sample.key
+            );
+        }
+    }
+
+    #[test]
+    fn credit_windows_hand_back_half_the_window_at_a_time() {
+        for (credits, step) in [(1, 1), (2, 1), (3, 1), (8, 4), (9, 4)] {
+            let mut window = CreditWindow::new(credits);
+            let returns: Vec<Option<u32>> = (0..2 * step).map(|_| window.drained()).collect();
+            let mut want = vec![None; step as usize - 1];
+            want.push(Some(step));
+            assert_eq!(returns, [want.clone(), want].concat(), "credits {credits}");
+        }
     }
 
     #[test]

@@ -110,6 +110,7 @@ impl BlobStore for MemStore {
         self.blobs
             .write()
             .insert(name.to_string(), Bytes::copy_from_slice(data));
+        presto_codecs::touch::copy(data.len());
         Ok(())
     }
 
@@ -390,6 +391,7 @@ impl<S: BlobStore> BlobStore for FaultStore<S> {
         if self.spec.corrupt.iter().any(|corrupt| corrupt == name) && !blob.is_empty() {
             self.corrupted_gets.fetch_add(1, Ordering::Relaxed);
             let mut data = blob.to_vec();
+            presto_codecs::touch::copy(data.len());
             let h = mix(self.spec.seed ^ fnv(name));
             let byte = (h as usize) % data.len();
             let bit = (h >> 32) % 8;

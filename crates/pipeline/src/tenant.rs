@@ -42,12 +42,15 @@
 //!   out of budget gets an ERR while everyone else keeps streaming.
 //!
 //! Every BATCH2 takes one path: source → `complete_task` → the
-//! tenant's outbox → its writer, which takes a credit, writes the
-//! client's head (its shard index, trace fields 0) and gather-writes
-//! `[record header, head, block, CRC]`, the frame CRC combined from the
-//! block's by [`Crc32::combine`](presto_codecs::checksum::Crc32::combine).
-//! The writer encodes a local source's samples just before it sends
-//! them, folding the block's CRC from its record CRCs. The relay
+//! tenant's outbox → its writer, which takes a credit and writes the
+//! frame with the client's head (its shard index, trace fields 0). A
+//! block — relayed, or a local batch compressed just before it is sent —
+//! is gather-written as `[record header, head, block, CRC]`, the frame
+//! CRC combined from the block's by
+//! [`Crc32::combine`](presto_codecs::checksum::Crc32::combine). An
+//! uncompressed local batch is never copied into a block: it is
+//! gather-written from the samples where they lie (`write_batch`), the
+//! frame CRC folded from its record CRCs. The relay
 //! checks each backend BATCH2 once, as `combine(crc(head), crc(block),
 //! len(block))`, never decodes it, and is **shard-atomic**: it hands a
 //! shard on only at the backend's EOF, so a backend that dies mid-shard
@@ -64,8 +67,8 @@ use crate::fault::FaultCounters;
 use crate::sample::Sample;
 use crate::serve::{
     accept_until, check_payload, encode_batch, handshake, read_frame, read_unchecked, reject,
-    wake_acceptor, write_frame, write_record, Batch2Head, Conns, CreditGate, Frame, Local,
-    ServeError, ASSIGN_WANT_STATS, BATCH2_HEAD, STATS_SPAN_CAP,
+    wake_acceptor, write_batch, write_frame, write_record, Batch2Head, Conns, CreditGate,
+    CreditWindow, Frame, Local, ServeError, ASSIGN_WANT_STATS, BATCH2_HEAD, STATS_SPAN_CAP,
 };
 use presto_codecs::checksum::Crc32;
 use presto_codecs::Codec;
@@ -833,10 +836,11 @@ impl Conn {
     }
 
     /// Send one BATCH2 as the client's shard `index`: take a credit
-    /// (queue-wait), sleep a local source's pace (produce), encode local
-    /// samples, write the client's head and gather-write the frame
-    /// (hand-off). False when the client is gone or the kill switch
-    /// fired.
+    /// (queue-wait), sleep a local source's pace (produce), then
+    /// (hand-off) gather-write uncompressed local samples from where
+    /// they lie, or encode compressed ones into a block and forward it
+    /// as a relayed block is forwarded. False when the client is gone or
+    /// the kill switch fired.
     fn send_batch(
         &self,
         shared: &Shared,
@@ -864,18 +868,20 @@ impl Conn {
             books.add(|e| e.produce_ns += ns);
             shared.progress.produce_time(ns);
         }
-        let mut batch = match batch {
-            Pending::Relayed(batch) => batch,
-            Pending::Local(samples, codec) => encode_batch(&samples, codec, &shared.pool, rec),
-        };
-        batch.readdress(index);
         let t_send = rec.begin();
-        let sent = batch.write_to(writer);
+        let (sent, count) = match batch {
+            Pending::Local(samples, Codec::None) => {
+                (write_batch(writer, index, &samples), samples.len() as u32)
+            }
+            Pending::Local(samples, codec) => {
+                let batch = encode_batch(&samples, codec, &shared.pool, rec);
+                forward(shared, writer, index, batch)
+            }
+            Pending::Relayed(batch) => forward(shared, writer, index, batch),
+        };
         if let Some(t0) = t_send {
             rec.phase_done(0, PHASE_HANDOFF, t0);
         }
-        let count = batch.count;
-        shared.pool.put_bytes(batch.payload);
         let Ok(wire_bytes) = sent else {
             return false;
         };
@@ -892,6 +898,20 @@ impl Conn {
         }
         true
     }
+}
+
+/// Address `batch` to the client's shard `index`, write it, and give its
+/// buffer back to the pool: what was written, and the samples it held.
+fn forward(
+    shared: &Shared,
+    writer: &mut TcpStream,
+    index: u32,
+    mut batch: Batch,
+) -> (Result<u64, ServeError>, u32) {
+    batch.readdress(index);
+    let sent = batch.write_to(writer);
+    shared.pool.put_bytes(batch.payload);
+    (sent, batch.count)
 }
 
 /// What `next_task` hands a dispatcher.
@@ -1195,6 +1215,7 @@ fn serve_task(
         flags: 0,
     };
     write_frame(writer, &assign).map_err(|_| TaskFailure::Lost { started: false })?;
+    let mut window = CreditWindow::new(shared.config.backend_credits.max(1));
     let mut buffered: Vec<Batch> = Vec::new();
     loop {
         // The backend's shard index and trace context are its own;
@@ -1206,11 +1227,13 @@ fn serve_task(
             // damaged frame: the shard is lost on this backend.
             _ => return Err(TaskFailure::Lost { started: true }),
         }
-        // Re-credit the backend immediately: client backpressure is
-        // absorbed by the tenant's outbox + gate, never by stalling
-        // the shared backend.
-        write_frame(writer, &Frame::Credit { n: 1 })
-            .map_err(|_| TaskFailure::Lost { started: true })?;
+        // Re-credit the backend at once, a standing window: client
+        // backpressure is absorbed by the tenant's outbox + gate, never
+        // by stalling the shared backend.
+        if let Some(n) = window.drained() {
+            write_frame(writer, &Frame::Credit { n })
+                .map_err(|_| TaskFailure::Lost { started: true })?;
+        }
     }
     Ok(buffered)
 }

@@ -27,4 +27,4 @@ pub mod tensor;
 
 pub use dtype::{DType, Element};
 pub use record::{RecordReader, RecordWriter};
-pub use tensor::{Tensor, TensorError};
+pub use tensor::{Pieces, Tensor, TensorError};

@@ -73,8 +73,6 @@ impl std::error::Error for RecordError {}
 pub struct RecordWriter {
     buf: Vec<u8>,
     records: usize,
-    /// CRC of `buf`, folded per record by [`fold_record`].
-    crc: u32,
 }
 
 impl RecordWriter {
@@ -118,19 +116,11 @@ impl RecordWriter {
         fill(&mut |piece| self.buf.extend_from_slice(piece));
         let payload = header + 12;
         let len = (self.buf.len() - payload) as u64;
+        presto_codecs::touch::copy(len as usize);
         self.buf[header..payload].copy_from_slice(&record_header(len));
         let payload_crc = Crc32::checksum(&self.buf[payload..]);
         self.buf.extend_from_slice(&record_trailer(payload_crc));
-        self.crc = fold_record(self.crc, len, payload_crc);
         self.records += 1;
-    }
-
-    /// CRC-32 of the stream written so far — of what [`finish`]
-    /// returns — folded from the record CRCs, with no pass of its own.
-    ///
-    /// [`finish`]: RecordWriter::finish
-    pub fn crc(&self) -> u32 {
-        self.crc
     }
 
     /// Number of records written.
@@ -314,20 +304,17 @@ mod tests {
         assert_eq!(stream, pinned);
     }
 
-    /// The writer's folded CRC is the CRC of its stream, and the reader
-    /// hands back each record's payload CRC, from which the stream's CRC
-    /// folds again.
+    /// The reader hands back each record's payload CRC, from which the
+    /// stream's CRC folds.
     #[test]
     fn folded_crcs_are_the_crcs_of_the_bytes() {
         let payloads: Vec<Vec<u8>> = vec![vec![], vec![1], (0..=255).collect(), vec![9; 4099]];
         let mut writer = RecordWriter::with_buffer(vec![0xEE; 32]);
-        assert_eq!(writer.crc(), Crc32::checksum(b""));
         for payload in &payloads {
             writer.write(payload);
         }
-        let crc = writer.crc();
         let stream = writer.finish();
-        assert_eq!(crc, Crc32::checksum(&stream));
+        let crc = Crc32::checksum(&stream);
         let mut reader = RecordReader::new(&stream);
         let mut folded = 0;
         for payload in &payloads {

@@ -41,6 +41,30 @@ impl fmt::Display for TensorError {
 
 impl std::error::Error for TensorError {}
 
+/// Where a canonical encoder ([`Tensor::encode_pieces`], and the
+/// pipeline's `Sample::encode_pieces`) hands its bytes, in order: slices
+/// of the encoded value's own storage, borrowed for as long as the value
+/// is, and small temporaries (a tag, a length, an element made
+/// little-endian) that live only for the call. A gather-write sends the
+/// borrowed pieces from where they lie and copies only the temporaries;
+/// any `FnMut(&[u8])` takes both kinds alike.
+pub trait Pieces<'a> {
+    /// A slice of the encoded value's own storage.
+    fn borrowed(&mut self, piece: &'a [u8]);
+    /// A small piece made for this call.
+    fn temporary(&mut self, piece: &[u8]);
+}
+
+impl<'a, F: FnMut(&[u8])> Pieces<'a> for F {
+    fn borrowed(&mut self, piece: &'a [u8]) {
+        self(piece);
+    }
+
+    fn temporary(&mut self, piece: &[u8]) {
+        self(piece);
+    }
+}
+
 /// A dense tensor: dtype + shape + contiguous little-endian bytes.
 ///
 /// Storage is a [`Bytes`] buffer so clones are cheap (reference counted)
@@ -78,6 +102,7 @@ impl Tensor {
         for value in values {
             value.write_le(&mut data);
         }
+        presto_codecs::touch::copy(data.len());
         Ok(Tensor {
             dtype: T::DTYPE,
             shape,
@@ -188,6 +213,7 @@ impl Tensor {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(2 + self.shape.len() * 4 + self.data.len());
         self.encode_to(|piece| out.extend_from_slice(piece));
+        presto_codecs::touch::copy(out.len());
         out
     }
 
@@ -195,11 +221,18 @@ impl Tensor {
     /// order, without assembling them: the data goes out as the one
     /// slice it already is.
     pub fn encode_to(&self, mut sink: impl FnMut(&[u8])) {
-        sink(&[self.dtype.tag(), self.shape.len() as u8]);
+        self.encode_pieces(&mut sink);
+    }
+
+    /// The canonical encoder behind [`Tensor::encode_to`]: the header
+    /// goes to `sink` as small temporaries, the data as a slice borrowed
+    /// from the tensor's own storage.
+    pub fn encode_pieces<'a>(&'a self, sink: &mut impl Pieces<'a>) {
+        sink.temporary(&[self.dtype.tag(), self.shape.len() as u8]);
         for &dim in &self.shape {
-            sink(&(dim as u32).to_le_bytes());
+            sink.temporary(&(dim as u32).to_le_bytes());
         }
-        sink(&self.data);
+        sink.borrowed(&self.data);
     }
 
     /// Inverse of [`Tensor::encode`]; returns the tensor and the bytes consumed.
@@ -247,7 +280,10 @@ impl Tensor {
         let payload = &bytes[header..header + data_len];
         let data = match frame {
             Some(frame) => frame.slice_ref(payload),
-            None => Bytes::from(payload.to_vec()),
+            None => {
+                presto_codecs::touch::copy(payload.len());
+                Bytes::from(payload.to_vec())
+            }
         };
         Ok((Tensor { dtype, shape, data }, header + data_len))
     }

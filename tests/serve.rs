@@ -531,6 +531,49 @@ fn injected_store_faults_apply_end_to_end() {
 }
 
 #[test]
+fn a_consumer_that_keeps_every_sample_past_commit_gets_the_reference_multiset() {
+    // The client recycles a shard's receive buffers at its commit, once
+    // nothing aliases them. A consumer that keeps a clone of every
+    // sample keeps every buffer alive instead: the samples it holds
+    // after the epoch are still the ones delivered.
+    let (pipeline, dataset, store) = cv_workload(32, 4);
+    let reference = reference_checksum(&pipeline, &dataset, &store, 17);
+    let worker = ServeWorker::spawn(
+        "127.0.0.1:0",
+        &pipeline,
+        &dataset,
+        store.clone() as Arc<dyn presto_pipeline::BlobStore>,
+        Resilience::default(),
+        None,
+        ServeWorkerConfig {
+            batch_samples: 3,
+            ..ServeWorkerConfig::default()
+        },
+    )
+    .unwrap();
+    let kept = std::sync::Mutex::new(Vec::new());
+    let report = serve_epoch(
+        &[worker.addr().to_string()],
+        &dataset.shards,
+        17,
+        &ServeClientConfig {
+            credits: 2,
+            ..ServeClientConfig::default()
+        },
+        None,
+        |sample| kept.lock().unwrap().push(sample.clone()),
+    )
+    .unwrap();
+    worker.stop();
+    let mut after = MultisetChecksum::default();
+    for sample in kept.into_inner().unwrap() {
+        after.add(&sample);
+    }
+    assert_eq!(report.checksum, reference);
+    assert_eq!(after, reference);
+}
+
+#[test]
 fn compressed_wire_batches_round_trip() {
     use presto_codecs::{Codec, Level};
     let (pipeline, dataset, store) = cv_workload(16, 4);
