@@ -5,10 +5,6 @@
 use crate::args::{find, parse, switch, value, Args, Flag};
 use crate::render;
 use presto::cost::{cheapest, cheapest_feeding, cost_of, Campaign, CloudPricing};
-use presto::fleet::{
-    rank_policies, simulate, tenant_shares, FleetConfig, FleetOutcome, FleetPolicy, FleetVerdict,
-    TenantShare,
-};
 use presto::report::{format_bytes, TableBuilder};
 use presto::{Presto, Weights};
 use presto_codecs::{Codec, Level};
@@ -20,8 +16,7 @@ use presto_pipeline::real::{
     RetryPolicy,
 };
 use presto_pipeline::serve::{
-    serve_epoch, MultisetChecksum, ServeClientConfig, ServeReport, ServeWorker, ServeWorkerConfig,
-    TenantSpec,
+    serve_epoch, ServeClientConfig, ServeReport, ServeWorker, ServeWorkerConfig, TenantSpec,
 };
 use presto_pipeline::sim::{SimEnv, Simulator};
 use presto_pipeline::telemetry::causal as telemetry_causal;
@@ -38,8 +33,7 @@ use presto_pipeline::{
 use presto_storage::fio::{self, FioWorkload};
 use presto_storage::DeviceProfile;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // Flag groups shared by several commands, declared once.
@@ -96,21 +90,6 @@ const DATASET: &[Flag] = &[
     value("shards", "N", "shards the samples are written to"),
 ];
 
-/// What a serve worker sends: `serve-worker`, the storm's workers.
-const WORKER: &[Flag] = &[
-    value("batch", "N", "samples per wire batch"),
-    value("wire-codec", "none|gzip|zlib", "wire compression"),
-];
-
-/// The serve client's connection handling: both `train-client` modes.
-const CLIENT: &[Flag] = &[
-    value("credits", "N", "batches in flight per worker"),
-    value("timeout-ms", "MS", "read timeout"),
-    value("connect-timeout-ms", "MS", "connect timeout"),
-    value("reconnect-attempts", "N", "connection attempts per worker"),
-    value("reconnect-base-ms", "MS", "first reconnect backoff"),
-];
-
 /// `refresh-ms`/`plain`: every `watch` mode.
 const DASHBOARD: &[Flag] = &[
     value("refresh-ms", "MS", "frame period"),
@@ -128,8 +107,6 @@ const CAUSAL: &[Flag] = &[
     JSON,
     value("out", "FILE", "also write the presto.causal.v1 document"),
 ];
-
-const FLEET_POLICIES: &str = "greedy-spot|on-demand-fallback|on-demand-only";
 
 /// One command, or one mode of a command: what `presto help` prints,
 /// which flags the parser accepts, and the handler.
@@ -297,10 +274,11 @@ const COMMANDS: &[Command] = &[
         about: "serve preprocessed sample batches over TCP",
         flags: &[
             DATASET,
-            WORKER,
             FAULT_POLICY,
             ENDPOINT,
             &[
+                value("batch", "N", "samples per wire batch"),
+                value("wire-codec", "none|gzip|zlib", "wire compression"),
                 RETRIES,
                 BIND,
                 value("kill-after-batches", "N", "crash after N batches"),
@@ -318,13 +296,17 @@ const COMMANDS: &[Command] = &[
         flags: &[
             DATASET,
             FAULT_POLICY,
-            CLIENT,
             ENDPOINT,
             &[
                 value("workers", "A,B,...", "serve-worker or fleetd addresses"),
                 value("seed", "S", "epoch seed"),
                 value("tenant", "NAME", "register as a fleetd tenant"),
                 value("weight", "W", "--tenant: fair-share weight"),
+                value("credits", "N", "batches in flight per worker"),
+                value("timeout-ms", "MS", "read timeout"),
+                value("connect-timeout-ms", "MS", "connect timeout"),
+                value("reconnect-attempts", "N", "connection attempts per worker"),
+                value("reconnect-base-ms", "MS", "first reconnect backoff"),
                 value("reconnect-deadline-ms", "MS", "stop reconnecting after MS"),
                 value("fleet-out", "FILE", "write the presto.fleet.v1 document"),
                 value("serve-linger-ms", "MS", "--serve: keep serving MS longer"),
@@ -332,45 +314,6 @@ const COMMANDS: &[Command] = &[
             ],
         ],
         run: cmd_train_client,
-    },
-    Command {
-        name: "train-client",
-        mode: Some("preempt-storm"),
-        operands: "[<pipeline>]",
-        about: "live preemption drill: local workers killed on the simulated schedule",
-        flags: &[
-            DATASET,
-            WORKER,
-            CLIENT,
-            &[
-                value("preempt-storm", "SEED", "the storm's simulator seed"),
-                value("storm-policy", FLEET_POLICIES, "fleet policy"),
-                value("storm-workers", "N", "local workers"),
-                value("storm-ms-per-hour", "MS", "live ms per simulated hour"),
-            ],
-        ],
-        run: cmd_preempt_storm,
-    },
-    Command {
-        name: "fleet-sim",
-        mode: None,
-        operands: "",
-        about: "rank fleet policies under a spot storm",
-        flags: &[&[
-            value("workers", "N", "fleet size"),
-            value("seed", "S", "market seed"),
-            value("market", "volatile|storm", "spot market"),
-            value("budget", "N", "reconnects per worker"),
-            value("epoch-hours", "H", "epoch length"),
-            value("rejoin-hours", "H", "preempted worker downtime"),
-            value("on-demand", "$/h", "on-demand price"),
-            value("policy", FLEET_POLICIES, "simulate one policy only"),
-            value("fallback-after", "N", "kills before on-demand promotion"),
-            switch("kill-log", "print every kill"),
-            value("tenants", "N", "split each outcome over N weighted jobs"),
-            switch("json", "print the presto.fleetsim.v1 document only"),
-        ]],
-        run: cmd_fleet_sim,
     },
     Command {
         name: "fleetd",
@@ -1567,25 +1510,6 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `--policy` names for [`FleetPolicy`].
-fn parse_fleet_policy(name: &str, fallback_after: u32) -> Result<FleetPolicy, String> {
-    match name {
-        "greedy-spot" => Ok(FleetPolicy::GreedySpot),
-        "on-demand-fallback" => Ok(FleetPolicy::OnDemandFallback { fallback_after }),
-        "on-demand-only" => Ok(FleetPolicy::OnDemandOnly),
-        other => Err(format!(
-            "unknown fleet policy '{other}' (greedy-spot|on-demand-fallback|on-demand-only)"
-        )),
-    }
-}
-
-fn fleet_verdict_name(verdict: FleetVerdict) -> &'static str {
-    match verdict {
-        FleetVerdict::Completed => "completed",
-        FleetVerdict::Degraded => "degraded",
-    }
-}
-
 /// `presto fleetd`: the multi-tenant scheduler daemon. A pure relay —
 /// it holds no dataset of its own; `--backends` names running
 /// serve-workers and clients register weighted jobs against the
@@ -1629,448 +1553,6 @@ fn cmd_fleetd(args: &Args) -> Result<(), String> {
         count("failed"),
         snapshot.rejected
     );
-    Ok(())
-}
-
-/// The simulated fleet of `fleet-sim`.
-fn parse_fleet_config(args: &Args) -> Result<FleetConfig, String> {
-    let workers = args.get_or("workers", 4u32)?.max(1);
-    let mut config = match args.get_str("market").unwrap_or("storm") {
-        "volatile" => FleetConfig::drill(workers),
-        "storm" => FleetConfig::storm(workers),
-        other => return Err(format!("unknown market '{other}' (volatile|storm)")),
-    };
-    config.epoch_hours = args.get_or("epoch-hours", config.epoch_hours)?;
-    config.rejoin_hours = args.get_or("rejoin-hours", config.rejoin_hours)?;
-    config.on_demand_per_hour = args.get_or("on-demand", config.on_demand_per_hour)?;
-    config.reconnect_budget = args.get_or("budget", config.reconnect_budget)?.max(1);
-    Ok(config)
-}
-
-/// `fleet-sim --json`: the `presto.fleetsim.v1` document.
-struct FleetSimDocument {
-    seed: u64,
-    workers: u32,
-    budget: u32,
-    outcomes: Vec<FleetSimOutcome>,
-}
-
-/// One simulated policy; `tenants` is empty without `--tenants N`.
-#[derive(Default)]
-struct FleetSimOutcome {
-    policy: String,
-    verdict: String,
-    preemptions: u32,
-    worst_worker: u32,
-    lost_workers: u32,
-    on_demand_workers: u32,
-    cost_usd: f64,
-    elapsed_hours: f64,
-    tenants: Vec<TenantShare>,
-}
-
-impl doc::Record for FleetSimOutcome {
-    fn fields<V: doc::Visitor>(&mut self, v: &mut V) {
-        v.req("policy", &mut self.policy);
-        v.req("verdict", &mut self.verdict);
-        v.req("preemptions", &mut self.preemptions);
-        v.req("worst_worker", &mut self.worst_worker);
-        v.req("lost_workers", &mut self.lost_workers);
-        v.req("on_demand_workers", &mut self.on_demand_workers);
-        v.fixed("cost_usd", &mut self.cost_usd, 4);
-        v.fixed("elapsed_hours", &mut self.elapsed_hours, 3);
-        if !self.tenants.is_empty() {
-            v.records("tenants", &mut self.tenants);
-        }
-    }
-}
-
-impl doc::Record for FleetSimDocument {
-    fn fields<V: doc::Visitor>(&mut self, v: &mut V) {
-        v.req("seed", &mut self.seed);
-        v.req("workers", &mut self.workers);
-        v.req("budget", &mut self.budget);
-        v.records("outcomes", &mut self.outcomes);
-    }
-}
-
-impl doc::Document for FleetSimDocument {
-    const SCHEMA: &'static str = "presto.fleetsim.v1";
-}
-
-fn fleet_sim_json(
-    seed: u64,
-    config: &FleetConfig,
-    outcomes: &[FleetOutcome],
-    tenants_n: u32,
-) -> String {
-    doc::write(FleetSimDocument {
-        seed,
-        workers: config.workers,
-        budget: config.reconnect_budget,
-        outcomes: outcomes
-            .iter()
-            .map(|o| FleetSimOutcome {
-                policy: o.policy.name().to_string(),
-                verdict: fleet_verdict_name(o.verdict).to_string(),
-                preemptions: o.preemptions,
-                worst_worker: o.worst_worker_preemptions,
-                lost_workers: o.lost_workers,
-                on_demand_workers: o.on_demand_workers,
-                cost_usd: o.cost_usd,
-                elapsed_hours: o.elapsed_hours,
-                tenants: if tenants_n > 0 {
-                    tenant_shares(config, o, tenants_n)
-                } else {
-                    Vec::new()
-                },
-            })
-            .collect(),
-    })
-}
-
-fn cmd_fleet_sim(args: &Args) -> Result<(), String> {
-    let seed = args.get_or("seed", 1u64)?;
-    let config = parse_fleet_config(args)?;
-    let fallback_after = args.get_or("fallback-after", config.reconnect_budget.max(2) - 1)?;
-    let outcomes: Vec<FleetOutcome> = match args.get_str("policy") {
-        Some(name) => vec![simulate(
-            &config,
-            parse_fleet_policy(name, fallback_after)?,
-            seed,
-        )],
-        None => rank_policies(&config, seed),
-    };
-    let tenants_n = args.get_or("tenants", 0u32)?;
-    if args.has("json") {
-        print!("{}", fleet_sim_json(seed, &config, &outcomes, tenants_n));
-        return Ok(());
-    }
-    println!(
-        "fleet of {} on seed {seed} (reconnect budget {}, epoch {:.2}h):",
-        config.workers, config.reconnect_budget, config.epoch_hours
-    );
-    let mut table = TableBuilder::new(&[
-        "policy",
-        "verdict",
-        "kills",
-        "worst",
-        "lost",
-        "on-demand",
-        "cost",
-        "hours",
-    ]);
-    for o in &outcomes {
-        table.row(&[
-            o.policy.name().to_string(),
-            fleet_verdict_name(o.verdict).to_string(),
-            o.preemptions.to_string(),
-            o.worst_worker_preemptions.to_string(),
-            o.lost_workers.to_string(),
-            o.on_demand_workers.to_string(),
-            format!("${:.3}", o.cost_usd),
-            format!("{:.2}", o.elapsed_hours),
-        ]);
-    }
-    println!("{}", table.render());
-    if tenants_n > 0 {
-        // The multi-tenant view: the same delivered capacity split by
-        // weighted processor sharing — the closed-form counterpart of
-        // fleetd's deficit round robin.
-        for o in &outcomes {
-            println!(
-                "{} with {} weighted jobs (processor sharing):",
-                o.policy.name(),
-                tenants_n
-            );
-            let mut shares_table =
-                TableBuilder::new(&["job", "weight", "fair share", "mean share", "finish"]);
-            for s in tenant_shares(&config, o, tenants_n) {
-                shares_table.row(&[
-                    s.name.clone(),
-                    s.weight.to_string(),
-                    format!("{:.1}%", s.fair_share * 100.0),
-                    format!("{:.1}%", s.mean_share * 100.0),
-                    format!("{:.2}h", s.finish_hours),
-                ]);
-            }
-            println!("{}", shares_table.render());
-        }
-    }
-    if args.has("kill-log") {
-        for o in &outcomes {
-            if o.kill_log.is_empty() {
-                println!("{}: no kills", o.policy.name());
-                continue;
-            }
-            println!("{} kill log:", o.policy.name());
-            for kill in &o.kill_log {
-                println!(
-                    "  {:>6.3}h worker {} (kill #{}, {})",
-                    kill.at_hours,
-                    kill.worker,
-                    kill.count,
-                    if kill.permanent {
-                        "written off"
-                    } else if kill.restart_on_spot {
-                        "rejoins on spot"
-                    } else {
-                        "promoted to on-demand"
-                    }
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
-/// What the storm replay thread does at one scheduled instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StormAction {
-    /// Stop the worker (preemption).
-    Kill,
-    /// Bring the worker back on its original address (rejoin or
-    /// on-demand replacement — same address either way).
-    Respawn,
-}
-
-/// Live enactment of a simulated preemption storm (`train-client
-/// --preempt-storm SEED`): spawn local serve workers, replay the fleet
-/// simulator's kill schedule against them on a scaled clock, consume
-/// the epoch through the reconnecting client, and check that (a) a
-/// completed epoch's multiset checksum equals the single-process
-/// baseline and (b) the simulator's survival verdict matches what
-/// actually happened.
-fn cmd_preempt_storm(args: &Args) -> Result<(), String> {
-    let seed = args.get_or("preempt-storm", 1u64)?;
-    let ms_per_hour = args.get_or("storm-ms-per-hour", 2_000u64)?.max(1);
-    let samples = args.get_or("samples", 48usize)?.max(1);
-    let shards = args.get_or("shards", 12usize)?.max(1);
-    let batch = args.get_or("batch", 4usize)?.max(1);
-    let credits = args.get_or("credits", 4u32)?.max(1);
-
-    // Predict first: the same seed that will drive the live storm.
-    let mut config = FleetConfig::storm(args.get_or("storm-workers", 3u32)?.max(1));
-    config.reconnect_budget = args.get_or("reconnect-attempts", 3u32)?.max(1);
-    let policy = parse_fleet_policy(
-        args.get_str("storm-policy").unwrap_or("on-demand-fallback"),
-        config.reconnect_budget.max(2) - 1,
-    )?;
-    let outcome = simulate(&config, policy, seed);
-    println!(
-        "predicted: {} on seed {seed}: {} ({} kills, worst worker {}, {} written off, ${:.3})",
-        policy.name(),
-        fleet_verdict_name(outcome.verdict),
-        outcome.preemptions,
-        outcome.worst_worker_preemptions,
-        outcome.lost_workers,
-        outcome.cost_usd,
-    );
-
-    // Workload, materialization, and the single-process baseline the
-    // stormed epoch must reproduce.
-    let exec = RealExecutor::new(2);
-    let (pipeline, dataset, store) = materialize_cv(
-        args,
-        &exec,
-        samples,
-        2,
-        |s| s.with_threads(2).with_shards(shards),
-        false,
-    )?;
-    let baseline = {
-        let checksum = Mutex::new(MultisetChecksum::default());
-        exec.epoch(&pipeline, &dataset, store.as_ref(), None, seed, |sample| {
-            checksum.lock().unwrap().add(sample)
-        })
-        .map_err(|e| e.to_string())?;
-        checksum.into_inner().unwrap()
-    };
-
-    // Pace batches so a full-fleet epoch spans roughly the simulated
-    // epoch on the scaled clock — kills then land mid-epoch in the
-    // same proportion they did in simulation.
-    let epoch_ms = (config.epoch_hours * ms_per_hour as f64) as u64;
-    let total_batches = samples.div_ceil(batch) + dataset.shards.len();
-    let pace_ms =
-        (epoch_ms * u64::from(config.workers) / total_batches.max(1) as u64).clamp(1, 1_000);
-    let worker_config = ServeWorkerConfig {
-        batch_samples: batch,
-        wire_codec: parse_wire_codec(args)?,
-        batch_pace: Duration::from_millis(pace_ms),
-        fail_after_batches: None,
-    };
-
-    let spawn_worker = |bind: &str| {
-        ServeWorker::spawn(
-            bind,
-            &pipeline,
-            &dataset,
-            Arc::clone(&store) as Arc<dyn BlobStore>,
-            Resilience::default(),
-            None,
-            worker_config.clone(),
-        )
-    };
-    let mut initial: Vec<Option<ServeWorker>> = Vec::new();
-    let mut addrs: Vec<String> = Vec::new();
-    for _ in 0..config.workers {
-        let worker = spawn_worker("127.0.0.1:0").map_err(|e| e.to_string())?;
-        addrs.push(worker.addr().to_string());
-        initial.push(Some(worker));
-    }
-    println!(
-        "live fleet: {} worker(s) on {}, {} shards, pace {pace_ms}ms/batch, clock {ms_per_hour}ms/h",
-        config.workers,
-        addrs.join(" "),
-        dataset.shards.len(),
-    );
-
-    // The storm schedule, scaled from simulated hours to live millis.
-    let mut schedule: Vec<(u64, usize, StormAction)> = Vec::new();
-    for kill in &outcome.kill_log {
-        let at = (kill.at_hours * ms_per_hour as f64) as u64;
-        schedule.push((at, kill.worker as usize, StormAction::Kill));
-        if !kill.permanent {
-            let back = ((kill.at_hours + config.rejoin_hours) * ms_per_hour as f64) as u64;
-            schedule.push((back, kill.worker as usize, StormAction::Respawn));
-        }
-    }
-    schedule.sort_by_key(|(at, _, _)| *at);
-
-    // The consuming client: a reconnect budget matching the simulated
-    // one, and a policy matching the drill's intent — greedy-spot runs
-    // are allowed to degrade (that is the lesson they teach), the
-    // on-demand policies must complete.
-    let client_config = ServeClientConfig {
-        credits,
-        policy: match policy {
-            FleetPolicy::GreedySpot => FaultPolicy::Degrade {
-                max_skipped_samples: 0,
-                max_lost_shards: dataset.shards.len() as u64,
-            },
-            _ => FaultPolicy::FailFast,
-        },
-        read_timeout: Duration::from_millis(args.get_or("timeout-ms", 10_000u64)?),
-        connect_timeout: Duration::from_millis(args.get_or("connect-timeout-ms", 1_000u64)?),
-        reconnect: RetryPolicy {
-            max_attempts: config.reconnect_budget,
-            base_backoff: Duration::from_millis(args.get_or("reconnect-base-ms", 300u64)?),
-            max_backoff: Duration::from_secs(2),
-            jitter: true,
-            deadline: None,
-        },
-        ..ServeClientConfig::default()
-    };
-    let fleet = Mutex::new(initial);
-    let done = AtomicBool::new(false);
-    let live = Mutex::new(MultisetChecksum::default());
-    let (result, live_kills) = std::thread::scope(|scope| {
-        let storm = scope.spawn(|| {
-            let started = Instant::now();
-            let mut kills = 0u64;
-            for (at_ms, w, action) in schedule {
-                loop {
-                    if done.load(Ordering::Acquire) {
-                        return kills;
-                    }
-                    let elapsed = started.elapsed().as_millis() as u64;
-                    if elapsed >= at_ms {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis((at_ms - elapsed).min(20)));
-                }
-                match action {
-                    StormAction::Kill => {
-                        if let Some(worker) = fleet.lock().unwrap()[w].take() {
-                            worker.stop();
-                            kills += 1;
-                            println!("storm: {at_ms:>5}ms killed worker {w} ({})", addrs[w]);
-                        }
-                    }
-                    StormAction::Respawn => {
-                        // The listener port is free again (SO_REUSEADDR);
-                        // a few bind retries absorb shutdown races.
-                        for _ in 0..40 {
-                            match spawn_worker(&addrs[w]) {
-                                Ok(worker) => {
-                                    println!(
-                                        "storm: {at_ms:>5}ms worker {w} rejoined ({})",
-                                        addrs[w]
-                                    );
-                                    fleet.lock().unwrap()[w] = Some(worker);
-                                    break;
-                                }
-                                Err(_) => std::thread::sleep(Duration::from_millis(25)),
-                            }
-                        }
-                    }
-                }
-            }
-            kills
-        });
-        let result = serve_epoch(
-            &addrs,
-            &dataset.shards,
-            seed,
-            &client_config,
-            None,
-            |sample| live.lock().unwrap().add(sample),
-        );
-        done.store(true, Ordering::Release);
-        (result, storm.join().unwrap_or(0))
-    });
-    for worker in fleet.into_inner().unwrap().into_iter().flatten() {
-        worker.stop();
-    }
-    let report = result.map_err(|e| format!("stormed epoch failed outright: {e}"))?;
-    let live = live.into_inner().unwrap();
-
-    let measured = if report.degraded {
-        FleetVerdict::Degraded
-    } else {
-        FleetVerdict::Completed
-    };
-    println!(
-        "live: {} samples in {:.2?} over {} round(s): {} kills, {} preemptions seen, \
-         {} reconnects, {} rejoins, {} shard(s) lost -> {}",
-        report.samples,
-        report.elapsed,
-        report.rounds,
-        live_kills,
-        report.preemptions,
-        report.reconnects,
-        report.rejoins,
-        report.lost_shards,
-        fleet_verdict_name(measured),
-    );
-    if measured == FleetVerdict::Completed {
-        let matches = live.digest() == baseline.digest() && live.count == baseline.count;
-        println!(
-            "checksum: live 0x{:016x} baseline 0x{:016x} ({})",
-            live.digest(),
-            baseline.digest(),
-            if matches { "match" } else { "MISMATCH" }
-        );
-        if !matches {
-            return Err("stormed epoch delivered a different multiset than the baseline".into());
-        }
-    } else {
-        println!(
-            "checksum: skipped ({} shard(s) lost under degrade policy)",
-            report.lost_shards
-        );
-    }
-    let agree = outcome.verdict == measured;
-    println!(
-        "verdict: predicted {} measured {} ({})",
-        fleet_verdict_name(outcome.verdict),
-        fleet_verdict_name(measured),
-        if agree { "agree" } else { "DISAGREE" }
-    );
-    if !agree {
-        return Err("fleet simulator verdict disagrees with the live storm outcome".into());
-    }
     Ok(())
 }
 
@@ -3250,27 +2732,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_sim_tenants_reports_weighted_shares() {
-        // The document the last hand-written writer printed for
-        // `fleet-sim --seed 1 --workers 3 --budget 3 --tenants 2 --json`
-        // (a compact one-liner then) is the tree the one writer prints.
-        let config = FleetConfig {
-            reconnect_budget: 3,
-            ..FleetConfig::storm(3)
-        };
-        let written = fleet_sim_json(1, &config, &rank_policies(&config, 1), 2);
-        assert_eq!(
-            telemetry_export::parse_json(&written),
-            telemetry_export::parse_json(include_str!(
-                "../../telemetry/tests/fixtures/fleetsim.json"
-            ))
-        );
-        run(&["fleet-sim", "--seed", "1", "--tenants", "3"]).unwrap();
-        run(&["fleet-sim", "--seed", "1", "--tenants", "3", "--json"]).unwrap();
-        assert!(run(&["fleet-sim", "--tenants", "many"]).is_err());
-    }
-
-    #[test]
     fn validate_tenants_document_roundtrips() {
         let dir = scratch_dir("tenants-doc");
         let _ = std::fs::remove_dir_all(&dir);
@@ -3330,17 +2791,17 @@ mod tests {
 
     #[test]
     fn modes_refuse_each_others_flags() {
-        let storm = ["train-client", "CV", "--preempt-storm", "1"];
+        let attach = ["watch", "--attach", "127.0.0.1:9"];
         let with = |extra: &[&str]| {
-            let mut words = storm.to_vec();
+            let mut words = attach.to_vec();
             words.extend_from_slice(extra);
             resolved(&words)
         };
-        assert_eq!(with(&["--wire-codec", "gzip"]).unwrap().0, "preempt-storm");
-        for foreign in [["--workers", "127.0.0.1:9"], ["--tenant", "alice"]] {
+        assert_eq!(with(&["--refresh-ms", "50"]).unwrap().0, "attach");
+        for foreign in [["--epochs", "2"], ["--threads", "2"]] {
             let err = with(&foreign).unwrap_err();
             assert!(
-                err.starts_with("presto train-client --preempt-storm: unknown option"),
+                err.starts_with("presto watch --attach: unknown option"),
                 "{err}"
             );
         }

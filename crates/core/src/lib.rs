@@ -46,7 +46,6 @@ pub mod causal;
 pub mod cost;
 pub mod diagnosis;
 pub mod fidelity;
-pub mod fleet;
 pub mod profiler;
 pub mod report;
 pub mod search;

@@ -236,8 +236,8 @@ fn parent_written_fixtures_read_back_and_match_the_new_writer() {
 #[test]
 fn layout_is_byte_identical_where_one_rule_reproduces_the_parent() {
     // telemetry, timeseries and chaos (and search, see tests/search.rs)
-    // were already laid out by the rule; fleet, tenants, causal's
-    // `alloc` and fleetsim were hand-wrapped and changed whitespace.
+    // were already laid out by the rule; fleet, tenants and causal's
+    // `alloc` were hand-wrapped and changed whitespace.
     let mut snapshot = samples::snapshot();
     snapshot.spans.clear();
     assert_eq!(export::json_with_mode(&snapshot, Some("serve")), TELEMETRY);

@@ -1,7 +1,7 @@
 //! Integration tests of the disaggregated preprocessing service
 //! ([`presto_pipeline::serve`]): wire-protocol edge cases, multiset
 //! equality between single-process and multi-worker epochs, and
-//! seed-matrixed worker-kill failover.
+//! seed-matrixed worker-kill failover and same-address rejoin.
 
 use presto_codecs::checksum::Crc32;
 use presto_datasets::generators;
@@ -354,6 +354,96 @@ fn killed_worker_fails_over_with_identical_multiset() {
         assert_eq!(snapshot.reassignments, report.reassignments);
         assert!(snapshot.done);
         survivor.stop();
+    }
+}
+
+#[test]
+fn killed_worker_rejoins_on_its_address_with_identical_multiset() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+    let (pipeline, dataset, store) = cv_workload(32, 8);
+    let spawn = |bind: &str, config| {
+        ServeWorker::spawn(
+            bind,
+            &pipeline,
+            &dataset,
+            store.clone() as Arc<dyn presto_pipeline::BlobStore>,
+            Resilience::default(),
+            None,
+            config,
+        )
+    };
+    // A reconnect budget large enough, and no deadline, so the epoch
+    // waits out the respawn however long it takes.
+    let client = ServeClientConfig {
+        reconnect: RetryPolicy {
+            max_attempts: 50,
+            base_backoff: Duration::from_millis(20),
+            max_backoff: Duration::from_millis(200),
+            jitter: true,
+            deadline: None,
+        },
+        ..ServeClientConfig::default()
+    };
+    for seed in fault_seeds() {
+        let epoch_seed = 200 + seed;
+        let reference = reference_checksum(&pipeline, &dataset, &store, epoch_seed);
+        // The only worker dies mid-shard after a seed-dependent number
+        // of one-sample batches...
+        let victim = spawn(
+            "127.0.0.1:0",
+            ServeWorkerConfig {
+                batch_samples: 1,
+                fail_after_batches: Some(1 + seed % 8),
+                ..ServeWorkerConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = victim.addr().to_string();
+        let done = AtomicBool::new(false);
+        let telemetry = Telemetry::new();
+        let (report, respawned) = std::thread::scope(|scope| {
+            let (spawn, addr, done) = (&spawn, &addr, &done);
+            // ...and a fresh one comes back on its address once it has.
+            // The old listener may linger a moment: retry the bind.
+            let respawn = scope.spawn(move || {
+                while !victim.is_stopped() {
+                    if done.load(Ordering::Acquire) {
+                        return None;
+                    }
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                victim.stop();
+                (0..40).find_map(|_| {
+                    let worker = spawn(addr, ServeWorkerConfig::default()).ok();
+                    if worker.is_none() {
+                        std::thread::sleep(Duration::from_millis(25));
+                    }
+                    worker
+                })
+            });
+            let (_checksum, consume) = collect_checksum();
+            let report = serve_epoch(
+                std::slice::from_ref(addr),
+                &dataset.shards,
+                epoch_seed,
+                &client,
+                Some(&telemetry),
+                consume,
+            );
+            done.store(true, Ordering::Release);
+            (report, respawn.join().unwrap())
+        });
+        let respawned = respawned.unwrap_or_else(|| panic!("seed {seed}: no respawn on {addr}"));
+        let report = report.unwrap_or_else(|e| panic!("seed {seed}: epoch failed: {e}"));
+        assert!(report.preemptions >= 1, "seed {seed}: {report:?}");
+        assert!(report.reconnects >= 1, "seed {seed}: {report:?}");
+        assert!(report.rejoins >= 1, "seed {seed}: no rejoin: {report:?}");
+        assert!(!report.degraded, "seed {seed}: a rejoin is not degradation");
+        assert_eq!(report.lost_shards, 0, "seed {seed}");
+        assert_eq!(report.checksum, reference, "seed {seed}");
+        assert_eq!(telemetry.serve().snapshot().rejoins, report.rejoins);
+        respawned.stop();
     }
 }
 
