@@ -475,7 +475,7 @@ pub fn usage(command: Option<&str>) -> String {
     }
     for c in COMMANDS
         .iter()
-        .filter(|c| only.map_or(true, |name| name == c.name))
+        .filter(|c| only.is_none_or(|name| name == c.name))
     {
         usage_row(&mut out, 2, &c.synopsis(), c.about);
         for flag in c.flags.iter().flat_map(|group| group.iter()) {

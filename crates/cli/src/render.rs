@@ -334,9 +334,8 @@ pub fn search_frame(pipeline: &str, snap: &SearchSnapshot) -> String {
     } else {
         0
     };
-    let bar: String = std::iter::repeat('#')
-        .take(filled)
-        .chain(std::iter::repeat('.').take(WIDTH - filled))
+    let bar: String = std::iter::repeat_n('#', filled)
+        .chain(std::iter::repeat_n('.', WIDTH - filled))
         .collect();
     let state = if snap.done { "done" } else { "searching" };
     format!(

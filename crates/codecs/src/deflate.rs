@@ -576,8 +576,8 @@ mod tests {
                         rebuilt.push(prev);
                     }
                 }
-                17 => rebuilt.extend(std::iter::repeat(0).take(extra as usize + 3)),
-                18 => rebuilt.extend(std::iter::repeat(0).take(extra as usize + 11)),
+                17 => rebuilt.extend(std::iter::repeat_n(0, extra as usize + 3)),
+                18 => rebuilt.extend(std::iter::repeat_n(0, extra as usize + 11)),
                 l => rebuilt.push(l),
             }
         }

@@ -174,15 +174,15 @@ fn read_dynamic_tables(
                     .last()
                     .ok_or(CodecError::Corrupt("repeat with no previous length"))?;
                 let count = reader.read_bits(2)? + 3;
-                lengths.extend(std::iter::repeat(prev).take(count as usize));
+                lengths.extend(std::iter::repeat_n(prev, count as usize));
             }
             17 => {
                 let count = reader.read_bits(3)? + 3;
-                lengths.extend(std::iter::repeat(0u8).take(count as usize));
+                lengths.extend(std::iter::repeat_n(0u8, count as usize));
             }
             18 => {
                 let count = reader.read_bits(7)? + 11;
-                lengths.extend(std::iter::repeat(0u8).take(count as usize));
+                lengths.extend(std::iter::repeat_n(0u8, count as usize));
             }
             _ => return Err(CodecError::Corrupt("invalid code-length symbol")),
         }

@@ -48,7 +48,7 @@ pub fn fibonacci(symbols: u8) -> Vec<u8> {
     let mut out = Vec::new();
     let (mut a, mut b) = (1usize, 2usize);
     for k in 0..symbols {
-        out.extend(std::iter::repeat(k).take(a));
+        out.extend(std::iter::repeat_n(k, a));
         (a, b) = (b, a + b);
     }
     let mut rng = Lcg(2);

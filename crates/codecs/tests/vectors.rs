@@ -16,10 +16,7 @@ use presto_codecs::inflate::{inflate, inflate_stream};
 /// distance 1, and a literal.
 fn window() -> Vec<u8> {
     let mut out = b"abc".to_vec();
-    for (len, distance) in std::iter::repeat((258, 3))
-        .take(127)
-        .chain([(258, 32768), (3, 1)])
-    {
+    for (len, distance) in std::iter::repeat_n((258, 3), 127).chain([(258, 32768), (3, 1)]) {
         for _ in 0..len {
             out.push(out[out.len() - distance]);
         }

@@ -134,9 +134,9 @@ impl<'a> ContainerReader<'a> {
             for _ in 0..chunk_count {
                 let offset = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
                 let len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-                if !offset
+                if offset
                     .checked_add(len)
-                    .is_some_and(|end| end <= index_offset as u64)
+                    .is_none_or(|end| end > index_offset as u64)
                 {
                     return Err(FormatError::Corrupt("chunk extends into index"));
                 }

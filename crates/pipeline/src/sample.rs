@@ -227,7 +227,7 @@ impl Sample {
                 String::from_utf8(body.to_vec()).map_err(|_| E::Decode("bad utf8".into()))?,
             ),
             3 => {
-                if body.len() % 4 != 0 {
+                if !body.len().is_multiple_of(4) {
                     return Err(E::Decode("token bytes not multiple of 4".into()));
                 }
                 Payload::Tokens(
@@ -237,7 +237,7 @@ impl Sample {
                 )
             }
             4 => {
-                if body.len() < 4 || (body.len() - 4) % 2 != 0 {
+                if body.len() < 4 || !(body.len() - 4).is_multiple_of(2) {
                     return Err(E::Decode("bad audio body".into()));
                 }
                 let rate = u32::from_le_bytes(body[0..4].try_into().unwrap());

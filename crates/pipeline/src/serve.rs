@@ -697,33 +697,19 @@ pub(crate) fn write_record(
 ) -> Result<u64, ServeError> {
     let header = record_header((head.len() + tail.len()) as u64);
     let trailer = record_trailer(crc);
-    write_parts(writer, &mut [&header[..], head, tail, &trailer[..]])
+    write_parts(writer, &[&header[..], head, tail, &trailer[..]])
 }
 
 /// Write `parts`, in order, in `write_vectored` calls, and flush.
-/// Returns the bytes written. A short write advances the parts by hand:
-/// `IoSlice::advance_slices` is newer than the MSRV.
-fn write_parts(writer: &mut impl Write, parts: &mut [&[u8]]) -> Result<u64, ServeError> {
+/// Returns the bytes written.
+fn write_parts(writer: &mut impl Write, parts: &[&[u8]]) -> Result<u64, ServeError> {
     let wire_len = parts.iter().map(|part| part.len() as u64).sum();
-    let mut at = 0;
-    while at < parts.len() {
-        if parts[at].is_empty() {
-            at += 1;
-            continue;
-        }
-        let slices: Vec<IoSlice<'_>> = parts[at..].iter().map(|part| IoSlice::new(part)).collect();
-        match writer.write_vectored(&slices) {
+    let mut slices: Vec<IoSlice<'_>> = parts.iter().map(|part| IoSlice::new(part)).collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match writer.write_vectored(rest) {
             Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
-            Ok(mut written) => {
-                for part in &mut parts[at..] {
-                    let done = written.min(part.len());
-                    *part = &part[done..];
-                    written -= done;
-                    if written == 0 {
-                        break;
-                    }
-                }
-            }
+            Ok(written) => IoSlice::advance_slices(&mut rest, written),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }
@@ -774,13 +760,13 @@ pub(crate) fn write_batch(
     }
     gather.bytes[..12].copy_from_slice(&record_header(payload_len));
     gather.scratch(&record_trailer(frame_crc));
-    let mut parts: Vec<&[u8]> = (gather.parts.iter())
+    let parts: Vec<&[u8]> = (gather.parts.iter())
         .map(|part| match *part {
             Part::Scratch(start, end) => &gather.bytes[start..end],
             Part::Borrowed(piece) => piece,
         })
         .collect();
-    write_parts(writer, &mut parts)
+    write_parts(writer, &parts)
 }
 
 /// A frame being gathered: its bytes in wire order, each part a run of
@@ -1423,9 +1409,9 @@ pub struct ServeWorkerConfig {
     pub wire_codec: Codec,
     /// Sleep before each BATCH frame, modeling a preprocessing node
     /// whose online phase is slower than this synthetic workload's.
-    /// Storm drills use it to stretch a live epoch across the fleet
-    /// simulator's scaled timeline so kills land mid-epoch the way
-    /// they do in simulation.
+    /// Tests and CI smoke runs use it to steer scheduling, so that
+    /// weighted tenants' batches interleave within one epoch and a
+    /// live endpoint is still serving when it is read.
     pub batch_pace: Duration,
     /// Test/CI kill switch: after this many BATCH frames total the
     /// worker drops every connection and stops accepting — a simulated
@@ -1949,10 +1935,10 @@ where
     let mut failures: HashMap<&String, u32> = workers.iter().map(|addr| (addr, 0u32)).collect();
     let mut pending: Vec<String> = shards.to_vec();
     while !pending.is_empty() {
-        let retry_open = !config
+        let retry_open = config
             .reconnect
             .deadline
-            .is_some_and(|d| started.elapsed() >= d);
+            .is_none_or(|d| started.elapsed() < d);
         // Healthy workers always participate; failed ones only while
         // their budget and the reconnect deadline allow another try.
         let candidates: Vec<(&String, u32)> = workers

@@ -133,7 +133,7 @@ impl BpeTokenizer {
                 for i in 0..symbols.len().saturating_sub(1) {
                     let key = (symbols[i].clone(), symbols[i + 1].clone());
                     if let Some(&rank) = self.merge_rank.get(&key) {
-                        if best.map_or(true, |(r, _)| rank < r) {
+                        if best.is_none_or(|(r, _)| rank < r) {
                             best = Some((rank, i));
                         }
                     }
