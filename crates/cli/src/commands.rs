@@ -944,10 +944,10 @@ fn materialize_cv(
     default_split: usize,
     shape: impl FnOnce(Strategy) -> Strategy,
     json: bool,
-) -> Result<(Pipeline, Materialized, Arc<MemStore>), String> {
+) -> Result<(Pipeline, Materialized, Arc<dyn BlobStore>), String> {
     let pipeline = cv_pipeline(pipeline_arg(args))?;
     let split = args.get_or("split", default_split.min(pipeline.max_split()))?;
-    let store = Arc::new(MemStore::new());
+    let store: Arc<dyn BlobStore> = Arc::new(MemStore::new());
     let (dataset, prep) = exec
         .materialize(
             &pipeline,
@@ -1027,6 +1027,7 @@ fn cmd_realrun(args: &Args) -> Result<(), String> {
             &pipeline,
             &dataset,
             &store,
+            None,
             prefetch,
             epoch as u64,
             &resilience,
@@ -1111,11 +1112,13 @@ fn parse_resilience(args: &Args, max_skip: u64, max_lost: u64) -> Result<Resilie
 
 /// Drain one streamed epoch, as a training loop would, and return its
 /// stats.
+#[allow(clippy::too_many_arguments)]
 fn drain_epoch(
     exec: &RealExecutor,
     pipeline: &Pipeline,
     dataset: &Materialized,
     store: &Arc<dyn BlobStore>,
+    cache: Option<&AppCache>,
     prefetch: usize,
     seed: u64,
     resilience: &Resilience,
@@ -1124,6 +1127,7 @@ fn drain_epoch(
         pipeline,
         dataset,
         Arc::clone(store),
+        cache,
         prefetch,
         seed,
         resilience.clone(),
@@ -1175,12 +1179,20 @@ fn cmd_causal_live(args: &Args) -> Result<(), String> {
         |s| s.with_threads(threads),
         json,
     )?;
-    let store: Arc<dyn BlobStore> = store;
     let resilience = Resilience::default();
     let timed_epoch = |exec: &RealExecutor| {
-        drain_epoch(exec, &pipeline, &dataset, &store, prefetch, 1, &resilience)
-            .map(|stats| stats.samples_per_second())
-            .map_err(|e| e.to_string())
+        drain_epoch(
+            exec,
+            &pipeline,
+            &dataset,
+            &store,
+            None,
+            prefetch,
+            1,
+            &resilience,
+        )
+        .map(|stats| stats.samples_per_second())
+        .map_err(|e| e.to_string())
     };
 
     let baseline_sps = timed_epoch(&exec)?;
@@ -1296,7 +1308,7 @@ fn cmd_serve_worker(args: &Args) -> Result<(), String> {
         bind,
         &pipeline,
         &dataset,
-        store as Arc<dyn BlobStore>,
+        store,
         resilience,
         Some(Arc::clone(&telemetry)),
         config,
@@ -1586,7 +1598,7 @@ fn cmd_sim_vs_real(args: &Args) -> Result<(), String> {
         "127.0.0.1:0",
         &pipeline,
         &dataset,
-        store as Arc<dyn BlobStore>,
+        store,
         Resilience::default(),
         None,
         ServeWorkerConfig::default(),
@@ -1764,14 +1776,15 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
     let result = std::thread::scope(|scope| {
         let worker = scope.spawn(|| -> Result<(), String> {
             for epoch in 0..epochs {
-                exec.epoch_with(
+                drain_epoch(
+                    &exec,
                     &pipeline,
                     &dataset,
-                    store.as_ref(),
+                    &store,
                     cache.as_ref(),
+                    threads, // one bundle in flight per worker, as `epoch` drains
                     epoch as u64,
                     &Resilience::default(),
-                    |_| {},
                 )
                 .map_err(|e| format!("epoch {epoch} failed: {e}"))?;
             }

@@ -589,16 +589,15 @@ pub fn dilation_for(pct: u32) -> f64 {
 }
 
 /// Delay plan virtually speeding up worker phase `phase` by `pct`%:
-/// every *other* phase (and the consumer) gets dilated.
+/// every *other* worker-side phase gets dilated.
 pub fn plan_for_phase(phase: usize, pct: u32) -> DelayPlan {
     DelayPlan::new(dilation_for(pct), vec![phase])
 }
 
-/// Delay plan virtually speeding up the deliver composite (hand-off +
-/// consumer) by `pct`%: worker compute phases get dilated, hand-off
-/// and the consumer do not.
+/// Delay plan virtually speeding up the hand-off by `pct`%: worker
+/// compute phases get dilated, hand-off does not.
 pub fn plan_for_deliver(pct: u32) -> DelayPlan {
-    DelayPlan::new(dilation_for(pct), vec![PHASE_HANDOFF]).with_exempt_consumer()
+    DelayPlan::new(dilation_for(pct), vec![PHASE_HANDOFF])
 }
 
 /// Estimated end-to-end gain from one dilated experiment epoch: the

@@ -3,9 +3,13 @@
 //! This is the usable data-loading library: samples are materialized to
 //! sharded, CRC-framed record streams (optionally GZIP/ZLIB-compressed)
 //! in a [`BlobStore`], and online epochs stream them through the
-//! remaining pipeline steps on `threads` workers. An optional
-//! application-level cache keeps decoded samples in memory after the
-//! first epoch, exactly like `tf.data.Dataset.cache`.
+//! remaining pipeline steps on `threads` workers. There is one local
+//! engine: [`RealExecutor::stream_epoch_with`] runs the workers into a
+//! prefetch ring, and [`RealExecutor::epoch_with`] is a drain of that
+//! stream on the caller's thread. An optional application-level cache
+//! is a stage of the stream: it keeps the decoded samples of the first
+//! whole clean epoch in memory and replays them, exactly like
+//! `tf.data.Dataset.cache`.
 //!
 //! Execution is fault-tolerant: storage operations are retried per a
 //! [`RetryPolicy`], and a [`FaultPolicy`] decides whether faults that
@@ -53,51 +57,96 @@ pub struct Materialized {
     pub split: usize,
 }
 
-/// Application-level sample cache (`tf.data.Dataset.cache` equivalent).
-#[derive(Debug)]
+/// Application-level sample cache (`tf.data.Dataset.cache` equivalent):
+/// a stage of the epoch stream. An epoch run with a cache that is not
+/// yet complete fills a buffer of its own and, only if it delivered a
+/// whole clean epoch, seals that buffer as the cache's contents; an
+/// epoch run with a complete cache replays it without reading the
+/// store. A cheap handle: clones share one cache.
+#[derive(Debug, Clone)]
 pub struct AppCache {
     capacity_bytes: u64,
-    used_bytes: AtomicU64,
-    samples: Mutex<Vec<Sample>>,
-    complete: std::sync::atomic::AtomicBool,
+    /// `None` until an epoch seals.
+    sealed: Arc<Mutex<Option<SealedEpoch>>>,
 }
+
+/// A sealed epoch: its samples and their payload bytes.
+type SealedEpoch = (Vec<Sample>, u64);
 
 impl AppCache {
     /// A cache bounded at `capacity_bytes` of decoded sample payload.
     pub fn new(capacity_bytes: u64) -> Self {
         AppCache {
             capacity_bytes,
-            used_bytes: AtomicU64::new(0),
-            samples: Mutex::new(Vec::new()),
-            complete: std::sync::atomic::AtomicBool::new(false),
+            sealed: Arc::default(),
         }
     }
 
-    /// True once a full epoch has been inserted.
+    /// True once a full epoch has been sealed.
     pub fn is_complete(&self) -> bool {
-        self.complete.load(Ordering::Acquire)
+        self.sealed.lock().is_some()
     }
 
-    /// Bytes currently held.
+    /// Bytes currently held: the sealed epoch's, 0 before one seals.
     pub fn used_bytes(&self) -> u64 {
-        self.used_bytes.load(Ordering::Relaxed)
+        self.sealed.lock().as_ref().map_or(0, |(_, bytes)| *bytes)
     }
+}
 
-    fn insert(&self, sample: Sample) -> Result<(), PipelineError> {
-        let bytes = sample.nbytes() as u64;
-        let used = self.used_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        if used > self.capacity_bytes {
+/// One epoch's fill of an [`AppCache`]: refcounted clones of every
+/// delivered sample, kept apart from the cache until the epoch proves
+/// whole, so a partial fill is discarded instead of kept.
+struct CacheFill {
+    cache: AppCache,
+    samples: Vec<Sample>,
+    bytes: u64,
+}
+
+impl CacheFill {
+    /// Keep a clone of `sample`; going over the capacity is a sizing
+    /// bug, never a data fault, so it fails the epoch.
+    fn keep(&mut self, sample: &Sample) -> Result<(), PipelineError> {
+        self.bytes += sample.nbytes() as u64;
+        if self.bytes > self.cache.capacity_bytes {
             return Err(PipelineError::CacheOverflow {
-                needed: used,
-                available: self.capacity_bytes,
+                needed: self.bytes,
+                available: self.cache.capacity_bytes,
             });
         }
-        self.samples.lock().push(sample);
+        self.samples.push(sample.clone());
         Ok(())
     }
 
-    fn snapshot(&self) -> Vec<Sample> {
-        self.samples.lock().clone()
+    /// Replace the cache's contents with this fill.
+    fn seal(self) {
+        *self.cache.sealed.lock() = Some((self.samples, self.bytes));
+    }
+}
+
+/// What the cache stage of an epoch stream does to each sample.
+enum CacheStage {
+    /// Fill a cache that is not complete.
+    Fill(CacheFill),
+    /// Replay a complete cache: no workers, no reads.
+    Replay,
+}
+
+impl CacheStage {
+    /// Run one delivered sample through the stage.
+    fn pass(&mut self, sample: &Sample, rec: &EpochRecorder) -> Result<(), PipelineError> {
+        match self {
+            CacheStage::Fill(fill) => {
+                rec.cache_misses(1);
+                fill.keep(sample)
+            }
+            CacheStage::Replay => {
+                // The consumer's thread replays; book it as worker 0.
+                rec.samples_done(0, 1);
+                rec.cache_hits(1);
+                rec.buffer_reuses(1);
+                Ok(())
+            }
+        }
     }
 }
 
@@ -241,14 +290,14 @@ pub fn shard_rng_seed(epoch_seed: u64, shard_name: &str) -> u64 {
 /// predicted SPS gains.
 ///
 /// `queue-wait` is never dilated — blocking on a full prefetch buffer
-/// is idleness, not work. Injection piggybacks on the telemetry phase
-/// timers, so the executor must have telemetry attached for a plan to
-/// take effect.
+/// is idleness, not work. Only worker-side phases are dilated; the
+/// consumer's own work is never timed. Injection piggybacks on the
+/// telemetry phase timers, so the executor must have telemetry
+/// attached for a plan to take effect.
 #[derive(Debug)]
 pub struct DelayPlan {
     dilation: f64,
     exempt: Vec<usize>,
-    exempt_consumer: bool,
     injected_ns: AtomicU64,
 }
 
@@ -264,7 +313,6 @@ impl DelayPlan {
         DelayPlan {
             dilation,
             exempt,
-            exempt_consumer: false,
             injected_ns: AtomicU64::new(0),
         }
     }
@@ -273,14 +321,6 @@ impl DelayPlan {
     /// baseline arm.
     pub fn noop() -> DelayPlan {
         DelayPlan::new(1.0, Vec::new())
-    }
-
-    /// Mark the *consumer* as the virtually-sped-up activity:
-    /// [`DelayPlan::after_consume`] becomes a no-op while worker-side
-    /// phases keep dilating.
-    pub fn with_exempt_consumer(mut self) -> DelayPlan {
-        self.exempt_consumer = true;
-        self
     }
 
     /// The dilation factor.
@@ -297,22 +337,7 @@ impl DelayPlan {
     /// `(dilation − 1) × took` unless `phase` is exempt. Queue-wait is
     /// unconditionally exempt.
     pub fn after_phase(&self, phase: usize, took: Duration) {
-        if phase == PHASE_QUEUE_WAIT || self.exempt.contains(&phase) {
-            return;
-        }
-        self.spin(took);
-    }
-
-    /// Dilate consumer-side work (the training step draining the
-    /// queue), unless the consumer itself is the sped-up activity.
-    pub fn after_consume(&self, took: Duration) {
-        if !self.exempt_consumer {
-            self.spin(took);
-        }
-    }
-
-    fn spin(&self, took: Duration) {
-        if self.dilation <= 1.0 {
+        if phase == PHASE_QUEUE_WAIT || self.exempt.contains(&phase) || self.dilation <= 1.0 {
             return;
         }
         let extra = took.mul_f64(self.dilation - 1.0);
@@ -361,16 +386,14 @@ pub(crate) enum Deliver {
     Delivered,
     /// Stop silently (the consumer hung up).
     Stop,
-    /// Abort the epoch with this error.
-    Fail(PipelineError),
 }
 
 /// Run one shard through the online phase: fetch (with retries),
 /// decompress, iterate records, decode samples, apply the online steps,
 /// and hand each finished sample to `deliver`. This is the single
-/// engine body behind [`RealExecutor::epoch_with`],
-/// [`RealExecutor::stream_epoch_with`] and the TCP serve worker
-/// ([`crate::serve`]); all of them share its fault-absorption semantics.
+/// engine body behind the local epoch stream's workers (which every
+/// [`RealExecutor`] epoch drains) and the server's local shard source
+/// ([`crate::serve`]); both share its fault-absorption semantics.
 ///
 /// Delivery timing is owned by the `deliver` callback itself (each
 /// engine splits it into the `queue-wait` and `hand-off` sub-phases
@@ -497,7 +520,6 @@ pub(crate) fn process_shard(
                 rec.samples_done(worker, 1);
             }
             Deliver::Stop => return Ok(false),
-            Deliver::Fail(e) => return Err(e),
         }
     }
     Ok(true)
@@ -715,14 +737,19 @@ impl RealExecutor {
         )
     }
 
-    /// Online phase: stream one epoch of `dataset` through the steps
-    /// after the split, delivering each finished sample to `consume`.
-    /// With an [`AppCache`], the first epoch fills it and later epochs
-    /// replay from it (skipping read + decode entirely).
+    /// Online phase: run one epoch of `dataset` through the steps after
+    /// the split, handing each finished sample to `consume` on the
+    /// caller's thread. This is a drain of the epoch stream (see
+    /// [`RealExecutor::stream_epoch_with`]) whose workers borrow
+    /// `store`, with one bundle per worker in flight. With an
+    /// [`AppCache`], the first whole clean epoch fills it and later
+    /// epochs replay from it (skipping read + decode entirely).
     ///
     /// Shard fetches are retried per `resilience.retry`; faults that
     /// survive retry are handled per `resilience.policy` — fail fast,
     /// or skip within the degrade budget (reported in [`EpochStats`]).
+    /// A failed epoch still drains: `consume` sees what the other
+    /// workers deliver, and the first error is returned.
     #[allow(clippy::too_many_arguments)]
     pub fn epoch_with<F>(
         &self,
@@ -737,146 +764,222 @@ impl RealExecutor {
     where
         F: Fn(&Sample) + Send + Sync,
     {
-        let steps = executable_steps(pipeline, dataset.split)?;
-        let start = Instant::now();
-        let rec = self.epoch_recorder(pipeline, dataset.split, 0);
-        rec.set_epoch_seed(epoch_seed);
-        let delay = self.delay.as_deref();
-        let samples_done = AtomicU64::new(0);
-        let bytes_read = AtomicU64::new(0);
-        let errors: Mutex<Vec<PipelineError>> = Mutex::new(Vec::new());
-        let counters = FaultCounters::default();
-
-        if let Some(cache) = cache {
-            if cache.is_complete() {
-                // Replay epoch from the cache: only the online steps
-                // after the cache point (none — we cache final samples).
-                let cached = cache.snapshot();
-                std::thread::scope(|scope| {
-                    for chunk_idx in 0..self.threads {
-                        let cached = &cached;
-                        let samples_done = &samples_done;
-                        let consume = &consume;
-                        let rec = &rec;
-                        scope.spawn(move || {
-                            for sample in cached.iter().skip(chunk_idx).step_by(self.threads) {
-                                let t0 = rec.begin();
-                                consume(sample);
-                                if let Some(t0) = t0 {
-                                    rec.phase_done(chunk_idx, PHASE_HANDOFF, t0);
-                                    if let Some(plan) = delay {
-                                        plan.after_phase(PHASE_HANDOFF, t0.elapsed());
-                                    }
-                                }
-                                rec.samples_done(chunk_idx, 1);
-                                samples_done.fetch_add(1, Ordering::Relaxed);
-                            }
-                        });
-                    }
-                });
-                let samples = samples_done.into_inner();
-                rec.cache_hits(samples);
-                rec.buffer_reuses(samples);
-                let elapsed = start.elapsed();
-                rec.finish(elapsed, samples, 0, 0, 0, 0, false);
-                return Ok(EpochStats {
-                    samples,
-                    bytes_read: 0,
-                    elapsed,
-                    ..EpochStats::default()
-                });
+        let (stream, senders) = self.open_epoch(
+            pipeline,
+            dataset,
+            cache,
+            self.threads,
+            epoch_seed,
+            resilience.clone(),
+        )?;
+        let work = Arc::clone(&stream.work);
+        // The stream moves into the scope, so a panicking `consume`
+        // drops its receiver and thereby stops the workers the scope
+        // then joins.
+        let stream = std::thread::scope(|scope| {
+            for (worker, sender) in senders.into_iter().enumerate() {
+                let work = &work;
+                scope.spawn(move || work.run(store, worker, sender));
             }
-        }
-
-        std::thread::scope(|scope| {
-            for worker in 0..self.threads {
-                let errors = &errors;
-                let samples_done = &samples_done;
-                let bytes_read = &bytes_read;
-                let consume = &consume;
-                let shards = &dataset.shards;
-                let counters = &counters;
-                let rec = &rec;
-                let steps = &steps;
-                scope.spawn(move || {
-                    let mut deliver = |sample: Sample| {
-                        // Callback delivery never queues: the whole
-                        // callback (plus cache insert) is hand-off.
-                        let t0 = rec.begin();
-                        let scope = rec.alloc_begin();
-                        consume(&sample);
-                        samples_done.fetch_add(1, Ordering::Relaxed);
-                        if let Some(cache) = cache {
-                            rec.cache_misses(1);
-                            // Cache overflow is a capacity bug, never
-                            // a data fault: always fatal.
-                            if let Err(e) = cache.insert(sample) {
-                                return Deliver::Fail(e);
-                            }
-                        }
-                        if let Some(scope) = scope {
-                            rec.alloc_done(PHASE_HANDOFF, scope);
-                        }
-                        if let Some(t0) = t0 {
-                            rec.phase_done(worker, PHASE_HANDOFF, t0);
-                            if let Some(plan) = delay {
-                                plan.after_phase(PHASE_HANDOFF, t0.elapsed());
-                            }
-                        }
-                        Deliver::Delivered
-                    };
-                    for shard_name in shards.iter().skip(worker).step_by(self.threads) {
-                        match process_shard(
-                            store,
-                            shard_name,
-                            dataset.codec,
-                            steps,
-                            resilience,
-                            counters,
-                            rec,
-                            worker,
-                            epoch_seed,
-                            bytes_read,
-                            delay,
-                            &mut deliver,
-                        ) {
-                            Ok(true) => {}
-                            Ok(false) => return,
-                            Err(e) => {
-                                errors.lock().push(e);
-                                return;
-                            }
-                        }
-                    }
-                });
+            let mut stream = stream;
+            // Errors are kept by the stream; `join` returns the first.
+            for sample in (&mut stream).flatten() {
+                consume(&sample);
             }
+            stream
         });
-        if let Some(e) = errors.into_inner().into_iter().next() {
-            return Err(e);
+        stream.join()
+    }
+
+    /// Streaming epoch with default [`Resilience`] (fail fast).
+    pub fn stream_epoch(
+        &self,
+        pipeline: &Pipeline,
+        dataset: &Materialized,
+        store: Arc<dyn BlobStore>,
+        prefetch: usize,
+        epoch_seed: u64,
+    ) -> Result<EpochStream, PipelineError> {
+        self.stream_epoch_with(
+            pipeline,
+            dataset,
+            store,
+            None,
+            prefetch,
+            epoch_seed,
+            Resilience::default(),
+        )
+    }
+
+    /// Start a streaming epoch with a prefetch buffer of `prefetch`
+    /// bundles. The caller pulls samples (training-loop style) instead
+    /// of passing a callback.
+    ///
+    /// Absorbed faults never surface as stream items, they only show up
+    /// in the [`EpochStats`] returned by [`EpochStream::join`]. A
+    /// complete `cache` is replayed with no worker and no read; an
+    /// incomplete one is filled (see [`EpochStream::join`]), and going
+    /// over its capacity is an `Err(CacheOverflow)` item.
+    #[allow(clippy::too_many_arguments)]
+    pub fn stream_epoch_with(
+        &self,
+        pipeline: &Pipeline,
+        dataset: &Materialized,
+        store: Arc<dyn BlobStore>,
+        cache: Option<&AppCache>,
+        prefetch: usize,
+        epoch_seed: u64,
+        resilience: Resilience,
+    ) -> Result<EpochStream, PipelineError> {
+        let (mut stream, senders) =
+            self.open_epoch(pipeline, dataset, cache, prefetch, epoch_seed, resilience)?;
+        for (worker, sender) in senders.into_iter().enumerate() {
+            let work = Arc::clone(&stream.work);
+            let store = Arc::clone(&store);
+            stream.handles.push(std::thread::spawn(move || {
+                work.run(store.as_ref(), worker, sender)
+            }));
         }
-        let stats = EpochStats {
-            samples: samples_done.into_inner(),
-            bytes_read: bytes_read.into_inner(),
-            ..EpochStats::default()
-        }
-        .finish(&counters, start.elapsed());
-        rec.finish(
-            stats.elapsed,
-            stats.samples,
-            stats.bytes_read,
-            stats.retries,
-            stats.skipped_samples,
-            stats.lost_shards,
-            stats.degraded,
-        );
-        if let Some(cache) = cache {
-            // A degraded epoch is incomplete; replaying it from the
-            // cache would silently shrink every later epoch.
-            if !stats.degraded {
-                cache.complete.store(true, Ordering::Release);
+        Ok(stream)
+    }
+
+    /// Set up one local epoch: the work its workers share, the ring and
+    /// the consumer side. Returns the stream (with no workers started)
+    /// and one ring sender per worker to start — none when a complete
+    /// `cache` replays the epoch.
+    fn open_epoch(
+        &self,
+        pipeline: &Pipeline,
+        dataset: &Materialized,
+        cache: Option<&AppCache>,
+        prefetch: usize,
+        epoch_seed: u64,
+        resilience: Resilience,
+    ) -> Result<(EpochStream, Vec<dataplane::RingSender<Handoff>>), PipelineError> {
+        let steps = executable_steps(pipeline, dataset.split)?;
+        let capacity = prefetch.max(1);
+        // One single-producer lane per worker; total ring capacity
+        // rounds `prefetch` up to a lane multiple so no worker gets a
+        // zero-capacity lane.
+        let lane_capacity = capacity.div_ceil(self.threads).max(1);
+        let (mut senders, receiver) = dataplane::ring(self.threads, lane_capacity);
+        let rec = self.epoch_recorder(pipeline, dataset.split, capacity);
+        rec.set_epoch_seed(epoch_seed);
+        let mut pending = Vec::new();
+        let cache = cache.map(|cache| match cache.sealed.lock().clone() {
+            Some((mut cached, _)) => {
+                // Dropping every sender ends the ring at once.
+                senders.clear();
+                cached.reverse();
+                pending = cached;
+                CacheStage::Replay
+            }
+            None => CacheStage::Fill(CacheFill {
+                cache: cache.clone(),
+                samples: Vec::new(),
+                bytes: 0,
+            }),
+        });
+        let work = EpochWork {
+            shards: dataset.shards.clone(),
+            threads: self.threads,
+            codec: dataset.codec,
+            steps,
+            resilience,
+            epoch_seed,
+            counters: FaultCounters::default(),
+            bytes_read: AtomicU64::new(0),
+            rec,
+            in_flight: AtomicU64::new(0),
+            pool: Arc::clone(&self.pool),
+            delay: self.delay.clone(),
+            bundle_cap: self.bundle_size.max(1),
+            capacity,
+        };
+        let stream = EpochStream {
+            receiver,
+            pending,
+            work: Arc::new(work),
+            handles: Vec::new(),
+            samples: 0,
+            started: Instant::now(),
+            failed: None,
+            ended: false,
+            cache,
+        };
+        Ok((stream, senders))
+    }
+}
+
+/// One hand-off through the prefetch ring.
+type Handoff = Result<SampleBundle, PipelineError>;
+
+/// What the workers of one local epoch share, by reference: the
+/// shards and step chain, the counters, the recorder and the hand-off
+/// state.
+struct EpochWork {
+    shards: Vec<String>,
+    threads: usize,
+    codec: Codec,
+    steps: ExecutableSteps,
+    resilience: Resilience,
+    epoch_seed: u64,
+    counters: FaultCounters,
+    bytes_read: AtomicU64,
+    rec: Arc<EpochRecorder>,
+    /// Bundles sent but not yet received — the observed prefetch-ring
+    /// depth, in hand-off units. Tracked here (not via the ring) so
+    /// the gauge works with any queue implementation.
+    in_flight: AtomicU64,
+    pool: Arc<BufferPool>,
+    delay: Option<Arc<DelayPlan>>,
+    bundle_cap: usize,
+    /// Ring capacity, in bundles.
+    capacity: usize,
+}
+
+impl EpochWork {
+    /// The one worker body: run every `threads`-th shard from `worker`
+    /// through [`process_shard`] and hand the samples to the ring in
+    /// bundles, flushed at each shard boundary and before a fatal
+    /// error.
+    fn run(&self, store: &dyn BlobStore, worker: usize, sender: dataplane::RingSender<Handoff>) {
+        let mut flusher = BundleFlusher {
+            bundle: BundleFlusher::acquire(self),
+            sender,
+            work: self,
+            worker,
+        };
+        for shard_name in self.shards.iter().skip(worker).step_by(self.threads) {
+            match process_shard(
+                store,
+                shard_name,
+                self.codec,
+                &self.steps,
+                &self.resilience,
+                &self.counters,
+                &self.rec,
+                worker,
+                self.epoch_seed,
+                &self.bytes_read,
+                self.delay.as_deref(),
+                &mut |sample| flusher.push(sample),
+            ) {
+                Ok(true) => {
+                    // Bundles never span shards: flush at the boundary
+                    // so consumers see whole-shard sample runs
+                    // regardless of bundle size.
+                    if matches!(flusher.flush(), Deliver::Stop) {
+                        return;
+                    }
+                }
+                Ok(false) => return,
+                Err(fatal) => {
+                    flusher.fail(fatal);
+                    return;
+                }
             }
         }
-        Ok(stats)
     }
 }
 
@@ -885,25 +988,21 @@ impl RealExecutor {
 /// caller consumes at its own pace; back-pressure applies when a
 /// worker's lane fills. Hand-off is batched: workers deliver
 /// [`SampleBundle`]s, the iterator unpacks them one sample at a time.
-/// Iterate to receive samples; [`EpochStream::join`] afterwards for
-/// the stats.
+/// An [`AppCache`] is a stage on this consumer side. Iterate to
+/// receive samples; [`EpochStream::join`] afterwards for the stats.
 pub struct EpochStream {
-    receiver: dataplane::RingReceiver<Result<SampleBundle, PipelineError>>,
+    receiver: dataplane::RingReceiver<Handoff>,
     /// Samples of the bundle being drained, in reverse order so `pop`
     /// yields them FIFO.
     pending: Vec<Sample>,
-    pool: Arc<BufferPool>,
+    work: Arc<EpochWork>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    bytes_read: Arc<AtomicU64>,
-    counters: Arc<FaultCounters>,
     samples: u64,
     started: Instant,
     failed: Option<PipelineError>,
-    recorder: Arc<EpochRecorder>,
-    /// Bundles sent but not yet received — the observed prefetch-ring
-    /// depth, in hand-off units. Tracked here (not via the ring) so
-    /// the gauge works with any queue implementation.
-    in_flight: Arc<AtomicU64>,
+    /// The ring ran dry: every worker got through its shards.
+    ended: bool,
+    cache: Option<CacheStage>,
 }
 
 impl Iterator for EpochStream {
@@ -912,36 +1011,51 @@ impl Iterator for EpochStream {
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             if let Some(sample) = self.pending.pop() {
+                if let Some(stage) = &mut self.cache {
+                    if let Err(e) = stage.pass(&sample, &self.work.rec) {
+                        // The fill is abandoned; the sample itself
+                        // follows the error.
+                        self.cache = None;
+                        self.pending.push(sample);
+                        return Some(Err(self.fail(e)));
+                    }
+                }
                 self.samples += 1;
                 return Some(Ok(sample));
             }
             match self.receiver.recv() {
                 Some(Ok(bundle)) => {
-                    self.in_flight.fetch_sub(1, Ordering::Relaxed);
+                    self.work.in_flight.fetch_sub(1, Ordering::Relaxed);
                     // Swap the drained container for the fresh bundle
                     // and recycle it back to the producers' pool.
                     let drained = std::mem::replace(&mut self.pending, bundle.samples);
-                    self.pool.put_bundle(drained);
+                    self.work.pool.put_bundle(drained);
                     self.pending.reverse();
                     // Workers never send empty bundles, so this loops
                     // at most once per received bundle.
                 }
-                Some(Err(e)) => {
-                    if self.failed.is_none() {
-                        self.failed = Some(e.clone());
-                    }
-                    return Some(Err(e));
+                Some(Err(e)) => return Some(Err(self.fail(e))),
+                None => {
+                    self.ended = true;
+                    return None;
                 }
-                None => return None, // all workers done
             }
         }
     }
 }
 
 impl EpochStream {
-    /// Wait for the workers and return the epoch stats.
+    /// Keep the epoch's first error; pass `e` on as the stream item.
+    fn fail(&mut self, e: PipelineError) -> PipelineError {
+        self.failed.get_or_insert_with(|| e.clone());
+        e
+    }
+
+    /// Wait for the workers and return the epoch stats. A cache fill
+    /// is sealed here, and only for a whole clean epoch: a dropped,
+    /// failed or degraded one would replay short ever after.
     pub fn join(self) -> Result<EpochStats, PipelineError> {
-        // Drain remaining items so workers are not blocked on send.
+        // Hang up first, so workers blocked on a full lane stop.
         drop(self.receiver);
         for handle in self.handles {
             handle.join().map_err(|_| PipelineError::WorkerPanicked {
@@ -951,13 +1065,14 @@ impl EpochStream {
         if let Some(e) = self.failed {
             return Err(e);
         }
+        let work = &self.work;
         let stats = EpochStats {
             samples: self.samples,
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
+            bytes_read: work.bytes_read.load(Ordering::Relaxed),
             ..EpochStats::default()
         }
-        .finish(&self.counters, self.started.elapsed());
-        self.recorder.finish(
+        .finish(&work.counters, self.started.elapsed());
+        work.rec.finish(
             stats.elapsed,
             stats.samples,
             stats.bytes_read,
@@ -966,6 +1081,11 @@ impl EpochStream {
             stats.lost_shards,
             stats.degraded,
         );
+        if let Some(CacheStage::Fill(fill)) = self.cache {
+            if self.ended && !stats.degraded {
+                fill.seal();
+            }
+        }
         Ok(stats)
     }
 
@@ -986,32 +1106,27 @@ impl EpochStream {
 /// error — so a bundle never spans shards and nothing produced is
 /// lost.
 struct BundleFlusher<'a> {
-    sender: dataplane::RingSender<Result<SampleBundle, PipelineError>>,
+    sender: dataplane::RingSender<Handoff>,
     bundle: Vec<Sample>,
-    bundle_cap: usize,
-    pool: &'a BufferPool,
-    rec: &'a EpochRecorder,
-    in_flight: &'a AtomicU64,
-    capacity: usize,
+    work: &'a EpochWork,
     worker: usize,
-    delay: Option<&'a DelayPlan>,
 }
 
 impl BundleFlusher<'_> {
     /// A pool-recycled bundle container.
-    fn acquire(pool: &BufferPool, cap: usize, rec: &EpochRecorder) -> Vec<Sample> {
-        let (container, hit) = pool.get_bundle(cap);
+    fn acquire(work: &EpochWork) -> Vec<Sample> {
+        let (container, hit) = work.pool.get_bundle(work.bundle_cap);
         if hit {
-            rec.pool_hits(1);
+            work.rec.pool_hits(1);
         } else {
-            rec.pool_misses(1);
+            work.rec.pool_misses(1);
         }
         container
     }
 
     fn push(&mut self, sample: Sample) -> Deliver {
         self.bundle.push(sample);
-        if self.bundle.len() >= self.bundle_cap {
+        if self.bundle.len() >= self.work.bundle_cap {
             self.flush()
         } else {
             Deliver::Delivered
@@ -1022,37 +1137,36 @@ impl BundleFlusher<'_> {
         if self.bundle.is_empty() {
             return Deliver::Delivered;
         }
-        let fresh = Self::acquire(self.pool, self.bundle_cap, self.rec);
-        let full = std::mem::replace(&mut self.bundle, fresh);
+        let work = self.work;
+        let full = std::mem::replace(&mut self.bundle, Self::acquire(work));
         // Count before sending so the consumer's decrement can never
         // observe a counted bundle it has not been charged for.
         // Producers blocked in `send` still increment first, so the
         // raw counter can transiently exceed the ring bound; clamp
         // the *recorded* depth at capacity — a blocked producer is a
         // full queue, not a deeper one.
-        let depth = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.rec.queue_depth((depth as usize).min(self.capacity));
-        self.rec.bundles(1);
+        let depth = work.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        work.rec.queue_depth((depth as usize).min(work.capacity));
+        work.rec.bundles(1);
         // A send that finds lane room is pure hand-off; one that has
         // to block is queue-wait — and every individual blocked wait
         // becomes its own span, so skew diagnosis sees each
         // backpressure episode instead of one coalesced wait.
-        let t0 = self.rec.begin();
+        let t0 = work.rec.begin();
         match self.sender.try_send(Ok(SampleBundle::from_container(full))) {
             Ok(()) => {
                 if let Some(t0) = t0 {
-                    self.rec.phase_done(self.worker, PHASE_HANDOFF, t0);
-                    if let Some(plan) = self.delay {
+                    work.rec.phase_done(self.worker, PHASE_HANDOFF, t0);
+                    if let Some(plan) = &work.delay {
                         plan.after_phase(PHASE_HANDOFF, t0.elapsed());
                     }
                 }
                 Deliver::Delivered
             }
             Err(dataplane::TrySendError::Full(item)) => {
-                let rec = self.rec;
                 let worker = self.worker;
                 match self.sender.send(item, &mut |wait_started| {
-                    rec.phase_done(worker, PHASE_QUEUE_WAIT, wait_started);
+                    work.rec.phase_done(worker, PHASE_QUEUE_WAIT, wait_started);
                 }) {
                     Ok(()) => Deliver::Delivered,
                     Err(dataplane::RingClosed(_)) => Deliver::Stop, // consumer hung up
@@ -1066,135 +1180,6 @@ impl BundleFlusher<'_> {
     fn fail(&mut self, fatal: PipelineError) {
         let _ = self.flush();
         let _ = self.sender.send(Err(fatal), &mut |_| {});
-    }
-}
-
-impl RealExecutor {
-    /// Streaming epoch with default [`Resilience`] (fail fast).
-    pub fn stream_epoch(
-        &self,
-        pipeline: &Pipeline,
-        dataset: &Materialized,
-        store: Arc<dyn BlobStore>,
-        prefetch: usize,
-        epoch_seed: u64,
-    ) -> Result<EpochStream, PipelineError> {
-        self.stream_epoch_with(
-            pipeline,
-            dataset,
-            store,
-            prefetch,
-            epoch_seed,
-            Resilience::default(),
-        )
-    }
-
-    /// Start a streaming epoch with a prefetch buffer of `prefetch`
-    /// samples. Unlike [`RealExecutor::epoch`], the caller pulls
-    /// samples (training-loop style) instead of passing a callback.
-    ///
-    /// Fault handling matches [`RealExecutor::epoch_with`]: absorbed
-    /// faults never surface as stream items, they only show up in the
-    /// [`EpochStats`] returned by [`EpochStream::join`].
-    pub fn stream_epoch_with(
-        &self,
-        pipeline: &Pipeline,
-        dataset: &Materialized,
-        store: Arc<dyn BlobStore>,
-        prefetch: usize,
-        epoch_seed: u64,
-        resilience: Resilience,
-    ) -> Result<EpochStream, PipelineError> {
-        let steps = executable_steps(pipeline, dataset.split)?;
-        let capacity = prefetch.max(1);
-        // One single-producer lane per worker; total ring capacity
-        // rounds `prefetch` up to a lane multiple so no worker gets a
-        // zero-capacity lane.
-        let lane_capacity = capacity.div_ceil(self.threads.max(1)).max(1);
-        let (senders, receiver) = dataplane::ring(self.threads, lane_capacity);
-        let bytes_read = Arc::new(AtomicU64::new(0));
-        let counters = Arc::new(FaultCounters::default());
-        let rec = self.epoch_recorder(pipeline, dataset.split, capacity);
-        rec.set_epoch_seed(epoch_seed);
-        let in_flight = Arc::new(AtomicU64::new(0));
-        let bundle_cap = self.bundle_size.max(1);
-        let mut handles = Vec::with_capacity(self.threads);
-        for (worker, sender) in senders.into_iter().enumerate() {
-            let steps = steps.clone();
-            let store = Arc::clone(&store);
-            let bytes_read = Arc::clone(&bytes_read);
-            let counters = Arc::clone(&counters);
-            let resilience = resilience.clone();
-            let rec = Arc::clone(&rec);
-            let in_flight = Arc::clone(&in_flight);
-            let delay = self.delay.clone();
-            let pool = Arc::clone(&self.pool);
-            let shards: Vec<String> = dataset
-                .shards
-                .iter()
-                .skip(worker)
-                .step_by(self.threads)
-                .cloned()
-                .collect();
-            let codec = dataset.codec;
-            handles.push(std::thread::spawn(move || {
-                let mut flusher = BundleFlusher {
-                    bundle: BundleFlusher::acquire(&pool, bundle_cap, &rec),
-                    sender,
-                    bundle_cap,
-                    pool: &pool,
-                    rec: &rec,
-                    in_flight: &in_flight,
-                    capacity,
-                    worker,
-                    delay: delay.as_deref(),
-                };
-                for shard_name in shards {
-                    let mut deliver = |sample: Sample| flusher.push(sample);
-                    match process_shard(
-                        store.as_ref(),
-                        &shard_name,
-                        codec,
-                        &steps,
-                        &resilience,
-                        &counters,
-                        &rec,
-                        worker,
-                        epoch_seed,
-                        &bytes_read,
-                        delay.as_deref(),
-                        &mut deliver,
-                    ) {
-                        Ok(true) => {
-                            // Bundles never span shards: flush at the
-                            // boundary so consumers see whole-shard
-                            // sample runs regardless of bundle size.
-                            if matches!(flusher.flush(), Deliver::Stop) {
-                                return;
-                            }
-                        }
-                        Ok(false) => return,
-                        Err(fatal) => {
-                            flusher.fail(fatal);
-                            return;
-                        }
-                    }
-                }
-            }));
-        }
-        Ok(EpochStream {
-            receiver,
-            pending: Vec::new(),
-            pool: Arc::clone(&self.pool),
-            handles,
-            bytes_read,
-            counters,
-            samples: 0,
-            started: Instant::now(),
-            failed: None,
-            recorder: rec,
-            in_flight,
-        })
     }
 }
 
@@ -1390,6 +1375,56 @@ mod tests {
             !cache.is_complete(),
             "incomplete epoch must not seal the cache"
         );
+    }
+
+    #[test]
+    fn app_cache_refill_after_a_degraded_epoch_replays_each_sample_once() {
+        let pipeline = pipeline();
+        let store = Arc::new(MemStore::new());
+        let exec = RealExecutor::new(2);
+        let strategy = Strategy::at_split(0).with_threads(2).with_shards(4);
+        let (dataset, _) = exec
+            .materialize(&pipeline, &strategy, &source(40), &store)
+            .unwrap();
+        let faulty = FaultStore::new(
+            Arc::clone(&store),
+            FaultSpec::new(5).with_lost_blob(dataset.shards[0].clone()),
+        );
+        let cache = AppCache::new(1 << 20);
+        let epoch = |store: &dyn BlobStore, resilience: &Resilience| {
+            let seen = Mutex::new(Vec::new());
+            let stats = exec
+                .epoch_with(
+                    &pipeline,
+                    &dataset,
+                    store,
+                    Some(&cache),
+                    1,
+                    resilience,
+                    |s| seen.lock().push(s.clone()),
+                )
+                .unwrap();
+            let mut seen = seen.into_inner();
+            seen.sort_by_key(|s| s.key);
+            (stats, seen)
+        };
+
+        let (degraded, partial) = epoch(&faulty, &Resilience::degrade(0, 4));
+        assert!(degraded.degraded);
+        assert_eq!(partial.len(), 30, "one lost shard of four");
+        assert!(!cache.is_complete());
+        assert_eq!(cache.used_bytes(), 0, "a partial fill is discarded");
+
+        let (clean, whole) = epoch(store.as_ref(), &Resilience::default());
+        assert!(!clean.degraded);
+        assert!(cache.is_complete());
+
+        let (replay, replayed) = epoch(store.as_ref(), &Resilience::default());
+        assert_eq!(replay.bytes_read, 0);
+        assert_eq!(replay.samples, 40);
+        assert_eq!(replayed, whole, "the clean epoch's multiset, once");
+        let epoch_bytes: u64 = whole.iter().map(|s| s.nbytes() as u64).sum();
+        assert_eq!(cache.used_bytes(), epoch_bytes);
     }
 
     #[test]
@@ -1600,12 +1635,8 @@ mod tests {
             "0.5 x 2ms spin expected, got {}ns",
             plan.injected_ns()
         );
-        let consumer = DelayPlan::new(2.0, Vec::new()).with_exempt_consumer();
-        consumer.after_consume(Duration::from_millis(1));
-        assert_eq!(consumer.injected_ns(), 0, "exempt consumer never dilates");
         let noop = DelayPlan::noop();
         noop.after_phase(PHASE_READ, Duration::from_millis(1));
-        noop.after_consume(Duration::from_millis(1));
         assert_eq!(noop.injected_ns(), 0, "dilation 1.0 injects nothing");
     }
 

@@ -746,7 +746,7 @@ impl Telemetry {
 
     /// Start recording an epoch over `step_names` (online pipeline
     /// steps, in order) on `workers` threads with a prefetch channel
-    /// of `queue_capacity` (0 for the callback engine).
+    /// of `queue_capacity` (0 when there is none).
     pub fn begin_epoch(
         &self,
         step_names: &[String],
@@ -1121,7 +1121,7 @@ pub struct WorkerSnapshot {
 /// Prefetch-channel depth statistics over an epoch.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueueSnapshot {
-    /// Channel capacity (0 = no channel, callback delivery).
+    /// Channel capacity (0 = no channel).
     pub capacity: u64,
     /// Depth observations taken (one per successful send).
     pub observations: u64,
@@ -1133,8 +1133,8 @@ pub struct QueueSnapshot {
 
 /// Batched data-plane activity over an epoch: how many sample bundles
 /// crossed the prefetch ring and how the engine's buffer pool fared.
-/// All-zero on engines that deliver unbatched (callback epochs, cache
-/// replays) or predate pooling.
+/// All-zero on epochs that deliver unbatched (cache replays) or
+/// predate pooling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DataPlaneSnapshot {
     /// Sample bundles handed to the prefetch ring.

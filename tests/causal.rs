@@ -107,6 +107,7 @@ fn run_epoch(
             pipeline,
             &dataset,
             Arc::clone(&store),
+            None,
             prefetch,
             1,
             Resilience::default(),

@@ -39,8 +39,8 @@ fn workload(samples: u64, shards: usize) -> (Pipeline, Materialized, Arc<MemStor
     (pipeline, dataset, store)
 }
 
-/// Single-process, single-thread callback epoch: the reference
-/// multiset every data-plane configuration must reproduce.
+/// Single-process, single-thread epoch (a one-worker drain): the
+/// reference multiset every data-plane configuration must reproduce.
 fn reference_checksum(
     pipeline: &Pipeline,
     dataset: &Materialized,
@@ -183,6 +183,7 @@ fn degraded_epochs_flush_surviving_bundles() {
             &pipeline,
             &dataset,
             Arc::clone(&faulty),
+            None,
             4,
             EPOCH_SEED,
             Resilience::degrade(24, 1),
@@ -228,6 +229,7 @@ fn pool_reuse_after_resync_never_recycles_poisoned_buffers() {
                 &pipeline,
                 &dataset,
                 Arc::clone(&faulty),
+                None,
                 4,
                 EPOCH_SEED,
                 resilience.clone(),
@@ -242,8 +244,8 @@ fn pool_reuse_after_resync_never_recycles_poisoned_buffers() {
         (checksum, stats.samples)
     };
 
-    // The callback epoch hands samples straight to the consumer: no
-    // bundle containers, no pool.
+    // The reference is a one-worker drain of the same engine, on a
+    // fresh executor: its pool shares no container with the runs below.
     let reference = Mutex::new(MultisetChecksum::default());
     let stats = RealExecutor::new(1)
         .epoch_with(

@@ -9,8 +9,10 @@ use presto_datasets::steps::{self, AudioCodec, ImageCodec};
 use presto_formats::audio::{adpcm, flac};
 use presto_formats::container::ContainerWriter;
 use presto_formats::image::jpg;
-use presto_pipeline::real::{AppCache, MemStore, RealExecutor};
-use presto_pipeline::{Payload, Sample, Strategy};
+use presto_pipeline::real::{
+    AppCache, BlobStore, EpochStats, Materialized, MemStore, RealExecutor,
+};
+use presto_pipeline::{Payload, Pipeline, PipelineError, Resilience, Sample, Strategy};
 use presto_tensor::Tensor;
 use presto_text::{BpeTokenizer, EmbeddingTable};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -255,6 +257,131 @@ fn app_cache_second_epoch_reads_nothing_and_matches() {
     k1.sort_unstable();
     k2.sort_unstable();
     assert_eq!(k1, k2, "cached epoch must deliver the same samples");
+}
+
+/// The crop-free CV workload above, with its store shareable by a
+/// stream's workers.
+fn nocrop_workload(samples: u64) -> (Pipeline, Materialized, Arc<dyn BlobStore>) {
+    let source: Vec<Sample> = (0..samples)
+        .map(|key| {
+            let img = generators::natural_image(64, 64, key);
+            Sample::from_bytes(key, jpg::encode(&img, 80))
+        })
+        .collect();
+    let pipeline = Pipeline::new("CV-nocrop")
+        .push_step(Arc::new(steps::DecodeImage(ImageCodec::Jpg)))
+        .push_step(Arc::new(steps::Resize {
+            width: 48,
+            height: 48,
+        }))
+        .push_step(Arc::new(steps::PixelCenter));
+    let store = Arc::new(MemStore::new());
+    let (dataset, _) = RealExecutor::new(4)
+        .materialize(
+            &pipeline,
+            &Strategy::at_split(1).with_threads(4),
+            &source,
+            store.as_ref(),
+        )
+        .unwrap();
+    (pipeline, dataset, store)
+}
+
+/// Sorted keys of a whole streamed epoch, and its stats.
+fn stream_keys(
+    exec: &RealExecutor,
+    (pipeline, dataset, store): &(Pipeline, Materialized, Arc<dyn BlobStore>),
+    cache: &AppCache,
+) -> (Vec<u64>, EpochStats) {
+    let mut stream = exec
+        .stream_epoch_with(
+            pipeline,
+            dataset,
+            Arc::clone(store),
+            Some(cache),
+            8,
+            9,
+            Resilience::default(),
+        )
+        .unwrap();
+    let mut keys: Vec<u64> = (&mut stream).map(|s| s.unwrap().key).collect();
+    keys.sort_unstable();
+    (keys, stream.join().unwrap())
+}
+
+#[test]
+fn app_cache_fills_and_replays_through_the_stream() {
+    let workload = nocrop_workload(40);
+    let exec = RealExecutor::new(4);
+    let cache = AppCache::new(256 << 20);
+    let (filled, fill) = stream_keys(&exec, &workload, &cache);
+    assert!(fill.bytes_read > 0);
+    assert!(cache.is_complete());
+    let (replayed, replay) = stream_keys(&exec, &workload, &cache);
+    assert_eq!(replay.bytes_read, 0, "a replay never reads the store");
+    assert_eq!(replay.samples, 40);
+    assert_eq!(filled, replayed);
+    assert_eq!(filled, (0..40).collect::<Vec<u64>>());
+}
+
+#[test]
+fn dropped_stream_leaves_the_cache_unsealed() {
+    let workload = nocrop_workload(40);
+    let (pipeline, dataset, store) = &workload;
+    let exec = RealExecutor::new(4);
+    let cache = AppCache::new(256 << 20);
+    let mut stream = exec
+        .stream_epoch_with(
+            pipeline,
+            dataset,
+            Arc::clone(store),
+            Some(&cache),
+            8,
+            9,
+            Resilience::default(),
+        )
+        .unwrap();
+    for _ in 0..5 {
+        stream.next().unwrap().unwrap();
+    }
+    let stats = stream.join().unwrap();
+    assert_eq!(stats.samples, 5);
+    assert!(!cache.is_complete(), "a dropped stream is no whole epoch");
+    assert_eq!(cache.used_bytes(), 0, "its partial fill is discarded");
+
+    let (keys, _) = stream_keys(&exec, &workload, &cache);
+    assert!(cache.is_complete());
+    let (replayed, _) = stream_keys(&exec, &workload, &cache);
+    assert_eq!(keys, (0..40).collect::<Vec<u64>>());
+    assert_eq!(replayed, keys, "each key once");
+}
+
+#[test]
+fn cache_overflow_is_a_stream_item() {
+    let (pipeline, dataset, store) = nocrop_workload(12);
+    let exec = RealExecutor::new(2);
+    let cache = AppCache::new(1 << 10); // far below one 48x48 f32 sample
+    let mut stream = exec
+        .stream_epoch_with(
+            &pipeline,
+            &dataset,
+            store,
+            Some(&cache),
+            8,
+            9,
+            Resilience::default(),
+        )
+        .unwrap();
+    let first_error = stream.find_map(Result::err);
+    assert!(
+        matches!(first_error, Some(PipelineError::CacheOverflow { .. })),
+        "{first_error:?}"
+    );
+    assert!(matches!(
+        stream.join(),
+        Err(PipelineError::CacheOverflow { .. })
+    ));
+    assert!(!cache.is_complete());
 }
 
 #[test]

@@ -150,6 +150,7 @@ fn degraded_stream_epoch_survives_transient_faults_and_corruption() {
                 &pipeline,
                 &dataset,
                 Arc::clone(&faulty) as Arc<dyn BlobStore>,
+                None,
                 16,
                 epoch_seed,
                 resilience.clone(),
@@ -197,6 +198,7 @@ fn failfast_stream_epoch_names_the_corrupt_shard() {
             &pipeline,
             &dataset,
             faulty as Arc<dyn BlobStore>,
+            None,
             16,
             1,
             Resilience::default(),
@@ -278,6 +280,7 @@ fn lost_shard_within_budget_is_absorbed() {
             &pipeline,
             &dataset,
             Arc::clone(&faulty) as Arc<dyn BlobStore>,
+            None,
             16,
             1,
             resilience,
@@ -353,6 +356,7 @@ fn worker_panic_is_contained_in_streaming_epochs() {
             &pipeline,
             &dataset,
             Arc::clone(&store) as Arc<dyn BlobStore>,
+            None,
             8,
             1,
             Resilience::default(),
@@ -372,6 +376,7 @@ fn worker_panic_is_contained_in_streaming_epochs() {
             &pipeline,
             &dataset,
             store as Arc<dyn BlobStore>,
+            None,
             8,
             1,
             Resilience::degrade(1, 0),

@@ -325,6 +325,8 @@ fn cached_epochs_report_hits_and_misses() {
     );
     assert_eq!(replay.cache_misses, 0);
     assert_eq!(replay.bytes_read, 0);
+    let worker_samples: u64 = replay.workers.iter().map(|w| w.samples).sum();
+    assert_eq!(worker_samples, replay.samples);
     let read_phase = &replay.steps[presto_pipeline::telemetry::PHASE_READ];
     assert_eq!(read_phase.count, 0, "replay never touches the store");
 }
