@@ -4,7 +4,6 @@
 //! entropy), not the strategy choice. Measured on the real engine.
 
 use presto::report::TableBuilder;
-use presto_bench::banner;
 use presto_pipeline::shuffle::{buffer_capacity_for, ShuffleBuffer};
 use std::time::Instant;
 
@@ -22,7 +21,7 @@ fn per_sample_nanos(count: usize, capacity: usize) -> f64 {
 }
 
 fn main() {
-    banner("Section 4.5", "Shuffle-buffer cost is constant per sample");
+    println!("\n== Section 4.5: Shuffle-buffer cost is constant per sample");
     let mut table = TableBuilder::new(&["samples", "buffer", "ns/sample (shuffle overhead)"]);
     for &count in &[10_000usize, 50_000, 250_000, 1_000_000] {
         let capacity = 4_096;

@@ -4,7 +4,6 @@
 //! engine parallelizes.
 
 use presto::report::TableBuilder;
-use presto_bench::banner;
 use presto_datasets::generators;
 use presto_datasets::steps;
 use presto_formats::image::jpg;
@@ -13,10 +12,7 @@ use presto_pipeline::{Sample, Strategy};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn main() {
-    banner(
-        "Real engine",
-        "Thread scaling on this machine (actual threads)",
-    );
+    println!("\n== Real engine: Thread scaling on this machine (actual threads)");
     let samples: usize = std::env::var("PRESTO_REAL_SAMPLES")
         .ok()
         .and_then(|s| s.parse().ok())

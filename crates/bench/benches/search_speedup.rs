@@ -12,15 +12,11 @@ use std::time::Instant;
 
 use presto::search::{profile_grid_parallel, SearchOptions};
 use presto::{Presto, Weights};
-use presto_bench::banner;
 use presto_datasets::all_workloads;
 use presto_pipeline::sim::SimEnv;
 
 fn main() {
-    banner(
-        "Search",
-        "Parallel + memoized strategy search speedup (CV grid)",
-    );
+    println!("\n== Search: Parallel + memoized strategy search speedup (CV grid)");
     let workload = all_workloads()
         .into_iter()
         .find(|w| w.pipeline.name == "CV")

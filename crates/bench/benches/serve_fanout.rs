@@ -5,7 +5,6 @@
 //! once the shared preprocessing node is the bottleneck).
 
 use presto::report::TableBuilder;
-use presto_bench::banner;
 use presto_datasets::{generators, steps};
 use presto_formats::image::jpg;
 use presto_pipeline::real::{BlobStore, MemStore, RealExecutor};
@@ -14,10 +13,7 @@ use presto_pipeline::{Resilience, Sample, Strategy, Telemetry};
 use std::sync::Arc;
 
 fn main() {
-    banner(
-        "Disaggregated serving",
-        "Loopback TCP service vs in-process epochs",
-    );
+    println!("\n== Disaggregated serving: Loopback TCP service vs in-process epochs");
     let samples: usize = std::env::var("PRESTO_SERVE_SAMPLES")
         .ok()
         .and_then(|s| s.parse().ok())

@@ -11,7 +11,6 @@
 //! all (every call is a single branch).
 
 use presto::report::TableBuilder;
-use presto_bench::banner;
 use presto_datasets::{generators, steps};
 use presto_formats::image::jpg;
 use presto_pipeline::real::{DelayPlan, MemStore, RealExecutor};
@@ -41,10 +40,7 @@ fn median_sps(
 }
 
 fn main() {
-    banner(
-        "Telemetry",
-        "Instrumentation overhead: live registry vs none",
-    );
+    println!("\n== Telemetry: Instrumentation overhead: live registry vs none");
     let samples: usize = std::env::var("PRESTO_REAL_SAMPLES")
         .ok()
         .and_then(|s| s.parse().ok())

@@ -120,7 +120,7 @@ pub fn comparison_table(title: &str, comparisons: &[Comparison]) -> String {
 
 /// Check that measured values preserve the *ordering* of the paper's
 /// values — the primary reproduction criterion (who wins). Returns the
-/// list of violated pairs.
+/// violated pairs, each with the paper's larger value first.
 pub fn shape_check(comparisons: &[Comparison]) -> Vec<(String, String)> {
     let mut violations = Vec::new();
     for i in 0..comparisons.len() {
@@ -133,7 +133,8 @@ pub fn shape_check(comparisons: &[Comparison]) -> Vec<(String, String)> {
             let paper_order = a.paper > b.paper;
             let measured_order = a.measured > b.measured;
             if paper_order != measured_order {
-                violations.push((a.what.clone(), b.what.clone()));
+                let (larger, smaller) = if paper_order { (a, b) } else { (b, a) };
+                violations.push((larger.what.clone(), smaller.what.clone()));
             }
         }
     }
@@ -259,6 +260,12 @@ mod tests {
             Comparison::new("slow", 576.0, 700.0),
         ];
         assert_eq!(shape_check(&bad).len(), 1);
+        // The paper's larger value second: the pair still names it first.
+        let bad = vec![
+            Comparison::new("slow", 576.0, 700.0),
+            Comparison::new("fast", 1789.0, 500.0),
+        ];
+        assert_eq!(shape_check(&bad), vec![("fast".into(), "slow".into())]);
     }
 
     #[test]

@@ -1,27 +1,14 @@
 #!/usr/bin/env bash
-# Regenerate every table and figure of the paper, writing the combined
-# report to experiments_output.txt. Usage:
-#   scripts/run_experiments.sh [--quick]
-# --quick uses a smaller simulated subset (faster, noisier totals).
+# Regenerate every table and figure of the paper, plus the wall-clock
+# shuffle and real-engine scaling benches, writing the combined report
+# to experiments_output.txt. Usage:
+#   scripts/run_experiments.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [[ "${1:-}" == "--quick" ]]; then
-    export PRESTO_BENCH_SAMPLES=2000
-fi
-
-targets=(
-    fig1_growth table2_datasets table3_fio fig3_hardware
-    table1_cv_tradeoffs table4_concat fig6_strategies
-    fig7_sample_size fig8_caching fig9_cache_levels table5_cache_speedup
-    fig10_compression fig11_scaling_synth fig12_scaling fig13_extlib
-    fig14_greyscale fig_shuffle
-    discussion_distributed subset_fidelity real_scaling
-)
-
 out=experiments_output.txt
 : > "$out"
-for target in "${targets[@]}"; do
+for target in repro fig_shuffle real_scaling; do
     echo ">>> $target"
     cargo bench -q -p presto-bench --bench "$target" 2>&1 | tee -a "$out"
 done

@@ -6,9 +6,10 @@
 //! Run with `-- --nocapture` to see full paper-vs-measured tables.
 
 use presto::report::{comparison_table, shape_check, Comparison};
+use presto_bench::split_for;
 use presto_datasets::{all_workloads, anchors, cv, nlp};
 use presto_integration_tests::{fast_env, fast_env_ssd};
-use presto_pipeline::sim::{SimEnv, StrategyProfile};
+use presto_pipeline::sim::StrategyProfile;
 use presto_pipeline::{CacheLevel, Strategy};
 
 /// Measured (SPS, MB/s) of one split under an env.
@@ -20,19 +21,6 @@ fn measure(
     workload
         .simulator(env)
         .profile(&Strategy::at_split(split), 1)
-}
-
-fn split_index(workload: &presto_datasets::Workload, label: &str) -> usize {
-    if label == "unprocessed" {
-        return 0;
-    }
-    workload
-        .pipeline
-        .step_names()
-        .iter()
-        .position(|n| *n == label)
-        .map(|i| i + 1)
-        .unwrap_or_else(|| panic!("{}: no step {label}", workload.pipeline.name))
 }
 
 #[test]
@@ -49,7 +37,7 @@ fn table4_throughputs_reproduce() {
             ) else {
                 continue;
             };
-            let split = split_index(&workload, strategy);
+            let split = split_for(&workload, strategy);
             let profile = measure(&workload, split, fast_env());
             comparisons.push(Comparison::new(
                 &format!("{name} {strategy} SPS"),
@@ -78,7 +66,7 @@ fn table4_ssd_rows_reproduce() {
                 anchors::Metric::ThroughputSps,
             )
             .unwrap();
-            let split = split_index(&workload, strategy);
+            let split = split_for(&workload, strategy);
             let profile = measure(&workload, split, fast_env_ssd());
             comparisons.push(Comparison::new(
                 &format!("{name} {strategy} SSD SPS"),
@@ -111,7 +99,7 @@ fn table1_cv_tradeoffs_reproduce() {
         ("pixel-centered", 576.0, 1_535.0),
         ("resized", 1_789.0, 494.0),
     ] {
-        let split = split_index(&workload, label);
+        let split = split_for(&workload, label);
         let profile = measure(&workload, split, fast_env());
         comparisons.push(Comparison::new(
             &format!("CV {label} SPS"),
@@ -345,32 +333,73 @@ fn fig10_compression_shapes_reproduce() {
     }
 }
 
-/// The Figure 10 tables `presto-bench`'s `fig10_compression` prints, at
-/// the bench's default environment (`PRESTO_BENCH_SAMPLES` unset),
-/// compared byte for byte with `tests/fixtures/sim/fig10_compression.txt`.
-/// A change to the compression model shows up here as a diff to review.
-/// After a deliberate model change, regenerate it with
+/// Every experiment of `presto_bench::repro`, in the environment the
+/// `repro` bench target runs it in, compared byte for byte with its
+/// golden `tests/fixtures/sim/<id>.txt`. A change to the simulator or
+/// to `SimEnv::paper_vm()` shows up here as a diff of the reproduction
+/// to review. After a deliberate model change, regenerate a golden with
 ///
 /// ```sh
-/// cargo bench -q -p presto-bench --bench fig10_compression \
-///   | tail -n +5 | head -n -3 > tests/fixtures/sim/fig10_compression.txt
+/// cargo bench -q -p presto-bench --bench repro -- <id> > tests/fixtures/sim/<id>.txt
 /// ```
 #[test]
-fn fig10_compression_tables_match_the_simulator_golden() {
-    let env = SimEnv {
-        subset_samples: 8_000,
-        ..SimEnv::paper_vm()
-    };
-    let got = presto_bench::fig10_compression_tables(env);
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/fixtures/sim/fig10_compression.txt"
+fn repro_outputs_match_their_goldens() {
+    use presto_bench::repro::EXPERIMENTS;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    // fig12 alone is over a quarter of the work, so each thread takes the
+    // next id whenever it is free.
+    let next = AtomicUsize::new(0);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mismatches: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mismatches = Vec::new();
+                    while let Some((id, _, run)) =
+                        EXPERIMENTS.get(next.fetch_add(1, Ordering::Relaxed))
+                    {
+                        let path = format!("{}/fixtures/sim/{id}.txt", env!("CARGO_MANIFEST_DIR"));
+                        let want = std::fs::read_to_string(&path)
+                            .unwrap_or_else(|e| panic!("{path}: {e}"));
+                        let got = run(presto_bench::bench_env());
+                        if got != want {
+                            let line = got.lines().zip(want.lines()).position(|(a, b)| a != b);
+                            mismatches.push(format!("{id}: first differs at line {line:?}"));
+                        }
+                    }
+                    mismatches
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| worker.join().expect("a golden check panicked"))
+            .collect()
+    });
+    assert!(
+        mismatches.is_empty(),
+        "the simulator's reproduction differs from its goldens: {mismatches:#?}"
     );
-    let want = std::fs::read_to_string(path).unwrap();
-    if got != want {
-        let line = got.lines().zip(want.lines()).position(|(a, b)| a != b);
-        panic!("{path}: the simulator's tables differ, first at line {line:?}");
-    }
+}
+
+/// EXPERIMENTS.md quotes the scorecard golden verbatim between its
+/// `<!-- scorecard:begin -->` and `<!-- scorecard:end -->` markers, so
+/// the numbers it shows are the ones `repro -- scorecard` prints.
+#[test]
+fn experiments_md_embeds_the_scorecard_golden() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let doc = std::fs::read_to_string(format!("{root}/../EXPERIMENTS.md")).unwrap();
+    let golden = std::fs::read_to_string(format!("{root}/fixtures/sim/scorecard.txt")).unwrap();
+    let block = doc
+        .split_once("<!-- scorecard:begin -->\n```text\n")
+        .and_then(|(_, rest)| rest.split_once("```\n<!-- scorecard:end -->"))
+        .map(|(block, _)| block)
+        .expect("EXPERIMENTS.md has no fenced block between the scorecard markers");
+    assert!(
+        block == golden,
+        "EXPERIMENTS.md's scorecard differs from tests/fixtures/sim/scorecard.txt; \
+         paste the golden between the markers"
+    );
 }
 
 #[test]
@@ -396,7 +425,7 @@ fn bottleneck_attribution_matches_paper_analysis() {
             workload.dataset.clone(),
             env.clone(),
         );
-        let split = split_index(workload, label);
+        let split = split_for(workload, label);
         let profile = presto.profile_strategy(&Strategy::at_split(split), 1);
         let diagnosis = diagnose(&profile, &env).unwrap();
         assert_eq!(
@@ -415,7 +444,7 @@ fn sixteen_threads_improve_cv_throughput() {
     let workload = cv::cv();
     let sim = workload.simulator(fast_env());
     for label in ["decoded", "resized", "pixel-centered"] {
-        let split = split_index(&workload, label);
+        let split = split_for(&workload, label);
         let eight = sim.profile(&Strategy::at_split(split).with_threads(8), 1);
         let sixteen = sim.profile(&Strategy::at_split(split).with_threads(16), 1);
         assert!(
@@ -433,7 +462,7 @@ fn fig3_stall_analysis_matches() {
     let workload = cv::cv();
     let sim = workload.simulator(fast_env());
     let resized = sim
-        .profile(&Strategy::at_split(split_index(&workload, "resized")), 1)
+        .profile(&Strategy::at_split(split_for(&workload, "resized")), 1)
         .throughput_sps();
     let stalled = presto_datasets::hardware::stalled_at(resized);
     assert!(
