@@ -16,7 +16,7 @@ use presto::{Presto, Weights};
 use presto_codecs::{Codec, Level};
 use presto_datasets::growth::{log_growth_per_year, Domain, GROWTH};
 use presto_datasets::hardware::{keeps_busy, ACCELERATORS};
-use presto_datasets::synthetic::{records, rms, sample_sizes_mb, RmsImpl, SynthDType};
+use presto_datasets::synthetic::{records, rms, sample_sizes_mb, RmsImpl, SynthDType, TOTAL_BYTES};
 use presto_datasets::{all_workloads, anchors, cv, nlp, Workload};
 use presto_pipeline::distributed::{fan_out, offline_scaling};
 use presto_pipeline::sim::{SimEnv, StrategyProfile};
@@ -683,12 +683,15 @@ pub fn fig8_caching(env: SimEnv) -> String {
 /// dataset for no-cache / sys-cache / app-cache across sample sizes —
 /// plus the paper's derived deserialization-share computation.
 pub fn fig9_cache_levels(env: SimEnv) -> String {
+    // `None` when the strategy fails to run: an app cache the dataset
+    // does not fit in RAM.
     let epoch2_secs = |size_mb: f64, cache: CacheLevel| {
         let sim = records(size_mb, SynthDType::F32).simulator(env.clone());
         let epochs = if cache == CacheLevel::None { 1 } else { 2 };
         let profile = sim.profile(&Strategy::at_split(1).with_cache(cache), epochs);
-        profile.epochs.last().unwrap().elapsed_full.as_secs_f64()
+        profile.epochs.last().map(|e| e.elapsed_full.as_secs_f64())
     };
+    let secs = |secs: Option<f64>| secs.map_or("-".into(), |s| format!("{s:.1}"));
     let mut table = TableBuilder::new(&[
         "sample MB",
         "no-cache (s)",
@@ -698,30 +701,37 @@ pub fn fig9_cache_levels(env: SimEnv) -> String {
     ]);
     let mut rows = Vec::new();
     for &size_mb in &sample_sizes_mb() {
-        let no_cache = epoch2_secs(size_mb, CacheLevel::None);
-        let sys = epoch2_secs(size_mb, CacheLevel::System);
+        let no_cache = epoch2_secs(size_mb, CacheLevel::None).expect("no cache always runs");
+        let sys = epoch2_secs(size_mb, CacheLevel::System).expect("sys cache always runs");
         let app = epoch2_secs(size_mb, CacheLevel::Application);
         // The paper's derivation: deser share = (sys - app) / sys.
-        let share = ((sys - app) / sys).max(0.0);
+        let share = app.map(|app| ((sys - app) / sys).max(0.0));
         table.row(&[
             format!("{size_mb:.2}"),
             format!("{no_cache:.1}"),
             format!("{sys:.1}"),
-            format!("{app:.1}"),
-            format!("{:.0}%", share * 100.0),
+            secs(app),
+            share.map_or("-".into(), |share| format!("{:.0}%", share * 100.0)),
         ]);
         rows.push((no_cache, sys, app));
     }
     let (no_small, sys_small, _) = rows[0];
     let (_, sys_large, app_large) = rows[rows.len() - 1];
+    let (dataset_gb, ram_gb) = (TOTAL_BYTES / 1e9, env.ram_bytes as f64 / 1e9);
+    let feasibility = if TOTAL_BYTES < env.ram_bytes as f64 {
+        format!("{dataset_gb:.0} GB < {ram_gb:.0} GB RAM, so every size runs")
+    } else {
+        format!("{dataset_gb:.0} GB >= {ram_gb:.0} GB RAM, so app-cache cannot run")
+    };
     format!(
         "{}\n\
          paper: at <=0.04 MB sys-cache ~ no-cache (nullified): measured {:.2}x apart\n\
          paper: at large samples deserialization dominates sys-cache time \
-         (94-98%): measured sys {sys_large:.1}s vs app {app_large:.1}s\n\
-         (app-cache feasibility: 15 GB < 80 GB RAM, so every size runs)\n",
+         (94-98%): measured sys {sys_large:.1}s vs app {}\n\
+         (app-cache feasibility: {feasibility})\n",
         table.render(),
-        no_small / sys_small
+        no_small / sys_small,
+        app_large.map_or("-".into(), |app| format!("{app:.1}s")),
     )
 }
 
@@ -1083,4 +1093,21 @@ pub fn subset_fidelity(env: SimEnv) -> String {
          when caching is part of the strategy; steady-state rates converge fast.\n",
         table.render()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fig9_says_when_the_dataset_outgrows_ram() {
+        let env = SimEnv {
+            ram_bytes: 8_000_000_000,
+            ..SimEnv::paper_vm()
+        };
+        let out = fig9_cache_levels(env);
+        assert!(!out.contains("every size runs"), "{out}");
+        assert!(out.contains("15 GB >= 8 GB RAM"), "{out}");
+        assert!(out.contains("vs app -\n"), "{out}");
+    }
 }

@@ -12,11 +12,12 @@ use presto_datasets::{all_workloads, cv, generators, steps, Workload};
 use presto_pipeline::chaos::{ChaosFault, ChaosProxy};
 use presto_pipeline::distributed;
 use presto_pipeline::real::{
-    AppCache, BlobStore, EpochStats, FaultSpec, FaultStore, Materialized, MemStore, RealExecutor,
-    RetryPolicy,
+    AppCache, BlobStore, EpochStats, EpochStream, FaultSpec, FaultStore, Materialized, MemStore,
+    RealExecutor, RetryPolicy,
 };
 use presto_pipeline::serve::{
-    serve_epoch, ServeClientConfig, ServeReport, ServeWorker, ServeWorkerConfig, TenantSpec,
+    serve_epoch, serve_stream, ServeClientConfig, ServeReport, ServeWorker, ServeWorkerConfig,
+    TenantSpec,
 };
 use presto_pipeline::sim::{SimEnv, Simulator};
 use presto_pipeline::telemetry::causal as telemetry_causal;
@@ -1022,17 +1023,18 @@ fn cmd_realrun(args: &Args) -> Result<(), String> {
         "epoch", "samples", "SPS", "read", "retries", "skipped", "lost", "degraded",
     ]);
     for epoch in 0..epochs {
-        let stats = drain_epoch(
-            &exec,
-            &pipeline,
-            &dataset,
-            &store,
-            None,
-            prefetch,
-            epoch as u64,
-            &resilience,
-        )
-        .map_err(|e| format!("epoch {epoch} failed: {e}"))?;
+        let stats = exec
+            .stream_epoch_with(
+                &pipeline,
+                &dataset,
+                Arc::clone(&store),
+                None,
+                prefetch,
+                epoch as u64,
+                resilience.clone(),
+            )
+            .and_then(drain_epoch)
+            .map_err(|e| format!("epoch {epoch} failed: {e}"))?;
         table.row(&[
             epoch.to_string(),
             stats.samples.to_string(),
@@ -1110,28 +1112,9 @@ fn parse_resilience(args: &Args, max_skip: u64, max_lost: u64) -> Result<Resilie
     ))
 }
 
-/// Drain one streamed epoch, as a training loop would, and return its
-/// stats.
-#[allow(clippy::too_many_arguments)]
-fn drain_epoch(
-    exec: &RealExecutor,
-    pipeline: &Pipeline,
-    dataset: &Materialized,
-    store: &Arc<dyn BlobStore>,
-    cache: Option<&AppCache>,
-    prefetch: usize,
-    seed: u64,
-    resilience: &Resilience,
-) -> Result<EpochStats, PipelineError> {
-    let mut stream = exec.stream_epoch_with(
-        pipeline,
-        dataset,
-        Arc::clone(store),
-        cache,
-        prefetch,
-        seed,
-        resilience.clone(),
-    )?;
+/// Drain one streamed epoch, local or served, as a training loop
+/// would, and return its stats.
+fn drain_epoch(mut stream: EpochStream) -> Result<EpochStats, PipelineError> {
     for result in &mut stream {
         result?;
     }
@@ -1181,16 +1164,16 @@ fn cmd_causal_live(args: &Args) -> Result<(), String> {
     )?;
     let resilience = Resilience::default();
     let timed_epoch = |exec: &RealExecutor| {
-        drain_epoch(
-            exec,
+        exec.stream_epoch_with(
             &pipeline,
             &dataset,
-            &store,
+            Arc::clone(&store),
             None,
             prefetch,
             1,
-            &resilience,
+            resilience.clone(),
         )
+        .and_then(drain_epoch)
         .map(|stats| stats.samples_per_second())
         .map_err(|e| e.to_string())
     };
@@ -1366,15 +1349,10 @@ fn cmd_train_client(args: &Args) -> Result<(), String> {
     // merged epoch + serve + fleet gauge families, /fleet.json the
     // presto.fleet.v1 bundle, live while the epoch runs.
     let endpoint = serve_endpoint(args, &telemetry, true, json)?;
-    let report = serve_epoch(
-        &workers,
-        &shard_names,
-        seed,
-        &config,
-        Some(&telemetry),
-        |_| {},
-    )
-    .map_err(|e| e.to_string())?;
+    let report = serve_stream(&workers, &shard_names, seed, &config, Some(&telemetry))
+        .and_then(drain_epoch)
+        .map(|stats| stats.served.unwrap_or_default())
+        .map_err(|e| e.to_string())?;
     let snapshot = telemetry
         .last_epoch()
         .ok_or_else(|| "no telemetry recorded".to_string())?;
@@ -1776,16 +1754,16 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
     let result = std::thread::scope(|scope| {
         let worker = scope.spawn(|| -> Result<(), String> {
             for epoch in 0..epochs {
-                drain_epoch(
-                    &exec,
+                exec.stream_epoch_with(
                     &pipeline,
                     &dataset,
-                    &store,
+                    Arc::clone(&store),
                     cache.as_ref(),
                     threads, // one bundle in flight per worker, as `epoch` drains
                     epoch as u64,
-                    &Resilience::default(),
+                    Resilience::default(),
                 )
+                .and_then(drain_epoch)
                 .map_err(|e| format!("epoch {epoch} failed: {e}"))?;
             }
             Ok(())

@@ -268,7 +268,7 @@ pub enum FleetBottleneck {
     /// Flow control is the constraint: workers stall waiting for
     /// credit the client is slow to return.
     Credit,
-    /// The client's consume callback is the constraint.
+    /// The caller consuming the served stream is the constraint.
     Consumer,
     /// Nothing dominates (idle or well-balanced fleet).
     None,
@@ -297,7 +297,7 @@ pub struct FleetDiagnosis {
     /// Share of per-connection client time reading frame bodies (the
     /// wire was busy).
     pub stream_share: f64,
-    /// Share of per-connection client time inside the consume callback.
+    /// Share of per-connection client time the caller spent between pulls.
     pub consume_share: f64,
     /// Aggregate worker share of time stalled on flow-control credit.
     pub credit_share: f64,
@@ -318,7 +318,7 @@ const FLEET_IDLE_SHARE: f64 = 0.15;
 /// gauges) and the [`FleetSnapshot`] (per-worker remote stats).
 ///
 /// The attribution reads the client's per-connection wait buckets
-/// first — `consume` (callback), `stream` (wire busy) and `gap` (wire
+/// first — `consume` (the caller), `stream` (wire busy) and `gap` (wire
 /// idle) — normalized by `elapsed × connections`. A dominant `gap`
 /// share is ambiguous on its own: the wire is idle either because
 /// workers can't produce (compute-bound) or because they're stalled

@@ -180,22 +180,33 @@ fn csv_escape(field: &str) -> String {
     }
 }
 
-/// Human-friendly magnitude formatting.
+/// Human-friendly magnitude formatting: three significant digits from
+/// 1 000 up, so a miss of 1% still shows ("1.79k" against "1.81k").
 pub fn format_quantity(value: f64) -> String {
     let abs = value.abs();
     if abs >= 1e12 {
-        format!("{:.2}T", value / 1e12)
+        format!("{}T", three_digits(value / 1e12))
     } else if abs >= 1e9 {
-        format!("{:.2}G", value / 1e9)
+        format!("{}G", three_digits(value / 1e9))
     } else if abs >= 1e6 {
-        format!("{:.2}M", value / 1e6)
+        format!("{}M", three_digits(value / 1e6))
     } else if abs >= 1e3 {
-        format!("{:.1}k", value / 1e3)
+        format!("{}k", three_digits(value / 1e3))
     } else if abs >= 1.0 || abs == 0.0 {
         format!("{value:.1}")
     } else {
         format!("{value:.4}")
     }
+}
+
+/// A mantissa in [1, 1000) to three significant digits.
+fn three_digits(mantissa: f64) -> String {
+    let decimals = match mantissa.abs() {
+        m if m < 10.0 => 2,
+        m if m < 100.0 => 1,
+        _ => 0,
+    };
+    format!("{mantissa:.decimals$}")
 }
 
 /// Bytes with binary-ish units (decimal, as the paper reports).
@@ -314,7 +325,12 @@ mod tests {
 
     #[test]
     fn quantity_formatting() {
-        assert_eq!(format_quantity(1789.0), "1.8k");
+        assert_eq!(format_quantity(1789.0), "1.79k");
+        assert_eq!(format_quantity(962.0), "962.0");
+        assert_eq!(format_quantity(1019.0), "1.02k");
+        assert_eq!(format_quantity(56_500.0), "56.5k");
+        assert_eq!(format_quantity(312_000.0), "312k");
+        assert_eq!(format_quantity(-2_340_000.0), "-2.34M");
         assert_eq!(format_quantity(0.0427), "0.0427");
         assert_eq!(format_quantity(1.53e12), "1.53T");
         assert_eq!(format_bytes(146_900_000_000), "146.90 GB");

@@ -249,6 +249,24 @@ impl<T> RingSender<T> {
             waited(t0);
         }
     }
+
+    /// Block until this sender's lane has room, sending nothing: where
+    /// a producer waits so as not to work ahead of its consumer. False
+    /// once the receiver hung up.
+    pub fn wait_room(&self) -> bool {
+        const POISONED: &str = "a ring lane's lock holder panicked";
+        let lane = &self.shared.lanes[self.lane];
+        let mut queue = lane.queue.lock().expect(POISONED);
+        loop {
+            if self.shared.closed.load(Ordering::Acquire) {
+                return false;
+            }
+            if queue.len() < lane.capacity {
+                return true;
+            }
+            queue = lane.space.wait(queue).expect(POISONED);
+        }
+    }
 }
 
 impl<T> Drop for RingSender<T> {
@@ -433,6 +451,23 @@ mod tests {
         let waits = producer.join().unwrap();
         assert!(waits >= 1, "a blocked send must report its waits");
         assert_eq!(receiver.recv(), None, "all senders dropped");
+    }
+
+    #[test]
+    fn wait_room_waits_for_the_consumer_without_sending() {
+        let (senders, receiver) = ring::<u64>(1, 1);
+        let sender = senders.into_iter().next().unwrap();
+        sender.try_send(1).unwrap();
+        let waiter = std::thread::spawn(move || (sender.wait_room(), sender));
+        assert_eq!(receiver.recv(), Some(1));
+        let (room, sender) = waiter.join().unwrap();
+        assert!(room, "the lane has room once its item is taken");
+        sender.try_send(2).unwrap();
+        drop(receiver);
+        assert!(
+            !sender.wait_room(),
+            "a hung-up ring has no room to wait for"
+        );
     }
 
     #[test]

@@ -22,6 +22,8 @@ use crate::error::PipelineError;
 use crate::fault::{FaultCounters, RetryError};
 use crate::pipeline::Pipeline;
 use crate::sample::Sample;
+use crate::serve::ServeReport;
+use crate::shuffle::ShuffleBuffer;
 use crate::strategy::Strategy;
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -167,6 +169,9 @@ pub struct EpochStats {
     pub lost_shards: u64,
     /// True when any fault was absorbed instead of delivered.
     pub degraded: bool,
+    /// A served epoch's report, with the tallies of its links
+    /// ([`crate::serve::serve_stream`]); `None` for a local epoch.
+    pub served: Option<ServeReport>,
 }
 
 impl EpochStats {
@@ -764,7 +769,7 @@ impl RealExecutor {
     where
         F: Fn(&Sample) + Send + Sync,
     {
-        let (stream, senders) = self.open_epoch(
+        let (stream, work, senders) = self.open_epoch(
             pipeline,
             dataset,
             cache,
@@ -772,7 +777,6 @@ impl RealExecutor {
             epoch_seed,
             resilience.clone(),
         )?;
-        let work = Arc::clone(&stream.work);
         // The stream moves into the scope, so a panicking `consume`
         // drops its receiver and thereby stops the workers the scope
         // then joins.
@@ -831,22 +835,20 @@ impl RealExecutor {
         epoch_seed: u64,
         resilience: Resilience,
     ) -> Result<EpochStream, PipelineError> {
-        let (mut stream, senders) =
+        let (mut stream, work, senders) =
             self.open_epoch(pipeline, dataset, cache, prefetch, epoch_seed, resilience)?;
         for (worker, sender) in senders.into_iter().enumerate() {
-            let work = Arc::clone(&stream.work);
+            let work = Arc::clone(&work);
             let store = Arc::clone(&store);
-            stream.handles.push(std::thread::spawn(move || {
-                work.run(store.as_ref(), worker, sender)
-            }));
+            stream.spawn(move || work.run(store.as_ref(), worker, sender));
         }
         Ok(stream)
     }
 
     /// Set up one local epoch: the work its workers share, the ring and
-    /// the consumer side. Returns the stream (with no workers started)
-    /// and one ring sender per worker to start — none when a complete
-    /// `cache` replays the epoch.
+    /// the consumer side. Returns the stream (with no workers started),
+    /// the work, and one ring sender per worker to start — none when a
+    /// complete `cache` replays the epoch.
     fn open_epoch(
         &self,
         pipeline: &Pipeline,
@@ -855,7 +857,7 @@ impl RealExecutor {
         prefetch: usize,
         epoch_seed: u64,
         resilience: Resilience,
-    ) -> Result<(EpochStream, Vec<dataplane::RingSender<Handoff>>), PipelineError> {
+    ) -> Result<(EpochStream, Arc<EpochWork>, Vec<Lane>), PipelineError> {
         let steps = executable_steps(pipeline, dataset.split)?;
         let capacity = prefetch.max(1);
         // One single-producer lane per worker; total ring capacity
@@ -896,23 +898,91 @@ impl RealExecutor {
             bundle_cap: self.bundle_size.max(1),
             capacity,
         };
-        let stream = EpochStream {
-            receiver,
-            pending,
-            work: Arc::new(work),
-            handles: Vec::new(),
-            samples: 0,
-            started: Instant::now(),
-            failed: None,
-            ended: false,
-            cache,
-        };
-        Ok((stream, senders))
+        let work = Arc::new(work);
+        let mut stream = EpochStream::new(receiver, Arc::clone(&work) as Arc<dyn Feed>);
+        stream.pending = pending;
+        stream.cache = cache;
+        Ok((stream, work, senders))
     }
 }
 
 /// One hand-off through the prefetch ring.
-type Handoff = Result<SampleBundle, PipelineError>;
+pub(crate) type Handoff = Result<SampleBundle, PipelineError>;
+
+/// One producer's end of the prefetch ring.
+pub(crate) type Lane = dataplane::RingSender<Handoff>;
+
+/// The producer side of an epoch stream, as its consumer side sees it:
+/// the local engine's workers ([`EpochWork`]) or a served epoch's links
+/// to serve workers ([`crate::serve::serve_stream`]).
+pub(crate) trait Feed: Send + Sync {
+    /// The epoch's recorder.
+    fn rec(&self) -> &EpochRecorder;
+
+    /// A bundle came off the ring; `drained` is the emptied container
+    /// it replaced.
+    fn taken(&self, drained: Vec<Sample>);
+
+    /// Stop producing: the consumer hung up. Producers blocked on a full
+    /// lane stop on their own once the ring closes.
+    fn hang_up(&self) {}
+
+    /// The epoch's stats once every producer has stopped, given the
+    /// samples the caller got, the epoch's wall time and the caller's
+    /// own time between pulls.
+    fn tally(&self, samples: u64, elapsed: Duration, caller: Duration) -> EpochStats;
+}
+
+impl Feed for EpochWork {
+    fn rec(&self) -> &EpochRecorder {
+        &self.rec
+    }
+
+    fn taken(&self, drained: Vec<Sample>) {
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        // Recycle the container back to the producers' pool.
+        self.pool.put_bundle(drained);
+    }
+
+    fn tally(&self, samples: u64, elapsed: Duration, _caller: Duration) -> EpochStats {
+        EpochStats {
+            samples,
+            bytes_read: self.bytes_read.load(Ordering::Relaxed),
+            ..EpochStats::default()
+        }
+        .finish(&self.counters, elapsed)
+    }
+}
+
+/// The threads feeding one stream. Dropping them hangs the feed up and
+/// waits for them, so a dropped stream leaves nothing running.
+struct Producers {
+    feed: Arc<dyn Feed>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Producers {
+    /// Hang up and wait for every producer.
+    fn stop(&mut self) -> Result<(), PipelineError> {
+        self.feed.hang_up();
+        let mut panicked = false;
+        for handle in self.handles.drain(..) {
+            panicked |= handle.join().is_err();
+        }
+        match panicked {
+            true => Err(PipelineError::WorkerPanicked {
+                step: "epoch-stream producer".into(),
+            }),
+            false => Ok(()),
+        }
+    }
+}
+
+impl Drop for Producers {
+    fn drop(&mut self) {
+        let _ = self.stop();
+    }
+}
 
 /// What the workers of one local epoch share, by reference: the
 /// shards and step chain, the counters, the recorder and the hand-off
@@ -943,7 +1013,7 @@ impl EpochWork {
     /// through [`process_shard`] and hand the samples to the ring in
     /// bundles, flushed at each shard boundary and before a fatal
     /// error.
-    fn run(&self, store: &dyn BlobStore, worker: usize, sender: dataplane::RingSender<Handoff>) {
+    fn run(&self, store: &dyn BlobStore, worker: usize, sender: Lane) {
         let mut flusher = BundleFlusher {
             bundle: BundleFlusher::acquire(self),
             sender,
@@ -983,24 +1053,32 @@ impl EpochWork {
     }
 }
 
-/// A running, prefetching epoch: worker threads decode shards into a
-/// bounded sharded ring (the `tf.data` prefetch buffer) while the
-/// caller consumes at its own pace; back-pressure applies when a
-/// worker's lane fills. Hand-off is batched: workers deliver
-/// [`SampleBundle`]s, the iterator unpacks them one sample at a time.
-/// An [`AppCache`] is a stage on this consumer side. Iterate to
-/// receive samples; [`EpochStream::join`] afterwards for the stats.
+/// A running, prefetching epoch: producers feed a bounded sharded ring
+/// (the `tf.data` prefetch buffer) while the caller consumes at its own
+/// pace; back-pressure applies when a producer's lane fills. The
+/// producers are the local engine's worker threads, or a served epoch's
+/// links to serve workers ([`crate::serve::serve_stream`]): the caller's
+/// side, the shuffle and [`EpochStream::join`] are the same for both.
+/// Hand-off is batched: producers deliver [`SampleBundle`]s, the
+/// iterator unpacks them one sample at a time. An [`AppCache`] is a
+/// stage on this consumer side. Iterate to receive samples;
+/// [`EpochStream::join`] afterwards for the stats. Dropping the stream
+/// stops its producers.
 pub struct EpochStream {
     receiver: dataplane::RingReceiver<Handoff>,
     /// Samples of the bundle being drained, in reverse order so `pop`
     /// yields them FIFO.
     pending: Vec<Sample>,
-    work: Arc<EpochWork>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    producers: Producers,
     samples: u64,
     started: Instant,
+    /// When the last receive returned: the caller's time runs from here
+    /// to its next one.
+    pulled: Option<Instant>,
+    /// The caller's time between pulls, so far.
+    caller: Duration,
     failed: Option<PipelineError>,
-    /// The ring ran dry: every worker got through its shards.
+    /// The ring ran dry: every producer got through its shards.
     ended: bool,
     cache: Option<CacheStage>,
 }
@@ -1012,7 +1090,7 @@ impl Iterator for EpochStream {
         loop {
             if let Some(sample) = self.pending.pop() {
                 if let Some(stage) = &mut self.cache {
-                    if let Err(e) = stage.pass(&sample, &self.work.rec) {
+                    if let Err(e) = stage.pass(&sample, self.producers.feed.rec()) {
                         // The fill is abandoned; the sample itself
                         // follows the error.
                         self.cache = None;
@@ -1023,15 +1101,18 @@ impl Iterator for EpochStream {
                 self.samples += 1;
                 return Some(Ok(sample));
             }
-            match self.receiver.recv() {
+            if let Some(pulled) = self.pulled {
+                self.caller += pulled.elapsed();
+            }
+            let received = self.receiver.recv();
+            self.pulled = Some(Instant::now());
+            match received {
                 Some(Ok(bundle)) => {
-                    self.work.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    // Swap the drained container for the fresh bundle
-                    // and recycle it back to the producers' pool.
+                    // Swap the drained container for the fresh bundle.
                     let drained = std::mem::replace(&mut self.pending, bundle.samples);
-                    self.work.pool.put_bundle(drained);
+                    self.producers.feed.taken(drained);
                     self.pending.reverse();
-                    // Workers never send empty bundles, so this loops
+                    // Producers never send empty bundles, so this loops
                     // at most once per received bundle.
                 }
                 Some(Err(e)) => return Some(Err(self.fail(e))),
@@ -1045,34 +1126,58 @@ impl Iterator for EpochStream {
 }
 
 impl EpochStream {
+    /// A stream over `receiver`, fed by `feed`'s producers, none of
+    /// them started yet (see [`EpochStream::spawn`]).
+    pub(crate) fn new(receiver: dataplane::RingReceiver<Handoff>, feed: Arc<dyn Feed>) -> Self {
+        EpochStream {
+            receiver,
+            pending: Vec::new(),
+            producers: Producers {
+                feed,
+                handles: Vec::new(),
+            },
+            samples: 0,
+            started: Instant::now(),
+            pulled: None,
+            caller: Duration::ZERO,
+            failed: None,
+            ended: false,
+            cache: None,
+        }
+    }
+
+    /// Start one producer thread.
+    pub(crate) fn spawn(&mut self, body: impl FnOnce() + Send + 'static) {
+        self.producers.handles.push(std::thread::spawn(body));
+    }
+
     /// Keep the epoch's first error; pass `e` on as the stream item.
     fn fail(&mut self, e: PipelineError) -> PipelineError {
         self.failed.get_or_insert_with(|| e.clone());
         e
     }
 
-    /// Wait for the workers and return the epoch stats. A cache fill
+    /// Wait for the producers and return the epoch stats. A cache fill
     /// is sealed here, and only for a whole clean epoch: a dropped,
     /// failed or degraded one would replay short ever after.
     pub fn join(self) -> Result<EpochStats, PipelineError> {
-        // Hang up first, so workers blocked on a full lane stop.
+        self.join_holding(0)
+    }
+
+    /// [`EpochStream::join`] for a caller still `held` samples short of
+    /// what it pulled: they never reached its loop.
+    pub(crate) fn join_holding(self, held: u64) -> Result<EpochStats, PipelineError> {
+        let caller = self.caller + self.pulled.map_or(Duration::ZERO, |t| t.elapsed());
+        // Hang up first, so producers blocked on a full lane stop.
         drop(self.receiver);
-        for handle in self.handles {
-            handle.join().map_err(|_| PipelineError::WorkerPanicked {
-                step: "epoch-stream worker".into(),
-            })?;
-        }
+        let mut producers = self.producers;
+        producers.stop()?;
         if let Some(e) = self.failed {
             return Err(e);
         }
-        let work = &self.work;
-        let stats = EpochStats {
-            samples: self.samples,
-            bytes_read: work.bytes_read.load(Ordering::Relaxed),
-            ..EpochStats::default()
-        }
-        .finish(&work.counters, self.started.elapsed());
-        work.rec.finish(
+        let feed = &producers.feed;
+        let stats = feed.tally(self.samples - held, self.started.elapsed(), caller);
+        feed.rec().finish(
             stats.elapsed,
             stats.samples,
             stats.bytes_read,
@@ -1091,12 +1196,9 @@ impl EpochStream {
 
     /// Wrap the stream in a windowed shuffle buffer of `capacity`
     /// samples (tf.data's `.shuffle(buffer_size)`), propagating errors.
-    pub fn shuffled(
-        self,
-        capacity: usize,
-        seed: u64,
-    ) -> impl Iterator<Item = Result<Sample, PipelineError>> {
-        crate::shuffle::ShuffleBuffer::new(self, capacity, seed)
+    /// The shuffled stream still joins ([`ShuffleBuffer::join`]).
+    pub fn shuffled(self, capacity: usize, seed: u64) -> ShuffleBuffer<EpochStream> {
+        ShuffleBuffer::new(self, capacity, seed)
     }
 }
 
@@ -1106,7 +1208,7 @@ impl EpochStream {
 /// error — so a bundle never spans shards and nothing produced is
 /// lost.
 struct BundleFlusher<'a> {
-    sender: dataplane::RingSender<Handoff>,
+    sender: Lane,
     bundle: Vec<Sample>,
     work: &'a EpochWork,
     worker: usize,
@@ -1504,6 +1606,27 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_shuffled_stream_counts_only_what_left_its_window() {
+        let pipeline = pipeline();
+        let store = Arc::new(MemStore::new());
+        let exec = RealExecutor::new(2);
+        let strategy = Strategy::at_split(0).with_threads(2);
+        let (dataset, _) = exec
+            .materialize(&pipeline, &strategy, &source(100), store.as_ref())
+            .unwrap();
+        let mut stream = exec
+            .stream_epoch(&pipeline, &dataset, store, 4, 1)
+            .unwrap()
+            .shuffled(16, 3);
+        for _ in 0..5 {
+            stream.next().unwrap().unwrap();
+        }
+        // 20 samples came off the ring; 15 of them are still in the
+        // window and never reached the caller.
+        assert_eq!(stream.join().unwrap().samples, 5);
     }
 
     #[test]

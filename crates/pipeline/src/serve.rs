@@ -62,20 +62,25 @@
 //! each record's CRC and hashes it for the [`MultisetChecksum`] while it
 //! is in cache.
 //!
-//! Failover: the client buffers each shard's samples and commits them
-//! only on that shard's EOF. When a connection dies mid-shard (worker
-//! killed, timeout), every uncommitted shard is reassigned to the
-//! surviving workers on the next round. Because online-step RNG is
+//! The client is an [`EpochStream`] ([`serve_stream`]): one *link*
+//! thread per worker buffers each shard's samples, commits them only on
+//! that shard's EOF, and then hands them to the caller through the
+//! link's ring lane. Failover: when a connection dies mid-shard (worker
+//! killed, timeout), its uncommitted shards go back on one pending
+//! queue, which idle links pull from. Because online-step RNG is
 //! seeded per *shard* ([`crate::real::shard_rng_seed`]), a reassigned
 //! shard reproduces bit-identical samples on any worker, so a degraded
 //! epoch still delivers the exact same sample multiset — which
 //! [`MultisetChecksum`] proves, order-insensitively.
 
-use crate::dataplane::BufferPool;
+use crate::dataplane::{self, BufferPool, SampleBundle};
 use crate::error::PipelineError;
 use crate::fault::{FaultPolicy, Resilience, RetryPolicy};
 use crate::pipeline::Pipeline;
-use crate::real::{executable_steps, fnv64, process_shard, Deliver, Materialized};
+use crate::real::{
+    executable_steps, fnv64, process_shard, Deliver, EpochStats, EpochStream, Feed, Lane,
+    Materialized,
+};
 use crate::sample::Sample;
 use crate::store::BlobStore;
 use crate::tenant::{AdmissionPolicy, Batch, Books, FleetDaemonConfig, Pending, Server, Source};
@@ -89,11 +94,12 @@ use presto_telemetry::{
 };
 use presto_tensor::record::{fold_record, record_header, record_trailer, RECORD_OVERHEAD};
 use presto_tensor::{Pieces, RecordReader, RecordWriter};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The protocol version this build speaks. A peer whose HELLO carries
@@ -1636,8 +1642,8 @@ pub struct ServeClientConfig {
     pub read_timeout: Duration,
     /// TCP connect timeout per connection attempt.
     pub connect_timeout: Duration,
-    /// Reconnect schedule for failed workers: a worker gets
-    /// `max_attempts` connection lifecycles in one epoch (so
+    /// Reconnect schedule for failed workers: each worker's link gets
+    /// `max_attempts` consecutive lifeless connection lifecycles (so
     /// [`RetryPolicy::none`] reproduces the pre-rejoin behavior of
     /// dropping a worker on its first failure), with the policy's
     /// exponential backoff slept before each re-attempt and its
@@ -1699,10 +1705,11 @@ impl Default for ServeClientConfig {
     }
 }
 
-/// What one distributed epoch delivered.
+/// What one distributed epoch delivered: [`serve_epoch`]'s answer, and
+/// the links' tallies a served stream's [`EpochStats::served`] carries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeReport {
-    /// Samples committed to the consumer.
+    /// Samples delivered to the consumer.
     pub samples: u64,
     /// BATCH frames drained.
     pub batches: u64,
@@ -1710,7 +1717,7 @@ pub struct ServeReport {
     pub bytes_received: u64,
     /// Order-insensitive fingerprint of the delivered multiset.
     pub checksum: MultisetChecksum,
-    /// Shards that had to move to a surviving worker.
+    /// Shards put back for another link to take, once per requeue.
     pub reassignments: u64,
     /// Worker connections lost mid-epoch (presumed preemptions).
     pub preemptions: u64,
@@ -1722,7 +1729,7 @@ pub struct ServeReport {
     pub lost_shards: u64,
     /// True when any shard was lost.
     pub degraded: bool,
-    /// Assignment rounds (1 = no failover).
+    /// 1 + the most times any one shard was requeued (1 = no failover).
     pub rounds: u64,
     /// Workers the epoch started with.
     pub workers: u64,
@@ -1743,22 +1750,30 @@ impl ServeReport {
 /// Outcome of one connection's assignment.
 #[derive(Default)]
 struct ConnOutcome {
+    /// Fingerprint of the shards delivered to the lane.
     checksum: MultisetChecksum,
-    samples: u64,
     batches: u64,
     bytes: u64,
-    /// Shards assigned but not EOF-committed (to reassign).
-    failed: Vec<String>,
+    /// Shards assigned but not EOF-committed (to requeue), as indices
+    /// into the epoch's shard list.
+    failed: Vec<usize>,
     /// ERR frame from the worker: fatal, no failover.
     fatal: Option<PipelineError>,
+    /// The caller hung up: nothing is requeued or written off.
+    stopped: bool,
     /// Time blocked waiting for the first byte of each frame, ns.
     gap_ns: u64,
     /// Time reading frame bytes after the first arrived, ns.
     stream_ns: u64,
-    /// Time inside the consume callback, ns. The client's own hashing
-    /// is not in it: each record is hashed as it is decoded.
-    consume_ns: u64,
 }
+
+/// Committed shards whose receive buffers a link holds on to, until the
+/// caller drops their samples and they can be read into again. A
+/// caller that drains as it goes holds two of a link's shards at most
+/// (one in the lane, one being read); a shuffle window may hold more,
+/// and past this bound the oldest is let go, its buffers freed by
+/// whoever drops them last.
+const DEFERRED_SHARDS: usize = 4;
 
 /// The client's read side of one connection: the socket behind a
 /// [`BufReader`], which `read_to_end`s a frame into spare capacity
@@ -1773,6 +1788,9 @@ struct ConnOutcome {
 struct Inbound {
     reader: BufReader<TcpStream>,
     spare: Vec<Vec<u8>>,
+    /// Record streams of committed shards, oldest first, kept until
+    /// nothing aliases them ([`DEFERRED_SHARDS`] at most).
+    deferred: VecDeque<Vec<Bytes>>,
     metered: bool,
     gap_ns: u64,
     stream_ns: u64,
@@ -1783,14 +1801,20 @@ impl Inbound {
         Inbound {
             reader: BufReader::new(stream),
             spare: Vec::new(),
+            deferred: VecDeque::new(),
             metered,
             gap_ns: 0,
             stream_ns: 0,
         }
     }
 
-    /// Read one frame ([`receive`]), metered when tracing.
+    /// Read one frame ([`receive`]), metered when tracing. With no
+    /// spare buffer left, the deferred ones the caller is done with are
+    /// taken back first.
     fn receive(&mut self) -> Result<Option<Received>, ServeError> {
+        if self.spare.is_empty() {
+            self.reclaim();
+        }
         if !self.metered {
             return receive(&mut self.reader, &mut self.spare);
         }
@@ -1804,15 +1828,27 @@ impl Inbound {
         received
     }
 
-    /// Take a committed shard's record streams back as receive buffers:
-    /// each one nothing aliases any more. A stream the consumer still
-    /// holds samples of stays with them.
-    fn reclaim(&mut self, frames: Vec<Bytes>) {
-        for frame in frames {
-            if let Ok(buffer) = frame.try_reclaim() {
-                self.spare.push(buffer);
+    /// Keep a committed shard's record streams until the caller has
+    /// dropped the samples aliasing them.
+    fn defer(&mut self, frames: Vec<Bytes>) {
+        if self.deferred.len() == DEFERRED_SHARDS {
+            self.deferred.pop_front();
+        }
+        self.deferred.push_back(frames);
+    }
+
+    /// Take back as receive buffers the deferred record streams that
+    /// nothing aliases any more.
+    fn reclaim(&mut self) {
+        for frames in &mut self.deferred {
+            for frame in std::mem::take(frames) {
+                match frame.try_reclaim() {
+                    Ok(buffer) => self.spare.push(buffer),
+                    Err(frame) => frames.push(frame),
+                }
             }
         }
+        self.deferred.retain(|frames| !frames.is_empty());
     }
 }
 
@@ -1841,39 +1877,13 @@ impl CreditWindow {
     }
 }
 
-/// Tracing context one connection records into: the client-epoch span
-/// recorder, the fleet registry, and this connection's identity.
-struct ConnTrace<'a> {
-    rec: &'a EpochRecorder,
-    fleet: &'a FleetProgress,
-    /// Stable index of this worker in the epoch's worker list — the
-    /// `worker` field of client-side spans.
-    conn: u32,
-    trace_id: u64,
-    /// Global shard name → index into the epoch's full shard list
-    /// (client span phase = `BUILTIN_PHASES + index`).
-    shard_index: &'a HashMap<String, usize>,
-}
-
 /// SplitMix64: derive a deterministic trace id from the epoch seed.
 fn derive_trace_id(seed: u64) -> u64 {
     mix64(seed.wrapping_add(0x9E3779B97F4A7C15))
 }
 
 /// Consume one epoch from `workers`, delivering every sample to
-/// `consume`. Shards are striped across workers exactly like
-/// [`crate::real::RealExecutor`] stripes them across threads; a dead or
-/// unresponsive worker's uncommitted shards are reassigned on the next
-/// round. Failed workers are not dropped outright: each gets
-/// [`ServeClientConfig::reconnect`] connection lifecycles (with backoff
-/// slept before each re-attempt), so a preempted worker that comes back
-/// on the same address rejoins mid-epoch and is handed pending shards
-/// again. Only when every worker has exhausted its budget (or the
-/// reconnect deadline has passed) does the `config.policy` decide
-/// between failing and a degraded epoch. Because online-step RNG is
-/// seeded per shard, none of this reordering changes the delivered
-/// multiset — the report's checksum stays equal to a single-process
-/// run's whenever the epoch completes.
+/// `consume` on the caller's thread: a drain of [`serve_stream`].
 pub fn serve_epoch<F>(
     workers: &[String],
     shards: &[String],
@@ -1885,9 +1895,45 @@ pub fn serve_epoch<F>(
 where
     F: Fn(&Sample) + Send + Sync,
 {
+    let mut stream = serve_stream(workers, shards, epoch_seed, config, telemetry)?;
+    // Errors are kept by the stream; `join` returns the first.
+    for sample in (&mut stream).flatten() {
+        consume(&sample);
+    }
+    stream.join().map(|stats| stats.served.unwrap_or_default())
+}
+
+/// Start one epoch served by `workers`: the same [`EpochStream`] the
+/// local engine returns, so the caller pulls, shuffles and joins it the
+/// same way, and [`EpochStats::served`] carries the links' tallies.
+///
+/// Each worker gets one *link*, a thread with its own ring lane, like
+/// each local worker thread. A link's first assignment is its stripe
+/// of `shards`, laid out as [`crate::real::RealExecutor`] stripes
+/// shards across threads; it commits each shard on its EOF, sends the
+/// shard's samples into its lane as one bundle, and reads on once the
+/// caller has taken the shard before. A connection that
+/// dies puts its uncommitted shards back on one pending queue, which
+/// idle links pull from. A failed link is not dropped outright: it gets
+/// [`ServeClientConfig::reconnect`] connection lifecycles (with backoff
+/// slept before each re-attempt), so a preempted worker that comes back
+/// on the same address rejoins mid-epoch and pulls pending shards
+/// again. Only when the last link is written off with shards still
+/// pending does `config.policy` decide between failing and a degraded
+/// epoch. Because online-step RNG is seeded per shard, none of this
+/// reordering changes the delivered multiset: the tallied checksum
+/// stays equal to a single-process run's whenever the epoch completes.
+/// Dropping the stream stops its links and closes their connections.
+pub fn serve_stream(
+    workers: &[String],
+    shards: &[String],
+    epoch_seed: u64,
+    config: &ServeClientConfig,
+    telemetry: Option<&Telemetry>,
+) -> Result<EpochStream, PipelineError> {
     if workers.is_empty() {
         return Err(PipelineError::InvalidStrategy(
-            "serve_epoch needs at least one worker address".into(),
+            "a served epoch needs at least one worker address".into(),
         ));
     }
     for addr in workers {
@@ -1902,471 +1948,572 @@ where
     // the shards themselves (one client span per shard, from
     // assignment start to EOF commit), plus the fleet registry the
     // connections fill with handshake offsets and remote stats.
-    let tracing = config.tracing && telemetry.is_some();
-    let trace_id = if config.trace_id != 0 {
-        config.trace_id
-    } else {
-        derive_trace_id(epoch_seed)
+    let tracing = telemetry.filter(|_| config.tracing);
+    let trace_id = match config.trace_id {
+        0 => derive_trace_id(epoch_seed),
+        id => id,
     };
-    let rec = telemetry.filter(|_| tracing).map(|t| {
+    let rec = tracing.map_or_else(EpochRecorder::noop, |t| {
         let rec = t.begin_epoch(shards, workers.len(), 0);
         rec.set_epoch_seed(epoch_seed);
         rec
     });
-    let fleet = telemetry.filter(|_| tracing).map(|t| {
+    let fleet = tracing.map(|t| {
         let fleet = t.fleet();
         fleet.begin(trace_id);
         fleet
     });
-    let shard_index: HashMap<String, usize> = shards
-        .iter()
-        .enumerate()
-        .map(|(index, name)| (name.clone(), index))
+    let n = workers.len();
+    let stripes: Vec<Vec<usize>> = (0..n)
+        .map(|link| (link..shards.len()).step_by(n).collect())
         .collect();
-    let started = Instant::now();
-    let consume = &consume;
-    let mut report = ServeReport {
-        workers: workers.len() as u64,
-        ..ServeReport::default()
-    };
-    // Connection lifecycles each worker has burned so far. A worker is
-    // a candidate while it has budget left; success resets its count.
-    let budget = config.reconnect.max_attempts.max(1);
-    let mut failures: HashMap<&String, u32> = workers.iter().map(|addr| (addr, 0u32)).collect();
-    let mut pending: Vec<String> = shards.to_vec();
-    while !pending.is_empty() {
-        let retry_open = config
-            .reconnect
-            .deadline
-            .is_none_or(|d| started.elapsed() < d);
-        // Healthy workers always participate; failed ones only while
-        // their budget and the reconnect deadline allow another try.
-        let candidates: Vec<(&String, u32)> = workers
-            .iter()
-            .filter_map(|addr| {
-                let tried = failures[addr];
-                (tried == 0 || (tried < budget && retry_open)).then_some((addr, tried))
-            })
-            .collect();
-        if candidates.is_empty() {
-            match &config.policy {
-                FaultPolicy::FailFast => {
-                    return Err(PipelineError::LostShard {
-                        shard: pending[0].clone(),
-                    });
+    let links = Arc::new(Links {
+        workers: workers.to_vec(),
+        shards: shards.to_vec(),
+        epoch_seed,
+        config: config.clone(),
+        started: Instant::now(),
+        rec,
+        fleet,
+        trace_id,
+        progress,
+        state: Mutex::new(LinkState {
+            requeues: vec![0; shards.len()],
+            busy: stripes.iter().filter(|stripe| !stripe.is_empty()).count(),
+            alive: n,
+            ..LinkState::default()
+        }),
+        changed: Condvar::new(),
+        stop: AtomicBool::new(false),
+        conns: Conns::default(),
+    });
+    // A lane holds one committed shard: a double buffer behind the
+    // one the caller is reading, and a link reads no further ahead.
+    let (lanes, receiver) = dataplane::ring(n, 1);
+    let mut stream = EpochStream::new(receiver, Arc::clone(&links) as Arc<dyn Feed>);
+    for ((link, lane), stripe) in lanes.into_iter().enumerate().zip(stripes) {
+        let links = Arc::clone(&links);
+        stream.spawn(move || links.run(link, stripe, lane));
+    }
+    Ok(stream)
+}
+
+/// One served epoch, as its links share it: the pending queue failover
+/// feeds and idle links pull from, the tallies, and what stops them.
+struct Links {
+    workers: Vec<String>,
+    /// The epoch's shards; links pass them around by index.
+    shards: Vec<String>,
+    epoch_seed: u64,
+    config: ServeClientConfig,
+    started: Instant,
+    /// The client-epoch recorder: when tracing, one span per shard, its
+    /// phase `BUILTIN_PHASES` + the shard's index; a no-op otherwise.
+    rec: Arc<EpochRecorder>,
+    /// When tracing, the registry the connections fill with handshake
+    /// offsets and remote stats.
+    fleet: Option<Arc<FleetProgress>>,
+    trace_id: u64,
+    progress: Option<Arc<ServeProgress>>,
+    state: Mutex<LinkState>,
+    /// Signalled when shards are requeued, a link settles, or the
+    /// epoch stops.
+    changed: Condvar,
+    stop: AtomicBool,
+    /// The links' open connections, so that hanging up severs them.
+    conns: Conns,
+}
+
+/// The mutable part of [`Links`].
+#[derive(Default)]
+struct LinkState {
+    /// Shards no link holds: put back by failed connections.
+    pending: VecDeque<usize>,
+    /// Times each shard was put back.
+    requeues: Vec<u64>,
+    /// Links holding an assignment.
+    busy: usize,
+    /// Links not written off.
+    alive: usize,
+    /// The links' tallies so far.
+    report: ServeReport,
+}
+
+impl Feed for Links {
+    fn rec(&self) -> &EpochRecorder {
+        &self.rec
+    }
+
+    fn taken(&self, _drained: Vec<Sample>) {}
+
+    fn hang_up(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.conns.sever();
+        // Called from `Drop`: only wakes the waiters, so a poisoned lock
+        // is as good as a clean one here.
+        let _state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        self.changed.notify_all();
+    }
+
+    fn tally(&self, samples: u64, elapsed: Duration, caller: Duration) -> EpochStats {
+        if let Some(progress) = &self.progress {
+            progress.consume_time(caller.as_nanos() as u64);
+            progress.finish();
+        }
+        let state = self.lock();
+        let requeued = state.requeues.iter().max().copied().unwrap_or(0);
+        let report = ServeReport {
+            samples,
+            degraded: state.report.lost_shards > 0,
+            rounds: 1 + requeued,
+            workers: self.workers.len() as u64,
+            elapsed,
+            ..state.report.clone()
+        };
+        EpochStats {
+            samples,
+            bytes_read: report.bytes_received,
+            elapsed,
+            lost_shards: report.lost_shards,
+            degraded: report.degraded,
+            served: Some(report),
+            ..EpochStats::default()
+        }
+    }
+}
+
+/// Why a link's state lock can fail: a panic while it was held, which
+/// only a bug in the accounting can cause.
+const POISONED: &str = "a link panicked holding the served epoch's state";
+
+impl Links {
+    fn lock(&self) -> MutexGuard<'_, LinkState> {
+        self.state.lock().expect(POISONED)
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// True while the reconnect deadline, measured from epoch start,
+    /// still allows a failed link another try.
+    fn retry_open(&self) -> bool {
+        let deadline = self.config.reconnect.deadline;
+        deadline.is_none_or(|d| self.started.elapsed() < d)
+    }
+
+    /// Link `link`'s thread: feed `lane` from worker `link`, one
+    /// connection lifecycle at a time — `stripe` first, then what
+    /// failover puts back — until the epoch has no shard left for it.
+    fn run(&self, link: usize, stripe: Vec<usize>, lane: Lane) {
+        let mut assigned = stripe;
+        // Consecutive lifeless connection lifecycles of this link.
+        let mut tried = 0u32;
+        let failure = loop {
+            if assigned.is_empty() {
+                match self.next_assignment(tried) {
+                    Ok(Some(shards)) => assigned = shards,
+                    Ok(None) => return,
+                    Err(e) => break e,
                 }
-                FaultPolicy::Degrade {
-                    max_lost_shards, ..
-                } => {
-                    if pending.len() as u64 > *max_lost_shards {
-                        return Err(PipelineError::FaultBudgetExceeded {
-                            skipped_samples: 0,
-                            lost_shards: pending.len() as u64,
-                        });
+            }
+            let drive = AssertUnwindSafe(|| self.consume_assignment(link, &assigned, &lane));
+            let mut outcome = catch_unwind(drive).unwrap_or_else(|_| ConnOutcome {
+                failed: assigned.clone(),
+                ..ConnOutcome::default()
+            });
+            if let Some(fatal) = outcome.fatal.take() {
+                self.hang_up();
+                break fatal;
+            }
+            match self.settle(&assigned, outcome, &mut tried) {
+                Ok(true) => assigned.clear(),
+                Ok(false) => return,
+                Err(e) => break e,
+            }
+            if tried > 0 {
+                let seed = self.epoch_seed ^ fnv64(&self.workers[link]);
+                self.pause(self.config.reconnect.backoff(tried, seed));
+            }
+        };
+        let _ = lane.send(Err(failure), &mut |_| {});
+    }
+
+    /// Wait for shards an idle link can take: its share of the pending
+    /// queue. `None` once the epoch is over for it — nothing pending and
+    /// no link holding shards that could fail back, or the caller hung
+    /// up. A failed link (`tried > 0`) past the reconnect deadline is
+    /// written off instead.
+    fn next_assignment(&self, tried: u32) -> Result<Option<Vec<usize>>, PipelineError> {
+        let mut state = self.lock();
+        loop {
+            if self.stopped() {
+                return Ok(None);
+            }
+            if !state.pending.is_empty() {
+                if tried > 0 && !self.retry_open() {
+                    return self.write_off(&mut state).map(|()| None);
+                }
+                if tried > 0 {
+                    state.report.reconnects += 1;
+                    if let Some(progress) = &self.progress {
+                        progress.record_reconnect_attempt();
                     }
-                    report.lost_shards = pending.len() as u64;
-                    report.degraded = true;
-                    break;
                 }
+                let take = state.pending.len().div_ceil(state.alive);
+                state.busy += 1;
+                return Ok(Some(state.pending.drain(..take).collect()));
             }
+            if state.busy == 0 {
+                return Ok(None);
+            }
+            state = self.changed.wait(state).expect(POISONED);
         }
-        report.rounds += 1;
-        // Stripe pending shards across candidate workers, same layout
-        // as the in-process engine stripes shards across threads.
-        let assignments: Vec<(&String, u32, Vec<String>)> = candidates
-            .iter()
-            .enumerate()
-            .map(|(index, &(addr, tried))| {
-                (
-                    addr,
-                    tried,
-                    pending
-                        .iter()
-                        .skip(index)
-                        .step_by(candidates.len())
-                        .cloned()
-                        .collect::<Vec<String>>(),
-                )
-            })
-            .filter(|(_, _, assigned)| !assigned.is_empty())
-            .collect();
-        for (_, tried, _) in &assignments {
+    }
+
+    /// Book one connection lifecycle over `assigned`: its tallies, and
+    /// on a failure its uncommitted shards back on the pending queue and
+    /// the link's lifeless count in `tried`. `Ok(true)` when the link
+    /// goes on, `Ok(false)` when it stops (hung up, or written off).
+    fn settle(
+        &self,
+        assigned: &[usize],
+        outcome: ConnOutcome,
+        tried: &mut u32,
+    ) -> Result<bool, PipelineError> {
+        if let Some(progress) = &self.progress {
+            progress.gap_wait(outcome.gap_ns);
+            progress.stream_read(outcome.stream_ns);
+        }
+        let mut state = self.lock();
+        state.busy -= 1;
+        self.changed.notify_all();
+        state.report.batches += outcome.batches;
+        state.report.checksum.merge(outcome.checksum);
+        state.report.bytes_received += outcome.bytes;
+        if outcome.stopped || self.stopped() {
+            return Ok(false);
+        }
+        if outcome.failed.is_empty() {
             if *tried > 0 {
-                report.reconnects += 1;
-                if let Some(progress) = &progress {
-                    progress.record_reconnect_attempt();
-                }
-            }
-        }
-        let rec_ref = rec.as_deref();
-        let fleet_ref = fleet.as_deref();
-        let shard_index = &shard_index;
-        let outcomes: Vec<ConnOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = assignments
-                .iter()
-                .map(|(addr, tried, assigned)| {
-                    let conn = workers.iter().position(|w| &w == addr).unwrap_or(0) as u32;
-                    scope.spawn(move || {
-                        let trace = match (rec_ref, fleet_ref) {
-                            (Some(rec), Some(fleet)) => Some(ConnTrace {
-                                rec,
-                                fleet,
-                                conn,
-                                trace_id,
-                                shard_index,
-                            }),
-                            _ => None,
-                        };
-                        consume_assignment(
-                            addr,
-                            assigned,
-                            epoch_seed,
-                            config,
-                            *tried,
-                            trace.as_ref(),
-                            consume,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .zip(assignments.iter())
-                .map(|(handle, (_, _, assigned))| {
-                    handle.join().unwrap_or_else(|_| ConnOutcome {
-                        failed: assigned.clone(),
-                        ..ConnOutcome::default()
-                    })
-                })
-                .collect()
-        });
-        let mut next_pending: Vec<String> = Vec::new();
-        for ((addr, tried, assigned), outcome) in assignments.into_iter().zip(outcomes) {
-            if let Some(fatal) = outcome.fatal {
-                return Err(fatal);
-            }
-            if let Some(progress) = &progress {
-                progress.gap_wait(outcome.gap_ns);
-                progress.stream_read(outcome.stream_ns);
-                progress.consume_time(outcome.consume_ns);
-            }
-            report.samples += outcome.samples;
-            report.batches += outcome.batches;
-            report.bytes_received += outcome.bytes;
-            report.checksum.merge(outcome.checksum);
-            if !outcome.failed.is_empty() {
-                // The budget counts *consecutive lifeless* lifecycles:
-                // a connection that committed a shard — or even just
-                // streamed valid batches — before dying proves the
-                // worker alive (a flaky link, not a corpse), so its
-                // count restarts at this one failure instead of
-                // accumulating toward the write-off threshold. Only a
-                // worker that goes `max_attempts` lifecycles without a
-                // single sign of life is dropped; callers that need a
-                // hard bound under an endlessly flaky link set
-                // `reconnect.deadline`.
-                let alive = outcome.failed.len() < assigned.len() || outcome.batches > 0;
-                *failures.get_mut(addr).unwrap() = if alive { 1 } else { tried + 1 };
-                report.preemptions += 1;
-                if let Some(progress) = &progress {
-                    progress.record_preemption();
-                }
-                next_pending.extend(outcome.failed);
-            } else if tried > 0 {
                 // Came back after failing: a mid-epoch rejoin.
-                *failures.get_mut(addr).unwrap() = 0;
-                report.rejoins += 1;
-                if let Some(progress) = &progress {
+                *tried = 0;
+                state.report.rejoins += 1;
+                if let Some(progress) = &self.progress {
                     progress.record_rejoin();
                 }
             }
+            return Ok(true);
         }
-        if !next_pending.is_empty() {
-            report.reassignments += next_pending.len() as u64;
-            if let Some(progress) = &progress {
-                progress.record_reassignments(next_pending.len() as u64);
+        // The budget counts *consecutive lifeless* lifecycles: a
+        // connection that committed a shard — or even just streamed
+        // valid batches — before dying proves the worker alive (a flaky
+        // link, not a corpse), so its count restarts at this one
+        // failure instead of accumulating toward the write-off
+        // threshold. Only a link that goes `max_attempts` lifecycles
+        // without a single sign of life is written off; callers that
+        // need a hard bound under an endlessly flaky link set
+        // `reconnect.deadline`.
+        let alive = outcome.failed.len() < assigned.len() || outcome.batches > 0;
+        *tried = if alive { 1 } else { *tried + 1 };
+        state.report.preemptions += 1;
+        state.report.reassignments += outcome.failed.len() as u64;
+        if let Some(progress) = &self.progress {
+            progress.record_preemption();
+            progress.record_reassignments(outcome.failed.len() as u64);
+        }
+        for shard in outcome.failed {
+            state.requeues[shard] += 1;
+            state.pending.push_back(shard);
+        }
+        if *tried < self.config.reconnect.max_attempts.max(1) && self.retry_open() {
+            return Ok(true);
+        }
+        self.write_off(&mut state).map(|()| false)
+    }
+
+    /// Write a link off for the rest of the epoch. The last one out with
+    /// shards still pending leaves them to the fault policy: fail, or
+    /// lose them within the degrade budget.
+    fn write_off(&self, state: &mut LinkState) -> Result<(), PipelineError> {
+        state.alive -= 1;
+        if state.alive > 0 || state.pending.is_empty() {
+            return Ok(());
+        }
+        let lost = state.pending.len() as u64;
+        match &self.config.policy {
+            FaultPolicy::FailFast => Err(PipelineError::LostShard {
+                shard: self.shards[state.pending[0]].clone(),
+            }),
+            FaultPolicy::Degrade {
+                max_lost_shards, ..
+            } if lost > *max_lost_shards => Err(PipelineError::FaultBudgetExceeded {
+                skipped_samples: 0,
+                lost_shards: lost,
+            }),
+            FaultPolicy::Degrade { .. } => {
+                state.report.lost_shards = lost;
+                state.pending.clear();
+                self.changed.notify_all();
+                Ok(())
             }
         }
-        pending = next_pending;
     }
-    report.elapsed = started.elapsed();
-    if let Some(rec) = &rec {
-        rec.finish(
-            report.elapsed,
-            report.samples,
-            report.bytes_received,
-            0,
-            0,
-            report.lost_shards,
-            report.degraded,
+
+    /// Sleep a reconnect backoff, or less if the caller hangs up.
+    fn pause(&self, wait: Duration) {
+        let state = self.lock();
+        let _ = self
+            .changed
+            .wait_timeout_while(state, wait, |_| !self.stopped())
+            .expect(POISONED);
+    }
+
+    /// Drive one connection of link `link` through one assignment,
+    /// sending each shard's samples into `lane` on its EOF.
+    fn consume_assignment(&self, link: usize, assigned: &[usize], lane: &Lane) -> ConnOutcome {
+        let mut outcome = ConnOutcome {
+            failed: assigned.to_vec(),
+            ..ConnOutcome::default()
+        };
+        let Ok(parsed) = self.workers[link].parse::<SocketAddr>() else {
+            return outcome;
+        };
+        let Ok(stream) = TcpStream::connect_timeout(&parsed, self.config.connect_timeout) else {
+            return outcome;
+        };
+        // Registered until this function returns; once the caller hung
+        // up the registry refuses it.
+        let Some(_entry) = self.conns.enter(&stream) else {
+            outcome.stopped = true;
+            return outcome;
+        };
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(self.config.read_timeout));
+        let Ok(mut writer) = stream.try_clone() else {
+            return outcome;
+        };
+        let mut inbound = Inbound::new(stream, self.fleet.is_some());
+        self.drive_assignment(
+            link,
+            assigned,
+            lane,
+            &mut writer,
+            &mut inbound,
+            &mut outcome,
         );
+        // Whatever happened on the wire, the wait buckets are real.
+        outcome.gap_ns = inbound.gap_ns;
+        outcome.stream_ns = inbound.stream_ns;
+        outcome
     }
-    if let Some(progress) = &progress {
-        progress.finish();
-    }
-    Ok(report)
-}
 
-/// Drive one worker connection through one assignment, committing each
-/// shard's buffered samples on its EOF. `attempt` counts earlier failed
-/// connection lifecycles of this worker: a re-attempt first sleeps the
-/// reconnect policy's backoff (jittered deterministically per worker),
-/// giving a preempted worker time to come back on the same address.
-fn consume_assignment<F>(
-    addr: &str,
-    shards: &[String],
-    epoch_seed: u64,
-    config: &ServeClientConfig,
-    attempt: u32,
-    trace: Option<&ConnTrace<'_>>,
-    consume: &F,
-) -> ConnOutcome
-where
-    F: Fn(&Sample) + Send + Sync,
-{
-    let mut outcome = ConnOutcome {
-        failed: shards.to_vec(),
-        ..ConnOutcome::default()
-    };
-    let parsed: SocketAddr = match addr.parse() {
-        Ok(parsed) => parsed,
-        Err(_) => return outcome,
-    };
-    if attempt > 0 {
-        std::thread::sleep(config.reconnect.backoff(attempt, epoch_seed ^ fnv64(addr)));
-    }
-    let stream = match TcpStream::connect_timeout(&parsed, config.connect_timeout) {
-        Ok(stream) => stream,
-        Err(_) => return outcome,
-    };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let mut writer = match stream.try_clone() {
-        Ok(writer) => writer,
-        Err(_) => return outcome,
-    };
-    let mut inbound = Inbound::new(stream, trace.is_some());
-    drive_assignment(
-        addr,
-        shards,
-        epoch_seed,
-        config,
-        trace,
-        consume,
-        &mut writer,
-        &mut inbound,
-        &mut outcome,
-    );
-    // Whatever happened on the wire, the wait buckets are real.
-    outcome.gap_ns = inbound.gap_ns;
-    outcome.stream_ns = inbound.stream_ns;
-    outcome
-}
-
-/// The wire conversation of one connection: the HELLO exchange, the
-/// clock-offset handshake, REGISTER, ASSIGN, then the BATCH2/EOF/ERR
-/// drain loop and (when requested) the trailing STATS frame. Mutates
-/// `outcome` in place so every early return leaves a consistent
-/// partial result for failover.
-#[allow(clippy::too_many_arguments)]
-fn drive_assignment<F>(
-    addr: &str,
-    shards: &[String],
-    epoch_seed: u64,
-    config: &ServeClientConfig,
-    trace: Option<&ConnTrace<'_>>,
-    consume: &F,
-    writer: &mut TcpStream,
-    inbound: &mut Inbound,
-    outcome: &mut ConnOutcome,
-) where
-    F: Fn(&Sample) + Send + Sync,
-{
-    let trace_id = trace.map_or(0, |t| t.trace_id);
-    let reader = &mut inbound.reader;
-    if let Err(e) = handshake(writer, reader, trace_id) {
-        // A worker from another build fails the epoch; a broken link
-        // is a dead connection like any other and fails over.
-        if matches!(e, ServeError::Protocol(_)) {
-            outcome.fatal = Some(PipelineError::Other(format!("worker {addr}: {e}")));
+    /// The wire conversation of one connection: the HELLO exchange, the
+    /// clock-offset handshake, REGISTER, ASSIGN, then the BATCH2/EOF/ERR
+    /// drain loop and (when requested) the trailing STATS frame. Mutates
+    /// `outcome` in place so every early return leaves a consistent
+    /// partial result for failover.
+    fn drive_assignment(
+        &self,
+        link: usize,
+        assigned: &[usize],
+        lane: &Lane,
+        writer: &mut TcpStream,
+        inbound: &mut Inbound,
+        outcome: &mut ConnOutcome,
+    ) {
+        let addr = self.workers[link].as_str();
+        let fleet = self.fleet.as_deref();
+        let trace_id = fleet.map_or(0, |_| self.trace_id);
+        let reader = &mut inbound.reader;
+        if let Err(e) = handshake(writer, reader, trace_id) {
+            // A worker from another build fails the epoch; a broken link
+            // is a dead connection like any other and fails over.
+            if matches!(e, ServeError::Protocol(_)) {
+                outcome.fatal = Some(PipelineError::Other(format!("worker {addr}: {e}")));
+            }
+            return;
         }
-        return;
-    }
-    if let Some(trace) = trace {
-        // NTP-style offset estimate: the minimum-RTT PING's
-        // midpoint is the least-delayed view of the worker clock.
-        let mut best_rtt = u64::MAX;
-        let mut offset = 0i64;
-        for seq in 0..PING_BURST {
-            let t0 = mono_ns();
-            if write_frame(writer, &Frame::Ping { t0, seq }).is_err() {
+        if let Some(fleet) = fleet {
+            // NTP-style offset estimate: the minimum-RTT PING's
+            // midpoint is the least-delayed view of the worker clock.
+            let mut best_rtt = u64::MAX;
+            let mut offset = 0i64;
+            for seq in 0..PING_BURST {
+                let t0 = mono_ns();
+                if write_frame(writer, &Frame::Ping { t0, seq }).is_err() {
+                    return;
+                }
+                match read_frame(reader) {
+                    Ok(Some(Frame::Pong {
+                        t0: echo,
+                        t_worker,
+                        seq: echo_seq,
+                    })) if echo == t0 && echo_seq == seq => {
+                        let rtt = mono_ns().saturating_sub(t0);
+                        if rtt < best_rtt {
+                            best_rtt = rtt;
+                            offset = t_worker as i64 - (t0 + rtt / 2) as i64;
+                        }
+                    }
+                    _ => return,
+                }
+            }
+            fleet.record_handshake(addr, link as u32, PROTOCOL_VERSION, offset, best_rtt);
+        }
+        // Multi-tenant admission: declare the job before asking for work.
+        if let Some(tenant) = &self.config.tenant {
+            let register = Frame::Register {
+                tenant: tenant.name.clone(),
+                weight: tenant.weight.max(1),
+                shards: assigned.len() as u32,
+            };
+            if write_frame(writer, &register).is_err() {
                 return;
             }
             match read_frame(reader) {
-                Ok(Some(Frame::Pong {
-                    t0: echo,
-                    t_worker,
-                    seq: echo_seq,
-                })) if echo == t0 && echo_seq == seq => {
-                    let rtt = mono_ns().saturating_sub(t0);
-                    if rtt < best_rtt {
-                        best_rtt = rtt;
-                        offset = t_worker as i64 - (t0 + rtt / 2) as i64;
-                    }
+                Ok(Some(Frame::Admit { .. })) => {}
+                Ok(Some(Frame::Reject { reason, .. })) => {
+                    // Policy, not a fault: retrying elsewhere would
+                    // dodge the admission controller.
+                    outcome.fatal = Some(PipelineError::Other(format!(
+                        "tenant '{}' rejected by {addr}: {reason}",
+                        tenant.name
+                    )));
+                    return;
                 }
                 _ => return,
             }
         }
-        trace
-            .fleet
-            .record_handshake(addr, trace.conn, PROTOCOL_VERSION, offset, best_rtt);
-    }
-    // Multi-tenant admission: declare the job before asking for work.
-    if let Some(tenant) = &config.tenant {
-        let register = Frame::Register {
-            tenant: tenant.name.clone(),
-            weight: tenant.weight.max(1),
-            shards: shards.len() as u32,
-        };
-        if write_frame(writer, &register).is_err() {
+        let credits = self.config.credits.max(1);
+        if write_frame(
+            writer,
+            &Frame::Assign {
+                epoch_seed: self.epoch_seed,
+                credits,
+                shards: assigned.iter().map(|&i| self.shards[i].clone()).collect(),
+                trace_id,
+                parent_span: if fleet.is_some() {
+                    trace_id ^ fnv64(addr)
+                } else {
+                    0
+                },
+                flags: if fleet.is_some() {
+                    ASSIGN_WANT_STATS
+                } else {
+                    0
+                },
+            },
+        )
+        .is_err()
+        {
             return;
         }
-        match read_frame(reader) {
-            Ok(Some(Frame::Admit { .. })) => {}
-            Ok(Some(Frame::Reject { reason, .. })) => {
-                // Policy, not a fault: retrying elsewhere would
-                // dodge the admission controller.
-                outcome.fatal = Some(PipelineError::Other(format!(
-                    "tenant '{}' rejected by {addr}: {reason}",
-                    tenant.name
-                )));
-                return;
-            }
-            _ => return,
-        }
-    }
-    if write_frame(
-        writer,
-        &Frame::Assign {
-            epoch_seed,
-            credits: config.credits.max(1),
-            shards: shards.to_vec(),
-            trace_id,
-            parent_span: if trace.is_some() {
-                trace_id ^ fnv64(addr)
-            } else {
-                0
-            },
-            flags: if trace.is_some() {
-                ASSIGN_WANT_STATS
-            } else {
-                0
-            },
-        },
-    )
-    .is_err()
-    {
-        return;
-    }
-    // One client span per shard: assignment start → EOF commit.
-    let assign_t0 = trace.and_then(|t| t.rec.begin());
-    // Per shard until its EOF: the samples, their checksum and the
-    // record streams they alias.
-    let mut buffers: Vec<Vec<Sample>> = vec![Vec::new(); shards.len()];
-    let mut sums = vec![MultisetChecksum::default(); shards.len()];
-    let mut frames: Vec<Vec<Bytes>> = vec![Vec::new(); shards.len()];
-    let mut done = vec![false; shards.len()];
-    let mut window = CreditWindow::new(config.credits.max(1));
-    loop {
-        let frame = match inbound.receive() {
-            Ok(Some(Received::Frame(frame))) => frame,
-            Ok(Some(Received::Batch(batch))) => {
-                // Decoded in place: the samples alias the received
-                // payload. `span_id`/`t_send` are trace context the
-                // client does not need for delivery. The shard index is
-                // not checked yet under a deferred frame check, but a
-                // frame that fails it leaves every buffer as it was.
-                let index = batch.head.shard as usize;
-                if index >= buffers.len() || done[index] {
-                    return; // protocol violation: treat conn as dead
+        // One client span per shard: assignment start → EOF commit.
+        let assign_t0 = self.rec.begin();
+        // Per shard until its EOF: the samples, their checksum and the
+        // record streams they alias.
+        let mut buffers: Vec<Vec<Sample>> = vec![Vec::new(); assigned.len()];
+        let mut sums = vec![MultisetChecksum::default(); assigned.len()];
+        let mut frames: Vec<Vec<Bytes>> = vec![Vec::new(); assigned.len()];
+        let mut done = vec![false; assigned.len()];
+        let mut window = CreditWindow::new(credits);
+        loop {
+            let frame = match inbound.receive() {
+                Ok(Some(Received::Frame(frame))) => frame,
+                Ok(Some(Received::Batch(batch))) => {
+                    // Decoded in place: the samples alias the received
+                    // payload. `span_id`/`t_send` are trace context the
+                    // client does not need for delivery. The shard index is
+                    // not checked yet under a deferred frame check, but a
+                    // frame that fails it leaves every buffer as it was.
+                    let index = batch.head.shard as usize;
+                    if index >= buffers.len() || done[index] {
+                        return; // protocol violation: treat conn as dead
+                    }
+                    if batch
+                        .decode_into(&mut buffers[index], &mut sums[index])
+                        .is_err()
+                    {
+                        return;
+                    }
+                    if let Some(n) = window.drained() {
+                        if write_frame(writer, &Frame::Credit { n }).is_err() {
+                            return;
+                        }
+                    }
+                    outcome.batches += 1;
+                    outcome.bytes += batch.wire_len as u64;
+                    frames[index].push(batch.records);
+                    continue;
                 }
-                if batch
-                    .decode_into(&mut buffers[index], &mut sums[index])
-                    .is_err()
-                {
-                    return;
-                }
-                if let Some(n) = window.drained() {
-                    if write_frame(writer, &Frame::Credit { n }).is_err() {
+                // Clean close mid-assignment, CRC garbage, timeout: the
+                // connection is unusable — whatever was not committed
+                // fails over.
+                _ => return,
+            };
+            match frame {
+                Frame::Eof { shard } => {
+                    let index = shard as usize;
+                    if index >= buffers.len() || done[index] {
+                        return;
+                    }
+                    // Commit: the shard arrived whole, hand it over.
+                    done[index] = true;
+                    let samples = std::mem::take(&mut buffers[index]);
+                    if !samples.is_empty() {
+                        let bundle = SampleBundle::from_container(samples);
+                        if lane.send(Ok(bundle), &mut |_| {}).is_err() {
+                            outcome.stopped = true; // the caller hung up
+                            return;
+                        }
+                    }
+                    outcome.checksum.merge(std::mem::take(&mut sums[index]));
+                    inbound.defer(std::mem::take(&mut frames[index]));
+                    outcome.failed.retain(|&shard| shard != assigned[index]);
+                    if let Some(t0) = assign_t0 {
+                        self.rec
+                            .phase_done(link, BUILTIN_PHASES + assigned[index], t0);
+                    }
+                    if done.iter().all(|&d| d) {
+                        break;
+                    }
+                    // Read on only once the caller has taken the shard
+                    // before this one: a link runs at most one committed
+                    // shard ahead of the caller.
+                    if !lane.wait_room() {
+                        outcome.stopped = true;
                         return;
                     }
                 }
-                outcome.batches += 1;
-                outcome.bytes += batch.wire_len as u64;
-                frames[index].push(batch.records);
-                continue;
-            }
-            // Clean close mid-assignment, CRC garbage, timeout: the
-            // connection is unusable — whatever was not committed
-            // fails over.
-            _ => return,
-        };
-        match frame {
-            Frame::Eof { shard } => {
-                let index = shard as usize;
-                if index >= buffers.len() || done[index] {
+                Frame::Err { message } => {
+                    outcome.fatal = Some(PipelineError::Other(format!(
+                        "worker {addr} failed: {message}"
+                    )));
                     return;
                 }
-                // Commit: the shard arrived whole, deliver it.
-                done[index] = true;
-                let t_consume = Instant::now();
-                let samples = std::mem::take(&mut buffers[index]);
-                outcome.samples += samples.len() as u64;
-                for sample in samples {
-                    consume(&sample);
-                }
-                outcome.consume_ns += t_consume.elapsed().as_nanos() as u64;
-                outcome.checksum.merge(std::mem::take(&mut sums[index]));
-                inbound.reclaim(std::mem::take(&mut frames[index]));
-                outcome.failed.retain(|name| name != &shards[index]);
-                if let (Some(trace), Some(t0)) = (trace, assign_t0) {
-                    if let Some(&global) = trace.shard_index.get(&shards[index]) {
-                        trace
-                            .rec
-                            .phase_done(trace.conn as usize, BUILTIN_PHASES + global, t0);
-                    }
-                }
-                if done.iter().all(|&d| d) {
-                    break;
-                }
+                // A stray PONG (duplicate handshake reply) is harmless.
+                Frame::Pong { .. } => {}
+                _ => return,
             }
-            Frame::Err { message } => {
-                outcome.fatal = Some(PipelineError::Other(format!(
-                    "worker {addr} failed: {message}"
-                )));
-                return;
-            }
-            // A stray PONG (duplicate handshake reply) is harmless.
-            Frame::Pong { .. } => {}
-            _ => return,
         }
-    }
-    // All shards committed; the worker's STATS frame (if requested)
-    // trails the final EOF. Best-effort: a worker that dies here has
-    // already delivered everything.
-    if let Some(trace) = trace {
-        loop {
-            match read_frame(&mut inbound.reader) {
-                Ok(Some(Frame::Stats { entry })) => {
-                    let mut entry = *entry;
-                    entry.addr = addr.to_string();
-                    entry.conn = trace.conn;
-                    entry.peer_version = PROTOCOL_VERSION;
-                    trace.fleet.record_stats(entry);
-                    break;
+        // All shards committed; the worker's STATS frame (if requested)
+        // trails the final EOF. Best-effort: a worker that dies here has
+        // already delivered everything.
+        if let Some(fleet) = fleet {
+            loop {
+                match read_frame(&mut inbound.reader) {
+                    Ok(Some(Frame::Stats { entry })) => {
+                        let mut entry = *entry;
+                        entry.addr = addr.to_string();
+                        entry.conn = link as u32;
+                        entry.peer_version = PROTOCOL_VERSION;
+                        fleet.record_stats(entry);
+                        break;
+                    }
+                    Ok(Some(_)) => continue,
+                    _ => break,
                 }
-                Ok(Some(_)) => continue,
-                _ => break,
             }
         }
     }
@@ -2857,6 +3004,35 @@ mod tests {
                 assert!(frame.contains(&at), "sample {} was copied", sample.key);
             }
         }
+    }
+
+    #[test]
+    fn deferred_receive_buffers_return_once_the_caller_drops_their_samples() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let socket = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut inbound = Inbound::new(socket, false);
+        let frames: Vec<Bytes> = (0..2).map(|_| Bytes::from(vec![7u8; 64])).collect();
+        // A sample the caller still holds, aliasing the first frame.
+        let held = frames[0].slice(8..16);
+        inbound.defer(frames);
+        inbound.reclaim();
+        assert_eq!(inbound.spare.len(), 1, "only the unaliased frame returns");
+        drop(held);
+        inbound.reclaim();
+        assert_eq!(inbound.spare.len(), 2);
+        assert!(inbound.deferred.is_empty());
+        // Bounded: past DEFERRED_SHARDS the oldest shard is let go.
+        let held: Vec<Bytes> = (0..=DEFERRED_SHARDS)
+            .map(|_| {
+                let frame = Bytes::from(vec![0u8; 8]);
+                inbound.defer(vec![frame.clone()]);
+                frame
+            })
+            .collect();
+        assert_eq!(inbound.deferred.len(), DEFERRED_SHARDS);
+        drop(held);
+        inbound.reclaim();
+        assert_eq!(inbound.spare.len(), 2 + DEFERRED_SHARDS);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! count and the paper recommends placing it where samples are
 //! smallest (most samples fit in a fixed-size buffer → higher entropy).
 
+use crate::error::PipelineError;
+use crate::real::{EpochStats, EpochStream};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,6 +54,16 @@ impl<I: Iterator> Iterator for ShuffleBuffer<I> {
         let idx = self.rng.gen_range(0..self.buffer.len());
         let item = self.buffer.swap_remove(idx);
         Some(item)
+    }
+}
+
+impl ShuffleBuffer<EpochStream> {
+    /// Join the shuffled epoch ([`EpochStream::join`]). The samples
+    /// still in the window never reached the caller, so its stats do
+    /// not count them.
+    pub fn join(self) -> Result<EpochStats, PipelineError> {
+        let held = self.buffer.iter().filter(|item| item.is_ok()).count();
+        self.upstream.join_holding(held as u64)
     }
 }
 

@@ -176,9 +176,11 @@ enum Out {
     /// Shard `index` is complete: its EOF, after which its in-flight
     /// slot is free.
     Eof(u32),
-    /// The assignment is delivered: seal its books, and send STATS if
-    /// the ASSIGN asked.
-    Finish,
+    /// The assignment with these books is delivered: seal them, and
+    /// send STATS if its ASSIGN asked. The books ride along because the
+    /// client may already have sent its next ASSIGN, which replaces the
+    /// connection's.
+    Finish(Arc<Books>),
 }
 
 /// One assignment's books, kept where the work happens: the source adds
@@ -718,7 +720,7 @@ impl Conn {
                 shared.wake_all();
                 sent
             }
-            Out::Finish => match self.books.seal() {
+            Out::Finish(books) => match books.seal() {
                 Some(entry) => write_frame(
                     writer,
                     &Frame::Stats {
@@ -829,7 +831,7 @@ impl Conn {
         t.books = Arc::clone(&self.books);
         drop(sched);
         if count == 0 {
-            let _ = self.outbox.send(Out::Finish);
+            let _ = self.outbox.send(Out::Finish(Arc::clone(&self.books)));
         }
         shared.wake_all();
         Ok(())
@@ -1279,7 +1281,9 @@ fn complete_task(shared: &Shared, dispatcher: usize, dispatch: &Dispatch, batche
     }
     let _ = dispatch.outbox.send(Out::Eof(index));
     if finished {
-        let _ = dispatch.outbox.send(Out::Finish);
+        let _ = dispatch
+            .outbox
+            .send(Out::Finish(Arc::clone(&dispatch.books)));
     }
 }
 

@@ -379,7 +379,7 @@ pub fn prometheus_serve(serve: &ServeSnapshot) -> String {
         ),
         (
             "presto_serve_consume_ns_total",
-            "Client time inside the consume callback, ns.",
+            "Client time the caller spent between pulls, ns.",
             serve.consume_ns,
         ),
         (

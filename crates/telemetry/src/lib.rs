@@ -999,7 +999,8 @@ impl ServeProgress {
         self.stream_read_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Client side: time spent inside the consume callback.
+    /// Client side: the caller's time between pulls from the served
+    /// stream (for a callback drain, time inside the callback).
     pub fn consume_time(&self, ns: u64) {
         self.consume_ns.fetch_add(ns, Ordering::Relaxed);
     }
@@ -1067,7 +1068,7 @@ pub struct ServeSnapshot {
     pub gap_wait_ns: u64,
     /// Client: time reading the rest of a frame after its first byte, ns.
     pub stream_read_ns: u64,
-    /// Client: time inside the consume callback, ns.
+    /// Client: the caller's time between pulls, ns.
     pub consume_ns: u64,
     /// Worker: time producing samples (processing + pacing), ns.
     pub produce_ns: u64,

@@ -12,7 +12,7 @@ use presto_formats::image::jpg;
 use presto_pipeline::real::{
     AppCache, BlobStore, EpochStats, Materialized, MemStore, RealExecutor,
 };
-use presto_pipeline::{Payload, Pipeline, PipelineError, Resilience, Sample, Strategy};
+use presto_pipeline::{Payload, Pipeline, PipelineError, Resilience, Sample, Strategy, Telemetry};
 use presto_tensor::Tensor;
 use presto_text::{BpeTokenizer, EmbeddingTable};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -354,6 +354,38 @@ fn dropped_stream_leaves_the_cache_unsealed() {
     let (replayed, _) = stream_keys(&exec, &workload, &cache);
     assert_eq!(keys, (0..40).collect::<Vec<u64>>());
     assert_eq!(replayed, keys, "each key once");
+}
+
+#[test]
+fn a_shuffled_epoch_joins_records_and_seals_its_cache() {
+    let workload = nocrop_workload(40);
+    let (pipeline, dataset, store) = &workload;
+    let telemetry = Telemetry::new();
+    let exec = RealExecutor::new(4).with_telemetry(Arc::clone(&telemetry));
+    let cache = AppCache::new(256 << 20);
+    let mut stream = exec
+        .stream_epoch_with(
+            pipeline,
+            dataset,
+            Arc::clone(store),
+            Some(&cache),
+            8,
+            9,
+            Resilience::default(),
+        )
+        .unwrap()
+        .shuffled(64, 7);
+    let mut keys: Vec<u64> = (&mut stream).map(|s| s.unwrap().key).collect();
+    let stats = stream.join().unwrap();
+    assert_eq!(stats.samples, keys.len() as u64);
+    let epoch = telemetry
+        .last_epoch()
+        .expect("the joined epoch is recorded");
+    assert_eq!(epoch.samples, stats.samples);
+    assert!(epoch.elapsed_ns > 0, "the recorder was finished");
+    assert!(cache.is_complete(), "a whole shuffled epoch seals its fill");
+    keys.sort_unstable();
+    assert_eq!(keys, (0..40).collect::<Vec<u64>>());
 }
 
 #[test]

@@ -7,12 +7,14 @@ use presto_codecs::checksum::Crc32;
 use presto_datasets::generators;
 use presto_datasets::steps;
 use presto_formats::image::jpg;
+use presto_pipeline::batch::{stack_batch, Batcher};
 use presto_pipeline::real::{
-    FaultSpec, FaultStore, Materialized, MemStore, RealExecutor, RetryPolicy,
+    EpochStats, EpochStream, FaultSpec, FaultStore, Materialized, MemStore, RealExecutor,
+    RetryPolicy,
 };
 use presto_pipeline::serve::{
-    read_frame, serve_epoch, write_frame, Frame, MultisetChecksum, ServeClientConfig, ServeError,
-    ServeWorker, ServeWorkerConfig, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    read_frame, serve_epoch, serve_stream, write_frame, Frame, MultisetChecksum, ServeClientConfig,
+    ServeError, ServeWorker, ServeWorkerConfig, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use presto_pipeline::telemetry::alloc::{self, CountingAllocator};
 use presto_pipeline::{
@@ -296,6 +298,174 @@ fn two_workers_deliver_the_single_process_multiset() {
     // A different epoch seed must change the multiset (random crop).
     let other = reference_checksum(&pipeline, &dataset, &store, 12);
     assert_ne!(other, reference);
+}
+
+/// Workers serving `dataset` from `store`, one per config.
+fn spawn_workers(
+    (pipeline, dataset, store): (&Pipeline, &Materialized, &Arc<MemStore>),
+    configs: Vec<ServeWorkerConfig>,
+) -> Vec<ServeWorker> {
+    configs
+        .into_iter()
+        .map(|config| {
+            ServeWorker::spawn(
+                "127.0.0.1:0",
+                pipeline,
+                dataset,
+                store.clone() as Arc<dyn presto_pipeline::BlobStore>,
+                Resilience::default(),
+                None,
+                config,
+            )
+            .unwrap()
+        })
+        .collect()
+}
+
+/// The training loop of `docs/TUTORIAL.md`, written once for any
+/// epoch stream: shuffle, batch, stack, join. Returns the multiset it
+/// fed the model and the epoch's stats.
+fn tutorial_loop(stream: EpochStream, epoch: u64) -> (MultisetChecksum, EpochStats) {
+    let mut fed = MultisetChecksum::default();
+    let mut stream = stream.shuffled(4_096, epoch);
+    for batch in Batcher::new(stream.by_ref().map(Result::unwrap), 8, false) {
+        let input = stack_batch(&batch).unwrap();
+        assert_eq!(input.shape()[0], 8);
+        batch.iter().for_each(|sample| fed.add(sample));
+    }
+    (fed, stream.join().unwrap())
+}
+
+#[test]
+fn the_tutorial_loop_runs_unchanged_over_a_local_and_a_served_stream() {
+    let (pipeline, dataset, store) = cv_workload(32, 8);
+    let reference = reference_checksum(&pipeline, &dataset, &store, 13);
+    let local = RealExecutor::new(2)
+        .stream_epoch(&pipeline, &dataset, store.clone(), 8, 13)
+        .unwrap();
+    let (fed, stats) = tutorial_loop(local, 13);
+    assert_eq!(fed, reference);
+    assert_eq!(stats.samples, 32);
+    assert_eq!(stats.served, None);
+
+    let workers = spawn_workers(
+        (&pipeline, &dataset, &store),
+        vec![ServeWorkerConfig::default(); 2],
+    );
+    let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
+    let served = serve_stream(
+        &addrs,
+        &dataset.shards,
+        13,
+        &ServeClientConfig::default(),
+        None,
+    )
+    .unwrap();
+    let (fed, stats) = tutorial_loop(served, 13);
+    assert_eq!(fed, reference);
+    assert_eq!(stats.samples, 32);
+    let report = stats
+        .served
+        .expect("a served epoch reports its links' tallies");
+    assert_eq!(report.checksum, reference);
+    assert_eq!(report.rounds, 1);
+    assert_eq!(report.workers, 2);
+}
+
+#[test]
+fn a_dropped_served_stream_stops_its_links() {
+    use std::time::Duration;
+    let (pipeline, dataset, store) = cv_workload(64, 4);
+    let reference = reference_checksum(&pipeline, &dataset, &store, 3);
+    // One-sample batches, paced, and two credits: each worker sends its
+    // 32 batches only as fast as its link keeps reading, and a link is
+    // still reading its second 16-sample shard when the stream drops.
+    let paced = ServeWorkerConfig {
+        batch_samples: 1,
+        batch_pace: Duration::from_millis(20),
+        ..ServeWorkerConfig::default()
+    };
+    let workers = spawn_workers((&pipeline, &dataset, &store), vec![paced; 2]);
+    let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
+    let config = ServeClientConfig {
+        credits: 2,
+        ..ServeClientConfig::default()
+    };
+    let mut stream = serve_stream(&addrs, &dataset.shards, 3, &config, None).unwrap();
+    stream.next().unwrap().unwrap();
+    drop(stream);
+    let sent = || {
+        workers
+            .iter()
+            .map(ServeWorker::batches_sent)
+            .collect::<Vec<_>>()
+    };
+    let at_drop = sent();
+    // Each worker is mid-way through its 32 batches. A batch already on
+    // its way when the connection closed may still be counted; nothing
+    // after it is.
+    let mut settled = at_drop.clone();
+    for _ in 0..100 {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = sent();
+        if now == settled {
+            break;
+        }
+        settled = now;
+    }
+    assert!(settled.iter().all(|&n| n < 32), "{settled:?}");
+    for (settled, at_drop) in settled.iter().zip(&at_drop) {
+        assert!(settled - at_drop <= 2, "kept sending after the drop");
+    }
+
+    let (checksum, consume) = collect_checksum();
+    let report = serve_epoch(&addrs, &dataset.shards, 3, &config, None, consume).unwrap();
+    assert_eq!(report.checksum, reference);
+    assert_eq!(*checksum.lock().unwrap(), reference);
+}
+
+#[test]
+fn a_worker_killed_under_a_shuffled_pull_fails_over_with_identical_multiset() {
+    let (pipeline, dataset, store) = cv_workload(32, 8);
+    for seed in fault_seeds() {
+        let epoch_seed = 300 + seed;
+        let reference = reference_checksum(&pipeline, &dataset, &store, epoch_seed);
+        // As in the callback twin below: the victim dies mid-shard.
+        let workers = spawn_workers(
+            (&pipeline, &dataset, &store),
+            vec![
+                ServeWorkerConfig {
+                    batch_samples: 1,
+                    fail_after_batches: Some(1 + seed % 16),
+                    ..ServeWorkerConfig::default()
+                },
+                ServeWorkerConfig::default(),
+            ],
+        );
+        let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
+        let stream = serve_stream(
+            &addrs,
+            &dataset.shards,
+            epoch_seed,
+            &ServeClientConfig::default(),
+            None,
+        )
+        .unwrap();
+        let mut stream = stream.shuffled(16, seed);
+        let mut fed = MultisetChecksum::default();
+        for sample in &mut stream {
+            fed.add(&sample.unwrap());
+        }
+        let stats = stream.join().unwrap();
+        let report = stats.served.unwrap();
+        assert_eq!(fed, reference, "seed {seed}");
+        assert_eq!(report.checksum, reference, "seed {seed}");
+        assert_eq!(stats.samples, 32, "seed {seed}");
+        assert!(report.reassignments > 0, "seed {seed}: kill must reassign");
+        assert!(report.rounds > 1, "seed {seed}");
+        assert!(!stats.degraded, "seed {seed}");
+        assert!(workers[0].is_stopped(), "seed {seed}: kill switch fired");
+    }
 }
 
 #[test]
