@@ -16,9 +16,12 @@
 //!   queue-wait total matches the recorded one. Each experiment then
 //!   scales one step's draws by `1 − k` and re-runs the model on the
 //!   same draws; the SPS delta is the predicted end-to-end effect of a
-//!   `k`% speedup. Everything is seeded ([`SplitMix64`]-derived), so
-//!   the same seed produces a byte-identical `presto.causal.v1`
-//!   document.
+//!   `k`% speedup. The model runs on the simulator's
+//!   [`EventLoop`](presto_storage::time::EventLoop) in integer ns
+//!   (draws rounded to the nearest ns), so lanes ready at the same
+//!   instant go in the loop's FIFO order. Everything is seeded
+//!   ([`SplitMix64`]-derived), so the same seed produces a
+//!   byte-identical `presto.causal.v1` document.
 //! - **Live injection** ([`plan_for_phase`], [`plan_for_deliver`],
 //!   [`virtual_gain`]): run a real epoch in which every phase *except*
 //!   X is dilated by `1 / (1 − k)` (the engine spins after each timed
@@ -42,6 +45,7 @@ use presto_pipeline::telemetry::{
     StepSnapshot, TelemetrySnapshot, BUILTIN_PHASES, PHASE_DECODE, PHASE_DECOMPRESS, PHASE_HANDOFF,
     PHASE_QUEUE_WAIT, PHASE_READ,
 };
+use presto_storage::time::{EventLoop, Nanos};
 use std::collections::VecDeque;
 
 /// The published virtual-speedup matrix, percent.
@@ -226,130 +230,102 @@ impl Workload {
         })
     }
 
-    /// Run the event model: `threads` producer lanes process shards
-    /// round-robin (per-shard read+decompress overhead, then
-    /// per-sample decode + steps + hand-off), feeding one consumer of
-    /// `consumer_ns` per sample through a queue of `capacity`. A
-    /// producer whose queue slot is taken blocks until the consumer
-    /// has *started* the sample `capacity` positions earlier — that
-    /// blocked time is the model's queue-wait.
+    /// Run the event model on the shared [`EventLoop`], in integer ns:
+    /// `threads` producer lanes process shards round-robin (per-shard
+    /// read+decompress overhead, then per-sample decode + steps +
+    /// hand-off), feeding one consumer of `consumer_ns` per sample
+    /// through a queue of `capacity`. A producer whose queue slot is
+    /// taken blocks until the consumer has *started* the sample
+    /// `capacity` positions earlier — that blocked time is the model's
+    /// queue-wait. Each lane's next sample is a lane-ready event;
+    /// same-instant lanes go in the loop's FIFO order.
     fn simulate(&self, seed: u64, scale: &ExperimentScale, consumer_ns: f64) -> SimOutcome {
-        enum Item {
-            Overhead(f64),
-            Sample(f64),
-        }
         let mut rng = SplitMix64::new(seed);
+        // One latency draw of phase `idx`, scaled and rounded to the ns.
+        let mut draw = |idx: usize| {
+            Nanos((self.dists[idx].sample(&mut rng) * scale.phases[idx]).round() as u64)
+        };
         let threads = self.threads;
-        let mut lanes: Vec<VecDeque<Item>> = (0..threads).map(|_| VecDeque::new()).collect();
-        let mut busy_io = 0.0f64;
-        let mut busy_cpu = 0.0f64;
-        let mut busy_deliver = 0.0f64;
+        // Per lane, the time from the previous sample's enqueue to the
+        // next sample's readiness: a shard's overhead rides on its
+        // lane's next sample.
+        let mut lanes: Vec<VecDeque<Nanos>> = vec![VecDeque::new(); threads];
+        let mut overhead = vec![Nanos::ZERO; threads];
+        let mut busy_io = Nanos::ZERO;
+        let mut busy_cpu = Nanos::ZERO;
+        let mut busy_deliver = Nanos::ZERO;
         // Draws happen in shard order, independent of the thread
         // count, so a knob experiment re-uses the exact same latency
         // draws as its baseline.
         let base = self.samples / self.shards;
         let remainder = (self.samples % self.shards) as usize;
-        let mut total = 0u64;
         for shard in 0..self.shards as usize {
-            let read = self.dists[PHASE_READ].sample(&mut rng) * scale.phases[PHASE_READ];
-            let decompress =
-                self.dists[PHASE_DECOMPRESS].sample(&mut rng) * scale.phases[PHASE_DECOMPRESS];
+            let lane = shard % threads;
+            let read = draw(PHASE_READ);
+            let decompress = draw(PHASE_DECOMPRESS);
             busy_io += read;
             busy_cpu += decompress;
-            let lane = &mut lanes[shard % threads];
-            lane.push_back(Item::Overhead(read + decompress));
+            overhead[lane] += read + decompress;
             let in_shard = base + u64::from(shard < remainder);
             for _ in 0..in_shard {
-                let mut cost =
-                    self.dists[PHASE_DECODE].sample(&mut rng) * scale.phases[PHASE_DECODE];
+                let mut cost = draw(PHASE_DECODE);
                 busy_cpu += cost;
                 for idx in BUILTIN_PHASES..self.dists.len() {
-                    let step = self.dists[idx].sample(&mut rng) * scale.phases[idx];
+                    let step = draw(idx);
                     busy_cpu += step;
                     cost += step;
                 }
-                let handoff =
-                    self.dists[PHASE_HANDOFF].sample(&mut rng) * scale.phases[PHASE_HANDOFF];
+                let handoff = draw(PHASE_HANDOFF);
                 busy_deliver += handoff;
                 cost += handoff;
-                lane.push_back(Item::Sample(cost));
-                total += 1;
+                lanes[lane].push_back(std::mem::take(&mut overhead[lane]) + cost);
             }
         }
 
-        // Advance a lane to its next finished sample; the lane cursor
-        // lands on the sample's ready time.
-        let mut cursors = vec![0.0f64; threads];
-        let advance = |lane: &mut VecDeque<Item>, cursor: &mut f64| -> Option<f64> {
-            loop {
-                match lane.pop_front() {
-                    Some(Item::Overhead(o)) => *cursor += o,
-                    Some(Item::Sample(c)) => {
-                        *cursor += c;
-                        return Some(*cursor);
-                    }
-                    None => return None,
-                }
+        let mut events = EventLoop::new();
+        for (lane, costs) in lanes.iter_mut().enumerate() {
+            if let Some(cost) = costs.pop_front() {
+                events.schedule(cost, lane);
             }
+        }
+        // A served worker's epoch record has no prefetch queue
+        // (capacity 0): nothing ever blocks.
+        let capacity = match self.capacity {
+            0 => usize::MAX,
+            c => c,
         };
-        let mut ready: Vec<Option<f64>> = lanes
-            .iter_mut()
-            .zip(cursors.iter_mut())
-            .map(|(lane, cursor)| advance(lane, cursor))
-            .collect();
-
-        let capacity = if self.capacity == 0 {
-            // Callback delivery has no queue: nothing ever blocks.
-            total as usize + 1
-        } else {
-            self.capacity
-        };
-        let consume = consumer_ns * scale.consumer;
-        let mut starts: Vec<f64> = Vec::with_capacity(total as usize);
-        let mut consumer_free = 0.0f64;
-        let mut queue_wait = 0.0f64;
-        let mut last_enqueue = 0.0f64;
-        for j in 0..total as usize {
-            // Earliest-ready lane wins; ties go to the lowest index.
-            let mut best: Option<(usize, f64)> = None;
-            for (w, r) in ready.iter().enumerate() {
-                if let Some(r) = r {
-                    if best.is_none() || *r < best.unwrap().1 {
-                        best = Some((w, *r));
-                    }
-                }
-            }
-            let (w, r) = best.expect("lane count matches sample count");
-            let gate = if j >= capacity {
-                starts[j - capacity]
-            } else {
-                0.0
-            };
-            let enqueue = r.max(gate);
-            queue_wait += enqueue - r;
+        let consume = Nanos((consumer_ns * scale.consumer).round() as u64);
+        let mut starts: Vec<Nanos> = Vec::with_capacity(self.samples as usize);
+        let mut consumer_free = Nanos::ZERO;
+        let mut queue_wait = Nanos::ZERO;
+        while let Some((ready, lane)) = events.pop() {
+            let gate = starts
+                .len()
+                .checked_sub(capacity)
+                .map_or(Nanos::ZERO, |i| starts[i]);
+            let enqueue = ready.max(gate);
+            queue_wait += enqueue - ready;
+            // Starts never go backwards and never precede their enqueue,
+            // so the consumer's last finish is the epoch's end.
             let start = enqueue.max(consumer_free);
             consumer_free = start + consume;
             starts.push(start);
-            last_enqueue = last_enqueue.max(enqueue);
-            cursors[w] = enqueue;
-            ready[w] = advance(&mut lanes[w], &mut cursors[w]);
+            if let Some(cost) = lanes[lane].pop_front() {
+                events.schedule(enqueue + cost, lane);
+            }
         }
         busy_deliver += queue_wait;
-        let elapsed = if consume > 0.0 {
-            consumer_free.max(last_enqueue)
-        } else {
-            last_enqueue
-        };
+        let elapsed = consumer_free;
         SimOutcome {
-            sps: if elapsed > 0.0 {
-                total as f64 / (elapsed / 1e9)
+            sps: if elapsed > Nanos::ZERO {
+                starts.len() as f64 / elapsed.as_secs_f64()
             } else {
                 0.0
             },
-            queue_wait_ns: queue_wait,
-            busy_io_ns: busy_io,
-            busy_cpu_ns: busy_cpu,
-            busy_deliver_ns: busy_deliver,
+            queue_wait_ns: queue_wait.0 as f64,
+            busy_io_ns: busy_io.0 as f64,
+            busy_cpu_ns: busy_cpu.0 as f64,
+            busy_deliver_ns: busy_deliver.0 as f64,
         }
     }
 }

@@ -15,9 +15,8 @@
 //! final_sample_bytes` — beyond the link capacity, the fan-out becomes
 //! the new bottleneck.
 
-use crate::sim::{SimEnv, Simulator, SourceLayout};
+use crate::sim::Simulator;
 use crate::strategy::Strategy;
-use presto_storage::machine::{MachineConfig, ReadReq, SimMachine, Stage};
 use presto_storage::time::Nanos;
 
 /// Result of a distributed offline run.
@@ -109,54 +108,19 @@ pub fn fan_out(t4_sps: f64, final_sample_bytes: f64, link_bw: f64, jobs: usize) 
     }
 }
 
-/// A minimal multi-reader scaling probe against one shared cluster —
-/// used to show where adding preprocessing VMs stops helping: `workers`
-/// sequential readers streaming `bytes_per_worker` each.
-pub fn shared_cluster_read_secs(env: &SimEnv, workers: usize, bytes_per_worker: u64) -> f64 {
-    struct Reader {
-        id: u64,
-        bytes: u64,
-        done: bool,
-    }
-    impl presto_storage::machine::Program for Reader {
-        fn step(&mut self, _ctx: &mut presto_storage::machine::Ctx<'_>) -> Stage {
-            if self.done {
-                return Stage::Done;
-            }
-            self.done = true;
-            Stage::Read(ReadReq::open_file(self.id, self.bytes))
-        }
-    }
-    let mut machine = SimMachine::new(MachineConfig {
-        cores: workers.max(1),
-        device: env.device.clone(),
-        page_cache_bytes: 0,
-        locks: 1,
-    });
-    for id in 0..workers as u64 {
-        machine.add_task(Box::new(Reader {
-            id,
-            bytes: bytes_per_worker,
-            done: false,
-        }));
-    }
-    machine.run().span.as_secs_f64()
-}
-
-/// Convenience: a simulator whose dataset layout is irrelevant (used by
-/// tests and benches probing only the shared-cluster behaviour).
-pub fn probe_layout() -> SourceLayout {
-    SourceLayout::LargeFiles {
-        file_bytes: 1 << 30,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::Pipeline;
-    use crate::sim::SimDataset;
+    use crate::sim::{SimDataset, SimEnv, SourceLayout};
     use crate::step::{CostModel, SizeModel, StepSpec};
+
+    /// A dataset layout irrelevant to the probes below.
+    fn probe_layout() -> SourceLayout {
+        SourceLayout::LargeFiles {
+            file_bytes: 1 << 30,
+        }
+    }
 
     fn cpu_heavy_workload() -> Simulator {
         // Decode is expensive (CPU-bound offline), data is small.
@@ -223,19 +187,6 @@ mod tests {
             results[2].speedup < 2.0,
             "16 workers should saturate, got {:.2}x",
             results[2].speedup
-        );
-    }
-
-    #[test]
-    fn shared_cluster_probe_shows_bandwidth_ceiling() {
-        let env = SimEnv::paper_vm();
-        let one = shared_cluster_read_secs(&env, 1, 5_000_000_000);
-        let eight = shared_cluster_read_secs(&env, 8, 5_000_000_000);
-        // 8 workers move 8x the data in (8*219/910) ≈ 1.9x the time.
-        let efficiency = one * 8.0 / eight;
-        assert!(
-            (efficiency - 910.0 / 219.0).abs() < 0.3,
-            "efficiency {efficiency:.2}"
         );
     }
 

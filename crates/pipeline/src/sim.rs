@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use presto_codecs::Codec;
 use presto_storage::device::DeviceProfile;
 use presto_storage::dstat::Dstat;
-use presto_storage::machine::{Ctx, MachineConfig, Program, ReadReq, SimMachine, Stage};
+use presto_storage::machine::{MachineConfig, Program, ReadReq, SimMachine, Stage};
 use presto_storage::time::Nanos;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -756,7 +756,6 @@ impl OnlineWorker {
                         offset: offset as u64,
                         bytes: self.plan.sample_bytes.round() as u64,
                         open: offset < self.plan.sample_bytes, // first touch of the file
-                        random: false,
                         cacheable: true,
                         file_len: file_bytes,
                     }
@@ -771,7 +770,6 @@ impl OnlineWorker {
                 offset: offset as u64,
                 bytes: self.plan.stored_sample_bytes.round().max(1.0) as u64,
                 open: offset == 0.0,
-                random: false,
                 cacheable: true,
                 // Shard length is not tracked here; the cost is one
                 // uncached trailing partial granule per shard.
@@ -782,14 +780,14 @@ impl OnlineWorker {
 }
 
 impl Program for OnlineWorker {
-    fn step(&mut self, ctx: &mut Ctx<'_>) -> Stage {
+    fn step(&mut self, stats: &mut Dstat) -> Stage {
         loop {
             match self.phase {
                 Phase::Dispatch => {
                     if self.next >= self.end {
                         return Stage::Done;
                     }
-                    ctx.stats.dispatches += 1;
+                    stats.dispatches += 1;
                     self.phase = if self.app_cached {
                         Phase::AppCopy
                     } else {
@@ -803,7 +801,7 @@ impl Program for OnlineWorker {
                 Phase::AppCopy => {
                     // Tensor served from the application cache: only a
                     // memory copy remains.
-                    self.finish_sample(ctx);
+                    self.finish_sample(stats);
                     return Stage::MemCopy {
                         bytes: self.plan.final_sample_bytes.round() as u64,
                     };
@@ -854,7 +852,7 @@ impl Program for OnlineWorker {
                     };
                 }
                 Phase::InsertCache => {
-                    self.finish_sample(ctx);
+                    self.finish_sample(stats);
                     if self.insert_app_cache {
                         return Stage::MemCopy {
                             bytes: self.plan.final_sample_bytes.round() as u64,
@@ -869,8 +867,8 @@ impl Program for OnlineWorker {
 }
 
 impl OnlineWorker {
-    fn finish_sample(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.stats.samples += 1;
+    fn finish_sample(&mut self, stats: &mut Dstat) {
+        stats.samples += 1;
         self.next += 1;
         self.phase = Phase::Dispatch;
     }
@@ -893,14 +891,14 @@ struct OfflineWorker {
 }
 
 impl Program for OfflineWorker {
-    fn step(&mut self, ctx: &mut Ctx<'_>) -> Stage {
+    fn step(&mut self, stats: &mut Dstat) -> Stage {
         loop {
             match self.phase {
                 Phase::Dispatch => {
                     if self.next >= self.end {
                         return Stage::Done;
                     }
-                    ctx.stats.dispatches += 1;
+                    stats.dispatches += 1;
                     self.phase = Phase::Read;
                     return Stage::Lock {
                         lock: DISPATCH_LOCK,
@@ -922,7 +920,6 @@ impl Program for OfflineWorker {
                                 offset: offset as u64,
                                 bytes,
                                 open: offset < self.unprocessed_bytes,
-                                random: false,
                                 cacheable: false,
                                 file_len: file_bytes,
                             }
@@ -955,7 +952,7 @@ impl Program for OfflineWorker {
                     continue;
                 }
                 Phase::Write => {
-                    ctx.stats.samples += 1;
+                    stats.samples += 1;
                     self.next += 1;
                     self.phase = Phase::Dispatch;
                     let _ = self.worker;

@@ -21,11 +21,9 @@ pub struct DeviceProfile {
     pub aggregate_bw: f64,
     /// Latency to open a file / first byte of a fresh object.
     pub open_latency: Nanos,
-    /// Latency added by a non-sequential jump within an open file.
-    pub seek_latency: Nanos,
-    /// Admission rate for random/open requests, requests per second.
-    /// Models metadata servers + head movement; sequential continuation
-    /// reads are not charged.
+    /// Admission rate for file opens, requests per second. Models
+    /// metadata servers + head movement; continuation reads within an
+    /// open file are not charged.
     pub iops_cap: f64,
     /// Write bandwidth per stream, bytes/s.
     pub write_per_stream_bw: f64,
@@ -51,7 +49,6 @@ impl DeviceProfile {
             per_stream_bw: mbps(219.0),
             aggregate_bw: mbps(910.0),
             open_latency: Nanos::from_micros(28_500),
-            seek_latency: Nanos::from_micros(8_000),
             iops_cap: 205.0,
             write_per_stream_bw: mbps(180.0),
             write_aggregate_bw: mbps(700.0),
@@ -67,7 +64,6 @@ impl DeviceProfile {
             per_stream_bw: mbps(219.0),
             aggregate_bw: mbps(910.0),
             open_latency: Nanos::from_micros(4_200),
-            seek_latency: Nanos::from_micros(150),
             iops_cap: 8_000.0,
             write_per_stream_bw: mbps(200.0),
             write_aggregate_bw: mbps(800.0),
@@ -83,7 +79,6 @@ impl DeviceProfile {
             per_stream_bw: mbps(1800.0),
             aggregate_bw: mbps(3500.0),
             open_latency: Nanos::from_micros(60),
-            seek_latency: Nanos::from_micros(15),
             iops_cap: 300_000.0,
             write_per_stream_bw: mbps(1500.0),
             write_aggregate_bw: mbps(3000.0),
@@ -99,7 +94,6 @@ impl DeviceProfile {
             per_stream_bw: 24e9,
             aggregate_bw: 166e9,
             open_latency: Nanos::ZERO,
-            seek_latency: Nanos::ZERO,
             iops_cap: f64::INFINITY,
             write_per_stream_bw: 24e9,
             write_aggregate_bw: 166e9,

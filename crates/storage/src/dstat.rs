@@ -15,7 +15,7 @@ pub struct Dstat {
     pub memcpy_bytes: u64,
     /// Bytes written to storage (offline materialization).
     pub storage_write_bytes: u64,
-    /// Read requests charged against the IOPS budget (opens + seeks).
+    /// Read requests charged against the IOPS budget (file opens).
     pub io_requests: u64,
     /// Dispatcher acquisitions — one per sample scheduling, the paper's
     /// context-switch proxy.

@@ -7,7 +7,7 @@
 //! discrete-event machine.
 
 use crate::device::DeviceProfile;
-use crate::machine::{Ctx, MachineConfig, Program, ReadReq, SimMachine, Stage};
+use crate::machine::{MachineConfig, ReadReq, SimMachine, Stage};
 use crate::time::Nanos;
 
 /// One fio workload.
@@ -74,30 +74,6 @@ pub struct FioResult {
     pub iops: f64,
 }
 
-struct FioReader {
-    thread: u64,
-    files: usize,
-    file_bytes: u64,
-    next_file: usize,
-}
-
-impl Program for FioReader {
-    fn step(&mut self, _ctx: &mut Ctx<'_>) -> Stage {
-        if self.next_file >= self.files {
-            return Stage::Done;
-        }
-        let file_id = self.thread * 1_000_000 + self.next_file as u64;
-        self.next_file += 1;
-        let mut req = ReadReq::open_file(file_id, self.file_bytes);
-        req.cacheable = false; // fio drops caches; isolate the device
-                               // Opening a file already positions the head, so `random` (an
-                               // intra-file jump) stays false. The random workload's cost is
-                               // the per-file open + IOPS admission; the sequential workload
-                               // amortizes its single open over 5 GB.
-        Stage::Read(req)
-    }
-}
-
 /// Run one workload against a device.
 pub fn run(device: &DeviceProfile, workload: FioWorkload) -> FioResult {
     let mut machine = SimMachine::new(MachineConfig {
@@ -106,13 +82,17 @@ pub fn run(device: &DeviceProfile, workload: FioWorkload) -> FioResult {
         page_cache_bytes: 0,
         locks: 1,
     });
-    for thread in 0..workload.threads {
-        machine.add_task(Box::new(FioReader {
-            thread: thread as u64,
-            files: workload.files_per_thread,
-            file_bytes: workload.file_bytes,
-            next_file: 0,
-        }));
+    for thread in 0..workload.threads as u64 {
+        // Each file is opened fresh: the random workload's cost is the
+        // per-file open + IOPS admission, while the sequential workload
+        // amortizes its single open over 5 GB.
+        machine.add_task(Box::new((0..workload.files_per_thread as u64).map(
+            move |file| {
+                let mut req = ReadReq::open_file(thread * 1_000_000 + file, workload.file_bytes);
+                req.cacheable = false; // fio drops caches; isolate the device
+                Stage::Read(req)
+            },
+        )));
     }
     let stats = machine.run();
     let secs = stats.span.as_secs_f64();

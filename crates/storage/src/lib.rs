@@ -9,14 +9,19 @@
 //! available here, so this crate models the mechanisms the paper's
 //! analysis isolates:
 //!
+//! - [`time::EventLoop`]: the virtual clock and its event queue, in
+//!   [`Nanos`], with one tie rule (same-instant events pop in schedule
+//!   order) — the machine below and the causal replay in `presto` both
+//!   run on it,
 //! - [`resource::PsResource`]: max–min-fair processor sharing — the
 //!   cluster's aggregate bandwidth, the VM's CPU cores and the memory
 //!   bus are all shared this way,
 //! - [`machine::SimMachine`]: a single-threaded discrete-event engine
-//!   driving worker *programs* (state machines) through lock, read,
-//!   compute and write stages on a virtual clock,
+//!   driving worker *programs* (state machines, or plain iterators of
+//!   stages) through lock, read, compute and write stages on the event
+//!   loop's clock,
 //! - [`device::DeviceProfile`]: per-device parameters (streaming
-//!   bandwidth, open latency, seek cost, IOPS admission), with presets
+//!   bandwidth, open latency, IOPS admission), with presets
 //!   calibrated against the paper's Table 3 `fio` profile,
 //! - [`cache::PageCache`]: a granule-level LRU page cache (system-level
 //!   caching) — the mechanism behind the paper's Section 4.2,
@@ -39,5 +44,5 @@ pub mod time;
 pub use cache::PageCache;
 pub use device::DeviceProfile;
 pub use dstat::Dstat;
-pub use machine::{Ctx, Program, ReadReq, SimMachine, Stage, TaskId};
-pub use time::Nanos;
+pub use machine::{Program, ReadReq, SimMachine, Stage, TaskId};
+pub use time::{EventLoop, Nanos};

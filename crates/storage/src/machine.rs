@@ -4,22 +4,30 @@
 //! contending for four shared facilities on a virtual clock:
 //!
 //! - the **CPU pool** (processor sharing, capacity = core count),
-//! - the **storage device** (processor-sharing bandwidth + open/seek
+//! - the **storage device** (processor-sharing bandwidth + open
 //!   latency + IOPS admission, page-cache aware),
 //! - the **memory bus** (processor sharing),
 //! - **FIFO locks** (the tf.data dispatcher and GIL-style
 //!   `py_function` sections).
 //!
 //! A program is stepped each time its previous stage completes and
-//! returns the next [`Stage`]. The machine is single-threaded and fully
-//! deterministic; time only advances to the next scheduled completion.
+//! returns the next [`Stage`]; any iterator of stages is a program.
+//! The machine is single-threaded and fully deterministic. Its clock
+//! and its timers (the storage-admission waits) live on one
+//! [`EventLoop`]; the processor-sharing resources and the locks are
+//! polled for their next completion, because a shared resource's
+//! completion instants move whenever a job joins or leaves. Time only
+//! advances to the earliest of these, and the tasks woken at one
+//! instant are stepped in a fixed order: resource completions (CPU,
+//! storage, memory bus), then timers in the loop's order, then lock
+//! releases by lock index.
 
 use crate::cache::PageCache;
 use crate::device::DeviceProfile;
 use crate::dstat::Dstat;
 use crate::resource::{FifoLock, JobId, PsResource};
-use crate::time::Nanos;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use crate::time::{EventLoop, Nanos};
+use std::collections::{HashMap, VecDeque};
 
 /// Index of a task (worker program) in the machine.
 pub type TaskId = usize;
@@ -37,8 +45,6 @@ pub struct ReadReq {
     pub bytes: u64,
     /// True if this read opens the file (pays open latency + IOPS).
     pub open: bool,
-    /// True if this read jumps within an open file (pays seek + IOPS).
-    pub random: bool,
     /// Whether missed granules enter the page cache.
     pub cacheable: bool,
     /// Total file length (`u64::MAX` if unknown) — lets the page cache
@@ -47,19 +53,6 @@ pub struct ReadReq {
 }
 
 impl ReadReq {
-    /// A sequential continuation read (no open, no seek).
-    pub fn sequential(file: u64, offset: u64, bytes: u64) -> Self {
-        ReadReq {
-            file,
-            offset,
-            bytes,
-            open: false,
-            random: false,
-            cacheable: true,
-            file_len: u64::MAX,
-        }
-    }
-
     /// A fresh whole-file read.
     pub fn open_file(file: u64, bytes: u64) -> Self {
         ReadReq {
@@ -67,7 +60,6 @@ impl ReadReq {
             offset: 0,
             bytes,
             open: true,
-            random: false,
             cacheable: true,
             file_len: bytes,
         }
@@ -101,24 +93,23 @@ pub enum Stage {
         /// Bytes copied.
         bytes: u64,
     },
-    /// Re-step immediately (zero-duration transition).
-    Yield,
     /// The program has finished.
     Done,
 }
 
-/// Context handed to programs on every step.
-pub struct Ctx<'a> {
-    /// Current virtual time.
-    pub now: Nanos,
-    /// Mutable run counters (programs bump `samples`, `dispatches`…).
-    pub stats: &'a mut Dstat,
-}
-
 /// A worker state machine.
 pub trait Program {
-    /// Called when the previous stage completes (and once at start).
-    fn step(&mut self, ctx: &mut Ctx<'_>) -> Stage;
+    /// Called when the previous stage completes (and once at start);
+    /// programs bump the run counters (`samples`, `dispatches`…).
+    fn step(&mut self, stats: &mut Dstat) -> Stage;
+}
+
+/// A fixed script of stages is a program; it is done when the
+/// iterator runs out.
+impl<I: Iterator<Item = Stage>> Program for I {
+    fn step(&mut self, _stats: &mut Dstat) -> Stage {
+        self.next().unwrap_or(Stage::Done)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -168,7 +159,8 @@ impl MachineConfig {
 
 /// The discrete-event machine. See module docs.
 pub struct SimMachine {
-    now: Nanos,
+    /// The clock and the storage-admission timers.
+    events: EventLoop<TimerEvent>,
     cpu: PsResource,
     storage: PsResource,
     membus: PsResource,
@@ -176,9 +168,6 @@ pub struct SimMachine {
     iops_free: Nanos,
     cache: PageCache,
     locks: Vec<FifoLock>,
-    timers: BinaryHeap<std::cmp::Reverse<(Nanos, u64, usize)>>,
-    timer_events: HashMap<usize, TimerEvent>,
-    timer_seq: u64,
     tasks: Vec<TaskSlot>,
     ready: VecDeque<TaskId>,
     jobs: HashMap<(Res, JobId), TaskId>,
@@ -186,65 +175,6 @@ pub struct SimMachine {
     live: usize,
     phase_start: Nanos,
     lock_wait_base: Nanos,
-    trace: Option<Vec<TraceEvent>>,
-    trace_cap: usize,
-}
-
-/// One record of the optional execution trace (the paper inspects its
-/// trace log to attribute stalls; this is the equivalent facility).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceEvent {
-    /// Virtual time of the event.
-    pub at: Nanos,
-    /// Task involved.
-    pub task: TaskId,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
-/// Kinds of traced events.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceKind {
-    /// The task's program was stepped and returned a new stage.
-    StageStart {
-        /// Discriminant name of the stage ("cpu", "read", …).
-        stage: &'static str,
-    },
-    /// The task finished.
-    Done,
-}
-
-/// Aggregate a trace into per-stage-kind time: each stage's duration
-/// is the gap to the same task's next event. The paper reads its trace
-/// logs this way to attribute where worker time goes.
-pub fn trace_summary(trace: &[TraceEvent]) -> std::collections::BTreeMap<&'static str, Nanos> {
-    let mut last_event: HashMap<TaskId, (Nanos, &'static str)> = HashMap::new();
-    let mut totals: std::collections::BTreeMap<&'static str, Nanos> =
-        std::collections::BTreeMap::new();
-    for event in trace {
-        if let Some((started, stage)) = last_event.remove(&event.task) {
-            *totals.entry(stage).or_insert(Nanos::ZERO) += event.at.saturating_sub(started);
-        }
-        if let TraceKind::StageStart { stage } = event.kind {
-            last_event.insert(event.task, (event.at, stage));
-        }
-    }
-    totals.remove("done");
-    totals
-}
-
-impl Stage {
-    fn kind_name(&self) -> &'static str {
-        match self {
-            Stage::Lock { .. } => "lock",
-            Stage::Read(_) => "read",
-            Stage::Write { .. } => "write",
-            Stage::Cpu { .. } => "cpu",
-            Stage::MemCopy { .. } => "memcopy",
-            Stage::Yield => "yield",
-            Stage::Done => "done",
-        }
-    }
 }
 
 impl SimMachine {
@@ -252,7 +182,7 @@ impl SimMachine {
     pub fn new(config: MachineConfig) -> Self {
         let membus_profile = DeviceProfile::memory_bus();
         SimMachine {
-            now: Nanos::ZERO,
+            events: EventLoop::new(),
             cpu: PsResource::new(config.cores as f64),
             storage: PsResource::new(config.device.aggregate_bw),
             membus: PsResource::new(membus_profile.aggregate_bw),
@@ -260,9 +190,6 @@ impl SimMachine {
             iops_free: Nanos::ZERO,
             cache: PageCache::new(config.page_cache_bytes),
             locks: (0..config.locks.max(1)).map(|_| FifoLock::new()).collect(),
-            timers: BinaryHeap::new(),
-            timer_events: HashMap::new(),
-            timer_seq: 0,
             tasks: Vec::new(),
             ready: VecDeque::new(),
             jobs: HashMap::new(),
@@ -270,38 +197,6 @@ impl SimMachine {
             live: 0,
             phase_start: Nanos::ZERO,
             lock_wait_base: Nanos::ZERO,
-            trace: None,
-            trace_cap: 0,
-        }
-    }
-
-    /// Enable event tracing, keeping at most `capacity` events (oldest
-    /// dropped first by refusing further pushes).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Vec::with_capacity(capacity.min(1 << 20)));
-        self.trace_cap = capacity;
-    }
-
-    /// Drain the collected trace.
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        match self.trace.take() {
-            Some(events) => {
-                self.trace = Some(Vec::new());
-                events
-            }
-            None => Vec::new(),
-        }
-    }
-
-    fn record(&mut self, task: TaskId, kind: TraceKind) {
-        if let Some(trace) = &mut self.trace {
-            if trace.len() < self.trace_cap {
-                trace.push(TraceEvent {
-                    at: self.now,
-                    task,
-                    kind,
-                });
-            }
         }
     }
 
@@ -309,7 +204,7 @@ impl SimMachine {
     /// page cache persist. Used to run successive epochs on one machine.
     pub fn begin_phase(&mut self) {
         self.stats = Dstat::new();
-        self.phase_start = self.now;
+        self.phase_start = self.events.now();
         self.lock_wait_base = self
             .locks
             .iter()
@@ -327,11 +222,6 @@ impl SimMachine {
         self.ready.push_back(id);
         self.live += 1;
         id
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> Nanos {
-        self.now
     }
 
     /// Access the page cache (e.g. to pre-warm or flush between epochs).
@@ -356,7 +246,7 @@ impl SimMachine {
             };
             self.advance_to(next);
         }
-        self.stats.span = self.now.saturating_sub(self.phase_start);
+        self.stats.span = self.events.now().saturating_sub(self.phase_start);
         let total_lock_wait = self
             .locks
             .iter()
@@ -372,7 +262,7 @@ impl SimMachine {
                 next = Some(next.map_or(t, |n: Nanos| n.min(t)));
             }
         };
-        consider(self.timers.peek().map(|r| r.0 .0));
+        consider(self.events.next_at());
         consider(self.cpu.next_completion());
         consider(self.storage.next_completion());
         consider(self.membus.next_completion());
@@ -383,8 +273,7 @@ impl SimMachine {
     }
 
     fn advance_to(&mut self, t: Nanos) {
-        debug_assert!(t >= self.now);
-        self.now = t;
+        self.events.advance_to(t);
         // Resources.
         for res in [Res::Cpu, Res::Storage, Res::Membus] {
             let completed = match res {
@@ -399,19 +288,14 @@ impl SimMachine {
             }
         }
         // Timers.
-        while let Some(&std::cmp::Reverse((when, _, key))) = self.timers.peek() {
-            if when > t {
-                break;
-            }
-            self.timers.pop();
-            if let Some(event) = self.timer_events.remove(&key) {
-                match event {
-                    TimerEvent::StorageStart { task, bytes } => {
-                        let job =
-                            self.storage
-                                .add(self.now, bytes as f64, self.device.per_stream_bw);
-                        self.jobs.insert((Res::Storage, job), task);
-                    }
+        while let Some((_, event)) = (self.events.next_at())
+            .filter(|&at| at <= t)
+            .and_then(|_| self.events.pop())
+        {
+            match event {
+                TimerEvent::StorageStart { task, bytes } => {
+                    let job = self.storage.add(t, bytes as f64, self.device.per_stream_bw);
+                    self.jobs.insert((Res::Storage, job), task);
                 }
             }
         }
@@ -440,31 +324,11 @@ impl SimMachine {
         if self.tasks[task].done {
             return;
         }
-        let stage = {
-            let mut ctx = Ctx {
-                now: self.now,
-                stats: &mut self.stats,
-            };
-            self.tasks[task].program.step(&mut ctx)
-        };
-        if self.trace.is_some() {
-            self.record(
-                task,
-                TraceKind::StageStart {
-                    stage: stage.kind_name(),
-                },
-            );
-        }
-        match stage {
+        let now = self.events.now();
+        match self.tasks[task].program.step(&mut self.stats) {
             Stage::Done => {
                 self.tasks[task].done = true;
                 self.live -= 1;
-                if self.trace.is_some() {
-                    self.record(task, TraceKind::Done);
-                }
-            }
-            Stage::Yield => {
-                self.ready.push_back(task);
             }
             Stage::Cpu { work } => {
                 if work == Nanos::ZERO {
@@ -473,7 +337,7 @@ impl SimMachine {
                 }
                 self.stats.cpu_work += work;
                 self.tasks[task].parts_left = 1;
-                let job = self.cpu.add(self.now, work.as_secs_f64(), 1.0);
+                let job = self.cpu.add(now, work.as_secs_f64(), 1.0);
                 self.jobs.insert((Res::Cpu, job), task);
             }
             Stage::MemCopy { bytes } => {
@@ -483,11 +347,9 @@ impl SimMachine {
                 }
                 self.stats.memcpy_bytes += bytes;
                 self.tasks[task].parts_left = 1;
-                let job = self.membus.add(
-                    self.now,
-                    bytes as f64,
-                    DeviceProfile::memory_bus().per_stream_bw,
-                );
+                let job =
+                    self.membus
+                        .add(now, bytes as f64, DeviceProfile::memory_bus().per_stream_bw);
                 self.jobs.insert((Res::Membus, job), task);
             }
             Stage::Write { bytes } => {
@@ -499,7 +361,7 @@ impl SimMachine {
                 self.tasks[task].parts_left = 1;
                 let job = self
                     .storage
-                    .add(self.now, bytes as f64, self.device.write_per_stream_bw);
+                    .add(now, bytes as f64, self.device.write_per_stream_bw);
                 self.jobs.insert((Res::Storage, job), task);
             }
             Stage::Read(req) => self.start_read(task, req),
@@ -507,12 +369,13 @@ impl SimMachine {
                 assert!(lock < self.locks.len(), "unknown lock {lock}");
                 // Acquire; if immediate, the release event completes the
                 // stage. If queued, release of predecessors will chain.
-                let _ = self.locks[lock].acquire(self.now, task as u64, hold);
+                let _ = self.locks[lock].acquire(now, task as u64, hold);
             }
         }
     }
 
     fn start_read(&mut self, task: TaskId, req: ReadReq) {
+        let now = self.events.now();
         let split = self
             .cache
             .access(req.file, req.offset, req.bytes, req.cacheable, req.file_len);
@@ -532,49 +395,32 @@ impl SimMachine {
         self.tasks[task].parts_left = parts;
         if split.hit > 0 {
             let job = self.membus.add(
-                self.now,
+                now,
                 split.hit as f64,
                 DeviceProfile::memory_bus().per_stream_bw,
             );
             self.jobs.insert((Res::Membus, job), task);
         }
         if split.miss > 0 {
-            let mut latency = Nanos::ZERO;
-            let mut admission = false;
+            let mut start = now;
             if req.open {
-                latency += self.device.open_latency;
-                admission = true;
-            }
-            if req.random {
-                latency += self.device.seek_latency;
-                admission = true;
-            }
-            let mut start = self.now + latency;
-            if admission {
+                start += self.device.open_latency;
                 self.stats.io_requests += 1;
                 if self.device.iops_cap.is_finite() {
                     let gap = Nanos::from_secs_f64(1.0 / self.device.iops_cap);
-                    self.iops_free = self.iops_free.max(self.now) + gap;
+                    self.iops_free = self.iops_free.max(now) + gap;
                     start = start.max(self.iops_free);
                 }
             }
-            if start <= self.now {
+            if start <= now {
                 let job = self
                     .storage
-                    .add(self.now, split.miss as f64, self.device.per_stream_bw);
+                    .add(now, split.miss as f64, self.device.per_stream_bw);
                 self.jobs.insert((Res::Storage, job), task);
             } else {
-                let key = self.timer_seq as usize;
-                self.timers
-                    .push(std::cmp::Reverse((start, self.timer_seq, key)));
-                self.timer_seq += 1;
-                self.timer_events.insert(
-                    key,
-                    TimerEvent::StorageStart {
-                        task,
-                        bytes: split.miss,
-                    },
-                );
+                let bytes = split.miss;
+                self.events
+                    .schedule(start, TimerEvent::StorageStart { task, bytes });
             }
         }
     }
@@ -591,7 +437,6 @@ mod tests {
             per_stream_bw: mbps(100.0),
             aggregate_bw: mbps(400.0),
             open_latency: Nanos::from_millis(10),
-            seek_latency: Nanos::from_millis(5),
             iops_cap: f64::INFINITY,
             write_per_stream_bw: mbps(100.0),
             write_aggregate_bw: mbps(400.0),
@@ -609,29 +454,14 @@ mod tests {
     }
 
     /// A program executing a fixed list of stages.
-    struct Script {
-        stages: Vec<Stage>,
-        next: usize,
-    }
-
-    impl Script {
-        fn new(stages: Vec<Stage>) -> Box<Self> {
-            Box::new(Script { stages, next: 0 })
-        }
-    }
-
-    impl Program for Script {
-        fn step(&mut self, _ctx: &mut Ctx<'_>) -> Stage {
-            let stage = self.stages.get(self.next).copied().unwrap_or(Stage::Done);
-            self.next += 1;
-            stage
-        }
+    fn script(stages: Vec<Stage>) -> Box<dyn Program> {
+        Box::new(stages.into_iter())
     }
 
     #[test]
     fn cpu_work_takes_expected_time() {
         let mut m = machine(4, 0);
-        m.add_task(Script::new(vec![Stage::Cpu {
+        m.add_task(script(vec![Stage::Cpu {
             work: Nanos::from_secs(2),
         }]));
         let stats = m.run();
@@ -644,7 +474,7 @@ mod tests {
         // 4 jobs of 1s on 2 cores: span = 2s.
         let mut m = machine(2, 0);
         for _ in 0..4 {
-            m.add_task(Script::new(vec![Stage::Cpu {
+            m.add_task(script(vec![Stage::Cpu {
                 work: Nanos::from_secs(1),
             }]));
         }
@@ -656,7 +486,7 @@ mod tests {
     fn parallel_cpu_within_core_count_overlaps() {
         let mut m = machine(8, 0);
         for _ in 0..8 {
-            m.add_task(Script::new(vec![Stage::Cpu {
+            m.add_task(script(vec![Stage::Cpu {
                 work: Nanos::from_secs(1),
             }]));
         }
@@ -667,7 +497,7 @@ mod tests {
     fn single_stream_read_time_is_open_plus_transfer() {
         let mut m = machine(1, 0);
         // 100 MB at 100 MB/s + 10 ms open.
-        m.add_task(Script::new(vec![Stage::Read(ReadReq::open_file(
+        m.add_task(script(vec![Stage::Read(ReadReq::open_file(
             0,
             100_000_000,
         ))]));
@@ -682,7 +512,7 @@ mod tests {
         // total 800 MB at 400 MB/s = 2 s (+ 10 ms open, concurrent).
         let mut m = machine(8, 0);
         for i in 0..8 {
-            m.add_task(Script::new(vec![Stage::Read(ReadReq::open_file(
+            m.add_task(script(vec![Stage::Read(ReadReq::open_file(
                 i,
                 100_000_000,
             ))]));
@@ -696,7 +526,7 @@ mod tests {
     fn second_epoch_hits_cache_and_uses_memory_bus() {
         let mut m = machine(1, 1 << 30);
         let read = Stage::Read(ReadReq::open_file(7, 50_000_000));
-        m.add_task(Script::new(vec![read, read]));
+        m.add_task(script(vec![read, read]));
         let stats = m.run();
         assert_eq!(stats.storage_read_bytes, 50_000_000);
         assert_eq!(stats.cache_read_bytes, 50_000_000);
@@ -708,7 +538,7 @@ mod tests {
     fn lock_serializes_holders() {
         let mut m = machine(8, 0);
         for _ in 0..4 {
-            m.add_task(Script::new(vec![Stage::Lock {
+            m.add_task(script(vec![Stage::Lock {
                 lock: 0,
                 hold: Nanos::from_millis(10),
             }]));
@@ -734,7 +564,7 @@ mod tests {
             let stages: Vec<Stage> = (0..25)
                 .map(|i| Stage::Read(ReadReq::open_file(w * 1000 + i, 1000)))
                 .collect();
-            m.add_task(Script::new(stages));
+            m.add_task(script(stages));
         }
         let stats = m.run();
         assert!(stats.span >= Nanos::from_secs(2), "span {}", stats.span);
@@ -744,7 +574,7 @@ mod tests {
     #[test]
     fn write_consumes_storage_bandwidth() {
         let mut m = machine(1, 0);
-        m.add_task(Script::new(vec![Stage::Write { bytes: 100_000_000 }]));
+        m.add_task(script(vec![Stage::Write { bytes: 100_000_000 }]));
         let stats = m.run();
         assert_eq!(stats.span, Nanos::from_secs(1));
         assert_eq!(stats.storage_write_bytes, 100_000_000);
@@ -753,77 +583,13 @@ mod tests {
     #[test]
     fn yield_and_zero_cost_stages_terminate() {
         let mut m = machine(1, 0);
-        m.add_task(Script::new(vec![
-            Stage::Yield,
+        m.add_task(script(vec![
             Stage::Cpu { work: Nanos::ZERO },
             Stage::MemCopy { bytes: 0 },
-            Stage::Read(ReadReq {
-                bytes: 0,
-                ..ReadReq::sequential(0, 0, 0)
-            }),
+            Stage::Read(ReadReq::open_file(0, 0)),
         ]));
         let stats = m.run();
         assert_eq!(stats.span, Nanos::ZERO);
-    }
-
-    #[test]
-    fn trace_records_stage_sequence() {
-        let mut m = machine(2, 0);
-        m.enable_trace(100);
-        m.add_task(Script::new(vec![
-            Stage::Cpu {
-                work: Nanos::from_millis(1),
-            },
-            Stage::Read(ReadReq::open_file(0, 1_000_000)),
-        ]));
-        m.run();
-        let trace = m.take_trace();
-        let kinds: Vec<&str> = trace
-            .iter()
-            .map(|e| match e.kind {
-                super::TraceKind::StageStart { stage } => stage,
-                super::TraceKind::Done => "terminated",
-            })
-            .collect();
-        assert_eq!(kinds, vec!["cpu", "read", "done", "terminated"]);
-        // Times are monotone.
-        for pair in trace.windows(2) {
-            assert!(pair[0].at <= pair[1].at);
-        }
-        // Draining twice yields nothing new.
-        assert!(m.take_trace().is_empty());
-    }
-
-    #[test]
-    fn trace_summary_attributes_stage_time() {
-        let mut m = machine(2, 0);
-        m.enable_trace(100);
-        m.add_task(Script::new(vec![
-            Stage::Cpu {
-                work: Nanos::from_millis(10),
-            },
-            Stage::Read(ReadReq::open_file(0, 10_000_000)),
-        ]));
-        m.run();
-        let summary = super::trace_summary(&m.take_trace());
-        // CPU stage lasted 10 ms; read = 10 ms open + 100 ms transfer.
-        assert_eq!(summary["cpu"], Nanos::from_millis(10));
-        assert_eq!(summary["read"], Nanos::from_millis(110));
-        assert!(!summary.contains_key("done"));
-    }
-
-    #[test]
-    fn trace_capacity_is_respected() {
-        let mut m = machine(1, 0);
-        m.enable_trace(3);
-        let stages: Vec<Stage> = (0..10)
-            .map(|_| Stage::Cpu {
-                work: Nanos::from_micros(1),
-            })
-            .collect();
-        m.add_task(Script::new(stages));
-        m.run();
-        assert_eq!(m.take_trace().len(), 3);
     }
 
     #[test]
@@ -832,7 +598,7 @@ mod tests {
         // With independent resources the span is ~2.01 s, not 4 s.
         let mut m = machine(2, 0);
         for i in 0..2 {
-            m.add_task(Script::new(vec![
+            m.add_task(script(vec![
                 Stage::Read(ReadReq::open_file(i, 100_000_000)),
                 Stage::Cpu {
                     work: Nanos::from_secs(1),

@@ -39,8 +39,6 @@ pub struct PsResource {
     last_update: Nanos,
     /// Cached per-job rates, recomputed on membership change.
     rates: HashMap<JobId, f64>,
-    /// Total work completed (for utilization accounting).
-    pub completed_work: f64,
 }
 
 /// Work below this is considered finished (absorbs f64 drift).
@@ -56,18 +54,7 @@ impl PsResource {
             next_id: 0,
             last_update: Nanos::ZERO,
             rates: HashMap::new(),
-            completed_work: 0.0,
         }
-    }
-
-    /// Total capacity in units per second.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
-    /// Number of active jobs.
-    pub fn active_jobs(&self) -> usize {
-        self.jobs.len()
     }
 
     /// Add a job with `work` units and a per-stream rate cap
@@ -118,7 +105,6 @@ impl PsResource {
             let rate = self.rates.get(id).copied().unwrap_or(0.0);
             let progress = (rate * dt).min(job.remaining);
             job.remaining -= progress;
-            self.completed_work += progress;
         }
         self.last_update = now;
     }

@@ -1,5 +1,8 @@
-//! Virtual time.
+//! Virtual time: the [`Nanos`] instant and the [`EventLoop`] every
+//! discrete-event model in the workspace runs on.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -89,6 +92,108 @@ impl fmt::Display for Nanos {
     }
 }
 
+/// A discrete-event queue on a virtual clock: events scheduled at
+/// [`Nanos`] instants pop in time order, and `pop` moves the clock to
+/// the popped event's instant.
+///
+/// **Tie rule.** Events at the same instant pop in the order they were
+/// scheduled (FIFO on a sequence number), so an event scheduled at
+/// `now` while the loop drains pops after every event already due at
+/// `now`. This is the one tie rule of the workspace's models; it makes
+/// every run a pure function of its schedule.
+#[derive(Debug)]
+pub struct EventLoop<E> {
+    now: Nanos,
+    seq: u64,
+    queue: BinaryHeap<Reverse<Scheduled<E>>>,
+}
+
+#[derive(Debug)]
+struct Scheduled<E> {
+    at: Nanos,
+    seq: u64,
+    event: E,
+}
+
+impl<E> Scheduled<E> {
+    fn key(&self) -> (Nanos, u64) {
+        (self.at, self.seq)
+    }
+}
+
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Scheduled<E> {}
+
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl<E> Default for EventLoop<E> {
+    fn default() -> Self {
+        EventLoop {
+            now: Nanos::ZERO,
+            seq: 0,
+            queue: BinaryHeap::new(),
+        }
+    }
+}
+
+impl<E> EventLoop<E> {
+    /// An empty loop at time zero.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> Nanos {
+        self.now
+    }
+
+    /// Schedule `event` at `at`, which must not lie in the past.
+    pub fn schedule(&mut self, at: Nanos, event: E) {
+        debug_assert!(at >= self.now, "event scheduled in the past");
+        self.queue.push(Reverse(Scheduled {
+            at,
+            seq: self.seq,
+            event,
+        }));
+        self.seq += 1;
+    }
+
+    /// Instant of the next pending event.
+    pub fn next_at(&self) -> Option<Nanos> {
+        self.queue.peek().map(|next| next.0.at)
+    }
+
+    /// Pop the next event, advancing the clock to its instant.
+    pub fn pop(&mut self) -> Option<(Nanos, E)> {
+        let Reverse(next) = self.queue.pop()?;
+        self.now = next.at;
+        Some((next.at, next.event))
+    }
+
+    /// Advance the clock to `t` without popping; no pending event may be
+    /// due before `t`.
+    pub fn advance_to(&mut self, t: Nanos) {
+        debug_assert!(t >= self.now, "virtual time went backwards");
+        debug_assert!(self.next_at().is_none_or(|at| at >= t), "skipped an event");
+        self.now = t;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,5 +222,54 @@ mod tests {
         assert_eq!(Nanos(500).to_string(), "500ns");
         assert_eq!(Nanos::from_millis(2).to_string(), "2.000ms");
         assert_eq!(Nanos::from_secs(3).to_string(), "3.000s");
+    }
+
+    #[test]
+    fn equal_time_events_pop_in_schedule_order() {
+        let mut events = EventLoop::new();
+        for (at, tag) in [(5, 'a'), (3, 'b'), (5, 'c'), (3, 'd'), (5, 'e')] {
+            events.schedule(Nanos(at), tag);
+        }
+        let order: Vec<(u64, char)> = std::iter::from_fn(|| events.pop())
+            .map(|(at, tag)| (at.0, tag))
+            .collect();
+        assert_eq!(order, [(3, 'b'), (3, 'd'), (5, 'a'), (5, 'c'), (5, 'e')]);
+    }
+
+    #[test]
+    fn event_scheduled_at_now_pops_after_those_already_due() {
+        let mut events = EventLoop::new();
+        events.schedule(Nanos(10), "first");
+        events.schedule(Nanos(10), "second");
+        assert_eq!(events.pop(), Some((Nanos(10), "first")));
+        events.schedule(events.now(), "late");
+        assert_eq!(events.pop(), Some((Nanos(10), "second")));
+        assert_eq!(events.pop(), Some((Nanos(10), "late")));
+    }
+
+    #[test]
+    fn now_never_goes_backwards() {
+        let mut events = EventLoop::new();
+        events.advance_to(Nanos(2));
+        for at in [9, 4, 4, 7, 2] {
+            events.schedule(Nanos(at), ());
+        }
+        let mut last = events.now();
+        while let Some((at, ())) = events.pop() {
+            assert_eq!(events.now(), at);
+            assert!(at >= last, "{at} after {last}");
+            last = at;
+        }
+        assert_eq!(events.now(), Nanos(9));
+        events.advance_to(Nanos(12));
+        assert_eq!(events.now(), Nanos(12));
+    }
+
+    #[test]
+    fn popping_an_empty_loop_returns_none() {
+        let mut events: EventLoop<u8> = EventLoop::new();
+        assert_eq!(events.next_at(), None);
+        assert_eq!(events.pop(), None);
+        assert_eq!(events.now(), Nanos::ZERO);
     }
 }

@@ -3,24 +3,10 @@
 
 use presto_storage::cache::PageCache;
 use presto_storage::device::DeviceProfile;
-use presto_storage::machine::{Ctx, MachineConfig, Program, ReadReq, SimMachine, Stage};
+use presto_storage::machine::{MachineConfig, ReadReq, SimMachine, Stage};
 use presto_storage::resource::PsResource;
-use presto_storage::time::Nanos;
+use presto_storage::time::{EventLoop, Nanos};
 use proptest::prelude::*;
-
-/// A program executing a generated stage list.
-struct Script {
-    stages: Vec<Stage>,
-    next: usize,
-}
-
-impl Program for Script {
-    fn step(&mut self, _ctx: &mut Ctx<'_>) -> Stage {
-        let stage = self.stages.get(self.next).copied().unwrap_or(Stage::Done);
-        self.next += 1;
-        stage
-    }
-}
 
 fn arb_stage() -> impl Strategy<Value = Stage> {
     prop_oneof![
@@ -44,10 +30,7 @@ fn run_machine(tasks: &[Vec<Stage>], cache_bytes: u64) -> presto_storage::Dstat 
         locks: 2,
     });
     for stages in tasks {
-        machine.add_task(Box::new(Script {
-            stages: stages.clone(),
-            next: 0,
-        }));
+        machine.add_task(Box::new(stages.clone().into_iter()));
     }
     machine.run()
 }
@@ -131,6 +114,25 @@ proptest! {
             "finished in {} < {min_secs}",
             now.as_secs_f64()
         );
+    }
+
+    /// The event loop's tie rule: for any schedule, events pop in a
+    /// stable sort of the schedule by time.
+    #[test]
+    fn event_loop_pops_a_stable_sort_of_its_schedule(
+        times in proptest::collection::vec(0u64..16, 0..64)
+    ) {
+        let mut events = EventLoop::new();
+        for (index, &at) in times.iter().enumerate() {
+            events.schedule(Nanos(at), index);
+        }
+        let popped: Vec<(u64, usize)> = std::iter::from_fn(|| events.pop())
+            .map(|(at, index)| (at.0, index))
+            .collect();
+        let mut expected: Vec<(u64, usize)> =
+            times.iter().enumerate().map(|(index, &at)| (at, index)).collect();
+        expected.sort_by_key(|&(at, _)| at);
+        prop_assert_eq!(popped, expected);
     }
 
     /// Cache accounting: hit + miss always equals the request size, and

@@ -236,14 +236,30 @@ fn deliver_and_thread_knobs_match_on_a_deliver_bound_pipeline() {
     check_tolerance("deliver-bound threads 1->2", thread_pred, thread_meas);
 }
 
+/// The replay of the committed run is also pinned byte for byte against
+/// `fixtures/realrun-epoch.causal.json`, so any change to the causal
+/// model or the event loop under it shows up as a diff. After a
+/// deliberate model change, regenerate the golden from the repository
+/// root and review its diff:
+///
+/// ```sh
+/// cargo run -q -p presto-cli -- causal --from tests/fixtures/realrun-epoch.json --json \
+///     > tests/fixtures/realrun-epoch.causal.json
+/// ```
 #[test]
 fn committed_benchmark_no_longer_ranks_deliver_and_replays_byte_identically() {
     let RunDocument { snapshot, .. } =
         doc::read(include_str!("fixtures/realrun-epoch.json")).unwrap();
     let opts = CausalOptions::default();
-    let a = profile_from_snapshot(&snapshot, "file:realrun-epoch.json", &opts).unwrap();
-    let b = profile_from_snapshot(&snapshot, "file:realrun-epoch.json", &opts).unwrap();
+    let source = "file:tests/fixtures/realrun-epoch.json";
+    let a = profile_from_snapshot(&snapshot, source, &opts).unwrap();
+    let b = profile_from_snapshot(&snapshot, source, &opts).unwrap();
     assert_eq!(doc::write(a.clone()), doc::write(b));
+    assert_eq!(
+        doc::write(a.clone()),
+        include_str!("fixtures/realrun-epoch.causal.json"),
+        "the causal replay moved; regenerate the golden (see above) if deliberate"
+    );
     // The batched zero-copy data plane retired the deliver bottleneck:
     // the committed baseline must rank real compute first, not the
     // hand-off machinery.
