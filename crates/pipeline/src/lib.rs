@@ -28,6 +28,7 @@ pub mod dataplane;
 pub mod distributed;
 pub mod error;
 pub mod fault;
+mod link;
 pub mod pipeline;
 pub mod real;
 pub mod sample;

@@ -63,19 +63,23 @@
 //! is in cache.
 //!
 //! The client is an [`EpochStream`] ([`serve_stream`]): one *link*
-//! thread per worker buffers each shard's samples, commits them only on
-//! that shard's EOF, and then hands them to the caller through the
-//! link's ring lane. Failover: when a connection dies mid-shard (worker
-//! killed, timeout), its uncommitted shards go back on one pending
-//! queue, which idle links pull from. Because online-step RNG is
-//! seeded per *shard* ([`crate::real::shard_rng_seed`]), a reassigned
-//! shard reproduces bit-identical samples on any worker, so a degraded
-//! epoch still delivers the exact same sample multiset — which
-//! [`MultisetChecksum`] proves, order-insensitively.
+//! thread per worker drives its connection with the upstream driver
+//! `fleetd`'s relay drives too (`link::Link`), decodes each BATCH2 in
+//! place, commits a shard only on its EOF, and then hands it to the
+//! caller through the link's ring lane. Failover: when a connection dies
+//! mid-shard (worker killed, timeout), its uncommitted shards go back on
+//! one pending queue, which idle links pull from, and the failed link
+//! retries under the failover rule the relay shares (`link::Failover`).
+//! Because online-step RNG is seeded per *shard*
+//! ([`crate::real::shard_rng_seed`]), a reassigned shard reproduces
+//! bit-identical samples on any worker, so a degraded epoch still
+//! delivers the exact same sample multiset — which [`MultisetChecksum`]
+//! proves, order-insensitively.
 
 use crate::dataplane::{self, BufferPool, SampleBundle};
 use crate::error::PipelineError;
 use crate::fault::{FaultPolicy, Resilience, RetryPolicy};
+use crate::link::{pause, Buffers, Dial, Failover, Link, Outcome, Sink, Trace};
 use crate::pipeline::Pipeline;
 use crate::real::{
     executable_steps, fnv64, process_shard, Deliver, EpochStats, EpochStream, Feed, Lane,
@@ -95,9 +99,8 @@ use presto_telemetry::{
 use presto_tensor::record::{fold_record, record_header, record_trailer, RECORD_OVERHEAD};
 use presto_tensor::{Pieces, RecordReader, RecordWriter};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -105,9 +108,6 @@ use std::time::{Duration, Instant};
 /// The protocol version this build speaks. A peer whose HELLO carries
 /// any other number is refused (see `handshake`).
 pub const PROTOCOL_VERSION: u32 = 2;
-
-/// PINGs sent per connection handshake; the minimum-RTT sample wins.
-const PING_BURST: u32 = 5;
 
 /// Remote span events carried in one STATS frame at most; the rest
 /// are counted into the entry's `dropped_spans`.
@@ -897,36 +897,6 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Frame>, ServeError> {
     }
 }
 
-/// One frame as the client takes it off the wire: a BATCH2 held for
-/// in-place decoding, or any other frame decoded.
-enum Received {
-    Batch(ReceivedBatch),
-    Frame(Frame),
-}
-
-/// Read one frame for the client into a buffer from `spare` (a fresh
-/// one when it is empty), read into without zero-filling it first. A
-/// BATCH2 with an uncompressed block is not checked here: its frame CRC
-/// is folded from its record CRCs as [`ReceivedBatch::decode_into`]
-/// verifies them, so each byte is checked once. Every other frame is
-/// checked in one pass first, and its buffer goes back to `spare`.
-fn receive(
-    reader: &mut impl Read,
-    spare: &mut Vec<Vec<u8>>,
-) -> Result<Option<Received>, ServeError> {
-    let mut payload = spare.pop().unwrap_or_default();
-    let Some(stored) = read_unchecked(reader, &mut payload)? else {
-        return Ok(None);
-    };
-    if payload.first() == Some(&FRAME_BATCH2) {
-        return ReceivedBatch::parse(payload, stored, spare)
-            .map(|batch| Some(Received::Batch(batch)));
-    }
-    let frame = check_payload(&payload, stored).and_then(|()| Frame::decode_payload(&payload));
-    spare.push(payload);
-    frame.map(|frame| Some(Received::Frame(frame)))
-}
-
 /// A received BATCH2, decoded where it lies: its fixed fields, and the
 /// record stream its samples alias — the received payload itself under
 /// [`Codec::None`], the unpacked block under any other wire codec.
@@ -1642,15 +1612,16 @@ pub struct ServeClientConfig {
     pub read_timeout: Duration,
     /// TCP connect timeout per connection attempt.
     pub connect_timeout: Duration,
-    /// Reconnect schedule for failed workers: each worker's link gets
-    /// `max_attempts` consecutive lifeless connection lifecycles (so
-    /// [`RetryPolicy::none`] reproduces the pre-rejoin behavior of
-    /// dropping a worker on its first failure), with the policy's
-    /// exponential backoff slept before each re-attempt and its
-    /// `deadline` — measured from epoch start — capping how long dead
-    /// workers keep being retried. A worker that completes an
-    /// assignment after failing counts as a **rejoin** and gets its
-    /// failure budget back.
+    /// Reconnect schedule for failed workers, run by the failover rule
+    /// `fleetd`'s relay shares (`link::Failover`): each worker's link
+    /// gets `max_attempts` consecutive lifeless connection lifecycles
+    /// (so [`RetryPolicy::none`] drops a worker on its first failure),
+    /// with the policy's exponential backoff slept before each
+    /// re-attempt and its `deadline` — measured from epoch start —
+    /// capping how long dead workers keep being retried. A lifecycle
+    /// that committed a shard or streamed a batch resets the count to
+    /// one; a worker that completes an assignment after failing counts
+    /// as a **rejoin** and gets its failure budget back.
     pub reconnect: RetryPolicy,
     /// Fleet tracing: when true (and a [`Telemetry`] handle is
     /// attached), the client records a per-shard client span timeline,
@@ -1747,26 +1718,6 @@ impl ServeReport {
     }
 }
 
-/// Outcome of one connection's assignment.
-#[derive(Default)]
-struct ConnOutcome {
-    /// Fingerprint of the shards delivered to the lane.
-    checksum: MultisetChecksum,
-    batches: u64,
-    bytes: u64,
-    /// Shards assigned but not EOF-committed (to requeue), as indices
-    /// into the epoch's shard list.
-    failed: Vec<usize>,
-    /// ERR frame from the worker: fatal, no failover.
-    fatal: Option<PipelineError>,
-    /// The caller hung up: nothing is requeued or written off.
-    stopped: bool,
-    /// Time blocked waiting for the first byte of each frame, ns.
-    gap_ns: u64,
-    /// Time reading frame bytes after the first arrived, ns.
-    stream_ns: u64,
-}
-
 /// Committed shards whose receive buffers a link holds on to, until the
 /// caller drops their samples and they can be read into again. A
 /// caller that drains as it goes holds two of a link's shards at most
@@ -1775,59 +1726,33 @@ struct ConnOutcome {
 /// whoever drops them last.
 const DEFERRED_SHARDS: usize = 4;
 
-/// The client's read side of one connection: the socket behind a
-/// [`BufReader`], which `read_to_end`s a frame into spare capacity
-/// without zero-filling it; the receive buffers to read into, recycled
-/// once the samples aliasing them are gone; and, when tracing, the
-/// frame-level wait meter. Waiting for a frame's first byte (the
-/// `fill_buf`) means the wire was idle — nothing to receive, the `gap`
-/// bucket; the rest of reading the frame means bytes were in flight —
-/// the `stream` bucket. An idle-dominated connection is starved of
-/// production; a stream-dominated one is throttled in transfer — the
-/// first fork of the `diagnose_fleet` decision tree.
+/// A link's receive buffers: spare ones to read frames into, and the
+/// record streams of committed shards, kept until the caller drops the
+/// samples aliasing them and they can be read into again.
+#[derive(Default)]
 struct Inbound {
-    reader: BufReader<TcpStream>,
     spare: Vec<Vec<u8>>,
     /// Record streams of committed shards, oldest first, kept until
     /// nothing aliases them ([`DEFERRED_SHARDS`] at most).
     deferred: VecDeque<Vec<Bytes>>,
-    metered: bool,
-    gap_ns: u64,
-    stream_ns: u64,
 }
 
-impl Inbound {
-    fn new(stream: TcpStream, metered: bool) -> Inbound {
-        Inbound {
-            reader: BufReader::new(stream),
-            spare: Vec::new(),
-            deferred: VecDeque::new(),
-            metered,
-            gap_ns: 0,
-            stream_ns: 0,
-        }
-    }
-
-    /// Read one frame ([`receive`]), metered when tracing. With no
-    /// spare buffer left, the deferred ones the caller is done with are
-    /// taken back first.
-    fn receive(&mut self) -> Result<Option<Received>, ServeError> {
+impl Buffers for Inbound {
+    /// A spare buffer; with none left, the deferred ones the caller is
+    /// done with are taken back first.
+    fn take(&mut self) -> Vec<u8> {
         if self.spare.is_empty() {
             self.reclaim();
         }
-        if !self.metered {
-            return receive(&mut self.reader, &mut self.spare);
-        }
-        let t_gap = Instant::now();
-        let waited = self.reader.fill_buf().map(|_| ());
-        let t_stream = Instant::now();
-        self.gap_ns += (t_stream - t_gap).as_nanos() as u64;
-        waited?;
-        let received = receive(&mut self.reader, &mut self.spare);
-        self.stream_ns += t_stream.elapsed().as_nanos() as u64;
-        received
+        self.spare.pop().unwrap_or_default()
     }
 
+    fn give(&mut self, buffer: Vec<u8>) {
+        self.spare.push(buffer);
+    }
+}
+
+impl Inbound {
     /// Keep a committed shard's record streams until the caller has
     /// dropped the samples aliasing them.
     fn defer(&mut self, frames: Vec<Bytes>) {
@@ -1912,7 +1837,8 @@ where
 /// of `shards`, laid out as [`crate::real::RealExecutor`] stripes
 /// shards across threads; it commits each shard on its EOF, sends the
 /// shard's samples into its lane as one bundle, and reads on once the
-/// caller has taken the shard before. A connection that
+/// caller has taken the shard before; it keeps a healthy connection
+/// for its next assignment. A connection that
 /// dies puts its uncommitted shards back on one pending queue, which
 /// idle links pull from. A failed link is not dropped outright: it gets
 /// [`ServeClientConfig::reconnect`] connection lifecycles (with backoff
@@ -2095,45 +2021,60 @@ impl Links {
         self.stop.load(Ordering::Acquire)
     }
 
-    /// True while the reconnect deadline, measured from epoch start,
-    /// still allows a failed link another try.
-    fn retry_open(&self) -> bool {
-        let deadline = self.config.reconnect.deadline;
-        deadline.is_none_or(|d| self.started.elapsed() < d)
-    }
-
     /// Link `link`'s thread: feed `lane` from worker `link`, one
-    /// connection lifecycle at a time — `stripe` first, then what
-    /// failover puts back — until the epoch has no shard left for it.
+    /// assignment at a time — `stripe` first, then what failover puts
+    /// back — until the epoch has no shard left for it.
     fn run(&self, link: usize, stripe: Vec<usize>, lane: Lane) {
+        let addr = self.workers[link].as_str();
+        // Tracing takes a telemetry handle, so it has serve gauges too.
+        let traced = self.fleet.as_deref().zip(self.progress.as_deref());
+        let trace = traced.map(|(fleet, meter)| Trace {
+            fleet,
+            trace_id: self.trace_id,
+            conn: link as u32,
+            meter,
+        });
+        let dial = Dial {
+            connect_timeout: self.config.connect_timeout,
+            read_timeout: self.config.read_timeout,
+            credits: self.config.credits,
+            trace,
+            tenant: self.config.tenant.as_ref(),
+        };
+        let mut upstream = Link::new(addr, &self.conns, dial);
+        let mut failover = Failover::new(self.config.reconnect.clone());
+        let mut inbound = Inbound::default();
         let mut assigned = stripe;
-        // Consecutive lifeless connection lifecycles of this link.
-        let mut tried = 0u32;
         let failure = loop {
             if assigned.is_empty() {
-                match self.next_assignment(tried) {
+                match self.next_assignment(&failover) {
                     Ok(Some(shards)) => assigned = shards,
                     Ok(None) => return,
                     Err(e) => break e,
                 }
             }
-            let drive = AssertUnwindSafe(|| self.consume_assignment(link, &assigned, &lane));
-            let mut outcome = catch_unwind(drive).unwrap_or_else(|_| ConnOutcome {
-                failed: assigned.clone(),
-                ..ConnOutcome::default()
-            });
-            if let Some(fatal) = outcome.fatal.take() {
-                self.hang_up();
-                break fatal;
-            }
-            match self.settle(&assigned, outcome, &mut tried) {
+            let mut sink = Decode {
+                links: self,
+                link,
+                lane: &lane,
+                assigned: &assigned,
+                inbound: &mut inbound,
+                open: vec![Default::default(); assigned.len()],
+                uncommitted: assigned.clone(),
+                checksum: MultisetChecksum::default(),
+                batches: 0,
+                bytes: 0,
+                t0: None,
+            };
+            let names = assigned.iter().map(|&i| self.shards[i].clone()).collect();
+            let outcome = upstream.assign(self.epoch_seed, names, &mut sink);
+            match self.settle(outcome, sink, &mut failover) {
                 Ok(true) => assigned.clear(),
                 Ok(false) => return,
                 Err(e) => break e,
             }
-            if tried > 0 {
-                let seed = self.epoch_seed ^ fnv64(&self.workers[link]);
-                self.pause(self.config.reconnect.backoff(tried, seed));
+            if let Some(wait) = failover.backoff(self.epoch_seed ^ fnv64(addr)) {
+                pause(&self.state, &self.changed, &self.stop, wait);
             }
         };
         let _ = lane.send(Err(failure), &mut |_| {});
@@ -2142,19 +2083,19 @@ impl Links {
     /// Wait for shards an idle link can take: its share of the pending
     /// queue. `None` once the epoch is over for it — nothing pending and
     /// no link holding shards that could fail back, or the caller hung
-    /// up. A failed link (`tried > 0`) past the reconnect deadline is
-    /// written off instead.
-    fn next_assignment(&self, tried: u32) -> Result<Option<Vec<usize>>, PipelineError> {
+    /// up. A failing link past the reconnect deadline is written off
+    /// instead.
+    fn next_assignment(&self, failover: &Failover) -> Result<Option<Vec<usize>>, PipelineError> {
         let mut state = self.lock();
         loop {
             if self.stopped() {
                 return Ok(None);
             }
             if !state.pending.is_empty() {
-                if tried > 0 && !self.retry_open() {
+                if failover.written_off(self.started.elapsed()) {
                     return self.write_off(&mut state).map(|()| None);
                 }
-                if tried > 0 {
+                if failover.failing() {
                     state.report.reconnects += 1;
                     if let Some(progress) = &self.progress {
                         progress.record_reconnect_attempt();
@@ -2171,62 +2112,55 @@ impl Links {
         }
     }
 
-    /// Book one connection lifecycle over `assigned`: its tallies, and
-    /// on a failure its uncommitted shards back on the pending queue and
-    /// the link's lifeless count in `tried`. `Ok(true)` when the link
-    /// goes on, `Ok(false)` when it stops (hung up, or written off).
+    /// Book one assignment's `outcome`: the sink's tallies, a rejoin or,
+    /// on a loss, the shards it did not commit back on the pending queue
+    /// and the failure in `failover`. `Ok(true)` when the link goes on,
+    /// `Ok(false)` when it stops (hung up, or written off); a fatal
+    /// outcome hangs the epoch up and is its error.
     fn settle(
         &self,
-        assigned: &[usize],
-        outcome: ConnOutcome,
-        tried: &mut u32,
+        outcome: Outcome,
+        sink: Decode<'_>,
+        failover: &mut Failover,
     ) -> Result<bool, PipelineError> {
-        if let Some(progress) = &self.progress {
-            progress.gap_wait(outcome.gap_ns);
-            progress.stream_read(outcome.stream_ns);
-        }
         let mut state = self.lock();
         state.busy -= 1;
         self.changed.notify_all();
-        state.report.batches += outcome.batches;
-        state.report.checksum.merge(outcome.checksum);
-        state.report.bytes_received += outcome.bytes;
-        if outcome.stopped || self.stopped() {
-            return Ok(false);
-        }
-        if outcome.failed.is_empty() {
-            if *tried > 0 {
-                // Came back after failing: a mid-epoch rejoin.
-                *tried = 0;
-                state.report.rejoins += 1;
-                if let Some(progress) = &self.progress {
-                    progress.record_rejoin();
-                }
+        state.report.batches += sink.batches;
+        state.report.checksum.merge(sink.checksum);
+        state.report.bytes_received += sink.bytes;
+        let life = match outcome {
+            Outcome::Fatal { why, .. } => {
+                drop(state);
+                self.hang_up();
+                return Err(PipelineError::Other(why));
             }
-            return Ok(true);
-        }
-        // The budget counts *consecutive lifeless* lifecycles: a
-        // connection that committed a shard — or even just streamed
-        // valid batches — before dying proves the worker alive (a flaky
-        // link, not a corpse), so its count restarts at this one
-        // failure instead of accumulating toward the write-off
-        // threshold. Only a link that goes `max_attempts` lifecycles
-        // without a single sign of life is written off; callers that
-        // need a hard bound under an endlessly flaky link set
-        // `reconnect.deadline`.
-        let alive = outcome.failed.len() < assigned.len() || outcome.batches > 0;
-        *tried = if alive { 1 } else { *tried + 1 };
+            Outcome::Stopped => return Ok(false),
+            _ if self.stopped() => return Ok(false),
+            Outcome::Done => {
+                if failover.delivered() {
+                    state.report.rejoins += 1;
+                    if let Some(progress) = &self.progress {
+                        progress.record_rejoin();
+                    }
+                }
+                return Ok(true);
+            }
+            Outcome::Lost { life, .. } => life,
+        };
+        failover.failed(life);
+        let failed = sink.uncommitted;
         state.report.preemptions += 1;
-        state.report.reassignments += outcome.failed.len() as u64;
+        state.report.reassignments += failed.len() as u64;
         if let Some(progress) = &self.progress {
             progress.record_preemption();
-            progress.record_reassignments(outcome.failed.len() as u64);
+            progress.record_reassignments(failed.len() as u64);
         }
-        for shard in outcome.failed {
+        for shard in failed {
             state.requeues[shard] += 1;
             state.pending.push_back(shard);
         }
-        if *tried < self.config.reconnect.max_attempts.max(1) && self.retry_open() {
+        if !failover.written_off(self.started.elapsed()) {
             return Ok(true);
         }
         self.write_off(&mut state).map(|()| false)
@@ -2259,269 +2193,87 @@ impl Links {
             }
         }
     }
+}
 
-    /// Sleep a reconnect backoff, or less if the caller hangs up.
-    fn pause(&self, wait: Duration) {
-        let state = self.lock();
-        let _ = self
-            .changed
-            .wait_timeout_while(state, wait, |_| !self.stopped())
-            .expect(POISONED);
+/// The client's [`Sink`] for one assignment of link `link`: each BATCH2
+/// is decoded where it lies and hashed while its bytes are in cache
+/// ([`ReceivedBatch`]), a shard's samples are buffered until its EOF,
+/// and then sent into the link's lane as one bundle.
+struct Decode<'a> {
+    links: &'a Links,
+    link: usize,
+    lane: &'a Lane,
+    /// The assigned shards, as indices into the epoch's shard list.
+    assigned: &'a [usize],
+    inbound: &'a mut Inbound,
+    /// Per assigned shard until its EOF: the samples, their checksum and
+    /// the record streams they alias.
+    open: Vec<(Vec<Sample>, MultisetChecksum, Vec<Bytes>)>,
+    /// Assigned shards not committed yet: what a failure puts back.
+    uncommitted: Vec<usize>,
+    /// Fingerprint of the shards delivered to the lane.
+    checksum: MultisetChecksum,
+    batches: u64,
+    bytes: u64,
+    /// When tracing, the start of one client span per shard: assignment
+    /// start → EOF commit.
+    t0: Option<Instant>,
+}
+
+impl Buffers for Decode<'_> {
+    fn take(&mut self) -> Vec<u8> {
+        self.inbound.take()
     }
 
-    /// Drive one connection of link `link` through one assignment,
-    /// sending each shard's samples into `lane` on its EOF.
-    fn consume_assignment(&self, link: usize, assigned: &[usize], lane: &Lane) -> ConnOutcome {
-        let mut outcome = ConnOutcome {
-            failed: assigned.to_vec(),
-            ..ConnOutcome::default()
-        };
-        let Ok(parsed) = self.workers[link].parse::<SocketAddr>() else {
-            return outcome;
-        };
-        let Ok(stream) = TcpStream::connect_timeout(&parsed, self.config.connect_timeout) else {
-            return outcome;
-        };
-        // Registered until this function returns; once the caller hung
-        // up the registry refuses it.
-        let Some(_entry) = self.conns.enter(&stream) else {
-            outcome.stopped = true;
-            return outcome;
-        };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(self.config.read_timeout));
-        let Ok(mut writer) = stream.try_clone() else {
-            return outcome;
-        };
-        let mut inbound = Inbound::new(stream, self.fleet.is_some());
-        self.drive_assignment(
-            link,
-            assigned,
-            lane,
-            &mut writer,
-            &mut inbound,
-            &mut outcome,
-        );
-        // Whatever happened on the wire, the wait buckets are real.
-        outcome.gap_ns = inbound.gap_ns;
-        outcome.stream_ns = inbound.stream_ns;
-        outcome
+    fn give(&mut self, buffer: Vec<u8>) {
+        self.inbound.give(buffer);
+    }
+}
+
+impl Sink for Decode<'_> {
+    /// Decode in place: the samples alias the received payload. The
+    /// shard index is read before a deferred frame check, but a frame
+    /// that fails it leaves every buffer as it was.
+    fn batch(&mut self, head: Batch2Head, payload: Vec<u8>, stored: u32) -> Result<(), ServeError> {
+        let batch = ReceivedBatch::parse(payload, stored, &mut self.inbound.spare)?;
+        let (samples, sum, frames) = &mut self.open[head.shard as usize];
+        batch.decode_into(samples, sum)?;
+        self.batches += 1;
+        self.bytes += batch.wire_len as u64;
+        frames.push(batch.records);
+        Ok(())
     }
 
-    /// The wire conversation of one connection: the HELLO exchange, the
-    /// clock-offset handshake, REGISTER, ASSIGN, then the BATCH2/EOF/ERR
-    /// drain loop and (when requested) the trailing STATS frame. Mutates
-    /// `outcome` in place so every early return leaves a consistent
-    /// partial result for failover.
-    fn drive_assignment(
-        &self,
-        link: usize,
-        assigned: &[usize],
-        lane: &Lane,
-        writer: &mut TcpStream,
-        inbound: &mut Inbound,
-        outcome: &mut ConnOutcome,
-    ) {
-        let addr = self.workers[link].as_str();
-        let fleet = self.fleet.as_deref();
-        let trace_id = fleet.map_or(0, |_| self.trace_id);
-        let reader = &mut inbound.reader;
-        if let Err(e) = handshake(writer, reader, trace_id) {
-            // A worker from another build fails the epoch; a broken link
-            // is a dead connection like any other and fails over.
-            if matches!(e, ServeError::Protocol(_)) {
-                outcome.fatal = Some(PipelineError::Other(format!("worker {addr}: {e}")));
-            }
-            return;
-        }
-        if let Some(fleet) = fleet {
-            // NTP-style offset estimate: the minimum-RTT PING's
-            // midpoint is the least-delayed view of the worker clock.
-            let mut best_rtt = u64::MAX;
-            let mut offset = 0i64;
-            for seq in 0..PING_BURST {
-                let t0 = mono_ns();
-                if write_frame(writer, &Frame::Ping { t0, seq }).is_err() {
-                    return;
-                }
-                match read_frame(reader) {
-                    Ok(Some(Frame::Pong {
-                        t0: echo,
-                        t_worker,
-                        seq: echo_seq,
-                    })) if echo == t0 && echo_seq == seq => {
-                        let rtt = mono_ns().saturating_sub(t0);
-                        if rtt < best_rtt {
-                            best_rtt = rtt;
-                            offset = t_worker as i64 - (t0 + rtt / 2) as i64;
-                        }
-                    }
-                    _ => return,
-                }
-            }
-            fleet.record_handshake(addr, link as u32, PROTOCOL_VERSION, offset, best_rtt);
-        }
-        // Multi-tenant admission: declare the job before asking for work.
-        if let Some(tenant) = &self.config.tenant {
-            let register = Frame::Register {
-                tenant: tenant.name.clone(),
-                weight: tenant.weight.max(1),
-                shards: assigned.len() as u32,
-            };
-            if write_frame(writer, &register).is_err() {
-                return;
-            }
-            match read_frame(reader) {
-                Ok(Some(Frame::Admit { .. })) => {}
-                Ok(Some(Frame::Reject { reason, .. })) => {
-                    // Policy, not a fault: retrying elsewhere would
-                    // dodge the admission controller.
-                    outcome.fatal = Some(PipelineError::Other(format!(
-                        "tenant '{}' rejected by {addr}: {reason}",
-                        tenant.name
-                    )));
-                    return;
-                }
-                _ => return,
+    fn assigned(&mut self) {
+        self.t0 = self.links.rec.begin();
+    }
+
+    fn commit(&mut self, index: usize, last: bool) -> bool {
+        let (samples, sum, frames) = std::mem::take(&mut self.open[index]);
+        if !samples.is_empty() {
+            let bundle = SampleBundle::from_container(samples);
+            if self.lane.send(Ok(bundle), &mut |_| {}).is_err() {
+                return false;
             }
         }
-        let credits = self.config.credits.max(1);
-        if write_frame(
-            writer,
-            &Frame::Assign {
-                epoch_seed: self.epoch_seed,
-                credits,
-                shards: assigned.iter().map(|&i| self.shards[i].clone()).collect(),
-                trace_id,
-                parent_span: if fleet.is_some() {
-                    trace_id ^ fnv64(addr)
-                } else {
-                    0
-                },
-                flags: if fleet.is_some() {
-                    ASSIGN_WANT_STATS
-                } else {
-                    0
-                },
-            },
-        )
-        .is_err()
-        {
-            return;
+        self.checksum.merge(sum);
+        self.inbound.defer(frames);
+        let shard = self.assigned[index];
+        self.uncommitted.retain(|&s| s != shard);
+        if let Some(t0) = self.t0 {
+            let rec = &self.links.rec;
+            rec.phase_done(self.link, BUILTIN_PHASES + shard, t0);
         }
-        // One client span per shard: assignment start → EOF commit.
-        let assign_t0 = self.rec.begin();
-        // Per shard until its EOF: the samples, their checksum and the
-        // record streams they alias.
-        let mut buffers: Vec<Vec<Sample>> = vec![Vec::new(); assigned.len()];
-        let mut sums = vec![MultisetChecksum::default(); assigned.len()];
-        let mut frames: Vec<Vec<Bytes>> = vec![Vec::new(); assigned.len()];
-        let mut done = vec![false; assigned.len()];
-        let mut window = CreditWindow::new(credits);
-        loop {
-            let frame = match inbound.receive() {
-                Ok(Some(Received::Frame(frame))) => frame,
-                Ok(Some(Received::Batch(batch))) => {
-                    // Decoded in place: the samples alias the received
-                    // payload. `span_id`/`t_send` are trace context the
-                    // client does not need for delivery. The shard index is
-                    // not checked yet under a deferred frame check, but a
-                    // frame that fails it leaves every buffer as it was.
-                    let index = batch.head.shard as usize;
-                    if index >= buffers.len() || done[index] {
-                        return; // protocol violation: treat conn as dead
-                    }
-                    if batch
-                        .decode_into(&mut buffers[index], &mut sums[index])
-                        .is_err()
-                    {
-                        return;
-                    }
-                    if let Some(n) = window.drained() {
-                        if write_frame(writer, &Frame::Credit { n }).is_err() {
-                            return;
-                        }
-                    }
-                    outcome.batches += 1;
-                    outcome.bytes += batch.wire_len as u64;
-                    frames[index].push(batch.records);
-                    continue;
-                }
-                // Clean close mid-assignment, CRC garbage, timeout: the
-                // connection is unusable — whatever was not committed
-                // fails over.
-                _ => return,
-            };
-            match frame {
-                Frame::Eof { shard } => {
-                    let index = shard as usize;
-                    if index >= buffers.len() || done[index] {
-                        return;
-                    }
-                    // Commit: the shard arrived whole, hand it over.
-                    done[index] = true;
-                    let samples = std::mem::take(&mut buffers[index]);
-                    if !samples.is_empty() {
-                        let bundle = SampleBundle::from_container(samples);
-                        if lane.send(Ok(bundle), &mut |_| {}).is_err() {
-                            outcome.stopped = true; // the caller hung up
-                            return;
-                        }
-                    }
-                    outcome.checksum.merge(std::mem::take(&mut sums[index]));
-                    inbound.defer(std::mem::take(&mut frames[index]));
-                    outcome.failed.retain(|&shard| shard != assigned[index]);
-                    if let Some(t0) = assign_t0 {
-                        self.rec
-                            .phase_done(link, BUILTIN_PHASES + assigned[index], t0);
-                    }
-                    if done.iter().all(|&d| d) {
-                        break;
-                    }
-                    // Read on only once the caller has taken the shard
-                    // before this one: a link runs at most one committed
-                    // shard ahead of the caller.
-                    if !lane.wait_room() {
-                        outcome.stopped = true;
-                        return;
-                    }
-                }
-                Frame::Err { message } => {
-                    outcome.fatal = Some(PipelineError::Other(format!(
-                        "worker {addr} failed: {message}"
-                    )));
-                    return;
-                }
-                // A stray PONG (duplicate handshake reply) is harmless.
-                Frame::Pong { .. } => {}
-                _ => return,
-            }
-        }
-        // All shards committed; the worker's STATS frame (if requested)
-        // trails the final EOF. Best-effort: a worker that dies here has
-        // already delivered everything.
-        if let Some(fleet) = fleet {
-            loop {
-                match read_frame(&mut inbound.reader) {
-                    Ok(Some(Frame::Stats { entry })) => {
-                        let mut entry = *entry;
-                        entry.addr = addr.to_string();
-                        entry.conn = link as u32;
-                        entry.peer_version = PROTOCOL_VERSION;
-                        fleet.record_stats(entry);
-                        break;
-                    }
-                    Ok(Some(_)) => continue,
-                    _ => break,
-                }
-            }
-        }
+        // Read on only once the caller has taken the shard before this
+        // one: a link runs at most one committed shard ahead of it.
+        last || self.lane.wait_room()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::Incoming;
     use std::sync::mpsc;
 
     /// One frame of every kind, with every string and list non-empty
@@ -2669,17 +2421,21 @@ mod tests {
         Ok(samples)
     }
 
-    /// What the client makes of `wire`: one frame read as
-    /// `drive_assignment` reads it, a BATCH2 decoded onto the end of
-    /// `buffer` and folded into `sum`. `Ok(true)` when a BATCH2 was
+    /// What the client makes of `wire`: one frame read as a link reads
+    /// it, a BATCH2 decoded onto the end of `buffer` and folded into
+    /// `sum`, as its sink decodes it. `Ok(true)` when a BATCH2 was
     /// accepted.
     fn receive_wire(
         wire: &[u8],
         buffer: &mut Vec<Sample>,
         sum: &mut MultisetChecksum,
     ) -> Result<bool, ServeError> {
-        match receive(&mut &wire[..], &mut Vec::new())? {
-            Some(Received::Batch(batch)) => batch.decode_into(buffer, sum).map(|()| true),
+        let mut inbound = Inbound::default();
+        match crate::link::receive(&mut &wire[..], &mut inbound)? {
+            Some(Incoming::Batch(_, payload, stored)) => {
+                let batch = ReceivedBatch::parse(payload, stored, &mut inbound.spare)?;
+                batch.decode_into(buffer, sum).map(|()| true)
+            }
             _ => Ok(false),
         }
     }
@@ -3008,9 +2764,7 @@ mod tests {
 
     #[test]
     fn deferred_receive_buffers_return_once_the_caller_drops_their_samples() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let socket = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let mut inbound = Inbound::new(socket, false);
+        let mut inbound = Inbound::default();
         let frames: Vec<Bytes> = (0..2).map(|_| Bytes::from(vec![7u8; 64])).collect();
         // A sample the caller still holds, aliasing the first frame.
         let held = frames[0].slice(8..16);

@@ -50,11 +50,17 @@
 //! [`Crc32::combine`](presto_codecs::checksum::Crc32::combine). An
 //! uncompressed local batch is never copied into a block: it is
 //! gather-written from the samples where they lie (`write_batch`), the
-//! frame CRC folded from its record CRCs. The relay
-//! checks each backend BATCH2 once, as `combine(crc(head), crc(block),
-//! len(block))`, never decodes it, and is **shard-atomic**: it hands a
-//! shard on only at the backend's EOF, so a backend that dies mid-shard
-//! leaves no trace with the client.
+//! frame CRC folded from its record CRCs.
+//!
+//! A relay dispatcher drives its backend with the client's upstream
+//! driver (`link::Link`), one ASSIGN per shard on a connection kept
+//! across shards, and its own sink (`Relayed`): it checks each backend
+//! BATCH2 once, as `combine(crc(head), crc(block), len(block))`, never
+//! decodes it, and is **shard-atomic**: it hands a shard on only at the
+//! backend's EOF, so a backend that dies mid-shard leaves no trace with
+//! the client. After a lost shard it backs off under the client's
+//! failover rule (`link::Failover`) with one policy of its own,
+//! `RELAY_RECONNECT`, that never writes a backend off.
 //!
 //! Accounting lands in the attached
 //! [`TenantsProgress`](presto_telemetry::TenantsProgress) registry:
@@ -63,12 +69,14 @@
 
 use crate::dataplane::BufferPool;
 use crate::error::PipelineError;
-use crate::fault::FaultCounters;
+use crate::fault::{FaultCounters, RetryPolicy};
+use crate::link::{pause, Buffers, Dial, Failover, Link, Outcome, Sink};
+use crate::real::fnv64;
 use crate::sample::Sample;
 use crate::serve::{
-    accept_until, check_payload, encode_batch, handshake, read_frame, read_unchecked, reject,
-    wake_acceptor, write_batch, write_frame, write_record, Batch2Head, Conns, CreditGate,
-    CreditWindow, Frame, Local, ServeError, ASSIGN_WANT_STATS, BATCH2_HEAD, STATS_SPAN_CAP,
+    accept_until, encode_batch, handshake, read_frame, reject, wake_acceptor, write_batch,
+    write_frame, write_record, Batch2Head, Conns, CreditGate, Frame, Local, ServeError,
+    ASSIGN_WANT_STATS, BATCH2_HEAD, STATS_SPAN_CAP,
 };
 use presto_codecs::checksum::Crc32;
 use presto_codecs::Codec;
@@ -77,11 +85,11 @@ use presto_telemetry::{
     PHASE_QUEUE_WAIT,
 };
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -407,6 +415,9 @@ impl Shared {
         if self.stop.swap(true, Ordering::AcqRel) {
             return;
         }
+        // Under the lock, so a dispatcher about to wait in a backoff
+        // pause sees the flag or gets the wake-up.
+        drop(self.sched.lock().unwrap_or_else(PoisonError::into_inner));
         self.wake_all();
         self.conns.sever();
         wake_acceptor(self.addr);
@@ -990,63 +1001,93 @@ fn next_task(shared: &Shared, dispatcher: usize) -> Option<Dispatch> {
     }
 }
 
-/// One dispatcher: pull tasks, have the source make their batches,
-/// record completions (affinity + DRR charge) and requeue on failure.
-fn dispatcher_loop(shared: &Arc<Shared>, dispatcher: usize) {
-    // The relay's backend connection, reused across its shards.
-    let mut link: Option<(TcpStream, BufReader<TcpStream>)> = None;
-    let mut consecutive_failures = 0u32;
+/// One dispatcher: pull tasks, have the source make their batches, and
+/// record completions (affinity + DRR charge) or failures.
+fn dispatcher_loop(shared: &Shared, dispatcher: usize) {
+    let local = match &shared.source {
+        Source::Local(local) => local,
+        Source::Relay(backends) => return relay(shared, dispatcher, &backends[dispatcher]),
+    };
     while let Some(dispatch) = next_task(shared, dispatcher) {
         let t_produce = Instant::now();
-        let produced = match &shared.source {
-            Source::Local(local) => local
-                .produce(
-                    &dispatch.task.shard,
-                    dispatch.task.epoch_seed,
-                    &dispatch.books,
-                )
-                .map_err(|fatal| TaskFailure::Fatal(fatal.to_string())),
-            Source::Relay(backends) => {
-                serve_task(shared, &backends[dispatcher], &mut link, &dispatch)
-                    .map(|batches| batches.into_iter().map(Pending::Relayed).collect())
-            }
-        };
-        let produce_ns = t_produce.elapsed().as_nanos() as u64;
-        dispatch.books.add(|e| e.produce_ns += produce_ns);
-        shared.progress.produce_time(produce_ns);
-        match produced {
-            Ok(batches) => {
-                consecutive_failures = 0;
-                complete_task(shared, dispatcher, &dispatch, batches);
-            }
-            Err(TaskFailure::Fatal(message)) => fail_task(shared, &dispatch, message),
-            Err(TaskFailure::Lost { started }) => {
-                link = None;
-                consecutive_failures += 1;
-                // A shard the backend never started costs nothing: a
-                // refused connection is this backend's problem, not
-                // the tenant's. A shard that died mid-stream consumed
-                // backend time under this tenant's name — that is the
-                // budget the admission policy meters.
-                requeue_task(shared, &dispatch, started);
-                // A dead backend should not spin through the queue;
-                // back off before asking for more work.
-                let pause = Duration::from_millis(50 * u64::from(consecutive_failures.min(20)));
-                std::thread::sleep(pause);
-            }
+        let task = &dispatch.task;
+        let made = local.produce(&task.shard, task.epoch_seed, &dispatch.books);
+        produced(shared, &dispatch, t_produce);
+        match made {
+            Ok(batches) => complete_task(shared, dispatcher, &dispatch, batches),
+            Err(fatal) => fail_task(shared, &dispatch, fatal.to_string()),
         }
     }
 }
 
-/// Why a source did not deliver a shard.
-enum TaskFailure {
-    /// The relay lost it. `started`: the ASSIGN reached the backend, so
-    /// the failure interrupted real work and charges the owning
-    /// tenant's fault budget.
-    Lost { started: bool },
-    /// A fault the resilience policy would not absorb: the tenant fails
-    /// with this ERR.
-    Fatal(String),
+/// `fleetd`'s failover policy for its backend links: exponential backoff
+/// from 50 ms, capped at 1 s and jittered, and no write-off — the relay
+/// never asks, and a backend that comes back is used again.
+pub(crate) const RELAY_RECONNECT: RetryPolicy = RetryPolicy {
+    max_attempts: u32::MAX,
+    base_backoff: Duration::from_millis(50),
+    max_backoff: Duration::from_secs(1),
+    jitter: true,
+    deadline: None,
+};
+
+/// The relay source's dispatcher: run each task's shard on the backend
+/// at `addr`, one ASSIGN per shard over one [`Link`] kept across them,
+/// and hand the batches on at the shard's EOF. The link re-credits the
+/// backend as each batch arrives, a standing window: client backpressure
+/// is absorbed by the tenant's outbox and gate, never by stalling the
+/// shared backend. A lost shard goes back on its tenant's queue, and the
+/// dispatcher backs off before it asks for more work, so a dead backend
+/// does not spin through the queue.
+fn relay(shared: &Shared, dispatcher: usize, addr: &str) {
+    let config = &shared.config;
+    let dial = Dial {
+        connect_timeout: config.connect_timeout,
+        read_timeout: config.read_timeout,
+        credits: config.backend_credits,
+        trace: None,
+        tenant: None,
+    };
+    let mut link = Link::new(addr, &shared.conns, dial);
+    let mut failover = Failover::new(RELAY_RECONNECT);
+    while let Some(dispatch) = next_task(shared, dispatcher) {
+        let t_produce = Instant::now();
+        let mut relayed = Relayed {
+            pool: &shared.pool,
+            batches: Vec::new(),
+        };
+        let (shard, seed) = (dispatch.task.shard.clone(), dispatch.task.epoch_seed);
+        let outcome = link.assign(seed, vec![shard], &mut relayed);
+        produced(shared, &dispatch, t_produce);
+        // A shard the backend never started costs nothing: a refused
+        // connection is this backend's problem, not the tenant's. A
+        // shard that died mid-stream, or that the backend failed with an
+        // ERR, consumed backend time under this tenant's name — that is
+        // the budget the admission policy meters.
+        let (started, life) = match outcome {
+            Outcome::Done => {
+                failover.delivered();
+                let batches = relayed.batches.into_iter().map(Pending::Relayed);
+                complete_task(shared, dispatcher, &dispatch, batches.collect());
+                continue;
+            }
+            Outcome::Stopped => return,
+            Outcome::Lost { started, life } => (started, life),
+            Outcome::Fatal { started, .. } => (started, false),
+        };
+        requeue_task(shared, &dispatch, started);
+        failover.failed(life);
+        if let Some(wait) = failover.backoff(seed ^ fnv64(addr)) {
+            pause(&shared.sched, &shared.cv, &shared.stop, wait);
+        }
+    }
+}
+
+/// Book a task's produce time, from `since`.
+fn produced(shared: &Shared, dispatch: &Dispatch, since: Instant) {
+    let produce_ns = since.elapsed().as_nanos() as u64;
+    dispatch.books.add(|e| e.produce_ns += produce_ns);
+    shared.progress.produce_time(produce_ns);
 }
 
 /// A shard's batch as its source hands it over.
@@ -1133,111 +1174,45 @@ impl Batch {
     }
 }
 
-/// One frame from a backend, as the relay takes it.
-enum FromBackend {
-    Batch(Batch),
-    Frame(Frame),
+/// The relay's [`Sink`]: each backend BATCH2 is checked once and kept
+/// as it lies in a buffer from the pool, with its block CRC. All of a
+/// shard's batches or none go on, once the link reports the shard done:
+/// the client's connection survives a backend death, so a requeued
+/// shard is served again from scratch (bit-identically, thanks to
+/// [`crate::shard_rng_seed`]) and anything already forwarded would have
+/// doubled its samples.
+struct Relayed<'a> {
+    pool: &'a BufferPool,
+    batches: Vec<Batch>,
 }
 
-/// Read one backend frame into a buffer from `pool`, filled without
-/// zero-filling it first, and check it once. A BATCH2 is checked as
-/// `combine(crc(head), crc(block), len(block))` and kept as it lies,
-/// with its block CRC; any other frame is checked in one pass and
-/// decoded, and its buffer goes back to the pool. `Ok(None)` is a clean
-/// close at a frame boundary; every violation is a typed
-/// [`ServeError`] and hands nothing on.
-fn read_from_backend(
-    reader: &mut impl Read,
-    pool: &BufferPool,
-) -> Result<Option<FromBackend>, ServeError> {
-    let (mut payload, _) = pool.get_bytes(0);
-    let stored = match read_unchecked(reader, &mut payload) {
-        Ok(Some(stored)) => stored,
-        other => {
-            pool.put_bytes(payload);
-            return other.map(|_| None);
-        }
-    };
-    if let Some(head) = Batch2Head::parse(&payload) {
+impl Buffers for Relayed<'_> {
+    fn take(&mut self) -> Vec<u8> {
+        self.pool.get_bytes(0).0
+    }
+
+    fn give(&mut self, buffer: Vec<u8>) {
+        self.pool.put_bytes(buffer);
+    }
+}
+
+impl Sink for Relayed<'_> {
+    /// The backend's shard index and trace context are its own;
+    /// `complete_task` rewrites them for the client.
+    fn batch(&mut self, head: Batch2Head, payload: Vec<u8>, stored: u32) -> Result<(), ServeError> {
         let block = &payload[BATCH2_HEAD..];
         let block_crc = Crc32::checksum(block);
         let head_crc = Crc32::checksum(&payload[..BATCH2_HEAD]);
         if Crc32::combine(head_crc, block_crc, block.len() as u64) != stored {
-            pool.put_bytes(payload);
+            self.pool.put_bytes(payload);
             return Err(ServeError::BadPayload);
         }
-        return Ok(Some(FromBackend::Batch(Batch {
+        self.batches.push(Batch {
             at: BATCH2_HEAD,
             ..Batch::local(payload, head.count, head.codec, block_crc)
-        })));
+        });
+        Ok(())
     }
-    let frame = check_payload(&payload, stored).and_then(|()| Frame::decode_payload(&payload));
-    pool.put_bytes(payload);
-    frame.map(|frame| Some(FromBackend::Frame(frame)))
-}
-
-/// The relay source: run one shard on the backend at `addr` and return
-/// its batches, checked on arrival ([`read_from_backend`]) and never
-/// decoded. All of them or none: the client's connection survives a
-/// backend death, so a half-streamed shard must leave no trace — the
-/// requeued shard will be served again from scratch (bit-identically,
-/// thanks to [`crate::shard_rng_seed`]) and anything already forwarded
-/// would have doubled its samples.
-fn serve_task(
-    shared: &Shared,
-    addr: &str,
-    link: &mut Option<(TcpStream, BufReader<TcpStream>)>,
-    dispatch: &Dispatch,
-) -> Result<Vec<Batch>, TaskFailure> {
-    let unstarted = |_: std::io::Error| TaskFailure::Lost { started: false };
-    if link.is_none() {
-        let target: SocketAddr = addr
-            .to_socket_addrs()
-            .ok()
-            .and_then(|mut addrs| addrs.next())
-            .ok_or(TaskFailure::Lost { started: false })?;
-        let stream = TcpStream::connect_timeout(&target, shared.config.connect_timeout)
-            .map_err(unstarted)?;
-        stream.set_nodelay(true).map_err(unstarted)?;
-        stream
-            .set_read_timeout(Some(shared.config.read_timeout))
-            .map_err(unstarted)?;
-        let mut writer = stream.try_clone().map_err(unstarted)?;
-        let mut reader = BufReader::new(stream);
-        handshake(&mut writer, &mut reader, 0).map_err(|_| TaskFailure::Lost { started: false })?;
-        *link = Some((writer, reader));
-    }
-    let (writer, reader) = link.as_mut().expect("connection established above");
-    let assign = Frame::Assign {
-        epoch_seed: dispatch.task.epoch_seed,
-        credits: shared.config.backend_credits.max(1),
-        shards: vec![dispatch.task.shard.clone()],
-        trace_id: 0,
-        parent_span: 0,
-        flags: 0,
-    };
-    write_frame(writer, &assign).map_err(|_| TaskFailure::Lost { started: false })?;
-    let mut window = CreditWindow::new(shared.config.backend_credits.max(1));
-    let mut buffered: Vec<Batch> = Vec::new();
-    loop {
-        // The backend's shard index and trace context are its own;
-        // `complete_task` rewrites them for the client.
-        match read_from_backend(reader, &shared.pool) {
-            Ok(Some(FromBackend::Batch(batch))) => buffered.push(batch),
-            Ok(Some(FromBackend::Frame(Frame::Eof { .. }))) => break,
-            // Backend ERR, an unexpected frame, a close mid-shard or a
-            // damaged frame: the shard is lost on this backend.
-            _ => return Err(TaskFailure::Lost { started: true }),
-        }
-        // Re-credit the backend at once, a standing window: client
-        // backpressure is absorbed by the tenant's outbox + gate, never
-        // by stalling the shared backend.
-        if let Some(n) = window.drained() {
-            write_frame(writer, &Frame::Credit { n })
-                .map_err(|_| TaskFailure::Lost { started: true })?;
-        }
-    }
-    Ok(buffered)
 }
 
 /// Record a completed shard (affinity, DRR charge, completion), then
@@ -1344,6 +1319,7 @@ fn fail_task(shared: &Shared, dispatch: &Dispatch, message: String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::{receive, Incoming};
 
     fn tenant(name: &str, weight: u32, queued: usize, inflight: usize, deficit: i64) -> Tenant {
         Tenant {
@@ -1459,6 +1435,22 @@ mod tests {
         wire
     }
 
+    /// The relay's read of one backend frame: the one frame read of a
+    /// link, and a BATCH2 through the relay's sink.
+    fn relay_read(wire: &[u8], pool: &BufferPool) -> Result<Option<Batch>, ServeError> {
+        let mut relayed = Relayed {
+            pool,
+            batches: Vec::new(),
+        };
+        match receive(&mut &wire[..], &mut relayed)? {
+            Some(Incoming::Batch(head, payload, stored)) => {
+                relayed.batch(head, payload, stored)?;
+                Ok(relayed.batches.pop())
+            }
+            _ => Ok(None),
+        }
+    }
+
     /// A backend BATCH2 through the relay's read, re-address and write
     /// puts on the client's wire exactly what `write_frame` makes of
     /// the frame with the client's shard index and trace fields 0, the
@@ -1468,9 +1460,7 @@ mod tests {
     fn relayed_batches_put_the_rebuilt_frames_bytes_on_the_wire() {
         let pool = BufferPool::with_shelf_cap(4);
         for frame in backend_batches() {
-            let Some(FromBackend::Batch(mut batch)) =
-                read_from_backend(&mut &wire(&frame)[..], &pool).unwrap()
-            else {
+            let Some(mut batch) = relay_read(&wire(&frame), &pool).unwrap() else {
                 panic!("a BATCH2 is relayed opaque: {frame:?}");
             };
             batch.readdress(2);
@@ -1515,12 +1505,9 @@ mod tests {
         frames.push(Frame::Eof { shard: 5 });
         for frame in &frames {
             let wire = wire(frame);
-            assert!(matches!(
-                read_from_backend(&mut &wire[..0], &pool),
-                Ok(None)
-            ));
+            assert!(matches!(relay_read(&wire[..0], &pool), Ok(None)));
             for cut in 1..wire.len() {
-                let got = read_from_backend(&mut &wire[..cut], &pool);
+                let got = relay_read(&wire[..cut], &pool);
                 assert!(
                     matches!(got, Err(ServeError::Truncated)),
                     "{frame:?} cut at {cut}"
@@ -1529,7 +1516,7 @@ mod tests {
             for bit in 0..wire.len() * 8 {
                 let mut flipped = wire.clone();
                 flipped[bit / 8] ^= 1 << (bit % 8);
-                let got = read_from_backend(&mut &flipped[..], &pool);
+                let got = relay_read(&flipped, &pool);
                 assert!(
                     matches!(got, Err(ServeError::BadHeader | ServeError::BadPayload)),
                     "{frame:?} bit {bit}"

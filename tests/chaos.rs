@@ -7,28 +7,24 @@
 //! baseline, or degrades exactly as the fault policy allows. Wrong
 //! data is never an outcome.
 
-use presto_datasets::generators;
-use presto_datasets::steps;
-use presto_formats::image::jpg;
+use presto_integration_tests::{cv_workload, fault_seeds, reference_checksum};
 use presto_pipeline::chaos::{ChaosFault, ChaosProxy, ChaosStats};
-use presto_pipeline::real::{Materialized, MemStore, RealExecutor, RetryPolicy};
+use presto_pipeline::real::RetryPolicy;
 use presto_pipeline::serve::{
     serve_epoch, MultisetChecksum, ServeClientConfig, ServeReport, ServeWorker, ServeWorkerConfig,
 };
-use presto_pipeline::{FaultPolicy, Pipeline, Resilience, Sample, Strategy};
+use presto_pipeline::{FaultPolicy, Resilience};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Chaos seeds under test; CI sweeps one at a time via `FAULT_SEED`.
-fn chaos_seeds() -> Vec<u64> {
-    match std::env::var("FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-    {
-        Some(seed) => vec![seed],
-        None => vec![1, 2, 3, 4, 5],
-    }
-}
+const CHAOS_SEEDS: &[u64] = &[1, 2, 3, 4, 5];
+
+/// Small enough that a whole chaos matrix stays fast: the 32×32 resize
+/// keeps each shard a handful of 4 KiB chaos windows on the wire, so
+/// per-window fault probabilities translate into survivable — not
+/// certain — cuts between consecutive shard commits.
+const RESIZE: (usize, usize) = (32, 28);
 
 /// Seeds for the tests that assert "some seed injected the fault": a
 /// 4–8 % per-window draw over one epoch's few dozen windows can come
@@ -37,50 +33,10 @@ fn chaos_seeds() -> Vec<u64> {
 /// aggregate is taken over the family. Checksum parity is still
 /// asserted on every member.
 fn chaos_seed_family() -> Vec<u64> {
-    match chaos_seeds()[..] {
+    match fault_seeds(CHAOS_SEEDS)[..] {
         [seed] => (0..5).map(|member| seed + 1_000 * member).collect(),
-        _ => chaos_seeds(),
+        _ => fault_seeds(CHAOS_SEEDS),
     }
-}
-
-/// The CV pipeline with its random crop kept online (sample bytes
-/// depend on per-shard step RNG), materialized small enough that a
-/// whole chaos matrix stays fast. The 32×32 resize keeps each shard a
-/// handful of 4 KiB chaos windows on the wire, so per-window fault
-/// probabilities translate into survivable — not certain — cuts
-/// between consecutive shard commits.
-fn cv_workload(samples: u64, shards: usize) -> (Pipeline, Materialized, Arc<MemStore>) {
-    let pipeline = steps::executable_cv_pipeline(32, 28);
-    let source: Vec<Sample> = (0..samples)
-        .map(|key| {
-            let img = generators::natural_image(96, 80, key);
-            Sample::from_bytes(key, jpg::encode(&img, 85))
-        })
-        .collect();
-    let store = Arc::new(MemStore::new());
-    let exec = RealExecutor::new(4);
-    let strategy = Strategy::at_split(2).with_threads(4).with_shards(shards);
-    let (dataset, _) = exec
-        .materialize(&pipeline, &strategy, &source, store.as_ref())
-        .unwrap();
-    (pipeline, dataset, store)
-}
-
-/// Single-process reference epoch: the multiset every chaotic epoch
-/// must reproduce whenever it completes.
-fn reference_checksum(
-    pipeline: &Pipeline,
-    dataset: &Materialized,
-    store: &MemStore,
-    epoch_seed: u64,
-) -> MultisetChecksum {
-    let checksum = Mutex::new(MultisetChecksum::default());
-    let exec = RealExecutor::new(3);
-    exec.epoch(pipeline, dataset, store, None, epoch_seed, |sample| {
-        checksum.lock().unwrap().add(sample)
-    })
-    .unwrap();
-    checksum.into_inner().unwrap()
 }
 
 /// Run one epoch through chaos proxies: two workers, each fronted by
@@ -93,7 +49,7 @@ fn chaotic_epoch(
     reconnect_attempts: u32,
     read_timeout: Duration,
 ) -> (ServeReport, MultisetChecksum, Vec<ChaosStats>) {
-    let (pipeline, dataset, store) = cv_workload(24, 8);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 24, 8);
     let workers: Vec<ServeWorker> = (0..2)
         .map(|_| {
             ServeWorker::spawn(
@@ -157,7 +113,7 @@ fn chaotic_epoch(
 
 #[test]
 fn latency_spikes_never_change_the_multiset() {
-    for seed in chaos_seeds() {
+    for seed in fault_seeds(CHAOS_SEEDS) {
         let (report, _, stats) = chaotic_epoch(
             seed,
             vec![ChaosFault::Delay {

@@ -5,75 +5,18 @@
 //! a throttled wire, starved credits, a slow consumer).
 
 use presto::{diagnose_fleet, FleetBottleneck};
-use presto_datasets::generators;
-use presto_datasets::steps;
-use presto_formats::image::jpg;
+use presto_integration_tests::{cv_workload, fault_seeds, reference_checksum, FAULT_SEEDS};
 use presto_pipeline::chaos::{ChaosFault, ChaosProxy};
-use presto_pipeline::real::{Materialized, MemStore, RealExecutor};
+use presto_pipeline::real::{Materialized, MemStore};
 use presto_pipeline::serve::{
     serve_epoch, MultisetChecksum, ServeClientConfig, ServeWorker, ServeWorkerConfig,
 };
 use presto_pipeline::telemetry::doc;
 use presto_pipeline::telemetry::export::validate_chrome_trace;
 use presto_pipeline::telemetry::fleet::{fleet_json, merge_chrome_trace, FleetDocument};
-use presto_pipeline::{Pipeline, Resilience, Sample, Strategy, Telemetry};
+use presto_pipeline::{Pipeline, Resilience, Sample, Telemetry};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Fault seeds under test; CI sweeps one at a time via `FAULT_SEED`.
-fn fault_seeds() -> Vec<u64> {
-    match std::env::var("FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-    {
-        Some(seed) => vec![seed],
-        None => vec![1, 2, 3],
-    }
-}
-
-/// The CV pipeline split after resize, so the online phase (pixel
-/// center + random crop) still depends on step RNG — multiset checks
-/// exercise per-shard seeding, not just framing. `crop` controls the
-/// wire size per sample: 56 for realistic ~9 KiB tensors, 16 for
-/// sub-window frames in the latency-bound credit scenario.
-fn workload(
-    resize: usize,
-    crop: usize,
-    samples: u64,
-    shards: usize,
-) -> (Pipeline, Materialized, Arc<MemStore>) {
-    let pipeline = steps::executable_cv_pipeline(resize, crop);
-    let source: Vec<Sample> = (0..samples)
-        .map(|key| {
-            let img = generators::natural_image(96, 80, key);
-            Sample::from_bytes(key, jpg::encode(&img, 85))
-        })
-        .collect();
-    let store = Arc::new(MemStore::new());
-    let exec = RealExecutor::new(4);
-    let strategy = Strategy::at_split(2).with_threads(4).with_shards(shards);
-    let (dataset, _) = exec
-        .materialize(&pipeline, &strategy, &source, store.as_ref())
-        .unwrap();
-    (pipeline, dataset, store)
-}
-
-/// Single-process reference epoch: the multiset every traced fleet
-/// layout must still reproduce exactly.
-fn reference_checksum(
-    pipeline: &Pipeline,
-    dataset: &Materialized,
-    store: &MemStore,
-    epoch_seed: u64,
-) -> MultisetChecksum {
-    let checksum = std::sync::Mutex::new(MultisetChecksum::default());
-    let exec = RealExecutor::new(3);
-    exec.epoch(pipeline, dataset, store, None, epoch_seed, |sample| {
-        checksum.lock().unwrap().add(sample)
-    })
-    .unwrap();
-    checksum.into_inner().unwrap()
-}
 
 /// Everything one traced serve epoch leaves behind.
 struct FleetRun {
@@ -174,8 +117,8 @@ fn diagnose(run: &FleetRun) -> presto::FleetDiagnosis {
 
 #[test]
 fn paced_workers_diagnose_as_worker_compute_bound() {
-    let (pipeline, dataset, store) = workload(64, 56, 32, 8);
-    for seed in fault_seeds() {
+    let (pipeline, dataset, store) = cv_workload((64, 56), 32, 8);
+    for seed in fault_seeds(FAULT_SEEDS) {
         let epoch_seed = 7_000 + seed;
         let reference = reference_checksum(&pipeline, &dataset, &store, epoch_seed);
         let run = run_fleet(
@@ -210,8 +153,8 @@ fn paced_workers_diagnose_as_worker_compute_bound() {
 
 #[test]
 fn throttled_wire_diagnoses_as_network_bound() {
-    let (pipeline, dataset, store) = workload(64, 56, 32, 8);
-    for seed in fault_seeds() {
+    let (pipeline, dataset, store) = cv_workload((64, 56), 32, 8);
+    for seed in fault_seeds(FAULT_SEEDS) {
         let epoch_seed = 7_100 + seed;
         let reference = reference_checksum(&pipeline, &dataset, &store, epoch_seed);
         // ~9.4 KiB per sample, 4-sample batches: every BATCH spans
@@ -252,8 +195,8 @@ fn starved_credits_diagnose_as_credit_bound() {
     // batch costs a full credit round trip: the worker stalls on the
     // gate (credit_wait >> produce) while the client sees an idle
     // wire (gap >> stream).
-    let (pipeline, dataset, store) = workload(24, 16, 24, 8);
-    for seed in fault_seeds() {
+    let (pipeline, dataset, store) = cv_workload((24, 16), 24, 8);
+    for seed in fault_seeds(FAULT_SEEDS) {
         let epoch_seed = 7_200 + seed;
         let reference = reference_checksum(&pipeline, &dataset, &store, epoch_seed);
         let run = run_fleet(
@@ -291,8 +234,8 @@ fn starved_credits_diagnose_as_credit_bound() {
 
 #[test]
 fn slow_consumer_diagnoses_as_consumer_bound() {
-    let (pipeline, dataset, store) = workload(64, 56, 32, 8);
-    for seed in fault_seeds() {
+    let (pipeline, dataset, store) = cv_workload((64, 56), 32, 8);
+    for seed in fault_seeds(FAULT_SEEDS) {
         let epoch_seed = 7_300 + seed;
         let reference = reference_checksum(&pipeline, &dataset, &store, epoch_seed);
         let run = run_fleet(
@@ -318,7 +261,7 @@ fn slow_consumer_diagnoses_as_consumer_bound() {
 
 #[test]
 fn merged_chrome_trace_nests_offset_corrected_worker_spans() {
-    let (pipeline, dataset, store) = workload(64, 56, 24, 6);
+    let (pipeline, dataset, store) = cv_workload((64, 56), 24, 6);
     let run = run_fleet(
         &pipeline,
         &dataset,
@@ -373,7 +316,7 @@ fn merged_chrome_trace_nests_offset_corrected_worker_spans() {
 
 #[test]
 fn chaos_events_ride_along_on_their_own_track() {
-    let (pipeline, dataset, store) = workload(24, 16, 12, 4);
+    let (pipeline, dataset, store) = cv_workload((24, 16), 12, 4);
     let run = run_fleet(
         &pipeline,
         &dataset,

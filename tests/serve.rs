@@ -4,9 +4,7 @@
 //! seed-matrixed worker-kill failover and same-address rejoin.
 
 use presto_codecs::checksum::Crc32;
-use presto_datasets::generators;
-use presto_datasets::steps;
-use presto_formats::image::jpg;
+use presto_integration_tests::{cv_workload, fault_seeds, reference_checksum, FAULT_SEEDS};
 use presto_pipeline::batch::{stack_batch, Batcher};
 use presto_pipeline::real::{
     EpochStats, EpochStream, FaultSpec, FaultStore, Materialized, MemStore, RealExecutor,
@@ -17,66 +15,16 @@ use presto_pipeline::serve::{
     ServeError, ServeWorker, ServeWorkerConfig, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use presto_pipeline::telemetry::alloc::{self, CountingAllocator};
-use presto_pipeline::{
-    FaultPolicy, Pipeline, PipelineError, Resilience, Sample, Strategy, Telemetry,
-};
+use presto_pipeline::{FaultPolicy, Pipeline, PipelineError, Resilience, Sample, Telemetry};
 use presto_tensor::RecordWriter;
 use std::sync::Arc;
+
+/// Images resized to 64×64 and cropped to 56×56 online.
+const RESIZE: (usize, usize) = (64, 56);
 
 /// Feeds the per-thread allocation counters [`read_hostile`] reads.
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::system();
-
-/// Fault seeds under test; CI sweeps one at a time via `FAULT_SEED`.
-fn fault_seeds() -> Vec<u64> {
-    match std::env::var("FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-    {
-        Some(seed) => vec![seed],
-        None => vec![1, 2, 3],
-    }
-}
-
-/// The CV pipeline with its random crop kept online: sample bytes then
-/// depend on step RNG, so multiset equality across process/worker
-/// layouts exercises the per-shard seeding guarantee, not just framing.
-fn cv_workload(samples: u64, shards: usize) -> (Pipeline, Materialized, Arc<MemStore>) {
-    let pipeline = steps::executable_cv_pipeline(64, 56);
-    let source: Vec<Sample> = (0..samples)
-        .map(|key| {
-            let img = generators::natural_image(96, 80, key);
-            Sample::from_bytes(key, jpg::encode(&img, 85))
-        })
-        .collect();
-    let store = Arc::new(MemStore::new());
-    let exec = RealExecutor::new(4);
-    let strategy = Strategy::at_split(2).with_threads(4).with_shards(shards);
-    let (dataset, _) = exec
-        .materialize(&pipeline, &strategy, &source, store.as_ref())
-        .unwrap();
-    (pipeline, dataset, store)
-}
-
-/// Single-process reference epoch: the multiset every serve layout
-/// must reproduce exactly.
-fn reference_checksum(
-    pipeline: &Pipeline,
-    dataset: &Materialized,
-    store: &MemStore,
-    epoch_seed: u64,
-) -> MultisetChecksum {
-    let checksum = std::sync::Mutex::new(MultisetChecksum::default());
-    let exec = RealExecutor::new(3);
-    let stats = exec
-        .epoch(pipeline, dataset, store, None, epoch_seed, |sample| {
-            checksum.lock().unwrap().add(sample)
-        })
-        .unwrap();
-    let checksum = checksum.into_inner().unwrap();
-    assert_eq!(stats.samples, checksum.count);
-    checksum
-}
 
 fn collect_checksum() -> (
     Arc<std::sync::Mutex<MultisetChecksum>>,
@@ -206,7 +154,7 @@ fn truncated_streams_and_garbage_headers_are_rejected() {
 
 #[test]
 fn worker_takes_hello_once_and_first_or_answers_err_and_closes() {
-    let (pipeline, dataset, store) = cv_workload(8, 2);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 8, 2);
     let worker = ServeWorker::spawn(
         "127.0.0.1:0",
         &pipeline,
@@ -261,7 +209,7 @@ fn worker_takes_hello_once_and_first_or_answers_err_and_closes() {
 
 #[test]
 fn two_workers_deliver_the_single_process_multiset() {
-    let (pipeline, dataset, store) = cv_workload(32, 8);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 32, 8);
     let reference = reference_checksum(&pipeline, &dataset, &store, 11);
 
     let workers: Vec<ServeWorker> = (0..2)
@@ -338,7 +286,7 @@ fn tutorial_loop(stream: EpochStream, epoch: u64) -> (MultisetChecksum, EpochSta
 
 #[test]
 fn the_tutorial_loop_runs_unchanged_over_a_local_and_a_served_stream() {
-    let (pipeline, dataset, store) = cv_workload(32, 8);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 32, 8);
     let reference = reference_checksum(&pipeline, &dataset, &store, 13);
     let local = RealExecutor::new(2)
         .stream_epoch(&pipeline, &dataset, store.clone(), 8, 13)
@@ -375,7 +323,7 @@ fn the_tutorial_loop_runs_unchanged_over_a_local_and_a_served_stream() {
 #[test]
 fn a_dropped_served_stream_stops_its_links() {
     use std::time::Duration;
-    let (pipeline, dataset, store) = cv_workload(64, 4);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 64, 4);
     let reference = reference_checksum(&pipeline, &dataset, &store, 3);
     // One-sample batches, paced, and two credits: each worker sends its
     // 32 batches only as fast as its link keeps reading, and a link is
@@ -426,8 +374,8 @@ fn a_dropped_served_stream_stops_its_links() {
 
 #[test]
 fn a_worker_killed_under_a_shuffled_pull_fails_over_with_identical_multiset() {
-    let (pipeline, dataset, store) = cv_workload(32, 8);
-    for seed in fault_seeds() {
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 32, 8);
+    for seed in fault_seeds(FAULT_SEEDS) {
         let epoch_seed = 300 + seed;
         let reference = reference_checksum(&pipeline, &dataset, &store, epoch_seed);
         // As in the callback twin below: the victim dies mid-shard.
@@ -470,8 +418,8 @@ fn a_worker_killed_under_a_shuffled_pull_fails_over_with_identical_multiset() {
 
 #[test]
 fn killed_worker_fails_over_with_identical_multiset() {
-    let (pipeline, dataset, store) = cv_workload(32, 8);
-    for seed in fault_seeds() {
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 32, 8);
+    for seed in fault_seeds(FAULT_SEEDS) {
         let epoch_seed = 100 + seed;
         let reference = reference_checksum(&pipeline, &dataset, &store, epoch_seed);
         // Victim dies after a seed-dependent number of batches;
@@ -531,7 +479,7 @@ fn killed_worker_fails_over_with_identical_multiset() {
 fn killed_worker_rejoins_on_its_address_with_identical_multiset() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
-    let (pipeline, dataset, store) = cv_workload(32, 8);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 32, 8);
     let spawn = |bind: &str, config| {
         ServeWorker::spawn(
             bind,
@@ -555,7 +503,7 @@ fn killed_worker_rejoins_on_its_address_with_identical_multiset() {
         },
         ..ServeClientConfig::default()
     };
-    for seed in fault_seeds() {
+    for seed in fault_seeds(FAULT_SEEDS) {
         let epoch_seed = 200 + seed;
         let reference = reference_checksum(&pipeline, &dataset, &store, epoch_seed);
         // The only worker dies mid-shard after a seed-dependent number
@@ -620,7 +568,7 @@ fn killed_worker_rejoins_on_its_address_with_identical_multiset() {
 #[test]
 fn idle_and_killed_workers_stop_and_drop() {
     use presto_integration_tests::returns;
-    let (pipeline, dataset, store) = cv_workload(8, 2);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 8, 2);
     let spawn = |config| {
         ServeWorker::spawn(
             "127.0.0.1:0",
@@ -664,7 +612,7 @@ fn idle_and_killed_workers_stop_and_drop() {
 
 #[test]
 fn all_workers_dead_is_policy_controlled() {
-    let (pipeline, dataset, store) = cv_workload(16, 4);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 16, 4);
     let spawn_doomed = || {
         ServeWorker::spawn(
             "127.0.0.1:0",
@@ -743,9 +691,9 @@ fn injected_store_faults_apply_end_to_end() {
     // A worker over a store with transient get failures still serves
     // the exact reference multiset: retries absorb the faults before
     // the wire ever sees them.
-    let (pipeline, dataset, store) = cv_workload(24, 6);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 24, 6);
     let reference = reference_checksum(&pipeline, &dataset, &store, 21);
-    let spec = FaultSpec::new(fault_seeds()[0]).with_get_failures(25);
+    let spec = FaultSpec::new(fault_seeds(FAULT_SEEDS)[0]).with_get_failures(25);
     let faulty = Arc::new(FaultStore::new(store, spec));
     let telemetry = Telemetry::new();
     let worker = ServeWorker::spawn(
@@ -796,7 +744,7 @@ fn a_consumer_that_keeps_every_sample_past_commit_gets_the_reference_multiset() 
     // nothing aliases them. A consumer that keeps a clone of every
     // sample keeps every buffer alive instead: the samples it holds
     // after the epoch are still the ones delivered.
-    let (pipeline, dataset, store) = cv_workload(32, 4);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 32, 4);
     let reference = reference_checksum(&pipeline, &dataset, &store, 17);
     let worker = ServeWorker::spawn(
         "127.0.0.1:0",
@@ -836,7 +784,7 @@ fn a_consumer_that_keeps_every_sample_past_commit_gets_the_reference_multiset() 
 #[test]
 fn compressed_wire_batches_round_trip() {
     use presto_codecs::{Codec, Level};
-    let (pipeline, dataset, store) = cv_workload(16, 4);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 16, 4);
     let reference = reference_checksum(&pipeline, &dataset, &store, 31);
     let worker = ServeWorker::spawn(
         "127.0.0.1:0",

@@ -1,6 +1,12 @@
 //! Shared helpers for the cross-crate integration tests.
 
+use presto_datasets::{generators, steps};
+use presto_formats::image::jpg;
+use presto_pipeline::real::{Materialized, MemStore, RealExecutor};
+use presto_pipeline::serve::MultisetChecksum;
 use presto_pipeline::sim::SimEnv;
+use presto_pipeline::{Pipeline, Sample, Strategy};
+use std::sync::{Arc, Mutex};
 
 /// A fast-profiling environment: the paper's VM with a smaller
 /// simulated subset so the full test suite stays quick.
@@ -90,4 +96,67 @@ pub fn assert_hello_is_required_once_and_first(addr: std::net::SocketAddr) {
             "{script:?}: connection still open after ERR: {after:?}"
         );
     }
+}
+
+/// The fault seeds a wire suite runs: `defaults`, or the one seed
+/// `FAULT_SEED` names (CI sweeps them one at a time).
+pub fn fault_seeds(defaults: &[u64]) -> Vec<u64> {
+    match std::env::var("FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+    {
+        Some(seed) => vec![seed],
+        None => defaults.to_vec(),
+    }
+}
+
+/// The seeds the serve, tenant and fleet-trace suites run by default.
+pub const FAULT_SEEDS: &[u64] = &[1, 2, 3];
+
+/// The CV pipeline resized to `resize.0` and cropped to `resize.1`,
+/// split after resize so that pixel centering and the random crop run
+/// online: sample bytes depend on the per-shard step RNG, and multiset
+/// equality across process and worker layouts exercises per-shard
+/// seeding, not just framing. `samples` natural images, materialized
+/// into `shards` shards.
+pub fn cv_workload(
+    resize: (usize, usize),
+    samples: u64,
+    shards: usize,
+) -> (Pipeline, Materialized, Arc<MemStore>) {
+    let pipeline = steps::executable_cv_pipeline(resize.0, resize.1);
+    let source: Vec<Sample> = (0..samples)
+        .map(|key| {
+            let img = generators::natural_image(96, 80, key);
+            Sample::from_bytes(key, jpg::encode(&img, 85))
+        })
+        .collect();
+    let store = Arc::new(MemStore::new());
+    let exec = RealExecutor::new(4);
+    let strategy = Strategy::at_split(2).with_threads(4).with_shards(shards);
+    let (dataset, _) = exec
+        .materialize(&pipeline, &strategy, &source, store.as_ref())
+        .unwrap();
+    (pipeline, dataset, store)
+}
+
+/// Single-process reference epoch: the multiset every served, relayed
+/// or chaotic epoch of `dataset` under `epoch_seed` must reproduce
+/// exactly, whatever the placement.
+pub fn reference_checksum(
+    pipeline: &Pipeline,
+    dataset: &Materialized,
+    store: &MemStore,
+    epoch_seed: u64,
+) -> MultisetChecksum {
+    let checksum = Mutex::new(MultisetChecksum::default());
+    let exec = RealExecutor::new(3);
+    let stats = exec
+        .epoch(pipeline, dataset, store, None, epoch_seed, |sample| {
+            checksum.lock().unwrap().add(sample)
+        })
+        .unwrap();
+    let checksum = checksum.into_inner().unwrap();
+    assert_eq!(stats.samples, checksum.count);
+    checksum
 }

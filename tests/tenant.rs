@@ -5,70 +5,21 @@
 //! backend-death requeues, fault-budget isolation between tenants,
 //! corruption on a daemon–backend link, and tenants that wait or stall.
 
-use presto_datasets::generators;
-use presto_datasets::steps;
-use presto_formats::image::jpg;
+use presto_integration_tests::{cv_workload, fault_seeds, reference_checksum, FAULT_SEEDS};
 use presto_pipeline::chaos::{ChaosFault, ChaosProxy};
-use presto_pipeline::real::{Materialized, MemStore, RealExecutor};
+use presto_pipeline::real::{Materialized, MemStore};
 use presto_pipeline::serve::{
     read_frame, serve_epoch, write_frame, Frame, MultisetChecksum, ServeClientConfig, ServeWorker,
     ServeWorkerConfig, TenantSpec, ASSIGN_WANT_STATS, PROTOCOL_VERSION,
 };
 use presto_pipeline::tenant::{AdmissionPolicy, FleetDaemon, FleetDaemonConfig};
-use presto_pipeline::{Pipeline, Resilience, Sample, Strategy, Telemetry};
+use presto_pipeline::{Pipeline, Resilience, Sample, Telemetry};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Fault seeds under test; CI sweeps one at a time via `FAULT_SEED`.
-fn fault_seeds() -> Vec<u64> {
-    match std::env::var("FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-    {
-        Some(seed) => vec![seed],
-        None => vec![1, 2, 3],
-    }
-}
-
-/// The CV pipeline with its random crop kept online (sample bytes
-/// depend on the per-shard RNG), materialized once per test.
-fn cv_workload(samples: u64, shards: usize) -> (Pipeline, Materialized, Arc<MemStore>) {
-    let pipeline = steps::executable_cv_pipeline(64, 56);
-    let source: Vec<Sample> = (0..samples)
-        .map(|key| {
-            let img = generators::natural_image(96, 80, key);
-            Sample::from_bytes(key, jpg::encode(&img, 85))
-        })
-        .collect();
-    let store = Arc::new(MemStore::new());
-    let exec = RealExecutor::new(4);
-    let strategy = Strategy::at_split(2).with_threads(4).with_shards(shards);
-    let (dataset, _) = exec
-        .materialize(&pipeline, &strategy, &source, store.as_ref())
-        .unwrap();
-    (pipeline, dataset, store)
-}
-
-/// Single-process reference epoch: the multiset every tenant must
-/// receive exactly, regardless of fleet placement.
-fn reference_checksum(
-    pipeline: &Pipeline,
-    dataset: &Materialized,
-    store: &MemStore,
-    epoch_seed: u64,
-) -> MultisetChecksum {
-    let checksum = std::sync::Mutex::new(MultisetChecksum::default());
-    let exec = RealExecutor::new(3);
-    let stats = exec
-        .epoch(pipeline, dataset, store, None, epoch_seed, |sample| {
-            checksum.lock().unwrap().add(sample)
-        })
-        .unwrap();
-    let checksum = checksum.into_inner().unwrap();
-    assert_eq!(stats.samples, checksum.count);
-    checksum
-}
+/// Images resized to 64×64 and cropped to 56×56 online.
+const RESIZE: (usize, usize) = (64, 56);
 
 fn spawn_worker(
     pipeline: &Pipeline,
@@ -132,7 +83,7 @@ fn raw_register(addr: SocketAddr, name: &str, shards: u32) -> (TcpStream, Frame)
 
 #[test]
 fn fleetd_takes_hello_once_and_first_or_answers_err_and_closes() {
-    let (pipeline, dataset, store) = cv_workload(8, 2);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 8, 2);
     let worker = spawn_worker(&pipeline, &dataset, &store, ServeWorkerConfig::default());
     let daemon = FleetDaemon::spawn(
         "127.0.0.1:0",
@@ -160,8 +111,61 @@ fn an_idle_daemon_stops_and_drops() {
 }
 
 #[test]
+fn stopping_the_daemon_severs_a_link_blocked_on_a_silent_backend() {
+    use presto_integration_tests::returns;
+    // A backend that answers HELLO, takes the ASSIGN and then sends
+    // nothing, its socket open: the relay waits on it for the whole read
+    // timeout, an hour here, unless stopping the daemon cuts the link.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let backend = listener.local_addr().unwrap().to_string();
+    let (assigned_tx, assigned) = std::sync::mpsc::channel();
+    let silent = std::thread::spawn(move || {
+        let (mut writer, _) = listener.accept().unwrap();
+        let mut reader = std::io::BufReader::new(writer.try_clone().unwrap());
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+            trace_id: 0,
+        };
+        write_frame(&mut writer, &hello).unwrap();
+        assert_eq!(read_frame(&mut reader).unwrap(), Some(hello));
+        let assign = read_frame(&mut reader).unwrap();
+        assert!(matches!(assign, Some(Frame::Assign { .. })), "{assign:?}");
+        assigned_tx.send(()).unwrap();
+        // Silent until the daemon hangs up.
+        while let Ok(Some(_)) = read_frame(&mut reader) {}
+    });
+    let daemon = FleetDaemon::spawn(
+        "127.0.0.1:0",
+        &[backend],
+        FleetDaemonConfig {
+            read_timeout: Duration::from_secs(3600),
+            ..FleetDaemonConfig::default()
+        },
+        None,
+    )
+    .unwrap();
+    let (mut client, _reader) = raw_connection(daemon.addr());
+    let assign = Frame::Assign {
+        epoch_seed: 1,
+        credits: 1,
+        shards: vec!["shard-0".into()],
+        trace_id: 0,
+        parent_span: 0,
+        flags: 0,
+    };
+    write_frame(&mut client, &assign).unwrap();
+    assigned
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the relay assigned the shard to the backend");
+    returns("drop of a daemon whose backend is silent", move || {
+        drop(daemon)
+    });
+    silent.join().unwrap();
+}
+
+#[test]
 fn admission_enforces_quota_capacity_and_latest_wins_rejoin() {
-    let (pipeline, dataset, store) = cv_workload(16, 8);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 16, 8);
     let worker = spawn_worker(&pipeline, &dataset, &store, ServeWorkerConfig::default());
     let backend = vec![worker.addr().to_string()];
 
@@ -283,7 +287,7 @@ fn admission_enforces_quota_capacity_and_latest_wins_rejoin() {
 
 #[test]
 fn weighted_tenants_get_proportional_service_with_bitwise_parity() {
-    let (pipeline, dataset, store) = cv_workload(32, 8);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 32, 8);
     // Paced backends so scheduling (not raw decode speed) dominates
     // the epoch and the DRR window sees many interleaved batches.
     let worker_config = ServeWorkerConfig {
@@ -376,8 +380,8 @@ fn weighted_tenants_get_proportional_service_with_bitwise_parity() {
 
 #[test]
 fn backend_death_requeues_only_the_owning_tenants_shards() {
-    let (pipeline, dataset, store) = cv_workload(32, 8);
-    for seed in fault_seeds() {
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 32, 8);
+    for seed in fault_seeds(FAULT_SEEDS) {
         let seed_a = 300 + seed;
         let seed_b = 400 + seed;
         let reference_a = reference_checksum(&pipeline, &dataset, &store, seed_a);
@@ -465,7 +469,7 @@ fn backend_death_requeues_only_the_owning_tenants_shards() {
 
 #[test]
 fn fault_budget_exhaustion_fails_one_tenant_and_spares_the_next() {
-    let (pipeline, dataset, store) = cv_workload(16, 4);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 16, 4);
     // Zero fault budget: the first charged requeue fails the tenant.
     let victim = spawn_worker(
         &pipeline,
@@ -552,8 +556,8 @@ fn fault_budget_exhaustion_fails_one_tenant_and_spares_the_next() {
 
 #[test]
 fn a_corrupted_backend_link_requeues_and_the_tenant_still_gets_its_multiset() {
-    let (pipeline, dataset, store) = cv_workload(32, 8);
-    for seed in fault_seeds() {
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 32, 8);
+    for seed in fault_seeds(FAULT_SEEDS) {
         let epoch_seed = 600 + seed;
         let reference = reference_checksum(&pipeline, &dataset, &store, epoch_seed);
         let config = ServeWorkerConfig {
@@ -625,7 +629,7 @@ fn a_corrupted_backend_link_requeues_and_the_tenant_still_gets_its_multiset() {
 
 #[test]
 fn plain_clients_are_implicit_tenants_and_a_worker_takes_sequential_assigns() {
-    let (pipeline, dataset, store) = cv_workload(16, 4);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 16, 4);
     let reference = reference_checksum(&pipeline, &dataset, &store, 81);
     let worker = spawn_worker(&pipeline, &dataset, &store, ServeWorkerConfig::default());
     let daemon = FleetDaemon::spawn(
@@ -716,7 +720,7 @@ fn fleetd_does_not_cut_a_tenant_that_waits_for_work() {
     // shard on only at its EOF: the client sends nothing for far
     // longer than the daemon's read timeout, which covers backend links
     // — where a frame arrives every 40 ms — and not clients.
-    let (pipeline, dataset, store) = cv_workload(16, 2);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 16, 2);
     let reference = reference_checksum(&pipeline, &dataset, &store, 61);
     let worker = spawn_worker(
         &pipeline,
@@ -755,7 +759,7 @@ fn fleetd_does_not_cut_a_tenant_that_waits_for_work() {
 fn a_stalled_tenant_holds_at_most_max_inflight_shards() {
     // Two samples a shard, one a batch: the stalled tenant's one credit
     // is spent inside its first shard.
-    let (pipeline, dataset, store) = cv_workload(32, 16);
+    let (pipeline, dataset, store) = cv_workload(RESIZE, 32, 16);
     let worker = spawn_worker(
         &pipeline,
         &dataset,
