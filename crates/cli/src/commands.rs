@@ -1046,12 +1046,14 @@ fn cmd_realrun(args: &Args) -> Result<(), String> {
             if stats.degraded { "yes" } else { "no" }.into(),
         ]);
     }
-    let snapshot = telemetry
-        .last_epoch()
+    let tree = telemetry.snapshot();
+    let snapshot = tree
+        .epoch
+        .as_ref()
         .ok_or_else(|| "no telemetry recorded (zero epochs?)".to_string())?;
-    let document = telemetry_export::json(&snapshot);
+    let document = telemetry_export::json(snapshot);
     if let Some(path) = args.get_str("trace-out") {
-        write_file(path, &telemetry_export::chrome_trace(&snapshot))?;
+        write_file(path, &telemetry_export::chrome_trace(&tree))?;
         note(
             json,
             format!(
@@ -1066,11 +1068,11 @@ fn cmd_realrun(args: &Args) -> Result<(), String> {
     }
     println!("{}", table.render());
     if prom {
-        print!("{}", telemetry_export::prometheus(&snapshot));
+        print!("{}", telemetry_export::prometheus(&tree));
     } else {
         println!("last epoch telemetry:");
-        println!("{}", render::telemetry_table(&snapshot));
-        if let Some(diagnosed) = presto::diagnose_real(&snapshot) {
+        println!("{}", render::telemetry_table(snapshot));
+        if let Some(diagnosed) = presto::diagnose_real(&tree) {
             println!("{}", render::real_diagnosis(&diagnosed));
         }
     }
@@ -1353,17 +1355,14 @@ fn cmd_train_client(args: &Args) -> Result<(), String> {
         .and_then(drain_epoch)
         .map(|stats| stats.served.unwrap_or_default())
         .map_err(|e| e.to_string())?;
-    let snapshot = telemetry
-        .last_epoch()
+    let tree = telemetry.snapshot();
+    let snapshot = tree
+        .epoch
+        .as_ref()
         .ok_or_else(|| "no telemetry recorded".to_string())?;
-    let document = telemetry_export::json_with_mode(&snapshot, Some("serve"));
-    let serve_snapshot = telemetry.serve().snapshot();
-    let fleet = telemetry.fleet().snapshot();
+    let document = telemetry_export::json_with_mode(snapshot, Some("serve"));
     if let Some(path) = args.get_str("fleet-out") {
-        write_file(
-            path,
-            &telemetry_fleet::fleet_json(&snapshot, &serve_snapshot, &fleet),
-        )?;
+        write_file(path, &telemetry_fleet::fleet_json(&tree))?;
         note(json, format!("fleet trace -> {path}"));
     }
     // Keep the aggregator scrapeable after the epoch so CI (and
@@ -1396,7 +1395,7 @@ fn cmd_train_client(args: &Args) -> Result<(), String> {
             report.lost_shards
         );
     }
-    if let Some(diag) = presto::diagnose_fleet(&snapshot, &serve_snapshot, &fleet) {
+    if let Some(diag) = presto::diagnose_fleet(&tree) {
         println!(
             "fleet bottleneck: {} (gap {:.0}% · stream {:.0}% · consume {:.0}% · worker produce {:.0}% · credit {:.0}%)",
             diag.bottleneck,
@@ -1786,10 +1785,8 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
     let points = series.points();
     let trend = presto::diagnose_window(&points);
     println!("{}", render::watch_frame(&points, trend.as_ref()));
-    if let Some(snapshot) = telemetry.last_epoch() {
-        if let Some(diagnosed) = presto::diagnose_real(&snapshot) {
-            println!("{}", render::real_diagnosis(&diagnosed));
-        }
+    if let Some(diagnosed) = presto::diagnose_real(&telemetry.light_snapshot()) {
+        println!("{}", render::real_diagnosis(&diagnosed));
     }
     println!(
         "watched {epochs} epochs ({} samples each)",
@@ -2316,7 +2313,11 @@ mod tests {
         std::fs::write(&json_path, telemetry_export::json(&rec.snapshot())).unwrap();
         run(&["validate", &json_str]).unwrap();
         let prom_path = dir.join("metrics.prom");
-        std::fs::write(&prom_path, telemetry_export::prometheus(&rec.snapshot())).unwrap();
+        std::fs::write(
+            &prom_path,
+            telemetry_export::prometheus(&rec.snapshot().into()),
+        )
+        .unwrap();
         run(&["validate", prom_path.to_str().unwrap()]).unwrap();
         // The document names its own format: a lying schema, a
         // schema-less object, an unknown schema and non-Prometheus text

@@ -592,8 +592,7 @@ mod tests {
     #[test]
     fn serve_frame_renders_serve_and_fleet_families() {
         use presto_pipeline::telemetry::export;
-        use presto_pipeline::telemetry::fleet::FleetWorkerEntry;
-        use presto_pipeline::{FleetSnapshot, ServeSnapshot};
+        use presto_pipeline::{Fleet, RemoteWorker, ServeSnapshot, Snapshot, TelemetrySnapshot};
 
         // Neither a serve session nor a tenant registry: a quiet
         // placeholder, not a panic.
@@ -609,21 +608,30 @@ mod tests {
             produce_ns: 2_000_000,
             ..ServeSnapshot::default()
         };
-        let fleet = FleetSnapshot {
-            active: true,
+        let fleet = Fleet {
             trace_id: 0xABC,
             epoch_start_mono_ns: 0,
-            workers: vec![FleetWorkerEntry {
+            workers: vec![RemoteWorker {
                 addr: "127.0.0.1:7001".into(),
                 clock_offset_ns: -42_000,
                 rtt_ns: 80_000,
-                samples: 64,
-                produce_ns: 2_000_000,
-                ..FleetWorkerEntry::default()
+                epoch: TelemetrySnapshot {
+                    samples: 64,
+                    ..TelemetrySnapshot::default()
+                },
+                serve: ServeSnapshot {
+                    produce_ns: 2_000_000,
+                    ..ServeSnapshot::default()
+                },
+                ..RemoteWorker::default()
             }],
         };
-        let mut exposition = export::prometheus_serve(&serve);
-        exposition.push_str(&export::prometheus_fleet(&fleet));
+        let tree = Snapshot {
+            serve: Some(serve),
+            fleet: Some(fleet),
+            ..Snapshot::default()
+        };
+        let exposition = export::prometheus(&tree);
         let series = export::parse_prometheus(&exposition).expect("own exposition parses");
         let frame = attach_frame(&series, None);
         assert!(frame.contains("2 peer(s)"), "{frame}");

@@ -19,7 +19,7 @@
 use presto_pipeline::sim::{SimEnv, StrategyProfile};
 use presto_pipeline::telemetry::causal::{CausalRank, CausalVerdicts};
 use presto_pipeline::telemetry::timeseries::TimePoint;
-use presto_pipeline::telemetry::{FleetSnapshot, PhaseKind, ServeSnapshot, TelemetrySnapshot};
+use presto_pipeline::telemetry::{PhaseKind, Snapshot, TelemetrySnapshot};
 use std::fmt;
 
 /// The facility limiting a strategy's throughput.
@@ -133,7 +133,8 @@ pub struct RealDiagnosis {
     pub straggler: Option<Straggler>,
 }
 
-/// Diagnose one real epoch from its telemetry.
+/// Diagnose a process's real epoch from its telemetry tree (`None`
+/// when the tree holds no epoch, or an empty one).
 ///
 /// Where the simulator knows each facility's capacity and computes
 /// utilizations against it, a real run only knows where its workers'
@@ -152,7 +153,8 @@ pub struct RealDiagnosis {
 /// `lock_wait_fraction` is 0. The verdict uses the same
 /// ≥0.5-of-the-maximum rule as [`diagnose`], which is what makes
 /// sim-vs-real cross-checks meaningful (`tests/cross_engine.rs`).
-pub fn diagnose_real(snapshot: &TelemetrySnapshot) -> Option<RealDiagnosis> {
+pub fn diagnose_real(tree: &Snapshot) -> Option<RealDiagnosis> {
+    let snapshot = tree.epoch.as_ref()?;
     if snapshot.elapsed_ns == 0 || snapshot.steps.is_empty() {
         return None;
     }
@@ -312,10 +314,10 @@ pub struct FleetDiagnosis {
 /// fleet is balanced and the verdict is [`FleetBottleneck::None`].
 const FLEET_IDLE_SHARE: f64 = 0.15;
 
-/// Diagnose one serve session from the three telemetry surfaces the
-/// client holds at the end of an epoch: its own [`TelemetrySnapshot`]
-/// (for elapsed time), its [`ServeSnapshot`] (client-side wait-state
-/// gauges) and the [`FleetSnapshot`] (per-worker remote stats).
+/// Diagnose one serve session from the client's telemetry tree at the
+/// end of an epoch: its epoch (for elapsed time), its serve section
+/// (client-side wait-state gauges) and its fleet section (each remote
+/// worker's epoch and serve counters).
 ///
 /// The attribution reads the client's per-connection wait buckets
 /// first — `consume` (the caller), `stream` (wire busy) and `gap` (wire
@@ -327,23 +329,20 @@ const FLEET_IDLE_SHARE: f64 = 0.15;
 /// more aggregate credit-wait than produce time means the fleet is
 /// credit-bound, otherwise worker-compute-bound.
 ///
-/// Returns `None` when the client epoch has no elapsed time.
-pub fn diagnose_fleet(
-    client: &TelemetrySnapshot,
-    serve: &ServeSnapshot,
-    fleet: &FleetSnapshot,
-) -> Option<FleetDiagnosis> {
-    if client.elapsed_ns == 0 {
-        return None;
-    }
+/// Returns `None` when the tree has no epoch, or one with no elapsed
+/// time.
+pub fn diagnose_fleet(tree: &Snapshot) -> Option<FleetDiagnosis> {
+    let client = tree.epoch.as_ref().filter(|e| e.elapsed_ns > 0)?;
+    let serve = tree.serve.unwrap_or_default();
+    let workers = tree.fleet.as_ref().map_or(&[][..], |f| &f.workers);
     let denom = client.elapsed_ns as f64 * serve.workers.max(1) as f64;
     let gap_share = (serve.gap_wait_ns as f64 / denom).min(1.0);
     let stream_share = (serve.stream_read_ns as f64 / denom).min(1.0);
     let consume_share = (serve.consume_ns as f64 / denom).min(1.0);
 
-    let worker_elapsed: u64 = fleet.workers.iter().map(|w| w.elapsed_ns).sum();
-    let worker_produce: u64 = fleet.workers.iter().map(|w| w.produce_ns).sum();
-    let worker_credit: u64 = fleet.workers.iter().map(|w| w.credit_wait_ns).sum();
+    let worker_elapsed: u64 = workers.iter().map(|w| w.epoch.elapsed_ns).sum();
+    let worker_produce: u64 = workers.iter().map(|w| w.serve.produce_ns).sum();
+    let worker_credit: u64 = workers.iter().map(|w| w.serve.credit_wait_ns).sum();
     let (credit_share, produce_share) = if worker_elapsed == 0 {
         (0.0, 0.0)
     } else {
@@ -596,7 +595,7 @@ mod tests {
     #[test]
     fn real_run_dominated_by_reads_is_storage_bound() {
         let snap = real_snapshot(1_800, 50, &[("resize", 100)], 1_000);
-        let real = diagnose_real(&snap).unwrap();
+        let real = diagnose_real(&snap.into()).unwrap();
         assert_eq!(real.diagnosis.bottleneck, Bottleneck::Storage, "{real:?}");
         assert!(real.diagnosis.storage_util > 0.8);
     }
@@ -604,7 +603,7 @@ mod tests {
     #[test]
     fn real_run_with_a_skewed_step_is_cpu_bound_and_names_the_straggler() {
         let snap = real_snapshot(100, 50, &[("resize", 150), ("augment", 1_500)], 1_000);
-        let real = diagnose_real(&snap).unwrap();
+        let real = diagnose_real(&snap.into()).unwrap();
         assert_eq!(real.diagnosis.bottleneck, Bottleneck::Cpu, "{real:?}");
         let straggler = real.straggler.unwrap();
         assert_eq!(straggler.step, "augment");
@@ -614,14 +613,14 @@ mod tests {
     #[test]
     fn idle_real_run_diagnoses_as_none() {
         let snap = real_snapshot(100, 50, &[("resize", 100)], 1_000_000);
-        let real = diagnose_real(&snap).unwrap();
+        let real = diagnose_real(&snap.into()).unwrap();
         assert_eq!(real.diagnosis.bottleneck, Bottleneck::None, "{real:?}");
     }
 
     #[test]
     fn delivery_blocked_real_run_is_dispatch_bound() {
         let snap = real_snapshot(100, 1_700, &[("resize", 100)], 1_000);
-        let real = diagnose_real(&snap).unwrap();
+        let real = diagnose_real(&snap.into()).unwrap();
         assert_eq!(real.diagnosis.bottleneck, Bottleneck::Dispatch, "{real:?}");
     }
 
@@ -629,10 +628,10 @@ mod tests {
     fn empty_real_snapshots_yield_no_diagnosis() {
         let mut snap = real_snapshot(1, 1, &[], 1_000);
         snap.elapsed_ns = 0;
-        assert!(diagnose_real(&snap).is_none());
+        assert!(diagnose_real(&snap.into()).is_none());
         let mut snap = real_snapshot(1, 1, &[], 1_000);
         snap.steps.clear();
-        assert!(diagnose_real(&snap).is_none());
+        assert!(diagnose_real(&snap.into()).is_none());
     }
 
     fn time_point(t_ns: u64, io: f64, cpu: f64, deliver: f64) -> TimePoint {
@@ -681,53 +680,47 @@ mod tests {
         assert!(trend.shifts.is_empty());
     }
 
-    use presto_pipeline::telemetry::{FleetSnapshot, FleetWorkerEntry, ServeSnapshot};
+    use presto_pipeline::telemetry::{Fleet, RemoteWorker, ServeSnapshot};
 
-    /// A serve snapshot with the three client wait-state gauges set
-    /// for a 2-worker fleet.
-    fn serve_gauges(gap: u64, stream: u64, consume: u64) -> ServeSnapshot {
-        ServeSnapshot {
-            workers: 2,
-            gap_wait_ns: gap,
-            stream_read_ns: stream,
-            consume_ns: consume,
-            ..ServeSnapshot::default()
-        }
-    }
-
-    /// A fleet snapshot whose two workers spent `produce`/`credit` out
-    /// of 1_000 ns each.
-    fn fleet_stats(produce: u64, credit: u64) -> FleetSnapshot {
-        let worker = |addr: &str| FleetWorkerEntry {
+    /// A client tree: 1_000 ns elapsed (shares are per-connection over
+    /// elapsed × workers), the three client wait-state gauges set for a
+    /// 2-worker fleet, and two workers that spent `produce`/`credit`
+    /// out of 1_000 ns each.
+    fn fleet_tree(gap: u64, stream: u64, consume: u64, produce: u64, credit: u64) -> Snapshot {
+        let worker = |addr: &str| RemoteWorker {
             addr: addr.into(),
-            elapsed_ns: 1_000,
-            produce_ns: produce,
-            credit_wait_ns: credit,
-            ..FleetWorkerEntry::default()
+            epoch: TelemetrySnapshot {
+                elapsed_ns: 1_000,
+                ..TelemetrySnapshot::default()
+            },
+            serve: ServeSnapshot {
+                produce_ns: produce,
+                credit_wait_ns: credit,
+                ..ServeSnapshot::default()
+            },
+            ..RemoteWorker::default()
         };
-        FleetSnapshot {
-            active: true,
-            trace_id: 7,
-            workers: vec![worker("a:1"), worker("b:2")],
-            ..FleetSnapshot::default()
+        Snapshot {
+            serve: Some(ServeSnapshot {
+                workers: 2,
+                gap_wait_ns: gap,
+                stream_read_ns: stream,
+                consume_ns: consume,
+                ..ServeSnapshot::default()
+            }),
+            fleet: Some(Fleet {
+                trace_id: 7,
+                workers: vec![worker("a:1"), worker("b:2")],
+                ..Fleet::default()
+            }),
+            ..real_snapshot(10, 10, &[("serve", 10)], 1_000).into()
         }
-    }
-
-    /// Client snapshot with just enough for fleet attribution: 1_000 ns
-    /// elapsed (shares are per-connection over elapsed × workers).
-    fn fleet_client() -> TelemetrySnapshot {
-        real_snapshot(10, 10, &[("serve", 10)], 1_000)
     }
 
     #[test]
     fn slow_workers_diagnose_as_worker_compute_bound() {
         // Wire idle (gap dominates), workers busy producing.
-        let d = diagnose_fleet(
-            &fleet_client(),
-            &serve_gauges(1_600, 100, 100),
-            &fleet_stats(900, 50),
-        )
-        .unwrap();
+        let d = diagnose_fleet(&fleet_tree(1_600, 100, 100, 900, 50)).unwrap();
         assert_eq!(d.bottleneck, FleetBottleneck::WorkerCompute, "{d:?}");
         assert!(d.gap_share > d.stream_share && d.gap_share > d.consume_share);
     }
@@ -735,12 +728,7 @@ mod tests {
     #[test]
     fn starved_credits_diagnose_as_credit_bound() {
         // Wire idle, but workers were mostly stalled on credit.
-        let d = diagnose_fleet(
-            &fleet_client(),
-            &serve_gauges(1_600, 100, 100),
-            &fleet_stats(200, 700),
-        )
-        .unwrap();
+        let d = diagnose_fleet(&fleet_tree(1_600, 100, 100, 200, 700)).unwrap();
         assert_eq!(d.bottleneck, FleetBottleneck::Credit, "{d:?}");
         assert!(d.credit_share > d.produce_share);
     }
@@ -748,53 +736,38 @@ mod tests {
     #[test]
     fn throttled_wire_diagnoses_as_network_bound() {
         // Client mostly mid-frame: bytes trickling in.
-        let d = diagnose_fleet(
-            &fleet_client(),
-            &serve_gauges(200, 1_500, 100),
-            &fleet_stats(500, 50),
-        )
-        .unwrap();
+        let d = diagnose_fleet(&fleet_tree(200, 1_500, 100, 500, 50)).unwrap();
         assert_eq!(d.bottleneck, FleetBottleneck::Network, "{d:?}");
     }
 
     #[test]
     fn slow_consume_callback_diagnoses_as_consumer_bound() {
-        let d = diagnose_fleet(
-            &fleet_client(),
-            &serve_gauges(200, 100, 1_500),
-            &fleet_stats(500, 50),
-        )
-        .unwrap();
+        let d = diagnose_fleet(&fleet_tree(200, 100, 1_500, 500, 50)).unwrap();
         assert_eq!(d.bottleneck, FleetBottleneck::Consumer, "{d:?}");
     }
 
     #[test]
     fn balanced_fleets_diagnose_as_none_and_empty_epochs_as_nothing() {
         // All wait shares under the 15% idle threshold.
-        let d = diagnose_fleet(
-            &fleet_client(),
-            &serve_gauges(100, 100, 100),
-            &fleet_stats(900, 50),
-        )
-        .unwrap();
+        let d = diagnose_fleet(&fleet_tree(100, 100, 100, 900, 50)).unwrap();
         assert_eq!(d.bottleneck, FleetBottleneck::None, "{d:?}");
 
-        let mut client = fleet_client();
-        client.elapsed_ns = 0;
-        assert!(diagnose_fleet(&client, &serve_gauges(0, 0, 0), &fleet_stats(0, 0)).is_none());
+        let mut tree = fleet_tree(0, 0, 0, 0, 0);
+        tree.epoch.as_mut().unwrap().elapsed_ns = 0;
+        assert!(diagnose_fleet(&tree).is_none());
+        tree.epoch = None;
+        assert!(diagnose_fleet(&tree).is_none());
     }
 
     #[test]
     fn missing_worker_stats_fall_back_to_worker_compute() {
         // No STATS frame arrived (tracing off, or a worker that died
-        // after its last EOF): fleet entries have zero elapsed. An idle
+        // after its last EOF): fleet nodes have zero elapsed. An idle
         // wire still blames worker compute (we cannot see credit stalls
         // without remote stats).
-        let fleet = FleetSnapshot {
-            active: true,
-            ..FleetSnapshot::default()
-        };
-        let d = diagnose_fleet(&fleet_client(), &serve_gauges(1_600, 100, 100), &fleet).unwrap();
+        let mut tree = fleet_tree(1_600, 100, 100, 0, 0);
+        tree.fleet = Some(Fleet::default());
+        let d = diagnose_fleet(&tree).unwrap();
         assert_eq!(d.bottleneck, FleetBottleneck::WorkerCompute, "{d:?}");
         assert_eq!(d.credit_share, 0.0);
         assert_eq!(d.produce_share, 0.0);

@@ -726,9 +726,8 @@ mod tests {
         let fleet = presto_telemetry::fleet::fleet_json(
             &presto_telemetry::Telemetry::new()
                 .begin_epoch(&["s".into()], 1, 0)
-                .snapshot(),
-            &Default::default(),
-            &Default::default(),
+                .snapshot()
+                .into(),
         );
         let merged =
             presto_telemetry::fleet::merge_chrome_trace(&fleet, Some(&doc)).expect("merge");

@@ -59,6 +59,6 @@ pub use tenant::{AdmissionPolicy, FleetDaemon, FleetDaemonConfig};
 /// latency, per-worker utilization, queue depth and fault counts.
 pub use presto_telemetry as telemetry;
 pub use presto_telemetry::{
-    EpochRecorder, FleetProgress, FleetSnapshot, FleetWorkerEntry, SearchProgress, SearchSnapshot,
-    ServeProgress, ServeSnapshot, Telemetry, TelemetrySnapshot,
+    EpochRecorder, Fleet, FleetProgress, RemoteWorker, SearchProgress, SearchSnapshot,
+    ServeProgress, ServeSnapshot, Snapshot, Telemetry, TelemetrySnapshot,
 };

@@ -105,7 +105,7 @@ pub(crate) struct Dial<'a> {
 pub(crate) struct Trace<'a> {
     pub(crate) fleet: &'a FleetProgress,
     pub(crate) trace_id: u64,
-    /// The fleet entry's `conn`: which of the client's links this is.
+    /// The fleet node's `conn`: which of the client's links this is.
     pub(crate) conn: u32,
     /// Where the gap/stream wait of each frame read goes.
     pub(crate) meter: &'a ServeProgress,

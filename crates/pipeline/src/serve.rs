@@ -93,8 +93,8 @@ use presto_codecs::checksum::Crc32;
 use presto_codecs::{Codec, Level};
 use presto_telemetry::fleet::mono_ns;
 use presto_telemetry::{
-    EpochRecorder, FleetProgress, FleetWorkerEntry, ServeProgress, Telemetry, BUILTIN_PHASES,
-    PHASE_HANDOFF,
+    EpochRecorder, FleetProgress, PhaseKind, RemoteWorker, ServeProgress, ServeSnapshot,
+    StepSnapshot, Telemetry, TelemetrySnapshot, BUILTIN_PHASES, PHASE_HANDOFF,
 };
 use presto_tensor::record::{fold_record, record_header, record_trailer, RECORD_OVERHEAD};
 use presto_tensor::{Pieces, RecordReader, RecordWriter};
@@ -110,7 +110,7 @@ use std::time::{Duration, Instant};
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Remote span events carried in one STATS frame at most; the rest
-/// are counted into the entry's `dropped_spans`.
+/// are counted into the epoch's `dropped_spans`.
 pub(crate) const STATS_SPAN_CAP: usize = 8192;
 
 /// ASSIGN flag bit: the client wants a STATS frame after the final EOF.
@@ -227,12 +227,12 @@ pub enum Frame {
         seq: u32,
     },
     /// End-of-assignment worker stats + span timeline (sent after
-    /// the final EOF when the ASSIGN asked for it). The entry's
-    /// client-local fields (`addr`, `conn`, handshake estimates) are
-    /// not on the wire; the client fills them on receipt.
+    /// the final EOF when the ASSIGN asked for it). The node's labels
+    /// (`addr`, `conn`, handshake estimates) are not on the wire; the
+    /// client's fleet registry holds them.
     Stats {
-        /// The worker's contribution to the fleet picture.
-        entry: Box<FleetWorkerEntry>,
+        /// One assignment of the worker's node in the client's tree.
+        entry: Box<RemoteWorker>,
     },
     /// One batch of encoded samples from one shard, with its tracing
     /// context: worker-side span id and worker-clock send timestamp
@@ -389,23 +389,23 @@ impl Batch2Head {
     }
 }
 
-/// Wire tag for a phase-kind label in STATS step entries.
-fn kind_tag(label: &str) -> u8 {
-    match label {
-        "io" => 0,
-        "cpu" => 1,
-        "deliver" => 2,
-        _ => 3,
+/// Wire tag for a phase kind in STATS step entries.
+fn kind_tag(kind: PhaseKind) -> u8 {
+    match kind {
+        PhaseKind::Io => 0,
+        PhaseKind::Cpu => 1,
+        PhaseKind::Deliver => 2,
+        PhaseKind::Step => 3,
     }
 }
 
-/// Inverse of [`kind_tag`].
-fn kind_label(tag: u8) -> &'static str {
+/// Inverse of [`kind_tag`]; an unknown tag reads as a pipeline step.
+fn phase_kind(tag: u8) -> PhaseKind {
     match tag {
-        0 => "io",
-        1 => "cpu",
-        2 => "deliver",
-        _ => "step",
+        0 => PhaseKind::Io,
+        1 => PhaseKind::Cpu,
+        2 => PhaseKind::Deliver,
+        _ => PhaseKind::Step,
     }
 }
 
@@ -500,25 +500,26 @@ impl Frame {
             }
             Frame::Stats { entry } => {
                 out.push(FRAME_STATS);
+                let epoch = &entry.epoch;
                 for value in [
                     entry.assign_start_mono_ns,
-                    entry.elapsed_ns,
-                    entry.samples,
-                    entry.batches,
-                    entry.produce_ns,
-                    entry.credit_wait_ns,
-                    entry.dropped_spans,
+                    epoch.elapsed_ns,
+                    epoch.samples,
+                    entry.serve.batches_sent,
+                    entry.serve.produce_ns,
+                    entry.serve.credit_wait_ns,
+                    epoch.dropped_spans,
                 ] {
                     out.extend_from_slice(&value.to_le_bytes());
                 }
-                out.extend_from_slice(&(entry.steps.len() as u32).to_le_bytes());
-                for (name, kind, busy_ns) in &entry.steps {
-                    push_str(out, name);
-                    out.push(kind_tag(kind));
-                    out.extend_from_slice(&busy_ns.to_le_bytes());
+                out.extend_from_slice(&(epoch.steps.len() as u32).to_le_bytes());
+                for step in &epoch.steps {
+                    push_str(out, &step.name);
+                    out.push(kind_tag(step.kind));
+                    out.extend_from_slice(&step.busy_ns.to_le_bytes());
                 }
-                out.extend_from_slice(&(entry.spans.len() as u32).to_le_bytes());
-                for span in &entry.spans {
+                out.extend_from_slice(&(epoch.spans.len() as u32).to_le_bytes());
+                for span in &epoch.spans {
                     out.extend_from_slice(&span.worker.to_le_bytes());
                     out.extend_from_slice(&span.phase.to_le_bytes());
                     out.extend_from_slice(&span.start_ns.to_le_bytes());
@@ -613,20 +614,27 @@ impl Frame {
                 seq: body.u32()?,
             },
             FRAME_STATS => {
-                let mut entry = FleetWorkerEntry {
-                    assign_start_mono_ns: body.u64()?,
-                    elapsed_ns: body.u64()?,
-                    samples: body.u64()?,
-                    batches: body.u64()?,
+                let assign_start_mono_ns = body.u64()?;
+                let (elapsed_ns, samples) = (body.u64()?, body.u64()?);
+                let serve = ServeSnapshot {
+                    batches_sent: body.u64()?,
                     produce_ns: body.u64()?,
                     credit_wait_ns: body.u64()?,
+                    ..ServeSnapshot::default()
+                };
+                let mut epoch = TelemetrySnapshot {
+                    elapsed_ns,
+                    samples,
                     dropped_spans: body.u64()?,
-                    ..FleetWorkerEntry::default()
+                    ..TelemetrySnapshot::default()
                 };
                 for _ in 0..body.u32()? {
-                    let name = body.str("step name")?;
-                    let kind = kind_label(body.u8()?).to_string();
-                    entry.steps.push((name, kind, body.u64()?));
+                    epoch.steps.push(StepSnapshot {
+                        name: body.str("step name")?,
+                        kind: phase_kind(body.u8()?),
+                        busy_ns: body.u64()?,
+                        ..StepSnapshot::default()
+                    });
                 }
                 let span_count = body.u32()? as usize;
                 if span_count > STATS_SPAN_CAP {
@@ -635,7 +643,7 @@ impl Frame {
                     )));
                 }
                 for _ in 0..span_count {
-                    entry.spans.push(presto_telemetry::SpanEvent {
+                    epoch.spans.push(presto_telemetry::SpanEvent {
                         worker: body.u32()?,
                         phase: body.u32()?,
                         start_ns: body.u64()?,
@@ -643,7 +651,12 @@ impl Frame {
                     });
                 }
                 Frame::Stats {
-                    entry: Box::new(entry),
+                    entry: Box::new(RemoteWorker {
+                        assign_start_mono_ns,
+                        epoch,
+                        serve,
+                        ..RemoteWorker::default()
+                    }),
                 }
             }
             FRAME_BATCH2 => {
@@ -2279,25 +2292,37 @@ mod tests {
     /// One frame of every kind, with every string and list non-empty
     /// somewhere so each length and count field guards real bytes.
     fn frame_zoo() -> Vec<Frame> {
-        let entry = FleetWorkerEntry {
+        let step = |name: &str, kind, busy_ns| StepSnapshot {
+            name: name.into(),
+            kind,
+            busy_ns,
+            ..StepSnapshot::default()
+        };
+        let entry = RemoteWorker {
             assign_start_mono_ns: 11,
-            elapsed_ns: 1_000,
-            samples: 64,
-            batches: 4,
-            produce_ns: 800,
-            credit_wait_ns: 120,
-            dropped_spans: 2,
-            steps: vec![
-                ("read".into(), "io".into(), 300),
-                ("resize".into(), "step".into(), 500),
-            ],
-            spans: vec![presto_telemetry::SpanEvent {
-                worker: 0,
-                phase: 1,
-                start_ns: 5,
-                dur_ns: 0, // zero-duration spans must survive the wire
-            }],
-            ..FleetWorkerEntry::default()
+            epoch: TelemetrySnapshot {
+                elapsed_ns: 1_000,
+                samples: 64,
+                dropped_spans: 2,
+                steps: vec![
+                    step("read", PhaseKind::Io, 300),
+                    step("resize", PhaseKind::Step, 500),
+                ],
+                spans: vec![presto_telemetry::SpanEvent {
+                    worker: 0,
+                    phase: 1,
+                    start_ns: 5,
+                    dur_ns: 0, // zero-duration spans must survive the wire
+                }],
+                ..TelemetrySnapshot::default()
+            },
+            serve: ServeSnapshot {
+                batches_sent: 4,
+                produce_ns: 800,
+                credit_wait_ns: 120,
+                ..ServeSnapshot::default()
+            },
+            ..RemoteWorker::default()
         };
         vec![
             Frame::Hello {
@@ -2922,7 +2947,7 @@ mod tests {
     #[test]
     fn stats_frames_reject_absurd_span_counts() {
         let mut payload = Frame::Stats {
-            entry: Box::new(FleetWorkerEntry::default()),
+            entry: Box::new(RemoteWorker::default()),
         }
         .encode_payload();
         // Patch the span count (last 4 bytes of an empty STATS body)

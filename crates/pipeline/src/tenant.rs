@@ -81,7 +81,7 @@ use crate::serve::{
 use presto_codecs::checksum::Crc32;
 use presto_codecs::Codec;
 use presto_telemetry::{
-    EpochRecorder, FleetWorkerEntry, ServeProgress, Telemetry, TenantsProgress, PHASE_HANDOFF,
+    EpochRecorder, RemoteWorker, ServeProgress, Telemetry, TenantsProgress, PHASE_HANDOFF,
     PHASE_QUEUE_WAIT,
 };
 use std::collections::{HashMap, VecDeque};
@@ -200,16 +200,16 @@ pub(crate) struct Books {
     pub(crate) counters: FaultCounters,
     pub(crate) bytes_read: AtomicU64,
     /// The STATS entry's totals so far.
-    totals: Mutex<FleetWorkerEntry>,
+    totals: Mutex<RemoteWorker>,
     want_stats: bool,
     started: Instant,
 }
 
 impl Books {
     fn new(rec: Arc<EpochRecorder>, want_stats: bool) -> Books {
-        let totals = FleetWorkerEntry {
+        let totals = RemoteWorker {
             assign_start_mono_ns: presto_telemetry::fleet::mono_ns(),
-            ..FleetWorkerEntry::default()
+            ..RemoteWorker::default()
         };
         Books {
             rec,
@@ -221,23 +221,23 @@ impl Books {
         }
     }
 
-    fn add(&self, book: impl FnOnce(&mut FleetWorkerEntry)) {
+    fn add(&self, book: impl FnOnce(&mut RemoteWorker)) {
         book(&mut self.totals.lock().unwrap());
     }
 
     /// Close the assignment: seal the recorder's epoch and, when the
     /// ASSIGN asked, make the STATS entry.
-    fn seal(&self) -> Option<FleetWorkerEntry> {
+    fn seal(&self) -> Option<RemoteWorker> {
         let elapsed = self.started.elapsed();
         let mut entry = self.totals.lock().unwrap().clone();
-        entry.elapsed_ns = elapsed.as_nanos() as u64;
+        entry.epoch.elapsed_ns = elapsed.as_nanos() as u64;
         let (retries, skipped, lost) = self.counters.snapshot();
         let bytes_read = self.bytes_read.load(Ordering::Relaxed);
         let degraded = skipped > 0 || lost > 0;
         let rec = &self.rec;
         rec.finish(
             elapsed,
-            entry.samples,
+            entry.epoch.samples,
             bytes_read,
             retries,
             skipped,
@@ -249,16 +249,13 @@ impl Books {
         }
         if rec.is_enabled() {
             let snapshot = rec.snapshot();
-            entry.dropped_spans = snapshot.dropped_spans;
-            entry.steps = snapshot
-                .steps
-                .iter()
-                .map(|s| (s.name.clone(), s.kind.label().to_string(), s.busy_ns))
-                .collect();
-            entry.spans = snapshot.spans;
-            if entry.spans.len() > STATS_SPAN_CAP {
-                entry.dropped_spans += (entry.spans.len() - STATS_SPAN_CAP) as u64;
-                entry.spans.truncate(STATS_SPAN_CAP);
+            let epoch = &mut entry.epoch;
+            epoch.dropped_spans = snapshot.dropped_spans;
+            epoch.steps = snapshot.steps;
+            epoch.spans = snapshot.spans;
+            if epoch.spans.len() > STATS_SPAN_CAP {
+                epoch.dropped_spans += (epoch.spans.len() - STATS_SPAN_CAP) as u64;
+                epoch.spans.truncate(STATS_SPAN_CAP);
             }
         }
         Some(entry)
@@ -866,7 +863,7 @@ impl Conn {
         let Some(stall_ns) = self.gate.take(&shared.progress) else {
             return false; // gate closed: the client is gone
         };
-        books.add(|e| e.credit_wait_ns += stall_ns);
+        books.add(|e| e.serve.credit_wait_ns += stall_ns);
         if let Some(t0) = t_gate {
             rec.phase_done(0, PHASE_QUEUE_WAIT, t0);
         }
@@ -878,7 +875,7 @@ impl Conn {
             let t_pace = Instant::now();
             std::thread::sleep(pace);
             let ns = t_pace.elapsed().as_nanos() as u64;
-            books.add(|e| e.produce_ns += ns);
+            books.add(|e| e.serve.produce_ns += ns);
             shared.progress.produce_time(ns);
         }
         let t_send = rec.begin();
@@ -900,8 +897,8 @@ impl Conn {
         };
         shared.progress.batch_sent(wire_bytes);
         books.add(|e| {
-            e.samples += u64::from(count);
-            e.batches += 1;
+            e.epoch.samples += u64::from(count);
+            e.serve.batches_sent += 1;
         });
         let total = shared.batches_sent.fetch_add(1, Ordering::AcqRel) + 1;
         if kill_after.is_some_and(|limit| total >= limit) {
@@ -1086,7 +1083,7 @@ fn relay(shared: &Shared, dispatcher: usize, addr: &str) {
 /// Book a task's produce time, from `since`.
 fn produced(shared: &Shared, dispatch: &Dispatch, since: Instant) {
     let produce_ns = since.elapsed().as_nanos() as u64;
-    dispatch.books.add(|e| e.produce_ns += produce_ns);
+    dispatch.books.add(|e| e.serve.produce_ns += produce_ns);
     shared.progress.produce_time(produce_ns);
 }
 

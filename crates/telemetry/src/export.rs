@@ -1,6 +1,7 @@
-//! Exporters for a [`TelemetrySnapshot`]: Prometheus text exposition,
-//! the stable `presto.telemetry.v1` JSON schema, and Chrome
-//! `trace_event` JSON loadable in `chrome://tracing` / Perfetto.
+//! Exporters: the Prometheus text exposition and the Chrome
+//! `trace_event` JSON (loadable in `chrome://tracing` / Perfetto) of a
+//! process tree ([`Snapshot`]), and the stable `presto.telemetry.v1`
+//! JSON schema of one epoch ([`TelemetrySnapshot`]).
 //!
 //! The schemas are documented in `docs/observability.md`. The JSON
 //! document's members are listed once, in the [`Record`] impls here,
@@ -8,9 +9,11 @@
 //! reader underneath lives here too, so no JSON dependency is needed.
 
 use crate::doc::{self, Document, Record, Scalar, Visitor};
+use crate::fleet::{ChaosLog, Fleet, RemoteWorker};
+use crate::tenants::{TenantEntry, TenantsSnapshot};
 use crate::{
-    DataPlaneSnapshot, PhaseKind, QueueSnapshot, SearchSnapshot, ServeSnapshot, StepSnapshot,
-    TelemetrySnapshot, WorkerSnapshot,
+    DataPlaneSnapshot, PhaseKind, QueueSnapshot, SearchSnapshot, ServeSnapshot, Snapshot,
+    SpanEvent, StepSnapshot, TelemetrySnapshot, WorkerSnapshot,
 };
 use std::fmt::Write as _;
 
@@ -43,15 +46,14 @@ pub fn json_escape(s: &str) -> String {
 
 /// The one Prometheus text-exposition writer (format 0.0.4): every
 /// `/metrics` series in the crate goes through these two methods.
-#[derive(Debug)]
-pub(crate) struct Exposition(pub(crate) String);
+struct Exposition(String);
 
 impl Exposition {
     /// `# HELP`/`# TYPE` headers, then one sample line per `(suffix,
     /// value)`. The suffix is whatever follows the family name on the
     /// sample line: nothing, a `{label="…"}` set, or a summary's
     /// `_count{…}`/`_sum{…}` companions.
-    pub(crate) fn family<V: std::fmt::Display>(
+    fn family<V: std::fmt::Display>(
         &mut self,
         name: &str,
         help: &str,
@@ -66,22 +68,40 @@ impl Exposition {
     }
 
     /// A family of one unlabelled sample.
-    pub(crate) fn metric(
-        &mut self,
-        name: &str,
-        help: &str,
-        kind: &str,
-        value: impl std::fmt::Display,
-    ) {
+    fn metric(&mut self, name: &str, help: &str, kind: &str, value: impl std::fmt::Display) {
         self.family(name, help, kind, [(String::new(), value)]);
     }
 }
 
-/// Render `snapshot` in the Prometheus text exposition format
-/// (version 0.0.4): counters and gauges with `# TYPE` headers, and
-/// per-step latency quantiles as summary-style series.
-pub fn prometheus(snapshot: &TelemetrySnapshot) -> String {
+/// Render a process tree in the Prometheus text exposition format
+/// (version 0.0.4), the body `/metrics` serves: the epoch's counters,
+/// gauges and per-step latency summaries (or `# no epoch recorded
+/// yet`), then each section the tree holds — search, serve, fleet,
+/// tenants, in that order.
+pub fn prometheus(tree: &Snapshot) -> String {
     let mut x = Exposition(String::with_capacity(4096));
+    match &tree.epoch {
+        Some(epoch) => epoch_series(&mut x, epoch),
+        None => x.0.push_str("# no epoch recorded yet\n"),
+    }
+    if let Some(search) = &tree.search {
+        search_series(&mut x, search);
+    }
+    if let Some(serve) = &tree.serve {
+        serve_series(&mut x, serve);
+    }
+    if let Some(fleet) = &tree.fleet {
+        fleet_series(&mut x, fleet);
+    }
+    if let Some(tenants) = &tree.tenants {
+        tenant_series(&mut x, tenants);
+    }
+    x.0
+}
+
+/// Counters and gauges of one epoch, and per-step latency quantiles
+/// as summary-style series.
+fn epoch_series(x: &mut Exposition, snapshot: &TelemetrySnapshot) {
     for (name, help, value) in [
         (
             "presto_epoch_samples_total",
@@ -261,14 +281,10 @@ pub fn prometheus(snapshot: &TelemetrySnapshot) -> String {
     ] {
         x.metric(name, help, "counter", value);
     }
-    x.0
 }
 
-/// Render a strategy-search progress snapshot in the Prometheus text
-/// exposition format. Emitted by `/metrics` alongside the epoch series
-/// whenever a search has started (`total > 0`).
-pub fn prometheus_search(search: &SearchSnapshot) -> String {
-    let mut x = Exposition(String::with_capacity(1024));
+/// The strategy-search progress gauges.
+fn search_series(x: &mut Exposition, search: &SearchSnapshot) {
     for (name, help, value) in [
         (
             "presto_search_strategies_total",
@@ -308,14 +324,10 @@ pub fn prometheus_search(search: &SearchSnapshot) -> String {
     ] {
         x.metric(name, help, "gauge", value);
     }
-    x.0
 }
 
-/// Render a serve-session progress snapshot in the Prometheus text
-/// exposition format. Emitted by `/metrics` alongside the epoch series
-/// whenever a serve session has started (`workers > 0`).
-pub fn prometheus_serve(serve: &ServeSnapshot) -> String {
-    let mut x = Exposition(String::with_capacity(1024));
+/// The serve-session progress gauges.
+fn serve_series(x: &mut Exposition, serve: &ServeSnapshot) {
     for (name, help, value) in [
         (
             "presto_serve_workers",
@@ -395,14 +407,10 @@ pub fn prometheus_serve(serve: &ServeSnapshot) -> String {
     ] {
         x.metric(name, help, "gauge", value);
     }
-    x.0
 }
 
-/// Render the fleet registry as Prometheus series with a per-worker
-/// `worker="addr"` breakout. Emitted by `/metrics` alongside the serve
-/// gauges whenever a fleet session is active.
-pub fn prometheus_fleet(fleet: &crate::FleetSnapshot) -> String {
-    let mut x = Exposition(String::with_capacity(1024));
+/// The fleet section, with a per-worker `worker="addr"` breakout.
+fn fleet_series(x: &mut Exposition, fleet: &Fleet) {
     x.metric(
         "presto_fleet_trace_id",
         "Trace id of the fleet session.",
@@ -415,7 +423,7 @@ pub fn prometheus_fleet(fleet: &crate::FleetSnapshot) -> String {
         "gauge",
         fleet.workers.len(),
     );
-    type Reading = fn(&crate::FleetWorkerEntry) -> i128;
+    type Reading = fn(&RemoteWorker) -> i128;
     let families: [(&str, &str, Reading); 5] = [
         (
             "presto_fleet_worker_clock_offset_ns",
@@ -430,17 +438,17 @@ pub fn prometheus_fleet(fleet: &crate::FleetSnapshot) -> String {
         (
             "presto_fleet_worker_samples_total",
             "Samples produced per worker.",
-            |w| w.samples.into(),
+            |w| w.epoch.samples.into(),
         ),
         (
             "presto_fleet_worker_produce_ns_total",
             "Time producing samples per worker, ns.",
-            |w| w.produce_ns.into(),
+            |w| w.serve.produce_ns.into(),
         ),
         (
             "presto_fleet_worker_credit_wait_ns_total",
             "Time stalled waiting for credit per worker, ns.",
-            |w| w.credit_wait_ns.into(),
+            |w| w.serve.credit_wait_ns.into(),
         ),
     ];
     for (name, help, reading) in families {
@@ -456,7 +464,79 @@ pub fn prometheus_fleet(fleet: &crate::FleetSnapshot) -> String {
             }),
         );
     }
-    x.0
+}
+
+/// Per-tenant labeled series plus unlabeled sums.
+///
+/// The serve-layer counter families (`presto_serve_batches_total`,
+/// `presto_serve_samples_total`, `presto_serve_bytes_total`) are
+/// emitted once per tenant with a `tenant="…"` label *and* once
+/// unlabeled carrying the sum — existing single-tenant dashboards
+/// keep scraping the same name, multi-tenant ones select the label.
+fn tenant_series(x: &mut Exposition, snapshot: &TenantsSnapshot) {
+    x.metric(
+        "presto_tenants_max_jobs",
+        "Admission policy: max concurrently admitted jobs.",
+        "gauge",
+        snapshot.max_jobs,
+    );
+    x.metric(
+        "presto_tenants_shard_quota",
+        "Admission policy: per-tenant shard quota.",
+        "gauge",
+        snapshot.shard_quota,
+    );
+    x.metric(
+        "presto_tenants_rejected_total",
+        "Registrations refused by the admission controller.",
+        "gauge",
+        snapshot.rejected,
+    );
+    type Reading = fn(&TenantEntry) -> u64;
+    let families: [(&str, &str, Reading); 6] = [
+        (
+            "presto_tenant_weight",
+            "Deficit-round-robin weight from REGISTER.",
+            |t| t.weight.into(),
+        ),
+        (
+            "presto_tenant_requeues_total",
+            "Shards requeued after backend failures, charged per tenant.",
+            |t| t.requeues,
+        ),
+        (
+            "presto_tenant_window_samples",
+            "Samples delivered inside the fair-share window.",
+            |t| t.window_samples,
+        ),
+        (
+            "presto_serve_samples_total",
+            "Samples delivered to clients.",
+            |t| t.samples,
+        ),
+        (
+            "presto_serve_batches_total",
+            "BATCH frames delivered to clients.",
+            |t| t.batches,
+        ),
+        (
+            "presto_serve_bytes_total",
+            "Compressed block bytes delivered to clients.",
+            |t| t.bytes,
+        ),
+    ];
+    for (name, help, reading) in families {
+        let labeled = snapshot.tenants.iter().map(|t| {
+            (
+                format!("{{tenant=\"{}\"}}", json_escape(&t.name)),
+                reading(t),
+            )
+        });
+        // Back-compat unlabeled sum: single-tenant dashboards scrape
+        // the bare name.
+        let sum = snapshot.tenants.iter().map(reading).sum();
+        x.family(name, help, "gauge", labeled.chain([(String::new(), sum)]));
+    }
 }
 
 impl Scalar for PhaseKind {
@@ -590,46 +670,168 @@ pub fn json_with_mode(snapshot: &TelemetrySnapshot, mode: Option<&str>) -> Strin
     })
 }
 
-/// Render the span timeline as Chrome `trace_event` JSON (the
-/// "JSON array format"): complete events (`ph: "X"`) with microsecond
-/// `ts`/`dur`, one `tid` per worker, plus `M` metadata events naming
-/// the process and threads. Load in `chrome://tracing` or
-/// <https://ui.perfetto.dev>.
-pub fn chrome_trace(snapshot: &TelemetrySnapshot) -> String {
-    let mut out = String::with_capacity(64 + snapshot.spans.len() * 96);
-    out.push_str("[\n");
-    let _ = write!(
-        out,
-        "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"args\": {{\"name\": \"presto realrun\"}}}}"
-    );
-    for w in &snapshot.workers {
+/// Render a process tree's span timelines as Chrome `trace_event`
+/// JSON (the "JSON array format"): complete events (`ph: "X"`) with
+/// microsecond `ts`/`dur`, plus `M` metadata events naming processes
+/// and threads. A local run is one process, `presto realrun`, with one
+/// track per worker; a tree with a fleet section is `train-client` with
+/// one track per connection and each remote worker as its own process
+/// (see [`crate::fleet::merge_chrome_trace`]). Load in
+/// `chrome://tracing` or <https://ui.perfetto.dev>.
+pub fn chrome_trace(tree: &Snapshot) -> String {
+    trace_events(tree, None)
+}
+
+/// The one Chrome trace writer, behind [`chrome_trace`] and
+/// [`crate::fleet::merge_chrome_trace`]: the tree's own spans on pid 1,
+/// remote worker *i*'s on pid 2+i, and a chaos proxy's faults on pid 99.
+pub(crate) fn trace_events(tree: &Snapshot, chaos: Option<&ChaosLog>) -> String {
+    let none = TelemetrySnapshot::default();
+    let epoch = tree.epoch.as_ref().unwrap_or(&none);
+    let mut t = Trace(String::with_capacity(4096 + epoch.spans.len() * 96));
+    t.0.push('[');
+    match &tree.fleet {
+        None => {
+            t.meta("process_name", 1, 0, "presto realrun");
+            for w in &epoch.workers {
+                let name = format!("worker-{}", w.worker);
+                t.meta("thread_name", 1, w.worker as u64, &name);
+            }
+        }
+        Some(fleet) => {
+            t.meta("process_name", 1, 0, "train-client");
+            for w in &fleet.workers {
+                let name = format!("conn-{} {}", w.conn, w.addr);
+                t.meta("thread_name", 1, w.conn.into(), &name);
+            }
+            for (pid, w) in (2..).zip(&fleet.workers) {
+                t.meta("process_name", pid, 0, &format!("serve-worker {}", w.addr));
+            }
+        }
+    }
+    // The tree's own spans: already relative to its epoch start.
+    for span in &epoch.spans {
+        t.span(epoch, span, span.start_ns as i128, span.dur_ns, 1, None);
+    }
+    // Remote spans: correct onto the client clock, then clamp into the
+    // client-side envelope of that connection (clock-offset estimation
+    // error must not break visual nesting; the raw value is kept).
+    let fleet = tree.fleet.as_ref();
+    let epoch_start = fleet.map_or(0, |f| f.epoch_start_mono_ns as i128);
+    let workers = fleet.map_or(&[][..], |f| &f.workers);
+    for (pid, w) in (2..).zip(workers) {
+        let mine = || epoch.spans.iter().filter(|s| s.worker == w.conn);
+        let envelope = mine().map(|s| s.start_ns).min().map(|lo| {
+            let hi = mine().map(|s| s.start_ns + s.dur_ns).max().unwrap_or(lo);
+            (lo as i128, hi as i128)
+        });
+        let base = w.assign_start_mono_ns as i128 - w.clock_offset_ns as i128 - epoch_start;
+        for span in &w.epoch.spans {
+            let raw_start = base + span.start_ns as i128;
+            let raw_end = raw_start + span.dur_ns as i128;
+            let (start, end) = match envelope {
+                Some((lo, hi)) => {
+                    let s = raw_start.clamp(lo, hi);
+                    (s, raw_end.clamp(s, hi))
+                }
+                None => (raw_start.max(0), raw_end.max(0)),
+            };
+            let args = (start != raw_start || end != raw_end)
+                .then(|| format!("{{\"raw_ts_ns\": {raw_start}}}"));
+            let dur = (end - start).max(0) as u64;
+            t.span(&w.epoch, span, start, dur, pid, args.as_deref());
+        }
+    }
+    // Chaos events: separate clock domain, normalized to first event.
+    if let Some(chaos) = chaos {
+        t.meta("process_name", 99, 0, "chaos-proxy");
+        let t0 = chaos.events.iter().map(|e| e.t_ns).min().unwrap_or(0);
+        for event in &chaos.events {
+            let dir = if event.dir.is_empty() {
+                "?"
+            } else {
+                &event.dir
+            };
+            let args = format!(
+                "{{\"dir\": \"{}\", \"window\": {}}}",
+                json_escape(dir),
+                event.window
+            );
+            let ts_ns = event.t_ns as i128 - t0 as i128;
+            let name = json_escape(&event.kind);
+            t.event(
+                &name,
+                "chaos",
+                ts_ns,
+                event.dur_ns,
+                99,
+                event.conn,
+                Some(&args),
+            );
+        }
+    }
+    t.0.push_str("\n]\n");
+    t.0
+}
+
+/// A Chrome trace being written: one event per line after the `[`.
+struct Trace(String);
+
+impl Trace {
+    fn open(&mut self) {
+        self.0
+            .push_str(if self.0.len() == 1 { "\n" } else { ",\n" });
+    }
+
+    fn meta(&mut self, kind: &str, pid: u64, tid: u64, name: &str) {
+        self.open();
+        let name = json_escape(name);
         let _ = write!(
-            out,
-            ",\n{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {}, \"args\": {{\"name\": \"worker-{}\"}}}}",
-            w.worker, w.worker
+            self.0,
+            "{{\"name\": \"{kind}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"name\": \"{name}\"}}}}"
         );
     }
-    for span in &snapshot.spans {
-        let name = snapshot
-            .steps
-            .get(span.phase as usize)
-            .map(|s| json_escape(&s.name))
-            .unwrap_or_else(|| format!("phase-{}", span.phase));
-        let cat = snapshot
-            .steps
-            .get(span.phase as usize)
-            .map(|s| s.kind.label())
-            .unwrap_or("step");
-        let _ = write!(
-            out,
-            ",\n{{\"name\": \"{name}\", \"cat\": \"{cat}\", \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 1, \"tid\": {}}}",
-            span.start_ns as f64 / 1e3,
-            span.dur_ns as f64 / 1e3,
-            span.worker
-        );
+
+    /// A span of `epoch`, named after its phase.
+    fn span(
+        &mut self,
+        epoch: &TelemetrySnapshot,
+        span: &SpanEvent,
+        ts_ns: i128,
+        dur_ns: u64,
+        pid: u64,
+        args: Option<&str>,
+    ) {
+        let (name, cat) = match epoch.steps.get(span.phase as usize) {
+            Some(step) => (json_escape(&step.name), step.kind.label()),
+            None => (format!("phase-{}", span.phase), "step"),
+        };
+        self.event(&name, cat, ts_ns, dur_ns, pid, span.worker.into(), args);
     }
-    out.push_str("\n]\n");
-    out
+
+    #[allow(clippy::too_many_arguments)]
+    fn event(
+        &mut self,
+        name: &str,
+        cat: &str,
+        ts_ns: i128,
+        dur_ns: u64,
+        pid: u64,
+        tid: u64,
+        args: Option<&str>,
+    ) {
+        self.open();
+        let _ = write!(
+            self.0,
+            "{{\"name\": \"{name}\", \"cat\": \"{cat}\", \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": {pid}, \"tid\": {tid}",
+            ts_ns as f64 / 1e3,
+            dur_ns as f64 / 1e3
+        );
+        if let Some(args) = args {
+            let _ = write!(self.0, ", \"args\": {args}");
+        }
+        self.0.push('}');
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1035,7 +1237,7 @@ mod tests {
     #[test]
     fn prometheus_parses_and_carries_totals() -> Result<(), String> {
         let snap = sample_snapshot();
-        let series = parse_prometheus(&prometheus(&snap))?;
+        let series = parse_prometheus(&prometheus(&snap.into()))?;
         assert_eq!(series_value(&series, "presto_epoch_samples_total")?, 10.0);
         assert_eq!(
             series_value(&series, "presto_epoch_bytes_read_total")?,
@@ -1058,7 +1260,7 @@ mod tests {
     #[test]
     fn chrome_trace_loads_as_trace_event_array() {
         let snap = sample_snapshot();
-        let trace = chrome_trace(&snap);
+        let trace = chrome_trace(&snap.clone().into());
         let complete = validate_chrome_trace(&trace).expect("valid trace_event JSON");
         assert_eq!(complete, snap.spans.len());
         let doc = parse_json(&trace).expect("trace parses");
@@ -1124,7 +1326,11 @@ mod tests {
         progress.record_reconnect_attempt();
         progress.record_rejoin();
         progress.finish();
-        let series = parse_prometheus(&prometheus_serve(&progress.snapshot()))?;
+        let tree = Snapshot {
+            serve: Some(progress.snapshot()),
+            ..Snapshot::default()
+        };
+        let series = parse_prometheus(&prometheus(&tree))?;
         assert_eq!(series_value(&series, "presto_serve_workers")?, 2.0);
         assert_eq!(
             series_value(&series, "presto_serve_batches_sent_total")?,

@@ -2,25 +2,27 @@
 //!
 //! A serve session spans one `train-client` and N `serve-worker`
 //! processes, each with its own monotonic clock and its own
-//! [`EpochRecorder`](crate::EpochRecorder). This module is the glue
-//! that turns those per-process telemetry islands into one picture:
+//! [`EpochRecorder`](crate::EpochRecorder). This module grafts the
+//! workers onto the client's [`Snapshot`] as its fleet section:
 //!
 //! - [`mono_ns`]: a process-wide monotonic clock (nanoseconds since an
 //!   arbitrary per-process anchor). Wire handshakes exchange these
 //!   readings to estimate per-connection clock offsets NTP-style.
-//! - [`FleetProgress`]: a registry the serve client fills as it talks
+//! - [`FleetProgress`]: the registry the serve client fills as it talks
 //!   to workers — clock offset + RTT per connection at handshake time,
-//!   then each worker's remote stats, step totals and span timeline
-//!   when the assignment completes.
+//!   then each assignment's remote stats, step totals and span
+//!   timeline, accumulated into one [`RemoteWorker`] node per address.
 //! - [`FleetDocument`] / [`fleet_json`]: the stable `presto.fleet.v1`
-//!   document served at `/fleet.json` and written by
+//!   projection of a tree, served at `/fleet.json` and written by
 //!   `train-client --fleet-out`; [`ChaosLog`] is the chaos proxy's
 //!   companion `presto.chaos.v1` event log.
 //! - [`merge_chrome_trace`]: one Chrome `trace_event` document for the
-//!   whole fleet — client spans on pid 1, each worker on its own pid
-//!   with span timestamps corrected onto the client's clock (and
-//!   clamped into the client-side envelope of that connection, keeping
-//!   the raw timestamp in `args`), chaos-proxy events on pid 99.
+//!   whole fleet, through the same writer as a local run's
+//!   ([`crate::export::chrome_trace`]) — client spans on pid 1, each
+//!   worker on its own pid with span timestamps corrected onto the
+//!   client's clock (and clamped into the client-side envelope of that
+//!   connection, keeping the raw timestamp in `args`), chaos-proxy
+//!   events on pid 99.
 //!
 //! Offset convention: `clock_offset_ns = worker_mono − client_mono`,
 //! estimated from a PING/PONG exchange as
@@ -29,8 +31,8 @@
 //! clock, *subtract* the offset.
 
 use crate::doc::{self, Document, Record, Scalar, Visitor};
-use crate::export::{json_escape, JsonValue};
-use crate::{ServeSnapshot, SpanEvent, TelemetrySnapshot};
+use crate::export::JsonValue;
+use crate::{ServeSnapshot, Snapshot, SpanEvent, StepSnapshot, TelemetrySnapshot};
 use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -49,11 +51,11 @@ pub fn mono_ns() -> u64 {
     ANCHOR.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// One worker's contribution to the fleet picture, as recorded by the
-/// serve client: connection metadata from the handshake, remote totals
-/// and the remote span timeline from the end-of-assignment STATS frame.
+/// One remote worker in a client's fleet section: a labelled node
+/// holding the worker's epoch as its STATS frames reported it. The
+/// labels come from the client's handshake; the wire carries the rest.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct FleetWorkerEntry {
+pub struct RemoteWorker {
     /// Worker address (`host:port`).
     pub addr: String,
     /// Index of this worker in the client's candidate list — the
@@ -67,60 +69,90 @@ pub struct FleetWorkerEntry {
     pub clock_offset_ns: i64,
     /// Round-trip time of the offset sample, nanoseconds.
     pub rtt_ns: u64,
-    /// Worker-clock [`mono_ns`] reading at the start of its
-    /// assignment epoch — the origin of its relative span timestamps.
+    /// Worker-clock [`mono_ns`] reading at the start of its first
+    /// assignment — the origin of its relative span timestamps.
     pub assign_start_mono_ns: u64,
-    /// Assignment wall time on the worker, nanoseconds.
-    pub elapsed_ns: u64,
-    /// Samples the worker produced for this client.
-    pub samples: u64,
-    /// BATCH frames the worker sent.
-    pub batches: u64,
-    /// Time the worker spent producing samples (processing + pacing),
-    /// nanoseconds.
-    pub produce_ns: u64,
-    /// Time the worker spent stalled waiting for credit, nanoseconds.
-    pub credit_wait_ns: u64,
-    /// Remote span events dropped (budget or wire cap).
-    pub dropped_spans: u64,
-    /// Remote step totals: `(name, kind label, busy_ns)`.
-    pub steps: Vec<(String, String, u64)>,
-    /// Remote span timeline, relative to `assign_start_mono_ns`.
-    pub spans: Vec<SpanEvent>,
+    /// The worker's epoch: assignment wall time, samples produced,
+    /// dropped spans, per-step busy time and the span timeline.
+    pub epoch: TelemetrySnapshot,
+    /// The worker's serve counters: BATCH frames sent, time producing
+    /// samples and time stalled waiting for credit.
+    pub serve: ServeSnapshot,
 }
 
-#[derive(Debug, Default)]
-struct FleetState {
-    active: bool,
-    trace_id: u64,
-    epoch_start_mono_ns: u64,
-    workers: Vec<FleetWorkerEntry>,
+impl RemoteWorker {
+    /// Add one more assignment's STATS: counters, elapsed time and
+    /// per-step busy time sum, spans are appended rebased onto the
+    /// first assignment's origin, and the handshake labels stay.
+    fn add(&mut self, stats: RemoteWorker) {
+        // A node with no elapsed time holds only its handshake.
+        if self.epoch.elapsed_ns == 0 {
+            self.assign_start_mono_ns = stats.assign_start_mono_ns;
+        }
+        // Both origins are on the worker's clock, unless the address
+        // was respawned in between; then the spans land at the origin.
+        let shift = stats
+            .assign_start_mono_ns
+            .saturating_sub(self.assign_start_mono_ns);
+        let (mine, theirs) = (&mut self.epoch, stats.epoch);
+        mine.elapsed_ns += theirs.elapsed_ns;
+        mine.samples += theirs.samples;
+        mine.dropped_spans += theirs.dropped_spans;
+        for step in theirs.steps {
+            match mine.steps.iter_mut().find(|s| s.name == step.name) {
+                Some(same) => same.busy_ns += step.busy_ns,
+                None => mine.steps.push(step),
+            }
+        }
+        mine.spans
+            .extend(theirs.spans.into_iter().map(|span| SpanEvent {
+                start_ns: span.start_ns + shift,
+                ..span
+            }));
+        self.serve.batches_sent += stats.serve.batches_sent;
+        self.serve.produce_ns += stats.serve.produce_ns;
+        self.serve.credit_wait_ns += stats.serve.credit_wait_ns;
+    }
+}
+
+/// The fleet section of a client's [`Snapshot`]: the trace it
+/// propagated and every worker it reached.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Fleet {
+    /// Trace id propagated to every worker over the wire.
+    pub trace_id: u64,
+    /// Client-clock [`mono_ns`] reading at epoch start — the origin of
+    /// client-side relative span timestamps.
+    pub epoch_start_mono_ns: u64,
+    /// One node per worker address, in first-contact order.
+    pub workers: Vec<RemoteWorker>,
 }
 
 /// Live fleet registry attached to a [`Telemetry`](crate::Telemetry)
-/// handle. The serve client writes to it; `/fleet.json`, the merged
-/// `/metrics` and `presto trace` read it. Updates are rare
-/// (one per handshake, one per finished assignment), so a mutex is
-/// fine — nothing on the per-sample hot path touches this.
+/// handle, `None` until a traced serve epoch begins. The serve client
+/// writes to it; [`crate::Telemetry::snapshot`] reads it as the tree's
+/// fleet section. Updates are rare (one per handshake, one per
+/// finished assignment), so a mutex is fine — nothing on the
+/// per-sample hot path touches this.
 #[derive(Debug, Default)]
 pub struct FleetProgress {
-    state: Mutex<FleetState>,
+    state: Mutex<Option<Fleet>>,
 }
 
 impl FleetProgress {
-    /// Start (or restart) a fleet session. Clears all worker entries,
+    /// Start (or restart) a fleet session. Clears all worker nodes,
     /// stamps the client-clock epoch origin and stores the trace id.
     pub fn begin(&self, trace_id: u64) {
-        let mut state = self.state.lock();
-        state.active = true;
-        state.trace_id = trace_id;
-        state.epoch_start_mono_ns = mono_ns();
-        state.workers.clear();
+        *self.state.lock() = Some(Fleet {
+            trace_id,
+            epoch_start_mono_ns: mono_ns(),
+            workers: Vec::new(),
+        });
     }
 
     /// Record (or refresh) a connection handshake: the peer's version
-    /// plus the clock-offset estimate. Creates the entry if the
-    /// address is new; keeps any stats already recorded otherwise.
+    /// plus the clock-offset estimate. Creates the node if the address
+    /// is new; keeps any stats already recorded otherwise.
     pub fn record_handshake(
         &self,
         addr: &str,
@@ -130,97 +162,45 @@ impl FleetProgress {
         rtt_ns: u64,
     ) {
         let mut state = self.state.lock();
-        let entry = match state.workers.iter_mut().find(|w| w.addr == addr) {
-            Some(entry) => entry,
+        let Some(fleet) = state.as_mut() else { return };
+        let node = match fleet.workers.iter().position(|w| w.addr == addr) {
+            Some(at) => &mut fleet.workers[at],
             None => {
-                state.workers.push(FleetWorkerEntry {
+                fleet.workers.push(RemoteWorker {
                     addr: addr.to_string(),
-                    ..FleetWorkerEntry::default()
+                    ..RemoteWorker::default()
                 });
-                state.workers.last_mut().expect("just pushed")
+                fleet.workers.last_mut().expect("just pushed")
             }
         };
-        entry.conn = conn;
-        entry.peer_version = peer_version;
-        entry.clock_offset_ns = clock_offset_ns;
-        entry.rtt_ns = rtt_ns;
+        node.conn = conn;
+        node.peer_version = peer_version;
+        node.clock_offset_ns = clock_offset_ns;
+        node.rtt_ns = rtt_ns;
     }
 
-    /// Record a worker's end-of-assignment stats, replacing any
-    /// previous stats for the same address but keeping the handshake
-    /// fields already stored there.
-    pub fn record_stats(&self, entry: FleetWorkerEntry) {
+    /// Record one assignment's end-of-assignment stats for
+    /// `stats.addr`. A worker that serves several assignments in an
+    /// epoch (a surviving link pulls requeued shards as a new ASSIGN)
+    /// accumulates them into its one node.
+    pub fn record_stats(&self, stats: RemoteWorker) {
         let mut state = self.state.lock();
-        match state.workers.iter_mut().find(|w| w.addr == entry.addr) {
-            Some(existing) => {
-                let (offset, rtt, version, conn) = (
-                    existing.clock_offset_ns,
-                    existing.rtt_ns,
-                    existing.peer_version,
-                    existing.conn,
-                );
-                *existing = entry;
-                existing.clock_offset_ns = offset;
-                existing.rtt_ns = rtt;
-                existing.peer_version = version;
-                existing.conn = conn;
-            }
-            None => state.workers.push(entry),
+        let Some(fleet) = state.as_mut() else { return };
+        match fleet.workers.iter_mut().find(|w| w.addr == stats.addr) {
+            Some(node) => node.add(stats),
+            None => fleet.workers.push(stats),
         }
     }
 
-    /// True once [`FleetProgress::begin`] has been called.
-    pub fn is_active(&self) -> bool {
-        self.state.lock().active
-    }
-
-    /// A point-in-time copy for rendering/export.
-    pub fn snapshot(&self) -> FleetSnapshot {
-        let state = self.state.lock();
-        FleetSnapshot {
-            active: state.active,
-            trace_id: state.trace_id,
-            epoch_start_mono_ns: state.epoch_start_mono_ns,
-            workers: state.workers.clone(),
-        }
+    /// The tree's fleet section: `None` until [`FleetProgress::begin`].
+    pub(crate) fn section(&self) -> Option<Fleet> {
+        self.state.lock().clone()
     }
 }
 
-/// Point-in-time copy of [`FleetProgress`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FleetSnapshot {
-    /// True once a fleet session has begun.
-    pub active: bool,
-    /// Trace id propagated to every worker over the wire.
-    pub trace_id: u64,
-    /// Client-clock [`mono_ns`] reading at epoch start — the origin of
-    /// client-side relative span timestamps.
-    pub epoch_start_mono_ns: u64,
-    /// Per-worker entries, in first-contact order.
-    pub workers: Vec<FleetWorkerEntry>,
-}
-
-/// One process's epoch as the fleet document carries it: totals, step
-/// triples `(name, kind label, busy_ns)` and the span timeline.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FleetProcess {
-    /// Epoch wall time, nanoseconds.
-    pub elapsed_ns: u64,
-    /// Threads (connections, on the client) the spans are spread over.
-    pub threads: usize,
-    /// Samples delivered.
-    pub samples: u64,
-    /// Span events dropped past the budget.
-    pub dropped_spans: u64,
-    /// Step totals: `(name, kind label, busy_ns)`.
-    pub steps: Vec<(String, String, u64)>,
-    /// Span timeline, relative to the process's epoch start.
-    pub spans: Vec<SpanEvent>,
-}
-
-/// The stable `presto.fleet.v1` document: the client's epoch (with
-/// spans), the serve gauge set, and every worker's handshake + remote
-/// stats (with spans). Served at `/fleet.json`, written by
+/// The stable `presto.fleet.v1` document, a client tree's projection:
+/// the client's epoch (with spans), its serve gauges, and every
+/// worker's node (with spans). Served at `/fleet.json`, written by
 /// [`fleet_json`], read back with [`doc::read`] and consumed by
 /// [`merge_chrome_trace`].
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -229,12 +209,29 @@ pub struct FleetDocument {
     pub trace_id: u64,
     /// Client-clock [`mono_ns`] reading at epoch start.
     pub epoch_start_mono_ns: u64,
-    /// The client's epoch.
-    pub client: FleetProcess,
+    /// The client's epoch: the members [`process_fields`] lists.
+    pub client: TelemetrySnapshot,
     /// The serve gauge set (the members the document carries).
     pub serve: ServeSnapshot,
-    /// Per-worker entries, in first-contact order.
-    pub workers: Vec<FleetWorkerEntry>,
+    /// Per-worker nodes, in first-contact order.
+    pub workers: Vec<RemoteWorker>,
+}
+
+impl From<FleetDocument> for Snapshot {
+    /// The client tree the document was written from, to the depth
+    /// the document carries.
+    fn from(doc: FleetDocument) -> Snapshot {
+        Snapshot {
+            epoch: Some(doc.client),
+            serve: Some(doc.serve),
+            fleet: Some(Fleet {
+                trace_id: doc.trace_id,
+                epoch_start_mono_ns: doc.epoch_start_mono_ns,
+                workers: doc.workers,
+            }),
+            ..Snapshot::default()
+        }
+    }
 }
 
 /// A 64-bit id as a `"0x…"` string: a JSON number cannot carry 64 bits
@@ -266,45 +263,32 @@ impl Record for SpanEvent {
     }
 }
 
-impl Record for (String, String, u64) {
+/// A step as the fleet document carries it: its busy-time total.
+#[derive(Default)]
+struct StepTotal(StepSnapshot);
+
+impl Record for StepTotal {
     fn fields<V: Visitor>(&mut self, v: &mut V) {
-        v.req("name", &mut self.0);
-        v.req("kind", &mut self.1);
-        v.req("busy_ns", &mut self.2);
+        v.req("name", &mut self.0.name);
+        v.req("kind", &mut self.0.kind);
+        v.req("busy_ns", &mut self.0.busy_ns);
     }
 }
 
 /// The per-process members the client and every worker share; spans
 /// travel as compact `[worker, phase, start_ns, dur_ns]` rows.
-fn process_fields<V: Visitor>(
-    v: &mut V,
-    elapsed_ns: &mut u64,
-    threads: &mut usize,
-    samples: &mut u64,
-    dropped_spans: &mut u64,
-    steps: &mut Vec<(String, String, u64)>,
-    spans: &mut Vec<SpanEvent>,
-) {
-    v.req("elapsed_ns", elapsed_ns);
-    v.req("threads", threads);
-    v.req("samples", samples);
-    v.req("dropped_spans", dropped_spans);
-    v.records("steps", steps);
-    v.rows("spans", spans);
-}
-
-impl Record for FleetProcess {
-    fn fields<V: Visitor>(&mut self, v: &mut V) {
-        process_fields(
-            v,
-            &mut self.elapsed_ns,
-            &mut self.threads,
-            &mut self.samples,
-            &mut self.dropped_spans,
-            &mut self.steps,
-            &mut self.spans,
-        );
-    }
+fn process_fields<V: Visitor>(v: &mut V, epoch: &mut TelemetrySnapshot) {
+    v.req("elapsed_ns", &mut epoch.elapsed_ns);
+    v.req("threads", &mut epoch.threads);
+    v.req("samples", &mut epoch.samples);
+    v.req("dropped_spans", &mut epoch.dropped_spans);
+    let mut steps: Vec<StepTotal> = std::mem::take(&mut epoch.steps)
+        .into_iter()
+        .map(StepTotal)
+        .collect();
+    v.records("steps", &mut steps);
+    epoch.steps = steps.into_iter().map(|step| step.0).collect();
+    v.rows("spans", &mut epoch.spans);
 }
 
 /// The serve gauges as `presto.fleet.v1` carries them (`credit_wakes`,
@@ -326,7 +310,7 @@ impl Record for ServeSnapshot {
     }
 }
 
-impl Record for FleetWorkerEntry {
+impl Record for RemoteWorker {
     fn fields<V: Visitor>(&mut self, v: &mut V) {
         v.req("addr", &mut self.addr);
         v.req("conn", &mut self.conn);
@@ -334,19 +318,13 @@ impl Record for FleetWorkerEntry {
         v.req("clock_offset_ns", &mut self.clock_offset_ns);
         v.req("rtt_ns", &mut self.rtt_ns);
         v.req("assign_start_mono_ns", &mut self.assign_start_mono_ns);
-        v.req("batches", &mut self.batches);
-        v.req("produce_ns", &mut self.produce_ns);
-        v.req("credit_wait_ns", &mut self.credit_wait_ns);
-        // A serve worker produces on one thread.
-        process_fields(
-            v,
-            &mut self.elapsed_ns,
-            &mut 1,
-            &mut self.samples,
-            &mut self.dropped_spans,
-            &mut self.steps,
-            &mut self.spans,
-        );
+        v.req("batches", &mut self.serve.batches_sent);
+        v.req("produce_ns", &mut self.serve.produce_ns);
+        v.req("credit_wait_ns", &mut self.serve.credit_wait_ns);
+        // A serve worker produces on one thread: written as 1, not kept.
+        let threads = std::mem::replace(&mut self.epoch.threads, 1);
+        process_fields(v, &mut self.epoch);
+        self.epoch.threads = threads;
     }
 }
 
@@ -356,7 +334,7 @@ impl Record for FleetDocument {
         v.req("trace_id", &mut trace_id);
         self.trace_id = trace_id.0;
         v.req("epoch_start_mono_ns", &mut self.epoch_start_mono_ns);
-        v.record("client", &mut self.client);
+        v.object("client", false, |v| process_fields(v, &mut self.client));
         v.record("serve", &mut self.serve);
         v.records("workers", &mut self.workers);
     }
@@ -366,30 +344,16 @@ impl Document for FleetDocument {
     const SCHEMA: &'static str = FLEET_SCHEMA;
 }
 
-/// Render the fleet as its `presto.fleet.v1` document from the three
-/// snapshots a serve client holds.
-pub fn fleet_json(
-    client: &TelemetrySnapshot,
-    serve: &ServeSnapshot,
-    fleet: &FleetSnapshot,
-) -> String {
+/// Render a client tree as its `presto.fleet.v1` document; a section
+/// the tree lacks is written empty.
+pub fn fleet_json(tree: &Snapshot) -> String {
+    let fleet = tree.fleet.clone().unwrap_or_default();
     doc::write(FleetDocument {
         trace_id: fleet.trace_id,
         epoch_start_mono_ns: fleet.epoch_start_mono_ns,
-        client: FleetProcess {
-            elapsed_ns: client.elapsed_ns,
-            threads: client.threads,
-            samples: client.samples,
-            dropped_spans: client.dropped_spans,
-            steps: client
-                .steps
-                .iter()
-                .map(|s| (s.name.clone(), s.kind.label().to_string(), s.busy_ns))
-                .collect(),
-            spans: client.spans.clone(),
-        },
-        serve: *serve,
-        workers: fleet.workers.clone(),
+        client: tree.epoch.clone().unwrap_or_default(),
+        serve: tree.serve.unwrap_or_default(),
+        workers: fleet.workers,
     })
 }
 
@@ -444,45 +408,6 @@ impl Document for ChaosLog {
     const SCHEMA: &'static str = CHAOS_SCHEMA;
 }
 
-fn step_name(steps: &[(String, String, u64)], phase: u32) -> (String, String) {
-    steps
-        .get(phase as usize)
-        .map(|(name, kind, _)| (json_escape(name), json_escape(kind)))
-        .unwrap_or_else(|| (format!("phase-{phase}"), "step".to_string()))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn push_event(
-    out: &mut String,
-    name: &str,
-    cat: &str,
-    ts_ns: i128,
-    dur_ns: u64,
-    pid: u64,
-    tid: u64,
-    args: Option<&str>,
-) {
-    let _ = write!(
-        out,
-        ",\n{{\"name\": \"{name}\", \"cat\": \"{cat}\", \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": {pid}, \"tid\": {tid}",
-        ts_ns as f64 / 1e3,
-        dur_ns as f64 / 1e3
-    );
-    if let Some(args) = args {
-        let _ = write!(out, ", \"args\": {args}");
-    }
-    out.push('}');
-}
-
-fn push_meta(out: &mut String, kind: &str, pid: u64, tid: u64, name: &str, first: bool) {
-    let _ = write!(
-        out,
-        "{}{{\"name\": \"{kind}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"name\": \"{}\"}}}}",
-        if first { "" } else { ",\n" },
-        json_escape(name)
-    );
-}
-
 /// Merge a `presto.fleet.v1` document (and optionally a
 /// `presto.chaos.v1` event document) into one Chrome `trace_event`
 /// array covering the whole fleet:
@@ -499,115 +424,21 @@ fn push_meta(out: &mut String, kind: &str, pid: u64, tid: u64, name: &str, first
 ///   (the proxy's clock is never exchanged, so it gets its own
 ///   timeline rather than a fake correction).
 ///
-/// The output is a pure function of the input documents — merging the
-/// same bundle twice yields byte-identical output.
+/// The document is read back into the client tree it was written from
+/// and rendered by the one trace writer. The output is a pure function
+/// of the input documents — merging the same bundle twice yields
+/// byte-identical output.
 pub fn merge_chrome_trace(fleet_doc: &str, chaos_doc: Option<&str>) -> Result<String, String> {
     let fleet: FleetDocument = doc::read(fleet_doc)?;
-    let epoch_start = fleet.epoch_start_mono_ns as i128;
-
-    let mut out = String::with_capacity(4096);
-    out.push_str("[\n");
-    push_meta(&mut out, "process_name", 1, 0, "train-client", true);
-    for w in &fleet.workers {
-        let name = format!("conn-{} {}", w.conn, w.addr);
-        push_meta(&mut out, "thread_name", 1, w.conn.into(), &name, false);
-    }
-    for (pid, w) in (2..).zip(&fleet.workers) {
-        let name = format!("serve-worker {}", w.addr);
-        push_meta(&mut out, "process_name", pid, 0, &name, false);
-    }
-
-    // Client spans: already relative to the client epoch start.
-    for span in &fleet.client.spans {
-        let (name, cat) = step_name(&fleet.client.steps, span.phase);
-        push_event(
-            &mut out,
-            &name,
-            &cat,
-            span.start_ns as i128,
-            span.dur_ns,
-            1,
-            span.worker.into(),
-            None,
-        );
-    }
-
-    // Worker spans: correct onto the client clock, then clamp into the
-    // client-side envelope of that connection (clock-offset estimation
-    // error must not break visual nesting; the raw value is kept).
-    for (pid, w) in (2..).zip(&fleet.workers) {
-        let mine = || fleet.client.spans.iter().filter(|s| s.worker == w.conn);
-        let envelope = mine().map(|s| s.start_ns).min().map(|lo| {
-            let hi = mine().map(|s| s.start_ns + s.dur_ns).max().unwrap_or(lo);
-            (lo as i128, hi as i128)
-        });
-        let base = w.assign_start_mono_ns as i128 - w.clock_offset_ns as i128 - epoch_start;
-        for span in &w.spans {
-            let (name, cat) = step_name(&w.steps, span.phase);
-            let raw_start = base + span.start_ns as i128;
-            let raw_end = raw_start + span.dur_ns as i128;
-            let (start, end) = match envelope {
-                Some((lo, hi)) => {
-                    let s = raw_start.clamp(lo, hi);
-                    (s, raw_end.clamp(s, hi))
-                }
-                None => (raw_start.max(0), raw_end.max(0)),
-            };
-            let args = if start != raw_start || end != raw_end {
-                Some(format!("{{\"raw_ts_ns\": {raw_start}}}"))
-            } else {
-                None
-            };
-            push_event(
-                &mut out,
-                &name,
-                &cat,
-                start,
-                (end - start).max(0) as u64,
-                pid,
-                span.worker.into(),
-                args.as_deref(),
-            );
-        }
-    }
-
-    // Chaos events: separate clock domain, normalized to first event.
-    if let Some(chaos) = chaos_doc {
-        let chaos: ChaosLog = doc::read(chaos)?;
-        push_meta(&mut out, "process_name", 99, 0, "chaos-proxy", false);
-        let t0 = chaos.events.iter().map(|e| e.t_ns).min().unwrap_or(0);
-        for event in &chaos.events {
-            let dir = if event.dir.is_empty() {
-                "?"
-            } else {
-                &event.dir
-            };
-            push_event(
-                &mut out,
-                &json_escape(&event.kind),
-                "chaos",
-                event.t_ns as i128 - t0 as i128,
-                event.dur_ns,
-                99,
-                event.conn,
-                Some(&format!(
-                    "{{\"dir\": \"{}\", \"window\": {}}}",
-                    json_escape(dir),
-                    event.window
-                )),
-            );
-        }
-    }
-
-    out.push_str("\n]\n");
-    Ok(out)
+    let chaos: Option<ChaosLog> = chaos_doc.map(doc::read).transpose()?;
+    Ok(crate::export::trace_events(&fleet.into(), chaos.as_ref()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::export::{parse_json, validate_chrome_trace};
-    use crate::{Telemetry, PHASE_READ};
+    use crate::{PhaseKind, Telemetry, PHASE_READ};
 
     fn parse_fleet_json(input: &str) -> Result<FleetDocument, String> {
         doc::read(input)
@@ -623,38 +454,63 @@ mod tests {
         rec.snapshot()
     }
 
-    fn worker_entry(addr: &str, conn: u32, offset: i64) -> FleetWorkerEntry {
-        FleetWorkerEntry {
+    /// The client tree: `client`'s epoch and the registry's fleet.
+    fn tree_of(client: TelemetrySnapshot, progress: &FleetProgress) -> Snapshot {
+        Snapshot {
+            fleet: progress.section(),
+            ..Snapshot::from(client)
+        }
+    }
+
+    fn fleet_doc(progress: &FleetProgress) -> String {
+        fleet_json(&tree_of(client_snapshot(), progress))
+    }
+
+    fn step(name: &str, kind: PhaseKind, busy_ns: u64) -> StepSnapshot {
+        StepSnapshot {
+            name: name.into(),
+            kind,
+            busy_ns,
+            ..StepSnapshot::default()
+        }
+    }
+
+    fn span(phase: u32, start_ns: u64, dur_ns: u64) -> SpanEvent {
+        SpanEvent {
+            worker: 0,
+            phase,
+            start_ns,
+            dur_ns,
+        }
+    }
+
+    fn worker_entry(addr: &str, conn: u32, offset: i64) -> RemoteWorker {
+        RemoteWorker {
             addr: addr.to_string(),
             conn,
             peer_version: 2,
             clock_offset_ns: offset,
             rtt_ns: 5_000,
             assign_start_mono_ns: 1_000_000,
-            elapsed_ns: 900_000,
-            samples: 8,
-            batches: 2,
-            produce_ns: 700_000,
-            credit_wait_ns: 50_000,
-            dropped_spans: 0,
-            steps: vec![
-                ("read".into(), "io".into(), 100),
-                ("decompress".into(), "cpu".into(), 200),
-            ],
-            spans: vec![
-                SpanEvent {
-                    worker: 0,
-                    phase: 0,
-                    start_ns: 10_000,
-                    dur_ns: 40_000,
-                },
-                SpanEvent {
-                    worker: 0,
-                    phase: 1,
-                    start_ns: 60_000,
-                    dur_ns: 0, // zero-duration span must survive the merge
-                },
-            ],
+            epoch: TelemetrySnapshot {
+                elapsed_ns: 900_000,
+                samples: 8,
+                steps: vec![
+                    step("read", PhaseKind::Io, 100),
+                    step("decompress", PhaseKind::Cpu, 200),
+                ],
+                spans: vec![
+                    span(0, 10_000, 40_000),
+                    span(1, 60_000, 0), // zero-duration span must survive the merge
+                ],
+                ..TelemetrySnapshot::default()
+            },
+            serve: ServeSnapshot {
+                batches_sent: 2,
+                produce_ns: 700_000,
+                credit_wait_ns: 50_000,
+                ..ServeSnapshot::default()
+            },
         }
     }
 
@@ -665,20 +521,67 @@ mod tests {
         progress.record_handshake("127.0.0.1:9000", 0, 2, -1234, 5_000);
         progress.record_stats(worker_entry("127.0.0.1:9000", 0, -1234));
         progress.record_handshake("127.0.0.1:9001", 1, 2, 777, 9_000);
-        let fleet = progress.snapshot();
-        assert!(fleet.active);
+        let fleet = progress.section().expect("begun");
         assert_eq!(fleet.trace_id, 0xDEAD_BEEF);
         assert_eq!(fleet.workers.len(), 2);
         // Stats merge keeps the handshake's offset.
         assert_eq!(fleet.workers[0].clock_offset_ns, -1234);
-        assert_eq!(fleet.workers[0].samples, 8);
+        assert_eq!(fleet.workers[0].epoch.samples, 8);
 
-        let doc = fleet_json(&client_snapshot(), &ServeSnapshot::default(), &fleet);
+        let doc = fleet_doc(&progress);
         let parsed = parse_fleet_json(&doc).expect("fleet doc round-trips");
         assert_eq!(parsed.trace_id, fleet.trace_id);
         assert_eq!(parsed.workers.len(), 2);
-        assert_eq!(parsed.workers[0].spans.len(), 2);
+        assert_eq!(parsed.workers[0].epoch.spans.len(), 2);
         assert_eq!(parsed.workers[1].rtt_ns, 9_000);
+    }
+
+    #[test]
+    fn a_workers_assignments_accumulate_into_one_node() {
+        let progress = FleetProgress::default();
+        progress.begin(5);
+        progress.record_handshake("a:1", 3, 2, -70, 900);
+        progress.record_stats(worker_entry("a:1", 0, 0));
+        // A requeued shard pulled as a second ASSIGN, 2 ms later on the
+        // worker's clock, with a step the first did not run.
+        let mut second = worker_entry("a:1", 0, 0);
+        second.assign_start_mono_ns = 3_000_000;
+        second.epoch.steps.push(step("resize", PhaseKind::Step, 5));
+        second.epoch.dropped_spans = 4;
+        progress.record_stats(second);
+        let node = &progress.section().expect("begun").workers[0];
+        assert_eq!(
+            (node.conn, node.clock_offset_ns, node.rtt_ns),
+            (3, -70, 900),
+            "the handshake labels stay"
+        );
+        assert_eq!(node.assign_start_mono_ns, 1_000_000);
+        assert_eq!(node.epoch.elapsed_ns, 1_800_000);
+        assert_eq!(node.epoch.samples, 16);
+        assert_eq!(node.epoch.dropped_spans, 4);
+        assert_eq!(
+            (node.serve.batches_sent, node.serve.produce_ns),
+            (4, 1_400_000)
+        );
+        assert_eq!(node.serve.credit_wait_ns, 100_000);
+        assert_eq!(
+            node.epoch.steps,
+            vec![
+                step("read", PhaseKind::Io, 200),
+                step("decompress", PhaseKind::Cpu, 400),
+                step("resize", PhaseKind::Step, 5),
+            ]
+        );
+        assert_eq!(
+            node.epoch.spans,
+            vec![
+                span(0, 10_000, 40_000),
+                span(1, 60_000, 0),
+                span(0, 2_010_000, 40_000),
+                span(1, 2_060_000, 0),
+            ],
+            "the second assignment's spans are rebased onto the first's origin"
+        );
     }
 
     #[test]
@@ -691,13 +594,9 @@ mod tests {
         progress.begin(11);
         progress.record_handshake("quiet:1", 0, 2, 0, 1_000);
         let mut entry = worker_entry("quiet:1", 0, 0);
-        entry.spans.clear();
+        entry.epoch.spans.clear();
         progress.record_stats(entry);
-        let doc = fleet_json(
-            &client_snapshot(),
-            &ServeSnapshot::default(),
-            &progress.snapshot(),
-        );
+        let doc = fleet_doc(&progress);
         let merged = merge_chrome_trace(&doc, None).expect("merge with spanless worker");
         let complete = validate_chrome_trace(&merged).expect("trace validates");
         assert_eq!(complete, 2, "only the client's two spans remain");
@@ -717,11 +616,7 @@ mod tests {
         assert!(parse_fleet_json("{\"schema\": \"presto.fleet.v2\"}").is_err());
         let progress = FleetProgress::default();
         progress.begin(1);
-        let good = fleet_json(
-            &client_snapshot(),
-            &ServeSnapshot::default(),
-            &progress.snapshot(),
-        );
+        let good = fleet_doc(&progress);
         assert!(parse_fleet_json(&good).is_ok());
         let bad = good.replace("\"serve\"", "\"swerve\"");
         assert!(parse_fleet_json(&bad).is_err());
@@ -735,11 +630,7 @@ mod tests {
         progress.record_stats(worker_entry("a:1", 0, 0));
         progress.record_handshake("b:2", 1, 2, 250_000, 1_000);
         progress.record_stats(worker_entry("b:2", 1, 250_000));
-        let doc = fleet_json(
-            &client_snapshot(),
-            &ServeSnapshot::default(),
-            &progress.snapshot(),
-        );
+        let doc = fleet_doc(&progress);
         let chaos = format!(
             "{{\"schema\": \"{CHAOS_SCHEMA}\", \"seed\": 1, \"dropped\": 0, \"events\": [
               {{\"t_ns\": 5000, \"conn\": 1, \"dir\": \"down\", \"kind\": \"throttle\", \"window\": 3, \"dur_ns\": 100}},
@@ -782,9 +673,9 @@ mod tests {
         // outside the client window.
         progress.record_handshake("a:1", 0, 2, -5_000_000_000, 1_000);
         progress.record_stats(worker_entry("a:1", 0, -5_000_000_000));
-        let mut fleet = progress.snapshot();
-        fleet.epoch_start_mono_ns = 0;
-        let doc = fleet_json(&client, &ServeSnapshot::default(), &fleet);
+        let mut tree = tree_of(client, &progress);
+        tree.fleet.as_mut().unwrap().epoch_start_mono_ns = 0;
+        let doc = fleet_json(&tree);
         let merged = merge_chrome_trace(&doc, None).expect("merge succeeds");
         let parsed = parse_json(&merged).expect("parses");
         let events = parsed.as_array().unwrap();
@@ -815,17 +706,13 @@ mod tests {
     #[test]
     fn dropped_spans_survive_the_fleet_document() {
         let mut entry = worker_entry("a:1", 0, 0);
-        entry.dropped_spans = 17;
+        entry.epoch.dropped_spans = 17;
         let progress = FleetProgress::default();
         progress.begin(3);
         progress.record_stats(entry);
-        let doc = fleet_json(
-            &client_snapshot(),
-            &ServeSnapshot::default(),
-            &progress.snapshot(),
-        );
+        let doc = fleet_doc(&progress);
         let parsed = parse_fleet_json(&doc).expect("round-trips");
-        assert_eq!(parsed.workers[0].dropped_spans, 17);
+        assert_eq!(parsed.workers[0].epoch.dropped_spans, 17);
         // And the merge still succeeds on a lossy timeline.
         assert!(merge_chrome_trace(&doc, None).is_ok());
     }

@@ -3,19 +3,21 @@
 //! and `curl`, matching this repo's build-the-substrate rule (no
 //! hyper/axum in the workspace).
 //!
-//! Routes:
-//! - `GET /metrics` — Prometheus text exposition of the current (live,
-//!   mid-epoch) snapshot via [`crate::export::prometheus`];
-//! - `GET /timeseries.json` — the sampler ring as
-//!   `presto.timeseries.v1` JSON ([`TimeSeriesDocument`]);
+//! Every route but `/timeseries.json` and `/healthz` is a projection
+//! of the process tree ([`crate::Snapshot`]):
+//! - `GET /metrics` — Prometheus text exposition of the live
+//!   (mid-epoch) tree via [`crate::export::prometheus`], from a
+//!   [`Telemetry::light_snapshot`]: relaxed atomic loads on the
+//!   handler's own core, no worker's span mutex;
 //! - `GET /fleet.json` — the fleet trace bundle as `presto.fleet.v1`
 //!   JSON via [`crate::fleet::fleet_json`] (404 until a traced serve
-//!   epoch has begun);
+//!   epoch has begun). It takes a full [`Telemetry::snapshot`], which
+//!   locks every worker's span mutex to clone its timeline;
+//! - `GET /tenants.json` — the `fleetd` tenant registry as
+//!   `presto.tenants.v1` JSON (404 until a daemon has begun);
+//! - `GET /timeseries.json` — the sampler ring as
+//!   `presto.timeseries.v1` JSON ([`TimeSeriesDocument`]);
 //! - `GET /healthz` — `ok` once the server is accepting.
-//!
-//! The handler thread takes [`crate::EpochRecorder::light_snapshot`]s,
-//! so a scrape costs the engine nothing but relaxed atomic loads on
-//! the handler's own core.
 
 use crate::timeseries::{TimeSeries, TimeSeriesDocument};
 use crate::{doc, export, Telemetry};
@@ -134,70 +136,32 @@ fn handle_connection(stream: TcpStream, telemetry: &Arc<Telemetry>, series: &Arc
     let path = path.split('?').next().unwrap_or(path);
     let result = match path {
         "/healthz" => respond(&mut stream, 200, "text/plain; charset=utf-8", "ok\n"),
-        "/metrics" => {
-            let mut body = match telemetry.current_recorder() {
-                Some(rec) => export::prometheus(&rec.light_snapshot()),
-                None => String::from("# no epoch recorded yet\n"),
-            };
-            let search = telemetry.search().snapshot();
-            if search.total > 0 {
-                body.push_str(&export::prometheus_search(&search));
-            }
-            let serve = telemetry.serve().snapshot();
-            if serve.workers > 0 {
-                body.push_str(&export::prometheus_serve(&serve));
-            }
-            let fleet = telemetry.fleet().snapshot();
-            if fleet.active {
-                body.push_str(&export::prometheus_fleet(&fleet));
-            }
-            let tenants = telemetry.tenants().snapshot();
-            if tenants.active {
-                body.push_str(&crate::tenants::prometheus_tenants(&tenants));
-            }
-            respond(
-                &mut stream,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            )
-        }
+        "/metrics" => respond(
+            &mut stream,
+            200,
+            "text/plain; version=0.0.4; charset=utf-8",
+            &export::prometheus(&telemetry.light_snapshot()),
+        ),
         "/fleet.json" => {
-            let fleet = telemetry.fleet().snapshot();
-            // Spans live in the full snapshot; mid-epoch the current
-            // recorder serves, afterwards the last finished epoch.
-            let client = telemetry
-                .current_recorder()
-                .map(|rec| rec.snapshot())
-                .or_else(|| telemetry.last_epoch());
-            match (fleet.active, client) {
-                (true, Some(client)) => {
-                    let body =
-                        crate::fleet::fleet_json(&client, &telemetry.serve().snapshot(), &fleet);
-                    respond(&mut stream, 200, "application/json; charset=utf-8", &body)
-                }
-                _ => respond(
-                    &mut stream,
-                    404,
-                    "text/plain; charset=utf-8",
-                    "no fleet trace recorded\n",
-                ),
-            }
-        }
-        "/tenants.json" => {
-            let tenants = telemetry.tenants().snapshot();
-            if tenants.active {
-                let body = doc::write(tenants);
+            let tree = telemetry.snapshot();
+            if tree.fleet.is_some() && tree.epoch.is_some() {
+                let body = crate::fleet::fleet_json(&tree);
                 respond(&mut stream, 200, "application/json; charset=utf-8", &body)
             } else {
-                respond(
-                    &mut stream,
-                    404,
-                    "text/plain; charset=utf-8",
-                    "no tenant registry active\n",
-                )
+                let body = "no fleet trace recorded\n";
+                respond(&mut stream, 404, "text/plain; charset=utf-8", body)
             }
         }
+        "/tenants.json" => match telemetry.light_snapshot().tenants {
+            Some(tenants) => {
+                let body = doc::write(tenants);
+                respond(&mut stream, 200, "application/json; charset=utf-8", &body)
+            }
+            None => {
+                let body = "no tenant registry active\n";
+                respond(&mut stream, 404, "text/plain; charset=utf-8", body)
+            }
+        },
         "/timeseries.json" => {
             let body = doc::write(TimeSeriesDocument {
                 evicted: series.evicted(),

@@ -6,7 +6,7 @@
 //! to the paper's title question — *where is my training bottleneck?* —
 //! measured on an actual run instead of read off a simulation.
 //!
-//! The design splits into three layers:
+//! The design splits into four layers:
 //!
 //! - a **metrics registry** ([`EpochRecorder`]): atomic counters and
 //!   gauges plus log-bucketed latency [`Histogram`]s (p50/p95/p99)
@@ -14,7 +14,8 @@
 //!   depth, bytes read/decoded, cache hits/misses and fault counts.
 //!   The hot-path cost is one `Instant::now()` pair and a handful of
 //!   relaxed atomic adds per sample; a disabled recorder reduces every
-//!   call to a single branch (see `benches/telemetry_overhead.rs`),
+//!   call to a single branch (see
+//!   `crates/bench/benches/telemetry_overhead.rs`),
 //! - a **span recorder**: a bounded per-worker timeline of
 //!   worker × step activity ([`SpanEvent`]), exportable as Chrome
 //!   `trace_event` JSON for `chrome://tracing` / Perfetto,
@@ -24,6 +25,12 @@
 //!   the registry into a ring buffer of mid-epoch observations, an
 //!   embedded dependency-free [`http`] server exposing `/metrics`,
 //!   `/timeseries.json` and `/healthz`.
+//!
+//! Everything a process knows is read as one tree, [`Snapshot`]
+//! ([`Telemetry::snapshot`]): its own epoch plus the search, serve,
+//! tenant and fleet sections that have begun, each remote worker a
+//! labelled node holding its own epoch. `/metrics`, `/fleet.json`, the
+//! Chrome trace and both run diagnoses are projections of that tree.
 //!
 //! A run is recorded by keeping its `presto.telemetry.v1` document
 //! ([`export::json`]); performance is judged by `presto-benchmark`'s
@@ -40,7 +47,7 @@ pub mod http;
 pub mod tenants;
 pub mod timeseries;
 
-pub use fleet::{FleetProgress, FleetSnapshot, FleetWorkerEntry};
+pub use fleet::{Fleet, FleetProgress, RemoteWorker};
 pub use tenants::{TenantEntry, TenantsProgress, TenantsSnapshot};
 
 use parking_lot::Mutex;
@@ -698,45 +705,33 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
+    fn build(enabled: bool, span_capacity: usize) -> Arc<Self> {
+        Arc::new(Telemetry {
+            enabled,
+            span_capacity,
+            last: Mutex::new(None),
+            search: Arc::default(),
+            serve: Arc::default(),
+            fleet: Arc::default(),
+            tenants: Arc::default(),
+        })
+    }
+
     /// An enabled telemetry handle with the default span budget.
     pub fn new() -> Arc<Self> {
-        Arc::new(Telemetry {
-            enabled: true,
-            span_capacity: DEFAULT_SPAN_CAPACITY,
-            last: Mutex::new(None),
-            search: Arc::new(SearchProgress::default()),
-            serve: Arc::new(ServeProgress::default()),
-            fleet: Arc::new(FleetProgress::default()),
-            tenants: Arc::new(TenantsProgress::default()),
-        })
+        Self::build(true, DEFAULT_SPAN_CAPACITY)
     }
 
     /// A no-op handle: every recorder it hands out is disabled. Used
     /// by the instrumentation-overhead benchmark as the control arm.
     pub fn disabled() -> Arc<Self> {
-        Arc::new(Telemetry {
-            enabled: false,
-            span_capacity: 0,
-            last: Mutex::new(None),
-            search: Arc::new(SearchProgress::default()),
-            serve: Arc::new(ServeProgress::default()),
-            fleet: Arc::new(FleetProgress::default()),
-            tenants: Arc::new(TenantsProgress::default()),
-        })
+        Self::build(false, 0)
     }
 
     /// An enabled handle with a custom span-event budget per epoch
     /// (0 disables the timeline but keeps the metrics).
     pub fn with_span_capacity(span_capacity: usize) -> Arc<Self> {
-        Arc::new(Telemetry {
-            enabled: true,
-            span_capacity,
-            last: Mutex::new(None),
-            search: Arc::new(SearchProgress::default()),
-            serve: Arc::new(ServeProgress::default()),
-            fleet: Arc::new(FleetProgress::default()),
-            tenants: Arc::new(TenantsProgress::default()),
-        })
+        Self::build(true, span_capacity)
     }
 
     /// True when recorders from this handle record.
@@ -782,31 +777,89 @@ impl Telemetry {
     }
 
     /// The strategy-search progress gauge set attached to this handle.
-    /// A search engine writes to it; `/metrics` and `presto watch
-    /// --search` read it.
+    /// A search engine writes to it; `presto watch --search` and the
+    /// tree's search section read it.
     pub fn search(&self) -> Arc<SearchProgress> {
         Arc::clone(&self.search)
     }
 
     /// The serve-session progress gauge set attached to this handle.
-    /// A `presto-serve` worker writes to it; `/metrics` reads it.
+    /// A serve worker or client writes to it; the tree's serve section
+    /// reads it.
     pub fn serve(&self) -> Arc<ServeProgress> {
         Arc::clone(&self.serve)
     }
 
     /// The fleet registry attached to this handle: per-worker clock
     /// offsets, remote stats and remote span timelines collected by a
-    /// serve client. `/fleet.json` and `presto trace` read it.
+    /// serve client. The tree's fleet section reads it.
     pub fn fleet(&self) -> Arc<FleetProgress> {
         Arc::clone(&self.fleet)
     }
 
     /// The multi-tenant registry attached to this handle: admission
     /// decisions, per-tenant delivery counters and the fair-share
-    /// window (see [`tenants`]). `fleetd` writes to it; `/tenants.json`
-    /// and the labeled `/metrics` series read it.
+    /// window (see [`tenants`]). `fleetd` writes to it; the tree's
+    /// tenants section reads it.
     pub fn tenants(&self) -> Arc<TenantsProgress> {
         Arc::clone(&self.tenants)
+    }
+
+    /// The whole process as one tree: the current (or last) epoch with
+    /// its span timeline, and every section that has begun, remote
+    /// workers with theirs. Locks every worker's span mutex to clone
+    /// its spans; a scrape takes [`Telemetry::light_snapshot`].
+    pub fn snapshot(&self) -> Snapshot {
+        self.tree(true)
+    }
+
+    /// [`Telemetry::snapshot`] without the epoch's span timeline, so it
+    /// never touches a worker's span mutex: what `/metrics` reads
+    /// mid-epoch. (The fleet section is copied whole, under the fleet
+    /// registry's one mutex.)
+    pub fn light_snapshot(&self) -> Snapshot {
+        self.tree(false)
+    }
+
+    fn tree(&self, spans: bool) -> Snapshot {
+        let search = self.search.snapshot();
+        let serve = self.serve.snapshot();
+        Snapshot {
+            epoch: self.current_recorder().map(|r| r.snapshot_inner(spans)),
+            search: (search.total > 0).then_some(search),
+            serve: (serve.workers > 0).then_some(serve),
+            tenants: self.tenants.section(),
+            fleet: self.fleet.section(),
+        }
+    }
+}
+
+/// One process's telemetry as one tree, the value every reader takes:
+/// the process's own epoch, and one section per subsystem that has
+/// begun (a search with a grid, a serve session with peers, a `fleetd`
+/// registry, a traced serve epoch's fleet). Absent sections are
+/// `None`; a local run is a tree with no fleet.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Snapshot {
+    /// The current (or last) epoch; `None` before the first begins.
+    pub epoch: Option<TelemetrySnapshot>,
+    /// Strategy-search gauges, once a search has grid points.
+    pub search: Option<SearchSnapshot>,
+    /// Serve-session gauges, once a session has peers.
+    pub serve: Option<ServeSnapshot>,
+    /// The `fleetd` tenant registry, once a daemon has begun.
+    pub tenants: Option<TenantsSnapshot>,
+    /// The remote workers of a traced serve epoch, once it has begun.
+    pub fleet: Option<Fleet>,
+}
+
+impl From<TelemetrySnapshot> for Snapshot {
+    /// A tree holding only `epoch`.
+    fn from(epoch: TelemetrySnapshot) -> Snapshot {
+        Snapshot {
+            epoch: Some(epoch),
+            ..Snapshot::default()
+        }
     }
 }
 

@@ -12,16 +12,16 @@
 //!   and freezes the window at the first finish — the frozen
 //!   `window_samples` cover exactly the all-tenants-active interval,
 //!   which is what the CI gate compares against the weights.
-//! - [`TenantsSnapshot`] is itself the stable `presto.tenants.v1`
+//! - [`TenantsSnapshot`] is the tenants section of a process tree
+//!   ([`crate::Snapshot`]) and itself the stable `presto.tenants.v1`
 //!   document served at `/tenants.json`: written and read through
-//!   [`crate::doc`] from its one field list.
-//! - [`prometheus_tenants`]: per-tenant labeled `/metrics` series
-//!   (`presto_serve_batches_total{tenant="…"}` …) plus the
-//!   back-compatible unlabeled sums the single-tenant dashboards
-//!   already scrape.
+//!   [`crate::doc`] from its one field list. `/metrics` projects it as
+//!   per-tenant labeled series (`presto_serve_batches_total{tenant="…"}`
+//!   …) plus the back-compatible unlabeled sums the single-tenant
+//!   dashboards already scrape.
 
 use crate::doc::{Document, Record, Scalar, Visitor};
-use crate::export::{json_escape, Exposition, JsonValue};
+use crate::export::JsonValue;
 use crate::fleet::mono_ns;
 use parking_lot::Mutex;
 use std::fmt::Write as _;
@@ -97,8 +97,6 @@ impl TenantEntry {
 /// Point-in-time copy of the registry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantsSnapshot {
-    /// True once [`TenantsProgress::begin`] ran (a daemon is up).
-    pub active: bool,
     /// Admission policy: max concurrently admitted jobs.
     pub max_jobs: u64,
     /// Admission policy: per-tenant shard quota.
@@ -160,7 +158,6 @@ struct TenantSlot {
 
 #[derive(Debug, Default)]
 struct TenantsState {
-    active: bool,
     max_jobs: u64,
     shard_quota: u64,
     rejected: u64,
@@ -216,92 +213,101 @@ impl TenantsState {
 }
 
 /// Live multi-tenant registry attached to a
-/// [`Telemetry`](crate::Telemetry) handle. The `fleetd` scheduler
-/// writes to it (admission decisions, delivery counters, requeues);
-/// `/tenants.json`, the labeled `/metrics` series and `presto
-/// tenants` read it. Updates are per-batch at the most — a mutex is
-/// fine, nothing per-sample touches this.
+/// [`Telemetry`](crate::Telemetry) handle, `None` until a daemon
+/// begins. The `fleetd` scheduler writes to it (admission decisions,
+/// delivery counters, requeues); the tree's tenants section and
+/// `presto tenants` read it. Updates are per-batch at the most — a
+/// mutex is fine, nothing per-sample touches this.
 #[derive(Debug, Default)]
 pub struct TenantsProgress {
-    state: Mutex<TenantsState>,
+    state: Mutex<Option<TenantsState>>,
 }
 
 impl TenantsProgress {
     /// Start (or restart) a daemon session with its admission policy.
     pub fn begin(&self, max_jobs: u64, shard_quota: u64) {
-        let mut state = self.state.lock();
-        *state = TenantsState {
-            active: true,
+        *self.state.lock() = Some(TenantsState {
             max_jobs,
             shard_quota,
             ..TenantsState::default()
-        };
+        });
+    }
+
+    /// Apply `f` to the registry, if a daemon session has begun.
+    fn update(&self, f: impl FnOnce(&mut TenantsState)) {
+        if let Some(state) = self.state.lock().as_mut() {
+            f(state);
+        }
+    }
+
+    /// Apply `f` to `name`'s slot, if it is registered.
+    fn update_slot(&self, name: &str, f: impl FnOnce(&mut TenantSlot)) {
+        self.update(|state| {
+            if let Some(slot) = state.slot_mut(name) {
+                f(slot);
+            }
+        });
     }
 
     /// A registration passed admission. Re-registering a finished
     /// tenant re-enters it as serving (a second epoch); counters are
     /// cumulative across its epochs.
     pub fn admitted(&self, name: &str, weight: u32, shards: u64) {
-        let mut state = self.state.lock();
-        match state.slot_mut(name) {
-            Some(slot) => {
-                slot.entry.weight = weight.max(1);
-                slot.entry.shards_total += shards;
-                slot.entry.state = TenantState::Serving;
+        self.update(|state| {
+            match state.slot_mut(name) {
+                Some(slot) => {
+                    slot.entry.weight = weight.max(1);
+                    slot.entry.shards_total += shards;
+                    slot.entry.state = TenantState::Serving;
+                }
+                None => {
+                    state.tenants.push(TenantSlot {
+                        entry: TenantEntry::new(name, weight, shards),
+                        window_base: None,
+                        admitted_mono_ns: mono_ns(),
+                        finished_mono_ns: 0,
+                    });
+                }
             }
-            None => {
-                state.tenants.push(TenantSlot {
-                    entry: TenantEntry::new(name, weight, shards),
-                    window_base: None,
-                    admitted_mono_ns: mono_ns(),
-                    finished_mono_ns: 0,
-                });
+            if state.serving() >= 2 {
+                state.rebaseline();
             }
-        }
-        if state.serving() >= 2 {
-            state.rebaseline();
-        }
+        });
     }
 
     /// A registration was refused.
     pub fn rejected(&self) {
-        self.state.lock().rejected += 1;
+        self.update(|state| state.rejected += 1);
     }
 
     /// Samples/batches/bytes relayed to a tenant's client.
     pub fn delivered(&self, name: &str, samples: u64, batches: u64, bytes: u64) {
-        let mut state = self.state.lock();
-        if let Some(slot) = state.slot_mut(name) {
+        self.update_slot(name, |slot| {
             slot.entry.samples += samples;
             slot.entry.batches += batches;
             slot.entry.bytes += bytes;
-        }
+        });
     }
 
     /// One of the tenant's shards reached EOF at its client.
     pub fn shard_done(&self, name: &str) {
-        let mut state = self.state.lock();
-        if let Some(slot) = state.slot_mut(name) {
-            slot.entry.shards_done += 1;
-        }
+        self.update_slot(name, |slot| slot.entry.shards_done += 1);
     }
 
     /// A backend died mid-shard; the shard went back on this tenant's
     /// queue, consuming this tenant's fault budget only.
     pub fn requeued(&self, name: &str, shards: u64) {
-        let mut state = self.state.lock();
-        if let Some(slot) = state.slot_mut(name) {
-            slot.entry.requeues += shards;
-        }
+        self.update_slot(name, |slot| slot.entry.requeues += shards);
     }
 
     fn leave(&self, name: &str, state_after: TenantState) {
-        let mut state = self.state.lock();
-        state.freeze();
-        if let Some(slot) = state.slot_mut(name) {
-            slot.entry.state = state_after;
-            slot.finished_mono_ns = mono_ns();
-        }
+        self.update(|state| {
+            state.freeze();
+            if let Some(slot) = state.slot_mut(name) {
+                slot.entry.state = state_after;
+                slot.finished_mono_ns = mono_ns();
+            }
+        });
     }
 
     /// The tenant's epoch completed. Freezes the fair-share window if
@@ -316,13 +322,19 @@ impl TenantsProgress {
         self.leave(name, TenantState::Failed);
     }
 
-    /// Point-in-time copy. Window samples of open-window participants
-    /// are reported live (current minus baseline).
+    /// Point-in-time copy (empty before [`TenantsProgress::begin`]).
+    /// Window samples of open-window participants are reported live
+    /// (current minus baseline).
     pub fn snapshot(&self) -> TenantsSnapshot {
+        self.section().unwrap_or_default()
+    }
+
+    /// The tree's tenants section: `None` until a daemon has begun.
+    pub(crate) fn section(&self) -> Option<TenantsSnapshot> {
         let state = self.state.lock();
+        let state = state.as_ref()?;
         let now = mono_ns();
-        TenantsSnapshot {
-            active: state.active,
+        Some(TenantsSnapshot {
             max_jobs: state.max_jobs,
             shard_quota: state.shard_quota,
             rejected: state.rejected,
@@ -348,7 +360,7 @@ impl TenantsProgress {
                     entry
                 })
                 .collect(),
-        }
+        })
     }
 }
 
@@ -397,8 +409,7 @@ impl Record for TenantRow {
 
 /// The stable `presto.tenants.v1` document served at `/tenants.json`:
 /// admission policy, fair-share window state, and one entry per tenant
-/// with its delivery counters and both share readings. `active` is
-/// not on the wire and reads back `false`.
+/// with its delivery counters and both share readings.
 impl Record for TenantsSnapshot {
     fn fields<V: Visitor>(&mut self, v: &mut V) {
         v.req("max_jobs", &mut self.max_jobs);
@@ -424,81 +435,6 @@ impl Record for TenantsSnapshot {
 
 impl Document for TenantsSnapshot {
     const SCHEMA: &'static str = TENANTS_SCHEMA;
-}
-
-/// Per-tenant labeled Prometheus series plus unlabeled sums.
-///
-/// The serve-layer counter families (`presto_serve_batches_total`,
-/// `presto_serve_samples_total`, `presto_serve_bytes_total`) are
-/// emitted once per tenant with a `tenant="…"` label *and* once
-/// unlabeled carrying the sum — existing single-tenant dashboards
-/// keep scraping the same name, multi-tenant ones select the label.
-pub fn prometheus_tenants(snapshot: &TenantsSnapshot) -> String {
-    let mut x = Exposition(String::with_capacity(1024));
-    x.metric(
-        "presto_tenants_max_jobs",
-        "Admission policy: max concurrently admitted jobs.",
-        "gauge",
-        snapshot.max_jobs,
-    );
-    x.metric(
-        "presto_tenants_shard_quota",
-        "Admission policy: per-tenant shard quota.",
-        "gauge",
-        snapshot.shard_quota,
-    );
-    x.metric(
-        "presto_tenants_rejected_total",
-        "Registrations refused by the admission controller.",
-        "gauge",
-        snapshot.rejected,
-    );
-    type Reading = fn(&TenantEntry) -> u64;
-    let families: [(&str, &str, Reading); 6] = [
-        (
-            "presto_tenant_weight",
-            "Deficit-round-robin weight from REGISTER.",
-            |t| t.weight.into(),
-        ),
-        (
-            "presto_tenant_requeues_total",
-            "Shards requeued after backend failures, charged per tenant.",
-            |t| t.requeues,
-        ),
-        (
-            "presto_tenant_window_samples",
-            "Samples delivered inside the fair-share window.",
-            |t| t.window_samples,
-        ),
-        (
-            "presto_serve_samples_total",
-            "Samples delivered to clients.",
-            |t| t.samples,
-        ),
-        (
-            "presto_serve_batches_total",
-            "BATCH frames delivered to clients.",
-            |t| t.batches,
-        ),
-        (
-            "presto_serve_bytes_total",
-            "Compressed block bytes delivered to clients.",
-            |t| t.bytes,
-        ),
-    ];
-    for (name, help, reading) in families {
-        let labeled = snapshot.tenants.iter().map(|t| {
-            (
-                format!("{{tenant=\"{}\"}}", json_escape(&t.name)),
-                reading(t),
-            )
-        });
-        // Back-compat unlabeled sum: single-tenant dashboards scrape
-        // the bare name.
-        let sum = snapshot.tenants.iter().map(reading).sum();
-        x.family(name, help, "gauge", labeled.chain([(String::new(), sum)]));
-    }
-    x.0
 }
 
 #[cfg(test)]
@@ -564,14 +500,8 @@ mod tests {
         assert_eq!(parsed.max_jobs, 4);
         assert_eq!(parsed.shard_quota, 64);
         assert!(parsed.window_closed);
-        // Everything but `active` (not on the wire) reads back.
-        assert_eq!(
-            parsed,
-            TenantsSnapshot {
-                active: false,
-                ..snapshot
-            }
-        );
+        // Everything reads back.
+        assert_eq!(parsed, snapshot);
         // Wrong schema string is refused.
         let bad = doc.replace(TENANTS_SCHEMA, "presto.fleet.v1");
         assert!(doc::read::<TenantsSnapshot>(&bad).is_err());
@@ -580,7 +510,11 @@ mod tests {
     #[test]
     fn labeled_serve_counters_carry_a_back_compat_sum() {
         let progress = three_tenant_registry();
-        let text = prometheus_tenants(&progress.snapshot());
+        let tree = crate::Snapshot {
+            tenants: Some(progress.snapshot()),
+            ..crate::Snapshot::default()
+        };
+        let text = crate::export::prometheus(&tree);
         let series = parse_prometheus(&text).expect("parses");
         // Labeled per-tenant series exist…
         let a = series_value(&series, "presto_serve_batches_total{tenant=\"a\"}").unwrap();

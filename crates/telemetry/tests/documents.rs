@@ -19,7 +19,7 @@ use presto_telemetry::doc::{self, Document, Record, Scalar, Visitor};
 use presto_telemetry::export::{self, parse_json, JsonValue, RunDocument};
 use presto_telemetry::fleet::{self, ChaosLog, FleetDocument};
 use presto_telemetry::timeseries::TimeSeriesDocument;
-use presto_telemetry::{tenants, TenantsSnapshot};
+use presto_telemetry::{Snapshot, TenantsSnapshot};
 
 /// SplitMix64: a seeded, dependency-free stream for the property and
 /// mutation lanes.
@@ -188,13 +188,19 @@ where
     );
 }
 
+/// The one tree that holds every section.
+fn tree() -> Snapshot {
+    Snapshot {
+        epoch: Some(samples::snapshot()),
+        search: Some(samples::search()),
+        serve: Some(samples::serve()),
+        tenants: Some(samples::tenants()),
+        fleet: Some(samples::fleet()),
+    }
+}
+
 fn fleet_sample() -> FleetDocument {
-    doc::read(&fleet::fleet_json(
-        &samples::snapshot(),
-        &samples::serve(),
-        &samples::fleet(),
-    ))
-    .expect("own fleet document reads")
+    doc::read(&fleet::fleet_json(&tree())).expect("own fleet document reads")
 }
 
 #[test]
@@ -220,13 +226,7 @@ fn parent_written_fixtures_read_back_and_match_the_new_writer() {
     same_as_parent(FLEET, fleet_sample());
     assert_eq!(fleet_sample().workers, samples::fleet().workers);
     assert_eq!(fleet_sample().client.spans, samples::snapshot().spans);
-    same_as_parent(
-        TENANTS,
-        TenantsSnapshot {
-            active: false,
-            ..samples::tenants()
-        },
-    );
+    same_as_parent(TENANTS, samples::tenants());
     same_as_parent(CAUSAL, samples::causal());
     let chaos: ChaosLog = doc::read(CHAOS).expect("parent's chaos log reads");
     assert_eq!(chaos.events.len(), 6);
@@ -267,28 +267,68 @@ fn committed_run_fixtures_still_read() {
     }
 }
 
+/// The exposition of an epoch-less tree, past its first line.
+fn section(tree: Snapshot) -> String {
+    let body = export::prometheus(&tree);
+    let section = body.strip_prefix(NO_EPOCH).expect("no epoch comes first");
+    section.to_string()
+}
+
+const NO_EPOCH: &str = "# no epoch recorded yet\n";
+
 #[test]
 fn metrics_exposition_is_byte_identical_to_the_parent() {
     assert_eq!(
-        export::prometheus(&samples::snapshot()),
+        export::prometheus(&samples::snapshot().into()),
         include_str!("fixtures/metrics-epoch.prom")
     );
     assert_eq!(
-        export::prometheus_search(&samples::search()),
+        section(Snapshot {
+            search: Some(samples::search()),
+            ..Snapshot::default()
+        }),
         include_str!("fixtures/metrics-search.prom")
     );
     assert_eq!(
-        export::prometheus_serve(&samples::serve()),
+        section(Snapshot {
+            serve: Some(samples::serve()),
+            ..Snapshot::default()
+        }),
         include_str!("fixtures/metrics-serve.prom")
     );
     assert_eq!(
-        export::prometheus_fleet(&samples::fleet()),
+        section(Snapshot {
+            fleet: Some(samples::fleet()),
+            ..Snapshot::default()
+        }),
         include_str!("fixtures/metrics-fleet.prom")
     );
     assert_eq!(
-        tenants::prometheus_tenants(&samples::tenants()),
+        section(Snapshot {
+            tenants: Some(samples::tenants()),
+            ..Snapshot::default()
+        }),
         include_str!("fixtures/metrics-tenants.prom")
     );
+}
+
+#[test]
+fn one_tree_exposes_every_section_in_the_order_metrics_joined_them() {
+    let joined = [
+        include_str!("fixtures/metrics-epoch.prom"),
+        include_str!("fixtures/metrics-search.prom"),
+        include_str!("fixtures/metrics-serve.prom"),
+        include_str!("fixtures/metrics-fleet.prom"),
+        include_str!("fixtures/metrics-tenants.prom"),
+    ]
+    .concat();
+    assert_eq!(export::prometheus(&tree()), joined);
+    let no_epoch = Snapshot {
+        epoch: None,
+        ..tree()
+    };
+    let rest = &joined[include_str!("fixtures/metrics-epoch.prom").len()..];
+    assert_eq!(export::prometheus(&no_epoch), format!("{NO_EPOCH}{rest}"));
 }
 
 /// Feed one mutated input through the reader. `Ok` or `Err` are both

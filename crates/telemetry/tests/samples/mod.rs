@@ -11,7 +11,7 @@ use presto_telemetry::causal::{
 use presto_telemetry::tenants::TenantState;
 use presto_telemetry::timeseries::{StepActivity, TimePoint};
 use presto_telemetry::{
-    DataPlaneSnapshot, FleetSnapshot, FleetWorkerEntry, PhaseKind, QueueSnapshot, SearchSnapshot,
+    DataPlaneSnapshot, Fleet, PhaseKind, QueueSnapshot, RemoteWorker, SearchSnapshot,
     ServeSnapshot, SpanEvent, StepSnapshot, TelemetrySnapshot, TenantEntry, TenantsSnapshot,
     WorkerSnapshot,
 };
@@ -156,28 +156,38 @@ pub fn serve() -> ServeSnapshot {
     }
 }
 
-pub fn fleet() -> FleetSnapshot {
-    let worker = |addr: &str, conn: u32, clock_offset_ns: i64| FleetWorkerEntry {
+pub fn fleet() -> Fleet {
+    // The fleet document carries a remote step's name, kind and busy time.
+    let total = |name: &str, kind, busy_ns| StepSnapshot {
+        busy_ns,
+        ..step(name, kind, 0, 0)
+    };
+    let worker = |addr: &str, conn: u32, clock_offset_ns: i64| RemoteWorker {
         addr: addr.to_string(),
         conn,
         peer_version: 2,
         clock_offset_ns,
         rtt_ns: 5_000 + u64::from(conn),
         assign_start_mono_ns: 1_000_000,
-        elapsed_ns: 900_000,
-        samples: 48,
-        batches: 12,
-        produce_ns: 700_000,
-        credit_wait_ns: 50_000,
-        dropped_spans: u64::from(conn) * 17,
-        steps: vec![
-            ("read".into(), "io".into(), 100),
-            ("decompress".into(), "cpu".into(), 200),
-        ],
-        spans: vec![span(0, 0, 10_000, 40_000), span(0, 1, 60_000, 0)],
+        epoch: TelemetrySnapshot {
+            elapsed_ns: 900_000,
+            samples: 48,
+            dropped_spans: u64::from(conn) * 17,
+            steps: vec![
+                total("read", PhaseKind::Io, 100),
+                total("decompress", PhaseKind::Cpu, 200),
+            ],
+            spans: vec![span(0, 0, 10_000, 40_000), span(0, 1, 60_000, 0)],
+            ..TelemetrySnapshot::default()
+        },
+        serve: ServeSnapshot {
+            batches_sent: 12,
+            produce_ns: 700_000,
+            credit_wait_ns: 50_000,
+            ..ServeSnapshot::default()
+        },
     };
-    FleetSnapshot {
-        active: true,
+    Fleet {
         trace_id: 0xDEAD_BEEF_F1EE_7001,
         epoch_start_mono_ns: 123_456_789,
         workers: vec![
@@ -203,7 +213,6 @@ pub fn tenants() -> TenantsSnapshot {
         elapsed_ns: 40_000_000 + samples,
     };
     TenantsSnapshot {
-        active: true,
         max_jobs: 4,
         shard_quota: 64,
         rejected: 2,

@@ -150,8 +150,7 @@ fn skewed_step_diagnosis_agrees_between_engines() {
         .unwrap();
     exec.epoch(&pipeline, &dataset, &store, None, 1, |_| {})
         .unwrap();
-    let snapshot = telemetry.last_epoch().unwrap();
-    let real = diagnose_real(&snapshot).unwrap();
+    let real = diagnose_real(&telemetry.snapshot()).unwrap();
     assert_eq!(real.diagnosis.bottleneck, Bottleneck::Cpu, "{real:?}");
     let straggler = real.straggler.as_ref().unwrap();
     assert_eq!(straggler.step, "heavy-aug", "{real:?}");

@@ -14,18 +14,33 @@ use presto_pipeline::serve::{
 use presto_pipeline::telemetry::doc;
 use presto_pipeline::telemetry::export::validate_chrome_trace;
 use presto_pipeline::telemetry::fleet::{fleet_json, merge_chrome_trace, FleetDocument};
-use presto_pipeline::{Pipeline, Resilience, Sample, Telemetry};
+use presto_pipeline::{
+    Fleet, Pipeline, Resilience, Sample, Snapshot, Telemetry, TelemetrySnapshot,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Everything one traced serve epoch leaves behind.
 struct FleetRun {
     checksum: MultisetChecksum,
-    client: presto_pipeline::telemetry::TelemetrySnapshot,
-    serve: presto_pipeline::telemetry::ServeSnapshot,
-    fleet: presto_pipeline::telemetry::fleet::FleetSnapshot,
+    /// The client's telemetry tree.
+    tree: Snapshot,
     /// `presto.chaos.v1` event log, when the run went through proxies.
     chaos_doc: Option<String>,
+}
+
+impl FleetRun {
+    fn client(&self) -> &TelemetrySnapshot {
+        self.tree
+            .epoch
+            .as_ref()
+            .expect("serve_epoch records an epoch")
+    }
+
+    fn fleet(&self) -> &Fleet {
+        let fleet = self.tree.fleet.as_ref();
+        fleet.expect("tracing must populate the fleet registry")
+    }
 }
 
 /// Run one traced epoch: `worker_count` workers (each with its own
@@ -101,18 +116,17 @@ fn run_fleet(
     }
     FleetRun {
         checksum: report.checksum,
-        client: telemetry
-            .last_epoch()
-            .expect("serve_epoch records an epoch"),
-        serve: telemetry.serve().snapshot(),
-        fleet: telemetry.fleet().snapshot(),
+        tree: telemetry.snapshot(),
         chaos_doc,
     }
 }
 
 fn diagnose(run: &FleetRun) -> presto::FleetDiagnosis {
-    assert!(run.fleet.active, "tracing must populate the fleet registry");
-    diagnose_fleet(&run.client, &run.serve, &run.fleet).expect("non-empty epoch")
+    assert!(
+        run.tree.fleet.is_some(),
+        "tracing must populate the fleet registry"
+    );
+    diagnose_fleet(&run.tree).expect("non-empty epoch")
 }
 
 #[test]
@@ -279,31 +293,31 @@ fn merged_chrome_trace_nests_offset_corrected_worker_spans() {
     // invariant that makes the merged trace nest without clamping
     // doing all the work.
     let slack = 250_000_000i128; // 250ms
-    for w in &run.fleet.workers {
+    for w in &run.fleet().workers {
         assert_eq!(w.peer_version, 2);
-        assert!(!w.spans.is_empty(), "worker {} sent spans", w.addr);
+        assert!(!w.epoch.spans.is_empty(), "worker {} sent spans", w.addr);
         let corrected = w.assign_start_mono_ns as i128
             - w.clock_offset_ns as i128
-            - run.fleet.epoch_start_mono_ns as i128;
+            - run.fleet().epoch_start_mono_ns as i128;
         assert!(
-            corrected >= -slack && corrected <= run.client.elapsed_ns as i128 + slack,
+            corrected >= -slack && corrected <= run.client().elapsed_ns as i128 + slack,
             "worker {}: corrected assign start {corrected}ns outside epoch of {}ns",
             w.addr,
-            run.client.elapsed_ns
+            run.client().elapsed_ns
         );
     }
 
-    let doc = fleet_json(&run.client, &run.serve, &run.fleet);
+    let doc = fleet_json(&run.tree);
     let parsed: FleetDocument = doc::read(&doc).expect("fleet doc round-trips");
-    assert_eq!(parsed.trace_id, run.fleet.trace_id);
-    assert_eq!(parsed.workers, run.fleet.workers);
+    assert_eq!(parsed.trace_id, run.fleet().trace_id);
+    assert_eq!(parsed.workers, run.fleet().workers);
 
     let merged = merge_chrome_trace(&doc, None).expect("merge");
     let events = validate_chrome_trace(&merged).expect("valid Chrome trace");
     assert!(events > 0);
     // One track per process: the client plus both workers by address.
     assert!(merged.contains("train-client"), "client track");
-    for w in &run.fleet.workers {
+    for w in &run.fleet().workers {
         assert!(
             merged.contains(&format!("serve-worker {}", w.addr)),
             "worker track for {}",
@@ -335,7 +349,7 @@ fn chaos_events_ride_along_on_their_own_track() {
         Duration::ZERO,
     );
     let chaos = run.chaos_doc.as_deref().expect("proxied run logs events");
-    let doc = fleet_json(&run.client, &run.serve, &run.fleet);
+    let doc = fleet_json(&run.tree);
     let merged = merge_chrome_trace(&doc, Some(chaos)).expect("merge with chaos");
     validate_chrome_trace(&merged).expect("valid Chrome trace");
     assert!(merged.contains("chaos-proxy"), "chaos track present");

@@ -151,7 +151,7 @@ fn absorbed_faults_surface_in_metrics() {
     assert!(stats.degraded);
     assert_eq!(snapshot.lost_shards, 1);
     assert!(snapshot.degraded);
-    let prom = export::prometheus(&snapshot);
+    let prom = export::prometheus(&snapshot.clone().into());
     assert!(prom.contains("presto_epoch_lost_shards_total 1"), "{prom}");
     assert!(prom.contains("presto_epoch_degraded 1"), "{prom}");
 }
@@ -160,7 +160,7 @@ fn absorbed_faults_surface_in_metrics() {
 fn exporters_round_trip() {
     let (snapshot, stats) = run_epoch(4, &Resilience::default(), |base, _| base);
 
-    let prom = export::prometheus(&snapshot);
+    let prom = export::prometheus(&snapshot.clone().into());
     let series = export::parse_prometheus(&prom).unwrap();
     let get = |name: &str| {
         series
@@ -192,7 +192,7 @@ fn exporters_round_trip() {
         Some(export::JSON_SCHEMA)
     );
 
-    let trace = export::chrome_trace(&snapshot);
+    let trace = export::chrome_trace(&snapshot.clone().into());
     let events = export::validate_chrome_trace(&trace).unwrap();
     assert_eq!(
         events,

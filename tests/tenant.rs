@@ -688,7 +688,7 @@ fn plain_clients_are_implicit_tenants_and_a_worker_takes_sequential_assigns() {
         assert_eq!(eofs, [0, 1]);
         if flags == ASSIGN_WANT_STATS {
             match read_frame(&mut reader).unwrap() {
-                Some(Frame::Stats { entry }) => assert_eq!(entry.samples, samples),
+                Some(Frame::Stats { entry }) => assert_eq!(entry.epoch.samples, samples),
                 other => panic!("expected STATS, got {other:?}"),
             }
         }
